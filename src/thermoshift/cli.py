@@ -1,9 +1,9 @@
 """Batch front-end: JSON specs in, machine-readable reports out.
 
 Commands: pressure | fit-h | verdict | weak-gibbs | profile-cnm | certificate.
-Exit codes: 0 success, 2 bad input document, 3 cap exceeded.  Reports are
-byte-identical across runs on identical inputs; THERMO_THREADS caps the
-worker pool used by the scans.
+Exit codes: 0 success, 2 bad input document or a table the float path
+cannot represent, 3 cap exceeded.  Reports are byte-identical across runs
+on identical inputs.
 """
 
 from __future__ import annotations

@@ -17,11 +17,13 @@ from fractions import Fraction
 from .factor import OneBlockFactor
 from .lp import chebyshev_fit_exact, chebyshev_fit_float
 from .numerics import common_power_base, power_exponent
-from .potential import (LocallyConstantPotential, birkhoff_extremes_coeff,
-                        birkhoff_inf, birkhoff_sup, periodic_birkhoff,
-                        periodic_birkhoff_coeff, variation_constant)
+from .potential import (LocallyConstantPotential, PotentialError,
+                        birkhoff_extremes_coeff, birkhoff_inf, birkhoff_sup,
+                        periodic_birkhoff, periodic_birkhoff_coeff,
+                        variation_constant)
 from .seqtable import SeqTable, TableError, build_g_table, defect_profile
-from .shiftcore import PeriodicPoint, Word, bridge, is_irreducible
+from .shiftcore import (PeriodicPoint, Word, bridge, extensions_from,
+                        is_irreducible)
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, Verdict, decays_to_zero
 
 _EXACT_FIT_LIMIT = 4096  # constraint cap for the exact simplex path
@@ -91,7 +93,8 @@ def periodic_defect_exact(gt: SeqTable, h: LocallyConstantPotential,
 
 
 def uniform_defect(gt: SeqTable, h: LocallyConstantPotential, n: int) -> float:
-    """u_n = max over depth-n words of (1/n)|log g_n(y) - sup S_n h on [y]|."""
+    """u_n = max over depth-n words of (1/n)|log g_n(y) - sup S_n h on [y]|,
+    word by word through birkhoff_sup (the reference for uniform_defects)."""
     worst = 0.0
     for w in gt.words(n):
         worst = max(worst, abs(gt.log_value(n, w) - birkhoff_sup(h, w)))
@@ -99,6 +102,8 @@ def uniform_defect(gt: SeqTable, h: LocallyConstantPotential, n: int) -> float:
 
 
 def uniform_defect_exact(gt: SeqTable, h: LocallyConstantPotential, n: int) -> Fraction | None:
+    """Exact u_n in units of log(base), word by word; None when the exact
+    representations don't line up."""
     if not (gt.is_exact and h.is_exact):
         return None
     base = h.exact_base
@@ -118,55 +123,82 @@ def uniform_defect_exact(gt: SeqTable, h: LocallyConstantPotential, n: int) -> F
     return worst / n
 
 
-def uniform_defects_exact_all(gt: SeqTable, h: LocallyConstantPotential) -> dict[int, Fraction] | None:
-    """Exact uniform defects at every table depth in one incremental pass.
+def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
+                    exact: bool = False) -> dict[int, float] | dict[int, Fraction] | None:
+    """Uniform defects at every table depth in one pass down the word tree.
 
-    Walks the word tree once, accumulating the contained-window Birkhoff
-    coefficients (integers over a common denominator) and adding the
-    per-suffix sup tail at readout, so exact certification at depth 18 stays
-    linear in the table size instead of quadratic.
+    Each word carries the Birkhoff sum of the windows it contains (floats
+    added left to right, or integer coefficients over a common denominator
+    when ``exact``), so the values equal uniform_defect (bit for bit) and
+    uniform_defect_exact at every depth.  For r >= 2 it also carries its
+    language-automaton state, and the sup over the r-1 windows reaching
+    past the word is cached per (state, last r-1 symbols): on a sofic image
+    the extensions of a word depend on its state, not on its suffix alone.
+    The exact variant (in units of log(base)) is None when the table or h
+    has no exact form or a table value is not a power of h's base.
     """
-    if not (gt.is_exact and h.is_exact):
-        return None
-    base = h.exact_base
-    r = h.range
-    den = 1
-    for c in h.exact_coeffs.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    cint = {w: int(c * den) for w, c in h.exact_coeffs.items()}
-    tails: dict[Word, int] = {}
-    if r >= 2:
-        for s in h.language.blocks(r - 1):
-            tails[s] = int(birkhoff_extremes_coeff(h, s)[0] * den)
-
-    out: dict[int, Fraction] = {}
-    inner: dict[Word, int] = {(): 0}
+    r, lang = h.range, h.language
+    if exact:
+        if not (gt.is_exact and h.is_exact):
+            return None
+        den = math.lcm(*(c.denominator for c in h.exact_coeffs.values()))
+        weight = {w: int(c * den) for w, c in h.exact_coeffs.items()}
+        zero = 0
+    else:
+        weight, zero = h.values, 0.0
+    tails, exps, out = {}, {}, {}  # tails keyed by (state, last r-1 symbols)
+    sums, states = {(): zero}, {(): lang.start}
     for n in range(1, gt.depth_max + 1):
-        nxt: dict[Word, int] = {}
-        for w in gt.logs[n]:
-            add = cint[w[-r:]] if n >= r else 0
-            nxt[w] = inner[w[:-1]] + add
-        inner = nxt
+        level = gt.exact[n] if exact else gt.logs[n]
+        if n >= r:
+            sums = {w: sums[w[:-1]] + weight[w[-r:]] for w in level}
+        else:
+            sums = dict.fromkeys(level, zero)
+        totals = sums
+        if r >= 2:
+            states = {w: lang.step(states[w[:-1]], w[-1]) for w in level}
+            k = max(0, n - r + 1)
+            totals = {}
+            for w, base in sums.items():
+                key = (states[w], w[k:])
+                t = tails.get(key)
+                if t is None:
+                    state, s_word = key
+                    if state is None:
+                        raise PotentialError("word %s is not allowable" % (w,))
+                    t = tails[key] = max(_window_sum(s_word + e, len(s_word), r, weight, zero)
+                                         for e in extensions_from(lang, state, r - 1))
+                totals[w] = base + t
+        # totals were built in the level's order
+        pairs = zip(level.values(), totals.values())
+        if not exact:
+            out[n] = max((abs(lv - t) for lv, t in pairs), default=0.0) / n
+            continue
         worst = 0
-        exps: dict[Fraction, int | None] = {}
-        for w, csum in inner.items():
-            v = gt.exact[n][w]
-            if v not in exps:
-                exps[v] = power_exponent(v, base)
-            e = exps[v]
+        for v, t in pairs:
+            e = exps.get(v, exps)  # exps itself marks a value not seen yet
+            if e is exps:
+                e = exps[v] = power_exponent(v, h.exact_base)
             if e is None:
                 return None
-            if n >= r - 1 and r >= 2:
-                total = csum + tails[w[n - r + 1:]]
-            elif r == 1:
-                total = csum
-            else:
-                total = int(birkhoff_extremes_coeff(h, w)[0] * den)
-            d = abs(e * den - total)
+            d = abs(e * den - t)
             if d > worst:
                 worst = d
         out[n] = Fraction(worst, den * n)
     return out
+
+
+def uniform_defects_exact_all(gt: SeqTable, h: LocallyConstantPotential) -> dict[int, Fraction] | None:
+    """The exact form of uniform_defects."""
+    return uniform_defects(gt, h, exact=True)
+
+
+def _window_sum(w: Word, count: int, r: int, weight, zero):
+    """The first ``count`` length-r windows of w, summed as birkhoff_sup does."""
+    total = zero
+    for i in range(count):
+        total = total + weight[w[i:i + r]]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -502,18 +534,14 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
             for nf in (n_fits or [min(gt.depth_max, 8)]):
                 tstars[nf] = chebyshev_defect(gt, h.values, h.range, nf)
 
-    uniform = {}
-    uniform_exact = True
-    all_exact = uniform_defects_exact_all(gt, h)
-    if all_exact is not None:
+    exact_u = uniform_defects_exact_all(gt, h)
+    if exact_u is not None:
         log_b = math.log(h.exact_base)
-        for n, ue in all_exact.items():
-            uniform[n] = float(ue) * log_b
-            uniform_exact = uniform_exact and ue == 0
+        uniform = {n: float(ue) * log_b for n, ue in exact_u.items()}
+        uniform_exact = all(ue == 0 for ue in exact_u.values())
     else:
+        uniform = uniform_defects(gt, h)
         uniform_exact = False
-        for n in range(1, gt.depth_max + 1):
-            uniform[n] = uniform_defect(gt, h, n)
 
     orbits = image_periodic_points(gt.language, P_max) if gt.language is not None else []
     periodic: dict[PeriodicPoint, list[float]] = {}

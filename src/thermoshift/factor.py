@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .markov import MarkovMeasure, MeasureError
-from .shiftcore import EPSILON, Sft, SftError, Word
+from .shiftcore import EPSILON, Sft, SftError, Word, extensions_from
 
 
 class FactorError(ValueError):
@@ -65,7 +65,8 @@ class ImageLanguage:
         self.factor = factor
         self.alphabet = factor.image_alphabet
         self._blocks_cache: dict[int, list[Word]] = {0: [EPSILON]}
-        self._full_state = frozenset(range(factor.domain.size))
+        self.start = frozenset(range(factor.domain.size))
+        self._steps: dict[tuple[frozenset, int], frozenset | None] = {}
 
     def index(self, name: str) -> int:
         try:
@@ -79,16 +80,22 @@ class ImageLanguage:
     def names(self, word: Word) -> tuple[str, ...]:
         return tuple(self.alphabet[i] for i in word)
 
-    def step(self, state: frozenset, b: int) -> frozenset:
-        """Advance the set of possible preimage end-symbols by one image symbol."""
+    def step(self, state: frozenset, b: int) -> frozenset | None:
+        """Advance the set of possible preimage end-symbols by one image
+        symbol; None when the word leaves the language.  Transitions are
+        cached, so the subset automaton is determinized lazily, once."""
+        try:
+            return self._steps[state, b]
+        except KeyError:
+            pass
         dom = self.factor.domain
-        pre = self.factor.preimage_symbols(b)
-        if state is self._full_state:
-            return frozenset(x for x in pre)
-        return frozenset(x for x in pre if any(dom.follows(s, x) for s in state))
+        nxt = frozenset(x for x in self.factor.preimage_symbols(b)
+                        if any(dom.follows(s, x) for s in state)) or None
+        self._steps[state, b] = nxt
+        return nxt
 
-    def run(self, word: Word) -> frozenset:
-        state = self._full_state
+    def run(self, word: Word) -> frozenset | None:
+        state = self.start
         for b in word:
             state = self.step(state, b)
             if not state:
@@ -121,49 +128,20 @@ class ImageLanguage:
     def extensions(self, word: Word, k: int) -> list[Word]:
         if k == 0:
             return [EPSILON]
-        start = self.run(word)
-        if not start and word:
-            return []
-        out: list[Word] = []
-
-        def rec(state: frozenset, acc: Word):
-            if len(acc) == k:
-                out.append(acc)
-                return
-            for b in range(len(self.alphabet)):
-                st2 = self.step(state, b)
-                if st2:
-                    rec(st2, acc + (b,))
-
-        rec(start if word else self._full_state, EPSILON)
-        return out
+        state = self.run(word)
+        return extensions_from(self, state, k) if state else []
 
     def count_blocks(self, n: int) -> int:
         """|B_n(Y)| by path counting on the determinized subset automaton
         (no enumeration)."""
-        if n <= 0:
-            return 1
-        # discover the DFA lazily, then count length-n paths from the start
-        trans: dict[frozenset, dict[int, frozenset]] = {}
-        todo = [self._full_state]
-        while todo:
-            st = todo.pop()
-            if st in trans:
-                continue
-            row = {}
-            for b in range(len(self.alphabet)):
-                st2 = self.step(st, b)
-                if st2:
-                    row[b] = st2
-                    if st2 not in trans:
-                        todo.append(st2)
-            trans[st] = row
-        counts = {self._full_state: 1}
+        counts = {self.start: 1}
         for _ in range(n):
             nxt: dict[frozenset, int] = {}
             for st, c in counts.items():
-                for st2 in trans[st].values():
-                    nxt[st2] = nxt.get(st2, 0) + c
+                for b in range(len(self.alphabet)):
+                    st2 = self.step(st, b)
+                    if st2:
+                        nxt[st2] = nxt.get(st2, 0) + c
             counts = nxt
         return sum(counts.values())
 

@@ -305,8 +305,7 @@ def weak_gibbs_constants(mu: MarkovMeasure, t: SeqTable, pressure: float,
             worst_log = max(worst_log, abs(log_rho))
         return worst_log, None
 
-    from .parallel import pmap
-    scanned = pmap(scan, range(1, depth + 1))
+    scanned = [scan(n) for n in range(1, depth + 1)]
     log_cn = {n: row[0] for n, row in zip(range(1, depth + 1), scanned)}
     exact_cn = {n: row[1] for n, row in zip(range(1, depth + 1), scanned)} if exact else None
     ns = sorted(log_cn)

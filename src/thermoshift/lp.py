@@ -189,4 +189,4 @@ def chebyshev_fit_float(rows, rhs, nvars):
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         raise LpError("LP solver failed: %s" % res.message)
-    return list(res.x[:nvars]), float(res.x[nvars])
+    return [float(v) for v in res.x[:nvars]], float(res.x[nvars])

@@ -44,6 +44,9 @@ class SeqTable:
         for n in range(1, self.depth_max + 1):
             if n not in self.logs:
                 raise TableError("missing depth %d" % n)
+            if not all(map(math.isfinite, self.logs[n].values())):
+                raise TableError("non-finite log value at depth %d (float under- or "
+                                 "overflow)" % n)
         self.exact: dict[int, dict[Word, Fraction]] | None = None
         if exact is not None:
             self.exact = {int(n): dict(v) for n, v in exact.items()}

@@ -63,6 +63,13 @@ class Sft:
     def __repr__(self):
         return "Sft(alphabet=%r)" % (list(self.alphabet),)
 
+    # language automaton: the state is the last symbol read, -1 before any
+    start = -1
+
+    def step(self, state: int, b: int) -> int | None:
+        """State after reading b, or None when b cannot follow."""
+        return b if state < 0 or self.transitions[state][b] else None
+
     def follows(self, i: int, j: int) -> bool:
         return bool(self.transitions[i][j])
 
@@ -104,21 +111,7 @@ class Sft:
 
     def extensions(self, word: Word, k: int) -> list[Word]:
         """Suffix extensions e of length k with word+e allowable, lexicographic."""
-        if k == 0:
-            return [EPSILON]
-        if not word:
-            return self.blocks(k)
-        out: list[Word] = []
-
-        def rec(last: int, acc: Word):
-            if len(acc) == k:
-                out.append(acc)
-                return
-            for j in self._followers[last]:
-                rec(j, acc + (j,))
-
-        rec(word[-1], EPSILON)
-        return out
+        return extensions_from(self, word[-1] if word else self.start, k)
 
     def count_blocks(self, n: int) -> int:
         """|B_n| via exact integer matrix powers (no enumeration)."""
@@ -148,6 +141,16 @@ class Sft:
         if not word:
             return False
         return self.is_word(word) and self.follows(word[-1], word[0])
+
+
+def extensions_from(lang, state, k: int) -> list[Word]:
+    """Words e of length k that the language automaton of ``lang`` (an Sft
+    or an image language) reads from ``state``, lexicographic."""
+    out = [(EPSILON, state)]
+    for _ in range(k):
+        out = [(e + (b,), nxt) for e, st in out for b in range(len(lang.alphabet))
+               if (nxt := lang.step(st, b)) is not None]
+    return [e for e, _ in out]
 
 
 @dataclass(frozen=True)

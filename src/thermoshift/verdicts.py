@@ -82,4 +82,4 @@ def decays_to_zero(ns, values, tol=1e-9) -> bool:
     half = len(values) // 2
     head = max(abs(v) for v in values[:half])
     tail = max(abs(v) for v in values[half:])
-    return tail <= 0.8 * head or tail <= tol
+    return bool(tail <= 0.8 * head or tail <= tol)

@@ -157,6 +157,37 @@ def test_thread_cap_does_not_change_output(tmp_path):
     assert serial == parallel
 
 
+def test_float_range2_verdict_ends_in_evidence(tmp_path):
+    # float table (nonzero f) and a HiGHS fit of range 2: the report holds
+    # Python bools and floats only, so it serializes
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"range": 2, "values": {
+        "11": 0.3, "12": -0.7, "13": 0.9, "21": -0.2, "22": 0.5,
+        "23": -0.9, "31": 0.1, "32": 0.8, "33": -0.4}}))
+    code, raw = run(tmp_path, "verdict", "--factor", fpath("factor_collapse.json"),
+                    "--potential", str(pot), "--depth", "8", "--range", "2")
+    assert code == 0
+    doc = json.loads(raw)
+    assert doc["table"]["exact"] is False
+    assert doc["verdict"]["verdict"] == "EVIDENCE"
+    assert doc["verdict"]["h"]["solver"] == "highs"
+    assert isinstance(doc["verdict"]["stats"]["uniform_decays"], bool)
+
+
+def test_underflowing_float_table_is_an_input_error(tmp_path, capsys):
+    # e^{-800} underflows to 0 on the float path: log g_1(b) would be -inf
+    factor = tmp_path / "factor.json"
+    factor.write_text(json.dumps({"domain": {"alphabet": ["a", "b"],
+                                             "transitions": [[1, 1], [1, 1]]},
+                                  "map": {"a": "a", "b": "b"}}))
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"range": 1, "values": {"a": 0.0, "b": -800.0}}))
+    code, raw = run(tmp_path, "pressure", "--factor", str(factor),
+                    "--potential", str(pot), "--depth", "3")
+    assert code == 2 and raw == b""
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_stdout_output(capsys):
     code = main(["pressure", "--sft", fpath("sft_full2.json"), "--depth", "4"])
     assert code == 0

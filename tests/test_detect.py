@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermoshift import (LocallyConstantPotential, OneBlockFactor,
                          build_g_table, c2_certificate, chebyshev_defect,
@@ -9,7 +12,9 @@ from thermoshift import (LocallyConstantPotential, OneBlockFactor,
                          periodic_defect, table_verdict, uniform_defect,
                          variation_constant)
 from thermoshift.detect import (DetectError, periodic_defect_exact,
-                                uniform_defect_exact)
+                                uniform_defect_exact, uniform_defects,
+                                uniform_defects_exact_all)
+from thermoshift.potential import birkhoff_extremes_coeff, birkhoff_sup
 from thermoshift.seqtable import SeqTable, TableError
 from thermoshift.shiftcore import PeriodicPoint, Sft
 from thermoshift.verdicts import Verdict
@@ -96,6 +101,98 @@ def test_uniform_defect_h_zero_is_log2(collapse_gt, collapse):
     h0 = LocallyConstantPotential.zero(collapse.image)
     for n in (1, 6, 12):
         assert uniform_defect(collapse_gt, h0, n) == pytest.approx(LOG2, abs=1e-12)
+
+
+# the even shift as the image of an edge shift: 1s separated by runs of 0s
+# of even length, so the extensions of a word depend on the parity of its
+# trailing 0-run (its subset-automaton state), not on its last symbol
+EVEN_EDGES = [[1, 1, 0], [0, 0, 1], [1, 1, 0]]
+EVEN_MAP = ["1", "0", "0"]
+
+
+def _exact_potential(lang, r, coeffs):
+    return LocallyConstantPotential(lang, r, {w: float(c) * LOG2 for w, c in coeffs.items()},
+                                    exact_coeffs=coeffs, exact_base=2)
+
+
+def test_uniform_defects_sofic_tails_follow_automaton_state():
+    dom = Sft(["e1", "e2", "e3"], EVEN_EDGES)
+    pi = OneBlockFactor(dom, EVEN_MAP)
+    gt = build_g_table(pi, LocallyConstantPotential.zero(dom), 8)
+    h = _exact_potential(pi.image, 2, {(0, 0): Fraction(-4, 3), (0, 1): Fraction(6),
+                                       (1, 0): Fraction(-2), (1, 1): Fraction(1, 2)})
+    ref = {n: uniform_defect_exact(gt, h, n) for n in range(1, 9)}
+    assert ref[3] == Fraction(7, 3)
+    assert uniform_defects_exact_all(gt, h) == ref
+    rep = table_verdict(gt, h=h)
+    assert rep.uniform == {n: float(v) * LOG2 for n, v in ref.items()}
+
+
+@st.composite
+def small_factors(draw):
+    """(transitions, symbol map) of a one-block factor on <= 4 domain
+    symbols; merged symbols often give strictly sofic images."""
+    k = draw(st.integers(2, 4))
+    trans = [[draw(st.integers(0, 1)) for _ in range(k)] for _ in range(k)]
+    for i in range(k):  # every symbol needs an outgoing and an incoming edge
+        if not any(trans[i]) or not any(row[i] for row in trans):
+            trans[i][i] = 1
+    return trans, draw(st.lists(st.sampled_from("abc"), min_size=k, max_size=k))
+
+
+def _exact_table(lang, exponents):
+    """Exact table with value 2**k (k an integer) on each word, per depth."""
+    return SeqTable(lang.alphabet,
+                    {n: {w: float(k) * LOG2 for w, k in level.items()}
+                     for n, level in exponents.items()},
+                    exact={n: {w: Fraction(2) ** k for w, k in level.items()}
+                           for n, level in exponents.items()}, language=lang)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor=small_factors(), f_range=st.integers(1, 2), r=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16))
+@example(factor=(EVEN_EDGES, EVEN_MAP), f_range=2, r=2, seed=0)
+@example(factor=(EVEN_EDGES, EVEN_MAP), f_range=1, r=3, seed=1)
+def test_uniform_defects_match_per_word_reference(factor, f_range, r, seed):
+    """The walk against the per-word references on random factors.  Besides
+    the real g tables, each path gets a table pinned to sup S_n h itself, on
+    which every reference defect is 0, so one wrong sup tail on any word
+    shows."""
+    trans, targets = factor
+    depth = 6
+    dom = Sft([str(i) for i in range(len(trans))], trans)
+    pi = OneBlockFactor(dom, targets)
+    img = pi.image
+    rng = random.Random(seed)
+    ns = range(1, depth + 1)
+
+    # exact path: rational h on the counting table and on random powers of
+    # the base; integer h on the table pinned to its own sups
+    coeffs = {w: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for w in img.blocks(r)}
+    h = _exact_potential(img, r, coeffs)
+    hz = _exact_potential(img, r, {w: 6 * c for w, c in coeffs.items()})
+    pinned = _exact_table(img, {n: {w: int(birkhoff_extremes_coeff(hz, w)[0])
+                                    for w in img.blocks(n)} for n in ns})
+    cases = [(build_g_table(pi, LocallyConstantPotential.zero(dom), depth), h),
+             (_exact_table(img, {n: {w: rng.randint(0, 4) for w in img.blocks(n)} for n in ns}), h),
+             (pinned, hz)]
+    for gt, hh in cases:
+        ref = {n: uniform_defect_exact(gt, hh, n) for n in ns}
+        want = None if None in ref.values() else ref
+        assert uniform_defects(gt, hh, exact=True) == want
+    assert set(uniform_defects_exact_all(pinned, hz).values()) == {0}
+
+    # float path: bit-identical to uniform_defect (floats compared with ==)
+    f = LocallyConstantPotential(dom, f_range, {w: rng.uniform(-2, 2)
+                                                for w in dom.blocks(f_range)})
+    hf = LocallyConstantPotential(img, r, {w: rng.uniform(-2, 2) for w in img.blocks(r)})
+    pinned_f = SeqTable(img.alphabet, {n: {w: birkhoff_sup(hf, w) for w in img.blocks(n)}
+                                       for n in ns}, language=img)
+    for gt in (build_g_table(pi, f, depth), pinned_f):
+        assert uniform_defects(gt, hf) == {n: uniform_defect(gt, hf, n) for n in ns}
+        assert uniform_defects(gt, hf, exact=True) is None
+    assert set(uniform_defects(pinned_f, hf).values()) == {0.0}
 
 
 def test_periodic_defects_zero_for_fitted(collapse_gt, collapse, fitted_h):

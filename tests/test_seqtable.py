@@ -275,3 +275,13 @@ def test_table_validation():
         SeqTable(("s",), {2: {(0, 0): 1.0}})  # missing depth 1
     with pytest.raises(TableError):
         SeqTable(("s",), {1: {(0,): 0.0}}, exact={1: {(0, 0): Fraction(1)}})
+
+
+def test_table_rejects_non_finite_logs(full2):
+    for bad in (float("-inf"), float("inf"), float("nan")):
+        with pytest.raises(TableError, match="non-finite"):
+            SeqTable(("s",), {1: {(0,): 0.0}, 2: {(0, 0): bad}})
+    pi = OneBlockFactor.identity(full2)
+    f = LocallyConstantPotential.from_symbol_weights(full2, {"a": 0.0, "b": -800.0})
+    with pytest.raises(TableError, match="non-finite"):
+        build_g_table(pi, f, 2)
