@@ -8,14 +8,13 @@ from .detect import (C2Certificate, DefectReport, FitResult, c2_certificate,
                      chebyshev_defect, compensation_verdict, fit_h,
                      image_periodic_points, periodic_defect, table_verdict,
                      uniform_defect)
-from .factor import (FiberTable, ImageLanguage, OneBlockFactor, fiber_words,
-                     image_blocks, pushforward_cylinder)
+from .factor import ImageLanguage, OneBlockFactor, fiber_words, pushforward_cylinder
 from .gibbs import (GibbsData, entropy, integrate_table, pushforward_sandwich,
                     transfer_pressure, weak_gibbs_constants)
 from .markov import MarkovMeasure
-from .potential import (CylinderSumTable, LocallyConstantPotential,
-                        birkhoff_extremes, birkhoff_inf, birkhoff_sup,
-                        periodic_birkhoff, variation_constant)
+from .potential import (LocallyConstantPotential, birkhoff_extremes,
+                        birkhoff_inf, birkhoff_sup, periodic_birkhoff,
+                        variation_constant)
 from .seqtable import (DefectProfile, PressureEstimate, SeqTable,
                        build_additive_table, build_g_table, check_D2,
                        check_subadditive, defect_profile, partition_sum,

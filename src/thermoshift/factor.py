@@ -164,10 +164,6 @@ class ImageLanguage:
         return False
 
 
-def image_blocks(pi: OneBlockFactor, n: int) -> list[Word]:
-    return pi.image.blocks(n)
-
-
 def fiber_words(pi: OneBlockFactor, y: Word) -> list[Word]:
     """All u in B_n(X) with pi(u) = y, lexicographic; empty iff y is not in
     the image language."""
@@ -186,25 +182,6 @@ def fiber_words(pi: OneBlockFactor, y: Word) -> list[Word]:
 
     rec(EPSILON, 0)
     return out
-
-
-class FiberTable:
-    """Memoized fibers at one depth: every domain n-block appears in exactly
-    one fiber, keyed by its image word."""
-
-    def __init__(self, pi: OneBlockFactor, depth: int):
-        self.pi = pi
-        self.depth = depth
-        table: dict[Word, list[Word]] = {}
-        for u in pi.domain.blocks(depth):
-            table.setdefault(pi.apply(u), []).append(u)
-        self.fibers = table
-
-    def fiber(self, y: Word) -> list[Word]:
-        return self.fibers.get(y, [])
-
-    def image_words(self) -> list[Word]:
-        return sorted(self.fibers)
 
 
 def induced_image_sft(pi: OneBlockFactor, verify_depth: int = 8) -> Sft | None:

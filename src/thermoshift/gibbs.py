@@ -6,7 +6,7 @@ against Markov measures (Kingman limits) and weak-Gibbs constants C_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .markov import MarkovMeasure, MeasureError, entropy
@@ -40,7 +40,6 @@ class GibbsData:
     left: tuple[float, ...]
     measure: MarkovMeasure
     residual: float
-    c_n: dict[int, float] = field(default_factory=dict)
 
 
 def _power_iteration(matrix, tol=_POWER_TOL):
@@ -158,21 +157,6 @@ def transfer_pressure(sft: Sft, f: LocallyConstantPotential) -> GibbsData:
         measure=measure,
         residual=residual,
     )
-
-
-def self_check_constants(gd: GibbsData, depth: int,
-                         slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> "WeakGibbsReport":
-    """Weak-Gibbs constants of the induced measure against its own
-    potential's additive table; fills gd.c_n and should come out bounded."""
-    from .seqtable import build_additive_table
-
-    table = build_additive_table(gd.potential, depth)
-    report = weak_gibbs_constants(gd.measure, table, gd.pressure,
-                                  depth_max=depth, exact_base=gd.lam_exact,
-                                  pressure_source="transfer",
-                                  slope_threshold=slope_threshold)
-    gd.c_n = dict(report.log_cn)
-    return report
 
 
 @dataclass

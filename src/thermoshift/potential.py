@@ -153,20 +153,6 @@ def birkhoff_extremes_coeff(f: LocallyConstantPotential, u: Word) -> tuple[Fract
     return _extremes(f, u, f.coeff, Fraction(0))
 
 
-class CylinderSumTable:
-    """Per-cylinder (sup, inf) of S_n f at one depth, in log space."""
-
-    def __init__(self, f: LocallyConstantPotential, depth: int):
-        self.f = f
-        self.depth = depth
-        self.sup: dict[Word, float] = {}
-        self.inf: dict[Word, float] = {}
-        for u in f.language.blocks(depth):
-            s, i = birkhoff_extremes(f, u)
-            self.sup[u] = s
-            self.inf[u] = i
-
-
 def variation_constant(f: LocallyConstantPotential, n: int) -> float:
     """log M_n: worst spread of S_n f over an n-cylinder.  Zero for r = 1;
     bounded by (r-1)(max f - min f) always.

@@ -6,6 +6,12 @@ Tables are built once per depth and immutable afterwards.  Two arithmetic
 modes: exact big-integer counting (fiber cardinalities, the f = 0 path) and
 floating log space.  The counting path keeps exact values alongside their
 logs so downstream checks can be zero-tolerance.
+
+The scans over split words run on a level index (``SeqTable.levels``):
+per depth the words, logs, exact values as integers and the ranks of each
+word's prefix and suffix one depth down, so prefixes and suffixes of any
+length are chained gathers.  On exact tables floats only propose; exact
+integer comparison (int64 below 2^63, Python ints past it) decides.
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .factor import OneBlockFactor, fiber_words
 from .numerics import aitken_last, log_fraction, logsumexp
@@ -50,9 +59,14 @@ class SeqTable:
         self.exact: dict[int, dict[Word, Fraction]] | None = None
         if exact is not None:
             self.exact = {int(n): dict(v) for n, v in exact.items()}
+            if set(self.exact) != set(self.logs):
+                raise TableError("exact values must cover the same depths as the logs")
             for n, vals in self.exact.items():
                 if set(vals) != set(self.logs[n]):
                     raise TableError("exact values disagree with words at depth %d" % n)
+                # Fractions (and ints) carry their sign in the numerator
+                if not all(v.numerator > 0 for v in vals.values()):
+                    raise TableError("exact values must be positive (depth %d)" % n)
         self.kind = kind
         self.language = language
         self.log_mn: dict[int, float] = dict(log_mn) if log_mn else {n: 0.0 for n in self.logs}
@@ -81,6 +95,89 @@ class SeqTable:
 
     def has_word(self, n: int, word: Word) -> bool:
         return n in self.logs and word in self.logs[n]
+
+    @cached_property
+    def levels(self) -> list[_Level | None]:
+        """The level index ``levels[n]``, 1 <= n <= depth_max, built on first
+        use; TableError when a word's w[:-1] or w[1:] is not stored."""
+        out: list[_Level | None] = [None]
+        prev = {(): 0}
+        for n in range(1, self.depth_max + 1):
+            level = self.logs[n]
+            words = list(level)
+            try:
+                parent = np.array([prev[w[:-1]] for w in words], dtype=np.int32)
+                tail = np.array([prev[w[1:]] for w in words], dtype=np.int32)
+            except KeyError as err:
+                raise TableError("word %s at depth %d lacks its prefix or suffix at "
+                                 "depth %d" % (err.args[0], n, n - 1)) from None
+            num, den, hi = None, 1, 0
+            if self.exact is not None:
+                vals = [self.exact[n][w] for w in words]
+                den = math.lcm(*{v.denominator for v in vals})
+                nums = [v.numerator * (den // v.denominator) for v in vals]
+                hi = max(nums, default=0)
+                num = np.array(nums, dtype=np.int64 if hi <= _INT64_MAX else object)
+            out.append(_Level(words, np.fromiter(level.values(), float, len(words)),
+                              parent, tail, num, den, hi))
+            prev = dict(zip(words, range(len(words))))
+        return out
+
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One depth: words in dict order, logs, exact values num / den (``hi``
+    the largest num), and the ranks one depth down of w[:-1] and w[1:]."""
+
+    words: list[Word]
+    logs: np.ndarray
+    parent: np.ndarray
+    tail: np.ndarray
+    num: np.ndarray | None
+    den: int
+    hi: int
+
+
+def _ranks(levels: list, total: int, pointer: str) -> list:
+    """out[j]: rank at depth j of the length-j prefix (pointer "parent") or
+    suffix ("tail") of each word at depth ``total``."""
+    out = [None] * (total + 1)
+    out[total] = np.arange(len(levels[total].words), dtype=np.int32)
+    for j in range(total, 1, -1):
+        out[j - 1] = getattr(levels[j], pointer)[out[j]]
+    return out
+
+
+def _times(x: np.ndarray, y, bound: int) -> np.ndarray:
+    """x * y elementwise, in int64 while ``bound`` caps the products below
+    2^63, in Python ints past it."""
+    return np.multiply(x, y, dtype=object if bound > _INT64_MAX else None)
+
+
+def _splits(t: SeqTable):
+    """Every split w = w[:n] w[n:] of the words at each depth total >= 2,
+    one (total, n) at a time: yields (total, n, slack, exact) with the float
+    slack (log f_total - log f_n) - log f_m o sigma^n per word and, on exact
+    tables, exact = (v, ab), integer arrays ordered like f_total and
+    f_n * f_m o sigma^n (both scaled by the three level denominators)."""
+    levels = t.levels
+    for total in range(2, t.depth_max + 1):
+        top = levels[total]
+        pre, suf = _ranks(levels, total, "parent"), _ranks(levels, total, "tail")
+        for n in range(1, total):
+            a, b = levels[n], levels[total - n]
+            ia, ib = pre[n], suf[total - n]
+            slack = (top.logs - a.logs[ia]) - b.logs[ib]
+            exact = None
+            if top.num is not None:
+                scale = a.den * b.den
+                ab = _times(a.num[ia], b.num[ib], a.hi * b.hi)
+                exact = (_times(top.num, scale, top.hi * scale),
+                         _times(ab, top.den, a.hi * b.hi * top.den))
+            yield total, n, slack, exact
 
 
 def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
@@ -272,51 +369,29 @@ class SubadditivityReport:
                 "tolerance": self.tolerance}
 
 
-def _integer_levels(t: SeqTable):
-    """Exact values as plain ints per depth when all denominators are 1."""
-    if not t.is_exact:
-        return None
-    out = {}
-    for n, level in t.exact.items():
-        ints = {}
-        for w, v in level.items():
-            if v.denominator != 1:
-                return None
-            ints[w] = v.numerator
-        out[n] = ints
-    return out
-
-
 def check_subadditive(t: SeqTable, tol: float = 1e-12) -> SubadditivityReport:
     """Verify log f_{n+m}(y) <= log f_n(y) + log f_m(sigma^n y) for every
-    split of every stored word; returns the worst signed slack."""
+    split of every stored word; returns the worst signed slack, witnessed by
+    its first occurrence in the order total, word, n.  Exact tables decide
+    ``ok`` by exact comparison."""
     if t.depth_max < 2:
         raise TableError("need depth_max >= 2")
+    best: dict[int, list] = {}  # total -> [(largest slack at n, first word rank, n)]
+    exact_ok = True
+    for total, n, slack, exact in _splits(t):
+        if len(slack):
+            i = int(np.argmax(slack))
+            best.setdefault(total, []).append((float(slack[i]), i, n))
+        if exact is not None and exact_ok:
+            exact_ok = not np.any(exact[0] > exact[1])
     worst = float("-inf")
     witness = None
-    for total in range(2, t.depth_max + 1):
-        for w, lv in t.logs[total].items():
-            for n in range(1, total):
-                slack = lv - t.logs[n][w[:n]] - t.logs[total - n][w[n:]]
-                if slack > worst:
-                    worst = slack
-                    witness = (n, total - n, w)
-    ok = worst <= tol
-    ints = _integer_levels(t)
-    if ints is not None:
-        ok = True
-        for total in range(2, t.depth_max + 1):
-            for w, v in ints[total].items():
-                for n in range(1, total):
-                    if v > ints[n][w[:n]] * ints[total - n][w[n:]]:
-                        ok = False
-    elif t.is_exact:
-        ok = True
-        for total in range(2, t.depth_max + 1):
-            for w, v in t.exact[total].items():
-                for n in range(1, total):
-                    if v > t.exact[n][w[:n]] * t.exact[total - n][w[n:]]:
-                        ok = False
+    for total, cands in best.items():
+        top = max(c[0] for c in cands)
+        if top > worst:
+            i, n, worst = min((i, n, s) for s, i, n in cands if s == top)
+            witness = (n, total - n, t.levels[total].words[i])
+    ok = exact_ok if t.is_exact else worst <= tol
     return SubadditivityReport(ok, worst, witness, tol)
 
 
@@ -339,53 +414,44 @@ class D2Report:
                 "detail": self.detail}
 
 
-def _all_words(alphabet_size: int, k: int):
-    if k == 0:
-        yield ()
-        return
-    for w in _all_words(alphabet_size, k - 1):
-        for b in range(alphabet_size):
-            yield w + (b,)
-
-
 def check_D2(t: SeqTable, gap_cap: int) -> D2Report:
     """Bridging-condition search: for each pair (u, v) find the gap word w,
     |w| <= gap_cap, maximizing value(uwv) / (value(u) value(v)); D_{n,m} is
     the minimum over pairs of the best ratio.
+
+    Each stored word uwv at depth n+m+k scatters its log into the cell
+    (rank of u, rank of v); rounding is monotone, so the cell maximum gives
+    the best ratio.  Cells never hit are the unbridged pairs.
 
     The normalized trend (1/n) log D_{n,m} -> 0 is evaluated at finite depth
     and labeled as evidence only.
     """
     if gap_cap < 0:
         raise TableError("gap cap must be >= 0")
-    L = len(t.alphabet)
+    levels = t.levels
+    found: dict[tuple[int, int], tuple] = {}  # (n, m) -> (log D or None, unbridged)
+    for s in range(2, t.depth_max - gap_cap + 1):
+        tops = {n: np.full((len(levels[n].words), len(levels[s - n].words)), -np.inf)
+                for n in range(1, s)}
+        for total in range(s, s + gap_cap + 1):
+            pre, suf = _ranks(levels, total, "parent"), _ranks(levels, total, "tail")
+            for n, top in tops.items():
+                np.maximum.at(top, (pre[n], suf[s - n]), levels[total].logs)
+        for n, top in tops.items():
+            a, b = levels[n], levels[s - n]
+            hit = top > -np.inf
+            ratio = np.where(hit, (top - a.logs[:, None]) - b.logs, np.inf)
+            worst = float(ratio.flat[np.argmin(ratio)]) if hit.any() else None
+            iu, iv = np.nonzero(~hit)
+            found[(n, s - n)] = (worst, [(a.words[i], b.words[j])
+                                         for i, j in zip(iu.tolist(), iv.tolist())])
     log_d: dict[tuple[int, int], float] = {}
     unbridged: list[tuple[Word, Word]] = []
-    for n in range(1, t.depth_max):
-        for m in range(1, t.depth_max - n + 1):
-            if n + m + gap_cap > t.depth_max:
-                continue
-            worst = None
-            for u, lu in t.logs[n].items():
-                for v, lv in t.logs[m].items():
-                    best = None
-                    for k in range(gap_cap + 1):
-                        level = t.logs[n + m + k]
-                        for w in _all_words(L, k):
-                            cand = u + w + v
-                            lw = level.get(cand)
-                            if lw is None:
-                                continue
-                            ratio = lw - lu - lv
-                            if best is None or ratio > best:
-                                best = ratio
-                    if best is None:
-                        unbridged.append((u, v))
-                        continue
-                    if worst is None or best < worst:
-                        worst = best
-            if worst is not None:
-                log_d[(n, m)] = worst
+    for key in sorted(found):
+        worst, missing = found[key]
+        unbridged.extend(missing)
+        if worst is not None:
+            log_d[key] = worst
     bridged = not unbridged
     # evidence for (1/n) log D_{n,m} -> 0 at fixed m (and symmetrically)
     trends = []
@@ -426,52 +492,36 @@ class DefectProfile:
         }
 
 
+def _max_ratio(v: np.ndarray, ab: np.ndarray, i: int) -> Fraction:
+    """Exact max over words of max(v, ab) / min(v, ab).  The float filter's
+    candidate i is proven by cross-multiplication, num * wd <= den * wn for
+    every word; the words that beat it are resolved one by one."""
+    num, den = np.maximum(v, ab), np.minimum(v, ab)
+    wn, wd = int(num[i]), int(den[i])
+    bound = int(num.max()) * max(wn, wd)
+    for j in np.flatnonzero(_times(num, wd, bound) > _times(den, wn, bound)).tolist():
+        nj, dj = int(num[j]), int(den[j])
+        if nj * wd > dj * wn:
+            wn, wd = nj, dj
+    return Fraction(wn, wd)
+
+
 def defect_profile(t: SeqTable, slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> DefectProfile:
     """log C_{n,m} = max over words of |log f_{n+m} - log f_n - log f_m o sigma^n|,
     with an exponential-growth flag (least-squares slope in m at fixed n)."""
     if t.depth_max < 2:
         raise TableError("need depth_max >= 2")
     log_c: dict[tuple[int, int], float] = {}
-    exact_c: dict[tuple[int, int], Fraction] | None = None
-    ints = _integer_levels(t)
-    if ints is not None:
-        # counting path: track the worst two-sided ratio as an integer pair
-        exact_c = {}
-        for total in range(2, t.depth_max + 1):
-            for n in range(1, total):
-                m = total - n
-                wn, wd = 1, 1
-                for w, v in ints[total].items():
-                    ab = ints[n][w[:n]] * ints[m][w[n:]]
-                    num, den = (v, ab) if v >= ab else (ab, v)
-                    if num * wd > wn * den:
-                        wn, wd = num, den
-                worst = Fraction(wn, wd)
-                exact_c[(n, m)] = worst
-                log_c[(n, m)] = log_fraction(worst)
-    elif t.is_exact:
-        exact_c = {}
-        for total in range(2, t.depth_max + 1):
-            for n in range(1, total):
-                m = total - n
-                worst = Fraction(1)
-                for w, v in t.exact[total].items():
-                    ratio = v / (t.exact[n][w[:n]] * t.exact[m][w[n:]])
-                    big = ratio if ratio >= 1 else 1 / ratio
-                    if big > worst:
-                        worst = big
-                exact_c[(n, m)] = worst
-                log_c[(n, m)] = log_fraction(worst)
-    else:
-        for total in range(2, t.depth_max + 1):
-            for n in range(1, total):
-                m = total - n
-                worst = 0.0
-                for w, lv in t.logs[total].items():
-                    d = abs(lv - t.logs[n][w[:n]] - t.logs[m][w[n:]])
-                    if d > worst:
-                        worst = d
-                log_c[(n, m)] = worst
+    exact_c: dict[tuple[int, int], Fraction] | None = {} if t.is_exact else None
+    for total, n, slack, exact in _splits(t):
+        d = np.abs(slack)
+        i = int(np.argmax(d)) if len(d) else None
+        if exact is None:
+            log_c[(n, total - n)] = 0.0 if i is None else float(d[i])
+        else:
+            worst = Fraction(1) if i is None else _max_ratio(*exact, i)
+            exact_c[(n, total - n)] = worst
+            log_c[(n, total - n)] = log_fraction(worst)
     growth = False
     witness = None
     slopes: dict[int, TrendStats] = {}

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from thermoshift import (MarkovMeasure, OneBlockFactor, fiber_words,
-                         image_blocks, pushforward_cylinder)
-from thermoshift.factor import FiberTable, induced_image_sft
+                         pushforward_cylinder)
+from thermoshift.factor import induced_image_sft
 from thermoshift.markov import MeasureError
 
 
@@ -17,23 +17,23 @@ def brute_fibers(pi, n):
 
 
 def test_image_blocks_identity(identity_gm, goldenmean):
-    assert len(image_blocks(identity_gm, 2)) == 3
-    assert image_blocks(identity_gm, 2) == goldenmean.blocks(2)
+    assert len(identity_gm.image.blocks(2)) == 3
+    assert identity_gm.image.blocks(2) == goldenmean.blocks(2)
 
 
 def test_image_blocks_collapse(collapse):
-    assert image_blocks(collapse, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert collapse.image.blocks(2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_image_of_total_collapse(full2):
     pi = OneBlockFactor(full2, {"a": "a", "b": "a"})
-    assert image_blocks(pi, 5) == [(0,) * 5]
+    assert pi.image.blocks(5) == [(0,) * 5]
 
 
 def test_image_blocks_match_bruteforce(collapse, phase_blocked, amalgamation):
     for pi in (collapse, phase_blocked, amalgamation):
         for n in range(1, 7):
-            assert image_blocks(pi, n) == sorted(brute_fibers(pi, n))
+            assert pi.image.blocks(n) == sorted(brute_fibers(pi, n))
 
 
 def test_fiber_words_collapse(collapse, full3):
@@ -67,10 +67,10 @@ def test_fiber_words_match_bruteforce(collapse, phase_blocked):
 
 def test_fiber_table_partitions_domain(collapse, phase_blocked):
     for pi in (collapse, phase_blocked):
-        ft = FiberTable(pi, 5)
-        total = sum(len(v) for v in ft.fibers.values())
-        assert total == len(pi.domain.blocks(5))
-        assert ft.image_words() == pi.image.blocks(5)
+        fibers = [fiber_words(pi, y) for y in pi.image.blocks(5)]
+        assert all(fibers)
+        # disjoint and covering: the fibers list every domain block once
+        assert sorted(u for fiber in fibers for u in fiber) == pi.domain.blocks(5)
 
 
 def test_image_language_periodic_blocks(phase_blocked):

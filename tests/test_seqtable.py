@@ -277,6 +277,26 @@ def test_table_validation():
         SeqTable(("s",), {1: {(0,): 0.0}}, exact={1: {(0, 0): Fraction(1)}})
 
 
+def test_table_rejects_exact_values_missing_a_depth():
+    logs = {1: {(0,): 0.0}, 2: {(0, 0): 0.0}}
+    with pytest.raises(TableError, match="same depths"):
+        SeqTable(("s",), logs, exact={1: {(0,): Fraction(1)}})
+
+
+def test_table_rejects_non_positive_exact_values():
+    logs = {1: {(0,): 0.0}, 2: {(0, 0): 0.0}}
+    for bad in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(TableError, match="positive"):
+            SeqTable(("s",), logs, exact={1: {(0,): Fraction(1)}, 2: {(0, 0): bad}})
+
+
+def test_scans_reject_words_without_stored_prefix():
+    t = synthetic_table({1: {(0,): 0.0}, 2: {(0, 1): 0.0}}, alphabet=("s", "t"))
+    for scan in (check_subadditive, defect_profile, lambda t: check_D2(t, 0)):
+        with pytest.raises(TableError, match="prefix or suffix"):
+            scan(t)
+
+
 def test_table_rejects_non_finite_logs(full2):
     for bad in (float("-inf"), float("inf"), float("nan")):
         with pytest.raises(TableError, match="non-finite"):
