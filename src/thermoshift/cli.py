@@ -171,8 +171,7 @@ def cmd_weak_gibbs(args) -> dict:
         pressure_g = est.fekete_upper
         source = "fekete-upper"
     gd = transfer_pressure(sft, f)
-    ft = build_additive_table(f, args.depth)
-    constants = weak_gibbs_constants(mu, ft, gd.pressure, depth_max=args.depth,
+    constants = weak_gibbs_constants(mu, f, gd.pressure, args.depth,
                                      exact_base=gd.lam_exact,
                                      pressure_source="transfer",
                                      slope_threshold=args.slope_threshold)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .factor import OneBlockFactor
 from .lp import chebyshev_fit_exact, chebyshev_fit_float
-from .numerics import common_power_base, power_exponent
+from .numerics import power_exponent
 from .potential import (LocallyConstantPotential, PotentialError,
                         birkhoff_extremes_coeff, birkhoff_inf, birkhoff_sup,
                         periodic_birkhoff, periodic_birkhoff_coeff,
@@ -37,13 +37,9 @@ class DetectError(ValueError):
 # exact exponent plumbing
 
 def table_power_base(gt: SeqTable) -> int | None:
-    """Common integer base b with every exact table value a power of b."""
-    if not gt.is_exact:
-        return None
-    values = set()
-    for level in gt.exact.values():
-        values.update(level.values())
-    return common_power_base(values)
+    """Common integer base b with every exact table value a power of b
+    (computed once per table, ``SeqTable.power_base``)."""
+    return gt.power_base
 
 
 def _exponent(gt: SeqTable, n: int, w: Word, base: int) -> Fraction | None:

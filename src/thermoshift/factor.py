@@ -216,38 +216,84 @@ def pushforward_cylinder(mu: MarkovMeasure, pi: OneBlockFactor, y: Word):
     n = len(y)
     if n == 0:
         return Fraction(1) if mu.exact else 1.0
-    k = mu.order
-    zero = Fraction(0) if mu.exact else 0.0
-    if n <= k:
+    if n <= mu.order:
         masses = [mu.cylinder_mass(u) for u in fiber_words(pi, y)]
         if mu.exact:
-            return sum(masses, zero)
+            return sum(masses, Fraction(0))
         return math.fsum(masses)
-    dom = pi.domain
-    state_masses: dict[Word, object] = {}
+    return _state_total(mu, _cylinder_states(mu, pi, y))
+
+
+def pushforward_masses(mu: MarkovMeasure, pi: OneBlockFactor, levels):
+    """Yield {y: mass of [y] under pi(mu)} for each list of image words in
+    ``levels`` (words of length 1, 2, ...), equal to pushforward_cylinder
+    word by word, floats bit for bit.
+
+    Past the measure's order k a word's per-state masses are its parent's
+    advanced by one symbol, so one walk down the word tree serves every
+    word whose prefix was in the previous level.
+    """
+    if mu.sft is not pi.domain and mu.alphabet != pi.domain.alphabet:
+        raise MeasureError("measure alphabet does not match the factor domain")
+    k = mu.order
+    prev: dict[Word, dict] = {}
+    for n, words in enumerate(levels, start=1):
+        cur: dict[Word, dict] = {}
+        masses = {}
+        for y in words:
+            if n <= k:
+                masses[y] = pushforward_cylinder(mu, pi, y)
+                if n == k:
+                    cur[y] = _cylinder_states(mu, pi, y)
+                continue
+            parent = prev.get(y[:-1])
+            states = (_advance(mu, pi, parent, y[-1]) if parent is not None
+                      else _cylinder_states(mu, pi, y))
+            cur[y] = states
+            masses[y] = _state_total(mu, states)
+        prev = cur
+        yield masses
+
+
+def _cylinder_states(mu: MarkovMeasure, pi: OneBlockFactor, y: Word) -> dict:
+    """{k-block state s: mass of the words in the fiber of y ending in s},
+    for len(y) >= k; empty once no fiber word carries mass."""
+    k = mu.order
+    states: dict[Word, object] = {}
     for s in mu.states:
         if pi.apply(s) == y[:k]:
             m = mu.state_mass(s)
             if m:
-                state_masses[s] = m
-    for pos in range(k, n):
-        nxt: dict[Word, object] = {}
-        for s, m in state_masses.items():
-            i = mu._index[s]
-            for x in pi.preimage_symbols(y[pos]):
-                if not dom.follows(s[-1], x):
-                    continue
-                t = s[1:] + (x,)
-                j = mu._index.get(t)
-                if j is None:
-                    continue
-                p = mu.matrix[i][j]
-                if p:
-                    nxt[t] = nxt.get(t, zero) + m * p
-        state_masses = nxt
-        if not state_masses:
-            return zero
-    total = zero
-    for m in state_masses.values():
+                states[s] = m
+    for b in y[k:]:
+        if not states:
+            break
+        states = _advance(mu, pi, states, b)
+    return states
+
+
+def _advance(mu: MarkovMeasure, pi: OneBlockFactor, states: dict, b: int) -> dict:
+    """Per-state masses after appending the image symbol b."""
+    dom = pi.domain
+    zero = Fraction(0) if mu.exact else 0.0
+    nxt: dict[Word, object] = {}
+    for s, m in states.items():
+        i = mu._index[s]
+        for x in pi.preimage_symbols(b):
+            if not dom.follows(s[-1], x):
+                continue
+            t = s[1:] + (x,)
+            j = mu._index.get(t)
+            if j is None:
+                continue
+            p = mu.matrix[i][j]
+            if p:
+                nxt[t] = nxt.get(t, zero) + m * p
+    return nxt
+
+
+def _state_total(mu: MarkovMeasure, states: dict):
+    total = Fraction(0) if mu.exact else 0.0
+    for m in states.values():
         total += m
     return total

@@ -1,17 +1,25 @@
 """Transfer-operator machinery: pressure of a locally constant potential,
 the induced Gibbs Markov measure, exact integrals of sequence tables
 against Markov measures (Kingman limits) and weak-Gibbs constants C_n.
+
+For a Markov measure of order k and f of range r, log mu[w] + nP -
+sup_[w] S_n f is a path sum on the max(k, r-1)-block graph plus a terminal
+sup tail, so C_n comes from a max/min transfer walk in O(n S^2), not from
+the |A|^n words.  C_n is exact (max/min-times over Fractions) when the
+measure is exact, f = 0 and the pressure base is rational; otherwise it is
+a float computed in log space, so tiny masses do not underflow.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .markov import MarkovMeasure, MeasureError, entropy
 from .numerics import log_fraction
-from .potential import LocallyConstantPotential
+from .potential import LocallyConstantPotential, birkhoff_sup
 from .seqtable import SeqTable, TableError
 from .shiftcore import Sft, Word, is_irreducible
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, GibbsVerdict, growth_flag, trend_stats
@@ -226,83 +234,37 @@ class WeakGibbsReport:
                 "stats": self.stats}
 
 
-def weak_gibbs_constants(mu: MarkovMeasure, t: SeqTable, pressure: float,
-                         depth_max: int | None = None,
-                         exact_base: Fraction | None = None,
+def weak_gibbs_constants(mu: MarkovMeasure, f: LocallyConstantPotential, pressure: float,
+                         depth_max: int, exact_base: Fraction | None = None,
                          pressure_source: str = "given",
                          slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> WeakGibbsReport:
-    """C_n = worst two-sided ratio of mu[u] against e^{-nP} f_n(u).
+    """C_n = worst two-sided ratio of mu[w] against e^{-nP + sup_[w] S_n f}
+    over the words w of length n, for n = 1..depth_max.
 
     Verdict: GIBBS when sup_n C_n shows no growth, WEAK-GIBBS when the trend
     is consistent with (1/n) log C_n -> 0, NEITHER on linear growth of
-    log C_n.  Exact Fractions are used when the measure, the table and the
-    pressure base all are exact; only then is C_n == 1 a certified identity.
+    log C_n or when some cylinder has zero mass.  Exact Fractions are used
+    when the measure is exact, f = 0 and the pressure base is given; only
+    then is C_n == 1 a certified identity.
     """
-    if mu.alphabet != t.alphabet:
-        raise MeasureError("measure alphabet does not match the table")
-    depth = min(depth_max or t.depth_max, t.depth_max)
-    exact = mu.exact and t.is_exact and exact_base is not None
-
-    # cylinder masses built incrementally level by level
-    levels: list[dict] = []
-    k = mu.order
-    prev: dict = {}
-    for n in range(1, depth + 1):
-        cur = {}
-        if n <= k:
-            for w in t.logs[n]:
-                cur[w] = mu.cylinder_mass(w)
-        else:
-            for w in t.logs[n]:
-                base_mass = prev[w[:-1]]
-                if base_mass:
-                    i = mu._index[w[-k - 1:-1]]
-                    j = mu._index[w[-k:]]
-                    cur[w] = base_mass * mu.matrix[i][j]
-                else:
-                    cur[w] = base_mass
-        levels.append(cur)
-        prev = cur
-
-    def scan(n: int):
-        worst_log = 0.0
-        worst_exact = Fraction(1)
-        masses = levels[n - 1]
-        if exact:
-            lam_n = exact_base ** n
-            for w in t.logs[n]:
-                mw = masses[w]
-                if not mw:
-                    return float("inf"), worst_exact
-                rho = mw * lam_n / t.exact[n][w]
-                big = rho if rho >= 1 else 1 / rho
-                if big > worst_exact:
-                    worst_exact = big
-            return log_fraction(worst_exact), worst_exact
-        for w, lv in t.logs[n].items():
-            mw = masses[w]
-            if not mw:
-                worst_log = float("inf")
-                continue
-            log_rho = (log_fraction(mw) if isinstance(mw, Fraction) else math.log(mw)) \
-                + n * pressure - lv
-            worst_log = max(worst_log, abs(log_rho))
-        return worst_log, None
-
-    scanned = [scan(n) for n in range(1, depth + 1)]
-    log_cn = {n: row[0] for n, row in zip(range(1, depth + 1), scanned)}
-    exact_cn = {n: row[1] for n, row in zip(range(1, depth + 1), scanned)} if exact else None
+    if mu.alphabet != f.language.alphabet:
+        raise MeasureError("measure alphabet does not match the potential")
+    if depth_max < 1:
+        raise GibbsError("depth_max must be >= 1")
+    exact = mu.exact and f.is_zero and exact_base is not None
+    walked = _ratio_extremes(mu, f, pressure, depth_max, exact_base if exact else None)
+    log_cn = {n: row[0] for n, row in walked.items()}
+    exact_cn = {n: row[1] for n, row in walked.items()} if exact else None
     ns = sorted(log_cn)
     values = [log_cn[n] for n in ns]
-    if exact and all(c == 1 for c in exact_cn.values()):
-        verdict = GibbsVerdict.GIBBS
-        stats = {"certainty": "exact", "max_log_cn": 0.0}
-        return WeakGibbsReport(log_cn, exact_cn, verdict, True, pressure,
-                               pressure_source, stats)
     if any(math.isinf(v) for v in values):
-        return WeakGibbsReport(log_cn, exact_cn, GibbsVerdict.NEITHER, False,
+        return WeakGibbsReport(log_cn, None, GibbsVerdict.NEITHER, False,
                                pressure, pressure_source,
                                {"certainty": "exact", "reason": "vanishing cylinder mass"})
+    if exact and all(c == 1 for c in exact_cn.values()):
+        stats = {"certainty": "exact", "max_log_cn": 0.0}
+        return WeakGibbsReport(log_cn, exact_cn, GibbsVerdict.GIBBS, True, pressure,
+                               pressure_source, stats)
     fired, stats = growth_flag(ns, values, slope_threshold)
     trend = trend_stats(ns, values)
     if trend.bounded:
@@ -316,6 +278,95 @@ def weak_gibbs_constants(mu: MarkovMeasure, t: SeqTable, pressure: float,
               "normalized_last": values[-1] / ns[-1]}
     return WeakGibbsReport(log_cn, exact_cn, verdict, exact, pressure,
                            pressure_source, detail)
+
+
+def _log(x) -> float:
+    """log of a mass or a probability; -inf for zero."""
+    if not x:
+        return -math.inf
+    return log_fraction(x) if isinstance(x, Fraction) else math.log(x)
+
+
+def _ratio_extremes(mu: MarkovMeasure, f: LocallyConstantPotential, pressure: float,
+                    depth: int, base: Fraction | None) -> dict[int, tuple]:
+    """{n: (log C_n, exact C_n or None)} by a max/min transfer walk.
+
+    The value of a word w is mu[w] (exact, ``base`` given, f = 0) or
+    log mu[w] - (the sum of f over the windows inside w).  Each symbol
+    appended multiplies (adds) a weight fixed by the last m = max(k, r-1)
+    symbols and the new one, so words with n <= m are enumerated and past
+    m the walk carries per m-block state only the largest and the smallest
+    value of the words ending there.  The ratio is then value * base^n, or
+    value + nP - tail, the tail being the sup of the windows reaching past
+    w, a function of its last r-1 symbols.  log C_n = inf when a cylinder
+    has zero mass.
+    """
+    sft, k, r = mu.sft, mu.order, f.range
+    m = max(k, r - 1)
+    exact = base is not None
+    join = operator.mul if exact else operator.add
+    tails: dict[Word, float] = {}
+
+    def tail(w: Word) -> float:
+        if exact or r == 1:
+            return 0.0
+        key = w[max(0, len(w) - r + 1):]
+        if key not in tails:
+            tails[key] = birkhoff_sup(f, key)
+        return tails[key]
+
+    def weight(w: Word):
+        """The factor of the last symbol of w (len(w) > k)."""
+        p = mu.matrix[mu._index[w[-k - 1:-1]]][mu._index[w[-k:]]]
+        if exact:
+            return p
+        return _log(p) - f.value(w[-r:]) if len(w) >= r else _log(p)
+
+    def extremes(n: int, highs, lows, tail_values) -> tuple:
+        if exact:
+            lo = min(lows)
+            if not lo:
+                return math.inf, None
+            lam_n = Fraction(base) ** n
+            c = max(Fraction(1), max(highs) * lam_n, 1 / (lo * lam_n))
+            return log_fraction(c), c
+        shift = n * pressure
+        top = max(h + shift - t for h, t in zip(highs, tail_values))
+        bottom = min(v + shift - t for v, t in zip(lows, tail_values))
+        return max(0.0, top, -bottom), None
+
+    out = {}
+    values: dict[Word, object] = {}
+    for n in range(1, min(m, depth) + 1):
+        if n <= k:
+            values = {w: mu.cylinder_mass(w) for w in sft.blocks(n)}
+            if not exact:
+                values = {w: _log(v) - sum(f.value(w[i:i + r]) for i in range(n - r + 1))
+                          for w, v in values.items()}
+        else:
+            values = {w: join(values[w[:-1]], weight(w)) for w in sft.blocks(n)}
+        vals = list(values.values())
+        out[n] = extremes(n, vals, vals, [tail(w) for w in values])
+    if depth <= m:
+        return out
+    states = list(values)
+    index = {s: i for i, s in enumerate(states)}
+    edges = [(index[s], index[s[1:] + (x,)], weight(s + (x,)))
+             for s in states for x in sft.followers(s[-1])]
+    tail_values = [tail(s) for s in states]
+    highs = lows = vals
+    for n in range(m + 1, depth + 1):
+        new_hi: list = [None] * len(states)
+        new_lo: list = [None] * len(states)
+        for a, b, w in edges:
+            hi, lo = join(highs[a], w), join(lows[a], w)
+            if new_hi[b] is None or hi > new_hi[b]:
+                new_hi[b] = hi
+            if new_lo[b] is None or lo < new_lo[b]:
+                new_lo[b] = lo
+        highs, lows = new_hi, new_lo
+        out[n] = extremes(n, highs, lows, tail_values)
+    return out
 
 
 @dataclass
@@ -342,28 +393,31 @@ def pushforward_sandwich(mu: MarkovMeasure, pi, f: LocallyConstantPotential,
 
     Zero tolerance on the exact rational path; 1e-9 slack on floats.
     """
-    from .factor import pushforward_cylinder
+    from .factor import pushforward_masses
     from .potential import variation_constant
 
     exact = (exact_base is not None and mu.exact and gt.is_exact
              and weak_report.exact_cn is not None)
     worst = float("inf")
     failures = []
-    for n in range(1, depth + 1):
+    levels = pushforward_masses(mu, pi, (gt.words(n) for n in range(1, depth + 1)))
+    for n, masses in enumerate(levels, start=1):
         log_mn = variation_constant(f, n)
         if exact and log_mn != 0.0:
             exact_here = False
         else:
             exact_here = exact
         cn_log = weak_report.log_cn[n]
-        for y in gt.words(n):
+        if exact_here:
+            lam_n = exact_base ** n
+            cn = weak_report.exact_cn[n]
+            cn_inv, cn_exact_log = 1 / cn, float(log_fraction(cn))
+        for y, mass in masses.items():
             names = [gt.alphabet[i] for i in y]
-            mass = pushforward_cylinder(mu, pi, y)
             if exact_here:
-                ratio = mass * exact_base ** n / gt.exact_value(n, y)
-                cn = weak_report.exact_cn[n]
-                ok = (1 / cn) <= ratio <= cn
-                margin = float(log_fraction(cn)) - abs(float(log_fraction(ratio))) if ratio > 0 else float("-inf")
+                ratio = mass * lam_n / gt.exact_value(n, y)
+                ok = cn_inv <= ratio <= cn
+                margin = cn_exact_log - abs(float(log_fraction(ratio))) if ratio > 0 else float("-inf")
             else:
                 if mass == 0:
                     failures.append({"n": n, "word": names, "reason": "zero mass"})

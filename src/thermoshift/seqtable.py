@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .factor import OneBlockFactor, fiber_words
-from .numerics import aitken_last, log_fraction, logsumexp
+from .numerics import aitken_last, common_power_base, log_fraction, logsumexp
 from .potential import LocallyConstantPotential, birkhoff_sup, variation_constant
 from .shiftcore import Word
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, TrendStats, growth_flag, decays_to_zero
@@ -95,6 +95,14 @@ class SeqTable:
 
     def has_word(self, n: int, word: Word) -> bool:
         return n in self.logs and word in self.logs[n]
+
+    @cached_property
+    def power_base(self) -> int | None:
+        """Common integer base b with every exact value a power of b; None
+        without exact values or when there is no such base."""
+        if self.exact is None:
+            return None
+        return common_power_base({v for level in self.exact.values() for v in level.values()})
 
     @cached_property
     def levels(self) -> list[_Level | None]:

@@ -192,10 +192,9 @@ def test_criterion_6_weak_gibbs_sandwich(collapse, full3):
     est = pressure_estimate(gt)
     assert est.exact_base == 3  # P(G) = log 3 exactly
     mu = MarkovMeasure.bernoulli(full3, [Fraction(1, 3)] * 3)
-    ft = build_additive_table(f0, 12)
     gd = transfer_pressure(full3, f0)
     assert gd.lam_exact == 3
-    wg = weak_gibbs_constants(mu, ft, gd.pressure, exact_base=gd.lam_exact)
+    wg = weak_gibbs_constants(mu, f0, gd.pressure, 12, exact_base=gd.lam_exact)
     assert wg.exact and all(c == 1 for c in wg.exact_cn.values())
     for n in range(1, 13):
         assert variation_constant(f0, n) == 0.0  # M_n = 1 exactly

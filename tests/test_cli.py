@@ -69,6 +69,20 @@ def test_weak_gibbs(tmp_path):
     assert doc["transfer"]["lam_exact"] == "3"
 
 
+def test_weak_gibbs_vanishing_mass_is_neither(tmp_path):
+    # [a] has zero mass; an exact run once certified GIBBS with C_n "1"
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"P": [["1/2", "1/2"], ["0", "1"]], "pi": ["0", "1"],
+                                   "exact": True, "order": 1}))
+    code, raw = run(tmp_path, "weak-gibbs", "--sft", fpath("sft_full2.json"),
+                    "--measure", str(measure), "--depth", "4")
+    assert code == 0
+    constants = json.loads(raw)["mu_constants"]
+    assert constants["verdict"] == "NEITHER"
+    assert constants["stats"] == {"certainty": "exact", "reason": "vanishing cylinder mass"}
+    assert constants["exact_cn"] is None
+
+
 def test_profile_cnm_with_csv(tmp_path):
     csv = tmp_path / "profile.csv"
     code, raw = run(tmp_path, "profile-cnm", "--factor", fpath("factor_phase_blocked.json"),

@@ -11,10 +11,12 @@ from thermoshift import (LocallyConstantPotential, OneBlockFactor,
                          compensation_verdict, fit_h, image_periodic_points,
                          periodic_defect, table_verdict, uniform_defect,
                          variation_constant)
+from thermoshift import seqtable
 from thermoshift.detect import (DetectError, periodic_defect_exact,
-                                uniform_defect_exact, uniform_defects,
-                                uniform_defects_exact_all)
+                                table_power_base, uniform_defect_exact,
+                                uniform_defects, uniform_defects_exact_all)
 from thermoshift.potential import birkhoff_extremes_coeff, birkhoff_sup
+from thermoshift.numerics import common_power_base
 from thermoshift.seqtable import SeqTable, TableError
 from thermoshift.shiftcore import PeriodicPoint, Sft
 from thermoshift.verdicts import Verdict
@@ -26,6 +28,24 @@ LOG2 = math.log(2)
 def collapse_gt(collapse):
     f = LocallyConstantPotential.zero(collapse.domain)
     return build_g_table(collapse, f, 12)
+
+
+def test_table_power_base_is_computed_once_per_table(collapse, monkeypatch):
+    gt = build_g_table(collapse, LocallyConstantPotential.zero(collapse.domain), 8)
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return common_power_base(values)
+
+    monkeypatch.setattr(seqtable, "common_power_base", counted)
+    fits = [fit_h(gt, 1, n) for n in (4, 6, 8)]
+    assert table_power_base(gt) == 2  # g_n(y) = 2^{#a in y}
+    assert all(fit.solver == "exact-simplex" for fit in fits)
+    assert len(calls) == 1
+    floats = build_g_table(collapse, LocallyConstantPotential.zero(collapse.domain), 4,
+                           mode="float")
+    assert table_power_base(floats) is None
 
 
 @pytest.fixture(scope="module")

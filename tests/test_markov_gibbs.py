@@ -161,9 +161,8 @@ def test_integrate_alphabet_mismatch(collapse, full3):
 
 def test_weak_gibbs_constants_exact_identity(full2):
     f = LocallyConstantPotential.zero(full2)
-    t = build_additive_table(f, 10)
     mu = MarkovMeasure.bernoulli(full2, [Fraction(1, 2), Fraction(1, 2)])
-    rep = weak_gibbs_constants(mu, t, math.log(2), exact_base=Fraction(2))
+    rep = weak_gibbs_constants(mu, f, math.log(2), 10, exact_base=Fraction(2))
     assert rep.verdict == GibbsVerdict.GIBBS
     assert rep.exact
     assert all(c == 1 for c in rep.exact_cn.values())
@@ -173,7 +172,7 @@ def test_weak_gibbs_self_check(goldenmean):
     # the transfer measure against its own potential's additive table
     f = LocallyConstantPotential.from_symbol_weights(goldenmean, {"a": 0.4, "b": -0.3})
     gd = transfer_pressure(goldenmean, f)
-    rep = weak_gibbs_constants(gd.measure, build_additive_table(f, 12), gd.pressure,
+    rep = weak_gibbs_constants(gd.measure, f, gd.pressure,
                                depth_max=12, exact_base=gd.lam_exact,
                                pressure_source="transfer")
     assert rep.verdict == GibbsVerdict.GIBBS
@@ -182,9 +181,8 @@ def test_weak_gibbs_self_check(goldenmean):
 
 def test_weak_gibbs_wrong_pressure_is_neither(full3, collapse):
     f = LocallyConstantPotential.zero(full3)
-    t = build_additive_table(f, 8)
     mu = MarkovMeasure.bernoulli(full3, [1 / 3] * 3)
-    rep = weak_gibbs_constants(mu, t, math.log(2))  # wrong P: log C_n grows linearly
+    rep = weak_gibbs_constants(mu, f, math.log(2), 8)  # wrong P: log C_n grows linearly
     assert rep.verdict == GibbsVerdict.NEITHER
 
 
@@ -193,9 +191,8 @@ def test_pushforward_sandwich_exact(collapse, full3):
     gt = build_g_table(collapse, f, 8)
     est = pressure_estimate(gt)
     mu = MarkovMeasure.bernoulli(full3, [Fraction(1, 3)] * 3)
-    ft = build_additive_table(f, 8)
     gd = transfer_pressure(full3, f)
-    wg = weak_gibbs_constants(mu, ft, gd.pressure, exact_base=gd.lam_exact)
+    wg = weak_gibbs_constants(mu, f, gd.pressure, 8, exact_base=gd.lam_exact)
     rep = pushforward_sandwich(mu, collapse, f, gt, float(est.extrapolated),
                                est.exact_base, wg, 8)
     assert rep.ok and rep.exact
