@@ -14,16 +14,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .factor import OneBlockFactor
+from .factor import OneBlockFactor, fiber_words
 from .lp import chebyshev_fit_exact, chebyshev_fit_float
-from .numerics import power_exponent
+from .numerics import logsumexp, power_exponent
 from .potential import (LocallyConstantPotential, PotentialError,
                         birkhoff_extremes_coeff, birkhoff_inf, birkhoff_sup,
                         periodic_birkhoff, periodic_birkhoff_coeff,
                         variation_constant)
 from .seqtable import SeqTable, TableError, build_g_table, defect_profile
-from .shiftcore import (PeriodicPoint, Word, bridge, extensions_from,
-                        is_irreducible)
+from .shiftcore import (PeriodicPoint, Word, bridge, is_irreducible,
+                        periodic_points)
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, Verdict, decays_to_zero
 
 _EXACT_FIT_LIMIT = 4096  # constraint cap for the exact simplex path
@@ -163,7 +163,7 @@ def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
                     if state is None:
                         raise PotentialError("word %s is not allowable" % (w,))
                     t = tails[key] = max(_window_sum(s_word + e, len(s_word), r, weight, zero)
-                                         for e in extensions_from(lang, state, r - 1))
+                                         for e in lang.extensions_from(state, r - 1))
                 totals[w] = base + t
         # totals were built in the level's order
         pairs = zip(level.values(), totals.values())
@@ -367,10 +367,6 @@ def c2_certificate(gt: SeqTable, pi: OneBlockFactor, f: LocallyConstantPotential
     n = len(u)
     if n > gt.depth_max:
         raise TableError("certificate word is deeper than the table")
-    from .factor import fiber_words
-
-    from .numerics import logsumexp
-
     groups: dict[tuple[int, int], list[Word]] = {}
     for x in fiber_words(pi, u):
         groups.setdefault((x[0], x[-1]), []).append(x)
@@ -440,22 +436,7 @@ def _exactly_multiplicative(gt: SeqTable, orbit: PeriodicPoint, j_max: int) -> b
 
 def image_periodic_points(language, max_period: int) -> list[PeriodicPoint]:
     """Canonical periodic orbits of the image shift up to max_period."""
-    from .shiftcore import _is_primitive, _least_rotation
-
-    seen = set()
-    out = []
-    for q in range(1, max_period + 1):
-        for w in language.blocks(q):
-            if not _is_primitive(w):
-                continue
-            canon = _least_rotation(w)
-            if canon in seen:
-                continue
-            if language.is_periodic_block(canon):
-                seen.add(canon)
-                out.append(PeriodicPoint(block=canon, period=q))
-    out.sort(key=lambda p: (p.period, p.block))
-    return out
+    return periodic_points(language, max_period)
 
 
 @dataclass

@@ -3,8 +3,10 @@ exact pushforward of Markov measures.
 
 The image subshift Y is never specified independently: its language is
 derived from the map via the subset automaton (state = set of domain
-symbols a preimage word can currently end in), which keeps membership and
-extension queries cheap without enumerating fibers.
+symbols a preimage word can currently end in).  ``ImageLanguage`` supplies
+only that automaton's ``step``; blocks, counts, membership, extensions and
+periodic blocks come from the shared ``shiftcore.Language``, so they are
+cheap without enumerating fibers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .markov import MarkovMeasure, MeasureError
-from .shiftcore import EPSILON, Sft, SftError, Word, extensions_from
+from .shiftcore import EPSILON, Language, Sft, SftError, Word
 
 
 class FactorError(ValueError):
@@ -58,27 +60,18 @@ class OneBlockFactor:
         return self._preimages[b]
 
 
-class ImageLanguage:
-    """Language of the image subshift, queried through the subset automaton."""
+class ImageLanguage(Language):
+    """Language of the image subshift, read by the subset automaton: the
+    state is the set of domain symbols a preimage word can currently end in."""
+
+    error = FactorError
+    blocks = Language.blocks  # own attribute: perfbench/tracer.py reads vars(cls)
+    count_blocks = Language.count_blocks  # own attribute: perfbench/tracer.py reads vars(cls)
 
     def __init__(self, factor: OneBlockFactor):
+        super().__init__(factor.image_alphabet, frozenset(range(factor.domain.size)))
         self.factor = factor
-        self.alphabet = factor.image_alphabet
-        self._blocks_cache: dict[int, list[Word]] = {0: [EPSILON]}
-        self.start = frozenset(range(factor.domain.size))
         self._steps: dict[tuple[frozenset, int], frozenset | None] = {}
-
-    def index(self, name: str) -> int:
-        try:
-            return self.alphabet.index(name)
-        except ValueError:
-            raise FactorError("unknown image symbol %r" % (name,)) from None
-
-    def word_from_names(self, names) -> Word:
-        return tuple(self.index(s) for s in names)
-
-    def names(self, word: Word) -> tuple[str, ...]:
-        return tuple(self.alphabet[i] for i in word)
 
     def step(self, state: frozenset, b: int) -> frozenset | None:
         """Advance the set of possible preimage end-symbols by one image
@@ -93,75 +86,6 @@ class ImageLanguage:
                         if any(dom.follows(s, x) for s in state)) or None
         self._steps[state, b] = nxt
         return nxt
-
-    def run(self, word: Word) -> frozenset | None:
-        state = self.start
-        for b in word:
-            state = self.step(state, b)
-            if not state:
-                break
-        return state
-
-    def is_word(self, word: Word) -> bool:
-        if any(not (0 <= b < len(self.alphabet)) for b in word):
-            return False
-        return bool(self.run(word)) if word else True
-
-    def blocks(self, n: int) -> list[Word]:
-        """B_n(Y) = images of B_n(X), deduplicated and sorted."""
-        if n < 0:
-            raise FactorError("block length must be >= 0")
-        if n not in self._blocks_cache:
-            m = max(self._blocks_cache)
-            frontier = {w: self.run(w) for w in self._blocks_cache[m]}
-            for k in range(m + 1, n + 1):
-                nxt: dict[Word, frozenset] = {}
-                for w, st in frontier.items():
-                    for b in range(len(self.alphabet)):
-                        st2 = self.step(st, b)
-                        if st2:
-                            nxt[w + (b,)] = st2
-                frontier = nxt
-                self._blocks_cache[k] = sorted(frontier)
-        return self._blocks_cache[n]
-
-    def extensions(self, word: Word, k: int) -> list[Word]:
-        if k == 0:
-            return [EPSILON]
-        state = self.run(word)
-        return extensions_from(self, state, k) if state else []
-
-    def count_blocks(self, n: int) -> int:
-        """|B_n(Y)| by path counting on the determinized subset automaton
-        (no enumeration)."""
-        counts = {self.start: 1}
-        for _ in range(n):
-            nxt: dict[frozenset, int] = {}
-            for st, c in counts.items():
-                for b in range(len(self.alphabet)):
-                    st2 = self.step(st, b)
-                    if st2:
-                        nxt[st2] = nxt.get(st2, 0) + c
-            counts = nxt
-        return sum(counts.values())
-
-    def is_periodic_block(self, word: Word) -> bool:
-        """(word)^infinity lies in Y iff every repetition stays allowable;
-        the subset-state sequence is eventually periodic, so finitely many
-        repetitions decide it."""
-        if not word or not self.is_word(word):
-            return False
-        state = self.run(word)
-        seen = {state}
-        while state:
-            for b in word:
-                state = self.step(state, b)
-                if not state:
-                    return False
-            if state in seen:
-                return True
-            seen.add(state)
-        return False
 
 
 def fiber_words(pi: OneBlockFactor, y: Word) -> list[Word]:

@@ -17,9 +17,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .factor import pushforward_masses
 from .markov import MarkovMeasure, MeasureError, entropy
 from .numerics import log_fraction
-from .potential import LocallyConstantPotential, birkhoff_sup
+from .potential import LocallyConstantPotential, birkhoff_sup, variation_constant
 from .seqtable import SeqTable, TableError
 from .shiftcore import Sft, Word, is_irreducible
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, GibbsVerdict, growth_flag, trend_stats
@@ -58,17 +59,16 @@ def _power_iteration(matrix, tol=_POWER_TOL):
     gamma = max(max(row) for row in matrix)
     shifted = [[matrix[i][j] + (gamma if i == j else 0.0) for j in range(n)] for i in range(n)]
     v = [1.0 / n] * n
-    lam_shift = 0.0
     for _ in range(_MAX_ITER):
         w = [sum(shifted[i][j] * v[j] for j in range(n)) for i in range(n)]
         norm = math.fsum(w)
         w = [x / norm for x in w]
-        if max(abs(a - b) for a, b in zip(w, v)) <= tol:
-            v = w
-            lam_shift = norm
+        converged = max(abs(a - b) for a, b in zip(w, v)) <= tol
+        v, lam_shift = w, norm
+        if converged:
             break
-        v = w
-        lam_shift = norm
+    else:
+        raise GibbsError("power iteration did not converge in %d steps" % _MAX_ITER)
     lam = lam_shift - gamma
     residual = max(abs(sum(matrix[i][j] * v[j] for j in range(n)) - lam * v[i]) for i in range(n))
     return lam, v, residual
@@ -393,9 +393,6 @@ def pushforward_sandwich(mu: MarkovMeasure, pi, f: LocallyConstantPotential,
 
     Zero tolerance on the exact rational path; 1e-9 slack on floats.
     """
-    from .factor import pushforward_masses
-    from .potential import variation_constant
-
     exact = (exact_base is not None and mu.exact and gt.is_exact
              and weak_report.exact_cn is not None)
     worst = float("inf")

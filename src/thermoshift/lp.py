@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 class LpError(RuntimeError):
@@ -172,6 +171,8 @@ def _dual_simplex(rows, rhs, nvars):
 
 def chebyshev_fit_float(rows, rhs, nvars):
     """HiGHS solve of min t, |G_i - a_i . z| <= t; returns (z, t_star)."""
+    from scipy.optimize import linprog  # imported here: only float fits need scipy
+
     w = len(rows)
     a_ub = np.zeros((2 * w, nvars + 1))
     b_ub = np.zeros(2 * w)

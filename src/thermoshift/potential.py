@@ -66,7 +66,7 @@ class LocallyConstantPotential:
     def from_symbol_weights(cls, language, weights: Mapping[str, float]) -> "LocallyConstantPotential":
         values = {}
         for w in language.blocks(1):
-            name = language.names(w)[0] if hasattr(language, "names") else language.alphabet[w[0]]
+            name = language.names(w)[0]
             if name not in weights:
                 raise PotentialError("missing weight for symbol %r" % name)
             values[w] = float(weights[name])

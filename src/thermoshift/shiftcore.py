@@ -1,8 +1,12 @@
-"""One-step shifts of finite type: language enumeration, irreducibility,
-weak specification, bridging words and periodic points.
+"""Shift languages read by one automaton, and one-step shifts of finite type:
+block enumeration and counting, irreducibility, weak specification,
+bridging words and periodic points.
 
-Words are tuples of symbol indices into ``Sft.alphabet``.  All outputs are
-in lexicographic index order so results are deterministic and diffable.
+``Language`` builds every language query from an alphabet, a ``start``
+state and ``step(state, b)``: ``Sft`` steps on its last symbol, the image
+language of a factor map (``factor.ImageLanguage``) on a subset of domain
+symbols.  Words are tuples of symbol indices into ``alphabet``.  All outputs
+are in lexicographic index order so results are deterministic and diffable.
 """
 
 from __future__ import annotations
@@ -19,13 +23,114 @@ class SftError(ValueError):
     pass
 
 
-class Sft:
+class Language:
+    """A language read by a deterministic automaton.  Subclasses call
+    ``__init__`` with the alphabet and start state and define
+    ``step(state, b)``, which returns the next state or None once the word
+    leaves the language.  States must be hashable and are compared with
+    ``is None``, so any other value (0 included) is a live state."""
+
+    error: type[ValueError] = ValueError  # raised on bad names and lengths
+
+    def __init__(self, alphabet: tuple[str, ...], start):
+        self.alphabet = alphabet
+        self.start = start
+        self._levels: list[list[Word]] = [[EPSILON]]  # B_0, B_1, ... built so far
+        self._frontier = [(EPSILON, start)]  # (word, state) on the last built level
+
+    def index(self, name: str) -> int:
+        try:
+            return self.alphabet.index(name)
+        except ValueError:
+            raise self.error("unknown symbol %r" % (name,)) from None
+
+    def word_from_names(self, names: Iterable[str]) -> Word:
+        return tuple(self.index(s) for s in names)
+
+    def names(self, word: Word) -> tuple[str, ...]:
+        return tuple(self.alphabet[i] for i in word)
+
+    def run(self, word: Word):
+        """State after reading word, or None once it leaves the language."""
+        state = self.start
+        for b in word:
+            state = self.step(state, b)
+            if state is None:
+                break
+        return state
+
+    def is_word(self, word: Word) -> bool:
+        k = len(self.alphabet)
+        return all(0 <= b < k for b in word) and self.run(word) is not None
+
+    def blocks(self, n: int) -> list[Word]:
+        """All n-blocks, lexicographic; B_0 = {epsilon}.  Each level grows
+        from the sorted level below in symbol order, so it comes out sorted."""
+        if n < 0:
+            raise self.error("block length must be >= 0")
+        while len(self._levels) <= n:
+            self._frontier = self._grow(self._frontier)
+            self._levels.append([w for w, _ in self._frontier])
+        return self._levels[n]
+
+    def extensions(self, word: Word, k: int) -> list[Word]:
+        """Words e of length k with word+e in the language, lexicographic."""
+        state = self.run(word)
+        return [] if state is None else self.extensions_from(state, k)
+
+    def extensions_from(self, state, k: int) -> list[Word]:
+        """Words of length k the automaton reads from ``state``, lexicographic."""
+        out = [(EPSILON, state)]
+        for _ in range(k):
+            out = self._grow(out)
+        return [e for e, _ in out]
+
+    def _grow(self, pairs: list) -> list:
+        """Each (word, state) extended by one symbol, in symbol order."""
+        return [(w + (b,), nxt) for w, st in pairs for b in range(len(self.alphabet))
+                if (nxt := self.step(st, b)) is not None]
+
+    def count_blocks(self, n: int) -> int:
+        """|B_n| by path counting over the automaton states (no enumeration)."""
+        counts = {self.start: 1}
+        for _ in range(n):
+            nxt: dict = {}
+            for st, c in counts.items():
+                for b in range(len(self.alphabet)):
+                    st2 = self.step(st, b)
+                    if st2 is not None:
+                        nxt[st2] = nxt.get(st2, 0) + c
+            counts = nxt
+        return sum(counts.values())
+
+    def is_periodic_block(self, word: Word) -> bool:
+        """(word)^infinity is a point of the shift iff every repetition of
+        word stays in the language; the state after each repetition is
+        eventually periodic, so repeating until a state recurs decides it."""
+        if not word or not self.is_word(word):
+            return False
+        state, seen = self.run(word), set()
+        while state not in seen:
+            seen.add(state)
+            for b in word:
+                state = self.step(state, b)
+                if state is None:
+                    return False
+        return True
+
+
+class Sft(Language):
     """A one-step shift of finite type given by an alphabet and a 0/1
     transition matrix (entry (i, j) = 1 iff the word ij is allowable).
 
     Longer forbidden words must be pre-encoded via a higher-block alphabet;
-    only adjacent-pair constraints are represented here.
+    only adjacent-pair constraints are represented here.  The automaton
+    state is the last symbol read, -1 before any.
     """
+
+    error = SftError
+    blocks = Language.blocks  # own attribute: perfbench/tracer.py reads vars(cls)
+    count_blocks = Language.count_blocks  # own attribute: perfbench/tracer.py reads vars(cls)
 
     def __init__(self, alphabet: Sequence[str], transitions: Sequence[Sequence[int]]):
         alphabet = tuple(str(a) for a in alphabet)
@@ -42,7 +147,7 @@ class Sft:
                 if v not in (0, 1):
                     raise SftError("transition entries must be 0 or 1")
             rows.append(tuple(int(v) for v in row))
-        self.alphabet = alphabet
+        super().__init__(alphabet, -1)
         self.transitions = tuple(rows)
         self.size = n
         for i in range(n):
@@ -53,7 +158,6 @@ class Sft:
         self._followers = tuple(
             tuple(j for j in range(n) if self.transitions[i][j]) for i in range(n)
         )
-        self._blocks_cache: dict[int, list[Word]] = {0: [EPSILON]}
 
     @classmethod
     def full_shift(cls, alphabet: Sequence[str]) -> "Sft":
@@ -62,9 +166,6 @@ class Sft:
 
     def __repr__(self):
         return "Sft(alphabet=%r)" % (list(self.alphabet),)
-
-    # language automaton: the state is the last symbol read, -1 before any
-    start = -1
 
     def step(self, state: int, b: int) -> int | None:
         """State after reading b, or None when b cannot follow."""
@@ -75,52 +176,6 @@ class Sft:
 
     def followers(self, i: int) -> tuple[int, ...]:
         return self._followers[i]
-
-    def index(self, name: str) -> int:
-        try:
-            return self.alphabet.index(name)
-        except ValueError:
-            raise SftError("unknown symbol %r" % (name,)) from None
-
-    def word_from_names(self, names: Iterable[str]) -> Word:
-        return tuple(self.index(s) for s in names)
-
-    def names(self, word: Word) -> tuple[str, ...]:
-        return tuple(self.alphabet[i] for i in word)
-
-    def is_word(self, word: Word) -> bool:
-        if any(not (0 <= s < self.size) for s in word):
-            return False
-        return all(self.transitions[a][b] for a, b in zip(word, word[1:]))
-
-    def blocks(self, n: int) -> list[Word]:
-        """All allowable n-blocks, lexicographic; B_0 = {epsilon}."""
-        if n < 0:
-            raise SftError("block length must be >= 0")
-        if n not in self._blocks_cache:
-            m = max(self._blocks_cache)
-            for k in range(m + 1, n + 1):
-                if k == 1:
-                    self._blocks_cache[1] = [(i,) for i in range(self.size)]
-                    continue
-                prev = self._blocks_cache[k - 1]
-                self._blocks_cache[k] = [
-                    w + (j,) for w in prev for j in self._followers[w[-1]]
-                ]
-        return self._blocks_cache[n]
-
-    def extensions(self, word: Word, k: int) -> list[Word]:
-        """Suffix extensions e of length k with word+e allowable, lexicographic."""
-        return extensions_from(self, word[-1] if word else self.start, k)
-
-    def count_blocks(self, n: int) -> int:
-        """|B_n| via exact integer matrix powers (no enumeration)."""
-        if n == 0:
-            return 1
-        vec = [1] * self.size
-        for _ in range(n - 1):
-            vec = [sum(vec[j] for j in self._followers[i]) for i in range(self.size)]
-        return sum(vec)
 
     def count_periodic(self, q: int) -> int:
         """Number of points with sigma^q x = x, i.e. trace of the q-th power."""
@@ -135,22 +190,6 @@ class Sft:
                        for j in range(self.size)]
             total += vec[i]
         return total
-
-    def is_periodic_block(self, word: Word) -> bool:
-        """Wrap-around legality: (word)^infinity is a point of the shift."""
-        if not word:
-            return False
-        return self.is_word(word) and self.follows(word[-1], word[0])
-
-
-def extensions_from(lang, state, k: int) -> list[Word]:
-    """Words e of length k that the language automaton of ``lang`` (an Sft
-    or an image language) reads from ``state``, lexicographic."""
-    out = [(EPSILON, state)]
-    for _ in range(k):
-        out = [(e + (b,), nxt) for e, st in out for b in range(len(lang.alphabet))
-               if (nxt := lang.step(st, b)) is not None]
-    return [e for e, _ in out]
 
 
 @dataclass(frozen=True)
@@ -222,29 +261,10 @@ def bridge(sft: Sft, u: Word, v: Word, max_gap: int) -> Word | None:
         raise SftError("bridge requires allowable words")
     if not u or not v:
         return EPSILON
-    a, b = u[-1], v[0]
     for k in range(max_gap + 1):
-        if k == 0:
-            if sft.follows(a, b):
-                return EPSILON
-            continue
-        found: list[Word] = []
-
-        def rec(last: int, acc: Word):
-            if found:
-                return
-            if len(acc) == k:
-                if sft.follows(last, b):
-                    found.append(acc)
-                return
-            for j in sft.followers(last):
-                rec(j, acc + (j,))
-                if found:
-                    return
-
-        rec(a, EPSILON)
-        if found:
-            return found[0]
+        for w in sft.extensions(u, k):
+            if sft.follows((u + w)[-1], v[0]):
+                return w
     return None
 
 
@@ -260,24 +280,20 @@ def _is_primitive(word: Word) -> bool:
     return True
 
 
-def periodic_points(sft: Sft, max_period: int) -> list[PeriodicPoint]:
-    """All periodic orbits of primitive period <= max_period, one canonical
+def periodic_points(lang: Language, max_period: int) -> list[PeriodicPoint]:
+    """All periodic orbits of primitive period <= max_period of the shift
+    whose language is ``lang`` (an Sft or a sofic image), one canonical
     representative each (lexicographically least rotation), sorted by
     (period, block)."""
-    if max_period < 1:
-        raise SftError("max_period must be >= 1")
     seen: set[Word] = set()
     out: list[PeriodicPoint] = []
     for q in range(1, max_period + 1):
-        for w in sft.blocks(q):
-            if not sft.follows(w[-1], w[0]):
-                continue
+        for w in lang.blocks(q):
             if not _is_primitive(w):
                 continue
             canon = _least_rotation(w)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(PeriodicPoint(block=canon, period=q))
+            if canon not in seen and lang.is_periodic_block(canon):
+                seen.add(canon)
+                out.append(PeriodicPoint(block=canon, period=q))
     out.sort(key=lambda p: (p.period, p.block))
     return out

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import thermoshift
 from thermoshift.lp import (chebyshev_defect_value, chebyshev_fit_exact,
                             chebyshev_fit_float, try_exact_interpolation,
                             _dual_simplex)
@@ -63,3 +68,14 @@ def test_defect_value_arithmetic():
     rows = [{0: Fraction(2), 1: Fraction(-1)}]
     rhs = [Fraction(5)]
     assert chebyshev_defect_value(rows, rhs, [Fraction(1), Fraction(1)]) == Fraction(4)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported by the float fit alone, not at import time
+    src = str(Path(thermoshift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, thermoshift.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
