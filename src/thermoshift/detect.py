@@ -14,12 +14,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .factor import OneBlockFactor, fiber_words
 from .lp import chebyshev_fit_exact, chebyshev_fit_float
 from .numerics import logsumexp, power_exponent
-from .potential import (LocallyConstantPotential, PotentialError,
-                        birkhoff_extremes_coeff, birkhoff_inf, birkhoff_sup,
-                        periodic_birkhoff, periodic_birkhoff_coeff,
+from .potential import (LocallyConstantPotential, PotentialError, birkhoff_inf,
+                        birkhoff_sup, periodic_birkhoff, periodic_birkhoff_coeff,
                         variation_constant)
 from .seqtable import SeqTable, TableError, build_g_table, defect_profile
 from .shiftcore import (PeriodicPoint, Word, bridge, is_irreducible,
@@ -97,36 +98,15 @@ def uniform_defect(gt: SeqTable, h: LocallyConstantPotential, n: int) -> float:
     return worst / n
 
 
-def uniform_defect_exact(gt: SeqTable, h: LocallyConstantPotential, n: int) -> Fraction | None:
-    """Exact u_n in units of log(base), word by word; None when the exact
-    representations don't line up."""
-    if not (gt.is_exact and h.is_exact):
-        return None
-    base = h.exact_base
-    worst = Fraction(0)
-    exps: dict[Fraction, Fraction | None] = {}
-    for w in gt.words(n):
-        v = gt.exact_value(n, w)
-        if v not in exps:
-            e = power_exponent(v, base)
-            exps[v] = None if e is None else Fraction(e)
-        e = exps[v]
-        if e is None:
-            return None
-        d = abs(e - birkhoff_extremes_coeff(h, w)[0])
-        if d > worst:
-            worst = d
-    return worst / n
-
-
 def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
                     exact: bool = False) -> dict[int, float] | dict[int, Fraction] | None:
-    """Uniform defects at every table depth in one pass down the word tree.
+    """Uniform defects at every table depth in one pass down the level index.
 
-    Each word carries the Birkhoff sum of the windows it contains (floats
+    Each word carries the Birkhoff sum of the windows it contains, one array
+    per level: its parent's sum plus the weight of its last window (floats
     added left to right, or integer coefficients over a common denominator
-    when ``exact``), so the values equal uniform_defect (bit for bit) and
-    uniform_defect_exact at every depth.  For r >= 2 it also carries its
+    when ``exact``), so the float values equal uniform_defect bit for bit
+    and the exact ones the word-by-word defects.  For r >= 2 it also has its
     language-automaton state, and the sup over the r-1 windows reaching
     past the word is cached per (state, last r-1 symbols): on a sofic image
     the extensions of a word depend on its state, not on its suffix alone.
@@ -140,47 +120,63 @@ def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
         den = math.lcm(*(c.denominator for c in h.exact_coeffs.values()))
         weight = {w: int(c * den) for w, c in h.exact_coeffs.items()}
         zero = 0
+        # every sum and tail is at most (depth + r) max |weight| in size
+        small = (gt.depth_max + r) * max(map(abs, weight.values())) < 2 ** 62
+        dtype = np.int64 if small else object
     else:
-        weight, zero = h.values, 0.0
-    tails, exps, out = {}, {}, {}  # tails keyed by (state, last r-1 symbols)
-    sums, states = {(): zero}, {(): lang.start}
+        weight, zero, dtype = h.values, 0.0, float
+    levels, k = gt.levels, len(gt.alphabet)
+    exps, out = {}, {}
+    # r >= 2: words keyed by (automaton state, last min(n, r-1) symbols), by
+    # id; ids step once per (parent's id, symbol), tails once per key
+    keys, ids, sups, steps = [(lang.start, ())], {}, [zero], {}
+    sums, kid = np.zeros(1, dtype), np.zeros(1, np.int64)
     for n in range(1, gt.depth_max + 1):
-        level = gt.exact[n] if exact else gt.logs[n]
-        if n >= r:
-            sums = {w: sums[w[:-1]] + weight[w[-r:]] for w in level}
+        level = levels[n]
+        if n < r:
+            sums = np.zeros(len(level), dtype)
         else:
-            sums = dict.fromkeys(level, zero)
+            if n == r:
+                last = np.array([weight[w] for w in level.words], dtype)
+                win = np.arange(len(level))
+            else:
+                win = win[level.tail]  # rank at depth r of the last window
+            sums = sums[level.parent] + last[win]
         totals = sums
         if r >= 2:
-            states = {w: lang.step(states[w[:-1]], w[-1]) for w in level}
-            k = max(0, n - r + 1)
-            totals = {}
-            for w, base in sums.items():
-                key = (states[w], w[k:])
-                t = tails.get(key)
-                if t is None:
-                    state, s_word = key
-                    if state is None:
-                        raise PotentialError("word %s is not allowable" % (w,))
-                    t = tails[key] = max(_window_sum(s_word + e, len(s_word), r, weight, zero)
-                                         for e in lang.extensions_from(state, r - 1))
-                totals[w] = base + t
-        # totals were built in the level's order
-        pairs = zip(level.values(), totals.values())
+            pairs, inv = np.unique(kid[level.parent] * k + level.sym, return_inverse=True)
+            for p in pairs.tolist():
+                if p not in steps:
+                    state, s_word = keys[p // k]
+                    key = (lang.step(state, p % k), (s_word + (p % k,))[-(r - 1):])
+                    if key not in ids:
+                        ids[key] = len(keys)
+                        keys.append(key)
+                        sups.append(None if key[0] is None else max(
+                            _window_sum(key[1] + e, len(key[1]), r, weight, zero)
+                            for e in lang.extensions_from(key[0], r - 1)))
+                    steps[p] = ids[key]
+            kid = np.array([steps[p] for p in pairs.tolist()], np.int64)[inv.reshape(-1)]
+            dead = np.flatnonzero(np.isin(kid, [i for i, t in enumerate(sups) if t is None]))
+            if len(dead):
+                raise PotentialError("word %s is not allowable" % (level.words[dead[0]],))
+            totals = sums + np.array(sups, dtype)[kid]
         if not exact:
-            out[n] = max((abs(lv - t) for lv, t in pairs), default=0.0) / n
+            d = np.abs(level.logs - totals)
+            out[n] = (float(d.max()) if len(d) else 0.0) / n
             continue
-        worst = 0
-        for v, t in pairs:
-            e = exps.get(v, exps)  # exps itself marks a value not seen yet
+        values, inv = np.unique(level.num, return_inverse=True)
+        es = []
+        for v in values.tolist():
+            e = exps.get((v, level.den), exps)  # exps itself marks a value not seen yet
             if e is exps:
-                e = exps[v] = power_exponent(v, h.exact_base)
+                e = exps[v, level.den] = power_exponent(level.value(v), h.exact_base)
             if e is None:
                 return None
-            d = abs(e * den - t)
-            if d > worst:
-                worst = d
-        out[n] = Fraction(worst, den * n)
+            es.append(e)
+        small = dtype is not object and max(map(abs, es), default=0) * den < 2 ** 62
+        d = np.abs(np.array(es, np.int64 if small else object)[inv.reshape(-1)] * den - totals)
+        out[n] = Fraction(int(d.max()) if len(d) else 0, den * n)
     return out
 
 

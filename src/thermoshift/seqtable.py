@@ -3,14 +3,18 @@ sums and pressure estimates, subadditivity and bridging-condition checkers,
 and the almost-additivity defect profile C_{n,m}.
 
 Tables are built once per depth and immutable afterwards.  Two arithmetic
-modes: exact big-integer counting (fiber cardinalities, the f = 0 path) and
+modes: exact integer counting (fiber cardinalities, the f = 0 path) and
 floating log space.  The counting path keeps exact values alongside their
 logs so downstream checks can be zero-tolerance.
 
-The scans over split words run on a level index (``SeqTable.levels``):
-per depth the words, logs, exact values as integers and the ranks of each
-word's prefix and suffix one depth down, so prefixes and suffixes of any
-length are chained gathers.  On exact tables floats only propose; exact
+A table lives in its level index (``SeqTable.levels``): per depth the logs,
+the exact values as integers over one denominator, each word's last symbol
+and the ranks of its prefix and suffix one depth down, so prefixes and
+suffixes of any length are chained gathers; words are spelled out on
+demand.  ``build_g_table`` emits the index level by level from a
+state-vector kernel with no Fraction in it, partition sums Z_n are computed
+once per table from the arrays, and the dict views ``logs`` / ``exact`` are
+built only when asked for.  On exact tables floats only propose; exact
 integer comparison (int64 below 2^63, Python ints past it) decides.
 """
 
@@ -20,10 +24,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
-from .factor import OneBlockFactor, fiber_words
+from .factor import OneBlockFactor
 from .numerics import aitken_last, common_power_base, log_fraction, logsumexp
 from .potential import LocallyConstantPotential, birkhoff_sup, variation_constant
 from .shiftcore import Word
@@ -37,77 +43,141 @@ class TableError(ValueError):
 class SeqTable:
     """Per-depth log values of a sequence {log f_n} on cylinder words.
 
-    ``logs[n][word]`` is log f_n on the cylinder of ``word``; ``exact`` (when
-    present) holds the same values as exact Fractions.  ``log_mn`` carries
-    the variation constants of the potential the table was built from (zero
-    for counting tables), used by the sandwich checks.
+    The table lives in its level index ``levels``.  ``logs[n][word]`` is
+    log f_n on the cylinder of ``word`` and ``exact`` (when present) holds
+    the same values as exact Fractions: read-only views, built on first
+    access.  ``log_mn`` carries the variation constants of the potential the
+    table was built from (zero for counting tables), used by the sandwich
+    checks.
     """
 
     def __init__(self, alphabet, logs, exact=None, kind="table", language=None,
                  log_mn=None, meta=None):
-        self.alphabet = tuple(alphabet)
-        self.logs: dict[int, dict[Word, float]] = {int(n): dict(v) for n, v in logs.items()}
-        if not self.logs:
+        logs = {int(n): dict(v) for n, v in logs.items()}
+        if not logs:
             raise TableError("table has no depths")
-        self.depth_max = max(self.logs)
-        for n in range(1, self.depth_max + 1):
-            if n not in self.logs:
+        for n in range(1, max(logs) + 1):
+            if n not in logs:
                 raise TableError("missing depth %d" % n)
-            if not all(map(math.isfinite, self.logs[n].values())):
-                raise TableError("non-finite log value at depth %d (float under- or "
-                                 "overflow)" % n)
-        self.exact: dict[int, dict[Word, Fraction]] | None = None
+            if not all(map(math.isfinite, logs[n].values())):
+                raise TableError(_NON_FINITE % n)
         if exact is not None:
-            self.exact = {int(n): dict(v) for n, v in exact.items()}
-            if set(self.exact) != set(self.logs):
+            exact = {int(n): dict(v) for n, v in exact.items()}
+            if set(exact) != set(logs):
                 raise TableError("exact values must cover the same depths as the logs")
-            for n, vals in self.exact.items():
-                if set(vals) != set(self.logs[n]):
+            for n, vals in exact.items():
+                if set(vals) != set(logs[n]):
                     raise TableError("exact values disagree with words at depth %d" % n)
                 # Fractions (and ints) carry their sign in the numerator
                 if not all(v.numerator > 0 for v in vals.values()):
                     raise TableError("exact values must be positive (depth %d)" % n)
-        self.kind = kind
-        self.language = language
-        self.log_mn: dict[int, float] = dict(log_mn) if log_mn else {n: 0.0 for n in self.logs}
-        self.meta = dict(meta) if meta else {}
+        self._init(alphabet, max(logs), exact is not None, kind, language, log_mn, meta)
+        self.logs = _view(logs)
+        self.exact = None if exact is None else _view(exact)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
+    @classmethod
+    def from_levels(cls, alphabet, levels: list[_Level | None], kind="table", language=None,
+                    log_mn=None, meta=None) -> SeqTable:
+        """Table over a level index: ``levels[0]`` None, then one _Level per
+        depth whose words' prefixes and suffixes are stored one depth down."""
+        for n, level in enumerate(levels[1:], start=1):
+            if not np.isfinite(level.logs).all():
+                raise TableError(_NON_FINITE % n)
+        t = cls.__new__(cls)
+        t._init(alphabet, len(levels) - 1, levels[1].num is not None, kind, language,
+                log_mn, meta)
+        t.levels = levels
+        return t
+
+    def _init(self, alphabet, depth_max, is_exact, kind, language, log_mn, meta):
+        self.alphabet, self.depth_max, self.is_exact = tuple(alphabet), depth_max, is_exact
+        self.kind, self.language, self.meta = kind, language, dict(meta) if meta else {}
+        self.log_mn: dict[int, float] = (dict(log_mn) if log_mn else
+                                         dict.fromkeys(range(1, depth_max + 1), 0.0))
+        self._child: list[list[int]] = []  # see _find
+        self._z: dict[int, tuple] = {}  # see _partition
+
+    @cached_property
+    def logs(self) -> Mapping[int, Mapping[Word, float]]:
+        return _view({n: dict(zip(lv.words, lv.logs.tolist()))
+                      for n, lv in enumerate(self.levels) if n})
+
+    @cached_property
+    def exact(self) -> Mapping[int, Mapping[Word, Fraction]] | None:
+        if not self.is_exact:
+            return None
+        return _view({n: {w: Fraction(lv.value(v)) for w, v in zip(lv.words, lv.num.tolist())}
+                      for n, lv in enumerate(self.levels) if n})
+
+    def _level(self, n: int) -> _Level:
+        if not 1 <= n <= self.depth_max:
+            raise TableError("depth %d not in table (max %d)" % (n, self.depth_max))
+        return self.levels[n]
+
+    def _find(self, n: int, word: Word, strict: bool = True) -> int | None:
+        """Rank of ``word`` at depth n, one step per symbol through the child
+        tables (rank one depth up * |alphabet| + symbol -> rank, -1 where no
+        word is stored; each built on first use).  Not stored: TableError,
+        or None when not ``strict``."""
+        k, i = len(self.alphabet), 0
+        if 1 <= n <= self.depth_max and len(word) == n:
+            for d in range(len(self._child) + 1, n + 1):
+                level, up = self.levels[d], len(self.levels[d - 1]) if d > 1 else 1
+                flat = np.full(up * k, -1, dtype=np.int64)
+                flat[level.parent.astype(np.int64) * k + level.sym] = np.arange(len(level))
+                self._child.append(flat.tolist())
+            for child, b in zip(self._child, word):
+                i = child[i * k + b] if 0 <= b < k else -1
+                if i < 0:
+                    break
+            else:
+                return i
+        if strict:
+            raise TableError("word %s not stored at depth %d" % (word, n))
+        return None
 
     def words(self, n: int) -> list[Word]:
-        try:
-            return sorted(self.logs[n])
-        except KeyError:
-            raise TableError("depth %d not in table (max %d)" % (n, self.depth_max)) from None
+        return sorted(self._level(n).words)
 
     def log_value(self, n: int, word: Word) -> float:
-        try:
-            return self.logs[n][word]
-        except KeyError:
-            raise TableError("word %s not stored at depth %d" % (word, n)) from None
+        i = self._find(n, word)
+        return float(self.levels[n].logs[i])
 
     def exact_value(self, n: int, word: Word) -> Fraction:
         if not self.is_exact:
             raise TableError("table has no exact values")
-        return self.exact[n][word]
+        i = self._find(n, word)
+        return Fraction(self.levels[n].value(int(self.levels[n].num[i])))
 
     def has_word(self, n: int, word: Word) -> bool:
-        return n in self.logs and word in self.logs[n]
+        return self._find(n, word, strict=False) is not None
+
+    def _partition(self, n: int) -> tuple[float, int | Fraction | None]:
+        """(log Z_n, Z_n), the sum of the depth-n values, once per depth:
+        Z_n exact (an int on integer levels) on exact tables, else None."""
+        if n not in self._z:
+            level = self._level(n)
+            if level.num is None:
+                self._z[n] = (logsumexp(level.logs.tolist()), None)
+            else:
+                total = level.value(_int_sum(level.num, level.hi))
+                self._z[n] = (log_fraction(total), total)
+        return self._z[n]
 
     @cached_property
     def power_base(self) -> int | None:
         """Common integer base b with every exact value a power of b; None
         without exact values or when there is no such base."""
-        if self.exact is None:
+        if not self.is_exact:
             return None
-        return common_power_base({v for level in self.exact.values() for v in level.values()})
+        return common_power_base({lv.value(v) for lv in self.levels[1:]
+                                  for v in np.unique(lv.num).tolist()})
 
     @cached_property
     def levels(self) -> list[_Level | None]:
-        """The level index ``levels[n]``, 1 <= n <= depth_max, built on first
-        use; TableError when a word's w[:-1] or w[1:] is not stored."""
+        """The level index ``levels[n]``, 1 <= n <= depth_max, derived from
+        the dicts on first use; TableError when a word's w[:-1] or w[1:] is
+        not stored or a symbol is outside the alphabet."""
         out: list[_Level | None] = [None]
         prev = {(): 0}
         for n in range(1, self.depth_max + 1):
@@ -119,41 +189,78 @@ class SeqTable:
             except KeyError as err:
                 raise TableError("word %s at depth %d lacks its prefix or suffix at "
                                  "depth %d" % (err.args[0], n, n - 1)) from None
-            num, den, hi = None, 1, 0
+            sym = np.array([w[-1] for w in words], dtype=np.int32)
+            if not all(0 <= b < len(self.alphabet) for b in sym.tolist()):
+                raise TableError("depth %d holds a symbol outside the alphabet" % n)
+            num, den = None, 1
             if self.exact is not None:
                 vals = [self.exact[n][w] for w in words]
                 den = math.lcm(*{v.denominator for v in vals})
-                nums = [v.numerator * (den // v.denominator) for v in vals]
-                hi = max(nums, default=0)
-                num = np.array(nums, dtype=np.int64 if hi <= _INT64_MAX else object)
-            out.append(_Level(words, np.fromiter(level.values(), float, len(words)),
-                              parent, tail, num, den, hi))
+                num = _int_array([v.numerator * (den // v.denominator) for v in vals])
+            out.append(_Level(np.fromiter(level.values(), float, len(words)),
+                              parent, tail, sym, num, den, words=words))
             prev = dict(zip(words, range(len(words))))
         return out
 
 
 _INT64_MAX = 2 ** 63 - 1
+_NON_FINITE = "non-finite log value at depth %d (float under- or overflow)"
 
 
-@dataclass(frozen=True)
+def _view(levels: dict) -> Mapping:
+    return MappingProxyType({n: MappingProxyType(level) for n, level in levels.items()})
+
+
+def _top(a: np.ndarray) -> int:
+    return int(a.max()) if a.size else 0
+
+
+def _int_array(values: list[int]) -> np.ndarray:
+    """Integers as int64 when the largest fits, as Python ints past 2^63."""
+    return np.array(values, dtype=np.int64 if max(values, default=0) <= _INT64_MAX else object)
+
+
+def _int_sum(num: np.ndarray, hi: int) -> int:
+    """Exact sum of a level's integers (``hi`` the largest): int64 while
+    the sum cannot pass 2^63, Python ints past it."""
+    if num.dtype == object or hi * len(num) > _INT64_MAX:
+        return sum(num.tolist())
+    return int(num.sum())
+
+
 class _Level:
-    """One depth: words in dict order, logs, exact values num / den (``hi``
-    the largest num), and the ranks one depth down of w[:-1] and w[1:]."""
+    """One depth: logs, exact values num / den (``hi`` the largest num), the
+    last symbol of each word and the ranks one depth down of w[:-1] and
+    w[1:].  ``words`` (dict order; lexicographic on built tables) are given
+    or spelled out on first use from the level ``below``."""
 
-    words: list[Word]
-    logs: np.ndarray
-    parent: np.ndarray
-    tail: np.ndarray
-    num: np.ndarray | None
-    den: int
-    hi: int
+    def __init__(self, logs: np.ndarray, parent: np.ndarray, tail: np.ndarray,
+                 sym: np.ndarray, num: np.ndarray | None, den: int,
+                 words: list[Word] | None = None, below: _Level | None = None):
+        self.logs, self.parent, self.tail, self.sym = logs, parent, tail, sym
+        self.num, self.den, self.hi = num, den, 0 if num is None else _top(num)
+        self._words, self._below = words, below
+
+    def __len__(self) -> int:
+        return len(self.logs)
+
+    @property
+    def words(self) -> list[Word]:
+        if self._words is None:
+            up = [()] if self._below is None else self._below.words
+            self._words = [up[p] + (b,) for p, b in zip(self.parent.tolist(), self.sym.tolist())]
+        return self._words
+
+    def value(self, v: int) -> int | Fraction:
+        """The stored value v / den: the int itself on integer levels."""
+        return v if self.den == 1 else Fraction(v, self.den)
 
 
 def _ranks(levels: list, total: int, pointer: str) -> list:
     """out[j]: rank at depth j of the length-j prefix (pointer "parent") or
     suffix ("tail") of each word at depth ``total``."""
     out = [None] * (total + 1)
-    out[total] = np.arange(len(levels[total].words), dtype=np.int32)
+    out[total] = np.arange(len(levels[total]), dtype=np.int32)
     for j in range(total, 1, -1):
         out[j - 1] = getattr(levels[j], pointer)[out[j]]
     return out
@@ -196,7 +303,13 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     The sup over representative choices factorizes per cylinder (each
     representative is chosen independently), so the sup of the fiber sum is
     the sum of per-cylinder sups; that is what the state-vector recursion
-    accumulates.  mode "exact" demands the counting path (f = 0).
+    accumulates.  Level by level, V_{n+1} = stack_b(V_n M_b): one row per
+    image word, one column per domain suffix state, rows stacked word-major
+    so each level stays lexicographic, words with an empty fiber dropped.
+    The kernel emits the level index directly (parent = row // |B|, tail
+    by one gather in the child table one depth down).  mode "exact" demands
+    the counting path (f = 0), which runs in integers (int64 while a bound
+    allows, Python ints past it).
     """
     if depth_max < 1:
         raise TableError("depth_max must be >= 1")
@@ -214,71 +327,105 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     fmax = f.max_value()
     n_img = len(pi.image_alphabet)
 
-    # tail sup per (r-1)-suffix state, applied at readout (r >= 2 only)
-    tails: dict[Word, float] = {}
-    if r >= 2 and not exact:
-        for s in dom.blocks(r - 1):
-            tails[s] = birkhoff_sup(f, s)
-
-    logs: dict[int, dict[Word, float]] = {}
-    exacts: dict[int, dict[Word, Fraction]] = {}
-
-    # frontier: image word -> {suffix state -> accumulated weight}
-    frontier: dict[Word, dict[Word, object]] = {(): {(): 1 if exact else 1.0}}
-    offset = 0.0
+    # sup of the windows reaching past a word, per state (its last min(n,
+    # r-1) symbols), applied at readout; for n < r-1 a state is the word
+    tails = {} if exact else {k: [birkhoff_sup(f, s) for s in dom.blocks(k)] for k in range(1, r)}
+    levels: list[_Level | None] = [None]
+    v = np.ones((1, 1), dtype=np.int64 if exact else float)
+    live = np.ones((1, 1), dtype=bool)
+    tail = child = np.zeros(1, dtype=np.int32)
+    steps, offset = {}, 0.0
     for n in range(1, depth_max + 1):
-        window_done = n >= r
-        nxt: dict[Word, dict[Word, object]] = {}
-        for y, states in frontier.items():
-            for b in range(n_img):
-                acc: dict[Word, object] = {}
-                for st, val in states.items():
-                    for x in pi.preimage_symbols(b):
-                        if st and not dom.follows(st[-1], x):
-                            continue
-                        grown = st + (x,)
-                        if window_done:
-                            if exact:
-                                mult = 1
-                            else:
-                                mult = math.exp(f.value(grown[-r:]) - fmax)
-                            new_st = grown[-s_len:]
-                            acc[new_st] = acc.get(new_st, 0) + val * mult
-                        else:
-                            new_st = grown[-s_len:] if len(grown) > s_len else grown
-                            acc[new_st] = acc.get(new_st, 0) + val
-                if acc:
-                    nxt[y + (b,)] = acc
-        frontier = nxt
-        if window_done:
-            offset += fmax
-        level_logs: dict[Word, float] = {}
-        level_exact: dict[Word, Fraction] = {}
-        for y, states in frontier.items():
-            if exact:
-                total = sum(states.values())
-                level_exact[y] = Fraction(total)
-                level_logs[y] = log_fraction(total)
-            elif r >= 2 and n >= r - 1:
-                level_logs[y] = logsumexp(
-                    math.log(v) + tails[st] for st, v in states.items() if v > 0
-                ) + offset
-            elif r == 1:
-                level_logs[y] = logsumexp(math.log(v) for v in states.values() if v > 0) + offset
-            else:
-                # n < r-1: too short for suffix states, enumerate the fiber
-                level_logs[y] = logsumexp(
-                    birkhoff_sup(f, u) for u in fiber_words(pi, y)
-                )
-        logs[n] = level_logs
+        key = (min(n - 1, s_len), min(n, s_len), n >= r)
+        if key not in steps:
+            steps[key] = _transfer(pi, f, fmax, exact, *key)
+        m, edge = steps[key]
+        if exact and v.dtype != object and _top(v) * _top(m.sum(axis=0)) > _INT64_MAX:
+            v = v.astype(object)
+        m = m.astype(v.dtype)
+        # accumulate over the source states in ascending order (float bits);
+        # reach marks the words whose fiber is nonempty, weight or not
+        rows = len(v)
+        out = np.zeros((rows,) + m.shape[1:], dtype=v.dtype)
+        reach = np.zeros(out.shape, dtype=bool)
+        for j in range(m.shape[0]):
+            out += v[:, j, None, None] * m[j]
+            reach |= live[:, j, None, None] & edge[j]
+        out, reach = out.reshape(rows * n_img, -1), reach.reshape(rows * n_img, -1)
+        kept = np.flatnonzero(reach.any(axis=1))
+        v, live = out[kept], reach[kept]
+        parent, sym = (kept // n_img).astype(np.int32), (kept % n_img).astype(np.int32)
+        # w[1:] is the parent's tail followed by sym, one depth down
+        tail = np.zeros(len(kept), np.int32) if n == 1 else child[tail[parent], sym]
+        child = np.full(rows * n_img, -1, dtype=np.int32)
+        child[kept] = np.arange(len(kept), dtype=np.int32)
+        child = child.reshape(rows, n_img)
+        num = None
         if exact:
-            exacts[n] = level_exact
+            sums = v.astype(object) if _top(v) * v.shape[1] > _INT64_MAX else v
+            num = _int_array(sums.sum(axis=1).tolist())
+            uniq, inv = np.unique(num, return_inverse=True)
+            logs = np.array([log_fraction(x) for x in uniq.tolist()])[inv.reshape(-1)]
+        else:
+            if n >= r:
+                offset += fmax
+            logs = _float_readout(v, tails.get(min(n, s_len)), offset)
+        levels.append(_Level(logs, parent, tail, sym, num, 1, below=levels[-1]))
 
     log_mn = {n: variation_constant(f, n) for n in range(1, depth_max + 1)}
     meta = {"source": "g", "domain": list(dom.alphabet), "image": list(pi.image_alphabet),
             "potential_range": r, "exact": exact}
-    return SeqTable(pi.image_alphabet, logs, exact=exacts if exact else None,
-                    kind="g", language=pi.image, log_mn=log_mn, meta=meta)
+    return SeqTable.from_levels(pi.image_alphabet, levels, kind="g", language=pi.image,
+                                log_mn=log_mn, meta=meta)
+
+
+def _transfer(pi: OneBlockFactor, f: LocallyConstantPotential, fmax: float, exact: bool,
+              src_len: int, dst_len: int, weighted: bool):
+    """(M, edge), indexed [source state, image symbol, target state]: from a
+    domain state (its last ``src_len`` symbols) a symbol x over b leads to
+    the state of the last ``dst_len`` symbols with weight e^{f(window) -
+    fmax} (1 unless ``weighted``, and on the counting path); ``edge`` marks
+    the transitions, whose weight may underflow to 0."""
+    dom = pi.domain
+    src, index = dom.blocks(src_len), {w: i for i, w in enumerate(dom.blocks(dst_len))}
+    m = np.zeros((len(src), len(pi.image_alphabet), len(index)),
+                 dtype=np.int64 if exact else float)
+    edge = np.zeros(m.shape, dtype=bool)
+    for i, st in enumerate(src):
+        for x in range(dom.size):
+            if not st or dom.follows(st[-1], x):
+                grown = st + (x,)
+                b, j = pi.symbol_map[x], index[grown[-dst_len:]]
+                edge[i, b, j] = True
+                m[i, b, j] = (math.exp(f.value(grown[-f.range:]) - fmax)
+                              if weighted and not exact else 1)
+    return m, edge
+
+
+def _float_readout(v: np.ndarray, tails: list[float] | None, offset: float) -> np.ndarray:
+    """Per row, logsumexp over the positive weights of log weight (plus the
+    state's tail sup), plus ``offset``: the global fmax shift undone.
+
+    Bit for bit numerics.logsumexp: log and exp are libm's (math), the
+    differences and the final additions are the same IEEE operations, and
+    the fsum of one or two terms is their rounded sum, so math.fsum runs
+    only on rows with three or more terms."""
+    rows, cols = np.nonzero(v > 0)  # row-major: each row's terms together
+    x = np.array(list(map(math.log, v[rows, cols].tolist())))
+    if tails is not None:
+        x = x + np.array(tails)[cols]
+    top = np.full(len(v), -np.inf)
+    np.maximum.at(top, rows, x)
+    terms = np.array(list(map(math.exp, (x - top[rows]).tolist())))
+    sums = np.bincount(rows, weights=terms, minlength=len(v))
+    count = np.bincount(rows, minlength=len(v))
+    starts = np.concatenate(([0], np.cumsum(count)))
+    for i in np.flatnonzero(count > 2).tolist():
+        sums[i] = math.fsum(terms[starts[i]:starts[i + 1]].tolist())
+    out = np.full(len(v), -np.inf)
+    live = count > 0
+    out[live] = top[live] + np.array(list(map(math.log, sums[live].tolist())))
+    return out + offset
 
 
 def build_additive_table(f: LocallyConstantPotential, depth_max: int) -> SeqTable:
@@ -288,15 +435,9 @@ def build_additive_table(f: LocallyConstantPotential, depth_max: int) -> SeqTabl
         raise TableError("depth_max must be >= 1")
     lang = f.language
     exact = f.is_zero
-    logs: dict[int, dict[Word, float]] = {}
-    exacts: dict[int, dict[Word, Fraction]] = {}
-    for n in range(1, depth_max + 1):
-        level: dict[Word, float] = {}
-        for w in lang.blocks(n):
-            level[w] = 0.0 if exact else birkhoff_sup(f, w)
-        logs[n] = level
-        if exact:
-            exacts[n] = {w: Fraction(1) for w in level}
+    logs = {n: {w: 0.0 if exact else birkhoff_sup(f, w) for w in lang.blocks(n)}
+            for n in range(1, depth_max + 1)}
+    exacts = {n: dict.fromkeys(level, Fraction(1)) for n, level in logs.items()}
     log_mn = {n: variation_constant(f, n) for n in range(1, depth_max + 1)}
     meta = {"source": "additive", "potential_range": f.range, "exact": exact}
     return SeqTable(lang.alphabet, logs, exact=exacts if exact else None,
@@ -305,15 +446,14 @@ def build_additive_table(f: LocallyConstantPotential, depth_max: int) -> SeqTabl
 
 def partition_sum(t: SeqTable, n: int) -> float:
     """log Z_n = log sum over depth-n words of the stored values."""
-    if t.is_exact:
-        return log_fraction(partition_sum_exact(t, n))
-    return logsumexp(t.logs[n].values())
+    return t._partition(n)[0]
 
 
-def partition_sum_exact(t: SeqTable, n: int) -> Fraction:
+def partition_sum_exact(t: SeqTable, n: int) -> int | Fraction:
+    """Z_n exactly: an int when the level's values are integers."""
     if not t.is_exact:
         raise TableError("table has no exact values")
-    return sum(t.exact[n].values(), Fraction(0))
+    return t._partition(n)[1]
 
 
 @dataclass
@@ -354,7 +494,7 @@ def pressure_estimate(t: SeqTable) -> PressureEstimate:
     if t.is_exact:
         z = [partition_sum_exact(t, n) for n in range(1, n_max + 1)]
         if all(z[i + 1] * z[i - 1] == z[i] * z[i] for i in range(1, n_max - 1)):
-            exact_base = z[1] / z[0]
+            exact_base = Fraction(z[1], z[0])
     if exact_base is not None:
         extrapolated = log_fraction(exact_base)
     else:
@@ -439,7 +579,7 @@ def check_D2(t: SeqTable, gap_cap: int) -> D2Report:
     levels = t.levels
     found: dict[tuple[int, int], tuple] = {}  # (n, m) -> (log D or None, unbridged)
     for s in range(2, t.depth_max - gap_cap + 1):
-        tops = {n: np.full((len(levels[n].words), len(levels[s - n].words)), -np.inf)
+        tops = {n: np.full((len(levels[n]), len(levels[s - n])), -np.inf)
                 for n in range(1, s)}
         for total in range(s, s + gap_cap + 1):
             pre, suf = _ranks(levels, total, "parent"), _ranks(levels, total, "tail")
@@ -469,7 +609,7 @@ def check_D2(t: SeqTable, gap_cap: int) -> D2Report:
         if len(ns) >= 3:
             trends.append(decays_to_zero(ns, [abs(log_d[(n, m)]) / n for n in ns]))
     trend_ok = all(trends) if trends else True
-    detail = {"pairs_checked": sum(len(t.logs[n]) * len(t.logs[m]) for n, m in log_d)}
+    detail = {"pairs_checked": sum(len(levels[n]) * len(levels[m]) for n, m in log_d)}
     return D2Report(gap_cap, log_d, bridged, unbridged, trend_ok, detail)
 
 

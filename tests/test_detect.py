@@ -13,15 +13,30 @@ from thermoshift import (LocallyConstantPotential, OneBlockFactor,
                          variation_constant)
 from thermoshift import seqtable
 from thermoshift.detect import (DetectError, periodic_defect_exact,
-                                table_power_base, uniform_defect_exact,
-                                uniform_defects, uniform_defects_exact_all)
+                                table_power_base, uniform_defects,
+                                uniform_defects_exact_all)
 from thermoshift.potential import birkhoff_extremes_coeff, birkhoff_sup
-from thermoshift.numerics import common_power_base
+from thermoshift.numerics import common_power_base, power_exponent
 from thermoshift.seqtable import SeqTable, TableError
 from thermoshift.shiftcore import PeriodicPoint, Sft
 from thermoshift.verdicts import Verdict
 
 LOG2 = math.log(2)
+
+
+def uniform_defect_exact(gt, h, n):
+    """Reference for the exact uniform defects: u_n in units of log(base),
+    word by word through birkhoff_extremes_coeff; None when the exact
+    representations don't line up."""
+    if not (gt.is_exact and h.is_exact):
+        return None
+    worst = Fraction(0)
+    for w in gt.words(n):
+        e = power_exponent(gt.exact_value(n, w), h.exact_base)
+        if e is None:
+            return None
+        worst = max(worst, abs(e - birkhoff_extremes_coeff(h, w)[0]))
+    return worst / n
 
 
 @pytest.fixture(scope="module")
