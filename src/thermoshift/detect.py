@@ -532,10 +532,11 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
             periodic_exact = False
             # exact multiplicativity witness: g_{jq}(B^j) == g_q(B)^j makes
             # the defect constant in j, so a nonzero value is the Kingman
-            # limit itself.  With a float h the witness still stands when
+            # limit itself; it refutes that h only, so a given candidate,
+            # not a fit (one of many).  With a float h it still stands when
             # the defect clears the Birkhoff-sum rounding by many orders.
             nonzero = de[0] != 0 if de is not None else abs(ds[0]) > 1e-6
-            if refuted_orbit is None and gt.is_exact and nonzero and \
+            if refuted_orbit is None and fit is None and gt.is_exact and nonzero and \
                     _exactly_multiplicative(gt, orbit, j_max):
                 limit = float(de[0]) * math.log(h.exact_base) if de is not None else ds[0]
                 refuted_orbit = (orbit, limit)

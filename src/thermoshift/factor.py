@@ -1,12 +1,11 @@
 """One-block factor maps, the induced image language, fiber enumeration and
-exact pushforward of Markov measures.
+the fiber walk: the one level-by-level kernel for products of per-symbol
+matrices over the fibers, g-tables (seqtable) and pushforward masses alike.
 
 The image subshift Y is never specified independently: its language is
 derived from the map via the subset automaton (state = set of domain
 symbols a preimage word can currently end in).  ``ImageLanguage`` supplies
-only that automaton's ``step``; blocks, counts, membership, extensions and
-periodic blocks come from the shared ``shiftcore.Language``, so they are
-cheap without enumerating fibers.
+only that automaton's ``step``; the rest comes from ``shiftcore.Language``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,10 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .markov import MarkovMeasure, MeasureError
+from .numerics import INT64_MAX, array_max, row_sums
 from .shiftcore import EPSILON, Language, Sft, SftError, Word
 
 
@@ -129,95 +131,72 @@ def induced_image_sft(pi: OneBlockFactor, verify_depth: int = 8) -> Sft | None:
 
 
 def pushforward_cylinder(mu: MarkovMeasure, pi: OneBlockFactor, y: Word):
-    """Mass of the image cylinder [y] under pi(mu): the exact sum of
-    mu-cylinder masses over the fiber of y.
+    """Mass of the image cylinder [y] under pi(mu): the sum of mu-cylinder
+    masses over the fiber of y, by the mass walk restricted to the symbols
+    of y.  A Fraction on exact measures, a float otherwise."""
+    v, steps, den = _measure_steps(mu, pi)
+    for v, *_ in _fiber_walk(v, lambda n: tuple(a[:, y[n - 1], None] for a in steps(n)), len(y)):
+        pass
+    total = sum(row_sums(v).tolist())
+    return Fraction(total, den(len(y))) if mu.exact else float(total)
 
-    Fractions in, Fractions out; on the float path the per-state sums use
-    plain accumulation and the fiber sum is compensated.
-    """
+
+def _fiber_walk(v: np.ndarray, steps, depth: int):
+    """The fibers of pi level by level: V_n = stack_b(V_{n-1} M_b) from the
+    row vector v, a row per image word (word-major, so lexicographic) and a
+    column per domain state.  ``steps(n)`` is (M, edge), indexed [source
+    state, image symbol, target state]; a word is kept while ``edge`` (the
+    domain transitions) reaches it, whatever the weights.  Integers run in
+    int64 while a bound allows, Python ints past it.  Yields (V_n, parent,
+    sym, tail): ranks one depth down of w[:-1] and w[1:], last symbols."""
+    live = np.ones(v.shape, dtype=bool)
+    tail = child = np.zeros(1, dtype=np.int32)
+    for n in range(1, depth + 1):
+        m, edge = steps(n)
+        if v.dtype == np.int64 and (m.dtype == object or
+                                    array_max(v) * array_max(m.sum(axis=0)) > INT64_MAX):
+            v = v.astype(object)
+        m = m.astype(v.dtype)
+        # accumulate over the source states in ascending order (float bits)
+        rows, n_img = len(v), m.shape[1]
+        out = np.zeros((rows,) + m.shape[1:], dtype=v.dtype)
+        reach = np.zeros(out.shape, dtype=bool)
+        for j in range(m.shape[0]):
+            out += v[:, j, None, None] * m[j]
+            reach |= live[:, j, None, None] & edge[j]
+        out, reach = out.reshape(rows * n_img, -1), reach.reshape(rows * n_img, -1)
+        kept = np.flatnonzero(reach.any(axis=1))
+        v, live = out[kept], reach[kept]
+        parent, sym = (kept // n_img).astype(np.int32), (kept % n_img).astype(np.int32)
+        # w[1:] is the parent's tail followed by sym, one depth down
+        tail = np.zeros(len(kept), np.int32) if n == 1 else child[tail[parent] * n_img + sym]
+        child = np.full(rows * n_img, -1, dtype=np.int32)  # row * |B| + symbol -> rank
+        child[kept] = np.arange(len(kept), dtype=np.int32)
+        yield v, parent, sym, tail
+
+
+def _measure_steps(mu: MarkovMeasure, pi: OneBlockFactor):
+    """(start, steps, den): the mass walk of pi(mu) on mu's k-block states,
+    from the stationary vector.  Step n <= k keeps the state and reads the
+    image of its n-th symbol; later steps are P split by the image of the
+    symbol entered.  Exact measures walk integers, the stationary vector
+    times d0 and P times d (lcms of denominators): a depth-n mass is an
+    integer over den(n) = d0 d^max(0, n-k)."""
     if mu.sft is not pi.domain and mu.alphabet != pi.domain.alphabet:
         raise MeasureError("measure alphabet does not match the factor domain")
-    n = len(y)
-    if n == 0:
-        return Fraction(1) if mu.exact else 1.0
-    if n <= mu.order:
-        masses = [mu.cylinder_mass(u) for u in fiber_words(pi, y)]
-        if mu.exact:
-            return sum(masses, Fraction(0))
-        return math.fsum(masses)
-    return _state_total(mu, _cylinder_states(mu, pi, y))
-
-
-def pushforward_masses(mu: MarkovMeasure, pi: OneBlockFactor, levels):
-    """Yield {y: mass of [y] under pi(mu)} for each list of image words in
-    ``levels`` (words of length 1, 2, ...), equal to pushforward_cylinder
-    word by word, floats bit for bit.
-
-    Past the measure's order k a word's per-state masses are its parent's
-    advanced by one symbol, so one walk down the word tree serves every
-    word whose prefix was in the previous level.
-    """
-    if mu.sft is not pi.domain and mu.alphabet != pi.domain.alphabet:
-        raise MeasureError("measure alphabet does not match the factor domain")
-    k = mu.order
-    prev: dict[Word, dict] = {}
-    for n, words in enumerate(levels, start=1):
-        cur: dict[Word, dict] = {}
-        masses = {}
-        for y in words:
-            if n <= k:
-                masses[y] = pushforward_cylinder(mu, pi, y)
-                if n == k:
-                    cur[y] = _cylinder_states(mu, pi, y)
-                continue
-            parent = prev.get(y[:-1])
-            states = (_advance(mu, pi, parent, y[-1]) if parent is not None
-                      else _cylinder_states(mu, pi, y))
-            cur[y] = states
-            masses[y] = _state_total(mu, states)
-        prev = cur
-        yield masses
-
-
-def _cylinder_states(mu: MarkovMeasure, pi: OneBlockFactor, y: Word) -> dict:
-    """{k-block state s: mass of the words in the fiber of y ending in s},
-    for len(y) >= k; empty once no fiber word carries mass."""
-    k = mu.order
-    states: dict[Word, object] = {}
-    for s in mu.states:
-        if pi.apply(s) == y[:k]:
-            m = mu.state_mass(s)
-            if m:
-                states[s] = m
-    for b in y[k:]:
-        if not states:
-            break
-        states = _advance(mu, pi, states, b)
-    return states
-
-
-def _advance(mu: MarkovMeasure, pi: OneBlockFactor, states: dict, b: int) -> dict:
-    """Per-state masses after appending the image symbol b."""
-    dom = pi.domain
-    zero = Fraction(0) if mu.exact else 0.0
-    nxt: dict[Word, object] = {}
-    for s, m in states.items():
-        i = mu._index[s]
-        for x in pi.preimage_symbols(b):
-            if not dom.follows(s[-1], x):
-                continue
-            t = s[1:] + (x,)
-            j = mu._index.get(t)
-            if j is None:
-                continue
-            p = mu.matrix[i][j]
-            if p:
-                nxt[t] = nxt.get(t, zero) + m * p
-    return nxt
-
-
-def _state_total(mu: MarkovMeasure, states: dict):
-    total = Fraction(0) if mu.exact else 0.0
-    for m in states.values():
-        total += m
-    return total
+    k, start, p = mu.order, mu.stationary, mu.matrix
+    d0 = d = 1
+    if mu.exact:
+        d0 = math.lcm(*(Fraction(x).denominator for x in start))
+        d = math.lcm(*(Fraction(x).denominator for row in p for x in row))
+        start, p = [int(x * d0) for x in start], [[int(x * d) for x in row] for row in p]
+    dtype = float if not mu.exact else np.int64 if max(d0, d) <= INT64_MAX else object
+    shape = (len(mu.states), len(pi.image_alphabet), len(mu.states))
+    walk = [(np.zeros(shape, dtype), np.zeros(shape, dtype=bool)) for _ in range(k + 1)]
+    for i, s in enumerate(mu.states):
+        moves = [(n, s[n], i, 1) for n in range(k)] + [(k, x, j, p[i][j]) for j, x in mu._moves[i]]
+        for n, x, j, w in moves:  # step, symbol read, target state, weight
+            m, edge = walk[n]
+            m[i, pi.symbol_map[x], j], edge[i, pi.symbol_map[x], j] = w, True
+    return (np.array([start], dtype), lambda n: walk[min(n, k + 1) - 1],
+            lambda n: d0 * d ** max(0, n - k))

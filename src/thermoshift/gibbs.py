@@ -1,6 +1,7 @@
 """Transfer-operator machinery: pressure of a locally constant potential,
 the induced Gibbs Markov measure, exact integrals of sequence tables
-against Markov measures (Kingman limits) and weak-Gibbs constants C_n.
+against Markov measures (Kingman limits), weak-Gibbs constants C_n and the
+pushforward sandwich, whose masses come from the fiber walk by table rank.
 
 For a Markov measure of order k and f of range r, log mu[w] + nP -
 sup_[w] S_n f is a path sum on the max(k, r-1)-block graph plus a terminal
@@ -17,9 +18,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factor import pushforward_masses
+import numpy as np
+
+from .factor import _fiber_walk, _measure_steps
 from .markov import MarkovMeasure, MeasureError, entropy
-from .numerics import log_fraction
+from .numerics import log_fraction, row_sums
 from .potential import LocallyConstantPotential, birkhoff_sup, variation_constant
 from .seqtable import SeqTable, TableError
 from .shiftcore import Sft, Word, is_irreducible
@@ -391,40 +394,44 @@ def pushforward_sandwich(mu: MarkovMeasure, pi, f: LocallyConstantPotential,
     stored image words, where C_n are the weak-Gibbs constants of mu for f
     on the domain and M_n the variation constants of f.
 
-    Zero tolerance on the exact rational path; 1e-9 slack on floats.
+    Masses come from the mass walk, one per stored word at its rank.  Zero
+    tolerance on the exact path (once per distinct integer mass and value
+    pair); 1e-9 slack on floats.
     """
+    if depth > gt.depth_max:
+        raise TableError("depth %d exceeds the table (max %d)" % (depth, gt.depth_max))
     exact = (exact_base is not None and mu.exact and gt.is_exact
              and weak_report.exact_cn is not None)
     worst = float("inf")
     failures = []
-    levels = pushforward_masses(mu, pi, (gt.words(n) for n in range(1, depth + 1)))
-    for n, masses in enumerate(levels, start=1):
+    start, steps, den = _measure_steps(mu, pi)
+    for n, (v, parent, sym, _) in enumerate(_fiber_walk(start, steps, depth), start=1):
+        level, mass = gt.levels[n], row_sums(v)
+        if not (np.array_equal(parent, level.parent) and np.array_equal(sym, level.sym)):
+            raise TableError("table words at depth %d are not the image words of pi" % n)
         log_mn = variation_constant(f, n)
-        if exact and log_mn != 0.0:
-            exact_here = False
+        if exact and log_mn == 0.0:
+            lam_n, cn = exact_base ** n, weak_report.exact_cn[n]
+            pairs = list(zip(mass.tolist(), level.num.tolist()))
+            checked = {}  # (ok, |log ratio|) once per distinct pair
+            for p in set(pairs):
+                ratio = Fraction(p[0] * level.den, den(n) * p[1]) * lam_n
+                checked[p] = (1 / cn <= ratio <= cn,
+                              abs(float(log_fraction(ratio))) if ratio else math.inf)
+            ok = np.array([checked[p][0] for p in pairs])
+            margin = float(log_fraction(cn)) - np.array([checked[p][1] for p in pairs])
+            zero = np.zeros(len(pairs), dtype=bool)  # exact failures carry no reason
         else:
-            exact_here = exact
-        cn_log = weak_report.log_cn[n]
-        if exact_here:
-            lam_n = exact_base ** n
-            cn = weak_report.exact_cn[n]
-            cn_inv, cn_exact_log = 1 / cn, float(log_fraction(cn))
-        for y, mass in masses.items():
-            names = [gt.alphabet[i] for i in y]
-            if exact_here:
-                ratio = mass * lam_n / gt.exact_value(n, y)
-                ok = cn_inv <= ratio <= cn
-                margin = cn_exact_log - abs(float(log_fraction(ratio))) if ratio > 0 else float("-inf")
-            else:
-                if mass == 0:
-                    failures.append({"n": n, "word": names, "reason": "zero mass"})
-                    continue
-                log_ratio = (log_fraction(mass) if isinstance(mass, Fraction)
-                             else math.log(mass)) + n * pressure - gt.log_value(n, y)
-                bound = cn_log + log_mn
-                margin = bound - abs(log_ratio) + 1e-9
-                ok = margin >= 0
-            if not ok:
-                failures.append({"n": n, "word": names})
-            worst = min(worst, margin)
+            zero = mass == 0
+            logm = [log_fraction(Fraction(x, den(n))) if mu.exact else math.log(x)
+                    for x in mass[~zero].tolist()]
+            log_ratio = (np.array(logm) + n * pressure) - level.logs[~zero]
+            margin = (weak_report.log_cn[n] + log_mn) - np.abs(log_ratio) + 1e-9
+            ok = ~zero
+            ok[~zero] = margin >= 0
+        worst = min([worst] + margin.tolist())
+        for i in np.flatnonzero(~ok).tolist():
+            failures.append({"n": n, "word": [gt.alphabet[b] for b in level.words[i]]})
+            if zero[i]:
+                failures[-1]["reason"] = "zero mass"
     return SandwichReport(depth, not failures, exact, worst, failures)

@@ -143,15 +143,10 @@ def measure_doc(mu: MarkovMeasure) -> dict:
 
 
 def table_doc(t) -> dict:
-    """Tables as {depth: {word: log value}}."""
-    out = {}
-    for n in range(1, t.depth_max + 1):
-        level = {}
-        for w in t.words(n):
-            name = word_key([t.alphabet[i] for i in w])
-            level[name] = t.log_value(n, w)
-        out[str(n)] = level
-    return out
+    """Tables as {depth: {word: log value}}, read off the level index."""
+    return {str(n): {word_key([t.alphabet[i] for i in w]): v
+                     for w, v in zip(level.words, level.logs.tolist())}
+            for n, level in enumerate(t.levels) if n}
 
 
 def read_json(path):

@@ -123,9 +123,6 @@ class MarkovMeasure:
                 matrix[i][j] = w / total
         return cls.from_transition(sft, matrix, order=order)
 
-    def state_mass(self, state: Word):
-        return self.stationary[self._index[state]]
-
     def cylinder_mass(self, word: Word):
         """Exact mass of the cylinder [word]; 1 for the empty word."""
         n = len(word)

@@ -1,12 +1,34 @@
 """Small numeric helpers shared across modules: stable log-space sums,
-field-generic Gaussian elimination, least squares on a line, Aitken
-extrapolation, and exact power-of-base exponent extraction.
+integer arrays widened past 2^63, field-generic Gaussian elimination, line
+fits, Aitken extrapolation and exact power-of-base exponent extraction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+INT64_MAX = 2 ** 63 - 1
+
+
+def array_max(a: np.ndarray) -> int:
+    """Largest entry of an integer array, 0 when it is empty."""
+    return int(a.max()) if a.size else 0
+
+
+def int_array(values: list[int]) -> np.ndarray:
+    """Integers as int64 when the largest fits, as Python ints past 2^63."""
+    return np.array(values, dtype=np.int64 if max(values, default=0) <= INT64_MAX else object)
+
+
+def row_sums(v: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-d array: plain float sums, or exact integer sums (in
+    int64 while no sum can pass 2^63, in Python ints past it)."""
+    if v.dtype != float and array_max(v) * v.shape[1] > INT64_MAX:
+        v = v.astype(object)
+    return v.sum(axis=1) if v.dtype == float else int_array(v.sum(axis=1).tolist())
 
 
 def logsumexp(values) -> float:

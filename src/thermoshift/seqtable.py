@@ -11,8 +11,8 @@ A table lives in its level index (``SeqTable.levels``): per depth the logs,
 the exact values as integers over one denominator, each word's last symbol
 and the ranks of its prefix and suffix one depth down, so prefixes and
 suffixes of any length are chained gathers; words are spelled out on
-demand.  ``build_g_table`` emits the index level by level from a
-state-vector kernel with no Fraction in it, partition sums Z_n are computed
+demand.  ``build_g_table`` emits the index level by level from the fiber
+walk in ``factor``, with no Fraction in it, partition sums Z_n are computed
 once per table from the arrays, and the dict views ``logs`` / ``exact`` are
 built only when asked for.  On exact tables floats only propose; exact
 integer comparison (int64 below 2^63, Python ints past it) decides.
@@ -20,6 +20,7 @@ integer comparison (int64 below 2^63, Python ints past it) decides.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,8 +30,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .factor import OneBlockFactor
-from .numerics import aitken_last, common_power_base, log_fraction, logsumexp
+from .factor import OneBlockFactor, _fiber_walk
+from .numerics import (INT64_MAX, aitken_last, array_max, common_power_base, int_array,
+                       log_fraction, logsumexp, row_sums)
 from .potential import LocallyConstantPotential, birkhoff_sup, variation_constant
 from .shiftcore import Word
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, TrendStats, growth_flag, decays_to_zero
@@ -160,7 +162,7 @@ class SeqTable:
             if level.num is None:
                 self._z[n] = (logsumexp(level.logs.tolist()), None)
             else:
-                total = level.value(_int_sum(level.num, level.hi))
+                total = level.value(int(row_sums(level.num[None])[0]))
                 self._z[n] = (log_fraction(total), total)
         return self._z[n]
 
@@ -196,36 +198,18 @@ class SeqTable:
             if self.exact is not None:
                 vals = [self.exact[n][w] for w in words]
                 den = math.lcm(*{v.denominator for v in vals})
-                num = _int_array([v.numerator * (den // v.denominator) for v in vals])
+                num = int_array([v.numerator * (den // v.denominator) for v in vals])
             out.append(_Level(np.fromiter(level.values(), float, len(words)),
                               parent, tail, sym, num, den, words=words))
             prev = dict(zip(words, range(len(words))))
         return out
 
 
-_INT64_MAX = 2 ** 63 - 1
 _NON_FINITE = "non-finite log value at depth %d (float under- or overflow)"
 
 
 def _view(levels: dict) -> Mapping:
     return MappingProxyType({n: MappingProxyType(level) for n, level in levels.items()})
-
-
-def _top(a: np.ndarray) -> int:
-    return int(a.max()) if a.size else 0
-
-
-def _int_array(values: list[int]) -> np.ndarray:
-    """Integers as int64 when the largest fits, as Python ints past 2^63."""
-    return np.array(values, dtype=np.int64 if max(values, default=0) <= _INT64_MAX else object)
-
-
-def _int_sum(num: np.ndarray, hi: int) -> int:
-    """Exact sum of a level's integers (``hi`` the largest): int64 while
-    the sum cannot pass 2^63, Python ints past it."""
-    if num.dtype == object or hi * len(num) > _INT64_MAX:
-        return sum(num.tolist())
-    return int(num.sum())
 
 
 class _Level:
@@ -238,7 +222,7 @@ class _Level:
                  sym: np.ndarray, num: np.ndarray | None, den: int,
                  words: list[Word] | None = None, below: _Level | None = None):
         self.logs, self.parent, self.tail, self.sym = logs, parent, tail, sym
-        self.num, self.den, self.hi = num, den, 0 if num is None else _top(num)
+        self.num, self.den, self.hi = num, den, 0 if num is None else array_max(num)
         self._words, self._below = words, below
 
     def __len__(self) -> int:
@@ -269,7 +253,7 @@ def _ranks(levels: list, total: int, pointer: str) -> list:
 def _times(x: np.ndarray, y, bound: int) -> np.ndarray:
     """x * y elementwise, in int64 while ``bound`` caps the products below
     2^63, in Python ints past it."""
-    return np.multiply(x, y, dtype=object if bound > _INT64_MAX else None)
+    return np.multiply(x, y, dtype=object if bound > INT64_MAX else None)
 
 
 def _splits(t: SeqTable):
@@ -303,11 +287,10 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     The sup over representative choices factorizes per cylinder (each
     representative is chosen independently), so the sup of the fiber sum is
     the sum of per-cylinder sups; that is what the state-vector recursion
-    accumulates.  Level by level, V_{n+1} = stack_b(V_n M_b): one row per
-    image word, one column per domain suffix state, rows stacked word-major
-    so each level stays lexicographic, words with an empty fiber dropped.
-    The kernel emits the level index directly (parent = row // |B|, tail
-    by one gather in the child table one depth down).  mode "exact" demands
+    accumulates.  The fiber walk (``factor._fiber_walk``) steps V_{n+1} =
+    stack_b(V_n M_b) over the domain suffix states, with the transfer
+    matrices of f, and hands over the level index (ranks and symbols) with
+    each level; this function reads out the values.  mode "exact" demands
     the counting path (f = 0), which runs in integers (int64 while a bound
     allows, Python ints past it).
     """
@@ -325,45 +308,18 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     r = f.range
     s_len = max(r - 1, 1)
     fmax = f.max_value()
-    n_img = len(pi.image_alphabet)
 
     # sup of the windows reaching past a word, per state (its last min(n,
     # r-1) symbols), applied at readout; for n < r-1 a state is the word
     tails = {} if exact else {k: [birkhoff_sup(f, s) for s in dom.blocks(k)] for k in range(1, r)}
+    transfer = functools.cache(lambda *key: _transfer(pi, f, fmax, exact, *key))
+    walk = _fiber_walk(np.ones((1, 1), dtype=np.int64 if exact else float),
+                       lambda n: transfer(min(n - 1, s_len), min(n, s_len), n >= r), depth_max)
     levels: list[_Level | None] = [None]
-    v = np.ones((1, 1), dtype=np.int64 if exact else float)
-    live = np.ones((1, 1), dtype=bool)
-    tail = child = np.zeros(1, dtype=np.int32)
-    steps, offset = {}, 0.0
-    for n in range(1, depth_max + 1):
-        key = (min(n - 1, s_len), min(n, s_len), n >= r)
-        if key not in steps:
-            steps[key] = _transfer(pi, f, fmax, exact, *key)
-        m, edge = steps[key]
-        if exact and v.dtype != object and _top(v) * _top(m.sum(axis=0)) > _INT64_MAX:
-            v = v.astype(object)
-        m = m.astype(v.dtype)
-        # accumulate over the source states in ascending order (float bits);
-        # reach marks the words whose fiber is nonempty, weight or not
-        rows = len(v)
-        out = np.zeros((rows,) + m.shape[1:], dtype=v.dtype)
-        reach = np.zeros(out.shape, dtype=bool)
-        for j in range(m.shape[0]):
-            out += v[:, j, None, None] * m[j]
-            reach |= live[:, j, None, None] & edge[j]
-        out, reach = out.reshape(rows * n_img, -1), reach.reshape(rows * n_img, -1)
-        kept = np.flatnonzero(reach.any(axis=1))
-        v, live = out[kept], reach[kept]
-        parent, sym = (kept // n_img).astype(np.int32), (kept % n_img).astype(np.int32)
-        # w[1:] is the parent's tail followed by sym, one depth down
-        tail = np.zeros(len(kept), np.int32) if n == 1 else child[tail[parent], sym]
-        child = np.full(rows * n_img, -1, dtype=np.int32)
-        child[kept] = np.arange(len(kept), dtype=np.int32)
-        child = child.reshape(rows, n_img)
-        num = None
+    offset = 0.0
+    for n, (v, parent, sym, tail) in enumerate(walk, start=1):
+        num = row_sums(v) if exact else None
         if exact:
-            sums = v.astype(object) if _top(v) * v.shape[1] > _INT64_MAX else v
-            num = _int_array(sums.sum(axis=1).tolist())
             uniq, inv = np.unique(num, return_inverse=True)
             logs = np.array([log_fraction(x) for x in uniq.tolist()])[inv.reshape(-1)]
         else:

@@ -52,6 +52,18 @@ def test_verdict_with_candidate(tmp_path):
     assert doc["verdict"]["verdict"] == "REFUTED"
 
 
+def test_verdict_fitted_range2_h_is_not_refuted(tmp_path):
+    # g_n(y) = 2^n on every image word: h = log 2 is a compensation
+    # function.  The range-2 fit at n_fit = n is not unique (a boundary
+    # unknown is free) and its periodic defect is a nonzero constant, which
+    # refutes only that fitted h, not the factor.
+    for depth in ("6", "8", "10"):
+        code, raw = run(tmp_path, "verdict", "--factor", fpath("factor_amalgamation.json"),
+                        "--depth", depth, "--range", "2")
+        assert code == 0
+        assert json.loads(raw)["verdict"]["verdict"] == "EVIDENCE"
+
+
 def test_verdict_phase_blocked(tmp_path):
     code, raw = run(tmp_path, "verdict", "--factor", fpath("factor_phase_blocked.json"),
                     "--depth", "14")

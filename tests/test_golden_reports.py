@@ -46,6 +46,9 @@ CASES = {
                     "--word", "ab"],
     "weak_gibbs": ["weak-gibbs", "--factor", "fixtures/factor_collapse.json",
                    "--measure", "fixtures/measure_uniform3.json", "--depth", "8"],
+    "weak_gibbs_float": ["weak-gibbs", "--factor", "fixtures/factor_collapse.json",
+                         "--potential", "tests/golden/potential_r2_full3.json",
+                         "--measure", "tests/golden/measure_order2_float.json", "--depth", "8"],
 }
 
 

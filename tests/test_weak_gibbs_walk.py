@@ -1,7 +1,6 @@
-"""The transfer walk behind weak_gibbs_constants and the one-walk sandwich
-masses, against the word-by-word scans they replaced: the enumerating C_n
-scan (kept here as the reference oracle) and pushforward_cylinder per
-image word."""
+"""The transfer walk behind weak_gibbs_constants, against the enumerating
+C_n scan it replaced (kept here as the reference oracle).  The sandwich
+masses have their own tests in test_mass_walk.py."""
 
 import math
 from fractions import Fraction
@@ -10,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoshift import (LocallyConstantPotential, MarkovMeasure, OneBlockFactor,
+from thermoshift import (LocallyConstantPotential, MarkovMeasure,
                          build_additive_table, transfer_pressure,
                          weak_gibbs_constants)
 from thermoshift.cli import HARD_DEPTH_CAP
-from thermoshift.factor import pushforward_cylinder, pushforward_masses
 from thermoshift.gibbs import GibbsError
 from thermoshift.markov import MeasureError, _state_transitions
 from thermoshift.numerics import log_fraction
@@ -64,7 +62,7 @@ def ref_weak_gibbs(mu, f, pressure, depth, exact_base=None,
 
 @st.composite
 def settings_(draw):
-    """(sft, mu, f, pressure, exact_base, depth, factor): an irreducible SFT
+    """(sft, mu, f, pressure, exact_base, depth): an irreducible SFT
     on <= 4 symbols (a cycle through every symbol plus random edges), a
     Markov measure of order 1 or 2 with some zero transitions (or the Gibbs
     measure of f), f of range 1-3 (zero when the exact path is drawn)."""
@@ -100,9 +98,7 @@ def settings_(draw):
         if not exact:
             base = None
     depth = draw(st.sampled_from([6, 5, 4, 3, 2, 1]))
-    image = [draw(st.integers(0, 1)) for _ in range(size)]
-    pi = OneBlockFactor(sft, ["xy"[b] for b in image])
-    return sft, mu, f, pressure, base, depth, pi
+    return sft, mu, f, pressure, base, depth
 
 
 def _measure(sft, k, moves, weights, exact):
@@ -121,7 +117,7 @@ def _measure(sft, k, moves, weights, exact):
 @settings(max_examples=80, deadline=None)
 @given(case=settings_())
 def test_walk_matches_enumeration(case):
-    sft, mu, f, pressure, base, depth, pi = case
+    sft, mu, f, pressure, base, depth = case
     rep = weak_gibbs_constants(mu, f, pressure, depth, exact_base=base)
     log_cn, exact_cn, verdict = ref_weak_gibbs(mu, f, pressure, depth, base)
     assert rep.verdict == verdict
@@ -134,24 +130,6 @@ def test_walk_matches_enumeration(case):
         else:
             # 1e-12 relative; the floor covers values that cancel to ~0
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (n, got, want)
-
-    levels = [pi.image.blocks(n) for n in range(1, depth + 1)]
-    for words, masses in zip(levels, pushforward_masses(mu, pi, levels)):
-        assert list(masses) == words
-        for y in words:
-            want = pushforward_cylinder(mu, pi, y)
-            assert type(masses[y]) is type(want) and masses[y] == want
-
-
-def test_pushforward_masses_without_stored_parent(collapse, full3):
-    # a word whose prefix is not in the previous level is computed from scratch
-    mu = MarkovMeasure.from_transition(
-        full3, [[0.5, 0.25, 0.25], [0.125, 0.375, 0.5], [0.25, 0.25, 0.5]])
-    levels = [[(0,)], [], [(0, 0, 1)], [(0, 0, 1, 1)]]
-    got = list(pushforward_masses(mu, collapse, levels))
-    for words, masses in zip(levels, got):
-        for y in words:
-            assert masses[y] == pushforward_cylinder(mu, collapse, y)
 
 
 def test_vanishing_mass_is_neither_whatever_the_word_order(full2):
