@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .factor import OneBlockFactor, fiber_words
-from .lp import chebyshev_fit_exact, chebyshev_fit_float
-from .numerics import logsumexp, power_exponent
+from .lp import chebyshev_fit_exact, chebyshev_fit_float, solve_exact
+from .numerics import array_max, logsumexp
 from .potential import (LocallyConstantPotential, PotentialError, birkhoff_inf,
                         birkhoff_sup, periodic_birkhoff, periodic_birkhoff_coeff,
                         variation_constant)
@@ -26,8 +26,6 @@ from .seqtable import SeqTable, TableError, build_g_table, defect_profile
 from .shiftcore import (PeriodicPoint, Word, bridge, is_irreducible,
                         periodic_points)
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, Verdict, decays_to_zero
-
-_EXACT_FIT_LIMIT = 4096  # constraint cap for the exact simplex path
 
 
 class DetectError(ValueError):
@@ -38,14 +36,8 @@ class DetectError(ValueError):
 # exact exponent plumbing
 
 def table_power_base(gt: SeqTable) -> int | None:
-    """Common integer base b with every exact table value a power of b
-    (computed once per table, ``SeqTable.power_base``)."""
+    """Common integer base b with every exact table value a power of b."""
     return gt.power_base
-
-
-def _exponent(gt: SeqTable, n: int, w: Word, base: int) -> Fraction | None:
-    e = power_exponent(gt.exact_value(n, w), base)
-    return None if e is None else Fraction(e)
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +66,16 @@ def periodic_defect_exact(gt: SeqTable, h: LocallyConstantPotential,
     representations don't line up."""
     if not (gt.is_exact and h.is_exact):
         return None
-    base = h.exact_base
-    q = y.period
     out = []
-    for j in range(1, J + 1):
-        n = j * q
+    for n in range(y.period, J * y.period + 1, y.period):
         w = y.word(n)
-        if not gt.has_word(n, w):
+        i = gt._find(n, w, strict=False)
+        if i is None:
             raise DetectError("periodic block %s is not in the image language" % (w,))
-        e = _exponent(gt, n, w, base)
-        if e is None:
+        exps = gt.exponents(n, h.exact_base)
+        if exps is None:
             return None
-        out.append((e - periodic_birkhoff_coeff(h, y, n)) / n)
+        out.append((int(exps[i]) - periodic_birkhoff_coeff(h, y, n)) / n)
     return out
 
 
@@ -126,7 +116,7 @@ def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
     else:
         weight, zero, dtype = h.values, 0.0, float
     levels, k = gt.levels, len(gt.alphabet)
-    exps, out = {}, {}
+    out = {}
     # r >= 2: words keyed by (automaton state, last min(n, r-1) symbols), by
     # id; ids step once per (parent's id, symbol), tails once per key
     keys, ids, sups, steps = [(lang.start, ())], {}, [zero], {}
@@ -165,17 +155,11 @@ def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
             d = np.abs(level.logs - totals)
             out[n] = (float(d.max()) if len(d) else 0.0) / n
             continue
-        values, inv = np.unique(level.num, return_inverse=True)
-        es = []
-        for v in values.tolist():
-            e = exps.get((v, level.den), exps)  # exps itself marks a value not seen yet
-            if e is exps:
-                e = exps[v, level.den] = power_exponent(level.value(v), h.exact_base)
-            if e is None:
-                return None
-            es.append(e)
-        small = dtype is not object and max(map(abs, es), default=0) * den < 2 ** 62
-        d = np.abs(np.array(es, np.int64 if small else object)[inv.reshape(-1)] * den - totals)
+        es = gt.exponents(n, h.exact_base)
+        if es is None:
+            return None
+        small = dtype is not object and array_max(np.abs(es)) * den < 2 ** 62
+        d = np.abs((es if small else es.astype(object)) * den - totals)
         out[n] = Fraction(int(d.max()) if len(d) else 0, den * n)
     return out
 
@@ -226,42 +210,42 @@ class FitResult:
                 "exact_base": self.base}
 
 
-def _fit_rows(gt: SeqTable, r: int, n_fit: int):
-    """Constraint rows of the Chebyshev LP.
+def _fit_rows(gt: SeqTable, r: int, n: int, classes: np.ndarray | None = None):
+    """Constraint rows of the Chebyshev LP at depth n as one integer matrix.
 
     Unknowns: h on the depth-r words, plus (for r >= 2) one boundary
-    correction per (r-1)-suffix class; S_n h enters through the n-r+1
-    windows contained in the word, so each word contributes one linear row.
-    The boundary unknowns absorb the sup-convention tail, keep t*(r) exactly
-    monotone in r, and vanish for r = 1.
-    """
-    r_words = gt.words(r)
-    h_index = {w: i for i, w in enumerate(r_words)}
-    tau_index: dict[Word, int] = {}
-    if r >= 2:
-        for w in gt.words(n_fit):
-            s = w[n_fit - r + 1:]
-            if s not in tau_index:
-                tau_index[s] = len(r_words) + len(tau_index)
-    rows = []
-    words = gt.words(n_fit)
-    for w in words:
-        row: dict[int, Fraction] = {}
-        for i in range(n_fit - r + 1):
-            j = h_index[w[i:i + r]]
-            row[j] = row.get(j, Fraction(0)) + 1
-        if r >= 2:
-            row[tau_index[w[n_fit - r + 1:]]] = Fraction(1)
-        rows.append(row)
-    return r_words, tau_index, rows, words
+    correction per (r-1)-suffix class (it absorbs the sup-convention tail
+    and keeps t*(r) monotone in r).  Each word gives a row: the counts of
+    its n-r+1 windows, by one walk down the level index (``win`` the rank
+    at depth r of the last window), and a 1 at its class.  Classes (ranks
+    at depth r-1) come in order of first appearance, or as given, dropping
+    rows of other classes.  Returns (a, classes, the mask of kept rows)."""
+    levels = gt.levels
+    if n < r:  # n = r - 1: no window, the class is the word
+        a, cls = np.zeros((len(levels[n]), len(levels[r])), np.int64), np.arange(len(levels[n]))
+    else:
+        win, a = np.arange(len(levels[r])), np.eye(len(levels[r]), dtype=np.int64)
+        for d in range(r + 1, n + 1):
+            win, a = win[levels[d].tail], a[levels[d].parent]
+            a[np.arange(len(win)), win] += 1
+        cls = levels[r].tail[win]
+    if r == 1:
+        return a, None, None
+    if classes is None:
+        classes = cls[np.sort(np.unique(cls, return_index=True)[1])]
+    tau = (cls[:, None] == classes).astype(np.int64)
+    keep = tau.any(axis=1)
+    return np.hstack([a, tau])[keep], classes, keep
 
 
 def fit_h(gt: SeqTable, r: int, n_fit: int, mode: str = "auto") -> FitResult:
     """Minimize max over depth-n_fit words of |log g_n(y) - S_n h(y)| over
     potentials h of range r (a Chebyshev-center LP).
 
-    Exact simplex on rationals when the table is exact counting with a
-    common power base; deterministic iterative LP otherwise.
+    Exact in units of log(base) on a counting table with a common power
+    base, HiGHS on the logs otherwise.  For r >= 2 a zero-defect fit leaves
+    the boundary gauge free (h += c, tau -= (n_fit-r+1) c); the rows at
+    n_fit - 1 with the same classes pin it if the joint system is consistent.
     """
     if r < 1:
         raise DetectError("fit range must be >= 1")
@@ -269,34 +253,26 @@ def fit_h(gt: SeqTable, r: int, n_fit: int, mode: str = "auto") -> FitResult:
         raise DetectError("fit range exceeds the fit depth")
     if n_fit > gt.depth_max:
         raise TableError("n_fit exceeds the table depth")
-    r_words, tau_index, rows, words = _fit_rows(gt, r, n_fit)
-    nvars = len(r_words) + len(tau_index)
+    a, classes, _ = _fit_rows(gt, r, n_fit)
     base = table_power_base(gt) if mode in ("auto", "exact") else None
-    exact_rhs = None
-    if base is not None:
-        exact_rhs = []
-        for w in words:
-            e = _exponent(gt, n_fit, w, base)
-            if e is None:
-                exact_rhs = None
-                break
-            exact_rhs.append(e)
-    if mode == "exact" and exact_rhs is None:
+    exps = None if base is None else gt.exponents(n_fit, base)
+    if mode == "exact" and exps is None:
         raise DetectError("exact fit needs a counting table with a common power base")
-    if exact_rhs is not None and 2 * len(rows) <= _EXACT_FIT_LIMIT:
-        z, tstar = chebyshev_fit_exact(rows, exact_rhs, nvars)
-        log_b = math.log(base)
-        coeffs = {w: z[i] for i, w in enumerate(r_words)}
-        values = {w: float(coeffs[w]) * log_b for w in r_words}
-        boundary = {s: float(z[i]) * log_b for s, i in tau_index.items()}
-        return FitResult(r, n_fit, values, float(tstar) * log_b, "exact-simplex",
-                         coeffs=coeffs, base=base, tstar_exact=tstar,
-                         boundary=boundary or None)
-    rhs = [gt.log_value(n_fit, w) for w in words]
-    z, tstar = chebyshev_fit_float(rows, rhs, nvars)
-    values = {w: z[i] for i, w in enumerate(r_words)}
-    boundary = {s: z[i] for s, i in tau_index.items()}
-    return FitResult(r, n_fit, values, tstar, "highs", boundary=boundary or None)
+    fit = None if exps is None else chebyshev_fit_exact(a, exps)
+    if fit is not None and r >= 2 and fit[1] == 0:
+        b, _, keep = _fit_rows(gt, r, n_fit - 1, classes)
+        e = np.concatenate([exps, gt.exponents(n_fit - 1, base)[keep]])
+        fit = (solve_exact(np.vstack([a, b]), e) or fit[0], fit[1])
+    z, tstar = fit or chebyshev_fit_float(a, gt.levels[n_fit].logs)
+    scale = 1.0 if fit is None else math.log(base)  # x * 1.0 keeps the bits
+    r_words = gt.levels[r].words
+    tau = [] if classes is None else [gt.levels[r - 1].words[i] for i in classes.tolist()]
+    boundary = {s: float(c) * scale for s, c in zip(tau, z[len(r_words):])}
+    exact = {} if fit is None else {"coeffs": dict(zip(r_words, z)), "base": base,
+                                    "tstar_exact": tstar}
+    return FitResult(r, n_fit, {w: float(c) * scale for w, c in zip(r_words, z)},
+                     float(tstar) * scale, "highs" if fit is None else "exact-simplex",
+                     boundary=boundary or None, **exact)
 
 
 def chebyshev_defect(gt: SeqTable, values: dict[Word, float], r: int, n: int) -> float:

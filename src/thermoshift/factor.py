@@ -11,6 +11,7 @@ only that automaton's ``step``; the rest comes from ``shiftcore.Language``.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -45,6 +46,7 @@ class OneBlockFactor:
             for b in range(len(self.image_alphabet))
         )
         self.image = ImageLanguage(self)
+        self._mass_steps = weakref.WeakKeyDictionary()  # pushforward_cylinder's, per measure
 
     def __repr__(self):
         pairs = ", ".join("%s->%s" % (a, self.image_alphabet[self.symbol_map[i]])
@@ -133,8 +135,11 @@ def induced_image_sft(pi: OneBlockFactor, verify_depth: int = 8) -> Sft | None:
 def pushforward_cylinder(mu: MarkovMeasure, pi: OneBlockFactor, y: Word):
     """Mass of the image cylinder [y] under pi(mu): the sum of mu-cylinder
     masses over the fiber of y, by the mass walk restricted to the symbols
-    of y.  A Fraction on exact measures, a float otherwise."""
-    v, steps, den = _measure_steps(mu, pi)
+    of y.  A Fraction on exact measures, a float otherwise.  The steps are
+    built once per measure and factor, and kept only while both live."""
+    if mu not in pi._mass_steps:
+        pi._mass_steps[mu] = _measure_steps(mu, pi)
+    v, steps, den = pi._mass_steps[mu]
     for v, *_ in _fiber_walk(v, lambda n: tuple(a[:, y[n - 1], None] for a in steps(n)), len(y)):
         pass
     total = sum(row_sums(v).tolist())

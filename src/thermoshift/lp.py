@@ -1,19 +1,24 @@
 """Chebyshev (sup-norm) linear programming.
 
-The fit problem is min_z max_i |G_i - a_i . z|.  Two solvers:
-
-* an exact simplex over Fractions applied to the dual (whose tableau has
-  one row per structural unknown, so it stays small even with thousands of
-  residual constraints), with Bland's rule for determinism; the optimal
-  primal point is read off the simplex multipliers and re-verified;
-* scipy's HiGHS for the floating path.
+The fit problem is min_z max_i |e_i - a_i . z| over the rows of a matrix.
+On integer systems t* = 0 is decided exactly by interpolation on the
+distinct rows (no size cap), and t* > 0 on small systems by an exact
+simplex over Fractions applied to the dual (one tableau row per structural
+unknown), with Bland's rule for determinism; the optimal primal point is
+read off the simplex multipliers and re-verified.  scipy's HiGHS solves
+the floating path.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from .numerics import INT64_MAX
+
+_EXACT_FIT_LIMIT = 4096  # constraint cap (two per row) for the exact dual simplex
 
 
 class LpError(RuntimeError):
@@ -22,25 +27,16 @@ class LpError(RuntimeError):
 
 def chebyshev_defect_value(rows, rhs, z):
     """max_i |G_i - a_i . z| for a candidate z (same arithmetic as inputs)."""
-    worst = None
-    for a, g in zip(rows, rhs):
-        resid = g - sum(coeff * z[j] for j, coeff in a.items())
-        if resid < 0:
-            resid = -resid
-        if worst is None or resid > worst:
-            worst = resid
-    return worst
+    return max((abs(g - sum(c * z[j] for j, c in a.items())) for a, g in zip(rows, rhs)),
+               default=None)
 
 
 def try_exact_interpolation(rows, rhs, nvars):
     """If the equality system a_i . z = G_i is consistent, return the
-    canonical solution (free variables pinned to 0) and defect 0."""
-    aug = [[Fraction(0)] * nvars + [Fraction(g)] for g in rhs]
-    for r, a in zip(aug, rows):
-        for j, c in a.items():
-            r[j] = Fraction(c)
-    pivots = []
-    row = 0
+    canonical solution (free variables pinned to 0), else None.  It depends
+    only on the row space: the distinct rows give the same z as all rows."""
+    aug = [[Fraction(a.get(j, 0)) for j in range(nvars)] + [Fraction(g)] for a, g in zip(rows, rhs)]
+    pivots, row = [], 0
     for col in range(nvars):
         piv = next((i for i in range(row, len(aug)) if aug[i][col] != 0), None)
         if piv is None:
@@ -67,14 +63,39 @@ def try_exact_interpolation(rows, rhs, nvars):
     return z
 
 
-def chebyshev_fit_exact(rows, rhs, nvars):
-    """Exact minimax fit over Fractions; returns (z, t_star)."""
-    rows = [dict(a) for a in rows]
-    rhs = [Fraction(g) for g in rhs]
-    direct = try_exact_interpolation(rows, rhs, nvars)
-    if direct is not None:
-        return direct, Fraction(0)
-    z, tstar = _dual_simplex(rows, rhs, nvars)
+def solve_exact(a: np.ndarray, e: np.ndarray) -> list[Fraction] | None:
+    """The canonical solution of a z = e (integers), or None when there is
+    none: try_exact_interpolation on the distinct rows of [a | e] (None at
+    once when equal rows of a have different e), checked on every row in
+    integers (int64 while a bound allows, Python ints past it)."""
+    aug = np.unique(np.column_stack([a, e]), axis=0)
+    if len(np.unique(aug[:, :-1], axis=0)) < len(aug):
+        return None
+    z = try_exact_interpolation([{j: c for j, c in enumerate(row) if c} for row in aug[:, :-1].tolist()],
+                                aug[:, -1].tolist(), a.shape[1])
+    if z is None:
+        return None
+    den = math.lcm(*(v.denominator for v in z))
+    zi = [int(v * den) for v in z]
+    bound = int(np.abs(a).sum(axis=1).max()) * max(map(abs, zi)) + int(np.abs(e).max()) * den
+    dtype = object if bound > INT64_MAX else np.int64
+    if not np.array_equal(a.astype(dtype) @ np.array(zi, dtype), e.astype(dtype) * den):
+        raise LpError("interpolation on the distinct rows misses a repeated row")
+    return z
+
+
+def chebyshev_fit_exact(a: np.ndarray, e: np.ndarray) -> tuple[list[Fraction], Fraction] | None:
+    """Exact minimax fit of integer a, e: (z, t_star) over Fractions, or
+    None when t* > 0 on more than ``_EXACT_FIT_LIMIT`` constraints.  t* = 0
+    by solve_exact; else the dual simplex on all rows in their order."""
+    z = solve_exact(a, e)
+    if z is not None:
+        return z, Fraction(0)
+    if 2 * len(a) > _EXACT_FIT_LIMIT:
+        return None
+    rows = [{j: c for j, c in enumerate(row) if c} for row in a.tolist()]
+    rhs = [Fraction(g) for g in e.tolist()]
+    z, tstar = _dual_simplex(rows, rhs, a.shape[1])
     achieved = chebyshev_defect_value(rows, rhs, z)
     if achieved != tstar:
         raise LpError("simplex multiplier recovery failed (%s vs %s)" % (achieved, tstar))
@@ -169,21 +190,18 @@ def _dual_simplex(rows, rhs, nvars):
     return z, tstar
 
 
-def chebyshev_fit_float(rows, rhs, nvars):
-    """HiGHS solve of min t, |G_i - a_i . z| <= t; returns (z, t_star)."""
+def chebyshev_fit_float(a, rhs):
+    """HiGHS solve of min t, |rhs_i - a_i . z| <= t over the rows of the
+    matrix a; returns (z, t_star)."""
     from scipy.optimize import linprog  # imported here: only float fits need scipy
 
-    w = len(rows)
+    a, rhs = np.asarray(a, dtype=float), np.asarray(rhs, dtype=float)
+    w, nvars = a.shape
     a_ub = np.zeros((2 * w, nvars + 1))
-    b_ub = np.zeros(2 * w)
-    for i, (a, g) in enumerate(zip(rows, rhs)):
-        for j, c in a.items():
-            a_ub[i, j] = -float(c)
-            a_ub[w + i, j] = float(c)
-        a_ub[i, nvars] = -1.0
-        a_ub[w + i, nvars] = -1.0
-        b_ub[i] = -float(g)
-        b_ub[w + i] = float(g)
+    a_ub[:w, :nvars] = np.subtract(0.0, a)  # 0 - a: no negative zeros
+    a_ub[w:, :nvars] = a
+    a_ub[:, nvars] = -1.0
+    b_ub = np.concatenate([-rhs, rhs])
     c = np.zeros(nvars + 1)
     c[nvars] = 1.0
     bounds = [(None, None)] * nvars + [(0, None)]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .factor import OneBlockFactor, _fiber_walk
 from .numerics import (INT64_MAX, aitken_last, array_max, common_power_base, int_array,
-                       log_fraction, logsumexp, row_sums)
+                       log_fraction, logsumexp, power_exponent, row_sums)
 from .potential import LocallyConstantPotential, birkhoff_sup, variation_constant
 from .shiftcore import Word
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, TrendStats, growth_flag, decays_to_zero
@@ -98,6 +98,7 @@ class SeqTable:
                                          dict.fromkeys(range(1, depth_max + 1), 0.0))
         self._child: list[list[int]] = []  # see _find
         self._z: dict[int, tuple] = {}  # see _partition
+        self._exps: dict[tuple[int, int], np.ndarray | None] = {}  # see exponents
 
     @cached_property
     def logs(self) -> Mapping[int, Mapping[Word, float]]:
@@ -166,6 +167,16 @@ class SeqTable:
                 self._z[n] = (log_fraction(total), total)
         return self._z[n]
 
+    def exponents(self, n: int, base: int) -> np.ndarray | None:
+        """Per rank at depth n of an exact table, the k with value = base**k
+        (int64, once per distinct value, depth and base); None if any lacks one."""
+        if (n, base) not in self._exps:
+            level = self._level(n)
+            values, inv = np.unique(level.num, return_inverse=True)
+            ks = [power_exponent(level.value(v), base) for v in values.tolist()]
+            self._exps[n, base] = None if None in ks else np.array(ks, np.int64)[inv.reshape(-1)]
+        return self._exps[n, base]
+
     @cached_property
     def power_base(self) -> int | None:
         """Common integer base b with every exact value a power of b; None
@@ -178,13 +189,13 @@ class SeqTable:
     @cached_property
     def levels(self) -> list[_Level | None]:
         """The level index ``levels[n]``, 1 <= n <= depth_max, derived from
-        the dicts on first use; TableError when a word's w[:-1] or w[1:] is
-        not stored or a symbol is outside the alphabet."""
+        the dicts on first use, each level sorted; TableError when a word's
+        w[:-1] or w[1:] is not stored or a symbol is outside the alphabet."""
         out: list[_Level | None] = [None]
         prev = {(): 0}
         for n in range(1, self.depth_max + 1):
             level = self.logs[n]
-            words = list(level)
+            words = sorted(level)
             try:
                 parent = np.array([prev[w[:-1]] for w in words], dtype=np.int32)
                 tail = np.array([prev[w[1:]] for w in words], dtype=np.int32)
@@ -215,7 +226,7 @@ def _view(levels: dict) -> Mapping:
 class _Level:
     """One depth: logs, exact values num / den (``hi`` the largest num), the
     last symbol of each word and the ranks one depth down of w[:-1] and
-    w[1:].  ``words`` (dict order; lexicographic on built tables) are given
+    w[1:].  ``words`` (lexicographic) are given
     or spelled out on first use from the level ``below``."""
 
     def __init__(self, logs: np.ndarray, parent: np.ndarray, tail: np.ndarray,

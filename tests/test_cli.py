@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -54,14 +55,27 @@ def test_verdict_with_candidate(tmp_path):
 
 def test_verdict_fitted_range2_h_is_not_refuted(tmp_path):
     # g_n(y) = 2^n on every image word: h = log 2 is a compensation
-    # function.  The range-2 fit at n_fit = n is not unique (a boundary
-    # unknown is free) and its periodic defect is a nonzero constant, which
-    # refutes only that fitted h, not the factor.
+    # function.  The range-2 fit at n_fit = n alone is not unique (the
+    # boundary gauge is free); the rows at n_fit - 1 pin it to h = log 2.
     for depth in ("6", "8", "10"):
         code, raw = run(tmp_path, "verdict", "--factor", fpath("factor_amalgamation.json"),
                         "--depth", depth, "--range", "2")
         assert code == 0
-        assert json.loads(raw)["verdict"]["verdict"] == "EVIDENCE"
+        assert json.loads(raw)["verdict"]["verdict"] == "CERTIFIED"
+
+
+def test_verdict_full4_certifies_past_the_simplex_cap(tmp_path):
+    # 1,2 -> a, 3 -> b, 4 -> c on the full 4-shift: g_n(y) = 2^{#a in y}.
+    # The fit at n_fit = 8 has 3^8 = 6561 rows, past the exact simplex cap;
+    # t* = 0 is decided by interpolation, which has no cap.
+    for depth in ("8", "10"):
+        code, raw = run(tmp_path, "verdict", "--factor", fpath("factor_full4_abc.json"),
+                        "--depth", depth)
+        assert code == 0
+        doc = json.loads(raw)["verdict"]
+        assert doc["verdict"] == "CERTIFIED"
+        assert doc["h"]["solver"] == "exact-simplex" and doc["h"]["tstar_exact"] == "0"
+        assert doc["h"]["values"] == {"a": math.log(2), "b": 0.0, "c": 0.0}
 
 
 def test_verdict_phase_blocked(tmp_path):

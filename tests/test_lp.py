@@ -5,12 +5,20 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import thermoshift
 from thermoshift.lp import (chebyshev_defect_value, chebyshev_fit_exact,
                             chebyshev_fit_float, try_exact_interpolation,
                             _dual_simplex)
+
+
+def system(rows, rhs, nvars):
+    """Dict rows with integral coefficients and right-hand side as the
+    integer matrix and vector the fit entry points take."""
+    return (np.array([[int(row.get(j, 0)) for j in range(nvars)] for row in rows]),
+            np.array([int(g) for g in rhs]))
 
 
 def test_interpolation_path_counts():
@@ -23,7 +31,7 @@ def test_interpolation_path_counts():
             counts[s] = counts.get(s, 0) + 1
         rows.append({k: Fraction(v) for k, v in counts.items()})
         rhs.append(Fraction(word.count(0)))
-    z, t = chebyshev_fit_exact(rows, rhs, 2)
+    z, t = chebyshev_fit_exact(*system(rows, rhs, 2))
     assert z == [Fraction(1), Fraction(0)] and t == 0
 
 
@@ -34,8 +42,8 @@ def test_interpolation_rejects_inconsistent():
 
 
 def test_simplex_midpoint():
-    z, t = chebyshev_fit_exact([{0: Fraction(1)}, {0: Fraction(1)}],
-                               [Fraction(0), Fraction(1)], 1)
+    z, t = chebyshev_fit_exact(*system([{0: Fraction(1)}, {0: Fraction(1)}],
+                                       [Fraction(0), Fraction(1)], 1))
     assert t == Fraction(1, 2) and z == [Fraction(1, 2)]
 
 
@@ -43,7 +51,7 @@ def test_simplex_weighted_spread():
     # residuals at z: 3-z, -1-z: optimum at z=1, t=2
     rows = [{0: Fraction(1)}, {0: Fraction(1)}, {0: Fraction(1)}]
     rhs = [Fraction(3), Fraction(-1), Fraction(1)]
-    z, t = chebyshev_fit_exact(rows, rhs, 1)
+    z, t = chebyshev_fit_exact(*system(rows, rhs, 1))
     assert z == [Fraction(1)] and t == Fraction(2)
 
 
@@ -60,7 +68,7 @@ def test_exact_matches_float_on_random_instances():
             rhs.append(Fraction(rng.randint(-12, 12), rng.randint(1, 5)))
         ze, te = _dual_simplex([dict(r) for r in rows], list(rhs), nv)
         assert chebyshev_defect_value(rows, rhs, ze) == te
-        zf, tf = chebyshev_fit_float(rows, rhs, nv)
+        zf, tf = chebyshev_fit_float(system(rows, [0] * nw, nv)[0], rhs)
         assert float(te) == pytest.approx(tf, abs=1e-8)
 
 

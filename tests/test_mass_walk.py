@@ -3,13 +3,17 @@ fiber walk fed the measure's steps), against brute-force fiber enumeration
 and against the per-state dict walk it replaced, kept here as the
 reference oracle."""
 
+import gc
+import itertools
 import math
+import weakref
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoshift import LocallyConstantPotential, MarkovMeasure, OneBlockFactor, build_g_table
+from thermoshift import factor
 from thermoshift.cli import HARD_DEPTH_CAP
 from thermoshift.factor import _fiber_walk, _measure_steps, fiber_words, pushforward_cylinder
 from thermoshift.markov import _solve_stationary, _state_transitions
@@ -176,3 +180,28 @@ def test_zero_mass_words_keep_their_rows(full2):
     assert list(masses[0]) == [(0,), (1,)]
     assert len(masses[1]) == 4 and masses[1][(1, 1)] == 0 and masses[2][(1, 1, 0)] == 0
     assert sum(masses[2].values()) == 1
+
+
+def test_pushforward_cylinder_builds_the_steps_once(monkeypatch):
+    """A loop over the 256 image words of length 8 on one measure builds
+    the mass walk's steps once, gives the fiber sums, and keeps neither the
+    measure nor the factor alive.  Under a Bernoulli measure the mass of
+    [y] is p(a)^#a p(b)^#b, with p(a) = 1/10 + 2/10 and p(b) = 3/10 + 4/10."""
+    full4 = Sft.full_shift(["1", "2", "3", "4"])
+    pi = OneBlockFactor(full4, ["a", "a", "b", "b"])
+    mu = MarkovMeasure.bernoulli(full4, [Fraction(k, 10) for k in (1, 2, 3, 4)])
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return _measure_steps(*args)
+
+    monkeypatch.setattr(factor, "_measure_steps", counted)
+    for y in itertools.product(range(2), repeat=8):
+        want = Fraction(3, 10) ** y.count(0) * Fraction(7, 10) ** y.count(1)
+        assert pushforward_cylinder(mu, pi, y) == want
+    assert len(built) == 1
+    refs = weakref.ref(mu), weakref.ref(pi)
+    del mu, pi, built
+    gc.collect()
+    assert refs[0]() is None and refs[1]() is None
