@@ -19,6 +19,7 @@ from .gibbs import (GibbsError, pushforward_sandwich, transfer_pressure,
 from .jsonio import (SchemaError, load_factor, load_measure, load_potential,
                      load_sft, read_json, split_word_key, table_doc)
 from .markov import MeasureError
+from .numerics import log_fraction
 from .potential import LocallyConstantPotential, PotentialError
 from .seqtable import (TableError, build_additive_table, build_g_table,
                        check_D2, defect_profile, partition_sum,
@@ -165,11 +166,9 @@ def cmd_weak_gibbs(args) -> dict:
     gt = build_g_table(pi, f, args.depth, mode=args.mode)
     est = pressure_estimate(gt)
     if est.exact_base is not None:
-        pressure_g = float(est.extrapolated)
-        source = "exact-base"
+        pressure_g, source = log_fraction(est.exact_base), "exact-base"
     else:
-        pressure_g = est.fekete_upper
-        source = "fekete-upper"
+        pressure_g, source = est.extrapolated, "perron"
     gd = transfer_pressure(sft, f)
     constants = weak_gibbs_constants(mu, f, gd.pressure, args.depth,
                                      exact_base=gd.lam_exact,

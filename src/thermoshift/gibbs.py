@@ -24,7 +24,7 @@ from .factor import _fiber_walk, _measure_steps
 from .markov import MarkovMeasure, MeasureError, entropy
 from .numerics import log_fraction, row_sums
 from .potential import LocallyConstantPotential, birkhoff_sup, variation_constant
-from .seqtable import SeqTable, TableError
+from .seqtable import SeqTable, TableError, log_perron
 from .shiftcore import Sft, Word, is_irreducible
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, GibbsVerdict, growth_flag, trend_stats
 
@@ -33,10 +33,6 @@ __all__ = [
     "integrate_table", "IntegralReport", "weak_gibbs_constants",
     "WeakGibbsReport", "pushforward_sandwich", "SandwichReport", "GibbsError",
 ]
-
-_POWER_TOL = 1e-14
-_MAX_ITER = 500_000
-
 
 class GibbsError(ValueError):
     pass
@@ -54,120 +50,35 @@ class GibbsData:
     residual: float
 
 
-def _power_iteration(matrix, tol=_POWER_TOL):
-    """Perron eigenpair of a nonnegative irreducible matrix by shifted power
-    iteration (the shift restores primitivity for periodic digraphs), with a
-    deterministic uniform start and unit 1-norm normalization."""
-    n = len(matrix)
-    gamma = max(max(row) for row in matrix)
-    shifted = [[matrix[i][j] + (gamma if i == j else 0.0) for j in range(n)] for i in range(n)]
-    v = [1.0 / n] * n
-    for _ in range(_MAX_ITER):
-        w = [sum(shifted[i][j] * v[j] for j in range(n)) for i in range(n)]
-        norm = math.fsum(w)
-        w = [x / norm for x in w]
-        converged = max(abs(a - b) for a, b in zip(w, v)) <= tol
-        v, lam_shift = w, norm
-        if converged:
-            break
-    else:
-        raise GibbsError("power iteration did not converge in %d steps" % _MAX_ITER)
-    lam = lam_shift - gamma
-    residual = max(abs(sum(matrix[i][j] * v[j] for j in range(n)) - lam * v[i]) for i in range(n))
-    return lam, v, residual
-
-
-def _try_rationalize(matrix_exact, lam: float, right, left):
-    """Exact eigendata when the weight matrix is integral and the eigenpair
-    is rational (full shifts and friends); verified over Fractions."""
-    try:
-        lam_q = Fraction(lam).limit_denominator(10 ** 6)
-        r_q = [Fraction(x).limit_denominator(10 ** 6) for x in right]
-        l_q = [Fraction(x).limit_denominator(10 ** 6) for x in left]
-    except (OverflowError, ZeroDivisionError):
-        return None
-    n = len(right)
-    for i in range(n):
-        if sum(matrix_exact[i][j] * r_q[j] for j in range(n)) != lam_q * r_q[i]:
-            return None
-        if sum(l_q[j] * matrix_exact[j][i] for j in range(n)) != lam_q * l_q[i]:
-            return None
-    total = sum(r_q)
-    r_q = [x / total for x in r_q]
-    total = sum(l_q)
-    l_q = [x / total for x in l_q]
-    return lam_q, r_q, l_q
-
-
 def transfer_pressure(sft: Sft, f: LocallyConstantPotential) -> GibbsData:
-    """Pressure P(f) = log of the Perron eigenvalue of the weighted
-    adjacency matrix on (r-1)-block states (1-block states for r = 1), plus
-    the Gibbs Markov measure from the standard eigenvector conjugation."""
+    """Pressure P(f) = log rho(W) + fmax by ``seqtable.log_perron`` (W on the
+    (r-1)-block states, 1-block states for r = 1, weighting the window
+    entered), plus the Gibbs Markov measure P_ij = W_ij v_j / (rho v_i) and
+    stationary l_i v_i.  Exact, with residual 0, when f = 0 and the Perron
+    root is an integer; ``right`` and ``left`` are the float vectors."""
     if f.language is not sft:
         raise GibbsError("potential must live on the given shift")
     if not is_irreducible(sft):
         raise GibbsError("transfer pressure needs an irreducible shift")
-    r = f.range
-    k = max(r - 1, 1)
-    states = tuple(sft.blocks(k))
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    weights = [[0.0] * n for _ in range(n)]
-    integral = f.is_zero
-    for s in states:
-        i = index[s]
-        for x in sft.followers(s[-1]):
-            t = s[1:] + (x,) if r >= 2 else (x,)
-            j = index.get(t)
-            if j is None:
-                continue
-            if r == 1:
-                w = f.value(s)        # weight on the source symbol
-            else:
-                w = f.value(s + (x,))
-            weights[i][j] = math.exp(w)
-    lam, right, residual_r = _power_iteration(weights)
-    transposed = [[weights[j][i] for j in range(n)] for i in range(n)]
-    lam_l, left, residual_l = _power_iteration(transposed)
-    residual = max(residual_r, residual_l, abs(lam - lam_l))
-    if lam <= 0:
-        raise GibbsError("Perron eigenvalue must be positive")
-
-    lam_exact = None
-    matrix = None
-    stationary = None
-    if integral:
-        ints = [[int(round(weights[i][j])) for j in range(n)] for i in range(n)]
-        data = _try_rationalize(ints, lam, right, left)
-        if data is not None:
-            lam_q, r_q, l_q = data
-            lam_exact = lam_q
-            matrix = [[Fraction(ints[i][j]) * r_q[j] / (lam_q * r_q[i]) for j in range(n)]
-                      for i in range(n)]
-            norm = sum(l_q[i] * r_q[i] for i in range(n))
-            stationary = [l_q[i] * r_q[i] / norm for i in range(n)]
-    if matrix is None:
-        matrix = [[weights[i][j] * right[j] / (lam * right[i]) for j in range(n)]
-                  for i in range(n)]
-        # renormalize rows against float drift before the measure validates
-        for i in range(n):
-            s = math.fsum(matrix[i])
-            matrix[i] = [x / s for x in matrix[i]]
-        norm = math.fsum(left[i] * right[i] for i in range(n))
-        stationary = [left[i] * right[i] / norm for i in range(n)]
-        s = math.fsum(stationary)
-        stationary = [x / s for x in stationary]
-    measure = MarkovMeasure(sft, k, matrix, stationary, exact=lam_exact is not None)
-    return GibbsData(
-        potential=f,
-        pressure=float(log_fraction(lam_exact)) if lam_exact is not None else math.log(lam),
-        lam_exact=lam_exact,
-        states=states,
-        right=tuple(right),
-        left=tuple(left),
-        measure=measure,
-        residual=residual,
-    )
+    pressure, w, (lam, right, left, residual), exact = log_perron(f)
+    k = max(f.range - 1, 1)
+    right, left = tuple(right.tolist()), tuple(left.tolist())
+    r, l = right, left
+    if exact is not None:
+        lam, r, l = exact
+        residual = 0.0
+    matrix = [[x * r[j] / (lam * r[i]) for j, x in enumerate(row)]
+              for i, row in enumerate(w.tolist())]
+    if exact is None:  # renormalize rows against float drift before the measure validates
+        matrix = [[x / total for x in row] for row, total in zip(matrix, map(math.fsum, matrix))]
+    stationary = [a * b for a, b in zip(l, r)]
+    total = sum(stationary)
+    measure = MarkovMeasure(sft, k, matrix, [x / total for x in stationary],
+                            exact=exact is not None)
+    return GibbsData(potential=f, pressure=pressure,
+                     lam_exact=None if exact is None else Fraction(lam),
+                     states=tuple(sft.blocks(k)), right=right, left=left, measure=measure,
+                     residual=residual)
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """Small numeric helpers shared across modules: stable log-space sums,
 integer arrays widened past 2^63, field-generic Gaussian elimination, line
-fits, Aitken extrapolation and exact power-of-base exponent extraction.
+fits, exact power-of-base exponent extraction and the one Perron routine,
+``perron`` (numpy ``eig``), with its exact check ``perron_exact`` for
+integer matrices.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -150,14 +153,44 @@ def fit_line(xs, ys) -> tuple[float, float, float]:
     return slope, intercept, max(0.0, 1.0 - ss_res / syy)
 
 
-def aitken_last(seq) -> float:
-    """Aitken delta-squared acceleration from the last three terms; falls
-    back to the last term when the second difference is negligible."""
-    s = list(seq)
-    if len(s) < 3:
-        return s[-1]
-    x0, x1, x2 = s[-3], s[-2], s[-1]
-    d2 = x2 - 2 * x1 + x0
-    if abs(d2) < 1e-13 * max(1.0, abs(x2)):
-        return x2
-    return x2 - (x2 - x1) ** 2 / d2
+def perron(w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Perron root of a nonnegative square matrix W by numpy ``eig`` on W
+    and W^T: (root, right and left vectors of unit 1-norm, residual).  The
+    root is the eigenvalue of largest real part, which for a nonnegative
+    matrix is the spectral radius; the residual is the largest entry of
+    |W v - root v| and |l W - root l| and the gap between the two roots."""
+    out = []
+    for m in (w, w.T):
+        vals, vecs = np.linalg.eig(m)
+        i = int(np.argmax(vals.real))
+        v = np.abs(vecs[:, i].real)
+        out.append((float(vals[i].real), v / v.sum()))
+    (rho, right), (rho_left, left) = out
+    residual = max(np.abs(w @ right - rho * right).max(),
+                   np.abs(left @ w - rho * left).max(), abs(rho - rho_left))
+    return rho, right, left, float(residual)
+
+
+def perron_exact(w: np.ndarray, rho: float) -> tuple[int, list, list] | None:
+    """(c, right, left) for the integer c nearest ``rho`` when it is the
+    Perron root of the integer matrix W, with exact Fraction eigenvectors of
+    unit sum; else None.  Each vector is solved by ``gaussian_solve`` from
+    n - 1 rows of W - cI and the sum row, and c is accepted only when both
+    are positive and W v = c v, l W = c l hold exactly.  A positive
+    eigenvector makes c the Perron root (Collatz-Wielandt), and a rational
+    Perron root of an integer matrix is an integer, so none is missed."""
+    c, n = round(rho), len(w)
+    vecs = []
+    for m in (w.tolist(), w.T.tolist()):
+        a = [[Fraction(x - c * (i == j)) for j, x in enumerate(row)]
+             for i, row in enumerate(m[:-1])] + [[Fraction(1)] * n]
+        try:
+            v = gaussian_solve(a, [0] * (n - 1) + [1])
+        except ValueError:
+            return None
+        d = math.lcm(*(x.denominator for x in v))  # check in integers: v d
+        u = [x.numerator * (d // x.denominator) for x in v]
+        if min(u) <= 0 or any(sum(map(operator.mul, row, u)) != c * x for row, x in zip(m, u)):
+            return None
+        vecs.append(v)
+    return c, vecs[0], vecs[1]

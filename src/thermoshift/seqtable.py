@@ -31,9 +31,9 @@ from typing import Mapping
 import numpy as np
 
 from .factor import OneBlockFactor, _fiber_walk
-from .numerics import (INT64_MAX, aitken_last, array_max, common_power_base, int_array,
-                       log_fraction, logsumexp, power_exponent, row_sums)
-from .potential import LocallyConstantPotential, birkhoff_sup, variation_constant
+from .numerics import (INT64_MAX, array_max, common_power_base, int_array, log_fraction,
+                       logsumexp, perron, perron_exact, power_exponent, row_sums)
+from .potential import LocallyConstantPotential, birkhoff_sup
 from .shiftcore import Word
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, TrendStats, growth_flag, decays_to_zero
 
@@ -48,13 +48,12 @@ class SeqTable:
     The table lives in its level index ``levels``.  ``logs[n][word]`` is
     log f_n on the cylinder of ``word`` and ``exact`` (when present) holds
     the same values as exact Fractions: read-only views, built on first
-    access.  ``log_mn`` carries the variation constants of the potential the
-    table was built from (zero for counting tables), used by the sandwich
-    checks.
+    access.  ``potential`` is the potential the table was built from (None
+    for tables built from dicts); its transfer matrix gives the pressure.
     """
 
     def __init__(self, alphabet, logs, exact=None, kind="table", language=None,
-                 log_mn=None, meta=None):
+                 potential=None, meta=None):
         logs = {int(n): dict(v) for n, v in logs.items()}
         if not logs:
             raise TableError("table has no depths")
@@ -73,13 +72,13 @@ class SeqTable:
                 # Fractions (and ints) carry their sign in the numerator
                 if not all(v.numerator > 0 for v in vals.values()):
                     raise TableError("exact values must be positive (depth %d)" % n)
-        self._init(alphabet, max(logs), exact is not None, kind, language, log_mn, meta)
+        self._init(alphabet, max(logs), exact is not None, kind, language, potential, meta)
         self.logs = _view(logs)
         self.exact = None if exact is None else _view(exact)
 
     @classmethod
     def from_levels(cls, alphabet, levels: list[_Level | None], kind="table", language=None,
-                    log_mn=None, meta=None) -> SeqTable:
+                    potential=None, meta=None) -> SeqTable:
         """Table over a level index: ``levels[0]`` None, then one _Level per
         depth whose words' prefixes and suffixes are stored one depth down."""
         for n, level in enumerate(levels[1:], start=1):
@@ -87,15 +86,14 @@ class SeqTable:
                 raise TableError(_NON_FINITE % n)
         t = cls.__new__(cls)
         t._init(alphabet, len(levels) - 1, levels[1].num is not None, kind, language,
-                log_mn, meta)
+                potential, meta)
         t.levels = levels
         return t
 
-    def _init(self, alphabet, depth_max, is_exact, kind, language, log_mn, meta):
+    def _init(self, alphabet, depth_max, is_exact, kind, language, potential, meta):
         self.alphabet, self.depth_max, self.is_exact = tuple(alphabet), depth_max, is_exact
         self.kind, self.language, self.meta = kind, language, dict(meta) if meta else {}
-        self.log_mn: dict[int, float] = (dict(log_mn) if log_mn else
-                                         dict.fromkeys(range(1, depth_max + 1), 0.0))
+        self.potential: LocallyConstantPotential | None = potential
         self._child: list[list[int]] = []  # see _find
         self._z: dict[int, tuple] = {}  # see _partition
         self._exps: dict[tuple[int, int], np.ndarray | None] = {}  # see exponents
@@ -339,11 +337,10 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
             logs = _float_readout(v, tails.get(min(n, s_len)), offset)
         levels.append(_Level(logs, parent, tail, sym, num, 1, below=levels[-1]))
 
-    log_mn = {n: variation_constant(f, n) for n in range(1, depth_max + 1)}
     meta = {"source": "g", "domain": list(dom.alphabet), "image": list(pi.image_alphabet),
             "potential_range": r, "exact": exact}
     return SeqTable.from_levels(pi.image_alphabet, levels, kind="g", language=pi.image,
-                                log_mn=log_mn, meta=meta)
+                                potential=f, meta=meta)
 
 
 def _transfer(pi: OneBlockFactor, f: LocallyConstantPotential, fmax: float, exact: bool,
@@ -405,10 +402,9 @@ def build_additive_table(f: LocallyConstantPotential, depth_max: int) -> SeqTabl
     logs = {n: {w: 0.0 if exact else birkhoff_sup(f, w) for w in lang.blocks(n)}
             for n in range(1, depth_max + 1)}
     exacts = {n: dict.fromkeys(level, Fraction(1)) for n, level in logs.items()}
-    log_mn = {n: variation_constant(f, n) for n in range(1, depth_max + 1)}
     meta = {"source": "additive", "potential_range": f.range, "exact": exact}
     return SeqTable(lang.alphabet, logs, exact=exacts if exact else None,
-                    kind="additive", language=lang, log_mn=log_mn, meta=meta)
+                    kind="additive", language=lang, potential=f, meta=meta)
 
 
 def partition_sum(t: SeqTable, n: int) -> float:
@@ -423,11 +419,32 @@ def partition_sum_exact(t: SeqTable, n: int) -> int | Fraction:
     return t._partition(n)[1]
 
 
+def log_perron(f: LocallyConstantPotential):
+    """(P(f), W, (root, right, left, residual), exact) for the transfer
+    matrix W = sum_b M_b of ``_transfer`` on the domain's s-block states,
+    s = max(r-1, 1), with weights e^{f - fmax} (integers when f = 0).
+    P(f) = log root + fmax, ``perron`` on W; ``exact`` is ``perron_exact``'s
+    (c, right, left) when f = 0 and the root is an integer c, else None.
+    TableError when a weight underflows: W would lose a transition."""
+    fmax, s = f.max_value(), max(f.range - 1, 1)
+    m, edge = _transfer(OneBlockFactor.identity(f.language), f, fmax, f.is_zero, s, s, True)
+    if (m[edge] == 0).any():
+        raise TableError("transfer weight e^(f - fmax) underflows to 0 (float path)")
+    w = m.sum(axis=1)
+    eig = perron(w)
+    exact = perron_exact(w, eig[0]) if f.is_zero else None
+    return math.log(eig[0] if exact is None else exact[0]) + fmax, w, eig, exact
+
+
 @dataclass
 class PressureEstimate:
+    """(1/n) log Z_n per depth, its Fekete infimum, the pressure log rho(W) +
+    fmax of the table's potential (None without one) and the exact base of
+    a geometric Z_n (None unless exact, at least three depths)."""
+
     per_n: list[float]
     fekete_upper: float
-    extrapolated: float
+    extrapolated: float | None
     exact_base: Fraction | None
     depth: int
 
@@ -442,32 +459,24 @@ class PressureEstimate:
 
 
 def pressure_estimate(t: SeqTable) -> PressureEstimate:
-    """Finite-depth pressure report: the full sequence (1/n) log Z_n, the
-    Fekete infimum (a rigorous upper bound for subadditive tables) and an
-    accelerated estimate.  Never claims the limit itself.
+    """Pressure report: the sequence (1/n) log Z_n, its Fekete infimum (a
+    rigorous upper bound for subadditive tables) and the limit itself.
 
-    The acceleration applies Aitken's delta-squared rule to the difference
-    sequence log Z_n - log Z_{n-1}, which converges geometrically for
-    primitive transfer structures; on the exact counting path a geometric
-    partition sequence is detected and the base reported exactly.
+    The fibers partition B_n(X), so Z_n is the domain's partition sum and
+    its limit P(f) is ``log_perron`` of the table's potential, bit for bit
+    ``gibbs.transfer_pressure``'s; tables built from dicts have none.  On
+    the exact counting path a geometric Z_1, ..., Z_n (n >= 3) gives the
+    base exactly.
     """
     n_max = t.depth_max
-    if n_max < 3:
-        raise TableError("pressure estimates need depth_max >= 3")
-    log_z = [partition_sum(t, n) for n in range(1, n_max + 1)]
-    per_n = [lz / n for n, lz in zip(range(1, n_max + 1), log_z)]
-    fekete = min(per_n)
+    per_n = [partition_sum(t, n) / n for n in range(1, n_max + 1)]
     exact_base = None
-    if t.is_exact:
+    if t.is_exact and n_max >= 3:
         z = [partition_sum_exact(t, n) for n in range(1, n_max + 1)]
         if all(z[i + 1] * z[i - 1] == z[i] * z[i] for i in range(1, n_max - 1)):
             exact_base = Fraction(z[1], z[0])
-    if exact_base is not None:
-        extrapolated = log_fraction(exact_base)
-    else:
-        diffs = [log_z[i] - log_z[i - 1] for i in range(1, n_max)]
-        extrapolated = aitken_last(diffs)
-    return PressureEstimate(per_n, fekete, extrapolated, exact_base, n_max)
+    extrapolated = None if t.potential is None else log_perron(t.potential)[0]
+    return PressureEstimate(per_n, min(per_n), extrapolated, exact_base, n_max)
 
 
 @dataclass

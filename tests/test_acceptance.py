@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Criterion 2 ships in two parts: the rigorous reading (the Fekete
-value is a valid upper bound; the accelerated estimate meets the 1e-3
-tolerance), plus a strict-reading companion marked xfail because the vanilla
+value is a valid upper bound; the reported pressure, the log Perron root,
+meets the 1e-3 tolerance), plus a strict-reading companion marked xfail because the vanilla
 Fekete bound provably sits 7.9e-3 above the golden-mean pressure at depth 20.  Criterion 5's transcription clause
 is skipped: the cited construction is not available here, and the quoted
 bound is irrational while fiber-count ratios are rational; a reconstructed
@@ -73,7 +73,7 @@ def test_criterion_2_pressure_cross_check(goldenmean):
     assert est.fekete_upper - target <= 1e-2
     gd = transfer_pressure(goldenmean, f0)
     assert abs(gd.pressure - target) <= 1e-10
-    report("2 PASS - extrapolation within 1e-3, Fekete a valid upper bound, "
+    report("2 PASS - pressure within 1e-3, Fekete a valid upper bound, "
            "transfer pressure within 1e-10")
 
 

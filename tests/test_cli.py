@@ -95,6 +95,21 @@ def test_weak_gibbs(tmp_path):
     assert doc["transfer"]["lam_exact"] == "3"
 
 
+def test_depths_one_and_two_report_the_perron_pressure(tmp_path):
+    for depth in ("1", "2"):
+        code, raw = run(tmp_path, "pressure", "--factor", fpath("factor_collapse.json"),
+                        "--depth", depth)
+        assert code == 0
+        est = json.loads(raw)["pressure"]
+        assert est["extrapolated"] == math.log(3) and est["exact_base"] is None
+        code, raw = run(tmp_path, "weak-gibbs", "--factor", fpath("factor_collapse.json"),
+                        "--measure", fpath("measure_uniform3.json"), "--depth", depth)
+        assert code == 0
+        doc = json.loads(raw)
+        assert doc["pressure_g"] == {"value": math.log(3), "source": "perron", "exact_base": None}
+        assert doc["sandwich"]["ok"]
+
+
 def test_weak_gibbs_vanishing_mass_is_neither(tmp_path):
     # [a] has zero mass; an exact run once certified GIBBS with C_n "1"
     measure = tmp_path / "measure.json"
@@ -226,6 +241,14 @@ def test_underflowing_float_table_is_an_input_error(tmp_path, capsys):
                     "--potential", str(pot), "--depth", "3")
     assert code == 2 and raw == b""
     assert "non-finite" in capsys.readouterr().err
+    # the additive table stays finite, but the transfer matrix would lose
+    # transitions (here every cycle: its Perron root would be 0)
+    pot.write_text(json.dumps({"range": 2, "values": {"aa": -800.0, "ab": 0.0, "ba": -800.0,
+                                                      "bb": -800.0}}))
+    code, raw = run(tmp_path, "pressure", "--sft", fpath("sft_full2.json"),
+                    "--potential", str(pot), "--depth", "3")
+    assert code == 2 and raw == b""
+    assert "underflows" in capsys.readouterr().err
 
 
 def test_stdout_output(capsys):

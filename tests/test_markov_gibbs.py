@@ -117,14 +117,6 @@ def test_transfer_pressure_needs_irreducible():
         transfer_pressure(disjoint, f)
 
 
-def test_power_iteration_cap_raises(goldenmean, monkeypatch):
-    import thermoshift.gibbs as gibbs
-    f = LocallyConstantPotential.from_symbol_weights(goldenmean, {"a": 0.2, "b": -0.4})
-    monkeypatch.setattr(gibbs, "_MAX_ITER", 1)
-    with pytest.raises(GibbsError, match="did not converge"):
-        transfer_pressure(goldenmean, f)
-
-
 def test_integrate_additive_table_constant(goldenmean):
     f = LocallyConstantPotential.from_symbol_weights(goldenmean, {"a": 0.5, "b": -1.0})
     t = build_additive_table(f, 8)

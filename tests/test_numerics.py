@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from thermoshift.numerics import (aitken_last, common_power_base, fit_line,
-                                  gaussian_solve, log_fraction, logsumexp,
+import numpy as np
+
+from thermoshift.numerics import (common_power_base, fit_line, gaussian_solve,
+                                  log_fraction, logsumexp, perron, perron_exact,
                                   power_exponent)
 
 
@@ -56,10 +58,13 @@ def test_fit_line():
     assert 0.9 < r2_noisy < 1.0
 
 
-def test_aitken_accelerates_geometric():
-    # x_n = 1 + 0.5^n converges to 1; Aitken nails it from three terms
-    seq = [1 + 0.5 ** n for n in range(1, 8)]
-    assert aitken_last(seq) == pytest.approx(1.0, abs=1e-12)
-    # constant differences: fall back to the last term
-    assert aitken_last([3.0, 3.0, 3.0]) == 3.0
-    assert aitken_last([1.0, 2.0]) == 2.0
+def test_perron_exact_needs_positive_integer_eigenvectors():
+    full2 = np.array([[1, 1], [1, 1]])
+    rho, right, left, residual = perron(full2)
+    assert rho == pytest.approx(2, rel=1e-15) and residual <= 1e-15
+    assert perron_exact(full2, rho) == (2, [Fraction(1, 2)] * 2, [Fraction(1, 2)] * 2)
+    golden = np.array([[1, 1], [1, 0]])
+    assert perron(golden)[0] == pytest.approx((1 + 5 ** 0.5) / 2, rel=1e-15)
+    assert perron_exact(golden, perron(golden)[0]) is None  # 2 is not a root
+    # reducible: root 2 with a positive right vector, but the left one is (1, 0)
+    assert perron_exact(np.array([[2, 0], [1, 1]]), 2.0) is None

@@ -151,10 +151,17 @@ def test_pressure_additive_matches_transfer(goldenmean):
     assert est.extrapolated == pytest.approx(gd.pressure, abs=1e-8)
 
 
-def test_pressure_requires_depth_three():
-    t = single_word_table([1.0, 2.0])
-    with pytest.raises(TableError):
-        pressure_estimate(t)
+def test_pressure_at_depths_one_and_two(goldenmean, collapse):
+    for depth in (1, 2):
+        est = pressure_estimate(build_additive_table(LocallyConstantPotential.zero(goldenmean),
+                                                     depth))
+        assert est.exact_base is None
+        assert est.extrapolated == pytest.approx(math.log(PHI), rel=1e-14)
+        est = pressure_estimate(build_g_table(collapse, LocallyConstantPotential.zero(
+            collapse.domain), depth))
+        assert est.exact_base is None and est.extrapolated == math.log(3)
+    # a table built from dicts carries no potential, so no limit
+    assert pressure_estimate(single_word_table([1.0, 2.0])).extrapolated is None
 
 
 def test_check_subadditive_on_g_tables(collapse, phase_blocked):
