@@ -22,7 +22,7 @@ from .markov import MeasureError
 from .numerics import log_fraction
 from .potential import LocallyConstantPotential, PotentialError
 from .seqtable import (TableError, build_additive_table, build_g_table,
-                       check_D2, defect_profile, partition_sum,
+                       check_D2, defect_profile, log_perron, partition_sum,
                        pressure_estimate)
 from .shiftcore import SftError, weak_spec_number
 from .verdicts import DEFAULT_SLOPE_THRESHOLD
@@ -124,9 +124,14 @@ def cmd_fit_h(args) -> dict:
     t = _build_table(args, sft, pi, f)
     names = _names_fn(t)
     n_fit = args.nfit or min(t.depth_max, 8)
-    fit = fit_h(t, args.range, n_fit)
+    # the verdict's last fit runs at min(depth, 8); fit first where it cannot
+    # serve, so fit_h's own errors come first
+    served = n_fit == min(t.depth_max, 8) and 1 <= args.range <= n_fit
+    fit = None if served else fit_h(t, args.range, n_fit)
     report = table_verdict(t, r=args.range, P_max=args.pmax, J=args.jmax,
                            slope_threshold=args.slope_threshold)
+    if fit is None:  # the REFUTED early exit fits nothing
+        fit = report.h if report.h is not None else fit_h(t, args.range, n_fit)
     return {
         "command": "fit-h",
         "inputs": _input_block(args),
@@ -164,12 +169,13 @@ def cmd_weak_gibbs(args) -> dict:
     mu = load_measure(read_json(args.measure), sft)
     _check_caps(args, sft, pi)
     gt = build_g_table(pi, f, args.depth, mode=args.mode)
-    est = pressure_estimate(gt)
+    perron = log_perron(f)
+    est = pressure_estimate(gt, perron)
     if est.exact_base is not None:
         pressure_g, source = log_fraction(est.exact_base), "exact-base"
     else:
         pressure_g, source = est.extrapolated, "perron"
-    gd = transfer_pressure(sft, f)
+    gd = transfer_pressure(sft, f, perron)
     constants = weak_gibbs_constants(mu, f, gd.pressure, args.depth,
                                      exact_base=gd.lam_exact,
                                      pressure_source="transfer",

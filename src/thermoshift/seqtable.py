@@ -16,6 +16,16 @@ walk in ``factor``, with no Fraction in it, partition sums Z_n are computed
 once per table from the arrays, and the dict views ``logs`` / ``exact`` are
 built only when asked for.  On exact tables floats only propose; exact
 integer comparison (int64 below 2^63, Python ints past it) decides.
+
+The C_{n,m} profile and the D2 bridging search on an exact g-table (the
+counting path, f = 0, of any range) read projective fiber classes, not
+words (``_FiberClasses``): g is a rational series, g(uv) = x_u . y_v with
+x_u = a_{u_1} A_{u_2} ... A_{u_n} and y_v = A_v 1 over the 1-block
+transfer, so g(uv) / (g(u) g(v)) depends on u and v only through the
+primitive integer rows of x_u and (y_v, g(v)), a handful per depth.  The
+reports are the word scans' bit for bit, and witnesses and unbridged
+pairs still name words.  Float tables and tables built from dicts keep the
+word scans (``_splits``, ``_ranks``, ``_word_bridges``).
 """
 
 from __future__ import annotations
@@ -72,29 +82,31 @@ class SeqTable:
                 # Fractions (and ints) carry their sign in the numerator
                 if not all(v.numerator > 0 for v in vals.values()):
                     raise TableError("exact values must be positive (depth %d)" % n)
-        self._init(alphabet, max(logs), exact is not None, kind, language, potential, meta)
+        self._init(alphabet, max(logs), exact is not None, kind, language, potential, None, meta)
         self.logs = _view(logs)
         self.exact = None if exact is None else _view(exact)
 
     @classmethod
     def from_levels(cls, alphabet, levels: list[_Level | None], kind="table", language=None,
-                    potential=None, meta=None) -> SeqTable:
+                    potential=None, factor=None, meta=None) -> SeqTable:
         """Table over a level index: ``levels[0]`` None, then one _Level per
-        depth whose words' prefixes and suffixes are stored one depth down."""
+        depth whose words' prefixes and suffixes are stored one depth down.
+        ``factor`` is the map a g-table's values count fibers of."""
         for n, level in enumerate(levels[1:], start=1):
             if not np.isfinite(level.logs).all():
                 raise TableError(_NON_FINITE % n)
         t = cls.__new__(cls)
         t._init(alphabet, len(levels) - 1, levels[1].num is not None, kind, language,
-                potential, meta)
+                potential, factor, meta)
         t.levels = levels
         return t
 
-    def _init(self, alphabet, depth_max, is_exact, kind, language, potential, meta):
+    def _init(self, alphabet, depth_max, is_exact, kind, language, potential, factor, meta):
         self.alphabet, self.depth_max, self.is_exact = tuple(alphabet), depth_max, is_exact
         self.kind, self.language, self.meta = kind, language, dict(meta) if meta else {}
         self.potential: LocallyConstantPotential | None = potential
-        self._child: list[list[int]] = []  # see _find
+        self.factor: OneBlockFactor | None = factor
+        self._child: list[np.ndarray] = []  # see _find
         self._z: dict[int, tuple] = {}  # see _partition
         self._exps: dict[tuple[int, int], np.ndarray | None] = {}  # see exponents
 
@@ -126,9 +138,9 @@ class SeqTable:
                 level, up = self.levels[d], len(self.levels[d - 1]) if d > 1 else 1
                 flat = np.full(up * k, -1, dtype=np.int64)
                 flat[level.parent.astype(np.int64) * k + level.sym] = np.arange(len(level))
-                self._child.append(flat.tolist())
+                self._child.append(flat)
             for child, b in zip(self._child, word):
-                i = child[i * k + b] if 0 <= b < k else -1
+                i = int(child[i * k + b]) if 0 <= b < k else -1
                 if i < 0:
                     break
             else:
@@ -213,6 +225,13 @@ class SeqTable:
             prev = dict(zip(words, range(len(words))))
         return out
 
+    @cached_property
+    def classes(self) -> _FiberClasses | None:
+        """The projective fiber classes of an exact g-table, built when a
+        scan first asks; None on float tables and on tables built from
+        dicts, whose scans walk the words."""
+        return _FiberClasses(self) if self.is_exact and self.factor is not None else None
+
 
 _NON_FINITE = "non-finite log value at depth %d (float under- or overflow)"
 
@@ -288,6 +307,210 @@ def _splits(t: SeqTable):
             yield total, n, slack, exact
 
 
+class _FiberClasses:
+    """Projective fiber classes of the words of an exact g-table.
+
+    On the counting path g is the fiber count whatever f's range, so the
+    1-block transfer of ``_transfer`` serves: with a_b[j] = 1 when domain
+    symbol j lies over b and A_b[i, j] = 1 when moreover j may follow i,
+    g(y) = a_{y_1} A_{y_2} ... A_{y_n} 1.  Hence g(uv) = x_u . y_v with
+    x_u = a_{u_1} A_{u_2} ... A_{u_n} and y_v = A_v 1.  The forward class
+    of u is the primitive integer row of x_u, the backward class of v the
+    primitive row of (y_v, g(v)); on the class rows x, (y, g) the ratio
+    g(uv) / (g(u) g(v)) is (x . y) / ((x . 1) g), so the scans read one
+    product per pair of classes instead of one per word.
+
+    A word's class follows from the class of w[:-1] and its last symbol
+    (forward), or from its first symbol and the class of w[1:] (backward):
+    ``x`` / ``y`` are the class rows met (id 0 is the empty word's),
+    ``fnext`` / ``bnext`` the lookup tables (class, symbol) -> class, and
+    ``fpresent[n]`` / ``bpresent[n]`` the classes of the words at depth n;
+    a stored word's extension by a symbol is stored exactly when its grown
+    row is not 0.  None of this reads the table's words: the class of each
+    rank (``fwd`` / ``bwd``) is gathered only when check_D2 asks for it.
+    """
+
+    def __init__(self, t: SeqTable):
+        head = _transfer(t.factor, t.potential, 0.0, True, 0, 1, False)[0][0].tolist()
+        steps = _transfer(t.factor, t.potential, 0.0, True, 1, 1, False)[0].transpose(1, 0, 2)
+        self._steps, step = steps, steps.tolist()  # [b][i][j] = A_b[i, j]
+        s, nb = len(head[0]), len(t.alphabet)
+
+        def forward(x, b):  # x_{ub} = x_u A_b; the empty word's row is None
+            return head[b] if x is None else [sum(x[i] * step[b][i][j] for i in range(s) if x[i])
+                                              for j in range(s)]
+
+        def backward(yg, b):  # (A_b y, a_b . y) from v[1:]'s (y, g)
+            return [sum(a * y for a, y in zip(row, yg)) for row in step[b]] + \
+                   [sum(a * y for a, y in zip(head[b], yg))]
+
+        self.levels, self.depth = t.levels, t.depth_max
+        self.x, self.fnext, self.fpresent = _class_tables(forward, None, nb, t.depth_max)
+        self.y, self.bnext, self.bpresent = _class_tables(backward, (1,) * (s + 1), nb,
+                                                          t.depth_max)
+        self.x[0] = (1,) * s  # a placeholder: no stored word has the empty word's class
+        self._values: dict[tuple[str, int, int], tuple[list, list]] = {}
+
+    @cached_property
+    def fwd(self) -> list[np.ndarray]:
+        """Per depth, the forward class of each rank."""
+        ids = [np.zeros(1, np.int32)]
+        for level in self.levels[1:]:
+            ids.append(self.fnext[ids[-1][level.parent], level.sym])
+        return ids
+
+    @cached_property
+    def bwd(self) -> list[np.ndarray]:
+        """Per depth, the backward class of each rank."""
+        ids, first = [np.zeros(1, np.int32)], None
+        for level in self.levels[1:]:
+            first = level.sym if first is None else first[level.parent]
+            ids.append(self.bnext[ids[-1][level.tail], first])
+        return ids
+
+    @cached_property
+    def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The class rows x (one per forward class) and y (the y part of one
+        per backward class) as integer matrices."""
+        return _int_matrix(self.x), _int_matrix([row[:-1] for row in self.y])
+
+    @cached_property
+    def _products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(N, D, sx, g): N[c, d] = x_c . y_d and D[c, d] = (x_c . 1) g_d
+        over all class pairs, with the row sums x_c . 1 and the g_d."""
+        x, y = self._matrices
+        sx, g = row_sums(x), int_array([row[-1] for row in self.y])
+        if array_max(x) * array_max(y) * x.shape[1] > INT64_MAX:
+            x, y = x.astype(object), y.astype(object)
+        return x @ y.T, _times(sx[:, None], g, array_max(sx) * array_max(g)), sx, g
+
+    def defects(self) -> dict[tuple[int, int], Fraction]:
+        """C_{n,m} = max over the words w at depth n+m of max(R, 1/R), R =
+        g(w) / (g(w[:n]) g(w[n:])): the same maximum over the class pairs
+        present at depths n and m whose product x . y is positive (their
+        words concatenate to stored words).  Floats propose, ``_max_ratio``
+        proves; 1 where depth n+m holds no word."""
+        num, den = self._products[:2]
+        spread = np.abs(_logs(num) - _logs(den))
+        out = {}
+        for total in range(2, self.depth + 1):
+            for n in range(1, total):
+                cell = self.fpresent[n][:, None], self.bpresent[total - n]
+                v, ab = num[cell].ravel(), den[cell].ravel()
+                live = v > 0
+                out[(n, total - n)] = Fraction(1) if not live.any() else _max_ratio(
+                    v[live], ab[live], int(np.argmax(spread[cell].ravel()[live])))
+        return out
+
+    def bridges(self, gap: int) -> dict[tuple[int, int], tuple[float | None, list]]:
+        """check_D2's (n, m) -> (log D_{n,m} or None, unbridged word pairs).
+
+        A pair of classes (c, d) is bridged by the largest x_c A_w y_d over
+        the gap words, |w| <= gap, and by none when that is 0.  The float
+        log D_{n,m} is the word scan's, bit for bit: for each word pair it
+        is (L(max_w g(uwv)) - L(g(u))) - L(g(v)), L = log_fraction, and
+        max_w g(uwv) = (g(u) / (x_c . 1)) (g(v) / g_d) max_w x_c A_w y_d.
+        Only class pairs whose ratio is within 1e-9 (in log) of the least
+        can hold the float minimum; their distinct word values are read."""
+        _, den, sx, g = self._products
+        found: dict[tuple[int, int], tuple[float | None, list]] = {}
+        if self.depth - gap < 2:
+            return found
+        best = self._gap_max(gap)
+        hit = best > 0
+        ratio = _logs(best) - _logs(den)
+        for s in range(2, self.depth - gap + 1):
+            for n in range(1, s):
+                m = s - n
+                fc, bc = self.fpresent[n], self.bpresent[m]
+                cell = fc[:, None], bc
+                missing, worst = [], None
+                if not hit[cell].all():
+                    a, b = self.levels[n].words, self.levels[m].words
+                    iu, iv = np.nonzero(~hit[self.fwd[n][:, None], self.bwd[m][None, :]])
+                    missing = [(a[i], b[j]) for i, j in zip(iu.tolist(), iv.tolist())]
+                if hit[cell].any():
+                    lr = np.where(hit[cell], ratio[cell], np.inf)
+                    for i, j in np.argwhere(lr <= lr.min() + 1e-9).tolist():
+                        c, d = int(fc[i]), int(bc[j])
+                        t, xc, gd = int(best[c, d]), int(sx[c]), int(g[d])
+                        us, vs = self._distinct("fwd", n, c), self._distinct("bwd", m, d)
+                        for gu, lu in zip(*us):
+                            for gv, lv in zip(*vs):
+                                val = (log_fraction(gu // xc * (gv // gd) * t) - lu) - lv
+                                worst = val if worst is None else min(worst, val)
+                found[(n, m)] = (worst, missing)
+        return found
+
+    def _gap_max(self, gap: int) -> np.ndarray:
+        """[c, d] -> max over the words w, |w| <= gap, of x_c A_w y_d: the
+        rows x_c A_w grow one symbol at a time (rows that reach 0 dropped),
+        and each row's products with every y_d max into its class's row."""
+        x, y, steps = *self._matrices, self._steps  # steps[b] = A_b
+        if array_max(x) * array_max(y) * y.shape[1] ** (gap + 1) > INT64_MAX:
+            x, y, steps = x.astype(object), y.astype(object), steps.astype(object)
+        owner, rows, best = np.arange(len(x)), x, x @ y.T
+        for _ in range(gap):
+            rows = np.concatenate([rows @ a for a in steps])
+            owner = np.tile(owner, len(steps))
+            keep = (rows != 0).any(axis=1)
+            rows, owner = rows[keep], owner[keep]
+            np.maximum.at(best, owner, rows @ y.T)
+        return best
+
+    def _distinct(self, side: str, n: int, c: int) -> tuple[list[int], list[float]]:
+        """The distinct values of the words of class c at depth n, with their
+        stored logs."""
+        key = (side, n, c)
+        if key not in self._values:
+            level, mask = self.levels[n], getattr(self, side)[n] == c
+            vals, first = np.unique(level.num[mask], return_index=True)
+            self._values[key] = (vals.tolist(), level.logs[mask][first].tolist())
+        return self._values[key]
+
+
+def _class_tables(grow, root, nb: int, depth: int):
+    """(rows, next, present) of one direction: the primitive class rows met
+    from ``root`` within ``depth`` symbols, next[c, b] the class of row c
+    grown by symbol b (-1 where the grown row is 0) and present[n] the
+    classes at depth n.  ``grow`` maps (row, symbol) to the grown row."""
+    rows, index, step, present = [root], {root: 0}, {}, [[0]]
+    for _ in range(depth):
+        here = set()
+        for c in present[-1]:
+            for b in range(nb):
+                if (c, b) not in step:
+                    row = grow(rows[c], b)
+                    gcd = math.gcd(*row)
+                    key = tuple(v // gcd for v in row) if gcd else None
+                    if key is not None and key not in index:
+                        index[key] = len(rows)
+                        rows.append(key)
+                    step[c, b] = -1 if key is None else index[key]
+                if step[c, b] >= 0:
+                    here.add(step[c, b])
+        present.append(sorted(here))
+    table = np.full((len(rows), nb), -1, np.int32)
+    for (c, b), k in step.items():
+        table[c, b] = k
+    return rows, table, [np.array(p, dtype=np.intp) for p in present]
+
+
+def _int_matrix(rows: list) -> np.ndarray:
+    """Integer rows as int64 when the largest entry fits, Python ints past it."""
+    return int_array([v for row in rows for v in row]).reshape(len(rows), -1)
+
+
+def _logs(a: np.ndarray) -> np.ndarray:
+    """The log of each entry of an integer array, -inf at 0, to within a
+    few ulps (they only propose and filter)."""
+    if a.dtype != object:
+        with np.errstate(divide="ignore"):
+            return np.log(a.astype(float))
+    return np.array([log_fraction(v) if v else -np.inf for v in a.ravel().tolist()],
+                    dtype=float).reshape(a.shape)
+
+
 def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
                   depth_max: int, mode: str = "auto") -> SeqTable:
     """Relative-pressure table: log g_n(y) = log sum over the fiber of y of
@@ -340,7 +563,7 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     meta = {"source": "g", "domain": list(dom.alphabet), "image": list(pi.image_alphabet),
             "potential_range": r, "exact": exact}
     return SeqTable.from_levels(pi.image_alphabet, levels, kind="g", language=pi.image,
-                                potential=f, meta=meta)
+                                potential=f, factor=pi, meta=meta)
 
 
 def _transfer(pi: OneBlockFactor, f: LocallyConstantPotential, fmax: float, exact: bool,
@@ -458,15 +681,15 @@ class PressureEstimate:
         }
 
 
-def pressure_estimate(t: SeqTable) -> PressureEstimate:
+def pressure_estimate(t: SeqTable, perron=None) -> PressureEstimate:
     """Pressure report: the sequence (1/n) log Z_n, its Fekete infimum (a
     rigorous upper bound for subadditive tables) and the limit itself.
 
     The fibers partition B_n(X), so Z_n is the domain's partition sum and
-    its limit P(f) is ``log_perron`` of the table's potential, bit for bit
-    ``gibbs.transfer_pressure``'s; tables built from dicts have none.  On
-    the exact counting path a geometric Z_1, ..., Z_n (n >= 3) gives the
-    base exactly.
+    its limit P(f) is ``log_perron`` of the table's potential (``perron``
+    when the caller already has it), bit for bit ``gibbs.transfer_pressure``'s;
+    tables built from dicts have none.  On the exact counting path a
+    geometric Z_1, ..., Z_n (n >= 3) gives the base exactly.
     """
     n_max = t.depth_max
     per_n = [partition_sum(t, n) / n for n in range(1, n_max + 1)]
@@ -475,7 +698,9 @@ def pressure_estimate(t: SeqTable) -> PressureEstimate:
         z = [partition_sum_exact(t, n) for n in range(1, n_max + 1)]
         if all(z[i + 1] * z[i - 1] == z[i] * z[i] for i in range(1, n_max - 1)):
             exact_base = Fraction(z[1], z[0])
-    extrapolated = None if t.potential is None else log_perron(t.potential)[0]
+    if perron is None and t.potential is not None:
+        perron = log_perron(t.potential)
+    extrapolated = None if perron is None else perron[0]
     return PressureEstimate(per_n, min(per_n), extrapolated, exact_base, n_max)
 
 
@@ -543,32 +768,16 @@ def check_D2(t: SeqTable, gap_cap: int) -> D2Report:
     |w| <= gap_cap, maximizing value(uwv) / (value(u) value(v)); D_{n,m} is
     the minimum over pairs of the best ratio.
 
-    Each stored word uwv at depth n+m+k scatters its log into the cell
-    (rank of u, rank of v); rounding is monotone, so the cell maximum gives
-    the best ratio.  Cells never hit are the unbridged pairs.
-
-    The normalized trend (1/n) log D_{n,m} -> 0 is evaluated at finite depth
-    and labeled as evidence only.
+    Exact g-tables read their fiber classes (``_FiberClasses.bridges``),
+    other tables scan the words (``_word_bridges``); both list the
+    unbridged pairs as words, by (n, m) and then by rank.  The normalized
+    trend (1/n) log D_{n,m} -> 0 is evaluated at finite depth and labeled
+    as evidence only.
     """
     if gap_cap < 0:
         raise TableError("gap cap must be >= 0")
     levels = t.levels
-    found: dict[tuple[int, int], tuple] = {}  # (n, m) -> (log D or None, unbridged)
-    for s in range(2, t.depth_max - gap_cap + 1):
-        tops = {n: np.full((len(levels[n]), len(levels[s - n])), -np.inf)
-                for n in range(1, s)}
-        for total in range(s, s + gap_cap + 1):
-            pre, suf = _ranks(levels, total, "parent"), _ranks(levels, total, "tail")
-            for n, top in tops.items():
-                np.maximum.at(top, (pre[n], suf[s - n]), levels[total].logs)
-        for n, top in tops.items():
-            a, b = levels[n], levels[s - n]
-            hit = top > -np.inf
-            ratio = np.where(hit, (top - a.logs[:, None]) - b.logs, np.inf)
-            worst = float(ratio.flat[np.argmin(ratio)]) if hit.any() else None
-            iu, iv = np.nonzero(~hit)
-            found[(n, s - n)] = (worst, [(a.words[i], b.words[j])
-                                         for i, j in zip(iu.tolist(), iv.tolist())])
+    found = t.classes.bridges(gap_cap) if t.classes is not None else _word_bridges(t, gap_cap)
     log_d: dict[tuple[int, int], float] = {}
     unbridged: list[tuple[Word, Word]] = []
     for key in sorted(found):
@@ -587,6 +796,31 @@ def check_D2(t: SeqTable, gap_cap: int) -> D2Report:
     trend_ok = all(trends) if trends else True
     detail = {"pairs_checked": sum(len(levels[n]) * len(levels[m]) for n, m in log_d)}
     return D2Report(gap_cap, log_d, bridged, unbridged, trend_ok, detail)
+
+
+def _word_bridges(t: SeqTable, gap_cap: int) -> dict[tuple[int, int], tuple]:
+    """check_D2's (n, m) -> (log D_{n,m} or None, unbridged pairs) by the
+    words: each stored word uwv at depth n+m+k scatters its log into the
+    cell (rank of u, rank of v); rounding is monotone, so the cell maximum
+    gives the best ratio.  Cells never hit are the unbridged pairs."""
+    levels = t.levels
+    found: dict[tuple[int, int], tuple] = {}
+    for s in range(2, t.depth_max - gap_cap + 1):
+        tops = {n: np.full((len(levels[n]), len(levels[s - n])), -np.inf)
+                for n in range(1, s)}
+        for total in range(s, s + gap_cap + 1):
+            pre, suf = _ranks(levels, total, "parent"), _ranks(levels, total, "tail")
+            for n, top in tops.items():
+                np.maximum.at(top, (pre[n], suf[s - n]), levels[total].logs)
+        for n, top in tops.items():
+            a, b = levels[n], levels[s - n]
+            hit = top > -np.inf
+            ratio = np.where(hit, (top - a.logs[:, None]) - b.logs, np.inf)
+            worst = float(ratio.flat[np.argmin(ratio)]) if hit.any() else None
+            iu, iv = np.nonzero(~hit)
+            found[(n, s - n)] = (worst, [(a.words[i], b.words[j])
+                                         for i, j in zip(iu.tolist(), iv.tolist())])
+    return found
 
 
 @dataclass
@@ -632,20 +866,25 @@ def _max_ratio(v: np.ndarray, ab: np.ndarray, i: int) -> Fraction:
 
 def defect_profile(t: SeqTable, slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> DefectProfile:
     """log C_{n,m} = max over words of |log f_{n+m} - log f_n - log f_m o sigma^n|,
-    with an exponential-growth flag (least-squares slope in m at fixed n)."""
+    with an exponential-growth flag (least-squares slope in m at fixed n).
+    Exact g-tables read their fiber classes (``_FiberClasses.defects``),
+    other tables every split of every word."""
     if t.depth_max < 2:
         raise TableError("need depth_max >= 2")
-    log_c: dict[tuple[int, int], float] = {}
-    exact_c: dict[tuple[int, int], Fraction] | None = {} if t.is_exact else None
-    for total, n, slack, exact in _splits(t):
-        d = np.abs(slack)
-        i = int(np.argmax(d)) if len(d) else None
-        if exact is None:
-            log_c[(n, total - n)] = 0.0 if i is None else float(d[i])
-        else:
-            worst = Fraction(1) if i is None else _max_ratio(*exact, i)
-            exact_c[(n, total - n)] = worst
-            log_c[(n, total - n)] = log_fraction(worst)
+    if t.classes is not None:
+        exact_c = t.classes.defects()
+        log_c = {key: log_fraction(c) for key, c in exact_c.items()}
+    else:
+        log_c, exact_c = {}, {} if t.is_exact else None
+        for total, n, slack, exact in _splits(t):
+            d = np.abs(slack)
+            i = int(np.argmax(d)) if len(d) else None
+            if exact is None:
+                log_c[(n, total - n)] = 0.0 if i is None else float(d[i])
+            else:
+                worst = Fraction(1) if i is None else _max_ratio(*exact, i)
+                exact_c[(n, total - n)] = worst
+                log_c[(n, total - n)] = log_fraction(worst)
     growth = False
     witness = None
     slopes: dict[int, TrendStats] = {}

@@ -95,6 +95,44 @@ def test_weak_gibbs(tmp_path):
     assert doc["transfer"]["lam_exact"] == "3"
 
 
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so the calls are counted; returns the list of calls."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_weak_gibbs_runs_log_perron_once(tmp_path, monkeypatch):
+    from thermoshift import cli, gibbs, seqtable
+    calls = _counting(monkeypatch, seqtable, "log_perron")
+    monkeypatch.setattr(cli, "log_perron", seqtable.log_perron)
+    monkeypatch.setattr(gibbs, "log_perron", seqtable.log_perron)
+    code, _ = run(tmp_path, "weak-gibbs", "--factor", fpath("factor_collapse.json"),
+                  "--measure", fpath("measure_uniform3.json"), "--depth", "6")
+    assert code == 0 and len(calls) == 1
+
+
+def test_fit_h_reuses_the_verdicts_last_fit(tmp_path, monkeypatch):
+    from thermoshift import cli, detect
+    calls = _counting(monkeypatch, detect, "fit_h")
+    monkeypatch.setattr(cli, "fit_h", detect.fit_h)
+    code, raw = run(tmp_path, "fit-h", "--factor", fpath("factor_collapse.json"), "--depth", "7")
+    assert code == 0
+    assert [c[2] for c in calls] == [2, 3, 4, 5, 6, 7]  # the verdict's fits, none repeated
+    doc = json.loads(raw)
+    assert doc["fit"] == doc["verdict"]["h"]
+    calls.clear()  # after the REFUTED early exit the fit runs on its own
+    code, raw = run(tmp_path, "fit-h", "--factor", fpath("factor_phase_blocked.json"),
+                    "--depth", "12")
+    assert code == 0 and [c[2] for c in calls] == [8]
+    assert json.loads(raw)["verdict"]["verdict"] == "REFUTED"
+
+
 def test_depths_one_and_two_report_the_perron_pressure(tmp_path):
     for depth in ("1", "2"):
         code, raw = run(tmp_path, "pressure", "--factor", fpath("factor_collapse.json"),

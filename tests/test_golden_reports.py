@@ -42,6 +42,12 @@ CASES = {
                           "--candidate", "tests/golden/candidate_collapse.json"],
     "profile_cnm": ["profile-cnm", "--factor", "fixtures/factor_phase_blocked.json",
                     "--depth", "10"],
+    "profile_cnm_d18": ["profile-cnm", "--factor", "fixtures/factor_phase_blocked.json",
+                        "--depth", "18"],
+    "verdict_phase_blocked_d18": ["verdict", "--factor", "fixtures/factor_phase_blocked.json",
+                                  "--range", "1", "--depth", "18"],
+    "verdict_collapse_d14": ["verdict", "--factor", "fixtures/factor_collapse.json",
+                             "--range", "1", "--depth", "14"],
     "certificate": ["certificate", "--factor", "fixtures/factor_collapse.json", "--depth", "8",
                     "--word", "ab"],
     "weak_gibbs": ["weak-gibbs", "--factor", "fixtures/factor_collapse.json",

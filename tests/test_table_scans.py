@@ -1,10 +1,13 @@
-"""The rank-indexed table scans (check_subadditive, check_D2, defect_profile)
-against the nested word loops they replaced, kept here as reference
-oracles: every report must serialize to the same JSON."""
+"""The table scans (check_subadditive, check_D2, defect_profile) against
+the nested word loops they replaced, kept here as reference oracles: every
+report must serialize to the same JSON.  Exact g-tables take the fiber-class
+path (``SeqTable.classes``), float and dict-built tables the word kernels;
+the oracles cover both."""
 
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +15,14 @@ from hypothesis import strategies as st
 
 from thermoshift import (LocallyConstantPotential, OneBlockFactor, SeqTable,
                          build_g_table, check_D2, check_subadditive,
-                         defect_profile)
+                         defect_profile, seqtable)
+from thermoshift.jsonio import load_factor, read_json
 from thermoshift.numerics import log_fraction
 from thermoshift.seqtable import D2Report, DefectProfile, SubadditivityReport
 from thermoshift.shiftcore import Sft
 from thermoshift.verdicts import DEFAULT_SLOPE_THRESHOLD, decays_to_zero, growth_flag
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def ref_check_subadditive(t, tol=1e-12):
@@ -150,13 +156,18 @@ def small_factors(draw):
 @settings(max_examples=40, deadline=None)
 @given(factor=small_factors(), seed=st.integers(0, 2 ** 16))
 def test_scans_match_nested_loops(factor, seed):
+    """Random domains, reducible ones included: zero potentials of range 1
+    to 3 (exact, the class path), float potentials and a dict-built exact
+    table (the word kernels), at depth 7 with gaps 0 to 3."""
     trans, targets = factor
-    depth = 6
+    depth = 7
     dom = Sft([str(i) for i in range(len(trans))], trans)
     pi = OneBlockFactor(dom, targets)
     img = pi.image
     rng = random.Random(seed)
-    tables = [build_g_table(pi, LocallyConstantPotential.zero(dom), depth)]
+    tables = [build_g_table(pi, LocallyConstantPotential(dom, r, dict.fromkeys(dom.blocks(r), 0.0)),
+                            depth) for r in (1, 2, 3)]
+    assert all(t.classes is not None for t in tables)
     for r in (1, 2):
         f = LocallyConstantPotential(dom, r, {w: rng.uniform(-2, 2) for w in dom.blocks(r)})
         tables.append(build_g_table(pi, f, depth))
@@ -166,6 +177,58 @@ def test_scans_match_nested_loops(factor, seed):
                                     for n in range(1, depth + 1)}))
     for t in tables:
         assert_scans_match(t, gaps=range(4))
+
+
+def _fixture_table(name, depth):
+    pi = load_factor(read_json(FIXTURES / name))
+    return build_g_table(pi, LocallyConstantPotential.zero(pi.domain), depth)
+
+
+def test_exact_g_tables_take_the_class_path(monkeypatch):
+    """With the word kernels made to raise, defect_profile and check_D2 on
+    exact g-tables still match the oracles."""
+    tables = [_fixture_table(name, depth) for name, depth in
+              [("factor_collapse.json", 8), ("factor_phase_blocked.json", 10),
+               ("factor_amalgamation.json", 7), ("factor_full4_abc.json", 5),
+               ("factor_identity_goldenmean.json", 8)]]
+    want = [(_json(ref_defect_profile(t)), [_json(ref_check_D2(t, gap)) for gap in range(4)])
+            for t in tables]
+
+    def word_kernel(*args):
+        raise AssertionError("word kernel ran on an exact g-table")
+
+    for name in ("_splits", "_ranks", "_word_bridges"):
+        monkeypatch.setattr(seqtable, name, word_kernel)
+    for t, (profile, bridges) in zip(tables, want):
+        assert _json(defect_profile(t)) == profile
+        assert [_json(check_D2(t, gap)) for gap in range(4)] == bridges
+    full2 = Sft.full_shift(["a", "b"])  # float tables still scan the words
+    f = LocallyConstantPotential.from_symbol_weights(full2, {"a": 0.5, "b": -0.25})
+    with pytest.raises(AssertionError, match="word kernel"):
+        defect_profile(build_g_table(OneBlockFactor.identity(full2), f, 4))
+
+
+def test_class_path_promotes_past_int64(monkeypatch):
+    """With the int64 bound lowered to 10, every class product and gap
+    maximum runs in Python ints, and the reports do not change."""
+    t = _fixture_table("factor_phase_blocked.json", 9)
+    want = [_json(ref_defect_profile(t))] + [_json(ref_check_D2(t, gap)) for gap in range(4)]
+    monkeypatch.setattr(seqtable, "INT64_MAX", 10)
+    assert t.classes._products[0].dtype == object
+    assert [_json(defect_profile(t))] + [_json(check_D2(t, gap)) for gap in range(4)] == want
+
+
+@pytest.mark.parametrize("name, depth, counts", [
+    ("factor_collapse.json", 18, [2] * 18),
+    ("factor_full4_abc.json", 12, [3] * 12),
+    ("factor_phase_blocked.json", 18, list(range(2, 20))),
+])
+def test_class_counts_per_level(name, depth, counts):
+    """Distinct forward classes per depth: 2 of 2^18 words on collapse, 3 on
+    the full-4 abc factor, n + 1 at depth n on phase-blocked (19 at 18)."""
+    t = _fixture_table(name, depth)
+    assert [len(p) for p in t.classes.fpresent[1:]] == counts
+    assert [len(set(ids.tolist())) for ids in t.classes.fwd[1:]] == counts
 
 
 def test_scans_promote_past_int64():
