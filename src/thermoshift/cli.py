@@ -22,7 +22,7 @@ from .markov import MeasureError
 from .numerics import log_fraction
 from .potential import LocallyConstantPotential, PotentialError
 from .seqtable import (TableError, build_additive_table, build_g_table,
-                       check_D2, defect_profile, log_perron, partition_sum,
+                       check_D2, defect_profile, partition_sum,
                        pressure_estimate)
 from .shiftcore import SftError, weak_spec_number
 from .verdicts import DEFAULT_SLOPE_THRESHOLD
@@ -169,13 +169,12 @@ def cmd_weak_gibbs(args) -> dict:
     mu = load_measure(read_json(args.measure), sft)
     _check_caps(args, sft, pi)
     gt = build_g_table(pi, f, args.depth, mode=args.mode)
-    perron = log_perron(f)
-    est = pressure_estimate(gt, perron)
+    est = pressure_estimate(gt)
     if est.exact_base is not None:
         pressure_g, source = log_fraction(est.exact_base), "exact-base"
     else:
         pressure_g, source = est.extrapolated, "perron"
-    gd = transfer_pressure(sft, f, perron)
+    gd = transfer_pressure(sft, f)
     constants = weak_gibbs_constants(mu, f, gd.pressure, args.depth,
                                      exact_base=gd.lam_exact,
                                      pressure_source="transfer",

@@ -55,6 +55,7 @@ class LocallyConstantPotential:
         else:
             self.exact_coeffs = None
             self.exact_base = None
+        self._perron = None  # seqtable.log_perron's result, filled on its first call
 
     @classmethod
     def zero(cls, language) -> "LocallyConstantPotential":

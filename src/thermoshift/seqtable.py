@@ -18,14 +18,17 @@ built only when asked for.  On exact tables floats only propose; exact
 integer comparison (int64 below 2^63, Python ints past it) decides.
 
 The C_{n,m} profile and the D2 bridging search on an exact g-table (the
-counting path, f = 0, of any range) read projective fiber classes, not
-words (``_FiberClasses``): g is a rational series, g(uv) = x_u . y_v with
-x_u = a_{u_1} A_{u_2} ... A_{u_n} and y_v = A_v 1 over the 1-block
-transfer, so g(uv) / (g(u) g(v)) depends on u and v only through the
-primitive integer rows of x_u and (y_v, g(v)), a handful per depth.  The
-reports are the word scans' bit for bit, and witnesses and unbridged
-pairs still name words.  Float tables and tables built from dicts keep the
-word scans (``_splits``, ``_ranks``, ``_word_bridges``).
+counting path, f = 0, of any range) can read projective fiber classes
+instead of words (``_FiberClasses``): g is a rational series, g(uv) =
+x_u . y_v with x_u = a_{u_1} A_{u_2} ... A_{u_n} and y_v = A_v 1 over the
+1-block transfer, so g(uv) / (g(u) g(v)) depends on u and v only through
+the primitive integer rows of x_u and (y_v, g(v)).  That pays when a depth
+holds few classes next to its words; each scan counts the class products
+it needs and takes the class path only when they are fewer than the word
+scan's cells.  The reports are the word scans' bit for bit, and witnesses
+and unbridged pairs still name words.  Float tables, tables built from
+dicts and exact g-tables whose classes do not pay keep the word scans
+(``_splits``, ``_ranks``, ``_word_bridges``).
 """
 
 from __future__ import annotations
@@ -229,7 +232,8 @@ class SeqTable:
     def classes(self) -> _FiberClasses | None:
         """The projective fiber classes of an exact g-table, built when a
         scan first asks; None on float tables and on tables built from
-        dicts, whose scans walk the words."""
+        dicts, whose scans walk the words.  The scans on the classes decline
+        (return None) where the words are cheaper."""
         return _FiberClasses(self) if self.is_exact and self.factor is not None else None
 
 
@@ -317,93 +321,106 @@ class _FiberClasses:
     x_u = a_{u_1} A_{u_2} ... A_{u_n} and y_v = A_v 1.  The forward class
     of u is the primitive integer row of x_u, the backward class of v the
     primitive row of (y_v, g(v)); on the class rows x, (y, g) the ratio
-    g(uv) / (g(u) g(v)) is (x . y) / ((x . 1) g), so the scans read one
+    g(uv) / (g(u) g(v)) is (x . y) / ((x . 1) g), so a scan can read one
     product per pair of classes instead of one per word.
 
-    A word's class follows from the class of w[:-1] and its last symbol
-    (forward), or from its first symbol and the class of w[1:] (backward):
-    ``x`` / ``y`` are the class rows met (id 0 is the empty word's),
-    ``fnext`` / ``bnext`` the lookup tables (class, symbol) -> class, and
-    ``fpresent[n]`` / ``bpresent[n]`` the classes of the words at depth n;
-    a stored word's extension by a symbol is stored exactly when its grown
-    row is not 0.  None of this reads the table's words: the class of each
-    rank (``fwd`` / ``bwd``) is gathered only when check_D2 asks for it.
+    That pays only when a depth holds few classes next to its words (2 per
+    depth on the collapse factor, n + 1 at depth n on phase-blocked), and
+    nothing bounds the count below the word count: on two blocks of two
+    domain symbols, letters acting by [[1, 1], [0, 1]] and [[1, 0], [1, 1]]
+    within and across the blocks give every word its own backward class.
+    So each scan counts the class products it needs, per (n, m) cell over
+    the classes present at depths n and m, against the splits the word scan
+    would read, and returns None (the caller scans the words) unless the
+    products are fewer.
+
+    Classes are numbered per depth: ``x[n]`` / ``y[n]`` hold the class rows
+    at depth n (``y[n]``'s last column is g), and ``fnext[n]`` /
+    ``bnext[n]`` map (class at depth n, symbol) to the class at depth n + 1
+    of the word grown by that symbol at the end (forward) or the front
+    (backward), -1 where the grown row is 0: the grown word is stored
+    exactly when it is not.  All of it grows row matrices, depth by depth,
+    and reads no word: the class of each rank (``fwd`` / ``bwd``) is
+    gathered only when check_D2 asks for it.
     """
 
     def __init__(self, t: SeqTable):
-        head = _transfer(t.factor, t.potential, 0.0, True, 0, 1, False)[0][0].tolist()
+        head = _transfer(t.factor, t.potential, 0.0, True, 0, 1, False)[0][0]  # [b] = a_b
         steps = _transfer(t.factor, t.potential, 0.0, True, 1, 1, False)[0].transpose(1, 0, 2)
-        self._steps, step = steps, steps.tolist()  # [b][i][j] = A_b[i, j]
-        s, nb = len(head[0]), len(t.alphabet)
-
-        def forward(x, b):  # x_{ub} = x_u A_b; the empty word's row is None
-            return head[b] if x is None else [sum(x[i] * step[b][i][j] for i in range(s) if x[i])
-                                              for j in range(s)]
-
-        def backward(yg, b):  # (A_b y, a_b . y) from v[1:]'s (y, g)
-            return [sum(a * y for a, y in zip(row, yg)) for row in step[b]] + \
-                   [sum(a * y for a, y in zip(head[b], yg))]
-
-        self.levels, self.depth = t.levels, t.depth_max
-        self.x, self.fnext, self.fpresent = _class_tables(forward, None, nb, t.depth_max)
-        self.y, self.bnext, self.bpresent = _class_tables(backward, (1,) * (s + 1), nb,
-                                                          t.depth_max)
-        self.x[0] = (1,) * s  # a placeholder: no stored word has the empty word's class
+        nb, s = head.shape
+        # class rows are bounded by the values of their words, so int64
+        # serves while every stored value fits
+        dtype = object if max(lv.hi for lv in t.levels[1:]) > INT64_MAX else np.int64
+        # forward rows carry a start coordinate, 1 only on the empty word:
+        # (x, start) -> (x A_b + start a_b, 0); backward (y, g) -> (A_b y, a_b . y)
+        grow_x, grow_y = np.zeros((2, nb, s + 1, s + 1), dtype)
+        grow_x[:, :s, :s], grow_x[:, s, :s] = steps, head
+        grow_y[:, :s, :s], grow_y[:, :s, s] = steps.transpose(0, 2, 1), head
+        self.levels, self.depth, self._steps = t.levels, t.depth_max, steps.astype(dtype)
+        x, self.fnext = _class_tables(np.eye(1, s + 1, s, dtype=dtype), grow_x, t.depth_max)
+        self.x = [rows[:, :s] for rows in x]
+        self.sx = [row_sums(rows) for rows in self.x]
+        self.y, self.bnext = _class_tables(np.ones((1, s + 1), dtype), grow_y, t.depth_max)
         self._values: dict[tuple[str, int, int], tuple[list, list]] = {}
 
     @cached_property
     def fwd(self) -> list[np.ndarray]:
         """Per depth, the forward class of each rank."""
-        ids = [np.zeros(1, np.int32)]
-        for level in self.levels[1:]:
-            ids.append(self.fnext[ids[-1][level.parent], level.sym])
+        ids = [np.zeros(1, np.intp)]
+        for n, level in enumerate(self.levels[1:]):
+            ids.append(self.fnext[n][ids[-1][level.parent], level.sym])
         return ids
 
     @cached_property
     def bwd(self) -> list[np.ndarray]:
         """Per depth, the backward class of each rank."""
-        ids, first = [np.zeros(1, np.int32)], None
-        for level in self.levels[1:]:
+        ids, first = [np.zeros(1, np.intp)], None
+        for n, level in enumerate(self.levels[1:]):
             first = level.sym if first is None else first[level.parent]
-            ids.append(self.bnext[ids[-1][level.tail], first])
+            ids.append(self.bnext[n][ids[-1][level.tail], first])
         return ids
 
-    @cached_property
-    def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The class rows x (one per forward class) and y (the y part of one
-        per backward class) as integer matrices."""
-        return _int_matrix(self.x), _int_matrix([row[:-1] for row in self.y])
+    def _scan_cost(self, top: int, gap: int) -> int:
+        """The cells the word scan reads: (s - 1) |B_total| for each s in
+        2..top and total in s..s+gap (one per split of each word)."""
+        return sum((s - 1) * sum(map(len, self.levels[s:s + gap + 1])) for s in range(2, top + 1))
 
-    @cached_property
-    def _products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(N, D, sx, g): N[c, d] = x_c . y_d and D[c, d] = (x_c . 1) g_d
-        over all class pairs, with the row sums x_c . 1 and the g_d."""
-        x, y = self._matrices
-        sx, g = row_sums(x), int_array([row[-1] for row in self.y])
-        if array_max(x) * array_max(y) * x.shape[1] > INT64_MAX:
-            x, y = x.astype(object), y.astype(object)
-        return x @ y.T, _times(sx[:, None], g, array_max(sx) * array_max(g)), sx, g
+    def _against(self, n: int, ms: range) -> tuple[np.ndarray, np.ndarray, dict]:
+        """The classes at depth n against those at the depths ``ms`` side by
+        side: (their y rows stacked, [c, d] = (x_c . 1) g_d, the columns of
+        each m)."""
+        ys = [self.y[m] for m in ms]
+        cat, edges = np.concatenate(ys), np.cumsum([0] + [len(y) for y in ys]).tolist()
+        sx, g = self.sx[n], cat[:, -1]
+        den = _times(sx[:, None], g, array_max(sx) * array_max(g))
+        return cat[:, :-1], den, {m: slice(a, b) for m, a, b in zip(ms, edges, edges[1:])}
 
-    def defects(self) -> dict[tuple[int, int], Fraction]:
+    def defects(self) -> dict[tuple[int, int], Fraction] | None:
         """C_{n,m} = max over the words w at depth n+m of max(R, 1/R), R =
         g(w) / (g(w[:n]) g(w[n:])): the same maximum over the class pairs
         present at depths n and m whose product x . y is positive (their
         words concatenate to stored words).  Floats propose, ``_max_ratio``
-        proves; 1 where depth n+m holds no word."""
-        num, den = self._products[:2]
-        spread = np.abs(_logs(num) - _logs(den))
+        proves; 1 where depth n+m holds no word.  None when the class
+        pairs are not fewer than the word scan's splits."""
+        cells = [(n, total - n) for total in range(2, self.depth + 1) for n in range(1, total)]
+        if sum(len(self.x[n]) * len(self.y[m]) for n, m in cells) >= self._scan_cost(self.depth, 0):
+            return None
         out = {}
-        for total in range(2, self.depth + 1):
-            for n in range(1, total):
-                cell = self.fpresent[n][:, None], self.bpresent[total - n]
-                v, ab = num[cell].ravel(), den[cell].ravel()
+        for n in range(1, self.depth):
+            y, den, cols = self._against(n, range(1, self.depth - n + 1))
+            num = self.x[n] @ y.T
+            spread = np.abs(_logs(num) - _logs(den))
+            for m, col in cols.items():
+                v, ab = num[:, col].ravel(), den[:, col].ravel()
                 live = v > 0
-                out[(n, total - n)] = Fraction(1) if not live.any() else _max_ratio(
-                    v[live], ab[live], int(np.argmax(spread[cell].ravel()[live])))
-        return out
+                out[(n, m)] = Fraction(1) if not live.any() else _max_ratio(
+                    v[live], ab[live], int(np.argmax(spread[:, col].ravel()[live])))
+        return {key: out[key] for key in cells}
 
-    def bridges(self, gap: int) -> dict[tuple[int, int], tuple[float | None, list]]:
-        """check_D2's (n, m) -> (log D_{n,m} or None, unbridged word pairs).
+    def bridges(self, gap: int) -> dict[tuple[int, int], tuple[float | None, list]] | None:
+        """check_D2's (n, m) -> (log D_{n,m} or None, unbridged word pairs);
+        None when the class products would not be fewer than the word scan's
+        (u, v) cells, one per split of each word at depths s..s+gap.
 
         A pair of classes (c, d) is bridged by the largest x_c A_w y_d over
         the gap words, |w| <= gap, and by none when that is 0.  The float
@@ -412,51 +429,70 @@ class _FiberClasses:
         max_w g(uwv) = (g(u) / (x_c . 1)) (g(v) / g_d) max_w x_c A_w y_d.
         Only class pairs whose ratio is within 1e-9 (in log) of the least
         can hold the float minimum; their distinct word values are read."""
-        _, den, sx, g = self._products
-        found: dict[tuple[int, int], tuple[float | None, list]] = {}
-        if self.depth - gap < 2:
-            return found
-        best = self._gap_max(gap)
-        hit = best > 0
-        ratio = _logs(best) - _logs(den)
-        for s in range(2, self.depth - gap + 1):
-            for n in range(1, s):
-                m = s - n
-                fc, bc = self.fpresent[n], self.bpresent[m]
-                cell = fc[:, None], bc
-                missing, worst = [], None
-                if not hit[cell].all():
-                    a, b = self.levels[n].words, self.levels[m].words
-                    iu, iv = np.nonzero(~hit[self.fwd[n][:, None], self.bwd[m][None, :]])
-                    missing = [(a[i], b[j]) for i, j in zip(iu.tolist(), iv.tolist())]
-                if hit[cell].any():
-                    lr = np.where(hit[cell], ratio[cell], np.inf)
-                    for i, j in np.argwhere(lr <= lr.min() + 1e-9).tolist():
-                        c, d = int(fc[i]), int(bc[j])
-                        t, xc, gd = int(best[c, d]), int(sx[c]), int(g[d])
-                        us, vs = self._distinct("fwd", n, c), self._distinct("bwd", m, d)
-                        for gu, lu in zip(*us):
-                            for gv, lv in zip(*vs):
-                                val = (log_fraction(gu // xc * (gv // gd) * t) - lu) - lv
-                                worst = val if worst is None else min(worst, val)
-                found[(n, m)] = (worst, missing)
-        return found
+        top = self.depth - gap
+        if top < 2:
+            return {}
+        grown = self._gap_rows(top, gap, self._scan_cost(top, gap))
+        if grown is None:
+            return None
+        starts, steps = grown
+        found = {}
+        for n in range(1, top):
+            y, den, cols = self._against(n, range(1, top - n + 1))
+            best = np.zeros((len(self.x[n]), len(y)), y.dtype)
+            for owner, rows in steps:
+                mine = (owner >= starts[n - 1]) & (owner < starts[n])
+                np.maximum.at(best, owner[mine] - starts[n - 1], rows[mine] @ y.T)
+            hit = best > 0
+            ratio = np.where(hit, _logs(best) - _logs(den), np.inf)
+            for m, col in cols.items():
+                found[(n, m)] = self._bridge_cell(n, m, hit[:, col], ratio[:, col], best[:, col])
+        return {(n, s - n): found[(n, s - n)] for s in range(2, top + 1) for n in range(1, s)}
 
-    def _gap_max(self, gap: int) -> np.ndarray:
-        """[c, d] -> max over the words w, |w| <= gap, of x_c A_w y_d: the
-        rows x_c A_w grow one symbol at a time (rows that reach 0 dropped),
-        and each row's products with every y_d max into its class's row."""
-        x, y, steps = *self._matrices, self._steps  # steps[b] = A_b
-        if array_max(x) * array_max(y) * y.shape[1] ** (gap + 1) > INT64_MAX:
-            x, y, steps = x.astype(object), y.astype(object), steps.astype(object)
-        owner, rows, best = np.arange(len(x)), x, x @ y.T
-        for _ in range(gap):
-            rows = np.concatenate([rows @ a for a in steps])
-            owner = np.tile(owner, len(steps))
-            keep = (rows != 0).any(axis=1)
-            rows, owner = rows[keep], owner[keep]
-            np.maximum.at(best, owner, rows @ y.T)
-        return best
+    def _bridge_cell(self, n: int, m: int, hit: np.ndarray, ratio: np.ndarray,
+                     best: np.ndarray) -> tuple[float | None, list]:
+        """(log D_{n,m} or None, unbridged word pairs) from the class pairs'
+        [c, d] bridged flags, float log ratios and gap maxima."""
+        missing, worst = [], None
+        if not hit.all():
+            a, b = self.levels[n].words, self.levels[m].words
+            iu, iv = np.nonzero(~hit[self.fwd[n][:, None], self.bwd[m][None, :]])
+            missing = [(a[i], b[j]) for i, j in zip(iu.tolist(), iv.tolist())]
+        if hit.any():
+            for c, d in np.argwhere(ratio <= ratio.min() + 1e-9).tolist():
+                t, xc, gd = int(best[c, d]), int(self.sx[n][c]), int(self.y[m][d, -1])
+                us, vs = self._distinct("fwd", n, c), self._distinct("bwd", m, d)
+                for gu, lu in zip(*us):
+                    for gv, lv in zip(*vs):
+                        val = (log_fraction(gu // xc * (gv // gd) * t) - lu) - lv
+                        worst = val if worst is None else min(worst, val)
+        return worst, missing
+
+    def _gap_rows(self, top: int, gap: int, budget: int) -> tuple[list, list] | None:
+        """(starts, [(owner, rows)] per gap length k <= gap): the distinct
+        (owner, x_c A_w) over the words w of length k that keep the row
+        nonzero, the owners numbering the classes at depths 1..top-1 one
+        depth after another (depth n's from starts[n - 1] on).  None as soon
+        as the products with the backward classes each row meets (depths
+        1..top-n) reach ``budget``."""
+        xs = self.x[1:top]
+        starts = np.cumsum([0] + [len(x) for x in xs]).tolist()
+        width = np.repeat([sum(map(len, self.y[1:top - n + 1])) for n in range(1, top)],
+                          [len(x) for x in xs])
+        owner, rows = np.arange(starts[-1]), np.concatenate(xs)
+        out, cost = [], 0
+        for k in range(gap + 1):
+            if k:
+                grown = np.concatenate([rows @ a for a in self._steps])
+                owner = np.tile(owner, len(self._steps))
+                keep = grown.any(axis=1)
+                pairs = _unique_rows(np.column_stack([owner[keep], grown[keep]]))[0]
+                owner, rows = pairs[:, 0].astype(np.intp), pairs[:, 1:]
+            out.append((owner, rows))
+            cost += int(width[owner].sum())
+            if cost >= budget:
+                return None
+        return starts, out
 
     def _distinct(self, side: str, n: int, c: int) -> tuple[list[int], list[float]]:
         """The distinct values of the words of class c at depth n, with their
@@ -469,36 +505,31 @@ class _FiberClasses:
         return self._values[key]
 
 
-def _class_tables(grow, root, nb: int, depth: int):
-    """(rows, next, present) of one direction: the primitive class rows met
-    from ``root`` within ``depth`` symbols, next[c, b] the class of row c
-    grown by symbol b (-1 where the grown row is 0) and present[n] the
-    classes at depth n.  ``grow`` maps (row, symbol) to the grown row."""
-    rows, index, step, present = [root], {root: 0}, {}, [[0]]
+def _class_tables(root: np.ndarray, grow: np.ndarray, depth: int):
+    """(rows, next) of one direction: rows[n] the distinct primitive rows of
+    the words at depth n (rows[0] = ``root``, the empty word's), next[n][c,
+    b] the index in rows[n + 1] of row c times grow[b] made primitive (-1
+    where that is 0)."""
+    rows, nexts = [root], []
     for _ in range(depth):
-        here = set()
-        for c in present[-1]:
-            for b in range(nb):
-                if (c, b) not in step:
-                    row = grow(rows[c], b)
-                    gcd = math.gcd(*row)
-                    key = tuple(v // gcd for v in row) if gcd else None
-                    if key is not None and key not in index:
-                        index[key] = len(rows)
-                        rows.append(key)
-                    step[c, b] = -1 if key is None else index[key]
-                if step[c, b] >= 0:
-                    here.add(step[c, b])
-        present.append(sorted(here))
-    table = np.full((len(rows), nb), -1, np.int32)
-    for (c, b), k in step.items():
-        table[c, b] = k
-    return rows, table, [np.array(p, dtype=np.intp) for p in present]
+        grown = np.concatenate([rows[-1] @ g for g in grow])  # symbol-major
+        live = grown.any(axis=1)
+        prim = grown[live] // np.gcd.reduce(grown[live], axis=1)[:, None]
+        uniq, inv = _unique_rows(prim)
+        nxt = np.full(len(grown), -1, np.intp)
+        nxt[live] = inv
+        nexts.append(nxt.reshape(len(grow), -1).T.copy())
+        rows.append(uniq)
+    return rows, nexts
 
 
-def _int_matrix(rows: list) -> np.ndarray:
-    """Integer rows as int64 when the largest entry fits, Python ints past it."""
-    return int_array([v for row in rows for v in row]).reshape(len(rows), -1)
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct rows of a 2-d integer array in order of first
+    appearance, each row's index among them)."""
+    index: dict[tuple, int] = {}
+    inv = np.array([index.setdefault(row, len(index)) for row in map(tuple, a.tolist())],
+                   dtype=np.intp)
+    return np.array(list(index), dtype=a.dtype).reshape(len(index), a.shape[1]), inv
 
 
 def _logs(a: np.ndarray) -> np.ndarray:
@@ -648,7 +679,14 @@ def log_perron(f: LocallyConstantPotential):
     s = max(r-1, 1), with weights e^{f - fmax} (integers when f = 0).
     P(f) = log root + fmax, ``perron`` on W; ``exact`` is ``perron_exact``'s
     (c, right, left) when f = 0 and the root is an integer c, else None.
-    TableError when a weight underflows: W would lose a transition."""
+    TableError when a weight underflows: W would lose a transition.
+    Computed once per potential and kept on it (``f._perron``)."""
+    if f._perron is None:
+        f._perron = _log_perron(f)
+    return f._perron
+
+
+def _log_perron(f: LocallyConstantPotential):
     fmax, s = f.max_value(), max(f.range - 1, 1)
     m, edge = _transfer(OneBlockFactor.identity(f.language), f, fmax, f.is_zero, s, s, True)
     if (m[edge] == 0).any():
@@ -681,13 +719,13 @@ class PressureEstimate:
         }
 
 
-def pressure_estimate(t: SeqTable, perron=None) -> PressureEstimate:
+def pressure_estimate(t: SeqTable) -> PressureEstimate:
     """Pressure report: the sequence (1/n) log Z_n, its Fekete infimum (a
     rigorous upper bound for subadditive tables) and the limit itself.
 
     The fibers partition B_n(X), so Z_n is the domain's partition sum and
-    its limit P(f) is ``log_perron`` of the table's potential (``perron``
-    when the caller already has it), bit for bit ``gibbs.transfer_pressure``'s;
+    its limit P(f) is ``log_perron`` of the table's potential, bit for bit
+    ``gibbs.transfer_pressure``'s;
     tables built from dicts have none.  On the exact counting path a
     geometric Z_1, ..., Z_n (n >= 3) gives the base exactly.
     """
@@ -698,9 +736,7 @@ def pressure_estimate(t: SeqTable, perron=None) -> PressureEstimate:
         z = [partition_sum_exact(t, n) for n in range(1, n_max + 1)]
         if all(z[i + 1] * z[i - 1] == z[i] * z[i] for i in range(1, n_max - 1)):
             exact_base = Fraction(z[1], z[0])
-    if perron is None and t.potential is not None:
-        perron = log_perron(t.potential)
-    extrapolated = None if perron is None else perron[0]
+    extrapolated = None if t.potential is None else log_perron(t.potential)[0]
     return PressureEstimate(per_n, min(per_n), extrapolated, exact_base, n_max)
 
 
@@ -768,8 +804,9 @@ def check_D2(t: SeqTable, gap_cap: int) -> D2Report:
     |w| <= gap_cap, maximizing value(uwv) / (value(u) value(v)); D_{n,m} is
     the minimum over pairs of the best ratio.
 
-    Exact g-tables read their fiber classes (``_FiberClasses.bridges``),
-    other tables scan the words (``_word_bridges``); both list the
+    Exact g-tables read their fiber classes (``_FiberClasses.bridges``)
+    where those take fewer products than the words, other tables scan the
+    words (``_word_bridges``); both list the
     unbridged pairs as words, by (n, m) and then by rank.  The normalized
     trend (1/n) log D_{n,m} -> 0 is evaluated at finite depth and labeled
     as evidence only.
@@ -777,7 +814,9 @@ def check_D2(t: SeqTable, gap_cap: int) -> D2Report:
     if gap_cap < 0:
         raise TableError("gap cap must be >= 0")
     levels = t.levels
-    found = t.classes.bridges(gap_cap) if t.classes is not None else _word_bridges(t, gap_cap)
+    found = None if t.classes is None else t.classes.bridges(gap_cap)
+    if found is None:
+        found = _word_bridges(t, gap_cap)
     log_d: dict[tuple[int, int], float] = {}
     unbridged: list[tuple[Word, Word]] = []
     for key in sorted(found):
@@ -867,12 +906,13 @@ def _max_ratio(v: np.ndarray, ab: np.ndarray, i: int) -> Fraction:
 def defect_profile(t: SeqTable, slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> DefectProfile:
     """log C_{n,m} = max over words of |log f_{n+m} - log f_n - log f_m o sigma^n|,
     with an exponential-growth flag (least-squares slope in m at fixed n).
-    Exact g-tables read their fiber classes (``_FiberClasses.defects``),
-    other tables every split of every word."""
+    Exact g-tables read their fiber classes (``_FiberClasses.defects``)
+    where those take fewer products than the splits, other tables every
+    split of every word."""
     if t.depth_max < 2:
         raise TableError("need depth_max >= 2")
-    if t.classes is not None:
-        exact_c = t.classes.defects()
+    exact_c = None if t.classes is None else t.classes.defects()
+    if exact_c is not None:
         log_c = {key: log_fraction(c) for key, c in exact_c.items()}
     else:
         log_c, exact_c = {}, {} if t.is_exact else None

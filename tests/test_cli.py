@@ -108,10 +108,10 @@ def _counting(monkeypatch, module, name):
 
 
 def test_weak_gibbs_runs_log_perron_once(tmp_path, monkeypatch):
-    from thermoshift import cli, gibbs, seqtable
-    calls = _counting(monkeypatch, seqtable, "log_perron")
-    monkeypatch.setattr(cli, "log_perron", seqtable.log_perron)
-    monkeypatch.setattr(gibbs, "log_perron", seqtable.log_perron)
+    """pressure_estimate and transfer_pressure share the potential's Perron
+    data: one eigen-solve per weak-gibbs command."""
+    from thermoshift import seqtable
+    calls = _counting(monkeypatch, seqtable, "perron")
     code, _ = run(tmp_path, "weak-gibbs", "--factor", fpath("factor_collapse.json"),
                   "--measure", fpath("measure_uniform3.json"), "--depth", "6")
     assert code == 0 and len(calls) == 1

@@ -1,13 +1,16 @@
 """The table scans (check_subadditive, check_D2, defect_profile) against
 the nested word loops they replaced, kept here as reference oracles: every
 report must serialize to the same JSON.  Exact g-tables take the fiber-class
-path (``SeqTable.classes``), float and dict-built tables the word kernels;
-the oracles cover both."""
+path (``SeqTable.classes``) when their class products are fewer than the
+word scan's cells, float and dict-built tables the word kernels; the
+oracles cover both, and exact tables are checked on each path forced."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -124,13 +127,21 @@ def _json(report):
     return json.dumps(report.as_dict(), sort_keys=True)
 
 
+# word-scan costs that force the fiber-class path or the word kernels
+FORCE = {"classes": lambda self, top, gap: math.inf, "words": lambda self, top, gap: 0}
+
+
 def assert_scans_match(t, gaps=(0,)):
     assert _json(check_subadditive(t)) == _json(ref_check_subadditive(t))
-    assert _json(defect_profile(t)) == _json(ref_defect_profile(t))
-    for gap in gaps:
-        got, want = check_D2(t, gap), ref_check_D2(t, gap)
-        assert _json(got) == _json(want)
-        assert got.unbridged == want.unbridged
+    want = [_json(ref_defect_profile(t))] + [ref_check_D2(t, gap) for gap in gaps]
+    for path in [None] + (list(FORCE) if t.classes is not None else []):
+        with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE.get(
+                path, seqtable._FiberClasses._scan_cost)):
+            assert _json(defect_profile(t)) == want[0], path
+            for gap, ref in zip(gaps, want[1:]):
+                got = check_D2(t, gap)
+                assert _json(got) == _json(ref), (path, gap)
+                assert got.unbridged == ref.unbridged
 
 
 def exact_table(lang, values):
@@ -157,8 +168,8 @@ def small_factors(draw):
 @given(factor=small_factors(), seed=st.integers(0, 2 ** 16))
 def test_scans_match_nested_loops(factor, seed):
     """Random domains, reducible ones included: zero potentials of range 1
-    to 3 (exact, the class path), float potentials and a dict-built exact
-    table (the word kernels), at depth 7 with gaps 0 to 3."""
+    to 3 (exact g-tables, on both paths), float potentials and a dict-built
+    exact table (the word kernels), at depth 7 with gaps 0 to 3."""
     trans, targets = factor
     depth = 7
     dom = Sft([str(i) for i in range(len(trans))], trans)
@@ -209,12 +220,13 @@ def test_exact_g_tables_take_the_class_path(monkeypatch):
 
 
 def test_class_path_promotes_past_int64(monkeypatch):
-    """With the int64 bound lowered to 10, every class product and gap
-    maximum runs in Python ints, and the reports do not change."""
+    """With the int64 bound lowered to 10, the class rows, and with them
+    every class product and gap maximum, are Python ints, and the reports
+    do not change."""
     t = _fixture_table("factor_phase_blocked.json", 9)
     want = [_json(ref_defect_profile(t))] + [_json(ref_check_D2(t, gap)) for gap in range(4)]
     monkeypatch.setattr(seqtable, "INT64_MAX", 10)
-    assert t.classes._products[0].dtype == object
+    assert all(x.dtype == object for x in t.classes.x)
     assert [_json(defect_profile(t))] + [_json(check_D2(t, gap)) for gap in range(4)] == want
 
 
@@ -227,8 +239,53 @@ def test_class_counts_per_level(name, depth, counts):
     """Distinct forward classes per depth: 2 of 2^18 words on collapse, 3 on
     the full-4 abc factor, n + 1 at depth n on phase-blocked (19 at 18)."""
     t = _fixture_table(name, depth)
-    assert [len(p) for p in t.classes.fpresent[1:]] == counts
+    assert [len(x) for x in t.classes.x[1:]] == counts
     assert [len(set(ids.tolist())) for ids in t.classes.fwd[1:]] == counts
+
+
+def _two_block_table(trans, depth):
+    """Zero-potential g-table of the factor sending domain symbols 1, 2 to a
+    and 3, 4 to b."""
+    dom = Sft(["1", "2", "3", "4"], trans)
+    return build_g_table(OneBlockFactor(dom, ["a", "a", "b", "b"]),
+                         LocallyConstantPotential.zero(dom), depth)
+
+
+# a acts by [[1, 1], [0, 1]] and b by [[1, 0], [1, 1]] within their blocks,
+# by the identity across them: the class of a word is that of its runs
+STERN_BROCOT = [[1, 1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 1, 1]]
+# ... and by the same matrices across the blocks: the free monoid acts on
+# (1, 1) and every word has its own backward class
+CALKIN_WILF = [[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]]
+
+
+@pytest.mark.parametrize("trans, forward, backward", [
+    (STERN_BROCOT, [2, 4, 8, 14, 24, 40, 66, 108, 176, 286, 464, 752],
+     [2, 4, 8, 14, 24, 40, 66, 108, 176, 286, 464, 752]),
+    (CALKIN_WILF, [2, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048],
+     [2 ** n for n in range(1, 13)]),
+])
+def test_scans_on_factors_whose_classes_barely_compress(trans, forward, backward):
+    """Class counts that grow with the words (1.6^n and 2^n of 2^n): each
+    (n, m) cell's products are taken apart, so the class path stays within
+    the word scan's cells, and both paths match the oracles at depth 12."""
+    t = _two_block_table(trans, 12)
+    assert [len(lv) for lv in t.levels[1:]] == [2 ** n for n in range(1, 13)]
+    assert [len(x) for x in t.classes.x[1:]] == forward
+    assert [len(y) for y in t.classes.y[1:]] == backward
+    assert_scans_match(t, gaps=(0, 2))
+
+
+def test_class_path_yields_where_it_reads_more_than_the_words(monkeypatch):
+    """At depth 2 the golden mean's 2 x 2 class pairs outnumber its 3 words:
+    the class scans decline, and the reports come from the word kernels."""
+    t = _fixture_table("factor_identity_goldenmean.json", 2)
+    assert t.classes.defects() is None and t.classes.bridges(0) is None
+    assert t.classes.bridges(1) == {}  # no (n, m) fits under a gap of 1
+    calls = []
+    monkeypatch.setattr(seqtable, "_splits", lambda t: calls.append(1) or iter(()))
+    defect_profile(t)
+    assert calls
 
 
 def test_scans_promote_past_int64():
