@@ -18,7 +18,7 @@ import numpy as np
 
 from .factor import OneBlockFactor, fiber_words
 from .lp import chebyshev_fit_exact, chebyshev_fit_float, solve_exact
-from .numerics import array_max, logsumexp
+from .numerics import array_max, integer_rows, logsumexp
 from .potential import (LocallyConstantPotential, PotentialError, birkhoff_inf,
                         birkhoff_sup, periodic_birkhoff, periodic_birkhoff_coeff,
                         variation_constant)
@@ -107,8 +107,8 @@ def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
     if exact:
         if not (gt.is_exact and h.is_exact):
             return None
-        den = math.lcm(*(c.denominator for c in h.exact_coeffs.values()))
-        weight = {w: int(c * den) for w, c in h.exact_coeffs.items()}
+        [coeffs], den = integer_rows([list(h.exact_coeffs.values())])
+        weight = dict(zip(h.exact_coeffs, coeffs))
         zero = 0
         # every sum and tail is at most (depth + r) max |weight| in size
         small = (gt.depth_max + r) * max(map(abs, weight.values())) < 2 ** 62
@@ -470,6 +470,8 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
         if n_fits is None:
             hi = min(gt.depth_max, 8)
             n_fits = list(range(max(r, min(2, hi)), hi + 1))
+        if not n_fits:
+            raise DetectError("fit range exceeds the fit depth")
         for nf in n_fits:
             res = fit_h(gt, r, nf)
             tstars[nf] = res.tstar

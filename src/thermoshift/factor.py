@@ -10,7 +10,6 @@ only that automaton's ``step``; the rest comes from ``shiftcore.Language``.
 
 from __future__ import annotations
 
-import math
 import weakref
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -18,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .markov import MarkovMeasure, MeasureError
-from .numerics import INT64_MAX, array_max, row_sums
+from .numerics import INT64_MAX, array_max, integer_rows, row_sums
 from .shiftcore import EPSILON, Language, Sft, SftError, Word
 
 
@@ -192,9 +191,8 @@ def _measure_steps(mu: MarkovMeasure, pi: OneBlockFactor):
     k, start, p = mu.order, mu.stationary, mu.matrix
     d0 = d = 1
     if mu.exact:
-        d0 = math.lcm(*(Fraction(x).denominator for x in start))
-        d = math.lcm(*(Fraction(x).denominator for row in p for x in row))
-        start, p = [int(x * d0) for x in start], [[int(x * d) for x in row] for row in p]
+        [start], d0 = integer_rows([start])
+        p, d = integer_rows(p)
     dtype = float if not mu.exact else np.int64 if max(d0, d) <= INT64_MAX else object
     shape = (len(mu.states), len(pi.image_alphabet), len(mu.states))
     walk = [(np.zeros(shape, dtype), np.zeros(shape, dtype=bool)) for _ in range(k + 1)]

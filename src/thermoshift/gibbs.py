@@ -6,9 +6,10 @@ pushforward sandwich, whose masses come from the fiber walk by table rank.
 For a Markov measure of order k and f of range r, log mu[w] + nP -
 sup_[w] S_n f is a path sum on the max(k, r-1)-block graph plus a terminal
 sup tail, so C_n comes from a max/min transfer walk in O(n S^2), not from
-the |A|^n words.  C_n is exact (max/min-times over Fractions) when the
-measure is exact, f = 0 and the pressure base is rational; otherwise it is
-a float computed in log space, so tiny masses do not underflow.
+the |A|^n words.  C_n is exact (max/min-times over integer masses on one
+denominator per depth, then one Fraction) when the measure is exact, f = 0
+and the pressure base is rational; otherwise it is a float computed in log
+space, so tiny masses do not underflow.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .factor import _fiber_walk, _measure_steps
 from .markov import MarkovMeasure, MeasureError, entropy
-from .numerics import log_fraction, row_sums
+from .numerics import integer_rows, log_fraction, row_sums
 from .potential import LocallyConstantPotential, birkhoff_sup, variation_constant
 from .seqtable import SeqTable, TableError, log_perron
 from .shiftcore import Sft, Word, is_irreducible
@@ -157,9 +158,9 @@ def weak_gibbs_constants(mu: MarkovMeasure, f: LocallyConstantPotential, pressur
 
     Verdict: GIBBS when sup_n C_n shows no growth, WEAK-GIBBS when the trend
     is consistent with (1/n) log C_n -> 0, NEITHER on linear growth of
-    log C_n or when some cylinder has zero mass.  Exact Fractions are used
-    when the measure is exact, f = 0 and the pressure base is given; only
-    then is C_n == 1 a certified identity.
+    log C_n or when some cylinder has zero mass.  C_n is exact (a Fraction
+    from an integer walk) when the measure is exact, f = 0 and the pressure
+    base is given; only then is C_n == 1 a certified identity.
     """
     if mu.alphabet != f.language.alphabet:
         raise MeasureError("measure alphabet does not match the potential")
@@ -205,20 +206,23 @@ def _ratio_extremes(mu: MarkovMeasure, f: LocallyConstantPotential, pressure: fl
                     depth: int, base: Fraction | None) -> dict[int, tuple]:
     """{n: (log C_n, exact C_n or None)} by a max/min transfer walk.
 
-    The value of a word w is mu[w] (exact, ``base`` given, f = 0) or
-    log mu[w] - (the sum of f over the windows inside w).  Each symbol
-    appended multiplies (adds) a weight fixed by the last m = max(k, r-1)
-    symbols and the new one, so words with n <= m are enumerated and past
-    m the walk carries per m-block state only the largest and the smallest
-    value of the words ending there.  The ratio is then value * base^n, or
-    value + nP - tail, the tail being the sup of the windows reaching past
-    w, a function of its last r-1 symbols.  log C_n = inf when a cylinder
-    has zero mass.
+    The value of a word w is mu[w] (exact, ``base`` given, f = 0: an
+    integer over den(n) = d0 d^max(0, n-k), the stationary vector over d0
+    and P over d) or log mu[w] - (the sum of f over the windows inside w).
+    Each symbol appended multiplies (adds) a weight fixed by the last
+    m = max(k, r-1) symbols and the new one, so words with n <= m are
+    enumerated and past m the walk carries per m-block state only the
+    largest and the smallest value of the words ending there.  The ratio is
+    then value * base^n, or value + nP - tail, the tail being the sup of
+    the windows reaching past w, a function of its last r-1 symbols.
+    log C_n = inf when a cylinder has zero mass.
     """
     sft, k, r = mu.sft, mu.order, f.range
     m = max(k, r - 1)
     exact = base is not None
     join = operator.mul if exact else operator.add
+    (start,), d0 = integer_rows([mu.stationary]) if exact else ((mu.stationary,), 1)
+    p, d = integer_rows(mu.matrix) if exact else (mu.matrix, 1)
     tails: dict[Word, float] = {}
 
     def tail(w: Word) -> float:
@@ -231,18 +235,20 @@ def _ratio_extremes(mu: MarkovMeasure, f: LocallyConstantPotential, pressure: fl
 
     def weight(w: Word):
         """The factor of the last symbol of w (len(w) > k)."""
-        p = mu.matrix[mu._index[w[-k - 1:-1]]][mu._index[w[-k:]]]
+        x = p[mu._index[w[-k - 1:-1]]][mu._index[w[-k:]]]
         if exact:
-            return p
-        return _log(p) - f.value(w[-r:]) if len(w) >= r else _log(p)
+            return x
+        return _log(x) - f.value(w[-r:]) if len(w) >= r else _log(x)
 
     def extremes(n: int, highs, lows, tail_values) -> tuple:
         if exact:
             lo = min(lows)
             if not lo:
                 return math.inf, None
-            lam_n = Fraction(base) ** n
-            c = max(Fraction(1), max(highs) * lam_n, 1 / (lo * lam_n))
+            # C_n = max(1, hi base^n, 1 / (lo base^n)) over den(n): hi s / u, u / (lo s)
+            s, u = base.numerator ** n, d0 * d ** max(0, n - k) * base.denominator ** n
+            hi, lo = max(highs) * s, lo * s
+            c = Fraction(max(hi, u), u) if hi * lo >= u * u else Fraction(max(u, lo), lo)
             return log_fraction(c), c
         shift = n * pressure
         top = max(h + shift - t for h, t in zip(highs, tail_values))
@@ -253,7 +259,8 @@ def _ratio_extremes(mu: MarkovMeasure, f: LocallyConstantPotential, pressure: fl
     values: dict[Word, object] = {}
     for n in range(1, min(m, depth) + 1):
         if n <= k:
-            values = {w: mu.cylinder_mass(w) for w in sft.blocks(n)}
+            values = {w: sum(x for x, state in zip(start, mu.states) if state[:n] == w)
+                      for w in sft.blocks(n)}
             if not exact:
                 values = {w: _log(v) - sum(f.value(w[i:i + r]) for i in range(n - r + 1))
                           for w, v in values.items()}
@@ -307,7 +314,7 @@ def pushforward_sandwich(mu: MarkovMeasure, pi, f: LocallyConstantPotential,
 
     Masses come from the mass walk, one per stored word at its rank.  Zero
     tolerance on the exact path (once per distinct integer mass and value
-    pair); 1e-9 slack on floats.
+    pair, by integer cross-multiplication); 1e-9 slack on floats.
     """
     if depth > gt.depth_max:
         raise TableError("depth %d exceeds the table (max %d)" % (depth, gt.depth_max))
@@ -322,22 +329,23 @@ def pushforward_sandwich(mu: MarkovMeasure, pi, f: LocallyConstantPotential,
             raise TableError("table words at depth %d are not the image words of pi" % n)
         log_mn = variation_constant(f, n)
         if exact and log_mn == 0.0:
-            lam_n, cn = exact_base ** n, weak_report.exact_cn[n]
+            cn, s = weak_report.exact_cn[n], level.den * exact_base.numerator ** n
+            u, a, b = den(n) * exact_base.denominator ** n, cn.numerator, cn.denominator
             pairs = list(zip(mass.tolist(), level.num.tolist()))
             checked = {}  # (ok, |log ratio|) once per distinct pair
-            for p in set(pairs):
-                ratio = Fraction(p[0] * level.den, den(n) * p[1]) * lam_n
-                checked[p] = (1 / cn <= ratio <= cn,
-                              abs(float(log_fraction(ratio))) if ratio else math.inf)
+            for x, v in set(pairs):  # ratio (x s) / (v u) against cn = a / b both ways
+                top, bottom = x * s, v * u
+                checked[x, v] = (b * bottom <= a * top and b * top <= a * bottom,
+                                 abs(log_fraction(top, bottom)) if top else math.inf)
             ok = np.array([checked[p][0] for p in pairs])
             margin = float(log_fraction(cn)) - np.array([checked[p][1] for p in pairs])
             zero = np.zeros(len(pairs), dtype=bool)  # exact failures carry no reason
         else:
             zero = mass == 0
-            logm = [log_fraction(Fraction(x, den(n))) if mu.exact else math.log(x)
+            logm = [log_fraction(x, den(n)) if mu.exact else math.log(x)
                     for x in mass[~zero].tolist()]
-            log_ratio = (np.array(logm) + n * pressure) - level.logs[~zero]
-            margin = (weak_report.log_cn[n] + log_mn) - np.abs(log_ratio) + 1e-9
+            log_q = (np.array(logm) + n * pressure) - level.logs[~zero]
+            margin = (weak_report.log_cn[n] + log_mn) - np.abs(log_q) + 1e-9
             ok = ~zero
             ok[~zero] = margin >= 0
         worst = min([worst] + margin.tolist())

@@ -1,22 +1,23 @@
 """Chebyshev (sup-norm) linear programming.
 
 The fit problem is min_z max_i |e_i - a_i . z| over the rows of a matrix.
-On integer systems t* = 0 is decided exactly by interpolation on the
-distinct rows (no size cap), and t* > 0 on small systems by an exact
-simplex over Fractions applied to the dual (one tableau row per structural
-unknown), with Bland's rule for determinism; the optimal primal point is
-read off the simplex multipliers and re-verified.  scipy's HiGHS solves
-the floating path.
+Integer systems are solved exactly, in integers only: t* = 0 by the
+canonical solve ``numerics.solve_int`` on the distinct rows (no size cap),
+and t* > 0 on small systems by the simplex applied to the dual (one tableau
+row per structural unknown), with Bland's rule for determinism, on an
+integer tableau stepped by the fraction-free ``numerics.pivot``.  The
+optimal primal point is read off the simplex multipliers and re-verified.
+scipy's HiGHS solves the floating path.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
-from .numerics import INT64_MAX
+from .numerics import INT64_MAX, pivot, solve_int
 
 _EXACT_FIT_LIMIT = 4096  # constraint cap (two per row) for the exact dual simplex
 
@@ -25,169 +26,96 @@ class LpError(RuntimeError):
     pass
 
 
-def chebyshev_defect_value(rows, rhs, z):
-    """max_i |G_i - a_i . z| for a candidate z (same arithmetic as inputs)."""
-    return max((abs(g - sum(c * z[j] for j, c in a.items())) for a, g in zip(rows, rhs)),
-               default=None)
-
-
-def try_exact_interpolation(rows, rhs, nvars):
-    """If the equality system a_i . z = G_i is consistent, return the
-    canonical solution (free variables pinned to 0), else None.  It depends
-    only on the row space: the distinct rows give the same z as all rows."""
-    aug = [[Fraction(a.get(j, 0)) for j in range(nvars)] + [Fraction(g)] for a, g in zip(rows, rhs)]
-    pivots, row = [], 0
-    for col in range(nvars):
-        piv = next((i for i in range(row, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = aug[row][col]
-        aug[row] = [v / inv for v in aug[row]]
-        for i in range(len(aug)):
-            if i != row and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(aug):
-            break
-    for i in range(row, len(aug)):
-        if aug[i][nvars] != 0:
-            return None
-    z = [Fraction(0)] * nvars
-    for i, col in enumerate(pivots):
-        z[col] = aug[i][nvars]
-    if chebyshev_defect_value(rows, rhs, z) != 0:
-        return None
-    return z
-
-
 def solve_exact(a: np.ndarray, e: np.ndarray) -> list[Fraction] | None:
     """The canonical solution of a z = e (integers), or None when there is
-    none: try_exact_interpolation on the distinct rows of [a | e] (None at
-    once when equal rows of a have different e), checked on every row in
-    integers (int64 while a bound allows, Python ints past it)."""
+    none: ``solve_int`` on the distinct rows of [a | e] (None at once when
+    equal rows of a have different e), checked on every row in integers
+    (int64 while a bound allows, Python ints past it)."""
     aug = np.unique(np.column_stack([a, e]), axis=0)
     if len(np.unique(aug[:, :-1], axis=0)) < len(aug):
         return None
-    z = try_exact_interpolation([{j: c for j, c in enumerate(row) if c} for row in aug[:, :-1].tolist()],
-                                aug[:, -1].tolist(), a.shape[1])
-    if z is None:
+    sol = solve_int(aug.tolist(), a.shape[1])
+    if sol is None:
         return None
-    den = math.lcm(*(v.denominator for v in z))
-    zi = [int(v * den) for v in z]
+    zi, den = sol
     bound = int(np.abs(a).sum(axis=1).max()) * max(map(abs, zi)) + int(np.abs(e).max()) * den
     dtype = object if bound > INT64_MAX else np.int64
     if not np.array_equal(a.astype(dtype) @ np.array(zi, dtype), e.astype(dtype) * den):
         raise LpError("interpolation on the distinct rows misses a repeated row")
-    return z
+    return [Fraction(x, den) for x in zi]
 
 
 def chebyshev_fit_exact(a: np.ndarray, e: np.ndarray) -> tuple[list[Fraction], Fraction] | None:
-    """Exact minimax fit of integer a, e: (z, t_star) over Fractions, or
-    None when t* > 0 on more than ``_EXACT_FIT_LIMIT`` constraints.  t* = 0
-    by solve_exact; else the dual simplex on all rows in their order."""
+    """Exact minimax fit of integer a, e: (z, t_star) as Fractions, or None
+    when t* > 0 on more than ``_EXACT_FIT_LIMIT`` constraints.  t* = 0 by
+    solve_exact; else the dual simplex on all rows in their order, its
+    defect checked against t* in integers."""
     z = solve_exact(a, e)
     if z is not None:
         return z, Fraction(0)
     if 2 * len(a) > _EXACT_FIT_LIMIT:
         return None
-    rows = [{j: c for j, c in enumerate(row) if c} for row in a.tolist()]
-    rhs = [Fraction(g) for g in e.tolist()]
-    z, tstar = _dual_simplex(rows, rhs, a.shape[1])
-    achieved = chebyshev_defect_value(rows, rhs, z)
-    if achieved != tstar:
-        raise LpError("simplex multiplier recovery failed (%s vs %s)" % (achieved, tstar))
-    return z, tstar
+    rows, rhs = a.tolist(), e.tolist()
+    zn, tn, d = _dual_simplex(rows, rhs)
+    achieved = max(abs(g * d - sum(map(operator.mul, row, zn))) for row, g in zip(rows, rhs))
+    if achieved != tn:
+        raise LpError("simplex multiplier recovery failed (%s vs %s)"
+                      % (Fraction(achieved, d), Fraction(tn, d)))
+    return [Fraction(x, d) for x in zn], Fraction(tn, d)
 
 
-def _dual_simplex(rows, rhs, nvars):
+def _dual_simplex(a: list[list[int]], e: list[int]) -> tuple[list[int], int, int]:
     """Two-phase primal simplex on the dual of the Chebyshev LP.
 
-    Dual: min sum_i G_i (y-_i - y+_i) subject to
+    Dual: min sum_i e_i (y-_i - y+_i) subject to
           sum_i a_i (y+_i - y-_i) = 0   (one row per structural unknown)
           sum_i (y+_i + y-_i) = 1,  y >= 0.
     The primal optimum is (z, t) = (-pi_z, -pi_t) for the optimal simplex
-    multipliers pi.
+    multipliers pi.  The tableau is d B^-1 [A | b] in integers, d = det B
+    for the basis B; each pivot entry is positive (the ratio test takes
+    positive entries), so d stays positive and the tableau's signs and
+    cross-multiplied ratios are those of B^-1 [A | b].  Returns (d z, d t*, d).
     """
-    w = len(rows)
+    nvars = len(a[0])
     m = nvars + 1                    # constraint rows
-    ncols = 2 * w + m                # y+, y-, artificials
-    zero = Fraction(0)
-    one = Fraction(1)
+    art = 2 * len(a)                 # columns y+, y-, then the artificials
+    cols = ([row + [1] for row in a] + [[-c for c in row] + [1] for row in a]
+            + [[int(r == q) for r in range(m)] for q in range(m)])
+    tab = [[col[r] for col in cols] + [int(r == nvars)] for r in range(m)]
+    basis, d = list(range(art, art + m)), 1
 
-    # sparse original columns: (row, coeff) pairs
-    orig: list[list[tuple[int, Fraction]]] = []
-    for i, a in enumerate(rows):
-        orig.append([(j, Fraction(c)) for j, c in sorted(a.items())] + [(nvars, one)])
-    for i, a in enumerate(rows):
-        orig.append([(j, -Fraction(c)) for j, c in sorted(a.items())] + [(nvars, one)])
-    for r in range(m):
-        orig.append([(r, one)])
+    def multipliers(costs):  # d pi, from the artificial columns of d B^-1
+        return [sum(costs[b] * row[art + r] for b, row in zip(basis, tab)) for r in range(m)]
 
-    tab = [[zero] * ncols for _ in range(m)]
-    rhs_col = [zero] * m
-    for j, col in enumerate(orig):
-        for r, c in col:
-            tab[r][j] = c
-    rhs_col[nvars] = one
-    basis = [2 * w + r for r in range(m)]
-    basis_set = set(basis)
-
-    cost2 = [-g for g in rhs] + [g for g in rhs] + [zero] * m
-
-    def run(costs, allow_artificial):
+    def run(costs, limit):
+        nonlocal d
         while True:
-            # simplex multipliers from the artificial (identity) columns
-            pi = [sum(costs[basis[i]] * tab[i][2 * w + r] for i in range(m))
-                  for r in range(m)]
-            entering = -1
-            limit = ncols if allow_artificial else 2 * w
-            for j in range(limit):       # Bland: first improving column
-                if j in basis_set:
-                    continue
-                rc = costs[j] - sum(pi[r] * c for r, c in orig[j])
-                if rc < 0:
-                    entering = j
-                    break
-            if entering < 0:
+            pi, basic = multipliers(costs), set(basis)
+            # Bland: the first column with reduced cost c_j - pi . col_j < 0
+            entering = next((j for j in range(limit) if j not in basic
+                             and d * costs[j] < sum(map(operator.mul, pi, cols[j]))), None)
+            if entering is None:
                 return
-            leaving = -1
-            best = None
-            for r in range(m):
-                if tab[r][entering] > 0:
-                    ratio = rhs_col[r] / tab[r][entering]
-                    if best is None or ratio < best or \
-                            (ratio == best and basis[r] < basis[leaving]):
-                        best = ratio
-                        leaving = r
-            if leaving < 0:
+            leaving = None  # least ratio rhs / entry, ties to the least basic column
+            for r, row in enumerate(tab):
+                if row[entering] > 0 and (leaving is None or
+                                          (row[-1] * tab[leaving][entering], basis[r])
+                                          < (tab[leaving][-1] * row[entering], basis[leaving])):
+                    leaving = r
+            if leaving is None:
                 raise LpError("dual LP unbounded; Chebyshev primal infeasible")
-            piv = tab[leaving][entering]
-            tab[leaving] = [v / piv for v in tab[leaving]]
-            rhs_col[leaving] /= piv
-            for r in range(m):
-                if r != leaving and tab[r][entering]:
-                    factor = tab[r][entering]
-                    tab[r] = [v - factor * p for v, p in zip(tab[r], tab[leaving])]
-                    rhs_col[r] -= factor * rhs_col[leaving]
-            basis_set.discard(basis[leaving])
+            d = pivot(tab, leaving, entering, d)
             basis[leaving] = entering
-            basis_set.add(entering)
 
-    cost1 = [zero] * (2 * w) + [one] * m
-    run(cost1, allow_artificial=True)
-    phase1 = sum(cost1[basis[r]] * rhs_col[r] for r in range(m))
+    cost1 = [0] * art + [1] * m
+    run(cost1, len(cols))
+    phase1 = sum(cost1[b] * row[-1] for b, row in zip(basis, tab))
     if phase1 != 0:
-        raise LpError("phase-1 simplex failed (value %s)" % phase1)
-    run(cost2, allow_artificial=False)
-
-    # multipliers pi_r = cB . B^{-1} e_r, read from the artificial columns
-    pi = [sum(cost2[basis[i]] * tab[i][2 * w + r] for i in range(m)) for r in range(m)]
-    z = [-pi[j] for j in range(nvars)]
-    tstar = -pi[nvars]
-    return z, tstar
+        raise LpError("phase-1 simplex failed (value %s)" % Fraction(phase1, d))
+    cost2 = [-g for g in e] + e + [0] * m
+    run(cost2, art)
+    pi = multipliers(cost2)
+    return [-p for p in pi[:nvars]], -pi[nvars], d
 
 
 def chebyshev_fit_float(a, rhs):

@@ -4,7 +4,8 @@ A measure of order k is represented as a 1-step chain on the k-block
 alphabet: states are the allowable k-blocks, the transition matrix is
 row-stochastic and supported on allowable overlaps, and the stationary
 vector is a fixed row vector.  Entries are Fractions on the exact path and
-floats otherwise; cylinder masses are computed in the same arithmetic.
+floats otherwise; cylinder masses are computed in the same arithmetic.  An
+exact stationary vector is solved in integers and only stored as Fractions.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .numerics import gaussian_solve
+from .numerics import gaussian_solve, integer_rows, row_reduce
 from .shiftcore import Sft, Word
 
 _FLOAT_TOL = 1e-12
@@ -153,15 +154,25 @@ class MarkovMeasure:
 
 
 def _solve_stationary(matrix, exact: bool):
+    """pi P = pi with sum(pi) = 1 for the last balance equation; exact chains
+    by ``row_reduce`` on d P^T - d I, d the lcm of the denominators.
+    ValueError when the system is singular."""
     n = len(matrix)
-    one = Fraction(1) if exact else 1.0
-    a = [[matrix[i][j] - (one if i == j else 0 * one) for i in range(n)] for j in range(n)]
-    a[-1] = [one] * n
-    rhs = [0 * one] * (n - 1) + [one]
-    pi = gaussian_solve(a, rhs)
+    if exact:
+        q, d = integer_rows(matrix)
+        rows = [[q[i][j] - d * (i == j) for i in range(n)] + [0] for j in range(n - 1)]
+        rows.append([1] * (n + 1))
+        cols, den = row_reduce(rows, n)
+        if len(cols) < n:
+            raise ValueError("singular system")
+        if any(row[n] * den < 0 for row in rows):
+            raise MeasureError("chain has no positive stationary vector")
+        return [Fraction(row[n], den) for row in rows]
+    a = [[matrix[i][j] - (1.0 if i == j else 0.0) for i in range(n)] for j in range(n)]
+    a[-1] = [1.0] * n
+    pi = gaussian_solve(a, [0.0] * (n - 1) + [1.0])
     if any(p < 0 for p in pi):
-        worst = min(pi)
-        if exact or worst < -1e-12:
+        if min(pi) < -1e-12:
             raise MeasureError("chain has no positive stationary vector")
         pi = [max(p, 0.0) for p in pi]
         total = sum(pi)

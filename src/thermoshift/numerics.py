@@ -1,8 +1,9 @@
 """Small numeric helpers shared across modules: stable log-space sums,
-integer arrays widened past 2^63, field-generic Gaussian elimination, line
-fits, exact power-of-base exponent extraction and the one Perron routine,
-``perron`` (numpy ``eig``), with its exact check ``perron_exact`` for
-integer matrices.
+integer arrays widened past 2^63, line fits, exact power-of-base exponent
+extraction, the one Perron routine ``perron`` (numpy ``eig``) with its exact
+check ``perron_exact``, and exact linear algebra in integers only: every
+exact solve and simplex step is ``pivot``, one fraction-free Gauss-Jordan
+step (Bareiss 1968; Edmonds 1967).  ``gaussian_solve`` serves floats.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ def logsumexp(values) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in vals))
 
 
-def log_fraction(x) -> float:
-    """log of an int or Fraction, safe for values far outside float range."""
-    if isinstance(x, Fraction):
-        return _log_int(x.numerator) - _log_int(x.denominator)
-    return _log_int(x)
+def log_fraction(x, q: int = 1) -> float:
+    """log(x / q) of an int or Fraction x and a positive int q, taken in
+    lowest terms; safe for values far outside float range."""
+    p, q = x.numerator, x.denominator * q
+    g = math.gcd(p, q)
+    return _log_int(p // g) - _log_int(q // g)
 
 
 def _log_int(n: int) -> float:
@@ -104,10 +106,58 @@ def common_power_base(values) -> int | None:
     return None
 
 
-def gaussian_solve(matrix, rhs):
-    """Solve A x = b by Gaussian elimination with partial pivoting.
+def integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Rows of ints and Fractions as integer rows over one common
+    denominator: (rows * den, den)."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
-    Works over floats and Fractions alike (entries must support +,-,*,/).
+
+def pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step on integer rows, in place: row
+    i != r becomes (p m_i - m_ic m_r) // prev, p = m_rc and ``prev`` the
+    pivot before (1 at first).  The rows stay d B^-1 times the original rows,
+    d = +-det B for the basis B of pivoted columns, so the division is exact
+    and every entry an integer minor.  Returns p, the next d."""
+    p, top = rows[r][c], rows[r]
+    for i, row in enumerate(rows):
+        if i != r:
+            m = row[c]
+            rows[i] = [(p * x - m * y) // prev for x, y in zip(row, top)]
+    return p
+
+
+def row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan in place, each of the first ``ncols``
+    columns pivoted on its first nonzero in the rows not yet used: (pivot
+    columns, den), row i then den times the reduced row of pivot i."""
+    cols, prev = [], 1
+    for c in range(ncols):
+        r = next((i for i in range(len(cols), len(rows)) if rows[i][c]), None)
+        if r is not None:
+            rows[len(cols)], rows[r] = rows[r], rows[len(cols)]
+            prev = pivot(rows, len(cols), c, prev)
+            cols.append(c)
+    return cols, prev
+
+
+def solve_int(rows, nvars: int) -> tuple[list[int], int] | None:
+    """The canonical solution of the integer system whose rows are
+    [a_i | b_i]: free unknowns 0, pivot columns leftmost.  Returns
+    (numerators, positive denominator), or None when it is inconsistent."""
+    rows = [list(row) for row in rows]
+    cols, den = row_reduce(rows, nvars)
+    if any(row[nvars] for row in rows[len(cols):]):
+        return None
+    z = [0] * nvars
+    for row, c in zip(rows, cols):
+        z[c] = row[nvars] if den > 0 else -row[nvars]
+    return z, abs(den)
+
+
+def gaussian_solve(matrix, rhs):
+    """Solve A x = b by Gaussian elimination with partial pivoting (the
+    float stationary vector; entries must support +,-,*,/).
     Raises ValueError on a singular system.
     """
     n = len(matrix)
@@ -174,23 +224,18 @@ def perron(w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
 def perron_exact(w: np.ndarray, rho: float) -> tuple[int, list, list] | None:
     """(c, right, left) for the integer c nearest ``rho`` when it is the
     Perron root of the integer matrix W, with exact Fraction eigenvectors of
-    unit sum; else None.  Each vector is solved by ``gaussian_solve`` from
-    n - 1 rows of W - cI and the sum row, and c is accepted only when both
-    are positive and W v = c v, l W = c l hold exactly.  A positive
-    eigenvector makes c the Perron root (Collatz-Wielandt), and a rational
-    Perron root of an integer matrix is an integer, so none is missed."""
+    unit sum; else None.  Each vector u / d is solved by ``solve_int`` from
+    n - 1 rows of W - cI and the sum row (a free unknown is 0: rejected),
+    and c is accepted only when both are positive and W u = c u, l W = c l.
+    A positive eigenvector makes c the Perron root (Collatz-Wielandt), and a
+    rational Perron root of an integer matrix is an integer."""
     c, n = round(rho), len(w)
     vecs = []
     for m in (w.tolist(), w.T.tolist()):
-        a = [[Fraction(x - c * (i == j)) for j, x in enumerate(row)]
-             for i, row in enumerate(m[:-1])] + [[Fraction(1)] * n]
-        try:
-            v = gaussian_solve(a, [0] * (n - 1) + [1])
-        except ValueError:
-            return None
-        d = math.lcm(*(x.denominator for x in v))  # check in integers: v d
-        u = [x.numerator * (d // x.denominator) for x in v]
+        rows = [[x - c * (i == j) for j, x in enumerate(row)] + [0]
+                for i, row in enumerate(m[:-1])] + [[1] * n + [1]]
+        u, d = solve_int(rows, n) or ([0], 1)  # inconsistent: not accepted
         if min(u) <= 0 or any(sum(map(operator.mul, row, u)) != c * x for row, x in zip(m, u)):
             return None
-        vecs.append(v)
+        vecs.append([Fraction(x, d) for x in u])
     return c, vecs[0], vecs[1]

@@ -44,8 +44,8 @@ from typing import Mapping
 import numpy as np
 
 from .factor import OneBlockFactor, _fiber_walk
-from .numerics import (INT64_MAX, array_max, common_power_base, int_array, log_fraction,
-                       logsumexp, perron, perron_exact, power_exponent, row_sums)
+from .numerics import (INT64_MAX, array_max, common_power_base, int_array, integer_rows,
+                       log_fraction, logsumexp, perron, perron_exact, power_exponent, row_sums)
 from .potential import LocallyConstantPotential, birkhoff_sup
 from .shiftcore import Word
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, TrendStats, growth_flag, decays_to_zero
@@ -185,9 +185,9 @@ class SeqTable:
         (int64, once per distinct value, depth and base); None if any lacks one."""
         if (n, base) not in self._exps:
             level = self._level(n)
-            values, inv = np.unique(level.num, return_inverse=True)
-            ks = [power_exponent(level.value(v), base) for v in values.tolist()]
-            self._exps[n, base] = None if None in ks else np.array(ks, np.int64)[inv.reshape(-1)]
+            ks = [power_exponent(level.value(v), base) for v in level.distinct.tolist()]
+            self._exps[n, base] = None if None in ks else \
+                np.array(ks, np.int64)[np.searchsorted(level.distinct, level.num)]
         return self._exps[n, base]
 
     @cached_property
@@ -197,7 +197,7 @@ class SeqTable:
         if not self.is_exact:
             return None
         return common_power_base({lv.value(v) for lv in self.levels[1:]
-                                  for v in np.unique(lv.num).tolist()})
+                                  for v in lv.distinct.tolist()})
 
     @cached_property
     def levels(self) -> list[_Level | None]:
@@ -220,9 +220,8 @@ class SeqTable:
                 raise TableError("depth %d holds a symbol outside the alphabet" % n)
             num, den = None, 1
             if self.exact is not None:
-                vals = [self.exact[n][w] for w in words]
-                den = math.lcm(*{v.denominator for v in vals})
-                num = int_array([v.numerator * (den // v.denominator) for v in vals])
+                [num], den = integer_rows([[self.exact[n][w] for w in words]])
+                num = int_array(num)
             out.append(_Level(np.fromiter(level.values(), float, len(words)),
                               parent, tail, sym, num, den, words=words))
             prev = dict(zip(words, range(len(words))))
@@ -245,17 +244,19 @@ def _view(levels: dict) -> Mapping:
 
 
 class _Level:
-    """One depth: logs, exact values num / den (``hi`` the largest num), the
-    last symbol of each word and the ranks one depth down of w[:-1] and
-    w[1:].  ``words`` (lexicographic) are given
-    or spelled out on first use from the level ``below``."""
+    """One depth: logs, exact values num / den (``hi`` the largest num,
+    ``distinct`` the sorted distinct nums), the last symbol of each word and
+    the ranks one depth down of w[:-1] and w[1:].  ``words``
+    (lexicographic) and ``distinct`` are given or derived on first use,
+    the words from the level ``below``."""
 
     def __init__(self, logs: np.ndarray, parent: np.ndarray, tail: np.ndarray,
                  sym: np.ndarray, num: np.ndarray | None, den: int,
-                 words: list[Word] | None = None, below: _Level | None = None):
+                 words: list[Word] | None = None, below: _Level | None = None,
+                 distinct: np.ndarray | None = None):
         self.logs, self.parent, self.tail, self.sym = logs, parent, tail, sym
         self.num, self.den, self.hi = num, den, 0 if num is None else array_max(num)
-        self._words, self._below = words, below
+        self._words, self._below, self._distinct = words, below, distinct
 
     def __len__(self) -> int:
         return len(self.logs)
@@ -266,6 +267,12 @@ class _Level:
             up = [()] if self._below is None else self._below.words
             self._words = [up[p] + (b,) for p, b in zip(self.parent.tolist(), self.sym.tolist())]
         return self._words
+
+    @property
+    def distinct(self) -> np.ndarray:
+        if self._distinct is None:
+            self._distinct = np.unique(self.num)
+        return self._distinct
 
     def value(self, v: int) -> int | Fraction:
         """The stored value v / den: the int itself on integer levels."""
@@ -579,7 +586,7 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     walk = _fiber_walk(np.ones((1, 1), dtype=np.int64 if exact else float),
                        lambda n: transfer(min(n - 1, s_len), min(n, s_len), n >= r), depth_max)
     levels: list[_Level | None] = [None]
-    offset = 0.0
+    offset, uniq = 0.0, None
     for n, (v, parent, sym, tail) in enumerate(walk, start=1):
         num = row_sums(v) if exact else None
         if exact:
@@ -589,7 +596,7 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
             if n >= r:
                 offset += fmax
             logs = _float_readout(v, tails.get(min(n, s_len)), offset)
-        levels.append(_Level(logs, parent, tail, sym, num, 1, below=levels[-1]))
+        levels.append(_Level(logs, parent, tail, sym, num, 1, below=levels[-1], distinct=uniq))
 
     meta = {"source": "g", "domain": list(dom.alphabet), "image": list(pi.image_alphabet),
             "potential_range": r, "exact": exact}

@@ -203,6 +203,16 @@ def test_exit_code_missing_factor_for_fit(tmp_path):
     assert main(["fit-h", "--sft", fpath("sft_full2.json")]) == 2
 
 
+def test_exit_code_fit_range_past_the_fit_depth(tmp_path, capsys):
+    # the verdict fits at depths up to min(depth, 8): none is >= the range
+    for depth, r in (("4", "5"), ("12", "9")):
+        for cmd in ("verdict", "fit-h"):
+            code, raw = run(tmp_path, cmd, "--factor", fpath("factor_collapse.json"),
+                            "--depth", depth, "--range", r)
+            assert code == 2 and raw == b""
+            assert capsys.readouterr().err == "error: fit range exceeds the fit depth\n"
+
+
 def test_exit_code_exact_mode_nonzero_potential(tmp_path):
     assert main(["pressure", "--factor", fpath("factor_identity_goldenmean.json"),
                  "--potential", fpath("potential_weight_goldenmean.json"),

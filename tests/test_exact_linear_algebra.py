@@ -1,0 +1,150 @@
+"""The integer-only exact linear algebra against its Fraction oracles.
+
+``numerics.solve_int`` (the canonical solve on the fraction-free pivot)
+must return the Fraction row reduction's solution, or its None, on
+consistent, inconsistent and rank-deficient integer systems, entries past
+2^63 included; ``lp._dual_simplex`` on its integer tableau the Fraction
+simplex's (z, t*); and the exact stationary vector and ``perron_exact``
+the values of partial-pivoting Gaussian elimination over Fractions.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermoshift.lp import _dual_simplex, chebyshev_fit_exact
+from thermoshift.markov import _solve_stationary
+from thermoshift.numerics import perron, perron_exact, pivot, solve_int
+
+import fraction_oracles as oracle
+
+BIG = 2 ** 70
+
+
+def entries(big):
+    return st.integers(-BIG, BIG) if big else st.integers(-3, 3)
+
+
+@st.composite
+def systems(draw):
+    """Integer rows [a_i | b_i]: some rows are integer combinations of the
+    others (rank deficiency), and b is a z-image (consistent) or free."""
+    nvars, nrows = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    big = draw(st.booleans())
+    a = [[draw(entries(big)) for _ in range(nvars)] for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(-2, 2))
+            a[i] = [x + k * y for x, y in zip(a[i], a[j])] if draw(st.booleans()) else a[j][:]
+    if draw(st.booleans()):
+        z = [Fraction(draw(entries(big)), draw(st.integers(1, 6))) for _ in range(nvars)]
+        den = draw(st.integers(1, 6))
+        b = [sum((c * x for c, x in zip(row, z)), Fraction(0)) * den for row in a]
+        a = [[c * den * x.denominator for c in row] for row, x in zip(a, b)]
+        b = [x.numerator for x in b]
+    else:
+        b = [draw(entries(big)) for _ in range(nrows)]
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(systems())
+def test_solve_int_matches_the_fraction_row_reduction(case):
+    a, b = case
+    nvars = len(a[0])
+    want = oracle.try_exact_interpolation([dict(enumerate(row)) for row in a], b, nvars)
+    got = solve_int([row + [x] for row, x in zip(a, b)], nvars)
+    if want is None:
+        assert got is None
+    else:
+        z, den = got
+        assert den > 0 and [Fraction(x, den) for x in z] == want
+
+
+@st.composite
+def chebyshev_problems(draw, bound=BIG):
+    """Integer rows a_i (<= 9) over <= 4 unknowns and right-hand sides e_i,
+    some entries up to ``bound``."""
+    nvars, nrows = draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    big = st.integers(-bound, bound)
+    small = draw(st.integers(0, 3)) > 0
+    a = [[draw(st.integers(-3, 3) if small else big) for _ in range(nvars)] for _ in range(nrows)]
+    e = [draw(st.integers(-12, 12) if small else big) for _ in range(nrows)]
+    return a, e
+
+
+@settings(max_examples=300, deadline=None)
+@given(chebyshev_problems())
+def test_integer_simplex_matches_the_fraction_simplex(case):
+    a, e = case
+    zn, tn, d = _dual_simplex([row[:] for row in a], list(e))
+    z, t = oracle._dual_simplex([dict(enumerate(row)) for row in a],
+                                [Fraction(g) for g in e], len(a[0]))
+    assert d > 0
+    assert [Fraction(x, d) for x in zn] == z and Fraction(tn, d) == t
+
+
+@settings(max_examples=200, deadline=None)
+@given(chebyshev_problems(bound=2 ** 40))
+def test_exact_fit_matches_the_fraction_fit(case):
+    # the fit takes int64 arrays (window counts and exponents); its checks
+    # move to Python ints where a product could pass 2^63
+    a, e = case
+    rows = [dict(enumerate(row)) for row in a]
+    want = oracle.try_exact_interpolation(rows, e, len(a[0]))
+    want = (want, 0) if want is not None else oracle._dual_simplex(rows, [Fraction(g) for g in e],
+                                                                  len(a[0]))
+    z, t = chebyshev_fit_exact(np.array(a, dtype=np.int64), np.array(e, dtype=np.int64))
+    assert (z, t) == want and oracle.chebyshev_defect_value(rows, e, z) == t
+
+
+def test_pivot_divides_exactly_by_the_previous_pivot():
+    rows = [[2, 1, 1, 5], [4, 3, 3, 13], [8, 7, 9, 31]]
+    prev = 1
+    for k in range(3):
+        prev = pivot(rows, k, k, prev)
+    # every row is det(A) times the reduced row: det = 4, solution (1, 2, 1)
+    assert prev == 4 and rows == [[4, 0, 0, 4], [0, 4, 0, 8], [0, 0, 4, 4]]
+
+
+@st.composite
+def exact_chains(draw):
+    """A row-stochastic Fraction matrix on <= 4 states, zeros allowed, some
+    states absorbing (two of them make the stationary system singular)."""
+    n = draw(st.integers(1, 4))
+    matrix = []
+    for i in range(n):
+        ws = [draw(st.integers(0, 4)) for _ in range(n)]
+        ws[draw(st.integers(0, n - 1))] += 1
+        if draw(st.integers(0, 3)) == 0:
+            ws = [int(i == j) for j in range(n)]
+        matrix.append([Fraction(w, sum(ws)) for w in ws])
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_chains())
+def test_exact_stationary_vector_matches_gaussian_elimination(matrix):
+    try:
+        want = oracle.stationary(matrix)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _solve_stationary(matrix, True)
+        return
+    assert _solve_stationary(matrix, True) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_chains(), st.booleans())
+def test_perron_exact_matches_gaussian_elimination(matrix, constant_rows):
+    # integer weights of a chain: d P (d the lcm of the denominators) has
+    # the Perron root d, often accepted; the numerators alone mostly not
+    d = math.lcm(*(p.denominator for row in matrix for p in row))
+    w = np.array([[(p * d if constant_rows else p).numerator for p in row] for row in matrix],
+                 dtype=np.int64)
+    rho = perron(w)[0]
+    assert perron_exact(w, rho) == oracle.perron_exact(w, rho)

@@ -2,8 +2,8 @@
 
 The oracle builds one dict row of Fraction window counts per word, slicing
 the words of ``gt.words(n_fit)``, reads each word's exponent through
-``exact_value`` and runs the exact fit on every row (interpolation, then the
-dual simplex) or HiGHS on the same rows.  For r >= 2 and t* = 0 it also
+``exact_value`` and runs the Fraction fit of ``fraction_oracles`` on every
+row (interpolation, then the dual simplex) or HiGHS on the same rows.  For r >= 2 and t* = 0 it also
 builds the rows at n_fit - 1 with the same boundary classes: where those
 and the rows at n_fit are consistent, fit_h must return their canonical
 solution (the boundary gauge pinned).  Inputs are random SFTs on <= 4
@@ -23,9 +23,10 @@ from hypothesis import strategies as st
 
 from thermoshift import LocallyConstantPotential, OneBlockFactor, SeqTable, build_g_table
 from thermoshift.detect import fit_h
-from thermoshift.lp import _dual_simplex, chebyshev_defect_value, try_exact_interpolation
 from thermoshift.numerics import power_exponent
 from thermoshift.shiftcore import Sft
+
+from fraction_oracles import _dual_simplex, chebyshev_defect_value, try_exact_interpolation
 
 MAX_ROWS = 200  # keeps the oracle's Fraction simplex quick
 

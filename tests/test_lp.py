@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import thermoshift
-from thermoshift.lp import (chebyshev_defect_value, chebyshev_fit_exact,
-                            chebyshev_fit_float, try_exact_interpolation,
-                            _dual_simplex)
+from thermoshift.lp import chebyshev_fit_exact, chebyshev_fit_float
+
+from fraction_oracles import _dual_simplex, chebyshev_defect_value, try_exact_interpolation
 
 
 def system(rows, rhs, nvars):
