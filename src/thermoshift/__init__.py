@@ -18,7 +18,7 @@ from .potential import (LocallyConstantPotential, birkhoff_extremes,
 from .seqtable import (DefectProfile, PressureEstimate, SeqTable,
                        build_additive_table, build_g_table, check_D2,
                        check_subadditive, defect_profile, partition_sum,
-                       partition_sum_exact, pressure_estimate)
+                       partition_sum_exact, partition_table, pressure_estimate)
 from .shiftcore import (PeriodicPoint, Sft, Word, bridge, is_irreducible,
                         periodic_points, weak_spec_number)
 from .verdicts import GibbsVerdict, Verdict

@@ -2,8 +2,9 @@
 
 Commands: pressure | fit-h | verdict | weak-gibbs | profile-cnm | certificate.
 Exit codes: 0 success, 2 bad input document or a table the float path
-cannot represent, 3 cap exceeded.  Reports are byte-identical across runs
-on identical inputs.
+cannot represent, 3 cap exceeded (the depth cap, and the cell cap where a
+command builds a table: ``pressure`` builds one only for --table-out).
+Reports are byte-identical across runs on identical inputs.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .markov import MeasureError
 from .numerics import log_fraction
 from .potential import LocallyConstantPotential, PotentialError
 from .seqtable import (TableError, build_additive_table, build_g_table,
-                       check_D2, defect_profile, partition_sum,
-                       pressure_estimate)
+                       check_D2, defect_profile, log_perron, partition_sum,
+                       partition_table, pressure_estimate)
 from .shiftcore import SftError, weak_spec_number
 from .verdicts import DEFAULT_SLOPE_THRESHOLD
 
@@ -57,9 +58,13 @@ def _load_setting(args):
     return sft, pi, f
 
 
-def _check_caps(args, sft, pi):
+def _check_depth(args):
     if args.depth < 1 or args.depth > HARD_DEPTH_CAP:
         raise CapExceeded("depth %d outside 1..%d" % (args.depth, HARD_DEPTH_CAP))
+
+
+def _check_caps(args, sft, pi):
+    _check_depth(args)
     lang = pi.image if pi is not None else sft
     cells = sum(lang.count_blocks(n) for n in range(1, args.depth + 1))
     if cells > args.max_cells:
@@ -99,19 +104,32 @@ def _input_block(args):
 
 
 def cmd_pressure(args) -> dict:
+    """Z_n from the one-row walk over the domain (``partition_table``); the
+    g- or additive table is built, under the cell cap, only to export it."""
     sft, pi, f = _load_setting(args)
-    _check_caps(args, sft, pi)
-    t = _build_table(args, sft, pi, f)
-    est = pressure_estimate(t)
     if args.table_out:
+        _check_caps(args, sft, pi)
+        t = _build_table(args, sft, pi, f)
+    else:
+        _check_depth(args)
+        t = None
+    # a transfer weight that underflows drops terms from Z_n: log_perron
+    # names that cause before the walk can only report a Z_n of 0
+    log_perron(f)
+    # --sft tables count exactly whenever f = 0: --mode float does not apply
+    mode = "auto" if pi is None and args.mode == "float" else args.mode
+    z = partition_table(f, args.depth, mode)
+    est = pressure_estimate(z)
+    if t is not None:
         text = json.dumps(table_doc(t), indent=2, sort_keys=True) + "\n"
         with open(args.table_out, "w", encoding="utf-8") as fh:
             fh.write(text)
     return {
         "command": "pressure",
         "inputs": _input_block(args),
-        "table": {"kind": t.kind, "depth": t.depth_max, "exact": t.is_exact},
-        "log_partition": {str(n): partition_sum(t, n) for n in range(1, t.depth_max + 1)},
+        "table": {"kind": "g" if pi is not None else "additive", "depth": z.depth_max,
+                  "exact": z.is_exact},
+        "log_partition": {str(n): partition_sum(z, n) for n in range(1, z.depth_max + 1)},
         "pressure": est.as_dict(),
     }
 

@@ -153,10 +153,13 @@ class MarkovMeasure:
         return MarkovMeasure(self.sft, self.order, matrix, stationary, exact=False)
 
 
+_SINGULAR = "no unique stationary vector; give pi"
+
+
 def _solve_stationary(matrix, exact: bool):
     """pi P = pi with sum(pi) = 1 for the last balance equation; exact chains
     by ``row_reduce`` on d P^T - d I, d the lcm of the denominators.
-    ValueError when the system is singular."""
+    MeasureError when the system is singular (more than one closed class)."""
     n = len(matrix)
     if exact:
         q, d = integer_rows(matrix)
@@ -164,13 +167,16 @@ def _solve_stationary(matrix, exact: bool):
         rows.append([1] * (n + 1))
         cols, den = row_reduce(rows, n)
         if len(cols) < n:
-            raise ValueError("singular system")
+            raise MeasureError(_SINGULAR)
         if any(row[n] * den < 0 for row in rows):
             raise MeasureError("chain has no positive stationary vector")
         return [Fraction(row[n], den) for row in rows]
     a = [[matrix[i][j] - (1.0 if i == j else 0.0) for i in range(n)] for j in range(n)]
     a[-1] = [1.0] * n
-    pi = gaussian_solve(a, [0.0] * (n - 1) + [1.0])
+    try:
+        pi = gaussian_solve(a, [0.0] * (n - 1) + [1.0])
+    except ValueError:
+        raise MeasureError(_SINGULAR) from None
     if any(p < 0 for p in pi):
         if min(pi) < -1e-12:
             raise MeasureError("chain has no positive stationary vector")

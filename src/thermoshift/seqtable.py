@@ -12,9 +12,10 @@ the exact values as integers over one denominator, each word's last symbol
 and the ranks of its prefix and suffix one depth down, so prefixes and
 suffixes of any length are chained gathers; words are spelled out on
 demand.  ``build_g_table`` emits the index level by level from the fiber
-walk in ``factor``, with no Fraction in it, partition sums Z_n are computed
-once per table from the arrays, and the dict views ``logs`` / ``exact`` are
-built only when asked for.  On exact tables floats only propose; exact
+walk in ``factor``, with no Fraction in it, and the dict views ``logs`` /
+``exact`` are built only when asked for.  Z_n comes from the one-row walk
+of the total collapse (``partition_table``): the fibers partition B_n(X),
+so no image word is needed.  On exact tables floats only propose; exact
 integer comparison (int64 below 2^63, Python ints past it) decides.
 
 The C_{n,m} profile and the D2 bridging search on an exact g-table (the
@@ -666,6 +667,17 @@ def build_additive_table(f: LocallyConstantPotential, depth_max: int) -> SeqTabl
     meta = {"source": "additive", "potential_range": f.range, "exact": exact}
     return SeqTable(lang.alphabet, logs, exact=exacts if exact else None,
                     kind="additive", language=lang, potential=f, meta=meta)
+
+
+def partition_table(f: LocallyConstantPotential, depth_max: int,
+                    mode: str = "auto") -> SeqTable:
+    """The g-table of the total collapse of f's shift (every symbol to one
+    image symbol): one row per level, holding the domain's partition sum
+    Z_n.  The fibers of any factor partition B_n(X), so its Z_n is that of
+    every g-table of f and of f's additive table, for O(depth S^2) work on
+    S domain states instead of a row per image word."""
+    dom = f.language
+    return build_g_table(OneBlockFactor(dom, ["*"] * dom.size), f, depth_max, mode)
 
 
 def partition_sum(t: SeqTable, n: int) -> float:

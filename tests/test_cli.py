@@ -4,6 +4,7 @@ import os
 from pathlib import Path
 
 from thermoshift.cli import main
+from thermoshift.numerics import log_fraction
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -162,6 +163,18 @@ def test_weak_gibbs_vanishing_mass_is_neither(tmp_path):
     assert constants["exact_cn"] is None
 
 
+def test_weak_gibbs_measure_without_unique_stationary_vector(tmp_path, capsys):
+    # two absorbing states: every mix of them is stationary, so pi is needed
+    measure = tmp_path / "measure.json"
+    for exact, rows in ((True, [["1", "0", "0"], ["0", "1", "0"], ["1/2", "1/4", "1/4"]]),
+                        (False, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.25, 0.25]])):
+        measure.write_text(json.dumps({"order": 1, "exact": exact, "P": rows}))
+        code, raw = run(tmp_path, "weak-gibbs", "--factor", fpath("factor_collapse.json"),
+                        "--measure", str(measure), "--depth", "4")
+        assert code == 2 and raw == b""
+        assert "no unique stationary vector; give pi" in capsys.readouterr().err
+
+
 def test_profile_cnm_with_csv(tmp_path):
     csv = tmp_path / "profile.csv"
     code, raw = run(tmp_path, "profile-cnm", "--factor", fpath("factor_phase_blocked.json"),
@@ -217,6 +230,8 @@ def test_exit_code_exact_mode_nonzero_potential(tmp_path):
     assert main(["pressure", "--factor", fpath("factor_identity_goldenmean.json"),
                  "--potential", fpath("potential_weight_goldenmean.json"),
                  "--mode", "exact"]) == 2
+    assert main(["pressure", "--sft", fpath("sft_full2.json"),
+                 "--potential", fpath("potential_r2_full2.json"), "--mode", "exact"]) == 2
 
 
 def test_exit_code_on_depth_cap(tmp_path):
@@ -225,7 +240,23 @@ def test_exit_code_on_depth_cap(tmp_path):
 
 def test_exit_code_on_cell_cap(tmp_path):
     assert main(["pressure", "--sft", fpath("sft_full2.json"), "--depth", "24",
-                 "--max-cells", "1000"]) == 3
+                 "--max-cells", "1000", "--table-out", str(tmp_path / "t.json")]) == 3
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_pressure_without_table_out_checks_only_the_depth_cap(tmp_path):
+    # Z_n comes from the one-row walk over the domain: no g-table is built,
+    # so the cell cap (here 3^64 image cells would be needed) does not apply
+    code, raw = run(tmp_path, "pressure", "--factor", fpath("factor_collapse.json"),
+                    "--depth", "64")
+    assert code == 0
+    doc = json.loads(raw)
+    assert doc["pressure"]["exact_base"] == "3"
+    assert doc["table"] == {"kind": "g", "depth": 64, "exact": True}
+    assert doc["log_partition"]["64"] == log_fraction(3 ** 64)
+    for depth in ("0", "65"):
+        assert main(["pressure", "--factor", fpath("factor_collapse.json"),
+                     "--depth", depth]) == 3
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -288,7 +319,8 @@ def test_underflowing_float_table_is_an_input_error(tmp_path, capsys):
     code, raw = run(tmp_path, "pressure", "--factor", str(factor),
                     "--potential", str(pot), "--depth", "3")
     assert code == 2 and raw == b""
-    assert "non-finite" in capsys.readouterr().err
+    # Z_n itself stays finite; the transfer matrix would lose the b edges
+    assert "underflows" in capsys.readouterr().err
     # the additive table stays finite, but the transfer matrix would lose
     # transitions (here every cycle: its Perron root would be 0)
     pot.write_text(json.dumps({"range": 2, "values": {"aa": -800.0, "ab": 0.0, "ba": -800.0,
