@@ -107,15 +107,15 @@ def cmd_pressure(args) -> dict:
     """Z_n from the one-row walk over the domain (``partition_table``); the
     g- or additive table is built, under the cell cap, only to export it."""
     sft, pi, f = _load_setting(args)
+    # a transfer weight that underflows drops terms from Z_n: log_perron
+    # names that cause before a table or the walk can only report a Z_n of 0
+    log_perron(f)
     if args.table_out:
         _check_caps(args, sft, pi)
         t = _build_table(args, sft, pi, f)
     else:
         _check_depth(args)
         t = None
-    # a transfer weight that underflows drops terms from Z_n: log_perron
-    # names that cause before the walk can only report a Z_n of 0
-    log_perron(f)
     # --sft tables count exactly whenever f = 0: --mode float does not apply
     mode = "auto" if pi is None and args.mode == "float" else args.mode
     z = partition_table(f, args.depth, mode)

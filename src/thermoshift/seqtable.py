@@ -15,8 +15,10 @@ demand.  ``build_g_table`` emits the index level by level from the fiber
 walk in ``factor``, with no Fraction in it, and the dict views ``logs`` /
 ``exact`` are built only when asked for.  Z_n comes from the one-row walk
 of the total collapse (``partition_table``): the fibers partition B_n(X),
-so no image word is needed.  On exact tables floats only propose; exact
-integer comparison (int64 below 2^63, Python ints past it) decides.
+so no image word is needed.  A float walk whose entries near the bottom of
+the float range gives each domain state its own power-of-two exponent.  On
+exact tables floats only propose; exact integer comparison (int64 below
+2^63, Python ints past it) decides.
 
 The C_{n,m} profile and the D2 bridging search on an exact g-table (the
 counting path, f = 0, of any range) can read projective fiber classes
@@ -238,6 +240,11 @@ class SeqTable:
 
 
 _NON_FINITE = "non-finite log value at depth %d (float under- or overflow)"
+# a float walk gauges its states once a step could reach below _FLOOR (the
+# smallest normal float, 2^-1022, with 53 bits to spare); an empty state's
+# exponent is _EMPTY, so it never leads a step
+_FLOOR = 2.0 ** -969
+_EMPTY = -2 ** 30
 
 
 def _view(levels: dict) -> Mapping:
@@ -584,8 +591,26 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     # r-1) symbols), applied at readout; for n < r-1 a state is the word
     tails = {} if exact else {k: [birkhoff_sup(f, s) for s in dom.blocks(k)] for k in range(1, r)}
     transfer = functools.cache(lambda *key: _transfer(pi, f, fmax, exact, *key))
-    walk = _fiber_walk(np.ones((1, 1), dtype=np.int64 if exact else float),
-                       lambda n: transfer(min(n - 1, s_len), min(n, s_len), n >= r), depth_max)
+    # e^{-fmax} per step keeps the weights at most 1, but an entry can shrink
+    # by the smallest weight w per step, and one far below the others can
+    # catch up later.  Once the next step could reach below _FLOOR, each
+    # domain state (a column of V_n) gets its own power-of-two exponent: the
+    # column is scaled in place (the walk steps on from it) to a top in
+    # [1/2, 1), the step matrices carry the exponent differences
+    # (``_gauged``) and the readout adds the exponents back.  A one-row walk
+    # then loses only terms below 2^-1022 of their own entry.  Ordinary
+    # potentials never get that low, so their bits do not move.
+    weights = transfer(s_len, s_len, True)[0]
+    w, gauge = weights[weights > 0].min(initial=1), None
+
+    def step(n):
+        nonlocal gauge
+        m, edge = transfer(min(n - 1, s_len), min(n, s_len), n >= r)
+        if gauge is not None:
+            m, gauge = _gauged(m, gauge)
+        return m, edge
+
+    walk = _fiber_walk(np.ones((1, 1), dtype=np.int64 if exact else float), step, depth_max)
     levels: list[_Level | None] = [None]
     offset, uniq = 0.0, None
     for n, (v, parent, sym, tail) in enumerate(walk, start=1):
@@ -596,7 +621,16 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
         else:
             if n >= r:
                 offset += fmax
-            logs = _float_readout(v, tails.get(min(n, s_len)), offset)
+            if gauge is None and v[v > 0].min(initial=1.0) * w < _FLOOR:
+                gauge = np.zeros(v.shape[1], dtype=np.int64)
+            shift = tails.get(min(n, s_len))
+            if gauge is not None:
+                top = v.max(axis=0, initial=0.0)
+                e = np.frexp(top)[1]
+                np.ldexp(v, -e, out=v)
+                gauge = np.where(top > 0, gauge + e, _EMPTY)
+                shift = (0.0 if shift is None else np.array(shift)) + gauge * math.log(2)
+            logs = _float_readout(v, shift, offset)
         levels.append(_Level(logs, parent, tail, sym, num, 1, below=levels[-1], distinct=uniq))
 
     meta = {"source": "g", "domain": list(dom.alphabet), "image": list(pi.image_alphabet),
@@ -626,6 +660,17 @@ def _transfer(pi: OneBlockFactor, f: LocallyConstantPotential, fmax: float, exac
                 m[i, b, j] = (math.exp(f.value(grown[-f.range:]) - fmax)
                               if weighted and not exact else 1)
     return m, edge
+
+
+def _gauged(m: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The step m[i, b, j] 2^(src_i - dst_j) of a gauged walk and the target
+    exponents dst: per target, the largest src_i plus the exponent of the
+    largest weight from i, so with column tops in [1/2, 1) coming in, the
+    largest term into each state keeps its size."""
+    top = m.max(axis=1)
+    lead = np.where(top > 0, src[:, None] + np.frexp(top)[1], _EMPTY)
+    dst = lead.max(axis=0, initial=_EMPTY)
+    return np.ldexp(m, (src[:, None] - dst)[:, None, :]), dst
 
 
 def _float_readout(v: np.ndarray, tails: list[float] | None, offset: float) -> np.ndarray:

@@ -3,8 +3,10 @@ import math
 import os
 from pathlib import Path
 
+from thermoshift import LocallyConstantPotential, build_additive_table, partition_sum
 from thermoshift.cli import main
 from thermoshift.numerics import log_fraction
+from thermoshift.shiftcore import Sft
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -321,6 +323,11 @@ def test_underflowing_float_table_is_an_input_error(tmp_path, capsys):
     assert code == 2 and raw == b""
     # Z_n itself stays finite; the transfer matrix would lose the b edges
     assert "underflows" in capsys.readouterr().err
+    # the same cause is named when the table is built for export
+    code, raw = run(tmp_path, "pressure", "--factor", str(factor), "--potential", str(pot),
+                    "--depth", "3", "--table-out", str(tmp_path / "t.json"))
+    assert code == 2 and raw == b"" and not (tmp_path / "t.json").exists()
+    assert "underflows" in capsys.readouterr().err
     # the additive table stays finite, but the transfer matrix would lose
     # transitions (here every cycle: its Perron root would be 0)
     pot.write_text(json.dumps({"range": 2, "values": {"aa": -800.0, "ab": 0.0, "ba": -800.0,
@@ -329,6 +336,32 @@ def test_underflowing_float_table_is_an_input_error(tmp_path, capsys):
                     "--potential", str(pot), "--depth", "3")
     assert code == 2 and raw == b""
     assert "underflows" in capsys.readouterr().err
+
+
+def test_sft_pressure_with_widely_spread_float_potential(tmp_path):
+    # the best n-path lies 400 (n/2) below n fmax: a walk on one scale for
+    # all states would underflow to Z_n = 0 from depth 5
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"range": 2, "values": {"aa": -400.0, "ab": 0.0, "ba": -400.0,
+                                                      "bb": -400.0}}))
+    argv = ["pressure", "--sft", fpath("sft_full2.json"), "--potential", str(pot)]
+    code, raw = run(tmp_path, *argv)
+    assert code == 0
+    doc = json.loads(raw)
+    # the additive table (per-word sups, on no common scale) is the oracle
+    f = LocallyConstantPotential(Sft(["a", "b"], [[1, 1], [1, 1]]), 2, {
+        (0, 0): -400.0, (0, 1): 0.0, (1, 0): -400.0, (1, 1): -400.0})
+    additive = build_additive_table(f, 12)
+    for n in range(1, 13):
+        assert math.isclose(doc["log_partition"][str(n)], partition_sum(additive, n),
+                            rel_tol=1e-12, abs_tol=1e-12)
+    assert run(tmp_path, *argv, "--table-out", str(tmp_path / "t.json")) == (0, raw)
+    code, raw = run(tmp_path, *argv, "--depth", "64")
+    assert code == 0
+    doc = json.loads(raw)
+    assert all(math.isfinite(x) for x in doc["log_partition"].values())
+    assert doc["pressure"]["extrapolated"] == -200.0
+    assert abs(doc["pressure"]["per_n"][-1] + 200.0) < 0.1
 
 
 def test_stdout_output(capsys):

@@ -29,8 +29,9 @@ DEPTH = 6
 
 
 @st.composite
-def cases(draw):
-    """(factor, potential, mode) with the potential on the factor's domain."""
+def cases(draw, values=st.floats(-3, 3), modes=("auto", "float")):
+    """(factor, potential, mode) with the potential on the factor's domain:
+    f = 0 or drawn from ``values``."""
     n = draw(st.integers(1, 4))
     trans = [[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(n)]
     # a permutation of edges gives every symbol a follower and a predecessor
@@ -40,9 +41,9 @@ def cases(draw):
     targets = draw(st.lists(st.sampled_from("abcd"[:n]), min_size=n, max_size=n))
     r = draw(st.integers(1, 3))
     zero = draw(st.booleans())
-    values = {w: 0.0 if zero else draw(st.floats(-3, 3)) for w in sft.blocks(r)}
-    mode = draw(st.sampled_from(("auto", "float")))
-    return OneBlockFactor(sft, targets), LocallyConstantPotential(sft, r, values), mode
+    f = {w: 0.0 if zero else draw(values) for w in sft.blocks(r)}
+    mode = draw(st.sampled_from(modes))
+    return OneBlockFactor(sft, targets), LocallyConstantPotential(sft, r, f), mode
 
 
 @settings(max_examples=120, deadline=None)
@@ -60,9 +61,41 @@ def test_walk_matches_the_g_table_and_the_domain_words(case):
             assert partition_sum_exact(z, n) == partition_sum_exact(t, n) == len(words)
             assert partition_sum(z, n) == partition_sum(t, n)
             continue
-        brute = logsumexp(birkhoff_sup(f, w) for w in words)
+        brute = _brute(f, n)
         for got in (partition_sum(z, n), partition_sum(t, n)):
             assert math.isclose(got, brute, rel_tol=1e-12, abs_tol=1e-12), (n, got, brute)
+
+
+# windows down to -700: every weight e^{f - fmax} a normal float, while
+# V_n spans far more than one float scale
+WIDE = st.one_of(st.just(0.0), st.floats(-700, 0))
+
+
+def _brute(f, n: int) -> float:
+    return logsumexp(birkhoff_sup(f, w) for w in f.language.blocks(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases(WIDE, modes=("float",)))
+def test_walk_keeps_widely_spread_potentials(case):
+    _, f, mode = case
+    z = partition_table(f, DEPTH, mode)
+    for n in range(1, DEPTH + 1):
+        got, brute = partition_sum(z, n), _brute(f, n)
+        assert math.isclose(got, brute, rel_tol=1e-12, abs_tol=1e-12), (n, got, brute)
+
+
+def test_walk_keeps_states_that_catch_up():
+    # a chain 0 -> 1 -> 2 -> 3 with self-loops of weight e^-300: the state a
+    # path lingers in falls e^-300 per step behind the fastest one, and that
+    # path catches up once the fastest reaches 3; on one scale for all states
+    # the lingering ones underflow and Z_n drops by e^1.4 at depth 12
+    sft = Sft(["0", "1", "2", "3"], [[int(j in (i, i + 1)) for j in range(4)] for i in range(4)])
+    f = LocallyConstantPotential(sft, 2, {w: -300.0 if w[0] == w[1] else 0.0
+                                          for w in sft.blocks(2)})
+    z = partition_table(f, 12, "float")
+    for n in range(1, 13):
+        assert math.isclose(partition_sum(z, n), _brute(f, n), rel_tol=1e-12)
 
 
 def _documents(root: Path, pi, f) -> dict:
