@@ -79,6 +79,19 @@ def _build_table(args, sft, pi, f):
     return build_additive_table(f, args.depth)
 
 
+def _table_setting(args, needs_factor: bool = True):
+    """(sft, pi, f, table): the flags checked, the documents loaded, the
+    factor map required (``needs_factor``), the caps checked, the table built."""
+    for flag in ("nfit", "jmax", "pmax"):
+        if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
+            raise SchemaError("--%s must be >= 1" % flag)
+    sft, pi, f = _load_setting(args)
+    if pi is None and needs_factor:
+        raise SchemaError("%s needs a factor map" % args.command)
+    _check_caps(args, sft, pi)
+    return sft, pi, f, _build_table(args, sft, pi, f)
+
+
 def _emit(args, report) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -86,15 +99,6 @@ def _emit(args, report) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _names_fn(table):
-    alphabet = table.alphabet
-
-    def names(word):
-        return tuple(alphabet[i] for i in word)
-
-    return names
 
 
 def _input_block(args):
@@ -135,12 +139,7 @@ def cmd_pressure(args) -> dict:
 
 
 def cmd_fit_h(args) -> dict:
-    sft, pi, f = _load_setting(args)
-    if pi is None:
-        raise SchemaError("fit-h needs a factor map")
-    _check_caps(args, sft, pi)
-    t = _build_table(args, sft, pi, f)
-    names = _names_fn(t)
+    sft, pi, f, t = _table_setting(args)
     n_fit = args.nfit or min(t.depth_max, 8)
     # the verdict's last fit runs at min(depth, 8); fit first where it cannot
     # serve, so fit_h's own errors come first
@@ -153,18 +152,13 @@ def cmd_fit_h(args) -> dict:
     return {
         "command": "fit-h",
         "inputs": _input_block(args),
-        "fit": fit.as_dict(names),
-        "verdict": report.as_dict(names),
+        "fit": fit.as_dict(pi.image.names),
+        "verdict": report.as_dict(pi.image.names),
     }
 
 
 def cmd_verdict(args) -> dict:
-    sft, pi, f = _load_setting(args)
-    if pi is None:
-        raise SchemaError("verdict needs a factor map")
-    _check_caps(args, sft, pi)
-    t = _build_table(args, sft, pi, f)
-    names = _names_fn(t)
+    sft, pi, f, t = _table_setting(args)
     h = None
     if args.candidate:
         h = load_potential(read_json(args.candidate), pi.image)
@@ -174,7 +168,7 @@ def cmd_verdict(args) -> dict:
         "command": "verdict",
         "inputs": _input_block(args),
         "table": {"kind": t.kind, "depth": t.depth_max, "exact": t.is_exact},
-        "verdict": report.as_dict(names),
+        "verdict": report.as_dict(pi.image.names),
     }
 
 
@@ -212,9 +206,7 @@ def cmd_weak_gibbs(args) -> dict:
 
 
 def cmd_profile_cnm(args) -> dict:
-    sft, pi, f = _load_setting(args)
-    _check_caps(args, sft, pi)
-    t = _build_table(args, sft, pi, f)
+    sft, pi, f, t = _table_setting(args, needs_factor=False)
     gap = args.gap_cap
     if gap is None:
         gap = weak_spec_number(sft) or 0
@@ -232,16 +224,12 @@ def cmd_profile_cnm(args) -> dict:
     return {
         "command": "profile-cnm",
         "inputs": _input_block(args),
-        "profile": profile.as_dict(_names_fn(t)),
+        "profile": profile.as_dict(t.language.names),
     }
 
 
 def cmd_certificate(args) -> dict:
-    sft, pi, f = _load_setting(args)
-    if pi is None:
-        raise SchemaError("certificate needs a factor map")
-    _check_caps(args, sft, pi)
-    t = _build_table(args, sft, pi, f)
+    sft, pi, f, t = _table_setting(args)
     if not args.word:
         raise SchemaError("certificate needs --word")
     u = pi.image.word_from_names(split_word_key(args.word, pi.image.alphabet))
@@ -251,12 +239,10 @@ def cmd_certificate(args) -> dict:
         if gap is None:
             raise SchemaError("domain is not irreducible; give --gap-cap explicitly")
     cert = c2_certificate(t, pi, f, u, gap, args.jmax or t.depth_max)
-    dom_names = lambda w: [pi.domain.alphabet[i] for i in w]
-    img_names = lambda w: [pi.image.alphabet[i] for i in w]
     return {
         "command": "certificate",
         "inputs": _input_block(args),
-        "certificate": cert.as_dict(domain_names=dom_names, image_names=img_names),
+        "certificate": cert.as_dict(domain_names=pi.domain.names, image_names=pi.image.names),
     }
 
 

@@ -43,40 +43,37 @@ def table_power_base(gt: SeqTable) -> int | None:
 # ---------------------------------------------------------------------------
 # defects of a candidate h
 
-def periodic_defect(gt: SeqTable, h: LocallyConstantPotential, y: PeriodicPoint,
-                    J: int) -> list[float]:
-    """d_{y,j} = (1/(jq)) (log g_{jq}(block^j) - S_{jq} h(y)) for j = 1..J;
-    the Birkhoff sum at the periodic point is exact from the block."""
+def orbit_defects(gt: SeqTable, h: LocallyConstantPotential, y: PeriodicPoint, J: int):
+    """One pass over the multiples n = jq (j = 1..J) of the orbit y, one
+    lookup of the block B^j each.  Returns the float defects d_{y,j} =
+    (1/n) (log g_n(B^j) - S_n h(y)), S_n h exact from the block; the same in
+    units of log(base), or None when the table or h is not exact or a value
+    at a checked depth is no power of h's base; and the stored g_n(B^j) on
+    exact tables, else None."""
     q = y.period
     if J < 1 or J * q > gt.depth_max:
         raise TableError("J*q exceeds the table depth")
-    out = []
-    for j in range(1, J + 1):
-        n = j * q
-        w = y.word(n)
-        if not gt.has_word(n, w):
-            raise DetectError("periodic block %s is not in the image language" % (w,))
-        out.append((gt.log_value(n, w) - periodic_birkhoff(h, y, n)) / n)
-    return out
-
-
-def periodic_defect_exact(gt: SeqTable, h: LocallyConstantPotential,
-                          y: PeriodicPoint, J: int) -> list[Fraction] | None:
-    """Exact defects in units of log(base), or None when the exact
-    representations don't line up."""
-    if not (gt.is_exact and h.is_exact):
-        return None
-    out = []
-    for n in range(y.period, J * y.period + 1, y.period):
-        w = y.word(n)
+    floats, values = [], ([] if gt.is_exact else None)
+    exact = [] if gt.is_exact and h.is_exact else None
+    for n in range(q, J * q + 1, q):
+        w, level = y.word(n), gt.levels[n]
         i = gt._find(n, w, strict=False)
         if i is None:
             raise DetectError("periodic block %s is not in the image language" % (w,))
-        exps = gt.exponents(n, h.exact_base)
-        if exps is None:
-            return None
-        out.append((int(exps[i]) - periodic_birkhoff_coeff(h, y, n)) / n)
-    return out
+        floats.append((float(level.logs[i]) - periodic_birkhoff(h, y, n)) / n)
+        if values is not None:
+            values.append(level.value(int(level.num[i])))
+        if exact is not None and (exps := gt.exponents(n, h.exact_base)) is not None:
+            exact.append((int(exps[i]) - periodic_birkhoff_coeff(h, y, n)) / n)
+        else:
+            exact = None
+    return floats, exact, values
+
+
+def periodic_defect(gt: SeqTable, h: LocallyConstantPotential, y: PeriodicPoint,
+                    J: int) -> list[float]:
+    """The float defects of orbit_defects."""
+    return orbit_defects(gt, h, y, J)[0]
 
 
 def uniform_defect(gt: SeqTable, h: LocallyConstantPotential, n: int) -> float:
@@ -238,7 +235,7 @@ def _fit_rows(gt: SeqTable, r: int, n: int, classes: np.ndarray | None = None):
     return np.hstack([a, tau])[keep], classes, keep
 
 
-def fit_h(gt: SeqTable, r: int, n_fit: int, mode: str = "auto") -> FitResult:
+def fit_h(gt: SeqTable, r: int, n_fit: int) -> FitResult:
     """Minimize max over depth-n_fit words of |log g_n(y) - S_n h(y)| over
     potentials h of range r (a Chebyshev-center LP).
 
@@ -254,10 +251,8 @@ def fit_h(gt: SeqTable, r: int, n_fit: int, mode: str = "auto") -> FitResult:
     if n_fit > gt.depth_max:
         raise TableError("n_fit exceeds the table depth")
     a, classes, _ = _fit_rows(gt, r, n_fit)
-    base = table_power_base(gt) if mode in ("auto", "exact") else None
+    base = table_power_base(gt)
     exps = None if base is None else gt.exponents(n_fit, base)
-    if mode == "exact" and exps is None:
-        raise DetectError("exact fit needs a counting table with a common power base")
     fit = None if exps is None else chebyshev_fit_exact(a, exps)
     if fit is not None and r >= 2 and fit[1] == 0:
         b, _, keep = _fit_rows(gt, r, n_fit - 1, classes)
@@ -279,9 +274,9 @@ def chebyshev_defect(gt: SeqTable, values: dict[Word, float], r: int, n: int) ->
     """Achieved sup-norm defect of candidate h values in the same functional
     the LP minimizes (boundary corrections eliminated by midrange)."""
     residuals: dict[Word, list[float]] = {}
-    for w in gt.words(n):
-        s = sum(values[w[i:i + r]] for i in range(n - r + 1))
-        resid = gt.log_value(n, w) - s
+    level = gt._level(n)
+    for w, log in zip(level.words, level.logs.tolist()):
+        resid = log - sum(values[w[i:i + r]] for i in range(n - r + 1))
         key = w[n - r + 1:] if r >= 2 else ()
         residuals.setdefault(key, []).append(resid)
     worst = 0.0
@@ -399,13 +394,6 @@ def c2_certificate(gt: SeqTable, pi: OneBlockFactor, f: LocallyConstantPotential
 # ---------------------------------------------------------------------------
 # aggregate verdict
 
-def _exactly_multiplicative(gt: SeqTable, orbit: PeriodicPoint, j_max: int) -> bool:
-    q = orbit.period
-    base_val = gt.exact_value(q, orbit.word(q))
-    return all(gt.exact_value(j * q, orbit.word(j * q)) == base_val ** j
-               for j in range(1, j_max + 1))
-
-
 def image_periodic_points(language, max_period: int) -> list[PeriodicPoint]:
     """Canonical periodic orbits of the image shift up to max_period."""
     return periodic_points(language, max_period)
@@ -415,15 +403,15 @@ def image_periodic_points(language, max_period: int) -> list[PeriodicPoint]:
 class DefectReport:
     verdict: Verdict
     reason: str
-    h: FitResult | None
-    uniform: dict[int, float]
-    uniform_exact_zero: bool
-    periodic: dict[PeriodicPoint, list[float]]
-    periodic_exact_zero: bool
-    tstars: dict[int, float]
-    profile_growth: bool
-    profile_witness: dict | None
-    coverage: dict
+    h: FitResult | None = None
+    uniform: dict[int, float] = field(default_factory=dict)
+    uniform_exact_zero: bool = False
+    periodic: dict[PeriodicPoint, list[float]] = field(default_factory=dict)
+    periodic_exact_zero: bool = False
+    tstars: dict[int, float] = field(default_factory=dict)
+    profile_growth: bool = False
+    profile_witness: dict | None = None
+    coverage: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
     def as_dict(self, names=None):
@@ -453,10 +441,10 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
     profile = defect_profile(gt, slope_threshold)
     if profile.growth:
         return DefectReport(
-            Verdict.REFUTED, "defect profile grows linearly in log", None, {}, False,
-            {}, False, {}, True, profile.witness,
-            {"depth_max": gt.depth_max, "orbits": 0, "P_max": P_max},
-            {"slope_threshold": slope_threshold})
+            Verdict.REFUTED, "defect profile grows linearly in log", profile_growth=True,
+            profile_witness=profile.witness,
+            coverage={"depth_max": gt.depth_max, "orbits": 0, "P_max": P_max},
+            stats={"slope_threshold": slope_threshold})
 
     fit = None
     tstars: dict[int, float] = {}
@@ -465,25 +453,21 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
         if gt.language is None:
             return DefectReport(
                 Verdict.EVIDENCE, "no growth found; no candidate h to certify",
-                None, {}, False, {}, False, {}, False, None,
-                {"depth_max": gt.depth_max, "orbits": 0, "P_max": P_max}, {})
+                coverage={"depth_max": gt.depth_max, "orbits": 0, "P_max": P_max})
         if n_fits is None:
             hi = min(gt.depth_max, 8)
             n_fits = list(range(max(r, min(2, hi)), hi + 1))
         if not n_fits:
             raise DetectError("fit range exceeds the fit depth")
         for nf in n_fits:
-            res = fit_h(gt, r, nf)
-            tstars[nf] = res.tstar
-            if not (res.exact and res.tstar_exact == 0):
+            fit = fit_h(gt, r, nf)
+            tstars[nf] = fit.tstar
+            if not (fit.exact and fit.tstar_exact == 0):
                 exact_fit_zero = False
-            fit = res
         h = fit.potential(gt.language)
-    else:
-        exact_fit_zero = False
-        if gt.language is not None:
-            for nf in (n_fits or [min(gt.depth_max, 8)]):
-                tstars[nf] = chebyshev_defect(gt, h.values, h.range, nf)
+    elif gt.language is not None:
+        for nf in (n_fits or [min(gt.depth_max, 8)]):
+            tstars[nf] = chebyshev_defect(gt, h.values, h.range, nf)
 
     exact_u = uniform_defects_exact_all(gt, h)
     if exact_u is not None:
@@ -503,10 +487,9 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
         j_max = min(J, gt.depth_max // q) if J else gt.depth_max // q
         if j_max < 1:
             continue
-        de = periodic_defect_exact(gt, h, orbit, j_max)
-        ds = periodic_defect(gt, h, orbit, j_max)
+        ds, de, values = orbit_defects(gt, h, orbit, j_max)
         periodic[orbit] = ds
-        if de is None or any(c != 0 for c in de):
+        if de is None or any(de):
             periodic_exact = False
             # exact multiplicativity witness: g_{jq}(B^j) == g_q(B)^j makes
             # the defect constant in j, so a nonzero value is the Kingman
@@ -515,7 +498,7 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
             # the defect clears the Birkhoff-sum rounding by many orders.
             nonzero = de[0] != 0 if de is not None else abs(ds[0]) > 1e-6
             if refuted_orbit is None and fit is None and gt.is_exact and nonzero and \
-                    _exactly_multiplicative(gt, orbit, j_max):
+                    all(v == values[0] ** j for j, v in enumerate(values, start=1)):
                 limit = float(de[0]) * math.log(h.exact_base) if de is not None else ds[0]
                 refuted_orbit = (orbit, limit)
 
@@ -526,17 +509,17 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
     if refuted_orbit is not None:
         orbit, d = refuted_orbit
         return DefectReport(
-            Verdict.REFUTED,
-            "periodic defect bounded away from 0 with exact arithmetic",
-            fit, uniform, False, periodic, False, tstars, False, None, coverage,
-            {"orbit": list(orbit.block), "limit_defect": d})
+            Verdict.REFUTED, "periodic defect bounded away from 0 with exact arithmetic",
+            h=fit, uniform=uniform, periodic=periodic, tstars=tstars, coverage=coverage,
+            stats={"orbit": list(orbit.block), "limit_defect": d})
 
     exact_ok = (uniform_exact and periodic_exact and
                 (exact_fit_zero if fit is not None else h.is_exact))
-    if exact_ok and uniform and (fit is None or exact_fit_zero):
+    if exact_ok and uniform:
         return DefectReport(
-            Verdict.CERTIFIED, "exact zero defects at every checked depth",
-            fit, uniform, True, periodic, True, tstars, False, None, coverage, {})
+            Verdict.CERTIFIED, "exact zero defects at every checked depth", h=fit,
+            uniform=uniform, uniform_exact_zero=True, periodic=periodic,
+            periodic_exact_zero=True, tstars=tstars, coverage=coverage)
 
     ns = sorted(uniform)
     stats = {
@@ -544,9 +527,10 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
         "max_uniform_tail": max(uniform[n] for n in ns[len(ns) // 2:]) if ns else None,
         "max_abs_periodic_last": max((abs(v[-1]) for v in periodic.values()), default=None),
     }
-    return DefectReport(Verdict.EVIDENCE, "finite-depth decay statistics only",
-                        fit, uniform, uniform_exact, periodic, periodic_exact,
-                        tstars, False, None, coverage, stats)
+    return DefectReport(
+        Verdict.EVIDENCE, "finite-depth decay statistics only", h=fit, uniform=uniform,
+        uniform_exact_zero=uniform_exact, periodic=periodic,
+        periodic_exact_zero=periodic_exact, tstars=tstars, coverage=coverage, stats=stats)
 
 
 def compensation_verdict(pi: OneBlockFactor, f: LocallyConstantPotential,

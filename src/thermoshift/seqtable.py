@@ -69,7 +69,7 @@ class SeqTable:
     """
 
     def __init__(self, alphabet, logs, exact=None, kind="table", language=None,
-                 potential=None, meta=None):
+                 potential=None):
         logs = {int(n): dict(v) for n, v in logs.items()}
         if not logs:
             raise TableError("table has no depths")
@@ -88,13 +88,13 @@ class SeqTable:
                 # Fractions (and ints) carry their sign in the numerator
                 if not all(v.numerator > 0 for v in vals.values()):
                     raise TableError("exact values must be positive (depth %d)" % n)
-        self._init(alphabet, max(logs), exact is not None, kind, language, potential, None, meta)
+        self._init(alphabet, max(logs), exact is not None, kind, language, potential, None)
         self.logs = _view(logs)
         self.exact = None if exact is None else _view(exact)
 
     @classmethod
     def from_levels(cls, alphabet, levels: list[_Level | None], kind="table", language=None,
-                    potential=None, factor=None, meta=None) -> SeqTable:
+                    potential=None, factor=None) -> SeqTable:
         """Table over a level index: ``levels[0]`` None, then one _Level per
         depth whose words' prefixes and suffixes are stored one depth down.
         ``factor`` is the map a g-table's values count fibers of."""
@@ -103,13 +103,13 @@ class SeqTable:
                 raise TableError(_NON_FINITE % n)
         t = cls.__new__(cls)
         t._init(alphabet, len(levels) - 1, levels[1].num is not None, kind, language,
-                potential, factor, meta)
+                potential, factor)
         t.levels = levels
         return t
 
-    def _init(self, alphabet, depth_max, is_exact, kind, language, potential, factor, meta):
+    def _init(self, alphabet, depth_max, is_exact, kind, language, potential, factor):
         self.alphabet, self.depth_max, self.is_exact = tuple(alphabet), depth_max, is_exact
-        self.kind, self.language, self.meta = kind, language, dict(meta) if meta else {}
+        self.kind, self.language = kind, language
         self.potential: LocallyConstantPotential | None = potential
         self.factor: OneBlockFactor | None = factor
         self._child: list[np.ndarray] = []  # see _find
@@ -633,10 +633,8 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
             logs = _float_readout(v, shift, offset)
         levels.append(_Level(logs, parent, tail, sym, num, 1, below=levels[-1], distinct=uniq))
 
-    meta = {"source": "g", "domain": list(dom.alphabet), "image": list(pi.image_alphabet),
-            "potential_range": r, "exact": exact}
     return SeqTable.from_levels(pi.image_alphabet, levels, kind="g", language=pi.image,
-                                potential=f, factor=pi, meta=meta)
+                                potential=f, factor=pi)
 
 
 def _transfer(pi: OneBlockFactor, f: LocallyConstantPotential, fmax: float, exact: bool,
@@ -709,9 +707,8 @@ def build_additive_table(f: LocallyConstantPotential, depth_max: int) -> SeqTabl
     logs = {n: {w: 0.0 if exact else birkhoff_sup(f, w) for w in lang.blocks(n)}
             for n in range(1, depth_max + 1)}
     exacts = {n: dict.fromkeys(level, Fraction(1)) for n, level in logs.items()}
-    meta = {"source": "additive", "potential_range": f.range, "exact": exact}
     return SeqTable(lang.alphabet, logs, exact=exacts if exact else None,
-                    kind="additive", language=lang, potential=f, meta=meta)
+                    kind="additive", language=lang, potential=f)
 
 
 def partition_table(f: LocallyConstantPotential, depth_max: int,

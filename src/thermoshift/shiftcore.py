@@ -211,21 +211,7 @@ class PeriodicPoint:
 
 def is_irreducible(sft: Sft) -> bool:
     """True iff the transition digraph is strongly connected."""
-    n = sft.size
-
-    def reach(start: int, forward: bool) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                edge = sft.transitions[i][j] if forward else sft.transitions[j][i]
-                if edge and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return seen
-
-    return len(reach(0, True)) == n and len(reach(0, False)) == n
+    return weak_spec_number(sft) is not None
 
 
 def weak_spec_number(sft: Sft) -> int | None:

@@ -29,7 +29,7 @@ from thermoshift import (LocallyConstantPotential, MarkovMeasure,
                          variation_constant, weak_gibbs_constants,
                          weak_spec_number)
 from thermoshift.cli import main
-from thermoshift.detect import periodic_defect_exact
+from thermoshift.detect import orbit_defects
 from thermoshift.factor import induced_image_sft
 from thermoshift.shiftcore import Sft, SftError, is_irreducible
 from thermoshift.verdicts import Verdict
@@ -138,7 +138,7 @@ def test_criterion_4_compensation_certification(collapse):
     h = fit.potential(collapse.image)
     for orbit in image_periodic_points(collapse.image, 6):
         j_max = 18 // orbit.period
-        exact = periodic_defect_exact(gt, h, orbit, j_max)
+        exact = orbit_defects(gt, h, orbit, j_max)[1]
         assert exact is not None and all(c == 0 for c in exact), orbit
     rep = table_verdict(gt, r=1, P_max=6)
     assert rep.verdict == Verdict.CERTIFIED

@@ -4,6 +4,7 @@ import os
 from pathlib import Path
 
 from thermoshift import LocallyConstantPotential, build_additive_table, partition_sum
+from thermoshift import cli
 from thermoshift.cli import main
 from thermoshift.numerics import log_fraction
 from thermoshift.shiftcore import Sft
@@ -369,3 +370,27 @@ def test_stdout_output(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["command"] == "pressure"
+
+
+def test_nfit_jmax_and_pmax_below_one_are_input_errors(tmp_path, capsys, monkeypatch):
+    """--nfit / --jmax / --pmax below 1 exit 2 naming the flag, before any
+    table is built (0 used to mean the default, and a negative --jmax or a
+    --pmax below 1 checked no orbit yet could certify)."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "build_g_table", no_table)
+    for argv, flag in [(["fit-h", "--nfit", "0"], "--nfit"), (["fit-h", "--jmax", "0"], "--jmax"),
+                       (["verdict", "--jmax", "0"], "--jmax"),
+                       (["verdict", "--jmax", "-1"], "--jmax"),
+                       (["certificate", "--word", "ab", "--jmax", "0"], "--jmax"),
+                       (["verdict", "--pmax", "0"], "--pmax"), (["fit-h", "--pmax", "-1"], "--pmax")]:
+        code, raw = run(tmp_path, *argv, "--factor", fpath("factor_collapse.json"),
+                        "--depth", "8")
+        assert (code, raw) == (2, b""), argv
+        assert capsys.readouterr().err == "error: %s must be >= 1\n" % flag
+    monkeypatch.undo()
+    code, raw = run(tmp_path, "verdict", "--factor", fpath("factor_collapse.json"),
+                    "--depth", "8", "--jmax", "1")
+    assert code == 0
+    assert set(json.loads(raw)["verdict"]["coverage"]["multiples"].values()) == {1}

@@ -1,6 +1,9 @@
+import functools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,16 +15,19 @@ from thermoshift import (LocallyConstantPotential, OneBlockFactor,
                          periodic_defect, table_verdict, uniform_defect,
                          variation_constant)
 from thermoshift import seqtable
-from thermoshift.detect import (DetectError, periodic_defect_exact,
+from thermoshift.detect import (DetectError, orbit_defects,
                                 table_power_base, uniform_defects,
                                 uniform_defects_exact_all)
-from thermoshift.potential import birkhoff_extremes_coeff, birkhoff_sup
+from thermoshift.jsonio import load_factor, read_json
+from thermoshift.potential import (birkhoff_extremes_coeff, birkhoff_sup,
+                                   periodic_birkhoff, periodic_birkhoff_coeff)
 from thermoshift.numerics import common_power_base, power_exponent
 from thermoshift.seqtable import SeqTable, TableError
 from thermoshift.shiftcore import PeriodicPoint, Sft
 from thermoshift.verdicts import Verdict
 
 LOG2 = math.log(2)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def uniform_defect_exact(gt, h, n):
@@ -235,7 +241,7 @@ def test_periodic_defects_zero_for_fitted(collapse_gt, collapse, fitted_h):
         j_max = collapse_gt.depth_max // orbit.period
         ds = periodic_defect(collapse_gt, fitted_h, orbit, j_max)
         assert all(abs(d) <= 1e-12 for d in ds)
-        de = periodic_defect_exact(collapse_gt, fitted_h, orbit, j_max)
+        de = orbit_defects(collapse_gt, fitted_h, orbit, j_max)[1]
         assert all(c == 0 for c in de)
 
 
@@ -422,3 +428,65 @@ def test_verdict_report_serializes(collapse_gt, collapse):
     doc = rep.as_dict(lambda w: tuple(collapse.image.alphabet[i] for i in w))
     assert doc["verdict"] == "CERTIFIED"
     assert doc["coverage"]["orbits"] > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_table(name, depth, float_f):
+    """(factor, table) for a factor fixture; ``float_f`` gives a float table
+    built from a fixed range-1 potential instead of the counting table."""
+    pi = load_factor(read_json(str(FIXTURES / name)))
+    f = LocallyConstantPotential.zero(pi.domain)
+    if float_f:
+        f = LocallyConstantPotential(pi.domain, 1, {w: 0.3 - 0.25 * w[0]
+                                                    for w in pi.domain.blocks(1)})
+    return pi, build_g_table(pi, f, depth)
+
+
+ORBIT_CASES = [("factor_collapse.json", 4, False), ("factor_collapse.json", 9, False),
+               ("factor_collapse.json", 7, True), ("factor_phase_blocked.json", 6, False),
+               ("factor_phase_blocked.json", 11, False), ("factor_amalgamation.json", 5, False),
+               ("factor_amalgamation.json", 8, False)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(ORBIT_CASES), r=st.integers(1, 2),
+       base=st.sampled_from([2, 3, 4]), exact_h=st.booleans(), data=st.data())
+def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
+    """The one orbit pass against word-by-word oracles: float defects bit for
+    bit, exact defects through power_exponent (None exactly when some value
+    at a checked depth is no power of h's base), the stored values, and one
+    table lookup per multiple."""
+    pi, gt = _orbit_table(*case)
+    windows = pi.image.blocks(r)
+    if exact_h:
+        coeffs = {w: Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+                  for w in windows}
+        h = LocallyConstantPotential(pi.image, r, {w: float(c) * math.log(base)
+                                                   for w, c in coeffs.items()},
+                                     exact_coeffs=coeffs, exact_base=base)
+    else:
+        h = LocallyConstantPotential(pi.image, r, {w: data.draw(st.floats(-2, 2))
+                                                   for w in windows})
+    find = SeqTable._find
+    for y in image_periodic_points(pi.image, 4):
+        q = y.period
+        ns = list(range(q, gt.depth_max + 1, q))
+        if not ns:
+            continue
+        looked_up = []
+
+        def counted(table, n, word, strict=True):
+            looked_up.append(n)
+            return find(table, n, word, strict)
+
+        with mock.patch.object(SeqTable, "_find", counted):
+            floats, exact, values = orbit_defects(gt, h, y, len(ns))
+        assert looked_up == ns
+        assert floats == [(gt.log_value(n, y.word(n)) - periodic_birkhoff(h, y, n)) / n
+                          for n in ns]
+        powers = gt.is_exact and h.is_exact and all(
+            power_exponent(v, base) is not None for n in ns for v in gt.exact[n].values())
+        assert exact == ([(power_exponent(gt.exact_value(n, y.word(n)), base)
+                           - periodic_birkhoff_coeff(h, y, n)) / n for n in ns]
+                         if powers else None)
+        assert values == ([gt.exact_value(n, y.word(n)) for n in ns] if gt.is_exact else None)

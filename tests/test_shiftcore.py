@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from thermoshift.shiftcore import (PeriodicPoint, Sft, SftError, bridge,
                                    is_irreducible, periodic_points,
@@ -94,6 +96,35 @@ def test_weak_spec_present_iff_irreducible():
     for _ in range(25):
         sft = random_sft(rng)
         assert (weak_spec_number(sft) is not None) == is_irreducible(sft)
+
+
+def _strongly_connected(rows) -> bool:
+    """Independent oracle: every symbol reaches every symbol (itself too)
+    by a path of >= 1 edge, from the boolean transitive closure (Warshall)."""
+    n = len(rows)
+    reach = [[bool(v) for v in row] for row in rows]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    return all(all(row) for row in reach)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=k, max_size=k)))
+@example([[1, 0], [0, 1]])
+@example([[1, 1], [0, 1]])
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+def test_irreducible_iff_strongly_connected(rows):
+    """is_irreducible and weak_spec_number against the transitive closure,
+    on random SFTs of <= 5 symbols, reducible ones included."""
+    try:
+        sft = Sft([chr(ord("a") + i) for i in range(len(rows))], rows)
+    except SftError:
+        assume(False)
+    assert is_irreducible(sft) == _strongly_connected(rows)
+    assert (weak_spec_number(sft) is None) == (not _strongly_connected(rows))
 
 
 def test_weak_spec_matches_bruteforce_bridges(goldenmean):
