@@ -22,7 +22,7 @@ from .jsonio import (SchemaError, load_factor, load_measure, load_potential,
 from .markov import MeasureError
 from .numerics import log_fraction
 from .potential import LocallyConstantPotential, PotentialError
-from .seqtable import (TableError, build_additive_table, build_g_table,
+from .seqtable import (FIT_DEPTH, TableError, build_additive_table, build_g_table,
                        check_D2, defect_profile, log_perron, partition_sum,
                        partition_table, pressure_estimate)
 from .shiftcore import SftError, weak_spec_number
@@ -66,7 +66,7 @@ def _check_depth(args):
 def _check_caps(args, sft, pi):
     _check_depth(args)
     lang = pi.image if pi is not None else sft
-    cells = sum(lang.count_blocks(n) for n in range(1, args.depth + 1))
+    cells = sum(lang.block_counts(args.depth)[1:])
     if cells > args.max_cells:
         raise CapExceeded("table would hold %d cells (cap %d)" % (cells, args.max_cells))
 
@@ -140,10 +140,10 @@ def cmd_pressure(args) -> dict:
 
 def cmd_fit_h(args) -> dict:
     sft, pi, f, t = _table_setting(args)
-    n_fit = args.nfit or min(t.depth_max, 8)
-    # the verdict's last fit runs at min(depth, 8); fit first where it cannot
-    # serve, so fit_h's own errors come first
-    served = n_fit == min(t.depth_max, 8) and 1 <= args.range <= n_fit
+    n_fit = args.nfit or min(t.depth_max, FIT_DEPTH)
+    # the verdict's last fit runs at min(depth, FIT_DEPTH); fit first where
+    # it cannot serve, so fit_h's own errors come first
+    served = n_fit == min(t.depth_max, FIT_DEPTH) and 1 <= args.range <= n_fit
     fit = None if served else fit_h(t, args.range, n_fit)
     report = table_verdict(t, r=args.range, P_max=args.pmax, J=args.jmax,
                            slope_threshold=args.slope_threshold)

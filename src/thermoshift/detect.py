@@ -18,11 +18,11 @@ import numpy as np
 
 from .factor import OneBlockFactor, fiber_words
 from .lp import chebyshev_fit_exact, chebyshev_fit_float, solve_exact
-from .numerics import array_max, integer_rows, logsumexp
+from .numerics import array_max, integer_rows, log_fraction, logsumexp, power_exponent
 from .potential import (LocallyConstantPotential, PotentialError, birkhoff_inf,
                         birkhoff_sup, periodic_birkhoff, periodic_birkhoff_coeff,
                         variation_constant)
-from .seqtable import SeqTable, TableError, build_g_table, defect_profile
+from .seqtable import FIT_DEPTH, SeqTable, TableError, build_g_table, defect_profile
 from .shiftcore import (PeriodicPoint, Word, bridge, is_irreducible,
                         periodic_points)
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, Verdict, decays_to_zero
@@ -45,26 +45,30 @@ def table_power_base(gt: SeqTable) -> int | None:
 
 def orbit_defects(gt: SeqTable, h: LocallyConstantPotential, y: PeriodicPoint, J: int):
     """One pass over the multiples n = jq (j = 1..J) of the orbit y, one
-    lookup of the block B^j each.  Returns the float defects d_{y,j} =
-    (1/n) (log g_n(B^j) - S_n h(y)), S_n h exact from the block; the same in
-    units of log(base), or None when the table or h is not exact or a value
-    at a checked depth is no power of h's base; and the stored g_n(B^j) on
-    exact tables, else None."""
+    lookup of the block B^j each (``SeqTable.entry``).  Returns the float
+    defects d_{y,j} = (1/n) (log g_n(B^j) - S_n h(y)), S_n h exact from the
+    block; the same in units of log(base), or None when the table or h is
+    not exact or a value at a checked depth is no power of the base; and the
+    stored g_n(B^j) on exact tables, else None."""
     q = y.period
     if J < 1 or J * q > gt.depth_max:
         raise TableError("J*q exceeds the table depth")
     floats, values = [], ([] if gt.is_exact else None)
     exact = [] if gt.is_exact and h.is_exact else None
-    for n in range(q, J * q + 1, q):
-        w, level = y.word(n), gt.levels[n]
-        i = gt._find(n, w, strict=False)
-        if i is None:
+    unit = None  # S_q h(y) in units of log(base); S_jq h(y) = j unit on the orbit
+    for j in range(1, J + 1):
+        n, w = j * q, y.word(j * q)
+        found = gt.entry(n, w)
+        if found is None:
             raise DetectError("periodic block %s is not in the image language" % (w,))
-        floats.append((float(level.logs[i]) - periodic_birkhoff(h, y, n)) / n)
+        log, value = found
+        floats.append((log - periodic_birkhoff(h, y, n)) / n)
         if values is not None:
-            values.append(level.value(int(level.num[i])))
-        if exact is not None and (exps := gt.exponents(n, h.exact_base)) is not None:
-            exact.append((int(exps[i]) - periodic_birkhoff_coeff(h, y, n)) / n)
+            values.append(value)
+        if exact is not None and gt.powers(n, h.exact_base) is not None:
+            if unit is None:
+                unit = periodic_birkhoff_coeff(h, y, q)
+            exact.append((power_exponent(value, h.exact_base) - j * unit) / n)
         else:
             exact = None
     return floats, exact, values
@@ -87,18 +91,27 @@ def uniform_defect(gt: SeqTable, h: LocallyConstantPotential, n: int) -> float:
 
 def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
                     exact: bool = False) -> dict[int, float] | dict[int, Fraction] | None:
-    """Uniform defects at every table depth in one pass down the level index.
+    """Uniform defects at every table depth in one pass down the depths.
 
-    Each word carries the Birkhoff sum of the windows it contains, one array
-    per level: its parent's sum plus the weight of its last window (floats
-    added left to right, or integer coefficients over a common denominator
-    when ``exact``), so the float values equal uniform_defect bit for bit
-    and the exact ones the word-by-word defects.  For r >= 2 it also has its
-    language-automaton state, and the sup over the r-1 windows reaching
-    past the word is cached per (state, last r-1 symbols): on a sofic image
-    the extensions of a word depend on its state, not on its suffix alone.
-    The exact variant (in units of log(base)) is None when the table or h
-    has no exact form or a table value is not a power of h's base.
+    Each word carries the Birkhoff sum of the windows it contains: its
+    parent's sum plus the weight of its last window (floats added left to
+    right, or integer coefficients over a common denominator when
+    ``exact``), so the float values equal uniform_defect bit for bit and the
+    exact ones the word-by-word defects.  The weight and the sup over the
+    r-1 windows reaching past the word are cached per key (automaton state,
+    last r-1 symbols): on a sofic image the extensions of a word depend on
+    its state, not on its suffix alone.
+
+    Past the levels an exact g-table has built, for h on the table's own
+    language, its words are not read: the walk runs over the keys (fiber
+    row x_u, state, last r-1 symbols) of each depth, each carrying the
+    largest and the smallest Birkhoff sum of its words.  A word's value
+    depends on its row only, rounded addition is monotone and |L - S| peaks
+    at an extreme S, so that is the word maximum bit for bit.  The keys past
+    FIT_DEPTH share the rows' budget (``seqtable._FiberRows``): once they
+    reach it, the words serve.  The exact variant (in units of log(base))
+    is None when the table or h has no exact form or a table value is not a
+    power of h's base.
     """
     r, lang = h.range, h.language
     if exact:
@@ -111,52 +124,89 @@ def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
         small = (gt.depth_max + r) * max(map(abs, weight.values())) < 2 ** 62
         dtype = np.int64 if small else object
     else:
-        weight, zero, dtype = h.values, 0.0, float
-    levels, k = gt.levels, len(gt.alphabet)
-    out = {}
-    # r >= 2: words keyed by (automaton state, last min(n, r-1) symbols), by
-    # id; ids step once per (parent's id, symbol), tails once per key
-    keys, ids, sups, steps = [(lang.start, ())], {}, [zero], {}
-    sums, kid = np.zeros(1, dtype), np.zeros(1, np.int64)
+        weight, zero, dtype, den = h.values, 0.0, float, 1
+    rows = gt.rows_for(gt.depth_max) if lang is gt.language else None
+    return _defect_walk(gt, h, exact, rows, weight, zero, dtype, den)
+
+
+def _defect_walk(gt, h, exact, rows, weight, zero, dtype, den):
+    """uniform_defects' pass over the words, or over the keys of ``rows``
+    until those past FIT_DEPTH reach the rows' budget."""
+    r, lang, k = h.range, h.language, len(gt.alphabet)
+    out, spent = {}, 0
+    # (state, last min(n, r-1) symbols) by id; ids step once per (id,
+    # symbol), and a step adds the weight of the window it completes
+    keys, sups, steps, adds = [(lang.start, ())], [zero], {}, {}
+    ids = {keys[0]: 0}
+    # per node (word, or key with its row ``row``): its (state, suffix) id
+    # and largest and smallest Birkhoff sums, one array on the words
+    kid, row, hi = np.zeros(1, np.int64), np.zeros(1, np.intp), np.zeros(1, dtype)
+    lo = hi
     for n in range(1, gt.depth_max + 1):
-        level = levels[n]
-        if n < r:
-            sums = np.zeros(len(level), dtype)
+        if rows is None:
+            level = gt.levels[n]
+            src, sym = level.parent, level.sym
         else:
-            if n == r:
-                last = np.array([weight[w] for w in level.words], dtype)
-                win = np.arange(len(level))
-            else:
-                win = win[level.tail]  # rank at depth r of the last window
-            sums = sums[level.parent] + last[win]
-        totals = sums
-        if r >= 2:
-            pairs, inv = np.unique(kid[level.parent] * k + level.sym, return_inverse=True)
-            for p in pairs.tolist():
-                if p not in steps:
-                    state, s_word = keys[p // k]
-                    key = (lang.step(state, p % k), (s_word + (p % k,))[-(r - 1):])
-                    if key not in ids:
-                        ids[key] = len(keys)
-                        keys.append(key)
-                        sups.append(None if key[0] is None else max(
-                            _window_sum(key[1] + e, len(key[1]), r, weight, zero)
-                            for e in lang.extensions_from(key[0], r - 1)))
-                    steps[p] = ids[key]
-            kid = np.array([steps[p] for p in pairs.tolist()], np.int64)[inv.reshape(-1)]
-            dead = np.flatnonzero(np.isin(kid, [i for i, t in enumerate(sups) if t is None]))
+            nxt = rows.next[n - 1][row]
+            src, sym = np.nonzero(nxt >= 0)  # node-major, symbols in order
+        pairs, inv = np.unique(kid[src] * k + sym, return_inverse=True)
+        for p in pairs.tolist():
+            if p not in steps:
+                state, s_word = keys[p // k]
+                grown_word = s_word + (p % k,)
+                adds[p] = weight[grown_word] if len(grown_word) == r else zero
+                key = (lang.step(state, p % k), grown_word[1 - r:]) if r >= 2 else keys[0]
+                if key not in ids:
+                    ids[key] = len(keys)
+                    keys.append(key)
+                    sups.append(None if key[0] is None else max(
+                        _window_sum(key[1] + e, len(key[1]), r, weight, zero)
+                        for e in lang.extensions_from(key[0], r - 1)))
+                steps[p] = ids[key]
+        inv = inv.reshape(-1)
+        step = np.array([steps[p] for p in pairs.tolist()], np.int64)[inv]
+        add = np.array([adds[p] for p in pairs.tolist()], dtype)[inv]
+        if rows is None:
+            kid, hi = step, hi[src] + add
+            lo = hi
+            dead_ids = [i for i, t in enumerate(sups) if t is None]
+            dead = np.flatnonzero(np.isin(kid, dead_ids)) if dead_ids else ()
             if len(dead):
                 raise PotentialError("word %s is not allowable" % (level.words[dead[0]],))
-            totals = sums + np.array(sups, dtype)[kid]
+        else:
+            nodes, node = np.unique(nxt[src, sym].astype(np.int64) * len(keys) + step,
+                                    return_inverse=True)
+            if n > FIT_DEPTH:
+                spent += len(nodes)
+                if spent >= rows.budget:  # the keys stop paying: the words serve
+                    return _defect_walk(gt, h, exact, None, weight, zero, dtype, den)
+            row, kid = nodes // len(keys), nodes % len(keys)
+            order = np.argsort(node.reshape(-1), kind="stable")
+            starts = np.searchsorted(node.reshape(-1)[order], np.arange(len(nodes)))
+            hi = np.maximum.reduceat((hi[src] + add)[order], starts)
+            lo = np.minimum.reduceat((lo[src] + add)[order], starts)
+        top, bottom = hi, lo
+        if r >= 2:
+            tail = np.array(sups, dtype)[kid]
+            top, bottom = hi + tail, lo + tail
         if not exact:
-            d = np.abs(level.logs - totals)
+            logs = gt.levels[n].logs if rows is None else np.array(
+                [log_fraction(v) for v in rows.sums[n].tolist()])[row]
+            d = np.maximum(np.abs(logs - top), np.abs(logs - bottom))
             out[n] = (float(d.max()) if len(d) else 0.0) / n
             continue
-        es = gt.exponents(n, h.exact_base)
+        if rows is None:
+            es = gt.exponents(n, h.exact_base)
+        elif (found := gt.powers(n, h.exact_base)) is None:
+            es = None
+        else:
+            ks = dict(zip(found[0].tolist(), found[1].tolist()))
+            es = np.array([ks[v] for v in rows.sums[n].tolist()], np.int64)[row]
         if es is None:
             return None
         small = dtype is not object and array_max(np.abs(es)) * den < 2 ** 62
-        d = np.abs((es if small else es.astype(object)) * den - totals)
+        es = (es if small else es.astype(object)) * den
+        d = np.maximum(np.abs(es - top), np.abs(es - bottom))
         out[n] = Fraction(int(d.max()) if len(d) else 0, den * n)
     return out
 
@@ -455,7 +505,7 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
                 Verdict.EVIDENCE, "no growth found; no candidate h to certify",
                 coverage={"depth_max": gt.depth_max, "orbits": 0, "P_max": P_max})
         if n_fits is None:
-            hi = min(gt.depth_max, 8)
+            hi = min(gt.depth_max, FIT_DEPTH)
             n_fits = list(range(max(r, min(2, hi)), hi + 1))
         if not n_fits:
             raise DetectError("fit range exceeds the fit depth")
@@ -466,7 +516,7 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
                 exact_fit_zero = False
         h = fit.potential(gt.language)
     elif gt.language is not None:
-        for nf in (n_fits or [min(gt.depth_max, 8)]):
+        for nf in (n_fits or [min(gt.depth_max, FIT_DEPTH)]):
             tstars[nf] = chebyshev_defect(gt, h.values, h.range, nf)
 
     exact_u = uniform_defects_exact_all(gt, h)

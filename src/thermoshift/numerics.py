@@ -30,9 +30,9 @@ def int_array(values: list[int]) -> np.ndarray:
 def row_sums(v: np.ndarray) -> np.ndarray:
     """Row sums of a 2-d array: plain float sums, or exact integer sums (in
     int64 while no sum can pass 2^63, in Python ints past it)."""
-    if v.dtype != float and array_max(v) * v.shape[1] > INT64_MAX:
-        v = v.astype(object)
-    return v.sum(axis=1) if v.dtype == float else int_array(v.sum(axis=1).tolist())
+    if v.dtype == float or (v.dtype != object and array_max(v) * v.shape[1] <= INT64_MAX):
+        return v.sum(axis=1)
+    return int_array(v.astype(object).sum(axis=1).tolist())
 
 
 def logsumexp(values) -> float:

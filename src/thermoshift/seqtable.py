@@ -12,13 +12,15 @@ the exact values as integers over one denominator, each word's last symbol
 and the ranks of its prefix and suffix one depth down, so prefixes and
 suffixes of any length are chained gathers; words are spelled out on
 demand.  ``build_g_table`` emits the index level by level from the fiber
-walk in ``factor``, with no Fraction in it, and the dict views ``logs`` /
-``exact`` are built only when asked for.  Z_n comes from the one-row walk
-of the total collapse (``partition_table``): the fibers partition B_n(X),
-so no image word is needed.  A float walk whose entries near the bottom of
-the float range gives each domain state its own power-of-two exponent.  On
-exact tables floats only propose; exact integer comparison (int64 below
-2^63, Python ints past it) decides.
+walk in ``factor``, with no Fraction in it: exact g-tables resume the walk
+only when a level is first read (``_Levels``), float ones drain it at
+build time.  The dict views ``logs`` / ``exact`` are built only when asked
+for.  Z_n comes from the one-row walk of the total collapse
+(``partition_table``): the fibers partition B_n(X), so no image word is
+needed.  A float walk whose entries near the bottom of the float range
+gives each domain state its own power-of-two exponent.  On exact tables
+floats only propose; exact integer comparison (int64 below 2^63, Python
+ints past it) decides.
 
 The C_{n,m} profile and the D2 bridging search on an exact g-table (the
 counting path, f = 0, of any range) can read projective fiber classes
@@ -32,6 +34,13 @@ scan's cells.  The reports are the word scans' bit for bit, and witnesses
 and unbridged pairs still name words.  Float tables, tables built from
 dicts and exact g-tables whose classes do not pay keep the word scans
 (``_splits``, ``_ranks``, ``_word_bridges``).
+
+Past the fit depth an exact g-table's values are read from its distinct
+fiber rows x_u (``_FiberRows``), not from levels it has not built: the
+common power base, the exponents' power test, the uniform defects' walk
+(``detect.uniform_defects``) and the periodic blocks.  Those rows are few
+where the classes are (2n at depth n on the collapse factor, against 2^n
+words), and the walk declines where they are not.
 """
 
 from __future__ import annotations
@@ -93,17 +102,14 @@ class SeqTable:
         self.exact = None if exact is None else _view(exact)
 
     @classmethod
-    def from_levels(cls, alphabet, levels: list[_Level | None], kind="table", language=None,
-                    potential=None, factor=None) -> SeqTable:
-        """Table over a level index: ``levels[0]`` None, then one _Level per
-        depth whose words' prefixes and suffixes are stored one depth down.
-        ``factor`` is the map a g-table's values count fibers of."""
-        for n, level in enumerate(levels[1:], start=1):
-            if not np.isfinite(level.logs).all():
-                raise TableError(_NON_FINITE % n)
+    def from_levels(cls, alphabet, levels: list[_Level | None] | _Levels, is_exact: bool,
+                    kind="table", language=None, potential=None, factor=None) -> SeqTable:
+        """Table over a level index of finite logs: ``levels[0]`` None, then
+        one _Level per depth whose words' prefixes and suffixes are stored
+        one depth down.  ``factor`` is the map a g-table's values count
+        fibers of."""
         t = cls.__new__(cls)
-        t._init(alphabet, len(levels) - 1, levels[1].num is not None, kind, language,
-                potential, factor)
+        t._init(alphabet, len(levels) - 1, is_exact, kind, language, potential, factor)
         t.levels = levels
         return t
 
@@ -114,7 +120,7 @@ class SeqTable:
         self.factor: OneBlockFactor | None = factor
         self._child: list[np.ndarray] = []  # see _find
         self._z: dict[int, tuple] = {}  # see _partition
-        self._exps: dict[tuple[int, int], np.ndarray | None] = {}  # see exponents
+        self._powers: dict[tuple[int, int], tuple | None] = {}  # see powers
 
     @cached_property
     def logs(self) -> Mapping[int, Mapping[Word, float]]:
@@ -185,13 +191,26 @@ class SeqTable:
 
     def exponents(self, n: int, base: int) -> np.ndarray | None:
         """Per rank at depth n of an exact table, the k with value = base**k
-        (int64, once per distinct value, depth and base); None if any lacks one."""
-        if (n, base) not in self._exps:
-            level = self._level(n)
-            ks = [power_exponent(level.value(v), base) for v in level.distinct.tolist()]
-            self._exps[n, base] = None if None in ks else \
-                np.array(ks, np.int64)[np.searchsorted(level.distinct, level.num)]
-        return self._exps[n, base]
+        (int64); None if any value lacks one."""
+        found = self.powers(n, base)
+        return None if found is None else found[1][np.searchsorted(found[0], self._level(n).num)]
+
+    def powers(self, n: int, base: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """(the sorted distinct exact numerators at depth n, the k with each
+        value = base**k), once per depth and base; None if any lacks one."""
+        if (n, base) not in self._powers:
+            nums, den = self._distinct_nums(n)
+            ks = [power_exponent(v if den == 1 else Fraction(v, den), base) for v in nums.tolist()]
+            self._powers[n, base] = None if None in ks else (nums, np.array(ks, np.int64))
+        return self._powers[n, base]
+
+    def _distinct_nums(self, n: int) -> tuple[np.ndarray, int]:
+        """(the sorted distinct exact numerators at depth n, their denominator)."""
+        rows = self.rows_for(n)
+        if rows is not None:
+            return rows.distinct[n], 1
+        level = self._level(n)
+        return level.distinct, level.den
 
     @cached_property
     def power_base(self) -> int | None:
@@ -199,8 +218,35 @@ class SeqTable:
         without exact values or when there is no such base."""
         if not self.is_exact:
             return None
-        return common_power_base({lv.value(v) for lv in self.levels[1:]
-                                  for v in lv.distinct.tolist()})
+        return common_power_base({v if den == 1 else Fraction(v, den)
+                                  for nums, den in map(self._distinct_nums,
+                                                       range(1, self.depth_max + 1))
+                                  for v in nums.tolist()})
+
+    @cached_property
+    def rows(self) -> _FiberRows | None:
+        """The distinct fiber rows of each depth of an exact g-table; None on
+        float tables, on tables built from dicts and where the rows do not
+        pay (``_FiberRows.walk``)."""
+        return _FiberRows.walk(self) if self.is_exact and self.factor is not None else None
+
+    def rows_for(self, n: int) -> _FiberRows | None:
+        """The fiber rows where depth n is read from them: while level n is
+        not built; None where the words serve."""
+        return None if n <= getattr(self.levels, "built", self.depth_max) else self.rows
+
+    def entry(self, n: int, word: Word) -> tuple[float, int | Fraction | None] | None:
+        """(log value, exact value or None) of ``word`` at depth n, from the
+        level or the fiber rows (``rows_for``); None when it is not stored."""
+        rows = self.rows_for(n)
+        i = self._find(n, word, strict=False) if rows is None else rows.find(word)
+        if i is None:
+            return None
+        if rows is not None:
+            v = int(rows.sums[n][i])
+            return log_fraction(v), v
+        level = self.levels[n]
+        return float(level.logs[i]), None if level.num is None else level.value(int(level.num[i]))
 
     @cached_property
     def levels(self) -> list[_Level | None]:
@@ -240,6 +286,14 @@ class SeqTable:
 
 
 _NON_FINITE = "non-finite log value at depth %d (float under- or overflow)"
+# the deepest level a verdict's Chebyshev fits read: past it the fiber rows
+# serve where they pay (``_FiberRows``)
+FIT_DEPTH = 8
+# words one fiber row (or one key of the uniform defects' walk) costs: its
+# product and Python-side dedupe against numpy's steps per word, about 6 on
+# the Calkin-Wilf factor at depth 17 (2.3 us a row, 0.4 us a word, on a
+# shared 2-vCPU host)
+_ROW_COST = 8
 # a float walk gauges its states once a step could reach below _FLOOR (the
 # smallest normal float, 2^-1022, with 53 bits to spare); an empty state's
 # exponent is _EMPTY, so it never leads a step
@@ -285,6 +339,33 @@ class _Level:
     def value(self, v: int) -> int | Fraction:
         """The stored value v / den: the int itself on integer levels."""
         return v if self.den == 1 else Fraction(v, self.den)
+
+
+class _Levels:
+    """The level index of an exact g-table, built on demand: reading
+    ``levels[n]`` resumes the fiber walk (a generator of _Level) through
+    depth n.  ``built`` counts the levels made so far."""
+
+    def __init__(self, depth: int, walk):
+        self._done: list[_Level | None] = [None]
+        self._depth, self._walk = depth, walk
+
+    @property
+    def built(self) -> int:
+        return len(self._done) - 1
+
+    def __len__(self) -> int:
+        return self._depth + 1
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[i] for i in range(*n.indices(len(self)))]
+        n = range(len(self))[n]  # IndexError past the depth, negative n from the end
+        while len(self._done) <= n:
+            self._done.append(next(self._walk))
+            if len(self._done) == len(self):
+                self._walk = None  # a finished walk still holds its last arrays
+        return self._done[n]
 
 
 def _ranks(levels: list, total: int, pointer: str) -> list:
@@ -360,22 +441,14 @@ class _FiberClasses:
     """
 
     def __init__(self, t: SeqTable):
-        head = _transfer(t.factor, t.potential, 0.0, True, 0, 1, False)[0][0]  # [b] = a_b
-        steps = _transfer(t.factor, t.potential, 0.0, True, 1, 1, False)[0].transpose(1, 0, 2)
-        nb, s = head.shape
-        # class rows are bounded by the values of their words, so int64
-        # serves while every stored value fits
-        dtype = object if max(lv.hi for lv in t.levels[1:]) > INT64_MAX else np.int64
-        # forward rows carry a start coordinate, 1 only on the empty word:
-        # (x, start) -> (x A_b + start a_b, 0); backward (y, g) -> (A_b y, a_b . y)
-        grow_x, grow_y = np.zeros((2, nb, s + 1, s + 1), dtype)
-        grow_x[:, :s, :s], grow_x[:, s, :s] = steps, head
-        grow_y[:, :s, :s], grow_y[:, :s, s] = steps.transpose(0, 2, 1), head
-        self.levels, self.depth, self._steps = t.levels, t.depth_max, steps.astype(dtype)
-        x, self.fnext = _class_tables(np.eye(1, s + 1, s, dtype=dtype), grow_x, t.depth_max)
+        steps, grow_x, grow_y = _one_block(t)
+        s = steps.shape[1]
+        self.levels, self.depth, self._steps = t.levels, t.depth_max, steps
+        self.counts = t.language.block_counts(t.depth_max)  # words per depth
+        x, self.fnext = _class_tables(np.eye(1, s + 1, s, dtype=steps.dtype), grow_x, t.depth_max)
         self.x = [rows[:, :s] for rows in x]
         self.sx = [row_sums(rows) for rows in self.x]
-        self.y, self.bnext = _class_tables(np.ones((1, s + 1), dtype), grow_y, t.depth_max)
+        self.y, self.bnext = _class_tables(np.ones((1, s + 1), steps.dtype), grow_y, t.depth_max)
         self._values: dict[tuple[str, int, int], tuple[list, list]] = {}
 
     @cached_property
@@ -398,7 +471,7 @@ class _FiberClasses:
     def _scan_cost(self, top: int, gap: int) -> int:
         """The cells the word scan reads: (s - 1) |B_total| for each s in
         2..top and total in s..s+gap (one per split of each word)."""
-        return sum((s - 1) * sum(map(len, self.levels[s:s + gap + 1])) for s in range(2, top + 1))
+        return sum((s - 1) * sum(self.counts[s:s + gap + 1]) for s in range(2, top + 1))
 
     def _against(self, n: int, ms: range) -> tuple[np.ndarray, np.ndarray, dict]:
         """The classes at depth n against those at the depths ``ms`` side by
@@ -520,17 +593,82 @@ class _FiberClasses:
         return self._values[key]
 
 
-def _class_tables(root: np.ndarray, grow: np.ndarray, depth: int):
-    """(rows, next) of one direction: rows[n] the distinct primitive rows of
-    the words at depth n (rows[0] = ``root``, the empty word's), next[n][c,
-    b] the index in rows[n + 1] of row c times grow[b] made primitive (-1
-    where that is 0)."""
-    rows, nexts = [root], []
-    for _ in range(depth):
+class _FiberRows:
+    """The distinct fiber rows of each depth of an exact g-table.
+
+    With the 1-block transfer of ``_FiberClasses``, g(u) = x_u . 1 and
+    x_{ub} = x_u A_b, so the values at depth n are the entry sums of the
+    distinct rows x_u of that depth, grown depth by depth with no word:
+    ``sums[n]`` holds them per row and ``next[n][i, b]`` is the row at depth
+    n + 1 of row i grown by b (-1 where that is 0: no word).  They are few
+    where the classes are (2n at depth n on the collapse factor, against
+    2^n words; 264 of 6765 words at depth 18 on phase-blocked), and nothing
+    bounds them below the words.  A row costs about _ROW_COST words, so the
+    rows past FIT_DEPTH pay only while that many times their count stays
+    below the words past FIT_DEPTH (``budget``, in rows): ``walk`` declines
+    as soon as they reach it.  On the Stern-Brocot and Calkin-Wilf factors
+    (752 and 2048 rows of the 4096 words at depth 12) it declines.
+    """
+
+    def __init__(self, x: list[np.ndarray], nexts: list[np.ndarray], budget: float):
+        self.next, self.sums, self.budget = nexts, [row_sums(rows) for rows in x], budget
+        self.distinct = [np.unique(sums) for sums in self.sums]  # sorted, per depth
+
+    @classmethod
+    def walk(cls, t: SeqTable) -> _FiberRows | None:
+        steps, grow_x, _ = _one_block(t)
+        s = steps.shape[1]
+        budget = sum(t.language.block_counts(t.depth_max)[FIT_DEPTH + 1:]) / _ROW_COST
+        found = _class_tables(np.eye(1, s + 1, s, dtype=steps.dtype), grow_x, t.depth_max,
+                              primitive=False, budget=budget)
+        return None if found is None else cls([rows[:, :s] for rows in found[0]], found[1],
+                                              budget)
+
+    def find(self, word: Word) -> int | None:
+        """The row of ``word`` at depth len(word); None when it is not stored."""
+        i = 0
+        for n, b in enumerate(word):
+            i = int(self.next[n][i, b]) if 0 <= b < self.next[n].shape[1] else -1
+            if i < 0:
+                return None
+        return i
+
+
+def _one_block(t: SeqTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(steps, grow_x, grow_y) of the 1-block transfer of an exact g-table:
+    steps[b] = A_b; forward rows carry a start coordinate, 1 only on the
+    empty word, (x, start) -> (x A_b + start a_b, 0) = (x, start) grow_x[b];
+    backward (y, g) -> (A_b y, a_b . y).  Entries and row products are at
+    most the domain's block count at the table depth, so int64 serves while
+    that fits, Python ints past it."""
+    head = _transfer(t.factor, t.potential, 0.0, True, 0, 1, False)[0][0]  # [b] = a_b
+    steps = _transfer(t.factor, t.potential, 0.0, True, 1, 1, False)[0].transpose(1, 0, 2)
+    nb, s = head.shape
+    dtype = object if t.factor.domain.count_blocks(t.depth_max) > INT64_MAX else np.int64
+    grow_x, grow_y = np.zeros((2, nb, s + 1, s + 1), dtype)
+    grow_x[:, :s, :s], grow_x[:, s, :s] = steps, head
+    grow_y[:, :s, :s], grow_y[:, :s, s] = steps.transpose(0, 2, 1), head
+    return steps.astype(dtype), grow_x, grow_y
+
+
+def _class_tables(root: np.ndarray, grow: np.ndarray, depth: int, primitive: bool = True,
+                  budget: float | None = None):
+    """(rows, next) of one direction: rows[n] the distinct primitive rows
+    (the rows themselves unless ``primitive``) of the words at depth n
+    (rows[0] = ``root``, the empty word's), next[n][c, b] the index in
+    rows[n + 1] of row c times grow[b] made primitive (-1 where that is 0).
+    None as soon as the rows past FIT_DEPTH reach ``budget``."""
+    rows, nexts, spent = [root], [], 0
+    for n in range(1, depth + 1):
         grown = np.concatenate([rows[-1] @ g for g in grow])  # symbol-major
         live = grown.any(axis=1)
-        prim = grown[live] // np.gcd.reduce(grown[live], axis=1)[:, None]
+        prim = grown[live] // np.gcd.reduce(grown[live], axis=1)[:, None] if primitive \
+            else grown[live]
         uniq, inv = _unique_rows(prim)
+        if budget is not None and n > FIT_DEPTH:
+            spent += len(uniq)
+            if spent >= budget:
+                return None
         nxt = np.full(len(grown), -1, np.intp)
         nxt[live] = inv
         nexts.append(nxt.reshape(len(grow), -1).T.copy())
@@ -570,7 +708,9 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     matrices of f, and hands over the level index (ranks and symbols) with
     each level; this function reads out the values.  mode "exact" demands
     the counting path (f = 0), which runs in integers (int64 while a bound
-    allows, Python ints past it).
+    allows, Python ints past it) and steps the walk only as far as a read
+    reaches (``_Levels``); the float path walks every level here, so a
+    non-finite log is a TableError at build time.
     """
     if depth_max < 1:
         raise TableError("depth_max must be >= 1")
@@ -611,14 +751,11 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
         return m, edge
 
     walk = _fiber_walk(np.ones((1, 1), dtype=np.int64 if exact else float), step, depth_max)
-    levels: list[_Level | None] = [None]
-    offset, uniq = 0.0, None
-    for n, (v, parent, sym, tail) in enumerate(walk, start=1):
-        num = row_sums(v) if exact else None
-        if exact:
-            uniq, inv = np.unique(num, return_inverse=True)
-            logs = np.array([log_fraction(x) for x in uniq.tolist()])[inv.reshape(-1)]
-        else:
+    if exact:
+        levels = _Levels(depth_max, _exact_levels(walk))
+    else:
+        levels, offset = [None], 0.0
+        for n, (v, parent, sym, tail) in enumerate(walk, start=1):
             if n >= r:
                 offset += fmax
             if gauge is None and v[v > 0].min(initial=1.0) * w < _FLOOR:
@@ -631,10 +768,24 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
                 gauge = np.where(top > 0, gauge + e, _EMPTY)
                 shift = (0.0 if shift is None else np.array(shift)) + gauge * math.log(2)
             logs = _float_readout(v, shift, offset)
-        levels.append(_Level(logs, parent, tail, sym, num, 1, below=levels[-1], distinct=uniq))
+            if not np.isfinite(logs).all():
+                raise TableError(_NON_FINITE % n)
+            levels.append(_Level(logs, parent, tail, sym, None, 1, below=levels[-1]))
 
-    return SeqTable.from_levels(pi.image_alphabet, levels, kind="g", language=pi.image,
+    return SeqTable.from_levels(pi.image_alphabet, levels, exact, kind="g", language=pi.image,
                                 potential=f, factor=pi)
+
+
+def _exact_levels(walk):
+    """The levels of an exact fiber walk, one per resumption: integer
+    values (the row sums) and their logs, once per distinct value."""
+    below = None
+    for v, parent, sym, tail in walk:
+        num = row_sums(v)
+        uniq, inv = np.unique(num, return_inverse=True)
+        logs = np.array([log_fraction(x) for x in uniq.tolist()])[inv.reshape(-1)]
+        below = _Level(logs, parent, tail, sym, num, 1, below=below, distinct=uniq)
+        yield below
 
 
 def _transfer(pi: OneBlockFactor, f: LocallyConstantPotential, fmax: float, exact: bool,

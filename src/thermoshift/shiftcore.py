@@ -37,6 +37,8 @@ class Language:
         self.start = start
         self._levels: list[list[Word]] = [[EPSILON]]  # B_0, B_1, ... built so far
         self._frontier = [(EPSILON, start)]  # (word, state) on the last built level
+        self._counts = [1]  # |B_0|, |B_1|, ... counted so far
+        self._paths = {start: 1}  # paths per state on the last counted level
 
     def index(self, name: str) -> int:
         try:
@@ -90,18 +92,25 @@ class Language:
         return [(w + (b,), nxt) for w, st in pairs for b in range(len(self.alphabet))
                 if (nxt := self.step(st, b)) is not None]
 
-    def count_blocks(self, n: int) -> int:
-        """|B_n| by path counting over the automaton states (no enumeration)."""
-        counts = {self.start: 1}
-        for _ in range(n):
+    def block_counts(self, n: int) -> list[int]:
+        """[|B_0|, ..., |B_n|] by path counting over the automaton states (no
+        enumeration), every depth in one walk, kept and grown on demand."""
+        if n < 0:
+            raise self.error("block length must be >= 0")
+        while len(self._counts) <= n:
             nxt: dict = {}
-            for st, c in counts.items():
+            for st, c in self._paths.items():
                 for b in range(len(self.alphabet)):
                     st2 = self.step(st, b)
                     if st2 is not None:
                         nxt[st2] = nxt.get(st2, 0) + c
-            counts = nxt
-        return sum(counts.values())
+            self._paths = nxt
+            self._counts.append(sum(nxt.values()))
+        return self._counts[:n + 1]
+
+    def count_blocks(self, n: int) -> int:
+        """|B_n| (``block_counts``)."""
+        return self.block_counts(n)[n]
 
     def is_periodic_block(self, word: Word) -> bool:
         """(word)^infinity is a point of the shift iff every repetition of

@@ -432,14 +432,17 @@ def test_verdict_report_serializes(collapse_gt, collapse):
 
 @functools.lru_cache(maxsize=None)
 def _orbit_table(name, depth, float_f):
-    """(factor, table) for a factor fixture; ``float_f`` gives a float table
-    built from a fixed range-1 potential instead of the counting table."""
+    """(factor, table) for a factor fixture, every level built; ``float_f``
+    gives a float table built from a fixed range-1 potential instead of the
+    counting table."""
     pi = load_factor(read_json(str(FIXTURES / name)))
     f = LocallyConstantPotential.zero(pi.domain)
     if float_f:
         f = LocallyConstantPotential(pi.domain, 1, {w: 0.3 - 0.25 * w[0]
                                                     for w in pi.domain.blocks(1)})
-    return pi, build_g_table(pi, f, depth)
+    gt = build_g_table(pi, f, depth)
+    gt.levels[depth]
+    return pi, gt
 
 
 ORBIT_CASES = [("factor_collapse.json", 4, False), ("factor_collapse.json", 9, False),
@@ -455,8 +458,10 @@ def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
     """The one orbit pass against word-by-word oracles: float defects bit for
     bit, exact defects through power_exponent (None exactly when some value
     at a checked depth is no power of h's base), the stored values, and one
-    table lookup per multiple."""
+    table lookup per multiple; a table with no level built reads the same
+    from its fiber rows."""
     pi, gt = _orbit_table(*case)
+    lazy = build_g_table(pi, gt.potential, gt.depth_max)
     windows = pi.image.blocks(r)
     if exact_h:
         coeffs = {w: Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
@@ -482,6 +487,7 @@ def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
         with mock.patch.object(SeqTable, "_find", counted):
             floats, exact, values = orbit_defects(gt, h, y, len(ns))
         assert looked_up == ns
+        assert orbit_defects(lazy, h, y, len(ns)) == (floats, exact, values)
         assert floats == [(gt.log_value(n, y.word(n)) - periodic_birkhoff(h, y, n)) / n
                           for n in ns]
         powers = gt.is_exact and h.is_exact and all(

@@ -7,7 +7,7 @@ import numpy as np
 
 from thermoshift.numerics import (common_power_base, fit_line, gaussian_solve,
                                   log_fraction, logsumexp, perron, perron_exact,
-                                  power_exponent)
+                                  power_exponent, row_sums)
 
 
 def test_logsumexp_stability():
@@ -68,3 +68,18 @@ def test_perron_exact_needs_positive_integer_eigenvectors():
     assert perron_exact(golden, perron(golden)[0]) is None  # 2 is not a root
     # reducible: root 2 with a positive right vector, but the left one is (1, 0)
     assert perron_exact(np.array([[2, 0], [1, 1]]), 2.0) is None
+
+
+def test_row_sums_keep_their_dtype_and_promote_past_int64():
+    """int64 sums stay int64 while no sum can pass 2^63 and become Python
+    ints past it; object rows of small ints come back int64; floats stay."""
+    out = row_sums(np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64))
+    assert out.dtype == np.int64 and out.tolist() == [6, 15]
+    out = row_sums(np.array([[2 ** 62, 2 ** 62], [1, 0]], dtype=np.int64))
+    assert out.dtype == object and out.tolist() == [2 ** 63, 1]
+    out = row_sums(np.array([[1, 2 ** 70], [3, 4]], dtype=object))
+    assert out.dtype == object and out.tolist() == [1 + 2 ** 70, 7]
+    out = row_sums(np.array([[1, 2], [3, 4]], dtype=object))
+    assert out.dtype == np.int64 and out.tolist() == [3, 7]
+    out = row_sums(np.array([[0.5, 0.25]]))
+    assert out.dtype == float and out.tolist() == [0.75]

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -91,11 +92,51 @@ def test_weak_spec_numbers(full2, goldenmean):
     assert weak_spec_number(disjoint) is None
 
 
-def test_weak_spec_present_iff_irreducible():
-    rng = random.Random(7)
-    for _ in range(25):
+def _weak_spec_by_matrix_powers(rows) -> int | None:
+    """Independent oracle: the least p such that every pair (a, b) is
+    joined by a path of at most p + 1 edges, from the boolean powers A^k;
+    None when some pair is never joined (no path of at most n edges)."""
+    a = np.array(rows, dtype=bool)
+    power, joined = a.copy(), a.copy()  # A^k, and A or ... or A^k
+    for k in range(1, len(rows) + 1):
+        if joined.all():
+            return k - 1
+        power = (power.astype(np.int64) @ a.astype(np.int64)) > 0
+        joined |= power
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=k, max_size=k)))
+@example([[1, 0], [0, 1]])
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+@example([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [1, 0, 0, 0, 0]])
+def test_weak_spec_present_iff_irreducible(rows):
+    """weak_spec_number against boolean matrix powers on random SFTs of
+    1-5 symbols, reducible ones included: the value where every pair is
+    joined, None (and not irreducible) where some pair is not."""
+    try:
+        sft = Sft([chr(ord("a") + i) for i in range(len(rows))], rows)
+    except SftError:
+        assume(False)
+    want = _weak_spec_by_matrix_powers(rows)
+    assert weak_spec_number(sft) == want
+    assert is_irreducible(sft) == (want is not None)
+
+
+def test_block_counts_walk_every_depth_once():
+    """block_counts gives |B_0|..|B_n| from one walk, grown on demand, and
+    count_blocks reads it."""
+    rng = random.Random(5)
+    for _ in range(10):
         sft = random_sft(rng)
-        assert (weak_spec_number(sft) is not None) == is_irreducible(sft)
+        counts = sft.block_counts(6)
+        assert counts == [len(brute_blocks(sft, n)) for n in range(7)]
+        assert sft.block_counts(3) == counts[:4]
+        assert [sft.count_blocks(n) for n in range(9)] == sft.block_counts(8)
+    with pytest.raises(SftError):
+        sft.block_counts(-1)
 
 
 def _strongly_connected(rows) -> bool:

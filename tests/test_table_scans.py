@@ -3,7 +3,10 @@ the nested word loops they replaced, kept here as reference oracles: every
 report must serialize to the same JSON.  Exact g-tables take the fiber-class
 path (``SeqTable.classes``) when their class products are fewer than the
 word scan's cells, float and dict-built tables the word kernels; the
-oracles cover both, and exact tables are checked on each path forced."""
+oracles cover both, and exact tables are checked on each path forced, with
+their levels built and with none built.  Verdicts on exact g-tables that
+read their fiber rows past the built levels (``SeqTable.rows``) must equal
+the verdicts on the same tables with every level built."""
 
 import json
 import math
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 
 from thermoshift import (LocallyConstantPotential, OneBlockFactor, SeqTable,
                          build_g_table, check_D2, check_subadditive,
-                         defect_profile, seqtable)
+                         defect_profile, detect, seqtable)
+from thermoshift.detect import table_verdict
 from thermoshift.jsonio import load_factor, read_json
 from thermoshift.numerics import log_fraction
 from thermoshift.seqtable import D2Report, DefectProfile, SubadditivityReport
@@ -132,16 +136,21 @@ FORCE = {"classes": lambda self, top, gap: math.inf, "words": lambda self, top, 
 
 
 def assert_scans_match(t, gaps=(0,)):
+    """The scans on t against the oracles; on an exact g-table also on a
+    fresh copy with no level built, each scan reading what it needs."""
+    fresh = (lambda: build_g_table(t.factor, t.potential, t.depth_max)) \
+        if t.classes is not None else None
     assert _json(check_subadditive(t)) == _json(ref_check_subadditive(t))
     want = [_json(ref_defect_profile(t))] + [ref_check_D2(t, gap) for gap in gaps]
     for path in [None] + (list(FORCE) if t.classes is not None else []):
         with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE.get(
                 path, seqtable._FiberClasses._scan_cost)):
-            assert _json(defect_profile(t)) == want[0], path
-            for gap, ref in zip(gaps, want[1:]):
-                got = check_D2(t, gap)
-                assert _json(got) == _json(ref), (path, gap)
-                assert got.unbridged == ref.unbridged
+            for table in [t] + ([fresh()] if fresh else []):
+                assert _json(defect_profile(table)) == want[0], path
+                for gap, ref in zip(gaps, want[1:]):
+                    got = check_D2(table, gap)
+                    assert _json(got) == _json(ref), (path, gap)
+                    assert got.unbridged == ref.unbridged
 
 
 def exact_table(lang, values):
@@ -326,3 +335,132 @@ def test_exact_scans_are_not_decided_by_floats():
     assert rep.worst_slack <= rep.tolerance and not rep.ok
     assert defect_profile(t).exact_c[(1, 1)] == 1 + Fraction(7, a * a)
     assert_scans_match(t)
+
+
+def _verdicts(pi, f, depth, **kw):
+    """(lazy, built): table_verdict's report on a g-table read as the
+    verdict needs, and on the same table with every level built first."""
+    lazy, full = build_g_table(pi, f, depth), build_g_table(pi, f, depth)
+    full.levels[depth]
+    got = json.dumps(table_verdict(lazy, **kw).as_dict(), sort_keys=True)
+    want = json.dumps(table_verdict(full, **kw).as_dict(), sort_keys=True)
+    assert full.levels.built == depth
+    return lazy, got, want
+
+
+def _candidate(img, r, kind, rng):
+    """None (fit h), or an exact (base 2) or float candidate of range r."""
+    if kind == "fit":
+        return None
+    windows = img.blocks(r)
+    if kind == "float":
+        return LocallyConstantPotential(img, r, {w: rng.uniform(-1, 1) for w in windows})
+    coeffs = {w: Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for w in windows}
+    return LocallyConstantPotential(img, r, {w: float(c) * math.log(2) for w, c in coeffs.items()},
+                                    exact_coeffs=coeffs, exact_base=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor=small_factors(), f_range=st.integers(1, 3), r=st.integers(1, 3),
+       kind=st.sampled_from(["fit", "exact", "float"]), short_fits=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_lazy_verdicts_match_built_tables(factor, f_range, r, kind, short_fits, seed):
+    """Random domains, reducible ones included, zero potentials of range 1-3
+    and fit ranges 1-3, with a fitted h and with given exact and float
+    candidates: the verdict on a g-table read lazily equals the verdict
+    with every level built (short fits leave most levels unbuilt).  On a
+    table with no level built, the power base, the uniform defects of both
+    candidates and the periodic defects read the fiber rows alone and equal
+    the built table's."""
+    trans, targets = factor
+    dom = Sft([str(i) for i in range(len(trans))], trans)
+    pi = OneBlockFactor(dom, targets)
+    f = LocallyConstantPotential(dom, f_range, dict.fromkeys(dom.blocks(f_range), 0.0))
+    depth, rng = 7, random.Random(seed)
+    hs = {kind: _candidate(pi.image, r, kind, rng) for kind in ("fit", "exact", "float")}
+    lazy, got, want = _verdicts(pi, f, depth, h=hs[kind], r=r,
+                                n_fits=list(range(r, r + 2)) if short_fits else None)
+    assert got == want
+    full, fresh = build_g_table(pi, f, depth), build_g_table(pi, f, depth)
+    full.levels[depth]
+    assert fresh.power_base == full.power_base
+    for h in (hs["exact"], hs["float"]):
+        for exact in (False, True):
+            assert detect.uniform_defects(fresh, h, exact) == detect.uniform_defects(full, h, exact)
+        for y in detect.image_periodic_points(pi.image, 3):
+            j = depth // y.period
+            assert detect.orbit_defects(fresh, h, y, j) == detect.orbit_defects(full, h, y, j)
+    assert fresh.levels.built == 0
+
+
+@pytest.mark.parametrize("kind", ["fit", "exact", "float"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("name, depth, short_fits", [("factor_collapse.json", 12, False),
+                                                     ("factor_phase_blocked.json", 18, False),
+                                                     ("factor_amalgamation.json", 10, False),
+                                                     ("factor_full4_abc.json", 9, True)])
+def test_lazy_verdicts_on_fixtures_read_rows_past_the_fit_depth(name, depth, short_fits, r,
+                                                                 kind):
+    """Past the fit depth the fiber rows serve: the verdict leaves the
+    levels past FIT_DEPTH unbuilt and equals the verdict on the built
+    table (the full-4 factor fits at depths r and r + 1 only: its default
+    fits hold 6561 words at depth 8)."""
+    pi = load_factor(read_json(FIXTURES / name))
+    lazy, got, want = _verdicts(pi, LocallyConstantPotential.zero(pi.domain), depth,
+                                h=_candidate(pi.image, r, kind, random.Random(r)), r=r,
+                                n_fits=[r, r + 1] if short_fits else None)
+    assert got == want
+    assert lazy.rows is not None
+    assert lazy.levels.built <= seqtable.FIT_DEPTH
+
+
+@pytest.mark.parametrize("trans", [STERN_BROCOT, CALKIN_WILF])
+@pytest.mark.parametrize("r, kind", [(1, "fit"), (2, "exact"), (1, "float")])
+def test_rows_decline_where_every_word_has_its_own(trans, r, kind):
+    """On the Stern-Brocot and Calkin-Wilf factors the fiber rows are 18%
+    and 50% of the words at depth 12, more than a row's cost allows: the
+    row walk declines, and the power base and the uniform defects read the
+    words."""
+    dom = Sft(["1", "2", "3", "4"], trans)
+    pi = OneBlockFactor(dom, ["a", "a", "b", "b"])
+    f = LocallyConstantPotential.zero(dom)
+    h = _candidate(pi.image, r, "exact" if kind == "fit" else kind, random.Random(3))
+    lazy, got, want = _verdicts(pi, f, 12, h=None if kind == "fit" else h, r=r)
+    assert got == want
+    assert lazy.rows is None
+    full = build_g_table(pi, f, 12)
+    full.levels[12]
+    for exact in (False, True):
+        assert detect.uniform_defects(lazy, h, exact) == detect.uniform_defects(full, h, exact)
+    assert lazy.power_base == full.power_base
+    assert lazy.levels.built == 12
+
+
+@pytest.mark.parametrize("name, depth, built", [("factor_collapse.json", 14, 8),
+                                                ("factor_phase_blocked.json", 18, 0)])
+def test_verdict_builds_no_level_past_the_fit_depth(name, depth, built):
+    """table_verdict(r=1) builds the collapse table to depth 8 (the fits),
+    and refutes phase-blocked from its classes with no level built: the
+    resumed walk has produced only those levels."""
+    pi = load_factor(read_json(FIXTURES / name))
+    t = build_g_table(pi, LocallyConstantPotential.zero(pi.domain), depth)
+    assert t.levels.built == 0
+    table_verdict(t, r=1)
+    assert t.levels.built == built
+
+
+def test_keys_past_the_rows_budget_hand_over_to_the_words():
+    """With range 3 the collapse keys (row, state, last two symbols) past
+    the fit depth outnumber the rows: with the rows' budget cut to just
+    above the rows, the key walk hands over to the words, which builds
+    every level, and the defects do not change."""
+    pi = load_factor(read_json(FIXTURES / "factor_collapse.json"))
+    f = LocallyConstantPotential.zero(pi.domain)
+    h = _candidate(pi.image, 3, "exact", random.Random(1))
+    for exact in (False, True):
+        t = build_g_table(pi, f, 11)
+        want = detect.uniform_defects(t, h, exact)
+        assert t.levels.built == 0  # read from the keys
+        t.rows.budget = sum(len(t.rows.sums[n]) for n in range(seqtable.FIT_DEPTH + 1, 12)) + 1
+        assert detect.uniform_defects(t, h, exact) == want
+        assert t.levels.built == 11
