@@ -10,6 +10,7 @@ Reports are byte-identical across runs on identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pressure", help="partition sums and pressure estimates")
     common(p)
     p.add_argument("--table-out", help="also export the table as JSON {depth: {word: log value}}")
-    p.set_defaults(fn=cmd_pressure)
+    p.set_defaults(fn="cmd_pressure")
 
     p = sub.add_parser("fit-h", help="Chebyshev fit of h plus the detector verdict")
     common(p)
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nfit", type=int)
     p.add_argument("--pmax", type=int, default=6)
     p.add_argument("--jmax", type=int)
-    p.set_defaults(fn=cmd_fit_h)
+    p.set_defaults(fn="cmd_fit_h")
 
     p = sub.add_parser("verdict", help="compensation-function verdict")
     common(p)
@@ -282,25 +283,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidate", help="candidate h JSON (on the image alphabet)")
     p.add_argument("--pmax", type=int, default=6)
     p.add_argument("--jmax", type=int)
-    p.set_defaults(fn=cmd_verdict)
+    p.set_defaults(fn="cmd_verdict")
 
     p = sub.add_parser("weak-gibbs", help="weak-Gibbs constants and the pushforward sandwich")
     common(p)
     p.add_argument("--measure", help="Markov measure JSON on the domain shift")
-    p.set_defaults(fn=cmd_weak_gibbs)
+    p.set_defaults(fn="cmd_weak_gibbs")
 
     p = sub.add_parser("profile-cnm", help="almost-additivity defect profile and D2 search")
     common(p)
     p.add_argument("--gap-cap", type=int)
     p.add_argument("--csv", help="also write the (n, m, log_c, log_d) table as CSV")
-    p.set_defaults(fn=cmd_profile_cnm)
+    p.set_defaults(fn="cmd_profile_cnm")
 
     p = sub.add_parser("certificate", help="periodic certificate for an image word")
     common(p)
     p.add_argument("--word", help="image word, e.g. 'ab' or 'a,b'")
     p.add_argument("--gap-cap", type=int)
     p.add_argument("--jmax", type=int)
-    p.set_defaults(fn=cmd_certificate)
+    p.set_defaults(fn="cmd_certificate")
     return parser
 
 
@@ -308,11 +309,17 @@ _INPUT_ERRORS = (SchemaError, SftError, FactorError, PotentialError,
                 MeasureError, TableError, DetectError, GibbsError)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        report = args.fn(args)
+        # looked up by name when the command runs, so a replaced cmd_* serves
+        report = globals()[args.fn](args)
     except _INPUT_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT

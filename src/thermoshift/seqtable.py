@@ -30,10 +30,12 @@ x_u . y_v with x_u = a_{u_1} A_{u_2} ... A_{u_n} and y_v = A_v 1 over the
 the primitive integer rows of x_u and (y_v, g(v)).  That pays when a depth
 holds few classes next to its words; each scan counts the class products
 it needs and takes the class path only when they are fewer than the word
-scan's cells.  The reports are the word scans' bit for bit, and witnesses
-and unbridged pairs still name words.  Float tables, tables built from
-dicts and exact g-tables whose classes do not pay keep the word scans
-(``_splits``, ``_ranks``, ``_word_bridges``).
+scan's cells.  The reports are the word scans' bit for bit.  The class
+path reads no word level: the values inside a class come from the distinct
+fiber rows, and only the unbridged pairs check_D2 lists are spelled from
+the levels.  Float tables, tables built from dicts and exact g-tables
+whose classes do not pay keep the word scans (``_splits``, ``_ranks``,
+``_word_bridges``).
 
 Past the fit depth an exact g-table's values are read from its distinct
 fiber rows x_u (``_FiberRows``), not from levels it has not built: the
@@ -436,37 +438,57 @@ class _FiberClasses:
     of the word grown by that symbol at the end (forward) or the front
     (backward), -1 where the grown row is 0: the grown word is stored
     exactly when it is not.  All of it grows row matrices, depth by depth,
-    and reads no word: the class of each rank (``fwd`` / ``bwd``) is
-    gathered only when check_D2 asks for it.
+    and reads no word.  The distinct values within a class come from the
+    distinct fiber rows of its direction, each carrying its class through
+    ``fnext`` / ``bnext`` (``_fwd_rows``, ``_bwd_rows``); where a row walk
+    declines, from the levels.  The class of each rank (``rank_classes``)
+    is gathered only to spell unbridged pairs.
     """
 
     def __init__(self, t: SeqTable):
         steps, grow_x, grow_y = _one_block(t)
         s = steps.shape[1]
-        self.levels, self.depth, self._steps = t.levels, t.depth_max, steps
+        self.levels, self.depth, self._steps, self._table = t.levels, t.depth_max, steps, t
         self.counts = t.language.block_counts(t.depth_max)  # words per depth
-        x, self.fnext = _class_tables(np.eye(1, s + 1, s, dtype=steps.dtype), grow_x, t.depth_max)
+        x, self.fnext = _class_tables(np.eye(1, s + 1, s, dtype=np.int64), grow_x, t.depth_max)
         self.x = [rows[:, :s] for rows in x]
         self.sx = [row_sums(rows) for rows in self.x]
-        self.y, self.bnext = _class_tables(np.ones((1, s + 1), steps.dtype), grow_y, t.depth_max)
+        self._grow_y = grow_y
+        self.y, self.bnext = _class_tables(np.ones((1, s + 1), np.int64), grow_y, t.depth_max)
+        self._ranks = {"fwd": [np.zeros(1, np.intp)], "bwd": [np.zeros(1, np.intp)]}
+        self._first: list[np.ndarray | None] = [None]  # first symbol of each rank
         self._values: dict[tuple[str, int, int], tuple[list, list]] = {}
 
-    @cached_property
-    def fwd(self) -> list[np.ndarray]:
-        """Per depth, the forward class of each rank."""
-        ids = [np.zeros(1, np.intp)]
-        for n, level in enumerate(self.levels[1:]):
-            ids.append(self.fnext[n][ids[-1][level.parent], level.sym])
-        return ids
+    def rank_classes(self, side: str, n: int) -> np.ndarray:
+        """The forward ("fwd") or backward ("bwd") class of each rank at
+        depth n, gathered level by level through depth n."""
+        ids = self._ranks[side]
+        for d in range(len(ids), n + 1):
+            level = self.levels[d]
+            if side == "fwd":
+                ids.append(self.fnext[d - 1][ids[-1][level.parent], level.sym])
+            else:
+                self._first.append(level.sym if d == 1 else self._first[d - 1][level.parent])
+                ids.append(self.bnext[d - 1][ids[-1][level.tail], self._first[d]])
+        return ids[n]
 
     @cached_property
-    def bwd(self) -> list[np.ndarray]:
-        """Per depth, the backward class of each rank."""
-        ids, first = [np.zeros(1, np.intp)], None
-        for n, level in enumerate(self.levels[1:]):
-            first = level.sym if first is None else first[level.parent]
-            ids.append(self.bnext[n][ids[-1][level.tail], first])
-        return ids
+    def _fwd_rows(self) -> tuple[list, list] | None:
+        """(per depth, g of each distinct forward fiber row x_u, and its
+        class): the rows of ``SeqTable.rows``; None where that walk
+        declines."""
+        rows = self._table.rows
+        return None if rows is None else (rows.sums, _carry(rows.next, self.fnext))
+
+    @cached_property
+    def _bwd_rows(self) -> tuple[list, list] | None:
+        """(per depth, g of each distinct backward fiber row (y_v, g(v)),
+        and its class); None where the walk declines, on the budget of the
+        forward rows."""
+        found = _class_tables(np.ones((1, self._grow_y.shape[1]), np.int64), self._grow_y,
+                              self.depth, primitive=False, budget=_row_budget(self._table))
+        return None if found is None else ([rows[:, -1] for rows in found[0]],
+                                           _carry(found[1], self.bnext))
 
     def _scan_cost(self, top: int, gap: int) -> int:
         """The cells the word scan reads: (s - 1) |B_total| for each s in
@@ -487,22 +509,18 @@ class _FiberClasses:
         """C_{n,m} = max over the words w at depth n+m of max(R, 1/R), R =
         g(w) / (g(w[:n]) g(w[n:])): the same maximum over the class pairs
         present at depths n and m whose product x . y is positive (their
-        words concatenate to stored words).  Floats propose, ``_max_ratio``
-        proves; 1 where depth n+m holds no word.  None when the class
-        pairs are not fewer than the word scan's splits."""
+        words concatenate to stored words); 1 where depth n+m holds no
+        word.  ``_max_ratios`` proves every cell of depth n at once.  None
+        when the class pairs are not fewer than the word scan's splits."""
         cells = [(n, total - n) for total in range(2, self.depth + 1) for n in range(1, total)]
         if sum(len(self.x[n]) * len(self.y[m]) for n, m in cells) >= self._scan_cost(self.depth, 0):
             return None
         out = {}
         for n in range(1, self.depth):
             y, den, cols = self._against(n, range(1, self.depth - n + 1))
-            num = self.x[n] @ y.T
-            spread = np.abs(_logs(num) - _logs(den))
-            for m, col in cols.items():
-                v, ab = num[:, col].ravel(), den[:, col].ravel()
-                live = v > 0
-                out[(n, m)] = Fraction(1) if not live.any() else _max_ratio(
-                    v[live], ab[live], int(np.argmax(spread[:, col].ravel()[live])))
+            num = _dot(self.x[n], y)
+            spread = np.where(num > 0, np.abs(_logs(num) - _logs(den)), -np.inf)
+            out.update(((n, m), c) for m, c in _max_ratios(num, den, spread, cols).items())
         return {key: out[key] for key in cells}
 
     def bridges(self, gap: int) -> dict[tuple[int, int], tuple[float | None, list]] | None:
@@ -515,8 +533,10 @@ class _FiberClasses:
         log D_{n,m} is the word scan's, bit for bit: for each word pair it
         is (L(max_w g(uwv)) - L(g(u))) - L(g(v)), L = log_fraction, and
         max_w g(uwv) = (g(u) / (x_c . 1)) (g(v) / g_d) max_w x_c A_w y_d.
-        Only class pairs whose ratio is within 1e-9 (in log) of the least
-        can hold the float minimum; their distinct word values are read."""
+        Only class pairs whose ratio is within 1e-9 (in log) of their
+        cell's least can hold the float minimum; their distinct word values
+        are read (``_distinct``).  The cells of depth n take their minima
+        from one pass over the whole block."""
         top = self.depth - gap
         if top < 2:
             return {}
@@ -527,33 +547,46 @@ class _FiberClasses:
         found = {}
         for n in range(1, top):
             y, den, cols = self._against(n, range(1, top - n + 1))
-            best = np.zeros((len(self.x[n]), len(y)), y.dtype)
+            best = np.zeros((len(self.x[n]), len(y)), np.int64)
             for owner, rows in steps:
                 mine = (owner >= starts[n - 1]) & (owner < starts[n])
-                np.maximum.at(best, owner[mine] - starts[n - 1], rows[mine] @ y.T)
+                prods = _dot(rows[mine], y)
+                if prods.dtype == object:
+                    best = best.astype(object)
+                np.maximum.at(best, owner[mine] - starts[n - 1], prods)
             hit = best > 0
             ratio = np.where(hit, _logs(best) - _logs(den), np.inf)
+            # each cell's least ratio and the class pairs within 1e-9 of it
+            low, every = ratio.min(axis=0).tolist(), hit.all(axis=0).tolist()
+            floor, near = np.empty(len(low)), {m: [] for m in cols}
+            for col in cols.values():
+                floor[col] = min(low[col], default=np.inf) + 1e-9
+            cell = np.repeat(list(cols), [col.stop - col.start for col in cols.values()]).tolist()
+            for c, j in np.argwhere(hit & (ratio <= floor)).tolist():
+                near[cell[j]].append((c, j - cols[cell[j]].start))
             for m, col in cols.items():
-                found[(n, m)] = self._bridge_cell(n, m, hit[:, col], ratio[:, col], best[:, col])
+                found[(n, m)] = self._bridge_cell(n, m, all(every[col]), near[m], hit[:, col],
+                                                  best[:, col])
         return {(n, s - n): found[(n, s - n)] for s in range(2, top + 1) for n in range(1, s)}
 
-    def _bridge_cell(self, n: int, m: int, hit: np.ndarray, ratio: np.ndarray,
+    def _bridge_cell(self, n: int, m: int, complete: bool, near: list, hit: np.ndarray,
                      best: np.ndarray) -> tuple[float | None, list]:
-        """(log D_{n,m} or None, unbridged word pairs) from the class pairs'
-        [c, d] bridged flags, float log ratios and gap maxima."""
+        """(log D_{n,m} or None, unbridged word pairs) from whether every
+        class pair [c, d] is bridged, the pairs near the least ratio, and
+        the pairs' bridged flags and gap maxima."""
         missing, worst = [], None
-        if not hit.all():
+        if not complete:
             a, b = self.levels[n].words, self.levels[m].words
-            iu, iv = np.nonzero(~hit[self.fwd[n][:, None], self.bwd[m][None, :]])
+            iu, iv = np.nonzero(~hit[self.rank_classes("fwd", n)[:, None],
+                                     self.rank_classes("bwd", m)[None, :]])
             missing = [(a[i], b[j]) for i, j in zip(iu.tolist(), iv.tolist())]
-        if hit.any():
-            for c, d in np.argwhere(ratio <= ratio.min() + 1e-9).tolist():
-                t, xc, gd = int(best[c, d]), int(self.sx[n][c]), int(self.y[m][d, -1])
-                us, vs = self._distinct("fwd", n, c), self._distinct("bwd", m, d)
-                for gu, lu in zip(*us):
-                    for gv, lv in zip(*vs):
-                        val = (log_fraction(gu // xc * (gv // gd) * t) - lu) - lv
-                        worst = val if worst is None else min(worst, val)
+        for c, d in near:
+            t, xc, gd = int(best[c, d]), int(self.sx[n][c]), int(self.y[m][d, -1])
+            us, vs = self._distinct("fwd", n, c), self._distinct("bwd", m, d)
+            for gu, lu in zip(*us):
+                for gv, lv in zip(*vs):
+                    val = (log_fraction(gu // xc * (gv // gd) * t) - lu) - lv
+                    worst = val if worst is None else min(worst, val)
         return worst, missing
 
     def _gap_rows(self, top: int, gap: int, budget: int) -> tuple[list, list] | None:
@@ -571,7 +604,7 @@ class _FiberClasses:
         out, cost = [], 0
         for k in range(gap + 1):
             if k:
-                grown = np.concatenate([rows @ a for a in self._steps])
+                grown = _grow(rows, self._steps)
                 owner = np.tile(owner, len(self._steps))
                 keep = grown.any(axis=1)
                 pairs = _unique_rows(np.column_stack([owner[keep], grown[keep]]))[0]
@@ -583,14 +616,24 @@ class _FiberClasses:
         return starts, out
 
     def _distinct(self, side: str, n: int, c: int) -> tuple[list[int], list[float]]:
-        """The distinct values of the words of class c at depth n, with their
-        stored logs."""
+        """The sorted distinct values of the words of class c at depth n,
+        with their logs: from the fiber rows of that side, or from the
+        level where their walk declines (``_level_values``)."""
         key = (side, n, c)
         if key not in self._values:
-            level, mask = self.levels[n], getattr(self, side)[n] == c
-            vals, first = np.unique(level.num[mask], return_index=True)
-            self._values[key] = (vals.tolist(), level.logs[mask][first].tolist())
+            rows = self._fwd_rows if side == "fwd" else self._bwd_rows
+            if rows is None:
+                self._values[key] = self._level_values(side, n, c)
+            else:
+                vals = np.unique(rows[0][n][rows[1][n] == c]).tolist()
+                self._values[key] = (vals, [log_fraction(v) for v in vals])
         return self._values[key]
+
+    def _level_values(self, side: str, n: int, c: int) -> tuple[list[int], list[float]]:
+        """``_distinct`` read from level n: its values and stored logs."""
+        level, mask = self.levels[n], self.rank_classes(side, n) == c
+        vals, first = np.unique(level.num[mask], return_index=True)
+        return vals.tolist(), level.logs[mask][first].tolist()
 
 
 class _FiberRows:
@@ -617,9 +660,8 @@ class _FiberRows:
     @classmethod
     def walk(cls, t: SeqTable) -> _FiberRows | None:
         steps, grow_x, _ = _one_block(t)
-        s = steps.shape[1]
-        budget = sum(t.language.block_counts(t.depth_max)[FIT_DEPTH + 1:]) / _ROW_COST
-        found = _class_tables(np.eye(1, s + 1, s, dtype=steps.dtype), grow_x, t.depth_max,
+        s, budget = steps.shape[1], _row_budget(t)
+        found = _class_tables(np.eye(1, s + 1, s, dtype=np.int64), grow_x, t.depth_max,
                               primitive=False, budget=budget)
         return None if found is None else cls([rows[:, :s] for rows in found[0]], found[1],
                                               budget)
@@ -634,21 +676,42 @@ class _FiberRows:
         return i
 
 
+def _row_budget(t: SeqTable) -> float:
+    """The rows past FIT_DEPTH a row walk may take: the words there over
+    _ROW_COST."""
+    return sum(t.language.block_counts(t.depth_max)[FIT_DEPTH + 1:]) / _ROW_COST
+
+
 def _one_block(t: SeqTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(steps, grow_x, grow_y) of the 1-block transfer of an exact g-table:
     steps[b] = A_b; forward rows carry a start coordinate, 1 only on the
     empty word, (x, start) -> (x A_b + start a_b, 0) = (x, start) grow_x[b];
-    backward (y, g) -> (A_b y, a_b . y).  Entries and row products are at
-    most the domain's block count at the table depth, so int64 serves while
-    that fits, Python ints past it."""
+    backward (y, g) -> (A_b y, a_b . y).  All 0/1 in int64: the walks
+    promote per step (``_grow``)."""
     head = _transfer(t.factor, t.potential, 0.0, True, 0, 1, False)[0][0]  # [b] = a_b
     steps = _transfer(t.factor, t.potential, 0.0, True, 1, 1, False)[0].transpose(1, 0, 2)
     nb, s = head.shape
-    dtype = object if t.factor.domain.count_blocks(t.depth_max) > INT64_MAX else np.int64
-    grow_x, grow_y = np.zeros((2, nb, s + 1, s + 1), dtype)
+    grow_x, grow_y = np.zeros((2, nb, s + 1, s + 1), np.int64)
     grow_x[:, :s, :s], grow_x[:, s, :s] = steps, head
     grow_y[:, :s, :s], grow_y[:, :s, s] = steps.transpose(0, 2, 1), head
-    return steps.astype(dtype), grow_x, grow_y
+    return steps, grow_x, grow_y
+
+
+def _grow(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """rows @ m for each m of ``mats``, stacked m-major: in int64 while the
+    largest entry times the largest column sum of the m stays below 2^63
+    (as ``factor._fiber_walk``), in Python ints past it."""
+    if rows.dtype != object and array_max(rows) * array_max(mats.sum(axis=1)) > INT64_MAX:
+        rows = rows.astype(object)
+    return np.concatenate([rows @ m for m in mats])
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y.T exactly: in int64 while the largest entries' product times
+    the row length stays below 2^63, in Python ints past it."""
+    if x.dtype != object and array_max(x) * array_max(y) * x.shape[1] > INT64_MAX:
+        x = x.astype(object)
+    return x @ y.T
 
 
 def _class_tables(root: np.ndarray, grow: np.ndarray, depth: int, primitive: bool = True,
@@ -660,7 +723,7 @@ def _class_tables(root: np.ndarray, grow: np.ndarray, depth: int, primitive: boo
     None as soon as the rows past FIT_DEPTH reach ``budget``."""
     rows, nexts, spent = [root], [], 0
     for n in range(1, depth + 1):
-        grown = np.concatenate([rows[-1] @ g for g in grow])  # symbol-major
+        grown = _grow(rows[-1], grow)  # symbol-major
         live = grown.any(axis=1)
         prim = grown[live] // np.gcd.reduce(grown[live], axis=1)[:, None] if primitive \
             else grown[live]
@@ -674,6 +737,19 @@ def _class_tables(root: np.ndarray, grow: np.ndarray, depth: int, primitive: boo
         nexts.append(nxt.reshape(len(grow), -1).T.copy())
         rows.append(uniq)
     return rows, nexts
+
+
+def _carry(nexts: list[np.ndarray], class_next: list[np.ndarray]) -> list[np.ndarray]:
+    """Per depth, the class of each row of a row walk: row i grown by b is
+    row nexts[n][i, b] at depth n + 1, of class class_next[n][class of i,
+    b] (the same word grown)."""
+    ids = [np.zeros(1, np.intp)]
+    for nxt, cnext in zip(nexts, class_next):
+        live = nxt >= 0
+        out = np.empty(nxt.max(initial=-1) + 1, np.intp)
+        out[nxt[live]] = cnext[ids[-1]][live]
+        ids.append(out)
+    return ids
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1018,14 +1094,14 @@ def check_D2(t: SeqTable, gap_cap: int) -> D2Report:
 
     Exact g-tables read their fiber classes (``_FiberClasses.bridges``)
     where those take fewer products than the words, other tables scan the
-    words (``_word_bridges``); both list the
-    unbridged pairs as words, by (n, m) and then by rank.  The normalized
+    words (``_word_bridges``); both list the unbridged pairs as words, by
+    (n, m) and then by rank.  ``pairs_checked`` counts the word pairs of
+    the bridged cells from the language counts on g-tables.  The normalized
     trend (1/n) log D_{n,m} -> 0 is evaluated at finite depth and labeled
     as evidence only.
     """
     if gap_cap < 0:
         raise TableError("gap cap must be >= 0")
-    levels = t.levels
     found = None if t.classes is None else t.classes.bridges(gap_cap)
     if found is None:
         found = _word_bridges(t, gap_cap)
@@ -1045,7 +1121,10 @@ def check_D2(t: SeqTable, gap_cap: int) -> D2Report:
         if len(ns) >= 3:
             trends.append(decays_to_zero(ns, [abs(log_d[(n, m)]) / n for n in ns]))
     trend_ok = all(trends) if trends else True
-    detail = {"pairs_checked": sum(len(levels[n]) * len(levels[m]) for n, m in log_d)}
+    # a g-table stores every word of its image language
+    counts = t.language.block_counts(t.depth_max) if t.factor is not None else \
+        [0] + [len(level) for level in t.levels[1:]]
+    detail = {"pairs_checked": sum(counts[n] * counts[m] for n, m in log_d)}
     return D2Report(gap_cap, log_d, bridged, unbridged, trend_ok, detail)
 
 
@@ -1101,18 +1180,35 @@ class DefectProfile:
         }
 
 
-def _max_ratio(v: np.ndarray, ab: np.ndarray, i: int) -> Fraction:
-    """Exact max over words of max(v, ab) / min(v, ab).  The float filter's
-    candidate i is proven by cross-multiplication, num * wd <= den * wn for
-    every word; the words that beat it are resolved one by one."""
+def _max_ratios(v: np.ndarray, ab: np.ndarray, spread: np.ndarray,
+                cols: dict[int, slice]) -> dict[int, Fraction]:
+    """Per group of columns (``cols``), the exact max of max(v, ab) /
+    min(v, ab) over the group's live entries (v > 0); 1 where none is.  The
+    float ``spread`` (-inf off the live entries) proposes each group's
+    candidate wn / wd, and one cross-multiplication over the whole block,
+    num * wd <= den * wn, proves them all; the entries that beat their
+    group's candidate are resolved one by one."""
     num, den = np.maximum(v, ab), np.minimum(v, ab)
-    wn, wd = int(num[i]), int(den[i])
-    bound = int(num.max()) * max(wn, wd)
-    for j in np.flatnonzero(_times(num, wd, bound) > _times(den, wn, bound)).tolist():
-        nj, dj = int(num[j]), int(den[j])
-        if nj * wd > dj * wn:
-            wn, wd = nj, dj
-    return Fraction(wn, wd)
+    top = spread.argmax(axis=0)
+    lead = spread[top, np.arange(spread.shape[1])].tolist()
+    best, owner, wn, wd = {}, [], [], []
+    for key, col in cols.items():
+        j = max(range(col.start, col.stop), key=lead.__getitem__, default=None)
+        best[key] = (1, 1) if j is None or lead[j] == -np.inf else \
+            (int(num[top[j], j]), int(den[top[j], j]))
+        width = col.stop - col.start
+        owner += [key] * width
+        wn += [best[key][0]] * width
+        wd += [best[key][1]] * width
+    bound = array_max(num) * max(wn + wd)
+    dtype = object if bound > INT64_MAX else np.int64
+    beaten = (v > 0) & (_times(num, np.array(wd, dtype), bound) >
+                        _times(den, np.array(wn, dtype), bound))
+    for i, j in np.argwhere(beaten).tolist():
+        (bn, bd), nj, dj = best[owner[j]], int(num[i, j]), int(den[i, j])
+        if nj * bd > dj * bn:
+            best[owner[j]] = (nj, dj)
+    return {key: Fraction(*pair) for key, pair in best.items()}
 
 
 def defect_profile(t: SeqTable, slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> DefectProfile:
@@ -1134,7 +1230,8 @@ def defect_profile(t: SeqTable, slope_threshold: float = DEFAULT_SLOPE_THRESHOLD
             if exact is None:
                 log_c[(n, total - n)] = 0.0 if i is None else float(d[i])
             else:
-                worst = Fraction(1) if i is None else _max_ratio(*exact, i)
+                worst = Fraction(1) if i is None else _max_ratios(
+                    exact[0][:, None], exact[1][:, None], d[:, None], {0: slice(0, 1)})[0]
                 exact_c[(n, total - n)] = worst
                 log_c[(n, total - n)] = log_fraction(worst)
     growth = False

@@ -1,7 +1,11 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from thermoshift import LocallyConstantPotential, build_additive_table, partition_sum
 from thermoshift import cli
@@ -276,6 +280,37 @@ def test_reports_are_deterministic(tmp_path):
         _, a = run(tmp_path, *job)
         _, b = run(tmp_path, *job)
         assert a == b and a
+
+
+def test_main_parses_with_one_parser_and_leaks_no_state(tmp_path, monkeypatch):
+    """main builds its parser once per process.  Commands with different
+    flags run in turn in one process write the bytes that fresh
+    interpreters write, a replaced cmd_* (as a tracer installs) still runs,
+    and a bad flag still exits 2."""
+    jobs = [("profile-cnm", "--factor", fpath("factor_phase_blocked.json"), "--depth", "9",
+             "--gap-cap", "1", "--slope-threshold", "0.2"),
+            ("verdict", "--factor", fpath("factor_collapse.json"), "--depth", "6",
+             "--range", "2", "--pmax", "3"),
+            ("profile-cnm", "--factor", fpath("factor_phase_blocked.json"), "--depth", "8")]
+    builds, calls = [], []
+    build, verdict = cli.build_parser, cli.cmd_verdict
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "cmd_verdict", lambda args: calls.append(1) or verdict(args))
+    cli._parser.cache_clear()
+    try:
+        with pytest.raises(SystemExit) as bad:
+            main(["verdict", "--factor", fpath("factor_collapse.json"), "--no-such-flag"])
+        assert bad.value.code == 2
+        got = [run(tmp_path, *job) for job in jobs]
+    finally:
+        cli._parser.cache_clear()  # drop the parser built with the patched helper
+    assert builds == [1] and calls == [1]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for job, (code, raw) in zip(jobs, got):
+        out = tmp_path / "fresh.json"
+        proc = subprocess.run([sys.executable, "-m", "thermoshift.cli", *job, "--out", str(out)],
+                              env=env, capture_output=True, timeout=120)
+        assert (code, raw) == (proc.returncode, out.read_bytes()) and code == 0
 
 
 def test_thread_cap_does_not_change_output(tmp_path):

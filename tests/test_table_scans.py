@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,14 +230,31 @@ def test_exact_g_tables_take_the_class_path(monkeypatch):
 
 
 def test_class_path_promotes_past_int64(monkeypatch):
-    """With the int64 bound lowered to 10, the class rows, and with them
-    every class product and gap maximum, are Python ints, and the reports
-    do not change."""
+    """With the int64 bound lowered to 10, the class rows turn to Python
+    ints at the step where they could pass it, and with them the class
+    products and gap maxima, and the reports do not change."""
     t = _fixture_table("factor_phase_blocked.json", 9)
     want = [_json(ref_defect_profile(t))] + [_json(ref_check_D2(t, gap)) for gap in range(4)]
     monkeypatch.setattr(seqtable, "INT64_MAX", 10)
-    assert all(x.dtype == object for x in t.classes.x)
+    for rows in (t.classes.x, t.classes.y):
+        promoted = [r.dtype == object for r in rows]
+        assert promoted == sorted(promoted) and not promoted[1] and promoted[-1]
     assert [_json(defect_profile(t))] + [_json(check_D2(t, gap)) for gap in range(4)] == want
+
+
+def test_collapse_stays_on_int64_at_depth_40(monkeypatch):
+    """The walks promote per step, so the collapse rows (at most 3 2^40 at
+    depth 40, against 3^40 domain words) stay in int64, and the reports
+    equal those of the walks forced onto Python ints."""
+    t = _fixture_table("factor_collapse.json", 40)
+    got = [_json(defect_profile(t)), _json(check_D2(t, 3))]
+    assert all(x.dtype == np.int64 for x in t.classes.x + t.classes.y)
+    assert all(v.dtype == np.int64 for v in t.rows.sums + t.classes._bwd_rows[0])
+    assert t.levels.built == 0
+    monkeypatch.setattr(seqtable, "INT64_MAX", 10)
+    forced = _fixture_table("factor_collapse.json", 40)
+    assert [_json(defect_profile(forced)), _json(check_D2(forced, 3))] == got
+    assert any(v.dtype == object for v in forced.classes._bwd_rows[0])
 
 
 @pytest.mark.parametrize("name, depth, counts", [
@@ -249,7 +267,11 @@ def test_class_counts_per_level(name, depth, counts):
     the full-4 abc factor, n + 1 at depth n on phase-blocked (19 at 18)."""
     t = _fixture_table(name, depth)
     assert [len(x) for x in t.classes.x[1:]] == counts
-    assert [len(set(ids.tolist())) for ids in t.classes.fwd[1:]] == counts
+    if t.rows is not None:  # each distinct fiber row carries its class
+        assert [len(set(ids.tolist())) for ids in t.classes._fwd_rows[1][1:]] == counts
+    assert t.levels.built == 0
+    assert [len(set(t.classes.rank_classes("fwd", n).tolist()))
+            for n in range(1, depth + 1)] == counts
 
 
 def _two_block_table(trans, depth):
@@ -279,10 +301,72 @@ def test_scans_on_factors_whose_classes_barely_compress(trans, forward, backward
     (n, m) cell's products are taken apart, so the class path stays within
     the word scan's cells, and both paths match the oracles at depth 12."""
     t = _two_block_table(trans, 12)
+    assert t.rows is None and t.classes._fwd_rows is None and t.classes._bwd_rows is None
     assert [len(lv) for lv in t.levels[1:]] == [2 ** n for n in range(1, 13)]
     assert [len(x) for x in t.classes.x[1:]] == forward
     assert [len(y) for y in t.classes.y[1:]] == backward
     assert_scans_match(t, gaps=(0, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(factor=small_factors(), f_range=st.integers(1, 3))
+def test_class_values_from_rows_match_the_levels(factor, f_range):
+    """Random domains and zero potentials of range 1 to 3: the distinct
+    values (and logs) of every forward and backward class read from the
+    fiber rows equal those read from the levels, and on a table with no
+    level built the class scans at gaps 0 to 3 match the oracles and build
+    only the levels that their unbridged pairs spell."""
+    trans, targets = factor
+    dom = Sft([str(i) for i in range(len(trans))], trans)
+    pi = OneBlockFactor(dom, targets)
+    f = LocallyConstantPotential(dom, f_range, dict.fromkeys(dom.blocks(f_range), 0.0))
+    depth = 7
+    t = build_g_table(pi, f, depth)
+    rows = {"fwd": t.classes.x, "bwd": t.classes.y}
+    for side, classes in rows.items():
+        for n in range(1, depth + 1):
+            for c in range(len(classes[n])):
+                assert t.classes._distinct(side, n, c) == t.classes._level_values(side, n, c)
+    fresh = build_g_table(pi, f, depth)
+    deepest = 0
+    with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE["classes"]):
+        assert _json(defect_profile(fresh)) == _json(ref_defect_profile(t))
+        assert fresh.levels.built == 0
+        for gap in range(4):
+            got, want = check_D2(fresh, gap), ref_check_D2(t, gap)
+            assert _json(got) == _json(want) and got.unbridged == want.unbridged
+            deepest = max([deepest] + [max(len(u), len(v)) for u, v in got.unbridged])
+            assert fresh.levels.built == deepest
+
+
+@pytest.mark.parametrize("name, depth", [("factor_phase_blocked.json", 18),
+                                         ("factor_phase_blocked.json", 28),
+                                         ("factor_collapse.json", 14)])
+def test_profile_and_bridges_build_no_level(name, depth):
+    """profile-cnm's scans (defect_profile, check_D2 at gap 3) read classes
+    and fiber rows alone, and pairs_checked comes from the language
+    counts; below depth 28 the reports equal the word scans'."""
+    t = _fixture_table(name, depth)
+    got = [_json(defect_profile(t)), _json(check_D2(t, 3))]
+    assert t.levels.built == 0
+    assert t.rows is not None and t.classes._bwd_rows is not None
+    if depth < 28:
+        with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE["words"]):
+            words = _fixture_table(name, depth)
+            assert [_json(defect_profile(words)), _json(check_D2(words, 3))] == got
+
+
+def test_unbridged_pairs_still_name_their_words():
+    """Phase-blocked at gap 0 leaves pairs unbridged: the class path spells
+    the same words as the oracle, building the levels through the deepest
+    depth of a pair and no further."""
+    t = _fixture_table("factor_phase_blocked.json", 9)
+    want = ref_check_D2(t, 0)
+    fresh = _fixture_table("factor_phase_blocked.json", 9)
+    got = check_D2(fresh, 0)
+    assert want.unbridged and got.unbridged == want.unbridged
+    assert _json(got) == _json(want)
+    assert fresh.levels.built == max(max(len(u), len(v)) for u, v in got.unbridged) < 9
 
 
 def test_class_path_yields_where_it_reads_more_than_the_words(monkeypatch):
