@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .factor import OneBlockFactor, fiber_words
-from .lp import chebyshev_fit_exact, chebyshev_fit_float, solve_exact
+from .lp import LpError, chebyshev_fit_exact, chebyshev_fits_float, solve_exact
 from .numerics import array_max, integer_rows, log_fraction, logsumexp, power_exponent
 from .potential import (LocallyConstantPotential, PotentialError, birkhoff_inf,
                         birkhoff_sup, periodic_birkhoff, periodic_birkhoff_coeff,
@@ -287,37 +287,79 @@ def _fit_rows(gt: SeqTable, r: int, n: int, classes: np.ndarray | None = None):
 
 def fit_h(gt: SeqTable, r: int, n_fit: int) -> FitResult:
     """Minimize max over depth-n_fit words of |log g_n(y) - S_n h(y)| over
-    potentials h of range r (a Chebyshev-center LP).
+    potentials h of range r (a Chebyshev-center LP); see fit_depths."""
+    return fit_depths(gt, r, [n_fit])[0]
+
+
+def fit_depths(gt: SeqTable, r: int, n_fits) -> list[FitResult]:
+    """fit_h at each depth of n_fits, in order.
 
     Exact in units of log(base) on a counting table with a common power
-    base, HiGHS on the logs otherwise.  For r >= 2 a zero-defect fit leaves
-    the boundary gauge free (h += c, tau -= (n_fit-r+1) c); the rows at
-    n_fit - 1 with the same classes pin it if the joint system is consistent.
+    base, one depth at a time; HiGHS on the logs otherwise, every such depth
+    in one solve (``chebyshev_fits_float``).  For r >= 2 the boundary gauge
+    (h += c, tau -= (n_fit-r+1) c) is free wherever the fit leaves it so:
+    the rows at n_fit - 1 with the same classes pin it, to their canonical
+    solution if the joint exact system is consistent at t* = 0, and on a
+    float fit to the c giving their residuals midrange 0 (``_pin_gauge``).
     """
     if r < 1:
         raise DetectError("fit range must be >= 1")
-    if r > n_fit:
-        raise DetectError("fit range exceeds the fit depth")
-    if n_fit > gt.depth_max:
-        raise TableError("n_fit exceeds the table depth")
-    a, classes, _ = _fit_rows(gt, r, n_fit)
     base = table_power_base(gt)
-    exps = None if base is None else gt.exponents(n_fit, base)
-    fit = None if exps is None else chebyshev_fit_exact(a, exps)
-    if fit is not None and r >= 2 and fit[1] == 0:
-        b, _, keep = _fit_rows(gt, r, n_fit - 1, classes)
-        e = np.concatenate([exps, gt.exponents(n_fit - 1, base)[keep]])
-        fit = (solve_exact(np.vstack([a, b]), e) or fit[0], fit[1])
-    z, tstar = fit or chebyshev_fit_float(a, gt.levels[n_fit].logs)
-    scale = 1.0 if fit is None else math.log(base)  # x * 1.0 keeps the bits
+    fits = []  # (n_fit, rows, classes, the exact (z, t*) or None)
+    for n_fit in n_fits:
+        if r > n_fit:
+            raise DetectError("fit range exceeds the fit depth")
+        if n_fit > gt.depth_max:
+            raise TableError("n_fit exceeds the table depth")
+        a, classes, _ = _fit_rows(gt, r, n_fit)
+        exps = None if base is None else gt.exponents(n_fit, base)
+        fit = None if exps is None else chebyshev_fit_exact(a, exps)
+        if fit is not None and r >= 2 and fit[1] == 0:
+            b, _, keep = _fit_rows(gt, r, n_fit - 1, classes)
+            e = np.concatenate([exps, gt.exponents(n_fit - 1, base)[keep]])
+            fit = (solve_exact(np.vstack([a, b]), e) or fit[0], fit[1])
+        fits.append((n_fit, a, classes, fit))
+    floats = [(n_fit, a) for n_fit, a, _, fit in fits if fit is None]
+    try:
+        solved = iter(chebyshev_fits_float([(a, gt.levels[n_fit].logs) for n_fit, a in floats]))
+    except LpError as e:
+        depths = ", ".join(str(n) for n, _ in floats)
+        raise LpError("float fit at n_fit %s: %s" % (depths, e)) from None
     r_words = gt.levels[r].words
-    tau = [] if classes is None else [gt.levels[r - 1].words[i] for i in classes.tolist()]
-    boundary = {s: float(c) * scale for s, c in zip(tau, z[len(r_words):])}
-    exact = {} if fit is None else {"coeffs": dict(zip(r_words, z)), "base": base,
-                                    "tstar_exact": tstar}
-    return FitResult(r, n_fit, {w: float(c) * scale for w, c in zip(r_words, z)},
-                     float(tstar) * scale, "highs" if fit is None else "exact-simplex",
-                     boundary=boundary or None, **exact)
+    out = []
+    for n_fit, _, classes, fit in fits:
+        if fit is None:
+            z, tstar = next(solved)
+            if r >= 2:
+                z = _pin_gauge(gt, r, n_fit, classes, z)
+        else:
+            z, tstar = fit
+        scale = 1.0 if fit is None else math.log(base)  # x * 1.0 keeps the bits
+        tau = [] if classes is None else [gt.levels[r - 1].words[i] for i in classes.tolist()]
+        boundary = {s: float(c) * scale for s, c in zip(tau, z[len(r_words):])}
+        exact = {} if fit is None else {"coeffs": dict(zip(r_words, z)), "base": base,
+                                        "tstar_exact": tstar}
+        out.append(FitResult(r, n_fit, {w: float(c) * scale for w, c in zip(r_words, z)},
+                             float(tstar) * scale, "highs" if fit is None else "exact-simplex",
+                             boundary=boundary or None, **exact))
+    return out
+
+
+def _pin_gauge(gt: SeqTable, r: int, n_fit: int, classes: np.ndarray,
+               z: list[float]) -> list[float]:
+    """Float fit z (r >= 2) moved along the free gauge direction so that the
+    residuals of the rows at n_fit - 1 with its classes have midrange 0.
+    Those rows all have a . delta = -1 for delta = (1 on each r-word,
+    -(n_fit-r+1) on each class), the rows at n_fit a . delta = 0; so
+    z + c delta with c = -(max + min)/2 of the residuals.  Unchanged when
+    there is no such row."""
+    b, _, keep = _fit_rows(gt, r, n_fit - 1, classes)
+    if not len(b):
+        return z
+    resid = gt.levels[n_fit - 1].logs[keep] - b @ np.array(z)
+    c = -(resid.max() + resid.min()) / 2.0
+    k = len(gt.levels[r])
+    return [v + c for v in z[:k]] + [v - (n_fit - r + 1) * c for v in z[k:]]
 
 
 def chebyshev_defect(gt: SeqTable, values: dict[Word, float], r: int, n: int) -> float:
@@ -509,9 +551,8 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
             n_fits = list(range(max(r, min(2, hi)), hi + 1))
         if not n_fits:
             raise DetectError("fit range exceeds the fit depth")
-        for nf in n_fits:
-            fit = fit_h(gt, r, nf)
-            tstars[nf] = fit.tstar
+        for fit in fit_depths(gt, r, n_fits):
+            tstars[fit.n_fit] = fit.tstar
             if not (fit.exact and fit.tstar_exact == 0):
                 exact_fit_zero = False
         h = fit.potential(gt.language)

@@ -7,7 +7,8 @@ and t* > 0 on small systems by the simplex applied to the dual (one tableau
 row per structural unknown), with Bland's rule for determinism, on an
 integer tableau stepped by the fraction-free ``numerics.pivot``.  The
 optimal primal point is read off the simplex multipliers and re-verified.
-scipy's HiGHS solves the floating path.
+scipy's HiGHS solves the floating path, every fit of a batch in one LP
+on the distinct rows.
 """
 
 from __future__ import annotations
@@ -121,19 +122,39 @@ def _dual_simplex(a: list[list[int]], e: list[int]) -> tuple[list[int], int, int
 def chebyshev_fit_float(a, rhs):
     """HiGHS solve of min t, |rhs_i - a_i . z| <= t over the rows of the
     matrix a; returns (z, t_star)."""
-    from scipy.optimize import linprog  # imported here: only float fits need scipy
+    return chebyshev_fits_float([(a, rhs)])[0]
 
-    a, rhs = np.asarray(a, dtype=float), np.asarray(rhs, dtype=float)
-    w, nvars = a.shape
-    a_ub = np.zeros((2 * w, nvars + 1))
-    a_ub[:w, :nvars] = np.subtract(0.0, a)  # 0 - a: no negative zeros
-    a_ub[w:, :nvars] = a
-    a_ub[:, nvars] = -1.0
-    b_ub = np.concatenate([-rhs, rhs])
-    c = np.zeros(nvars + 1)
-    c[nvars] = 1.0
-    bounds = [(None, None)] * nvars + [(0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+
+def chebyshev_fits_float(systems) -> list[tuple[list[float], float]]:
+    """Several Chebyshev fits, one (a, rhs) each, in one HiGHS solve: a
+    block-diagonal LP minimizing the sum of the blocks' t, which is
+    separable, so each t is at its own optimum.  Equal rows of a share one
+    pair of constraints, hi - a_i . z <= t and a_i . z - lo <= t with hi and
+    lo the largest and smallest rhs of the group: the feasible set of one
+    pair per row.  Returns (z, t_star) per system, in order."""
+    if not systems:
+        return []
+    from scipy.linalg import block_diag  # imported here: only float fits need scipy
+    from scipy.optimize import linprog
+
+    rows, hi, lo = [], [], []
+    for a, rhs in systems:
+        uniq, inv = np.unique(np.asarray(a), axis=0, return_inverse=True)
+        inv, rhs = inv.reshape(-1), np.asarray(rhs, dtype=float)
+        top, bottom = np.full(len(uniq), -np.inf), np.full(len(uniq), np.inf)
+        np.maximum.at(top, inv, rhs)
+        np.minimum.at(bottom, inv, rhs)
+        rows.append(uniq.astype(float))
+        hi.append(top)
+        lo.append(bottom)
+    a_z = block_diag(*rows)  # columns: the z of every block, then every t
+    a_t = block_diag(*[np.ones((len(x), 1)) for x in rows])
+    a_ub = np.block([[np.subtract(0.0, a_z), -a_t], [a_z, -a_t]])  # 0 - a: no negative zeros
+    nz, k = a_z.shape[1], len(rows)
+    res = linprog(np.r_[np.zeros(nz), np.ones(k)], A_ub=a_ub,
+                  b_ub=np.concatenate([-np.concatenate(hi), np.concatenate(lo)]),
+                  bounds=[(None, None)] * nz + [(0, None)] * k, method="highs")
     if not res.success:
         raise LpError("LP solver failed: %s" % res.message)
-    return [float(v) for v in res.x[:nvars]], float(res.x[nvars])
+    zs = np.split(res.x[:nz], np.cumsum([x.shape[1] for x in rows])[:-1])
+    return [(zk.tolist(), float(tk)) for zk, tk in zip(zs, res.x[nz:])]

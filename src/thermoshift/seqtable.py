@@ -905,22 +905,29 @@ def _float_readout(v: np.ndarray, tails: list[float] | None, offset: float) -> n
     Bit for bit numerics.logsumexp: log and exp are libm's (math), the
     differences and the final additions are the same IEEE operations, and
     the fsum of one or two terms is their rounded sum, so math.fsum runs
-    only on rows with three or more terms."""
+    only on rows with three or more terms.  A row's top terms give
+    exp(0.0) = 1.0 and a one-term row log(1.0) = 0.0, so neither is called
+    there."""
     rows, cols = np.nonzero(v > 0)  # row-major: each row's terms together
     x = np.array(list(map(math.log, v[rows, cols].tolist())))
     if tails is not None:
         x = x + np.array(tails)[cols]
-    top = np.full(len(v), -np.inf)
-    np.maximum.at(top, rows, x)
-    terms = np.array(list(map(math.exp, (x - top[rows]).tolist())))
-    sums = np.bincount(rows, weights=terms, minlength=len(v))
     count = np.bincount(rows, minlength=len(v))
     starts = np.concatenate(([0], np.cumsum(count)))
+    live = count > 0
+    top = np.full(len(v), -np.inf)
+    if len(x):
+        top[live] = np.maximum.reduceat(x, starts[:-1][live])
+    d = x - top[rows]
+    terms, below = np.ones(len(x)), np.flatnonzero(d != 0.0)
+    terms[below] = list(map(math.exp, d[below].tolist()))
+    sums = np.bincount(rows, weights=terms, minlength=len(v))
     for i in np.flatnonzero(count > 2).tolist():
         sums[i] = math.fsum(terms[starts[i]:starts[i + 1]].tolist())
+    lse, many = np.zeros(len(v)), np.flatnonzero(count > 1)
+    lse[many] = list(map(math.log, sums[many].tolist()))
     out = np.full(len(v), -np.inf)
-    live = count > 0
-    out[live] = top[live] + np.array(list(map(math.log, sums[live].tolist())))
+    out[live] = top[live] + lse[live]
     return out + offset
 
 

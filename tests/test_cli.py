@@ -126,18 +126,17 @@ def test_weak_gibbs_runs_log_perron_once(tmp_path, monkeypatch):
 
 
 def test_fit_h_reuses_the_verdicts_last_fit(tmp_path, monkeypatch):
-    from thermoshift import cli, detect
-    calls = _counting(monkeypatch, detect, "fit_h")
-    monkeypatch.setattr(cli, "fit_h", detect.fit_h)
+    from thermoshift import detect
+    calls = _counting(monkeypatch, detect, "fit_depths")  # fit_h runs through it too
     code, raw = run(tmp_path, "fit-h", "--factor", fpath("factor_collapse.json"), "--depth", "7")
     assert code == 0
-    assert [c[2] for c in calls] == [2, 3, 4, 5, 6, 7]  # the verdict's fits, none repeated
+    assert [list(c[2]) for c in calls] == [[2, 3, 4, 5, 6, 7]]  # the verdict's fits, none repeated
     doc = json.loads(raw)
     assert doc["fit"] == doc["verdict"]["h"]
     calls.clear()  # after the REFUTED early exit the fit runs on its own
     code, raw = run(tmp_path, "fit-h", "--factor", fpath("factor_phase_blocked.json"),
                     "--depth", "12")
-    assert code == 0 and [c[2] for c in calls] == [8]
+    assert code == 0 and [list(c[2]) for c in calls] == [[8]]
     assert json.loads(raw)["verdict"]["verdict"] == "REFUTED"
 
 

@@ -194,3 +194,29 @@ def test_float_readout_is_logsumexp_bit_for_bit():
         for row, value in zip(v.tolist(), got.tolist()):
             want = logsumexp([math.log(x) + t for x, t in zip(row, tails) if x > 0]) + offset
             assert value == want
+
+
+def test_float_readout_on_gauged_rows_with_ties():
+    """Gauged weights (column tops in [1/2, 1), per-state power-of-two
+    scales) drawn from a few values, so rows tie at their top term, with
+    all-zero rows and rows of three or more terms: the readout equals
+    numerics.logsumexp row by row, bit for bit."""
+    from thermoshift.seqtable import _float_readout
+
+    rng = np.random.default_rng(7)
+    seen = {"tie": 0, "empty": 0, "many": 0}
+    for trial in range(300):
+        rows, cols = rng.integers(1, 30), rng.integers(1, 9)
+        v = rng.choice([0.0, 0.5, 0.625, 0.75, 0.9375], size=(rows, cols))
+        v[rng.random(rows) < 0.2] = 0.0
+        v = np.ldexp(v, rng.choice([0, -1, -40], size=cols))
+        tails = rng.choice([0.0, -1.5, 2.25], size=cols).tolist() if trial % 2 else None
+        offset = float(rng.choice([0.0, 3.5, -17.25]))
+        got = _float_readout(v, tails, offset)
+        for row, value in zip(v.tolist(), got.tolist()):
+            x = [math.log(w) + (tails[j] if tails else 0.0) for j, w in enumerate(row) if w > 0]
+            assert value.hex() == (logsumexp(x) + offset).hex()
+            seen["tie"] += len(x) > 1 and x.count(max(x)) > 1
+            seen["empty"] += not x
+            seen["many"] += len(x) > 2
+    assert all(seen.values()), seen
