@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .factor import OneBlockFactor, fiber_words
-from .lp import LpError, chebyshev_fit_exact, chebyshev_fits_float, solve_exact
+from .lp import LpError, chebyshev_fit_exact, chebyshev_fit_float, solve_exact
 from .numerics import array_max, integer_rows, log_fraction, logsumexp, power_exponent
 from .potential import (LocallyConstantPotential, PotentialError, birkhoff_inf,
                         birkhoff_sup, periodic_birkhoff, periodic_birkhoff_coeff,
@@ -295,22 +295,25 @@ def fit_depths(gt: SeqTable, r: int, n_fits) -> list[FitResult]:
     """fit_h at each depth of n_fits, in order.
 
     Exact in units of log(base) on a counting table with a common power
-    base, one depth at a time; HiGHS on the logs otherwise, every such depth
-    in one solve (``chebyshev_fits_float``).  For r >= 2 the boundary gauge
-    (h += c, tau -= (n_fit-r+1) c) is free wherever the fit leaves it so:
-    the rows at n_fit - 1 with the same classes pin it, to their canonical
-    solution if the joint exact system is consistent at t* = 0, and on a
-    float fit to the c giving their residuals midrange 0 (``_pin_gauge``).
+    base; otherwise exact on the logs, which as floats are dyadic
+    rationals (``lp.chebyshev_fit_float``: a float simplex proposes the
+    optimal basis and the integers certify it; no scipy), rounded to
+    floats.  For r >= 2 the boundary gauge (h += c, tau -= (n_fit-r+1) c)
+    is free wherever the fit leaves it so: the rows at n_fit - 1 with the
+    same classes pin it, to their canonical solution if the joint exact
+    system is consistent at t* = 0, and on a float fit to the c giving
+    their residuals midrange 0 (``_pin_gauge``).
     """
     if r < 1:
         raise DetectError("fit range must be >= 1")
     base = table_power_base(gt)
-    fits = []  # (n_fit, rows, classes, the exact (z, t*) or None)
+    out = []
     for n_fit in n_fits:
         if r > n_fit:
             raise DetectError("fit range exceeds the fit depth")
         if n_fit > gt.depth_max:
             raise TableError("n_fit exceeds the table depth")
+        r_words = gt.levels[r].words
         a, classes, _ = _fit_rows(gt, r, n_fit)
         exps = None if base is None else gt.exponents(n_fit, base)
         fit = None if exps is None else chebyshev_fit_exact(a, exps)
@@ -318,18 +321,11 @@ def fit_depths(gt: SeqTable, r: int, n_fits) -> list[FitResult]:
             b, _, keep = _fit_rows(gt, r, n_fit - 1, classes)
             e = np.concatenate([exps, gt.exponents(n_fit - 1, base)[keep]])
             fit = (solve_exact(np.vstack([a, b]), e) or fit[0], fit[1])
-        fits.append((n_fit, a, classes, fit))
-    floats = [(n_fit, a) for n_fit, a, _, fit in fits if fit is None]
-    try:
-        solved = iter(chebyshev_fits_float([(a, gt.levels[n_fit].logs) for n_fit, a in floats]))
-    except LpError as e:
-        depths = ", ".join(str(n) for n, _ in floats)
-        raise LpError("float fit at n_fit %s: %s" % (depths, e)) from None
-    r_words = gt.levels[r].words
-    out = []
-    for n_fit, _, classes, fit in fits:
         if fit is None:
-            z, tstar = next(solved)
+            try:
+                z, tstar = chebyshev_fit_float(a, gt.levels[n_fit].logs)
+            except LpError as e:
+                raise LpError("float fit at n_fit %d: %s" % (n_fit, e)) from None
             if r >= 2:
                 z = _pin_gauge(gt, r, n_fit, classes, z)
         else:
@@ -340,7 +336,7 @@ def fit_depths(gt: SeqTable, r: int, n_fits) -> list[FitResult]:
         exact = {} if fit is None else {"coeffs": dict(zip(r_words, z)), "base": base,
                                         "tstar_exact": tstar}
         out.append(FitResult(r, n_fit, {w: float(c) * scale for w, c in zip(r_words, z)},
-                             float(tstar) * scale, "highs" if fit is None else "exact-simplex",
+                             float(tstar) * scale, "dyadic-exact" if fit is None else "exact-simplex",
                              boundary=boundary or None, **exact))
     return out
 

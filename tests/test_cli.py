@@ -329,7 +329,7 @@ def test_thread_cap_does_not_change_output(tmp_path):
 
 
 def test_float_range2_verdict_ends_in_evidence(tmp_path):
-    # float table (nonzero f) and a HiGHS fit of range 2: the report holds
+    # float table (nonzero f) and a float fit of range 2: the report holds
     # Python bools and floats only, so it serializes
     pot = tmp_path / "pot.json"
     pot.write_text(json.dumps({"range": 2, "values": {
@@ -341,7 +341,7 @@ def test_float_range2_verdict_ends_in_evidence(tmp_path):
     doc = json.loads(raw)
     assert doc["table"]["exact"] is False
     assert doc["verdict"]["verdict"] == "EVIDENCE"
-    assert doc["verdict"]["h"]["solver"] == "highs"
+    assert doc["verdict"]["h"]["solver"] == "dyadic-exact"
     assert isinstance(doc["verdict"]["stats"]["uniform_decays"], bool)
 
 

@@ -1,42 +1,34 @@
-"""fit_depths: the fits of a verdict, the float ones in one HiGHS solve.
+"""fit_depths: the fits of a verdict, exact counting fits and float fits
+solved exactly on their dyadic data.
 
 Against fit_h run one depth at a time on random tables (float, exact, and
 exact with some depths past the exact simplex's size cap, so they fall to
-HiGHS), the pinned boundary gauge of float fits, the one solve per float
-verdict, and the depths named when the solver fails.
+the float path), the pinned boundary gauge of float fits, a float verdict
+run without scipy, the exact simplex taking over from a proposed basis that
+is not optimal, the depth named when a float fit fails, and refinement
+certifying optima whose ties lie at the rounding level of the logs.
 """
 
+import os
 import random
-from contextlib import contextmanager
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoshift import LocallyConstantPotential, OneBlockFactor, build_g_table, lp
-from thermoshift.detect import _fit_rows, _pin_gauge, fit_depths, fit_h, table_verdict
-from thermoshift.jsonio import load_factor, load_potential, read_json
-from thermoshift.lp import LpError, chebyshev_fits_float
+from thermoshift.detect import _fit_rows, _pin_gauge, fit_depths, fit_h
+from thermoshift.jsonio import load_factor, read_json
+from thermoshift.lp import LpError, chebyshev_fit_float
 from thermoshift.shiftcore import Sft
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-@contextmanager
-def _count_linprog(result=None):
-    """Count scipy's linprog calls; with ``result``, return it instead of solving."""
-    calls, real = [], scipy.optimize.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs) if result is None else result
-
-    with mock.patch.object(scipy.optimize, "linprog", counted):
-        yield calls
 
 
 @st.composite
@@ -56,7 +48,7 @@ def tables(draw):
         f = LocallyConstantPotential(sft, fr, {w: draw(st.floats(-3, 3)) for w in sft.blocks(fr)})
     r = draw(st.integers(1, 3))
     depth = draw(st.integers(max(r, 2), 8 if n < 3 else 6))
-    # a small cap sends the larger exact fits with t* > 0 to HiGHS: a mixed verdict
+    # a small cap sends the larger exact fits with t* > 0 to the float path: a mixed verdict
     return build_g_table(pi, f, depth), r, depth, draw(st.sampled_from([8, 40, 400]))
 
 
@@ -81,17 +73,15 @@ def test_one_batch_matches_one_fit_per_depth(case):
 def test_mixed_verdict_fits_exact_and_float_depths():
     """A counting table with power base 2 whose fits have t* > 0: with the
     exact simplex capped at 40 constraints, the shallow fits stay exact and
-    the deeper ones fall to HiGHS, all of them in one solve, with the same t*
+    the deeper ones fall to the float path on their logs, with the same t*
     as one depth at a time."""
     sft = Sft(["0", "1", "2"], [[1, 1, 1], [0, 1, 1], [1, 1, 1]])
     pi = OneBlockFactor(sft, ["b", "a", "b"])
     gt = build_g_table(pi, LocallyConstantPotential.zero(sft), 8)
     with mock.patch.object(lp, "_EXACT_FIT_LIMIT", 40):
-        with _count_linprog() as calls:
-            batch = fit_depths(gt, 1, range(2, 9))
+        batch = fit_depths(gt, 1, range(2, 9))
         single = [fit_h(gt, 1, n) for n in range(2, 9)]
-    assert [fit.solver for fit in batch] == ["exact-simplex"] * 3 + ["highs"] * 4
-    assert len(calls) == 1
+    assert [fit.solver for fit in batch] == ["exact-simplex"] * 3 + ["dyadic-exact"] * 4
     for got, want in zip(batch, single):
         assert got.tstar > 0 and abs(got.tstar - want.tstar) <= 1e-12
 
@@ -114,7 +104,7 @@ def test_pin_is_invariant_along_the_gauge(seed, r):
     k = len(gt.levels[r])
     for n_fit in range(r, 8):
         a, classes, _ = _fit_rows(gt, r, n_fit)
-        [(z, _)] = chebyshev_fits_float([(a, gt.levels[n_fit].logs)])
+        z, _ = chebyshev_fit_float(a, gt.levels[n_fit].logs)
         pinned = _pin_gauge(gt, r, n_fit, classes, z)
         for c in (-3.25, 0.5, 7.0):
             moved = [v + c for v in z[:k]] + [v - (n_fit - r + 1) * c for v in z[k:]]
@@ -125,21 +115,101 @@ def test_pin_is_invariant_along_the_gauge(seed, r):
         assert abs(resid.max() + resid.min()) / 2 <= 1e-12
 
 
-def test_one_highs_solve_per_float_verdict():
-    pi = load_factor(read_json(ROOT / "fixtures" / "factor_collapse.json"))
-    f = load_potential(read_json(ROOT / "tests" / "golden" / "potential_r2_full3.json"),
-                       pi.domain)
-    gt = build_g_table(pi, f, 9)
-    with _count_linprog() as calls:
-        report = table_verdict(gt, r=2)
-    assert len(calls) == 1
-    assert list(report.tstars) == list(range(2, 9)) and report.h.solver == "highs"
+def test_float_verdict_runs_without_scipy():
+    """The float verdict of the golden reports, in a fresh interpreter where
+    importing scipy fails: it exits 0 and leaves scipy unloaded."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from thermoshift.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "assert sys.modules['scipy'] is None\n"
+            "sys.exit(code)")
+    argv = ["verdict", "--factor", "fixtures/factor_collapse.json",
+            "--potential", "tests/golden/potential_r2_full3.json", "--depth", "7", "--range", "2"]
+    out = subprocess.run([sys.executable, "-c", code] + argv, cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert '"verdict": "EVIDENCE"' in out.stdout
 
 
-def test_solver_failure_names_the_depths():
-    failed = scipy.optimize.OptimizeResult(success=False, message="iteration limit reached")
+def _not_optimal(a, hi, lo):
+    """The artificial basis: feasible for phase 1 only, never optimal."""
+    return list(range(2 * len(a), 2 * len(a) + a.shape[1] + 1))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_simplex_takes_over_from_a_basis_that_is_not_optimal(seed):
+    gt = _random_float_table(seed, 6)
+    for n_fit in range(2, 7):
+        a, _, _ = _fit_rows(gt, 2, n_fit)
+        logs = gt.levels[n_fit].logs
+        guided = lp.fit_dyadic(a, logs)
+        calls = []
+
+        def counted(*args, real=lp._dual_simplex):
+            calls.append(args[3] if len(args) > 3 else None)
+            return real(*args)
+
+        with mock.patch.object(lp, "_propose_basis", _not_optimal), \
+                mock.patch.object(lp, "_dual_simplex", counted):
+            fallback = lp.fit_dyadic(a, logs)
+        assert calls == [None]  # no usable start: the simplex ran from scratch
+        zn, tn, den = fallback
+        assert Fraction(tn, den) == Fraction(guided[1], guided[2])
+        # the fallback is the exact dual simplex on the same integers
+        groups = {}
+        for row, x in zip(map(tuple, a.tolist()), logs.tolist()):
+            groups.setdefault(row, []).append(x)
+        ints, k = lp.dyadic([max(v) for v in groups.values()] + [min(v) for v in groups.values()])
+        z, t, d = lp._dual_simplex(np.array(list(groups)), ints[:len(groups)], ints[len(groups):])
+        assert (zn, tn, den) == (z, t, d << k)
+
+
+def test_float_fit_failure_names_the_depth():
+    """An LpError inside the block of one depth names that depth: here every
+    block with at least as many distinct rows as depth 4's fails."""
     gt = _random_float_table(0, 6)
-    with _count_linprog(failed), pytest.raises(LpError, match=r"n_fit 4: .*iteration limit"):
-        fit_h(gt, 2, 4)
-    with _count_linprog(failed), pytest.raises(LpError, match=r"n_fit 2, 3, 4, 5, 6: "):
-        fit_depths(gt, 2, range(2, 7))
+    rows4 = len(np.unique(_fit_rows(gt, 2, 4)[0], axis=0))
+    assert rows4 > len(np.unique(_fit_rows(gt, 2, 3)[0], axis=0))
+
+    def fails_from_depth_4(a, hi, lo, real=lp._propose_basis):
+        if len(a) >= rows4:
+            raise LpError("iteration limit reached")
+        return real(a, hi, lo)
+
+    with mock.patch.object(lp, "_propose_basis", fails_from_depth_4):
+        with pytest.raises(LpError, match=r"n_fit 4: .*iteration limit"):
+            fit_h(gt, 2, 4)
+        with pytest.raises(LpError, match=r"n_fit 4: .*iteration limit"):
+            fit_depths(gt, 2, range(2, 7))
+
+
+def test_refinement_certifies_optima_at_the_rounding_level():
+    """A range-1 potential fitted at range 3: in reals t* = 0, on the float
+    logs t* is rounding noise and nearly every constraint ties.  The float
+    pass cannot order such ties at the scale of the logs; refined on the
+    exact reduced costs, its basis is certified with no exact simplex step,
+    and its t* is the one Bland's rule finds from scratch."""
+    pi = load_factor(read_json(ROOT / "fixtures" / "factor_collapse.json"))
+    rng = random.Random(5)
+    f = LocallyConstantPotential(pi.domain, 1, {w: rng.uniform(-1, 1)
+                                                for w in pi.domain.blocks(1)})
+    gt = build_g_table(pi, f, 7)
+    rounds = []
+
+    def counted(*args, real=lp._refine_basis):
+        rounds.append(1)
+        return real(*args)
+
+    for n_fit in range(3, 8):
+        a, _, _ = _fit_rows(gt, 3, n_fit)
+        logs = gt.levels[n_fit].logs
+        with mock.patch.object(lp, "_refine_basis", counted), \
+                mock.patch.object(lp, "_dual_simplex", side_effect=AssertionError):
+            _, tn, den = lp.fit_dyadic(a, logs)
+        with mock.patch.object(lp, "_propose_basis", _not_optimal):
+            _, tb, db = lp.fit_dyadic(a, logs)
+        assert tn * db == tb * den and 0 <= tn / den < 1e-14
+    assert rounds

@@ -3,28 +3,33 @@
 The oracle builds one dict row of Fraction window counts per word, slicing
 the words of ``gt.words(n_fit)``, reads each word's exponent through
 ``exact_value`` and runs the Fraction fit of ``fraction_oracles`` on every
-row (interpolation, then the dual simplex) or HiGHS on the same rows.  For r >= 2 and t* = 0 it also
-builds the rows at n_fit - 1 with the same boundary classes: where those
-and the rows at n_fit are consistent, fit_h must return their canonical
-solution (the boundary gauge pinned).  A float fit solves the distinct rows
-instead, so it must match the oracle's t*, attain it on the oracle's rows
-(both to HiGHS's tolerance) and, for r >= 2, give the rows at n_fit - 1
-residuals of midrange 0 (its gauge pinned).  Inputs are random SFTs on <= 4
-symbols (reducible ones too), random one-block maps, f = 0 (exact tables)
-or random float potentials, fit ranges r in {1, 2, 3} and depths <= 7.
-Some tables are rebuilt from dicts in shuffled order: their level index
-must come out sorted, as the row order of the fit needs.
+row (interpolation, then the dual simplex) or scipy's HiGHS on the same
+rows.  For r >= 2 and t* = 0 it also builds the rows at n_fit - 1 with the
+same boundary classes: where those and the rows at n_fit are consistent,
+fit_h must return their canonical solution (the boundary gauge pinned).  A
+float fit is the exact optimum of the float data on the distinct rows,
+rounded: it must match the oracle's t*, the defect its z attains on the
+oracle's rows (in Fractions) must be t* up to rounding, and for r >= 2 the
+rows at n_fit - 1 must have residuals of midrange 0 (its gauge pinned).
+Inputs are random SFTs on <= 4 symbols (reducible ones too), random
+one-block maps, f = 0 (exact tables) or random float potentials, fit
+ranges r in {1, 2, 3} and depths <= 7.  Some tables are rebuilt from dicts
+in shuffled order: their level index must come out sorted, as the row
+order of the fit needs.  Two property tests close the file: the float
+simplex's proposed basis changes the speed of ``lp.fit_dyadic``, never its
+exact t*, and ``lp.dyadic`` is exact on every kind of finite float.
 """
 
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoshift import LocallyConstantPotential, OneBlockFactor, SeqTable, build_g_table
+from thermoshift import LocallyConstantPotential, OneBlockFactor, SeqTable, build_g_table, lp
 from thermoshift.detect import fit_h
 from thermoshift.numerics import power_exponent
 from thermoshift.shiftcore import Sft
@@ -172,17 +177,22 @@ def test_fit_matches_the_word_by_word_oracle(case):
     assert res.exact == exact
     assert list(res.values) == r_words
     if not exact:
-        # HiGHS solves the distinct rows, not the oracle's word rows, so its
-        # vertex may differ: the same t*, a z attaining it on every word row,
-        # and for r >= 2 the boundary gauge pinned (the residuals at n_fit - 1
-        # of the same classes have midrange 0).  HiGHS accepts a vertex whose
-        # constraints miss by up to its primal feasibility tolerance (1e-7 on
-        # the scaled LP), on the word rows too: t* and the defect z attains
-        # hold to 1e-6, not to rounding
-        assert res.solver == "highs"
-        assert abs(res.tstar - tstar) <= 1e-6
+        # the exact optimum of the float data, on the distinct rows: its
+        # vertex may differ from HiGHS's on the word rows, so compare t*,
+        # the defect z attains and, for r >= 2, the pinned boundary gauge
+        # (the residuals at n_fit - 1 of the same classes have midrange 0)
+        assert res.solver == "dyadic-exact"
+        # HiGHS's objective can sit below the defect its own z attains (its
+        # feasibility tolerance): there the exact t* lies between the two
+        oracle_defect = float_defect(rows, rhs, z)
+        assert abs(res.tstar - tstar) <= 1e-12 or tstar < res.tstar <= oracle_defect + 1e-12
         got = [res.values[w] for w in r_words] + [res.boundary[s] for s in taus]
-        assert float_defect(rows, rhs, got) <= res.tstar + 1e-6
+        # rounding z (and the pin's float shift) moves its defect by a few
+        # ulps of the logs, not by a solver tolerance
+        exact_got = [Fraction(v) for v in got]
+        attained = max(abs(Fraction(e) - sum(c * exact_got[j] for j, c in row.items()))
+                       for row, e in zip(rows, rhs))
+        assert abs(attained - Fraction(res.tstar)) <= 4 * math.ulp(max(map(abs, rhs)))
         if r >= 2:
             below, below_rhs = oracle_rows_below(gt, r, n_fit, r_words, taus, gt.log_value)
             resid = [e - sum(float(c) * got[j] for j, c in row.items())
@@ -207,3 +217,44 @@ def test_fit_matches_the_word_by_word_oracle(case):
     assert_same_bits(res.values, {w: float(c) * log_b for w, c in zip(r_words, z)})
     assert_same_bits(res.boundary or {},
                      {s: float(c) * log_b for s, c in zip(taus, z[len(r_words):])})
+
+
+@st.composite
+def float_systems(draw):
+    """(a, rhs): a small integer matrix with repeated rows and float rhs of
+    mixed scales."""
+    nvars = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 4), min_size=nvars, max_size=nvars),
+                         min_size=1, max_size=12))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6))
+    rhs = draw(st.lists(st.floats(-1e3, 1e3) | st.floats(-1e-3, 1e-3),
+                        min_size=len(rows), max_size=len(rows)))
+    return np.array(rows, dtype=np.int64), np.array(rhs)
+
+
+def _artificial_basis(a, hi, lo):
+    return list(range(2 * len(a), 2 * len(a) + a.shape[1] + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_systems())
+def test_guided_fit_equals_bland(case):
+    """The exact t* from the float simplex's basis equals the one Bland's
+    rule finds from scratch (the proposer patched to the artificial basis),
+    as Fractions; and the float fit rounds it."""
+    a, rhs = case
+    zn, tn, den = lp.fit_dyadic(a, rhs)
+    with mock.patch.object(lp, "_propose_basis", _artificial_basis):
+        _, tb, db = lp.fit_dyadic(a, rhs)
+    assert den > 0 and tn * db == tb * den
+    assert lp.chebyshev_fit_float(a, rhs) == ([x / den for x in zn], tn / den)
+
+
+def test_dyadic_round_trips_every_kind_of_float():
+    values = [0.0, -0.0, 1.0, -2.5, 0.1, -1e-3, 5e-324, -2.2250738585072014e-308,
+              1e300, -1e300, float.fromhex("0x1.fffffffffffffp+1023")]
+    ints, k = lp.dyadic(values)
+    assert k == 1074  # the smallest subnormal sets the power
+    assert [Fraction(n, 2 ** k) for n in ints] == [Fraction(x) for x in values]
+    assert [n / 2 ** k for n in ints] == values
+    assert lp.dyadic([0.5, 3.0]) == ([1, 6], 1) and lp.dyadic([]) == ([], 0)

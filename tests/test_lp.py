@@ -79,7 +79,7 @@ def test_defect_value_arithmetic():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported by the float fit alone, not at import time
+    # no module of the package imports scipy
     src = str(Path(thermoshift.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
