@@ -335,9 +335,9 @@ def fit_depths(gt: SeqTable, r: int, n_fits) -> list[FitResult]:
         boundary = {s: float(c) * scale for s, c in zip(tau, z[len(r_words):])}
         exact = {} if fit is None else {"coeffs": dict(zip(r_words, z)), "base": base,
                                         "tstar_exact": tstar}
+        solver = "dyadic-exact" if fit is None else "exact-simplex"
         out.append(FitResult(r, n_fit, {w: float(c) * scale for w, c in zip(r_words, z)},
-                             float(tstar) * scale, "dyadic-exact" if fit is None else "exact-simplex",
-                             boundary=boundary or None, **exact))
+                             float(tstar) * scale, solver, boundary=boundary or None, **exact))
     return out
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import INT64_MAX, inverse_int, pivot, solve_int
+from .numerics import INT64_MAX, pivot, row_reduce, solve_int
 
 _EXACT_FIT_LIMIT = 4096  # constraint cap (two per row) for the exact dual simplex
 
@@ -160,20 +160,20 @@ def _dual_simplex(a, hi: list[int], lo: list[int] | None = None,
 
 def chebyshev_fit_float(a, rhs) -> tuple[list[float], float]:
     """min t, |rhs_i - a_i . z| <= t over the rows of the integer matrix a,
-    solved exactly on the dyadic values of the floats rhs (``fit_dyadic``):
+    solved exactly on the dyadic values of the floats rhs (``_fit_dyadic``):
     (z, t_star) correctly rounded from the exact optimum."""
-    zn, tn, den = fit_dyadic(a, rhs)
+    zn, tn, den = _fit_dyadic(a, rhs)
     return [x / den for x in zn], tn / den  # int / int: correctly rounded
 
 
-def fit_dyadic(a, rhs) -> tuple[list[int], int, int]:
+def _fit_dyadic(a, rhs) -> tuple[list[int], int, int]:
     """The exact Chebyshev fit of the floats rhs over the rows of the
     integer matrix a: (den z, den t_star, den) in integers, den > 0.
 
     Equal rows of a share one pair of constraints, hi - a_i . z <= t and
     a_i . z - lo <= t with hi and lo the largest and smallest rhs of the
     group: the feasible set of one pair per row.  hi and lo are scaled to
-    integers by one power of two (``dyadic``), so the LP is an integer LP
+    integers by one power of two (``_dyadic``), so the LP is an integer LP
     with the same optimum.  The float simplex ``_propose_basis`` proposes an
     optimal basis; it is certified when, in integers, its basic values are
     >= 0 and the defect of its multipliers is <= their t (then both are
@@ -196,7 +196,7 @@ def fit_dyadic(a, rhs) -> tuple[list[int], int, int]:
             g[1] = x
     uniq = np.array(list(groups), dtype=np.int64).reshape(len(groups), -1)
     hi, lo = (np.array(v) for v in zip(*groups.values()))
-    ints, k = dyadic(hi.tolist() + lo.tolist())
+    ints, k = _dyadic(hi.tolist() + lo.tolist())
     hi_n, lo_n = ints[:len(uniq)], ints[len(uniq):]
     start = _basis_start(uniq, _propose_basis(uniq, hi, lo))
     for _ in range(_REFINE_ROUNDS + 1):
@@ -216,7 +216,7 @@ def fit_dyadic(a, rhs) -> tuple[list[int], int, int]:
     return zn, tn, d << k
 
 
-def dyadic(values: list[float]) -> tuple[list[int], int]:
+def _dyadic(values: list[float]) -> tuple[list[int], int]:
     """Finite floats as integers over one power of two: (ints, k) with
     value_i = ints_i / 2^k exactly and k >= 0 the least such exponent."""
     ratios = [x.as_integer_ratio() for x in values]  # denominators are powers of two
@@ -227,28 +227,24 @@ def dyadic(values: list[float]) -> tuple[list[int], int]:
 def _basis_start(a: np.ndarray, basis: list[int]) -> tuple[list[int], list[list[int]], int] | None:
     """(basis, d B^-1, d), d > 0, for a basis of the dual tableau of
     ``_dual_simplex`` over the rows of a (columns y+, y-, then the
-    artificials), by ``numerics.inverse_int``; None when B is singular,
-    when its basic values (the last column of B^-1: the dual's right side
-    is the unit vector of the sum row) are not a feasible dual point, or
-    when an artificial is basic in a row that is not redundant (a phase 2
-    from this basis could lift it above 0)."""
-    u, m = a.shape[0], a.shape[1] + 1
-    cols = np.zeros((len(basis), m), np.int64)
-    for q, j in enumerate(basis):
-        if j < 2 * u:
-            cols[q, :-1], cols[q, -1] = a[j] if j < u else np.negative(a[j - u]), 1
-        else:
-            cols[q, j - 2 * u] = 1
-    found = inverse_int(cols.T)
-    if found is None:
+    artificials), by one fraction-free Gauss-Jordan elimination of [B | I]
+    (``numerics.row_reduce``); None when B is singular, when its basic
+    values (the last column of B^-1: the dual's right side is the unit
+    vector of the sum row) are not a feasible dual point, or when an
+    artificial is basic in a row that is not redundant (a phase 2 from this
+    basis could lift it above 0)."""
+    cols = _columns(a)[:, basis].T.tolist()
+    m = len(cols)
+    aug = [[col[r] for col in cols] + [int(r == q) for q in range(m)] for r in range(m)]
+    pivots, d = row_reduce(aug, m)
+    if len(pivots) < m:
         return None
-    inv, d = found
-    if d < 0:
-        inv, d = np.negative(inv), -d
+    inv = [row[m:] if d > 0 else [-x for x in row[m:]] for row in aug]
+    art = 2 * len(a)
     for j, row in zip(basis, inv):
-        if row[-1] < 0 or j >= 2 * u and (row[-1] or (a.astype(inv.dtype) @ row[:-1]).any()):
+        if row[-1] < 0 or j >= art and (row[-1] or (a.astype(object) @ row[:-1]).any()):
             return None
-    return basis, inv.tolist(), int(d)
+    return basis, inv, abs(d)
 
 
 def _basic_solution(hi, lo, start) -> tuple[list[int], int, int]:
@@ -269,7 +265,7 @@ _REFINE_ROUNDS = 3    # float refinements of a basis the integers did not certif
 def _propose_basis(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> list[int]:
     """A float two-phase simplex (``_float_simplex``) on the dual tableau of
     ``_dual_simplex`` (columns y+, y-, then the artificials; m = nvars + 1
-    rows): the basis it ends in, which ``fit_dyadic`` certifies in
+    rows): the basis it ends in, which ``_fit_dyadic`` certifies in
     integers.  Between the phases, artificials left basic at 0 are pivoted
     out where their row allows it."""
     u, nvars = a.shape

@@ -3,8 +3,7 @@ integer arrays widened past 2^63, line fits, exact power-of-base exponent
 extraction, the one Perron routine ``perron`` (numpy ``eig``) with its exact
 check ``perron_exact``, and exact linear algebra in integers only: every
 exact solve and simplex step is ``pivot``, one fraction-free Gauss-Jordan
-step (Bareiss 1968; Edmonds 1967), which ``inverse_int`` takes on whole
-numpy arrays.  ``gaussian_solve`` serves floats.
+step (Bareiss 1968; Edmonds 1967).  ``gaussian_solve`` serves floats.
 """
 
 from __future__ import annotations
@@ -154,33 +153,6 @@ def solve_int(rows, nvars: int) -> tuple[list[int], int] | None:
     for row, c in zip(rows, cols):
         z[c] = row[nvars] if den > 0 else -row[nvars]
     return z, abs(den)
-
-
-def inverse_int(b: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """(d B^-1, d) for a square integer matrix B, d = +-det B, or None when
-    B is singular: ``pivot``'s fraction-free Gauss-Jordan step on the whole
-    array [B | I], each column pivoted on its first nonzero in the rows not
-    yet used.  Every entry is a minor of [B | I], so int64 serves while
-    twice the square of Hadamard's bound on them stays below 2^60 (its log
-    taken in floats, far from rounding); Python ints past it, or for a B of
-    Python ints."""
-    m = len(b)
-    wide = b.dtype == object or np.log2(np.square(b, dtype=float).sum(axis=1) + 1.0).sum() >= 59
-    dtype = object if wide else np.int64
-    aug = np.hstack([b.astype(dtype), np.eye(m, dtype=np.int64).astype(dtype)])
-    prev = 1
-    for c in range(m):
-        nz = np.flatnonzero(aug[c:, c])
-        if not len(nz):
-            return None
-        r = c + int(nz[0])
-        if r != c:
-            aug[[c, r]] = aug[[r, c]]
-        top, col = aug[c].copy(), aug[:, c].copy()
-        aug = (top[c] * aug - col[:, None] * top) // prev
-        aug[c] = top
-        prev = top[c]
-    return aug[:, m:], int(prev)
 
 
 def gaussian_solve(matrix, rhs):

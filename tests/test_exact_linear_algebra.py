@@ -3,8 +3,7 @@
 ``numerics.solve_int`` (the canonical solve on the fraction-free pivot)
 must return the Fraction row reduction's solution, or its None, on
 consistent, inconsistent and rank-deficient integer systems, entries past
-2^63 included; ``numerics.inverse_int`` d B^-1 with d = +-det B, or None
-on a singular B; ``lp._dual_simplex`` on its integer tableau the Fraction
+2^63 included; ``lp._dual_simplex`` on its integer tableau the Fraction
 simplex's (z, t*); and the exact stationary vector and ``perron_exact``
 the values of partial-pivoting Gaussian elimination over Fractions.
 """
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 
 from thermoshift.lp import _dual_simplex, chebyshev_fit_exact
 from thermoshift.markov import _solve_stationary
-from thermoshift.numerics import inverse_int, perron, perron_exact, pivot, solve_int
+from thermoshift.numerics import perron, perron_exact, pivot, solve_int
 
 import fraction_oracles as oracle
 
@@ -64,51 +63,6 @@ def test_solve_int_matches_the_fraction_row_reduction(case):
     else:
         z, den = got
         assert den > 0 and [Fraction(x, den) for x in z] == want
-
-
-@st.composite
-def square_matrices(draw):
-    """A square integer matrix, entries small or past the int64 path's
-    bound, sometimes with one row an integer combination of another."""
-    n, big = draw(st.integers(1, 6)), draw(st.booleans())
-    b = [[draw(entries(big)) for _ in range(n)] for _ in range(n)]
-    if n > 1 and draw(st.booleans()):
-        k = draw(st.integers(-2, 2))
-        b[-1] = [k * x for x in b[0]]
-    return b
-
-
-def _det(rows):
-    """The determinant by Fraction elimination."""
-    m, det = [[Fraction(x) for x in row] for row in rows], Fraction(1)
-    for c in range(len(m)):
-        r = next((i for i in range(c, len(m)) if m[i][c]), None)
-        if r is None:
-            return 0
-        if r != c:
-            m[c], m[r], det = m[r], m[c], -det
-        det *= m[c][c]
-        for i in range(c + 1, len(m)):
-            f = m[i][c] / m[c][c]
-            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
-@settings(max_examples=300, deadline=None)
-@given(square_matrices())
-def test_inverse_int_is_det_times_the_inverse(b):
-    found = inverse_int(np.array(b, dtype=object if any(abs(x) > 2 ** 62 for row in b for x in row)
-                                 else np.int64))
-    det = _det(b)
-    if det == 0:
-        assert found is None
-        return
-    inv, d = found
-    assert abs(d) == abs(det)
-    n = len(b)
-    prod = [[sum(Fraction(b[i][k]) * int(inv[k][j]) for k in range(n)) for j in range(n)]
-            for i in range(n)]
-    assert prod == [[d * (i == j) for j in range(n)] for i in range(n)]
 
 
 @st.composite

@@ -145,7 +145,7 @@ def test_exact_simplex_takes_over_from_a_basis_that_is_not_optimal(seed):
     for n_fit in range(2, 7):
         a, _, _ = _fit_rows(gt, 2, n_fit)
         logs = gt.levels[n_fit].logs
-        guided = lp.fit_dyadic(a, logs)
+        guided = lp._fit_dyadic(a, logs)
         calls = []
 
         def counted(*args, real=lp._dual_simplex):
@@ -154,7 +154,7 @@ def test_exact_simplex_takes_over_from_a_basis_that_is_not_optimal(seed):
 
         with mock.patch.object(lp, "_propose_basis", _not_optimal), \
                 mock.patch.object(lp, "_dual_simplex", counted):
-            fallback = lp.fit_dyadic(a, logs)
+            fallback = lp._fit_dyadic(a, logs)
         assert calls == [None]  # no usable start: the simplex ran from scratch
         zn, tn, den = fallback
         assert Fraction(tn, den) == Fraction(guided[1], guided[2])
@@ -162,7 +162,7 @@ def test_exact_simplex_takes_over_from_a_basis_that_is_not_optimal(seed):
         groups = {}
         for row, x in zip(map(tuple, a.tolist()), logs.tolist()):
             groups.setdefault(row, []).append(x)
-        ints, k = lp.dyadic([max(v) for v in groups.values()] + [min(v) for v in groups.values()])
+        ints, k = lp._dyadic([max(v) for v in groups.values()] + [min(v) for v in groups.values()])
         z, t, d = lp._dual_simplex(np.array(list(groups)), ints[:len(groups)], ints[len(groups):])
         assert (zn, tn, den) == (z, t, d << k)
 
@@ -208,8 +208,8 @@ def test_refinement_certifies_optima_at_the_rounding_level():
         logs = gt.levels[n_fit].logs
         with mock.patch.object(lp, "_refine_basis", counted), \
                 mock.patch.object(lp, "_dual_simplex", side_effect=AssertionError):
-            _, tn, den = lp.fit_dyadic(a, logs)
+            _, tn, den = lp._fit_dyadic(a, logs)
         with mock.patch.object(lp, "_propose_basis", _not_optimal):
-            _, tb, db = lp.fit_dyadic(a, logs)
+            _, tb, db = lp._fit_dyadic(a, logs)
         assert tn * db == tb * den and 0 <= tn / den < 1e-14
     assert rounds

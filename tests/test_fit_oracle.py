@@ -16,8 +16,8 @@ one-block maps, f = 0 (exact tables) or random float potentials, fit
 ranges r in {1, 2, 3} and depths <= 7.  Some tables are rebuilt from dicts
 in shuffled order: their level index must come out sorted, as the row
 order of the fit needs.  Two property tests close the file: the float
-simplex's proposed basis changes the speed of ``lp.fit_dyadic``, never its
-exact t*, and ``lp.dyadic`` is exact on every kind of finite float.
+simplex's proposed basis changes the speed of ``lp._fit_dyadic``, never its
+exact t*, and ``lp._dyadic`` is exact on every kind of finite float.
 """
 
 import math
@@ -243,9 +243,9 @@ def test_guided_fit_equals_bland(case):
     rule finds from scratch (the proposer patched to the artificial basis),
     as Fractions; and the float fit rounds it."""
     a, rhs = case
-    zn, tn, den = lp.fit_dyadic(a, rhs)
+    zn, tn, den = lp._fit_dyadic(a, rhs)
     with mock.patch.object(lp, "_propose_basis", _artificial_basis):
-        _, tb, db = lp.fit_dyadic(a, rhs)
+        _, tb, db = lp._fit_dyadic(a, rhs)
     assert den > 0 and tn * db == tb * den
     assert lp.chebyshev_fit_float(a, rhs) == ([x / den for x in zn], tn / den)
 
@@ -253,8 +253,8 @@ def test_guided_fit_equals_bland(case):
 def test_dyadic_round_trips_every_kind_of_float():
     values = [0.0, -0.0, 1.0, -2.5, 0.1, -1e-3, 5e-324, -2.2250738585072014e-308,
               1e300, -1e300, float.fromhex("0x1.fffffffffffffp+1023")]
-    ints, k = lp.dyadic(values)
+    ints, k = lp._dyadic(values)
     assert k == 1074  # the smallest subnormal sets the power
     assert [Fraction(n, 2 ** k) for n in ints] == [Fraction(x) for x in values]
     assert [n / 2 ** k for n in ints] == values
-    assert lp.dyadic([0.5, 3.0]) == ([1, 6], 1) and lp.dyadic([]) == ([], 0)
+    assert lp._dyadic([0.5, 3.0]) == ([1, 6], 1) and lp._dyadic([]) == ([], 0)
