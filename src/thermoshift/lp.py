@@ -20,7 +20,6 @@ needed.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 
@@ -111,7 +110,7 @@ def _dual_simplex(a, hi: list[int], lo: list[int] | None = None,
     a = np.asarray(a)
     u, nvars = a.shape
     m, art = nvars + 1, 2 * u
-    a_obj = a.astype(object)
+    a_obj, cols = a.astype(object), _columns(a)
     if start is None:
         basis, inv, d = list(range(art, art + m)), np.eye(m, dtype=np.int64).tolist(), 1
     else:
@@ -130,8 +129,7 @@ def _dual_simplex(a, hi: list[int], lo: list[int] | None = None,
             if not len(below):
                 return
             j = int(below[0])
-            col = (a[j].tolist() + [1] if j < u else (-a[j - u]).tolist() + [1] if j < art
-                   else [int(q == j - art) for q in range(m)])
+            col = cols[:, j].tolist()
             alpha = [sum(map(operator.mul, row, col)) for row in inv]
             leaving = None  # least ratio x_r / alpha_r, ties to the least basic column
             for r, row in enumerate(inv):
@@ -318,12 +316,12 @@ def _refine_basis(a: np.ndarray, start, reduced: list[int]) -> list[int]:
 
 
 def _columns(a: np.ndarray) -> np.ndarray:
-    """[A | b] of the dual tableau in integers: y+ = (a_i, 1), y- = (-a_i,
-    1), the artificials, then the right side, the unit vector of the sum
-    row."""
+    """[A | b] of the dual tableau in integers (int64, or Python ints for
+    an a of Python ints): y+ = (a_i, 1), y- = (-a_i, 1), the artificials,
+    then the right side, the unit vector of the sum row."""
     u, nvars = a.shape
     m, art = nvars + 1, 2 * u
-    cols = np.zeros((m, art + m + 1), np.int64)
+    cols = np.zeros((m, art + m + 1), object if a.dtype == object else np.int64)
     cols[:nvars, :u] = a.T
     cols[:nvars, u:art] = np.negative(a.T)
     cols[nvars, :art] = 1

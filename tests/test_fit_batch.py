@@ -191,16 +191,22 @@ def test_refinement_certifies_optima_at_the_rounding_level():
     logs t* is rounding noise and nearly every constraint ties.  The float
     pass cannot order such ties at the scale of the logs; refined on the
     exact reduced costs, its basis is certified with no exact simplex step,
-    and its t* is the one Bland's rule finds from scratch."""
+    and its t* is the one Bland's rule finds from scratch.  With refinement
+    switched off, the exact simplex goes on from the proposed basis to the
+    same t*."""
     pi = load_factor(read_json(ROOT / "fixtures" / "factor_collapse.json"))
     rng = random.Random(5)
     f = LocallyConstantPotential(pi.domain, 1, {w: rng.uniform(-1, 1)
                                                 for w in pi.domain.blocks(1)})
     gt = build_g_table(pi, f, 7)
-    rounds = []
+    rounds, starts = [], []
 
     def counted(*args, real=lp._refine_basis):
         rounds.append(1)
+        return real(*args)
+
+    def warm(*args, real=lp._dual_simplex):
+        starts.append(args[3])
         return real(*args)
 
     for n_fit in range(3, 8):
@@ -211,5 +217,8 @@ def test_refinement_certifies_optima_at_the_rounding_level():
             _, tn, den = lp._fit_dyadic(a, logs)
         with mock.patch.object(lp, "_propose_basis", _not_optimal):
             _, tb, db = lp._fit_dyadic(a, logs)
-        assert tn * db == tb * den and 0 <= tn / den < 1e-14
-    assert rounds
+        with mock.patch.object(lp, "_refine_basis", lambda a, start, reduced: start[0]), \
+                mock.patch.object(lp, "_dual_simplex", warm):
+            _, tw, dw = lp._fit_dyadic(a, logs)
+        assert tn * db == tb * den and tw * db == tb * dw and 0 <= tn / den < 1e-14
+    assert rounds and starts and None not in starts
