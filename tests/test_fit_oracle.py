@@ -188,11 +188,14 @@ def test_fit_matches_the_word_by_word_oracle(case):
         assert abs(res.tstar - tstar) <= 1e-12 or tstar < res.tstar <= oracle_defect + 1e-12
         got = [res.values[w] for w in r_words] + [res.boundary[s] for s in taus]
         # rounding z (and the pin's float shift) moves its defect by a few
-        # ulps of the logs, not by a solver tolerance
+        # ulps of the largest term of a residual, |log| or sum |a_ij z_j|,
+        # not by a solver tolerance
         exact_got = [Fraction(v) for v in got]
         attained = max(abs(Fraction(e) - sum(c * exact_got[j] for j, c in row.items()))
                        for row, e in zip(rows, rhs))
-        assert abs(attained - Fraction(res.tstar)) <= 4 * math.ulp(max(map(abs, rhs)))
+        terms = max(max(abs(e), float(sum(abs(c * got[j]) for j, c in row.items())))
+                    for row, e in zip(rows, rhs))
+        assert abs(attained - Fraction(res.tstar)) <= 4 * math.ulp(terms)
         if r >= 2:
             below, below_rhs = oracle_rows_below(gt, r, n_fit, r_words, taus, gt.log_value)
             resid = [e - sum(float(c) * got[j] for j, c in row.items())
