@@ -108,7 +108,7 @@ def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
     largest and the smallest Birkhoff sum of its words.  A word's value
     depends on its row only, rounded addition is monotone and |L - S| peaks
     at an extreme S, so that is the word maximum bit for bit.  The keys past
-    FIT_DEPTH share the rows' budget (``seqtable._FiberRows``): once they
+    FIT_DEPTH share the rows' budget (``SeqTable.row_budget``): once they
     reach it, the words serve.  The exact variant (in units of log(base))
     is None when the table or h has no exact form or a table value is not a
     power of h's base.
@@ -178,7 +178,7 @@ def _defect_walk(gt, h, exact, rows, weight, zero, dtype, den):
                                     return_inverse=True)
             if n > FIT_DEPTH:
                 spent += len(nodes)
-                if spent >= rows.budget:  # the keys stop paying: the words serve
+                if spent >= gt.row_budget:  # the keys stop paying: the words serve
                     return _defect_walk(gt, h, exact, None, weight, zero, dtype, den)
             row, kid = nodes // len(keys), nodes % len(keys)
             order = np.argsort(node.reshape(-1), kind="stable")
@@ -191,7 +191,7 @@ def _defect_walk(gt, h, exact, rows, weight, zero, dtype, den):
             top, bottom = hi + tail, lo + tail
         if not exact:
             logs = gt.levels[n].logs if rows is None else np.array(
-                [log_fraction(v) for v in rows.sums[n].tolist()])[row]
+                [log_fraction(v) for v in rows.g[n].tolist()])[row]
             d = np.maximum(np.abs(logs - top), np.abs(logs - bottom))
             out[n] = (float(d.max()) if len(d) else 0.0) / n
             continue
@@ -201,7 +201,7 @@ def _defect_walk(gt, h, exact, rows, weight, zero, dtype, den):
             es = None
         else:
             ks = dict(zip(found[0].tolist(), found[1].tolist()))
-            es = np.array([ks[v] for v in rows.sums[n].tolist()], np.int64)[row]
+            es = np.array([ks[v] for v in rows.g[n].tolist()], np.int64)[row]
         if es is None:
             return None
         small = dtype is not object and array_max(np.abs(es)) * den < 2 ** 62

@@ -46,6 +46,8 @@ class OneBlockFactor:
         )
         self.image = ImageLanguage(self)
         self._mass_steps = weakref.WeakKeyDictionary()  # pushforward_cylinder's, per measure
+        # seqtable's linear representation of the fiber sums, per potential
+        self._representations = weakref.WeakKeyDictionary()
 
     def __repr__(self):
         pairs = ", ".join("%s->%s" % (a, self.image_alphabet[self.symbol_map[i]])

@@ -22,32 +22,33 @@ gives each domain state its own power-of-two exponent.  On exact tables
 floats only propose; exact integer comparison (int64 below 2^63, Python
 ints past it) decides.
 
-The C_{n,m} profile and the D2 bridging search on an exact g-table (the
-counting path, f = 0, of any range) can read projective fiber classes
-instead of words (``_FiberClasses``): g is a rational series, g(uv) =
-x_u . y_v with x_u = a_{u_1} A_{u_2} ... A_{u_n} and y_v = A_v 1 over the
-1-block transfer, so g(uv) / (g(u) g(v)) depends on u and v only through
-the primitive integer rows of x_u and (y_v, g(v)).  That pays when a depth
-holds few classes next to its words; each scan counts the class products
-it needs and takes the class path only when they are fewer than the word
-scan's cells.  The reports are the word scans' bit for bit.  The class
-path reads no word level: the values inside a class come from the distinct
-fiber rows, and only the unbridged pairs check_D2 lists are spelled from
-the levels.  Float tables, tables built from dicts and exact g-tables
+Every walk reads its steps from one linear representation per (factor,
+potential), kept on the factor (``_Representation``).  On an exact g-table
+(the counting path, f = 0, of any range) g is a rational series, g(uv) =
+x_u . y_v, and each direction is one walk over the distinct rows x_u and
+y_v (``_Rows``).  The C_{n,m} profile and the D2 bridging search read
+projective fiber classes instead of words (``_FiberClasses``): g(uv) /
+(g(u) g(v)) depends on u and v only through the primitive rows, so the
+classes of a depth are the distinct primitive images of its rows.  That
+pays when a depth holds few classes next to its words; each scan counts
+the class products it needs and takes the class path only when they are
+fewer than the word scan's cells.  The reports are the word scans' bit for
+bit.  The class path reads no word level: the values inside a class are
+those of its rows, and only the unbridged pairs check_D2 lists are spelled
+from the levels.  Float tables, tables built from dicts and exact g-tables
 whose classes do not pay keep the word scans (``_splits``, ``_ranks``,
 ``_word_bridges``).
 
-Past the fit depth an exact g-table's values are read from its distinct
-fiber rows x_u (``_FiberRows``), not from levels it has not built: the
-common power base, the exponents' power test, the uniform defects' walk
+Past the fit depth an exact g-table's values are read from its forward
+rows (``SeqTable.rows``), not from levels it has not built: the common
+power base, the exponents' power test, the uniform defects' walk
 (``detect.uniform_defects``) and the periodic blocks.  Those rows are few
 where the classes are (2n at depth n on the collapse factor, against 2^n
-words), and the walk declines where they are not.
+words), and the verdict reads the words where they are not.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -210,7 +211,7 @@ class SeqTable:
         """(the sorted distinct exact numerators at depth n, their denominator)."""
         rows = self.rows_for(n)
         if rows is not None:
-            return rows.distinct[n], 1
+            return np.unique(rows.g[n]), 1
         level = self._level(n)
         return level.distinct, level.den
 
@@ -226,13 +227,29 @@ class SeqTable:
                                   for v in nums.tolist()})
 
     @cached_property
-    def rows(self) -> _FiberRows | None:
-        """The distinct fiber rows of each depth of an exact g-table; None on
-        float tables, on tables built from dicts and where the rows do not
-        pay (``_FiberRows.walk``)."""
-        return _FiberRows.walk(self) if self.is_exact and self.factor is not None else None
+    def rows(self) -> _Rows | None:
+        """The forward fiber rows of an exact g-table (``_FiberClasses.fwd``)
+        through its depth while its rows past FIT_DEPTH stay below
+        ``row_budget`` (752 and 2048 of the 4096 words at depth 12 on the
+        Stern-Brocot and Calkin-Wilf factors do not); None past it, on float
+        tables and on tables built from dicts."""
+        if self.classes is None:
+            return None
+        walk, spent = self.classes.fwd, 0
+        for n in range(FIT_DEPTH + 1, self.depth_max + 1):
+            spent += len(walk.to(n).rows[n])
+            if spent >= self.row_budget:
+                return None
+        return walk.to(self.depth_max)
 
-    def rows_for(self, n: int) -> _FiberRows | None:
+    @cached_property
+    def row_budget(self) -> float:
+        """The rows past FIT_DEPTH a walk may take where the words would
+        serve (``rows``, and the keys of ``detect.uniform_defects``): the
+        words there over _ROW_COST."""
+        return sum(self.language.block_counts(self.depth_max)[FIT_DEPTH + 1:]) / _ROW_COST
+
+    def rows_for(self, n: int) -> _Rows | None:
         """The fiber rows where depth n is read from them: while level n is
         not built; None where the words serve."""
         return None if n <= getattr(self.levels, "built", self.depth_max) else self.rows
@@ -245,7 +262,7 @@ class SeqTable:
         if i is None:
             return None
         if rows is not None:
-            v = int(rows.sums[n][i])
+            v = int(rows.g[n][i])
             return log_fraction(v), v
         level = self.levels[n]
         return float(level.logs[i]), None if level.num is None else level.value(int(level.num[i]))
@@ -289,7 +306,7 @@ class SeqTable:
 
 _NON_FINITE = "non-finite log value at depth %d (float under- or overflow)"
 # the deepest level a verdict's Chebyshev fits read: past it the fiber rows
-# serve where they pay (``_FiberRows``)
+# serve where they pay (``SeqTable.rows``)
 FIT_DEPTH = 8
 # words one fiber row (or one key of the uniform defects' walk) costs: its
 # product and Python-side dedupe against numpy's steps per word, about 6 on
@@ -412,15 +429,13 @@ def _splits(t: SeqTable):
 class _FiberClasses:
     """Projective fiber classes of the words of an exact g-table.
 
-    On the counting path g is the fiber count whatever f's range, so the
-    1-block transfer of ``_transfer`` serves: with a_b[j] = 1 when domain
-    symbol j lies over b and A_b[i, j] = 1 when moreover j may follow i,
-    g(y) = a_{y_1} A_{y_2} ... A_{y_n} 1.  Hence g(uv) = x_u . y_v with
-    x_u = a_{u_1} A_{u_2} ... A_{u_n} and y_v = A_v 1.  The forward class
-    of u is the primitive integer row of x_u, the backward class of v the
-    primitive row of (y_v, g(v)); on the class rows x, (y, g) the ratio
-    g(uv) / (g(u) g(v)) is (x . y) / ((x . 1) g), so a scan can read one
-    product per pair of classes instead of one per word.
+    g(uv) = x_u . y_v for the forward and backward rows of the table's
+    representation (``_Representation``), x_u = (a_{u_1} A_{u_2} ...
+    A_{u_n}, 0) and y_v = (A_v 1, g(v)).  The forward class of u is the
+    primitive integer row of x_u, the backward class of v that of y_v; on
+    the class rows x, (y, g) the ratio g(uv) / (g(u) g(v)) is (x . y) /
+    ((x . 1) g), so a scan can read one product per pair of classes instead
+    of one per word.
 
     That pays only when a depth holds few classes next to its words (2 per
     depth on the collapse factor, n + 1 at depth n on phase-blocked), and
@@ -432,63 +447,49 @@ class _FiberClasses:
     would read, and returns None (the caller scans the words) unless the
     products are fewer.
 
-    Classes are numbered per depth: ``x[n]`` / ``y[n]`` hold the class rows
-    at depth n (``y[n]``'s last column is g), and ``fnext[n]`` /
-    ``bnext[n]`` map (class at depth n, symbol) to the class at depth n + 1
-    of the word grown by that symbol at the end (forward) or the front
-    (backward), -1 where the grown row is 0: the grown word is stored
-    exactly when it is not.  All of it grows row matrices, depth by depth,
-    and reads no word.  The distinct values within a class come from the
-    distinct fiber rows of its direction, each carrying its class through
-    ``fnext`` / ``bnext`` (``_fwd_rows``, ``_bwd_rows``); where a row walk
-    declines, from the levels.  The class of each rank (``rank_classes``)
-    is gathered only to spell unbridged pairs.
+    Each direction is one walk over the distinct rows (``fwd``, ``bwd``:
+    ``_Rows``), resumed to the table depth by the first scan, and the
+    classes are read off its rows: ``x[n]`` / ``y[n]`` hold the class rows
+    at depth n, and the values within a class are those of its rows, so no
+    word is read.  The class of each rank (``rank_classes``) is gathered
+    only to spell unbridged pairs.
     """
 
     def __init__(self, t: SeqTable):
-        steps, grow_x, grow_y = _one_block(t)
-        s = steps.shape[1]
-        self.levels, self.depth, self._steps, self._table = t.levels, t.depth_max, steps, t
+        rep = _representation(t.factor, t.potential)
+        self.levels, self.depth, self._grow = t.levels, t.depth_max, rep.grow
         self.counts = t.language.block_counts(t.depth_max)  # words per depth
-        x, self.fnext = _class_tables(np.eye(1, s + 1, s, dtype=np.int64), grow_x, t.depth_max)
-        self.x = [rows[:, :s] for rows in x]
-        self.sx = [row_sums(rows) for rows in self.x]
-        self._grow_y = grow_y
-        self.y, self.bnext = _class_tables(np.ones((1, s + 1), np.int64), grow_y, t.depth_max)
+        self.fwd = _Rows(rep.start, rep.grow, row_sums)  # alpha G_u
+        self.bwd = _Rows(np.ones_like(rep.start), rep.grow.transpose(0, 2, 1),
+                         lambda rows: rows[:, -1])  # G_v tau, grown at the front
         self._ranks = {"fwd": [np.zeros(1, np.intp)], "bwd": [np.zeros(1, np.intp)]}
         self._first: list[np.ndarray | None] = [None]  # first symbol of each rank
         self._values: dict[tuple[str, int, int], tuple[list, list]] = {}
 
+    @cached_property
+    def x(self) -> list[np.ndarray]:
+        return self.fwd.classes(self.depth).prim
+
+    @cached_property
+    def sx(self) -> list[np.ndarray]:
+        return [row_sums(rows) for rows in self.x]
+
+    @cached_property
+    def y(self) -> list[np.ndarray]:
+        return self.bwd.classes(self.depth).prim
+
     def rank_classes(self, side: str, n: int) -> np.ndarray:
         """The forward ("fwd") or backward ("bwd") class of each rank at
         depth n, gathered level by level through depth n."""
-        ids = self._ranks[side]
+        ids, walk = self._ranks[side], getattr(self, side).classes(n)
         for d in range(len(ids), n + 1):
             level = self.levels[d]
             if side == "fwd":
-                ids.append(self.fnext[d - 1][ids[-1][level.parent], level.sym])
+                ids.append(walk.cnext[d - 1][ids[-1][level.parent], level.sym])
             else:
                 self._first.append(level.sym if d == 1 else self._first[d - 1][level.parent])
-                ids.append(self.bnext[d - 1][ids[-1][level.tail], self._first[d]])
+                ids.append(walk.cnext[d - 1][ids[-1][level.tail], self._first[d]])
         return ids[n]
-
-    @cached_property
-    def _fwd_rows(self) -> tuple[list, list] | None:
-        """(per depth, g of each distinct forward fiber row x_u, and its
-        class): the rows of ``SeqTable.rows``; None where that walk
-        declines."""
-        rows = self._table.rows
-        return None if rows is None else (rows.sums, _carry(rows.next, self.fnext))
-
-    @cached_property
-    def _bwd_rows(self) -> tuple[list, list] | None:
-        """(per depth, g of each distinct backward fiber row (y_v, g(v)),
-        and its class); None where the walk declines, on the budget of the
-        forward rows."""
-        found = _class_tables(np.ones((1, self._grow_y.shape[1]), np.int64), self._grow_y,
-                              self.depth, primitive=False, budget=_row_budget(self._table))
-        return None if found is None else ([rows[:, -1] for rows in found[0]],
-                                           _carry(found[1], self.bnext))
 
     def _scan_cost(self, top: int, gap: int) -> int:
         """The cells the word scan reads: (s - 1) |B_total| for each s in
@@ -497,13 +498,14 @@ class _FiberClasses:
 
     def _against(self, n: int, ms: range) -> tuple[np.ndarray, np.ndarray, dict]:
         """The classes at depth n against those at the depths ``ms`` side by
-        side: (their y rows stacked, [c, d] = (x_c . 1) g_d, the columns of
-        each m)."""
+        side: (their rows (y, g) stacked, [c, d] = (x_c . 1) g_d, the
+        columns of each m).  An x row's last (start) entry is 0 past the
+        empty word, so x . (y, g) = x . y."""
         ys = [self.y[m] for m in ms]
         cat, edges = np.concatenate(ys), np.cumsum([0] + [len(y) for y in ys]).tolist()
         sx, g = self.sx[n], cat[:, -1]
         den = _times(sx[:, None], g, array_max(sx) * array_max(g))
-        return cat[:, :-1], den, {m: slice(a, b) for m, a, b in zip(ms, edges, edges[1:])}
+        return cat, den, {m: slice(a, b) for m, a, b in zip(ms, edges, edges[1:])}
 
     def defects(self) -> dict[tuple[int, int], Fraction] | None:
         """C_{n,m} = max over the words w at depth n+m of max(R, 1/R), R =
@@ -604,10 +606,11 @@ class _FiberClasses:
         out, cost = [], 0
         for k in range(gap + 1):
             if k:
-                grown = _grow(rows, self._steps)
-                owner = np.tile(owner, len(self._steps))
+                grown = _grow(rows, self._grow)
+                owner = np.repeat(owner, len(self._grow))
                 keep = grown.any(axis=1)
-                pairs = _unique_rows(np.column_stack([owner[keep], grown[keep]]))[0]
+                pairs = np.column_stack([owner[keep], grown[keep]])
+                pairs = pairs[_unique_rows(pairs)[0]]
                 owner, rows = pairs[:, 0].astype(np.intp), pairs[:, 1:]
             out.append((owner, rows))
             cost += int(width[owner].sum())
@@ -617,57 +620,67 @@ class _FiberClasses:
 
     def _distinct(self, side: str, n: int, c: int) -> tuple[list[int], list[float]]:
         """The sorted distinct values of the words of class c at depth n,
-        with their logs: from the fiber rows of that side, or from the
-        level where their walk declines (``_level_values``)."""
+        with their logs: the values of the class's rows on that side."""
         key = (side, n, c)
         if key not in self._values:
-            rows = self._fwd_rows if side == "fwd" else self._bwd_rows
-            if rows is None:
-                self._values[key] = self._level_values(side, n, c)
-            else:
-                vals = np.unique(rows[0][n][rows[1][n] == c]).tolist()
-                self._values[key] = (vals, [log_fraction(v) for v in vals])
+            walk = getattr(self, side)
+            vals = np.unique(walk.g[n][walk.cls[n] == c]).tolist()
+            self._values[key] = (vals, [log_fraction(v) for v in vals])
         return self._values[key]
 
-    def _level_values(self, side: str, n: int, c: int) -> tuple[list[int], list[float]]:
-        """``_distinct`` read from level n: its values and stored logs."""
-        level, mask = self.levels[n], self.rank_classes(side, n) == c
-        vals, first = np.unique(level.num[mask], return_index=True)
-        return vals.tolist(), level.logs[mask][first].tolist()
 
+class _Rows:
+    """The distinct rows of one direction of an exact g-table, grown depth by
+    depth with no word as far as a read reaches (``to``), and the classes
+    read off them (``classes``).
 
-class _FiberRows:
-    """The distinct fiber rows of each depth of an exact g-table.
-
-    With the 1-block transfer of ``_FiberClasses``, g(u) = x_u . 1 and
-    x_{ub} = x_u A_b, so the values at depth n are the entry sums of the
-    distinct rows x_u of that depth, grown depth by depth with no word:
-    ``sums[n]`` holds them per row and ``next[n][i, b]`` is the row at depth
-    n + 1 of row i grown by b (-1 where that is 0: no word).  They are few
-    where the classes are (2n at depth n on the collapse factor, against
-    2^n words; 264 of 6765 words at depth 18 on phase-blocked), and nothing
-    bounds them below the words.  A row costs about _ROW_COST words, so the
-    rows past FIT_DEPTH pay only while that many times their count stays
-    below the words past FIT_DEPTH (``budget``, in rows): ``walk`` declines
-    as soon as they reach it.  On the Stern-Brocot and Calkin-Wilf factors
-    (752 and 2048 rows of the 4096 words at depth 12) it declines.
+    ``rows[n]`` holds the distinct rows at depth n (rows[0] the root),
+    ``g[n]`` the value of each row's words, and ``next[n][i, b]`` the row at
+    depth n + 1 of row i grown by b (-1 where that is 0: no word).  The
+    classes of depth n are the distinct primitive images of its rows:
+    ``cls[n]`` maps each row to its class, ``prim[n]`` holds the class rows
+    and ``cnext[n][c, b]`` the class at depth n + 1 of any row of class c
+    grown by b.  The rows are few where the classes are (2n at depth n on
+    the collapse factor, 264 of 6765 words at depth 18 on phase-blocked),
+    and nothing bounds them below the words.
     """
 
-    def __init__(self, x: list[np.ndarray], nexts: list[np.ndarray], budget: float):
-        self.next, self.sums, self.budget = nexts, [row_sums(rows) for rows in x], budget
-        self.distinct = [np.unique(sums) for sums in self.sums]  # sorted, per depth
+    def __init__(self, root: np.ndarray, grow: np.ndarray, value):
+        self.rows, self.next, self.g = [root], [], [value(root)]
+        self.cls, self.prim, self.cnext = [], [], []
+        self._grow, self._value, self._reps = grow, value, []  # a row of each class
 
-    @classmethod
-    def walk(cls, t: SeqTable) -> _FiberRows | None:
-        steps, grow_x, _ = _one_block(t)
-        s, budget = steps.shape[1], _row_budget(t)
-        found = _class_tables(np.eye(1, s + 1, s, dtype=np.int64), grow_x, t.depth_max,
-                              primitive=False, budget=budget)
-        return None if found is None else cls([rows[:, :s] for rows in found[0]], found[1],
-                                              budget)
+    def to(self, n: int) -> _Rows:
+        """The walk through depth n."""
+        while len(self.rows) <= n:
+            grown = _grow(self.rows[-1], self._grow)
+            live = np.flatnonzero(grown.any(axis=1))
+            first, inv = _unique_rows(grown[live])
+            nxt = np.full(len(grown), -1, np.intp)
+            nxt[live] = inv
+            self.next.append(nxt.reshape(-1, len(self._grow)))
+            self.rows.append(grown[live[first]])
+            self.g.append(self._value(self.rows[-1]))
+        return self
+
+    def classes(self, n: int) -> _Rows:
+        """The walk and its classes through depth n."""
+        self.to(n)
+        for d in range(len(self.cls), n + 1):
+            rows = self.rows[d]
+            prim = rows // np.gcd.reduce(rows, axis=1)[:, None]
+            first, ids = _unique_rows(prim)
+            if d:
+                nxt = self.next[d - 1][self._reps[-1]]
+                self.cnext.append(np.where(nxt >= 0, ids[nxt], -1))
+            self.cls.append(ids)
+            self.prim.append(prim[first])
+            self._reps.append(first)
+        return self
 
     def find(self, word: Word) -> int | None:
-        """The row of ``word`` at depth len(word); None when it is not stored."""
+        """The row reached from the root by the symbols of ``word``; None
+        when it is no word."""
         i = 0
         for n, b in enumerate(word):
             i = int(self.next[n][i, b]) if 0 <= b < self.next[n].shape[1] else -1
@@ -676,34 +689,59 @@ class _FiberRows:
         return i
 
 
-def _row_budget(t: SeqTable) -> float:
-    """The rows past FIT_DEPTH a row walk may take: the words there over
-    _ROW_COST."""
-    return sum(t.language.block_counts(t.depth_max)[FIT_DEPTH + 1:]) / _ROW_COST
+class _Representation:
+    """The linear representation of the fiber sums of one (factor,
+    potential), built once per pair (``_representation``).
+
+    ``walk[k]`` is the fiber walk's step (M, edge) of ``_transfer`` into
+    depth k + 1 on the domain's s-block states, s = max(r - 1, 1): from the
+    last min(k, s) symbols to the last min(k + 1, s).  The last one serves
+    every deeper step, and summed over the image symbols it is
+    ``log_perron``'s W.
+
+    On the counting path (f = 0) g is a rational series on the 1-block
+    states whatever f's range.  Exact g-tables walk ``counting``: a_b, with
+    a_b[j] = 1 when domain symbol j lies over b, then A_b, with A_b[i, j] =
+    1 when moreover j may follow i.  With a start state d appended, g(y) =
+    alpha G_{y_1} ... G_{y_n} tau for G_b = [[A_b, 0], [a_b, 0]] (``grow``),
+    alpha = e_d (``start``) and tau = 1, so g(uv) = x_u . y_v for the
+    forward row x_u = alpha G_u and the backward row y_v = G_v tau = (A_v
+    1, g(v)).  All 0/1 in int64: the row walks promote per step
+    (``_grow``).
+    """
+
+    def __init__(self, pi: OneBlockFactor, f: LocallyConstantPotential):
+        s, built = max(f.range - 1, 1), {}
+
+        def step(src: int, dst: int):
+            if (src, dst) not in built:
+                built[src, dst] = _transfer(pi, f, src, dst)
+            return built[src, dst]
+
+        self.walk = [step(min(k, s), min(k + 1, s)) for k in range(s + 1)]
+        if f.is_zero:
+            self.counting = [step(0, 1), step(1, 1)]
+            (head, _), (steps, _) = self.counting
+            nb, d = head.shape[1:]
+            self.grow = np.zeros((nb, d + 1, d + 1), np.int64)
+            self.grow[:, :d, :d], self.grow[:, d, :d] = steps.transpose(1, 0, 2), head[0]
+            self.start = np.eye(1, d + 1, d, dtype=np.int64)
 
 
-def _one_block(t: SeqTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(steps, grow_x, grow_y) of the 1-block transfer of an exact g-table:
-    steps[b] = A_b; forward rows carry a start coordinate, 1 only on the
-    empty word, (x, start) -> (x A_b + start a_b, 0) = (x, start) grow_x[b];
-    backward (y, g) -> (A_b y, a_b . y).  All 0/1 in int64: the walks
-    promote per step (``_grow``)."""
-    head = _transfer(t.factor, t.potential, 0.0, True, 0, 1, False)[0][0]  # [b] = a_b
-    steps = _transfer(t.factor, t.potential, 0.0, True, 1, 1, False)[0].transpose(1, 0, 2)
-    nb, s = head.shape
-    grow_x, grow_y = np.zeros((2, nb, s + 1, s + 1), np.int64)
-    grow_x[:, :s, :s], grow_x[:, s, :s] = steps, head
-    grow_y[:, :s, :s], grow_y[:, :s, s] = steps.transpose(0, 2, 1), head
-    return steps, grow_x, grow_y
+def _representation(pi: OneBlockFactor, f: LocallyConstantPotential) -> _Representation:
+    """The representation of (pi, f), kept on pi while f lives."""
+    if f not in pi._representations:
+        pi._representations[f] = _Representation(pi, f)
+    return pi._representations[f]
 
 
 def _grow(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """rows @ m for each m of ``mats``, stacked m-major: in int64 while the
-    largest entry times the largest column sum of the m stays below 2^63
+    """rows[i] @ mats[b] at row i * len(mats) + b: in int64 while the
+    largest entry times the largest column sum of the mats stays below 2^63
     (as ``factor._fiber_walk``), in Python ints past it."""
     if rows.dtype != object and array_max(rows) * array_max(mats.sum(axis=1)) > INT64_MAX:
         rows = rows.astype(object)
-    return np.concatenate([rows @ m for m in mats])
+    return (rows @ mats.transpose(1, 0, 2).reshape(rows.shape[1], -1)).reshape(-1, mats.shape[2])
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -714,51 +752,20 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y.T
 
 
-def _class_tables(root: np.ndarray, grow: np.ndarray, depth: int, primitive: bool = True,
-                  budget: float | None = None):
-    """(rows, next) of one direction: rows[n] the distinct primitive rows
-    (the rows themselves unless ``primitive``) of the words at depth n
-    (rows[0] = ``root``, the empty word's), next[n][c, b] the index in
-    rows[n + 1] of row c times grow[b] made primitive (-1 where that is 0).
-    None as soon as the rows past FIT_DEPTH reach ``budget``."""
-    rows, nexts, spent = [root], [], 0
-    for n in range(1, depth + 1):
-        grown = _grow(rows[-1], grow)  # symbol-major
-        live = grown.any(axis=1)
-        prim = grown[live] // np.gcd.reduce(grown[live], axis=1)[:, None] if primitive \
-            else grown[live]
-        uniq, inv = _unique_rows(prim)
-        if budget is not None and n > FIT_DEPTH:
-            spent += len(uniq)
-            if spent >= budget:
-                return None
-        nxt = np.full(len(grown), -1, np.intp)
-        nxt[live] = inv
-        nexts.append(nxt.reshape(len(grow), -1).T.copy())
-        rows.append(uniq)
-    return rows, nexts
-
-
-def _carry(nexts: list[np.ndarray], class_next: list[np.ndarray]) -> list[np.ndarray]:
-    """Per depth, the class of each row of a row walk: row i grown by b is
-    row nexts[n][i, b] at depth n + 1, of class class_next[n][class of i,
-    b] (the same word grown)."""
-    ids = [np.zeros(1, np.intp)]
-    for nxt, cnext in zip(nexts, class_next):
-        live = nxt >= 0
-        out = np.empty(nxt.max(initial=-1) + 1, np.intp)
-        out[nxt[live]] = cnext[ids[-1]][live]
-        ids.append(out)
-    return ids
-
-
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the distinct rows of a 2-d integer array in order of first
-    appearance, each row's index among them)."""
+    """(first, inv) for a 2-d integer array: the index of one row of each
+    distinct row, and each row's index among the distinct rows.  int64 rows
+    are compared as raw bytes (numbered in their byte order), Python ints
+    by a dict (numbered in order of first appearance)."""
+    if a.dtype != object:
+        a = np.ascontiguousarray(a)
+        _, first, inv = np.unique(a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel(),
+                                  return_index=True, return_inverse=True)
+        return first, inv.reshape(-1)
     index: dict[tuple, int] = {}
     inv = np.array([index.setdefault(row, len(index)) for row in map(tuple, a.tolist())],
                    dtype=np.intp)
-    return np.array(list(index), dtype=a.dtype).reshape(len(index), a.shape[1]), inv
+    return np.unique(inv, return_index=True)[1], inv
 
 
 def _logs(a: np.ndarray) -> np.ndarray:
@@ -780,12 +787,13 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     representative is chosen independently), so the sup of the fiber sum is
     the sum of per-cylinder sups; that is what the state-vector recursion
     accumulates.  The fiber walk (``factor._fiber_walk``) steps V_{n+1} =
-    stack_b(V_n M_b) over the domain suffix states, with the transfer
-    matrices of f, and hands over the level index (ranks and symbols) with
-    each level; this function reads out the values.  mode "exact" demands
-    the counting path (f = 0), which runs in integers (int64 while a bound
-    allows, Python ints past it) and steps the walk only as far as a read
-    reaches (``_Levels``); the float path walks every level here, so a
+    stack_b(V_n M_b) with the steps of the representation of (pi, f)
+    (``_Representation``), and hands over the level index (ranks and
+    symbols) with each level; this function reads out the values.  mode
+    "exact" demands the counting path (f = 0), which walks the 1-block
+    states in integers (int64 while a bound allows, Python ints past it)
+    and steps the walk only as far as a read reaches (``_Levels``); the
+    float path walks the s-block states through every level here, so a
     non-finite log is a TableError at build time.
     """
     if depth_max < 1:
@@ -800,13 +808,13 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
 
     dom = pi.domain
     r = f.range
-    s_len = max(r - 1, 1)
     fmax = f.max_value()
+    rep = _representation(pi, f)
+    steps = rep.counting if exact else rep.walk
 
     # sup of the windows reaching past a word, per state (its last min(n,
     # r-1) symbols), applied at readout; for n < r-1 a state is the word
     tails = {} if exact else {k: [birkhoff_sup(f, s) for s in dom.blocks(k)] for k in range(1, r)}
-    transfer = functools.cache(lambda *key: _transfer(pi, f, fmax, exact, *key))
     # e^{-fmax} per step keeps the weights at most 1, but an entry can shrink
     # by the smallest weight w per step, and one far below the others can
     # catch up later.  Once the next step could reach below _FLOOR, each
@@ -816,12 +824,12 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     # (``_gauged``) and the readout adds the exponents back.  A one-row walk
     # then loses only terms below 2^-1022 of their own entry.  Ordinary
     # potentials never get that low, so their bits do not move.
-    weights = transfer(s_len, s_len, True)[0]
+    weights = rep.walk[-1][0]
     w, gauge = weights[weights > 0].min(initial=1), None
 
     def step(n):
         nonlocal gauge
-        m, edge = transfer(min(n - 1, s_len), min(n, s_len), n >= r)
+        m, edge = steps[min(n, len(steps)) - 1]
         if gauge is not None:
             m, gauge = _gauged(m, gauge)
         return m, edge
@@ -836,7 +844,7 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
                 offset += fmax
             if gauge is None and v[v > 0].min(initial=1.0) * w < _FLOOR:
                 gauge = np.zeros(v.shape[1], dtype=np.int64)
-            shift = tails.get(min(n, s_len))
+            shift = tails.get(min(n, r - 1))
             if gauge is not None:
                 top = v.max(axis=0, initial=0.0)
                 e = np.frexp(top)[1]
@@ -864,14 +872,14 @@ def _exact_levels(walk):
         yield below
 
 
-def _transfer(pi: OneBlockFactor, f: LocallyConstantPotential, fmax: float, exact: bool,
-              src_len: int, dst_len: int, weighted: bool):
+def _transfer(pi: OneBlockFactor, f: LocallyConstantPotential, src_len: int, dst_len: int):
     """(M, edge), indexed [source state, image symbol, target state]: from a
     domain state (its last ``src_len`` symbols) a symbol x over b leads to
     the state of the last ``dst_len`` symbols with weight e^{f(window) -
-    fmax} (1 unless ``weighted``, and on the counting path); ``edge`` marks
-    the transitions, whose weight may underflow to 0."""
-    dom = pi.domain
+    fmax} once the grown block spans f's range, 1 before; ``edge`` marks
+    the transitions, whose weight may underflow to 0.  On the counting path
+    (f = 0) M is 0/1 in int64."""
+    dom, exact, fmax = pi.domain, f.is_zero, f.max_value()
     src, index = dom.blocks(src_len), {w: i for i, w in enumerate(dom.blocks(dst_len))}
     m = np.zeros((len(src), len(pi.image_alphabet), len(index)),
                  dtype=np.int64 if exact else float)
@@ -883,7 +891,7 @@ def _transfer(pi: OneBlockFactor, f: LocallyConstantPotential, fmax: float, exac
                 b, j = pi.symbol_map[x], index[grown[-dst_len:]]
                 edge[i, b, j] = True
                 m[i, b, j] = (math.exp(f.value(grown[-f.range:]) - fmax)
-                              if weighted and not exact else 1)
+                              if len(grown) >= f.range and not exact else 1)
     return m, edge
 
 
@@ -970,8 +978,9 @@ def partition_sum_exact(t: SeqTable, n: int) -> int | Fraction:
 
 def log_perron(f: LocallyConstantPotential):
     """(P(f), W, (root, right, left, residual), exact) for the transfer
-    matrix W = sum_b M_b of ``_transfer`` on the domain's s-block states,
-    s = max(r-1, 1), with weights e^{f - fmax} (integers when f = 0).
+    matrix W = sum_b M_b of the last step of ``_Representation.walk`` on the
+    domain's s-block states, s = max(r-1, 1), with weights e^{f - fmax}
+    (integers when f = 0).
     P(f) = log root + fmax, ``perron`` on W; ``exact`` is ``perron_exact``'s
     (c, right, left) when f = 0 and the root is an integer c, else None.
     TableError when a weight underflows: W would lose a transition.
@@ -982,8 +991,8 @@ def log_perron(f: LocallyConstantPotential):
 
 
 def _log_perron(f: LocallyConstantPotential):
-    fmax, s = f.max_value(), max(f.range - 1, 1)
-    m, edge = _transfer(OneBlockFactor.identity(f.language), f, fmax, f.is_zero, s, s, True)
+    fmax = f.max_value()
+    m, edge = _Representation(OneBlockFactor.identity(f.language), f).walk[-1]
     if (m[edge] == 0).any():
         raise TableError("transfer weight e^(f - fmax) underflows to 0 (float path)")
     w = m.sum(axis=1)

@@ -6,7 +6,9 @@ word scan's cells, float and dict-built tables the word kernels; the
 oracles cover both, and exact tables are checked on each path forced, with
 their levels built and with none built.  Verdicts on exact g-tables that
 read their fiber rows past the built levels (``SeqTable.rows``) must equal
-the verdicts on the same tables with every level built."""
+the verdicts on the same tables with every level built.  ``_level_values``
+reads the values of a class from the levels, the oracle of the values the
+class path reads from the rows."""
 
 import json
 import math
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from thermoshift import (LocallyConstantPotential, OneBlockFactor, SeqTable,
                          build_g_table, check_D2, check_subadditive,
                          defect_profile, detect, seqtable)
+from thermoshift.cli import main
 from thermoshift.detect import table_verdict
 from thermoshift.jsonio import load_factor, read_json
 from thermoshift.numerics import log_fraction
@@ -249,12 +252,12 @@ def test_collapse_stays_on_int64_at_depth_40(monkeypatch):
     t = _fixture_table("factor_collapse.json", 40)
     got = [_json(defect_profile(t)), _json(check_D2(t, 3))]
     assert all(x.dtype == np.int64 for x in t.classes.x + t.classes.y)
-    assert all(v.dtype == np.int64 for v in t.rows.sums + t.classes._bwd_rows[0])
+    assert all(v.dtype == np.int64 for v in t.rows.g + t.classes.bwd.g)
     assert t.levels.built == 0
     monkeypatch.setattr(seqtable, "INT64_MAX", 10)
     forced = _fixture_table("factor_collapse.json", 40)
     assert [_json(defect_profile(forced)), _json(check_D2(forced, 3))] == got
-    assert any(v.dtype == object for v in forced.classes._bwd_rows[0])
+    assert any(v.dtype == object for v in forced.classes.bwd.g)
 
 
 @pytest.mark.parametrize("name, depth, counts", [
@@ -268,7 +271,7 @@ def test_class_counts_per_level(name, depth, counts):
     t = _fixture_table(name, depth)
     assert [len(x) for x in t.classes.x[1:]] == counts
     if t.rows is not None:  # each distinct fiber row carries its class
-        assert [len(set(ids.tolist())) for ids in t.classes._fwd_rows[1][1:]] == counts
+        assert [len(set(ids.tolist())) for ids in t.rows.cls[1:]] == counts
     assert t.levels.built == 0
     assert [len(set(t.classes.rank_classes("fwd", n).tolist()))
             for n in range(1, depth + 1)] == counts
@@ -299,13 +302,26 @@ CALKIN_WILF = [[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]]
 def test_scans_on_factors_whose_classes_barely_compress(trans, forward, backward):
     """Class counts that grow with the words (1.6^n and 2^n of 2^n): each
     (n, m) cell's products are taken apart, so the class path stays within
-    the word scan's cells, and both paths match the oracles at depth 12."""
+    the word scan's cells, and both paths match the oracles at depth 12.
+    The forward rows do not pay past the fit depth, and each direction
+    holds as many rows as classes, so reading the classes off the rows
+    walks no more rows than classes."""
     t = _two_block_table(trans, 12)
-    assert t.rows is None and t.classes._fwd_rows is None and t.classes._bwd_rows is None
+    assert t.rows is None
     assert [len(lv) for lv in t.levels[1:]] == [2 ** n for n in range(1, 13)]
     assert [len(x) for x in t.classes.x[1:]] == forward
     assert [len(y) for y in t.classes.y[1:]] == backward
+    assert [len(rows) for rows in t.classes.fwd.rows[1:]] == forward
+    assert [len(rows) for rows in t.classes.bwd.rows[1:]] == backward
     assert_scans_match(t, gaps=(0, 2))
+
+
+def _level_values(t, side, n, c):
+    """The sorted distinct values of the words of class c at depth n and
+    their logs, read from level n."""
+    level, mask = t.levels[n], t.classes.rank_classes(side, n) == c
+    vals, first = np.unique(level.num[mask], return_index=True)
+    return vals.tolist(), level.logs[mask][first].tolist()
 
 
 @settings(max_examples=30, deadline=None)
@@ -326,7 +342,7 @@ def test_class_values_from_rows_match_the_levels(factor, f_range):
     for side, classes in rows.items():
         for n in range(1, depth + 1):
             for c in range(len(classes[n])):
-                assert t.classes._distinct(side, n, c) == t.classes._level_values(side, n, c)
+                assert t.classes._distinct(side, n, c) == _level_values(t, side, n, c)
     fresh = build_g_table(pi, f, depth)
     deepest = 0
     with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE["classes"]):
@@ -339,17 +355,22 @@ def test_class_values_from_rows_match_the_levels(factor, f_range):
             assert fresh.levels.built == deepest
 
 
-@pytest.mark.parametrize("name, depth", [("factor_phase_blocked.json", 18),
+@pytest.mark.parametrize("name, depth", [("factor_phase_blocked.json", 9),
+                                         ("factor_phase_blocked.json", 12),
+                                         ("factor_phase_blocked.json", 15),
+                                         ("factor_phase_blocked.json", 18),
                                          ("factor_phase_blocked.json", 28),
                                          ("factor_collapse.json", 14)])
 def test_profile_and_bridges_build_no_level(name, depth):
     """profile-cnm's scans (defect_profile, check_D2 at gap 3) read classes
-    and fiber rows alone, and pairs_checked comes from the language
-    counts; below depth 28 the reports equal the word scans'."""
+    and fiber rows alone, both walks through the table depth, whether or
+    not the forward rows pay for the verdict (on phase-blocked they do not
+    from depth 9 to 15), and pairs_checked comes from the language counts;
+    below depth 28 the reports equal the word scans'."""
     t = _fixture_table(name, depth)
     got = [_json(defect_profile(t)), _json(check_D2(t, 3))]
     assert t.levels.built == 0
-    assert t.rows is not None and t.classes._bwd_rows is not None
+    assert len(t.classes.fwd.rows) == len(t.classes.bwd.rows) == depth + 1
     if depth < 28:
         with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE["words"]):
             words = _fixture_table(name, depth)
@@ -545,6 +566,53 @@ def test_keys_past_the_rows_budget_hand_over_to_the_words():
         t = build_g_table(pi, f, 11)
         want = detect.uniform_defects(t, h, exact)
         assert t.levels.built == 0  # read from the keys
-        t.rows.budget = sum(len(t.rows.sums[n]) for n in range(seqtable.FIT_DEPTH + 1, 12)) + 1
+        t.row_budget = sum(len(t.rows.g[n]) for n in range(seqtable.FIT_DEPTH + 1, 12)) + 1
         assert detect.uniform_defects(t, h, exact) == want
         assert t.levels.built == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ["verdict", "--factor", str(FIXTURES / "factor_collapse.json"), "--depth", "14",
+     "--range", "1"],
+    ["verdict", "--factor", str(FIXTURES / "factor_phase_blocked.json"), "--depth", "18"],
+    ["profile-cnm", "--factor", str(FIXTURES / "factor_phase_blocked.json"), "--depth", "18"],
+])
+def test_one_transfer_build_per_factor_potential_and_state_lengths(argv, tmp_path, monkeypatch):
+    """A command builds each step of its representations once: one
+    ``_transfer`` per (factor, potential, source length, target length)."""
+    built = []  # holds the factors and potentials, so their ids stay unique
+    real = seqtable._transfer
+
+    def counted(pi, f, src_len, dst_len):
+        built.append((pi, f, src_len, dst_len))
+        return real(pi, f, src_len, dst_len)
+
+    monkeypatch.setattr(seqtable, "_transfer", counted)
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    keys = [(id(pi), id(f), src_len, dst_len) for pi, f, src_len, dst_len in built]
+    assert keys and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("name, depth", [("factor_collapse.json", 14),
+                                         ("factor_phase_blocked.json", 12),
+                                         ("factor_phase_blocked.json", 18)])
+def test_one_row_walk_per_direction(name, depth, monkeypatch):
+    """defect_profile, check_D2 and table_verdict on one exact g-table share
+    one forward and one backward row walk, each through the table depth,
+    whether or not the forward rows pay for the verdict (on phase-blocked at
+    depth 12 they do not)."""
+    walks = []
+    real = seqtable._Rows.__init__
+
+    def counted(self, *args):
+        walks.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(seqtable._Rows, "__init__", counted)
+    t = _fixture_table(name, depth)
+    defect_profile(t)
+    check_D2(t, 3)
+    table_verdict(t, r=1)
+    assert walks == [t.classes.fwd, t.classes.bwd]
+    assert [len(walk.rows) for walk in walks] == [depth + 1] * 2
+    assert (t.rows is None) == (depth == 12)
