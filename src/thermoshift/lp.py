@@ -107,7 +107,9 @@ def _dual_simplex(a, hi: list[int], lo: list[int] | None = None,
     feasible basis as (basis, d B^-1, d) from ``_basis_start``, skips
     phase 1.  Returns (d z, d t*, d).
     """
-    a = np.asarray(a)
+    if not isinstance(a, np.ndarray):  # np.asarray would make big ints uint64 or float
+        big = max((abs(x) for row in a for x in row), default=0) > INT64_MAX
+        a = np.array(a, dtype=object if big else np.int64)
     u, nvars = a.shape
     m, art = nvars + 1, 2 * u
     a_obj, cols = a.astype(object), _columns(a)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermoshift.lp import _dual_simplex, chebyshev_fit_exact
@@ -79,6 +79,9 @@ def chebyshev_problems(draw, bound=BIG):
 
 @settings(max_examples=300, deadline=None)
 @given(chebyshev_problems())
+# entries in [2^63, 2^64) make np.asarray uint64, and with negatives beside them float64
+@example(([[2 ** 63 + 5]], [1]))
+@example(([[14348088201511108608], [-663], [-652]], [-1070, -520, 9556]))
 def test_integer_simplex_matches_the_fraction_simplex(case):
     a, e = case
     zn, tn, d = _dual_simplex([row[:] for row in a], list(e))
