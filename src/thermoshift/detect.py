@@ -22,7 +22,7 @@ from .numerics import array_max, integer_rows, log_fraction, logsumexp, power_ex
 from .potential import (LocallyConstantPotential, PotentialError, birkhoff_inf,
                         birkhoff_sup, periodic_birkhoff, periodic_birkhoff_coeff,
                         variation_constant)
-from .seqtable import FIT_DEPTH, SeqTable, TableError, build_g_table, defect_profile
+from .seqtable import FIT_DEPTH, SeqTable, TableError, build_g_table, growth_witness
 from .shiftcore import (PeriodicPoint, Word, bridge, is_irreducible,
                         periodic_points)
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, Verdict, decays_to_zero
@@ -525,12 +525,14 @@ class DefectReport:
 def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
                   r: int = 1, P_max: int = 6, J: int | None = None,
                   n_fits=None, slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> DefectReport:
-    """Aggregate detector on a prebuilt table; see compensation_verdict."""
-    profile = defect_profile(gt, slope_threshold)
-    if profile.growth:
+    """Aggregate detector on a prebuilt table; see compensation_verdict.
+    The defect profile is read only up to its first growing row
+    (``growth_witness``)."""
+    witness = growth_witness(gt, slope_threshold)
+    if witness is not None:
         return DefectReport(
             Verdict.REFUTED, "defect profile grows linearly in log", profile_growth=True,
-            profile_witness=profile.witness,
+            profile_witness=witness,
             coverage={"depth_max": gt.depth_max, "orbits": 0, "P_max": P_max},
             stats={"slope_threshold": slope_threshold})
 

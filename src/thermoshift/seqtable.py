@@ -25,19 +25,21 @@ ints past it) decides.
 Every walk reads its steps from one linear representation per (factor,
 potential), kept on the factor (``_Representation``).  On an exact g-table
 (the counting path, f = 0, of any range) g is a rational series, g(uv) =
-x_u . y_v, and each direction is one walk over the distinct rows x_u and
-y_v (``_Rows``).  The C_{n,m} profile and the D2 bridging search read
-projective fiber classes instead of words (``_FiberClasses``): g(uv) /
-(g(u) g(v)) depends on u and v only through the primitive rows, so the
-classes of a depth are the distinct primitive images of its rows.  That
-pays when a depth holds few classes next to its words; each scan counts
-the class products it needs and takes the class path only when they are
-fewer than the word scan's cells.  The reports are the word scans' bit for
-bit.  The class path reads no word level: the values inside a class are
-those of its rows, and only the unbridged pairs check_D2 lists are spelled
+x_u . y_v.  The C_{n,m} profile and the D2 bridging search read projective
+fiber classes instead of words (``_FiberClasses``): g(uv) / (g(u) g(v))
+depends on u and v only through the primitive rows of x_u and y_v, and
+the classes grow by themselves, depth by depth, as deep as a scan reads
+(``_Rows.classes``).  That pays when a depth holds few classes next to its
+words; each scan counts the class products it needs and takes the class
+path only when they are fewer than the word scan's cells, the profile row
+by row (``_profile_rows``).  The reports are the word scans' bit for bit.
+The class path reads no word level: the values inside a class are those
+of its distinct fiber rows, walked only where check_D2 reads them
+(``_Rows.to``), and only the unbridged pairs check_D2 lists are spelled
 from the levels.  Float tables, tables built from dicts and exact g-tables
 whose classes do not pay keep the word scans (``_splits``, ``_ranks``,
-``_word_bridges``).
+``_word_bridges``).  A verdict reads the profile rows only up to the first
+that grows (``growth_witness``).
 
 Past the fit depth an exact g-table's values are read from its forward
 rows (``SeqTable.rows``), not from levels it has not built: the common
@@ -228,11 +230,11 @@ class SeqTable:
 
     @cached_property
     def rows(self) -> _Rows | None:
-        """The forward fiber rows of an exact g-table (``_FiberClasses.fwd``)
-        through its depth while its rows past FIT_DEPTH stay below
-        ``row_budget`` (752 and 2048 of the 4096 words at depth 12 on the
-        Stern-Brocot and Calkin-Wilf factors do not); None past it, on float
-        tables and on tables built from dicts."""
+        """The forward fiber rows of an exact g-table (``_FiberClasses.fwd``,
+        walked with ``to``) through its depth while its rows past FIT_DEPTH
+        stay below ``row_budget`` (752 and 2048 of the 4096 words at depth
+        12 on the Stern-Brocot and Calkin-Wilf factors do not); None past
+        it, on float tables and on tables built from dicts."""
         if self.classes is None:
             return None
         walk, spent = self.classes.fwd, 0
@@ -403,17 +405,18 @@ def _times(x: np.ndarray, y, bound: int) -> np.ndarray:
     return np.multiply(x, y, dtype=object if bound > INT64_MAX else None)
 
 
-def _splits(t: SeqTable):
-    """Every split w = w[:n] w[n:] of the words at each depth total >= 2,
-    one (total, n) at a time: yields (total, n, slack, exact) with the float
-    slack (log f_total - log f_n) - log f_m o sigma^n per word and, on exact
-    tables, exact = (v, ab), integer arrays ordered like f_total and
-    f_n * f_m o sigma^n (both scaled by the three level denominators)."""
+def _splits(t: SeqTable, first: int = 1):
+    """Every split w = w[:n] w[n:], n >= first, of the words at each depth
+    total > first, one (total, n) at a time: yields (total, n, slack,
+    exact) with the float slack (log f_total - log f_n) - log f_m o sigma^n
+    per word and, on exact tables, exact = (v, ab), integer arrays ordered
+    like f_total and f_n * f_m o sigma^n (both scaled by the three level
+    denominators)."""
     levels = t.levels
-    for total in range(2, t.depth_max + 1):
+    for total in range(first + 1, t.depth_max + 1):
         top = levels[total]
         pre, suf = _ranks(levels, total, "parent"), _ranks(levels, total, "tail")
-        for n in range(1, total):
+        for n in range(first, total):
             a, b = levels[n], levels[total - n]
             ia, ib = pre[n], suf[total - n]
             slack = (top.logs - a.logs[ia]) - b.logs[ib]
@@ -442,17 +445,18 @@ class _FiberClasses:
     nothing bounds the count below the word count: on two blocks of two
     domain symbols, letters acting by [[1, 1], [0, 1]] and [[1, 0], [1, 1]]
     within and across the blocks give every word its own backward class.
-    So each scan counts the class products it needs, per (n, m) cell over
-    the classes present at depths n and m, against the splits the word scan
-    would read, and returns None (the caller scans the words) unless the
-    products are fewer.
+    So each scan counts the class products it needs against the splits the
+    word scan would read for the same cells (``_scan_cost``): the profile
+    row by row (``defect_row``), the bridges at once, and returns None (the
+    caller scans the words) unless the products are fewer.
 
-    Each direction is one walk over the distinct rows (``fwd``, ``bwd``:
-    ``_Rows``), resumed to the table depth by the first scan, and the
-    classes are read off its rows: ``x[n]`` / ``y[n]`` hold the class rows
-    at depth n, and the values within a class are those of its rows, so no
-    word is read.  The class of each rank (``rank_classes``) is gathered
-    only to spell unbridged pairs.
+    Each direction is one ``_Rows`` (``fwd``, ``bwd``) whose classes grow
+    only as deep as a scan reads: ``x(n)`` holds the forward class rows at
+    depth n, ``ys(top)`` the backward ones at depths 1..top.  Its fiber
+    rows are walked only where word values are read: the values within a
+    class are those of its rows (``_distinct``), so no word is read.  The
+    class of each rank (``rank_classes``) is gathered only to spell
+    unbridged pairs.
     """
 
     def __init__(self, t: SeqTable):
@@ -466,17 +470,13 @@ class _FiberClasses:
         self._first: list[np.ndarray | None] = [None]  # first symbol of each rank
         self._values: dict[tuple[str, int, int], tuple[list, list]] = {}
 
-    @cached_property
-    def x(self) -> list[np.ndarray]:
-        return self.fwd.classes(self.depth).prim
+    def x(self, n: int) -> np.ndarray:
+        """The forward class rows at depth n."""
+        return self.fwd.classes(n).prim[n]
 
-    @cached_property
-    def sx(self) -> list[np.ndarray]:
-        return [row_sums(rows) for rows in self.x]
-
-    @cached_property
-    def y(self) -> list[np.ndarray]:
-        return self.bwd.classes(self.depth).prim
+    def ys(self, top: int) -> list[np.ndarray]:
+        """The backward class rows (y, g) at depths 1..top."""
+        return self.bwd.classes(top).prim[1:top + 1]
 
     def rank_classes(self, side: str, n: int) -> np.ndarray:
         """The forward ("fwd") or backward ("bwd") class of each rank at
@@ -491,39 +491,38 @@ class _FiberClasses:
                 ids.append(walk.cnext[d - 1][ids[-1][level.tail], self._first[d]])
         return ids[n]
 
-    def _scan_cost(self, top: int, gap: int) -> int:
-        """The cells the word scan reads: (s - 1) |B_total| for each s in
-        2..top and total in s..s+gap (one per split of each word)."""
-        return sum((s - 1) * sum(self.counts[s:s + gap + 1]) for s in range(2, top + 1))
+    def _scan_cost(self, cells: list[tuple[int, int]], gap: int) -> int:
+        """The cells the word scan reads for the (n, m) ``cells``: one per
+        split of each word at depths n+m..n+m+gap."""
+        return sum(sum(self.counts[n + m:n + m + gap + 1]) for n, m in cells)
 
-    def _against(self, n: int, ms: range) -> tuple[np.ndarray, np.ndarray, dict]:
-        """The classes at depth n against those at the depths ``ms`` side by
+    def _against(self, n: int, top: int) -> tuple[np.ndarray, np.ndarray, dict]:
+        """The classes at depth n against those at depths 1..top side by
         side: (their rows (y, g) stacked, [c, d] = (x_c . 1) g_d, the
         columns of each m).  An x row's last (start) entry is 0 past the
         empty word, so x . (y, g) = x . y."""
-        ys = [self.y[m] for m in ms]
+        ys = self.ys(top)
         cat, edges = np.concatenate(ys), np.cumsum([0] + [len(y) for y in ys]).tolist()
-        sx, g = self.sx[n], cat[:, -1]
+        sx, g = self.fwd.classes(n).cg[n], cat[:, -1]
         den = _times(sx[:, None], g, array_max(sx) * array_max(g))
-        return cat, den, {m: slice(a, b) for m, a, b in zip(ms, edges, edges[1:])}
+        return cat, den, {m: slice(a, b) for m, a, b in zip(range(1, top + 1), edges, edges[1:])}
 
-    def defects(self) -> dict[tuple[int, int], Fraction] | None:
-        """C_{n,m} = max over the words w at depth n+m of max(R, 1/R), R =
-        g(w) / (g(w[:n]) g(w[n:])): the same maximum over the class pairs
-        present at depths n and m whose product x . y is positive (their
-        words concatenate to stored words); 1 where depth n+m holds no
-        word.  ``_max_ratios`` proves every cell of depth n at once.  None
-        when the class pairs are not fewer than the word scan's splits."""
-        cells = [(n, total - n) for total in range(2, self.depth + 1) for n in range(1, total)]
-        if sum(len(self.x[n]) * len(self.y[m]) for n, m in cells) >= self._scan_cost(self.depth, 0):
+    def defect_row(self, n: int) -> dict[int, Fraction] | None:
+        """Row n of the profile, m -> C_{n,m} for m = 1..depth-n: the max
+        over the words w at depth n+m of max(R, 1/R), R = g(w) / (g(w[:n])
+        g(w[n:])), is the same maximum over the class pairs present at
+        depths n and m whose product x . y is positive (their words
+        concatenate to stored words); 1 where depth n+m holds no word.
+        ``_max_ratios`` proves the whole row at once.  None when the row's
+        class pairs are not fewer than its word splits."""
+        top = self.depth - n
+        if len(self.x(n)) * sum(map(len, self.ys(top))) >= \
+                self._scan_cost([(n, m) for m in range(1, top + 1)], 0):
             return None
-        out = {}
-        for n in range(1, self.depth):
-            y, den, cols = self._against(n, range(1, self.depth - n + 1))
-            num = _dot(self.x[n], y)
-            spread = np.where(num > 0, np.abs(_logs(num) - _logs(den)), -np.inf)
-            out.update(((n, m), c) for m, c in _max_ratios(num, den, spread, cols).items())
-        return {key: out[key] for key in cells}
+        y, den, cols = self._against(n, top)
+        num = _dot(self.x(n), y)
+        spread = np.where(num > 0, np.abs(_logs(num) - _logs(den)), -np.inf)
+        return _max_ratios(num, den, spread, cols)
 
     def bridges(self, gap: int) -> dict[tuple[int, int], tuple[float | None, list]] | None:
         """check_D2's (n, m) -> (log D_{n,m} or None, unbridged word pairs);
@@ -542,14 +541,15 @@ class _FiberClasses:
         top = self.depth - gap
         if top < 2:
             return {}
-        grown = self._gap_rows(top, gap, self._scan_cost(top, gap))
+        cells = [(n, s - n) for s in range(2, top + 1) for n in range(1, s)]
+        grown = self._gap_rows(top, gap, self._scan_cost(cells, gap))
         if grown is None:
             return None
         starts, steps = grown
         found = {}
         for n in range(1, top):
-            y, den, cols = self._against(n, range(1, top - n + 1))
-            best = np.zeros((len(self.x[n]), len(y)), np.int64)
+            y, den, cols = self._against(n, top - n)
+            best = np.zeros((len(self.x(n)), len(y)), np.int64)
             for owner, rows in steps:
                 mine = (owner >= starts[n - 1]) & (owner < starts[n])
                 prods = _dot(rows[mine], y)
@@ -569,7 +569,7 @@ class _FiberClasses:
             for m, col in cols.items():
                 found[(n, m)] = self._bridge_cell(n, m, all(every[col]), near[m], hit[:, col],
                                                   best[:, col])
-        return {(n, s - n): found[(n, s - n)] for s in range(2, top + 1) for n in range(1, s)}
+        return {key: found[key] for key in cells}
 
     def _bridge_cell(self, n: int, m: int, complete: bool, near: list, hit: np.ndarray,
                      best: np.ndarray) -> tuple[float | None, list]:
@@ -583,7 +583,7 @@ class _FiberClasses:
                                      self.rank_classes("bwd", m)[None, :]])
             missing = [(a[i], b[j]) for i, j in zip(iu.tolist(), iv.tolist())]
         for c, d in near:
-            t, xc, gd = int(best[c, d]), int(self.sx[n][c]), int(self.y[m][d, -1])
+            t, xc, gd = int(best[c, d]), int(self.fwd.cg[n][c]), int(self.bwd.cg[m][d])
             us, vs = self._distinct("fwd", n, c), self._distinct("bwd", m, d)
             for gu, lu in zip(*us):
                 for gv, lv in zip(*vs):
@@ -598,9 +598,9 @@ class _FiberClasses:
         depth after another (depth n's from starts[n - 1] on).  None as soon
         as the products with the backward classes each row meets (depths
         1..top-n) reach ``budget``."""
-        xs = self.x[1:top]
+        xs = [self.x(n) for n in range(1, top)]
         starts = np.cumsum([0] + [len(x) for x in xs]).tolist()
-        width = np.repeat([sum(map(len, self.y[1:top - n + 1])) for n in range(1, top)],
+        width = np.repeat([sum(map(len, self.ys(top - n))) for n in range(1, top)],
                           [len(x) for x in xs])
         owner, rows = np.arange(starts[-1]), np.concatenate(xs)
         out, cost = [], 0
@@ -623,59 +623,58 @@ class _FiberClasses:
         with their logs: the values of the class's rows on that side."""
         key = (side, n, c)
         if key not in self._values:
-            walk = getattr(self, side)
-            vals = np.unique(walk.g[n][walk.cls[n] == c]).tolist()
+            walk = getattr(self, side).to(n)
+            vals = sorted(set(walk.g[n][walk.cls[n] == c].tolist()))
             self._values[key] = (vals, [log_fraction(v) for v in vals])
         return self._values[key]
 
 
 class _Rows:
-    """The distinct rows of one direction of an exact g-table, grown depth by
-    depth with no word as far as a read reaches (``to``), and the classes
-    read off them (``classes``).
+    """One direction of an exact g-table: its projective classes, grown
+    depth by depth as far as a scan reaches (``classes``), and its distinct
+    fiber rows, walked only as far as word values are read (``to``).
+    Neither reads a word.
 
-    ``rows[n]`` holds the distinct rows at depth n (rows[0] the root),
-    ``g[n]`` the value of each row's words, and ``next[n][i, b]`` the row at
-    depth n + 1 of row i grown by b (-1 where that is 0: no word).  The
-    classes of depth n are the distinct primitive images of its rows:
-    ``cls[n]`` maps each row to its class, ``prim[n]`` holds the class rows
-    and ``cnext[n][c, b]`` the class at depth n + 1 of any row of class c
-    grown by b.  The rows are few where the classes are (2n at depth n on
-    the collapse factor, 264 of 6765 words at depth 18 on phase-blocked),
-    and nothing bounds them below the words.
+    ``prim[n]`` holds the distinct primitive class rows at depth n (prim[0]
+    the root, which is primitive), ``cg[n]`` the value of each class row
+    and ``cnext[n][c, b]`` the class at depth n + 1 of class c grown by b
+    (-1 where that is 0: no word).  A row grown by b has the primitive
+    image of its class row grown by b, so the classes grow by themselves:
+    step, divide by the row gcd, dedupe.  ``rows[n]`` holds the distinct
+    rows at depth n (rows[0] the root), ``g[n]`` the value of each row's
+    words, ``next[n][i, b]`` the row at depth n + 1 of row i grown by b
+    (-1 where no word) and ``cls[n]`` each row's class, taken from
+    ``cnext`` of its parent's class.  The classes are few where the words
+    are many (2 per depth on the collapse factor, 19 of 6765 words at
+    depth 18 on phase-blocked), the rows more (2n at depth n on collapse,
+    264 at depth 18 on phase-blocked), and nothing bounds either below the
+    words.
     """
 
     def __init__(self, root: np.ndarray, grow: np.ndarray, value):
-        self.rows, self.next, self.g = [root], [], [value(root)]
-        self.cls, self.prim, self.cnext = [], [], []
-        self._grow, self._value, self._reps = grow, value, []  # a row of each class
-
-    def to(self, n: int) -> _Rows:
-        """The walk through depth n."""
-        while len(self.rows) <= n:
-            grown = _grow(self.rows[-1], self._grow)
-            live = np.flatnonzero(grown.any(axis=1))
-            first, inv = _unique_rows(grown[live])
-            nxt = np.full(len(grown), -1, np.intp)
-            nxt[live] = inv
-            self.next.append(nxt.reshape(-1, len(self._grow)))
-            self.rows.append(grown[live[first]])
-            self.g.append(self._value(self.rows[-1]))
-        return self
+        self._grow, self._value = grow, value
+        self.prim, self.cg, self.cnext = [root], [value(root)], []
+        self.rows, self.g, self.next, self.cls = [root], [value(root)], [], [np.zeros(1, np.intp)]
 
     def classes(self, n: int) -> _Rows:
-        """The walk and its classes through depth n."""
-        self.to(n)
-        for d in range(len(self.cls), n + 1):
-            rows = self.rows[d]
-            prim = rows // np.gcd.reduce(rows, axis=1)[:, None]
-            first, ids = _unique_rows(prim)
-            if d:
-                nxt = self.next[d - 1][self._reps[-1]]
-                self.cnext.append(np.where(nxt >= 0, ids[nxt], -1))
-            self.cls.append(ids)
-            self.prim.append(prim[first])
-            self._reps.append(first)
+        """The classes through depth n."""
+        while len(self.prim) <= n:
+            nxt, prim, _ = _step(self.prim[-1], self._grow, primitive=True)
+            self.cnext.append(nxt)
+            self.prim.append(prim)
+            self.cg.append(self._value(prim))
+        return self
+
+    def to(self, n: int) -> _Rows:
+        """The rows through depth n, with their classes."""
+        self.classes(n)
+        while len(self.rows) <= n:
+            nxt, rows, src = _step(self.rows[-1], self._grow)
+            parent, b = np.divmod(src, len(self._grow))
+            self.cls.append(self.cnext[len(self.next)][self.cls[-1][parent], b])
+            self.next.append(nxt)
+            self.rows.append(rows)
+            self.g.append(self._value(rows))
         return self
 
     def find(self, word: Word) -> int | None:
@@ -687,6 +686,23 @@ class _Rows:
             if i < 0:
                 return None
         return i
+
+
+def _step(rows: np.ndarray, mats: np.ndarray,
+          primitive: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(next, grown, src): the distinct nonzero rows among rows[i] @
+    mats[b] (``_grow``), each divided by its gcd when ``primitive``;
+    next[i, b] the index among them of row i grown by b (-1 at 0), and
+    src the flat index i * len(mats) + b of one grown row of each."""
+    grown = _grow(rows, mats)
+    live = np.flatnonzero(grown.any(axis=1))
+    grown = grown[live]
+    if primitive:
+        grown = grown // np.gcd.reduce(grown, axis=1)[:, None]
+    first, inv = _unique_rows(grown)
+    nxt = np.full(len(rows) * len(mats), -1, np.intp)
+    nxt[live] = inv
+    return nxt.reshape(len(rows), -1), grown[first], live[first]
 
 
 class _Representation:
@@ -1227,40 +1243,82 @@ def _max_ratios(v: np.ndarray, ab: np.ndarray, spread: np.ndarray,
     return {key: Fraction(*pair) for key, pair in best.items()}
 
 
-def defect_profile(t: SeqTable, slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> DefectProfile:
-    """log C_{n,m} = max over words of |log f_{n+m} - log f_n - log f_m o sigma^n|,
-    with an exponential-growth flag (least-squares slope in m at fixed n).
-    Exact g-tables read their fiber classes (``_FiberClasses.defects``)
-    where those take fewer products than the splits, other tables every
-    split of every word."""
+def _profile_rows(t: SeqTable):
+    """The defect profile one row at a time, n = 1..depth-1 in order:
+    yields (n, {m: log C_{n,m}}, {m: C_{n,m}} or None on float tables).
+    Exact g-tables read each row from their fiber classes
+    (``_FiberClasses.defect_row``) while its class pairs are fewer than its
+    splits; from the first row that declines on, and on other tables
+    throughout, the rows come from one word scan of the splits there."""
     if t.depth_max < 2:
         raise TableError("need depth_max >= 2")
-    exact_c = None if t.classes is None else t.classes.defects()
-    if exact_c is not None:
-        log_c = {key: log_fraction(c) for key, c in exact_c.items()}
-    else:
-        log_c, exact_c = {}, {} if t.is_exact else None
-        for total, n, slack, exact in _splits(t):
-            d = np.abs(slack)
-            i = int(np.argmax(d)) if len(d) else None
-            if exact is None:
-                log_c[(n, total - n)] = 0.0 if i is None else float(d[i])
-            else:
-                worst = Fraction(1) if i is None else _max_ratios(
-                    exact[0][:, None], exact[1][:, None], d[:, None], {0: slice(0, 1)})[0]
-                exact_c[(n, total - n)] = worst
-                log_c[(n, total - n)] = log_fraction(worst)
-    growth = False
-    witness = None
-    slopes: dict[int, TrendStats] = {}
-    for n in sorted({n for n, _ in log_c}):
-        ms = sorted(m for nn, m in log_c if nn == n)
-        if len(ms) < 4:
-            continue
-        fired, stats = growth_flag(ms, [log_c[(n, m)] for m in ms], slope_threshold)
-        slopes[n] = stats
-        if fired and not growth:
-            growth = True
-            witness = {"n": n, "m": ms[-1], "log_c": log_c[(n, ms[-1])],
-                       "slope": stats.slope, "r_squared": stats.r_squared}
-    return DefectProfile(log_c, exact_c, growth, witness, slopes, slope_threshold)
+    n = 1
+    while t.classes is not None and n < t.depth_max:
+        row = t.classes.defect_row(n)
+        if row is None:
+            break
+        yield n, {m: log_fraction(c) for m, c in row.items()}, row
+        n += 1
+    rest = range(n, t.depth_max)
+    if not rest:
+        return
+    logs = {k: {} for k in rest}
+    exacts = {k: {} for k in rest} if t.is_exact else None
+    for total, k, slack, exact in _splits(t, n):
+        d = np.abs(slack)
+        i = int(np.argmax(d)) if len(d) else None
+        if exact is None:
+            logs[k][total - k] = 0.0 if i is None else float(d[i])
+        else:
+            worst = Fraction(1) if i is None else _max_ratios(
+                exact[0][:, None], exact[1][:, None], d[:, None], {0: slice(0, 1)})[0]
+            exacts[k][total - k] = worst
+            logs[k][total - k] = log_fraction(worst)
+    for k in rest:
+        yield k, logs[k], None if exacts is None else exacts[k]
+
+
+def _row_growth(n: int, row: dict[int, float],
+                slope_threshold: float) -> tuple[TrendStats, dict | None] | None:
+    """(the slope statistics of row n of log C, the growth witness when its
+    flag fires, else None); None when the row has fewer than 4 cells."""
+    ms = sorted(row)
+    if len(ms) < 4:
+        return None
+    fired, stats = growth_flag(ms, [row[m] for m in ms], slope_threshold)
+    return stats, {"n": n, "m": ms[-1], "log_c": row[ms[-1]], "slope": stats.slope,
+                   "r_squared": stats.r_squared} if fired else None
+
+
+def defect_profile(t: SeqTable, slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> DefectProfile:
+    """log C_{n,m} = max over words of |log f_{n+m} - log f_n - log f_m o sigma^n|,
+    with an exponential-growth flag (least-squares slope in m at fixed n),
+    witnessed by the first row whose flag fires.  Every row of
+    ``_profile_rows``: exact g-tables read their fiber classes where those
+    take fewer products than the splits, other tables every split of
+    every word."""
+    log_c, exact_c = {}, {} if t.is_exact else None
+    witness, slopes = None, {}
+    for n, row, exact in _profile_rows(t):
+        log_c.update(((n, m), v) for m, v in row.items())
+        if exact_c is not None:
+            exact_c.update(((n, m), c) for m, c in exact.items())
+        trend = _row_growth(n, row, slope_threshold)
+        if trend is not None:
+            slopes[n], found = trend
+            witness = witness or found
+    return DefectProfile(log_c, exact_c, witness is not None, witness, slopes, slope_threshold)
+
+
+def growth_witness(t: SeqTable, slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> dict | None:
+    """``defect_profile(t).witness``, reading the profile rows only up to
+    the first whose growth flag fires: one row growing linearly in m
+    refutes every continuous h.  None when no row fires; the reading stops
+    at the first row of fewer than 4 cells, past which no flag can fire."""
+    for n, row, _ in _profile_rows(t):
+        trend = _row_growth(n, row, slope_threshold)
+        if trend is None:
+            return None
+        if trend[1] is not None:
+            return trend[1]
+    return None

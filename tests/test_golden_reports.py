@@ -46,6 +46,10 @@ CASES = {
                         "--depth", "18"],
     "verdict_phase_blocked_d18": ["verdict", "--factor", "fixtures/factor_phase_blocked.json",
                                   "--range", "1", "--depth", "18"],
+    "verdict_phase_blocked_d28": ["verdict", "--factor", "fixtures/factor_phase_blocked.json",
+                                  "--depth", "28"],
+    "profile_cnm_d28": ["profile-cnm", "--factor", "fixtures/factor_phase_blocked.json",
+                        "--depth", "28"],
     "verdict_collapse_d14": ["verdict", "--factor", "fixtures/factor_collapse.json",
                              "--range", "1", "--depth", "14"],
     "certificate": ["certificate", "--factor", "fixtures/factor_collapse.json", "--depth", "8",

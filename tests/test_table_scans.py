@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermoshift import (LocallyConstantPotential, OneBlockFactor, SeqTable,
@@ -136,7 +136,7 @@ def _json(report):
 
 
 # word-scan costs that force the fiber-class path or the word kernels
-FORCE = {"classes": lambda self, top, gap: math.inf, "words": lambda self, top, gap: 0}
+FORCE = {"classes": lambda self, cells, gap: math.inf, "words": lambda self, cells, gap: 0}
 
 
 def assert_scans_match(t, gaps=(0,)):
@@ -208,6 +208,12 @@ def _fixture_table(name, depth):
     return build_g_table(pi, LocallyConstantPotential.zero(pi.domain), depth)
 
 
+def _class_rows(t, side):
+    """The forward ("fwd") or backward ("bwd") class rows of t at every
+    depth through the table depth."""
+    return getattr(t.classes, side).classes(t.depth_max).prim
+
+
 def test_exact_g_tables_take_the_class_path(monkeypatch):
     """With the word kernels made to raise, defect_profile and check_D2 on
     exact g-tables still match the oracles."""
@@ -239,7 +245,7 @@ def test_class_path_promotes_past_int64(monkeypatch):
     t = _fixture_table("factor_phase_blocked.json", 9)
     want = [_json(ref_defect_profile(t))] + [_json(ref_check_D2(t, gap)) for gap in range(4)]
     monkeypatch.setattr(seqtable, "INT64_MAX", 10)
-    for rows in (t.classes.x, t.classes.y):
+    for rows in (_class_rows(t, "fwd"), _class_rows(t, "bwd")):
         promoted = [r.dtype == object for r in rows]
         assert promoted == sorted(promoted) and not promoted[1] and promoted[-1]
     assert [_json(defect_profile(t))] + [_json(check_D2(t, gap)) for gap in range(4)] == want
@@ -251,7 +257,7 @@ def test_collapse_stays_on_int64_at_depth_40(monkeypatch):
     equal those of the walks forced onto Python ints."""
     t = _fixture_table("factor_collapse.json", 40)
     got = [_json(defect_profile(t)), _json(check_D2(t, 3))]
-    assert all(x.dtype == np.int64 for x in t.classes.x + t.classes.y)
+    assert all(x.dtype == np.int64 for x in _class_rows(t, "fwd") + _class_rows(t, "bwd"))
     assert all(v.dtype == np.int64 for v in t.rows.g + t.classes.bwd.g)
     assert t.levels.built == 0
     monkeypatch.setattr(seqtable, "INT64_MAX", 10)
@@ -269,7 +275,7 @@ def test_class_counts_per_level(name, depth, counts):
     """Distinct forward classes per depth: 2 of 2^18 words on collapse, 3 on
     the full-4 abc factor, n + 1 at depth n on phase-blocked (19 at 18)."""
     t = _fixture_table(name, depth)
-    assert [len(x) for x in t.classes.x[1:]] == counts
+    assert [len(x) for x in _class_rows(t, "fwd")[1:]] == counts
     if t.rows is not None:  # each distinct fiber row carries its class
         assert [len(set(ids.tolist())) for ids in t.rows.cls[1:]] == counts
     assert t.levels.built == 0
@@ -303,16 +309,17 @@ def test_scans_on_factors_whose_classes_barely_compress(trans, forward, backward
     """Class counts that grow with the words (1.6^n and 2^n of 2^n): each
     (n, m) cell's products are taken apart, so the class path stays within
     the word scan's cells, and both paths match the oracles at depth 12.
-    The forward rows do not pay past the fit depth, and each direction
-    holds as many rows as classes, so reading the classes off the rows
-    walks no more rows than classes."""
+    The class walks build no fiber row.  The forward rows, as many as the
+    classes at each depth, do not pay past the fit depth."""
     t = _two_block_table(trans, 12)
-    assert t.rows is None
     assert [len(lv) for lv in t.levels[1:]] == [2 ** n for n in range(1, 13)]
-    assert [len(x) for x in t.classes.x[1:]] == forward
-    assert [len(y) for y in t.classes.y[1:]] == backward
-    assert [len(rows) for rows in t.classes.fwd.rows[1:]] == forward
-    assert [len(rows) for rows in t.classes.bwd.rows[1:]] == backward
+    assert [len(x) for x in _class_rows(t, "fwd")[1:]] == forward
+    assert [len(y) for y in _class_rows(t, "bwd")[1:]] == backward
+    assert len(t.classes.fwd.rows) == len(t.classes.bwd.rows) == 1
+    assert t.rows is None
+    walked = t.classes.fwd.rows[1:]
+    assert len(walked) > seqtable.FIT_DEPTH
+    assert [len(rows) for rows in walked] == forward[:len(walked)]
     assert_scans_match(t, gaps=(0, 2))
 
 
@@ -338,7 +345,7 @@ def test_class_values_from_rows_match_the_levels(factor, f_range):
     f = LocallyConstantPotential(dom, f_range, dict.fromkeys(dom.blocks(f_range), 0.0))
     depth = 7
     t = build_g_table(pi, f, depth)
-    rows = {"fwd": t.classes.x, "bwd": t.classes.y}
+    rows = {side: _class_rows(t, side) for side in ("fwd", "bwd")}
     for side, classes in rows.items():
         for n in range(1, depth + 1):
             for c in range(len(classes[n])):
@@ -363,14 +370,18 @@ def test_class_values_from_rows_match_the_levels(factor, f_range):
                                          ("factor_collapse.json", 14)])
 def test_profile_and_bridges_build_no_level(name, depth):
     """profile-cnm's scans (defect_profile, check_D2 at gap 3) read classes
-    and fiber rows alone, both walks through the table depth, whether or
-    not the forward rows pay for the verdict (on phase-blocked they do not
-    from depth 9 to 15), and pairs_checked comes from the language counts;
-    below depth 28 the reports equal the word scans'."""
+    and fiber rows alone, whether or not the forward rows pay for the
+    verdict (on phase-blocked they do not from depth 9 to 15): the profile
+    walks no fiber row and check_D2 walks them through depth - 3 at most,
+    and pairs_checked comes from the language counts; below depth 28 the
+    reports equal the word scans'."""
     t = _fixture_table(name, depth)
-    got = [_json(defect_profile(t)), _json(check_D2(t, 3))]
+    walks = (t.classes.fwd, t.classes.bwd)
+    got = [_json(defect_profile(t))]
+    assert [len(walk.rows) for walk in walks] == [1, 1]
+    got.append(_json(check_D2(t, 3)))
     assert t.levels.built == 0
-    assert len(t.classes.fwd.rows) == len(t.classes.bwd.rows) == depth + 1
+    assert all(len(walk.rows) - 1 <= depth - 3 for walk in walks)
     if depth < 28:
         with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE["words"]):
             words = _fixture_table(name, depth)
@@ -394,12 +405,12 @@ def test_class_path_yields_where_it_reads_more_than_the_words(monkeypatch):
     """At depth 2 the golden mean's 2 x 2 class pairs outnumber its 3 words:
     the class scans decline, and the reports come from the word kernels."""
     t = _fixture_table("factor_identity_goldenmean.json", 2)
-    assert t.classes.defects() is None and t.classes.bridges(0) is None
+    assert t.classes.defect_row(1) is None and t.classes.bridges(0) is None
     assert t.classes.bridges(1) == {}  # no (n, m) fits under a gap of 1
     calls = []
-    monkeypatch.setattr(seqtable, "_splits", lambda t: calls.append(1) or iter(()))
+    monkeypatch.setattr(seqtable, "_splits", lambda t, first=1: calls.append(first) or iter(()))
     defect_profile(t)
-    assert calls
+    assert calls == [1]
 
 
 def test_scans_promote_past_int64():
@@ -554,6 +565,79 @@ def test_verdict_builds_no_level_past_the_fit_depth(name, depth, built):
     assert t.levels.built == built
 
 
+@pytest.mark.parametrize("depth", [18, 28])
+def test_refuting_verdict_reads_the_first_profile_row(depth):
+    """Phase-blocked's first profile row already grows: table_verdict(r=1)
+    refutes from row 1 alone, growing the forward classes through depth 1
+    and the backward ones through depth - 1, with no fiber row and no
+    level."""
+    t = _fixture_table("factor_phase_blocked.json", depth)
+    report = table_verdict(t, r=1)
+    assert report.verdict.value == "REFUTED" and report.profile_witness["n"] == 1
+    assert [len(t.classes.fwd.prim), len(t.classes.bwd.prim)] == [2, depth]
+    assert len(t.classes.fwd.rows) == len(t.classes.bwd.rows) == 1
+    assert t.levels.built == 0
+
+
+def _declines_from(k):
+    """A word-scan cost that keeps the bridges and the profile rows before
+    row k on the classes and declines the rows from k on."""
+    return lambda self, cells, gap: math.inf if cells[0][0] < k else 0
+
+
+def assert_growth_exits_early(pi, f, depth, slope_threshold=DEFAULT_SLOPE_THRESHOLD):
+    """The verdict's early-exit growth flag and witness equal the whole
+    profile's, with the profile rows on the classes, on the words, and
+    handed from the classes to the words at rows 2 and depth // 2; the
+    handed-over profile equals the one the gates choose."""
+    want = _json(defect_profile(build_g_table(pi, f, depth), slope_threshold))
+    costs = {"classes": FORCE["classes"], "words": FORCE["words"],
+             2: _declines_from(2), depth // 2: _declines_from(depth // 2)}
+    for path, cost in costs.items():
+        with mock.patch.object(seqtable._FiberClasses, "_scan_cost", cost):
+            report = table_verdict(build_g_table(pi, f, depth), r=1,
+                                   slope_threshold=slope_threshold)
+            firsts, real = [], seqtable._splits
+
+            def spied(t, first=1):
+                firsts.append(first)
+                return real(t, first)
+
+            with mock.patch.object(seqtable, "_splits", spied):
+                profile = defect_profile(build_g_table(pi, f, depth), slope_threshold)
+        assert (report.profile_growth, report.profile_witness) == \
+            (profile.growth, profile.witness), path
+        assert _json(profile) == want, path
+        assert firsts == {"classes": [], "words": [1]}.get(path, [path]), path
+
+
+@settings(max_examples=30, deadline=None)
+@given(factor=small_factors(), f_range=st.integers(1, 3),
+       slope_threshold=st.sampled_from([DEFAULT_SLOPE_THRESHOLD, 0.01, 0.2]))
+@example(factor=([[1, 0, 1], [0, 1, 1], [0, 0, 1]], ["c", "a", "a"]), f_range=1,
+         slope_threshold=0.2)
+def test_early_growth_exit_matches_the_profile(factor, f_range, slope_threshold):
+    """Random domains of at most 4 symbols and zero potentials of range 1 to
+    3 at depth 7: ``assert_growth_exits_early``.  The example's rows 1 and
+    2 do not fire and row 3 does, so its witness comes from the words when
+    the rows decline from row 2 or 3."""
+    trans, targets = factor
+    dom = Sft([str(i) for i in range(len(trans))], trans)
+    f = LocallyConstantPotential(dom, f_range, dict.fromkeys(dom.blocks(f_range), 0.0))
+    assert_growth_exits_early(OneBlockFactor(dom, targets), f, 7, slope_threshold)
+
+
+@pytest.mark.parametrize("name, depth", [("factor_collapse.json", 8),
+                                         ("factor_phase_blocked.json", 10),
+                                         ("factor_amalgamation.json", 7),
+                                         ("factor_full4_abc.json", 5),
+                                         ("factor_identity_goldenmean.json", 8)])
+def test_early_growth_exit_matches_the_profile_on_fixtures(name, depth):
+    """The five fixtures: ``assert_growth_exits_early``."""
+    pi = load_factor(read_json(FIXTURES / name))
+    assert_growth_exits_early(pi, LocallyConstantPotential.zero(pi.domain), depth)
+
+
 def test_keys_past_the_rows_budget_hand_over_to_the_words():
     """With range 3 the collapse keys (row, state, last two symbols) past
     the fit depth outnumber the rows: with the rows' budget cut to just
@@ -598,9 +682,11 @@ def test_one_transfer_build_per_factor_potential_and_state_lengths(argv, tmp_pat
                                          ("factor_phase_blocked.json", 18)])
 def test_one_row_walk_per_direction(name, depth, monkeypatch):
     """defect_profile, check_D2 and table_verdict on one exact g-table share
-    one forward and one backward row walk, each through the table depth,
-    whether or not the forward rows pay for the verdict (on phase-blocked at
-    depth 12 they do not)."""
+    one forward and one backward walk.  The profile walks no fiber row,
+    check_D2 at gap 3 walks them through depth - 3 at most, and the
+    verdict walks the forward rows through the table depth on collapse
+    (where they pay past the fit depth) and none on phase-blocked (it
+    refutes from the classes; at depth 12 the rows would not pay)."""
     walks = []
     real = seqtable._Rows.__init__
 
@@ -608,11 +694,17 @@ def test_one_row_walk_per_direction(name, depth, monkeypatch):
         walks.append(self)
         real(self, *args)
 
+    def walked():
+        return [len(walk.rows) - 1 for walk in walks]
+
     monkeypatch.setattr(seqtable._Rows, "__init__", counted)
     t = _fixture_table(name, depth)
     defect_profile(t)
+    assert walked() == [0, 0]
     check_D2(t, 3)
+    before = walked()
+    assert max(before) <= depth - 3
     table_verdict(t, r=1)
     assert walks == [t.classes.fwd, t.classes.bwd]
-    assert [len(walk.rows) for walk in walks] == [depth + 1] * 2
+    assert walked() == ([depth, before[1]] if name == "factor_collapse.json" else before)
     assert (t.rows is None) == (depth == 12)
