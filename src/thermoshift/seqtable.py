@@ -32,12 +32,13 @@ the classes grow by themselves, depth by depth, as deep as a scan reads
 (``_Rows.classes``).  That pays when a depth holds few classes next to its
 words; each scan counts the class products it needs and takes the class
 path only when they are fewer than the word scan's cells, the profile row
-by row (``_profile_rows``).  The reports are the word scans' bit for bit.
-The class path reads no word level: the values inside a class are those
-of its distinct fiber rows, walked only where check_D2 reads them
-(``_Rows.to``), and only the unbridged pairs check_D2 lists are spelled
-from the levels.  Float tables, tables built from dicts and exact g-tables
-whose classes do not pay keep the word scans (``_splits``, ``_ranks``,
+by row (``_profile_rows``).  On exact tables both scans report
+log_fraction of an exact extreme ratio (``_max_ratios``): C_{n,m} the
+largest spread, D_{n,m} the least bridged ratio, so the class and word
+paths give the same floats.  The class path reads no word level and walks
+no fiber row; only the unbridged pairs check_D2 lists are spelled from the
+levels.  Float tables, tables built from dicts and exact g-tables whose
+classes do not pay keep the word scans (``_splits``, ``_ranks``,
 ``_word_bridges``).  A verdict reads the profile rows only up to the first
 that grows (``growth_witness``).
 
@@ -231,10 +232,11 @@ class SeqTable:
     @cached_property
     def rows(self) -> _Rows | None:
         """The forward fiber rows of an exact g-table (``_FiberClasses.fwd``,
-        walked with ``to``) through its depth while its rows past FIT_DEPTH
-        stay below ``row_budget`` (752 and 2048 of the 4096 words at depth
-        12 on the Stern-Brocot and Calkin-Wilf factors do not); None past
-        it, on float tables and on tables built from dicts."""
+        walked with ``to``; the only walk of fiber rows) through its depth
+        while its rows past FIT_DEPTH stay below ``row_budget`` (752 and
+        2048 of the 4096 words at depth 12 on the Stern-Brocot and
+        Calkin-Wilf factors do not); None past it, on float tables and on
+        tables built from dicts."""
         if self.classes is None:
             return None
         walk, spent = self.classes.fwd, 0
@@ -452,11 +454,10 @@ class _FiberClasses:
 
     Each direction is one ``_Rows`` (``fwd``, ``bwd``) whose classes grow
     only as deep as a scan reads: ``x(n)`` holds the forward class rows at
-    depth n, ``ys(top)`` the backward ones at depths 1..top.  Its fiber
-    rows are walked only where word values are read: the values within a
-    class are those of its rows (``_distinct``), so no word is read.  The
-    class of each rank (``rank_classes``) is gathered only to spell
-    unbridged pairs.
+    depth n, ``ys(top)`` the backward ones at depths 1..top.  Both scans
+    read exact ratios of class rows alone, so neither walks a fiber row or
+    reads a word; the class of each rank (``rank_classes``) is gathered
+    only to spell unbridged pairs.
     """
 
     def __init__(self, t: SeqTable):
@@ -468,7 +469,6 @@ class _FiberClasses:
                          lambda rows: rows[:, -1])  # G_v tau, grown at the front
         self._ranks = {"fwd": [np.zeros(1, np.intp)], "bwd": [np.zeros(1, np.intp)]}
         self._first: list[np.ndarray | None] = [None]  # first symbol of each rank
-        self._values: dict[tuple[str, int, int], tuple[list, list]] = {}
 
     def x(self, n: int) -> np.ndarray:
         """The forward class rows at depth n."""
@@ -513,7 +513,7 @@ class _FiberClasses:
         g(w[n:])), is the same maximum over the class pairs present at
         depths n and m whose product x . y is positive (their words
         concatenate to stored words); 1 where depth n+m holds no word.
-        ``_max_ratios`` proves the whole row at once.  None when the row's
+        ``_max_spreads`` proves the whole row at once.  None when the row's
         class pairs are not fewer than its word splits."""
         top = self.depth - n
         if len(self.x(n)) * sum(map(len, self.ys(top))) >= \
@@ -522,7 +522,7 @@ class _FiberClasses:
         y, den, cols = self._against(n, top)
         num = _dot(self.x(n), y)
         spread = np.where(num > 0, np.abs(_logs(num) - _logs(den)), -np.inf)
-        return _max_ratios(num, den, spread, cols)
+        return _max_spreads(num, den, spread, cols)
 
     def bridges(self, gap: int) -> dict[tuple[int, int], tuple[float | None, list]] | None:
         """check_D2's (n, m) -> (log D_{n,m} or None, unbridged word pairs);
@@ -530,14 +530,13 @@ class _FiberClasses:
         (u, v) cells, one per split of each word at depths s..s+gap.
 
         A pair of classes (c, d) is bridged by the largest x_c A_w y_d over
-        the gap words, |w| <= gap, and by none when that is 0.  The float
-        log D_{n,m} is the word scan's, bit for bit: for each word pair it
-        is (L(max_w g(uwv)) - L(g(u))) - L(g(v)), L = log_fraction, and
-        max_w g(uwv) = (g(u) / (x_c . 1)) (g(v) / g_d) max_w x_c A_w y_d.
-        Only class pairs whose ratio is within 1e-9 (in log) of their
-        cell's least can hold the float minimum; their distinct word values
-        are read (``_distinct``).  The cells of depth n take their minima
-        from one pass over the whole block."""
+        the gap words, |w| <= gap, and by none when that is 0.  Every word
+        pair of a bridged class pair has the same best ratio, max_w g(uwv) /
+        (g(u) g(v)) = max_w x_c A_w y_d / ((x_c . 1) g_d), so log D_{n,m} is
+        log_fraction of the least of these over the cell's bridged class
+        pairs, taken exactly (``_max_ratios`` of the inverse ratios).  The
+        cells of depth n take their minima from one pass over the whole
+        block; the unbridged word pairs are spelled from the levels."""
         top = self.depth - gap
         if top < 2:
             return {}
@@ -557,39 +556,18 @@ class _FiberClasses:
                     best = best.astype(object)
                 np.maximum.at(best, owner[mine] - starts[n - 1], prods)
             hit = best > 0
-            ratio = np.where(hit, _logs(best) - _logs(den), np.inf)
-            # each cell's least ratio and the class pairs within 1e-9 of it
-            low, every = ratio.min(axis=0).tolist(), hit.all(axis=0).tolist()
-            floor, near = np.empty(len(low)), {m: [] for m in cols}
-            for col in cols.values():
-                floor[col] = min(low[col], default=np.inf) + 1e-9
-            cell = np.repeat(list(cols), [col.stop - col.start for col in cols.values()]).tolist()
-            for c, j in np.argwhere(hit & (ratio <= floor)).tolist():
-                near[cell[j]].append((c, j - cols[cell[j]].start))
+            inverse = _max_ratios(den, best, np.where(hit, _logs(den) - _logs(best), -np.inf),
+                                  cols)
             for m, col in cols.items():
-                found[(n, m)] = self._bridge_cell(n, m, all(every[col]), near[m], hit[:, col],
-                                                  best[:, col])
+                missing = []
+                if not hit[:, col].all():
+                    a, b = self.levels[n].words, self.levels[m].words
+                    iu, iv = np.nonzero(~hit[:, col][self.rank_classes("fwd", n)[:, None],
+                                                     self.rank_classes("bwd", m)[None, :]])
+                    missing = [(a[i], b[j]) for i, j in zip(iu.tolist(), iv.tolist())]
+                found[(n, m)] = (None if inverse[m] is None else log_fraction(1 / inverse[m]),
+                                 missing)
         return {key: found[key] for key in cells}
-
-    def _bridge_cell(self, n: int, m: int, complete: bool, near: list, hit: np.ndarray,
-                     best: np.ndarray) -> tuple[float | None, list]:
-        """(log D_{n,m} or None, unbridged word pairs) from whether every
-        class pair [c, d] is bridged, the pairs near the least ratio, and
-        the pairs' bridged flags and gap maxima."""
-        missing, worst = [], None
-        if not complete:
-            a, b = self.levels[n].words, self.levels[m].words
-            iu, iv = np.nonzero(~hit[self.rank_classes("fwd", n)[:, None],
-                                     self.rank_classes("bwd", m)[None, :]])
-            missing = [(a[i], b[j]) for i, j in zip(iu.tolist(), iv.tolist())]
-        for c, d in near:
-            t, xc, gd = int(best[c, d]), int(self.fwd.cg[n][c]), int(self.bwd.cg[m][d])
-            us, vs = self._distinct("fwd", n, c), self._distinct("bwd", m, d)
-            for gu, lu in zip(*us):
-                for gv, lv in zip(*vs):
-                    val = (log_fraction(gu // xc * (gv // gd) * t) - lu) - lv
-                    worst = val if worst is None else min(worst, val)
-        return worst, missing
 
     def _gap_rows(self, top: int, gap: int, budget: int) -> tuple[list, list] | None:
         """(starts, [(owner, rows)] per gap length k <= gap): the distinct
@@ -618,22 +596,12 @@ class _FiberClasses:
                 return None
         return starts, out
 
-    def _distinct(self, side: str, n: int, c: int) -> tuple[list[int], list[float]]:
-        """The sorted distinct values of the words of class c at depth n,
-        with their logs: the values of the class's rows on that side."""
-        key = (side, n, c)
-        if key not in self._values:
-            walk = getattr(self, side).to(n)
-            vals = sorted(set(walk.g[n][walk.cls[n] == c].tolist()))
-            self._values[key] = (vals, [log_fraction(v) for v in vals])
-        return self._values[key]
-
 
 class _Rows:
     """One direction of an exact g-table: its projective classes, grown
     depth by depth as far as a scan reaches (``classes``), and its distinct
-    fiber rows, walked only as far as word values are read (``to``).
-    Neither reads a word.
+    fiber rows, walked only where a verdict reads values past the fit depth
+    (``to``, ``SeqTable.rows``).  Neither reads a word.
 
     ``prim[n]`` holds the distinct primitive class rows at depth n (prim[0]
     the root, which is primitive), ``cg[n]`` the value of each class row
@@ -642,36 +610,31 @@ class _Rows:
     image of its class row grown by b, so the classes grow by themselves:
     step, divide by the row gcd, dedupe.  ``rows[n]`` holds the distinct
     rows at depth n (rows[0] the root), ``g[n]`` the value of each row's
-    words, ``next[n][i, b]`` the row at depth n + 1 of row i grown by b
-    (-1 where no word) and ``cls[n]`` each row's class, taken from
-    ``cnext`` of its parent's class.  The classes are few where the words
-    are many (2 per depth on the collapse factor, 19 of 6765 words at
-    depth 18 on phase-blocked), the rows more (2n at depth n on collapse,
-    264 at depth 18 on phase-blocked), and nothing bounds either below the
-    words.
+    words and ``next[n][i, b]`` the row at depth n + 1 of row i grown by b
+    (-1 where no word).  The classes are few where the words are many (2
+    per depth on the collapse factor, 19 of 6765 words at depth 18 on
+    phase-blocked), the rows more (2n at depth n on collapse, 264 at depth
+    18 on phase-blocked), and nothing bounds either below the words.
     """
 
     def __init__(self, root: np.ndarray, grow: np.ndarray, value):
         self._grow, self._value = grow, value
         self.prim, self.cg, self.cnext = [root], [value(root)], []
-        self.rows, self.g, self.next, self.cls = [root], [value(root)], [], [np.zeros(1, np.intp)]
+        self.rows, self.g, self.next = [root], [value(root)], []
 
     def classes(self, n: int) -> _Rows:
         """The classes through depth n."""
         while len(self.prim) <= n:
-            nxt, prim, _ = _step(self.prim[-1], self._grow, primitive=True)
+            nxt, prim = _step(self.prim[-1], self._grow, primitive=True)
             self.cnext.append(nxt)
             self.prim.append(prim)
             self.cg.append(self._value(prim))
         return self
 
     def to(self, n: int) -> _Rows:
-        """The rows through depth n, with their classes."""
-        self.classes(n)
+        """The rows through depth n."""
         while len(self.rows) <= n:
-            nxt, rows, src = _step(self.rows[-1], self._grow)
-            parent, b = np.divmod(src, len(self._grow))
-            self.cls.append(self.cnext[len(self.next)][self.cls[-1][parent], b])
+            nxt, rows = _step(self.rows[-1], self._grow)
             self.next.append(nxt)
             self.rows.append(rows)
             self.g.append(self._value(rows))
@@ -689,11 +652,10 @@ class _Rows:
 
 
 def _step(rows: np.ndarray, mats: np.ndarray,
-          primitive: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(next, grown, src): the distinct nonzero rows among rows[i] @
-    mats[b] (``_grow``), each divided by its gcd when ``primitive``;
-    next[i, b] the index among them of row i grown by b (-1 at 0), and
-    src the flat index i * len(mats) + b of one grown row of each."""
+          primitive: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(next, grown): the distinct nonzero rows among rows[i] @ mats[b]
+    (``_grow``), each divided by its gcd when ``primitive``, and next[i, b]
+    the index among them of row i grown by b (-1 at 0)."""
     grown = _grow(rows, mats)
     live = np.flatnonzero(grown.any(axis=1))
     grown = grown[live]
@@ -702,7 +664,7 @@ def _step(rows: np.ndarray, mats: np.ndarray,
     first, inv = _unique_rows(grown)
     nxt = np.full(len(rows) * len(mats), -1, np.intp)
     nxt[live] = inv
-    return nxt.reshape(len(rows), -1), grown[first], live[first]
+    return nxt.reshape(len(rows), -1), grown[first]
 
 
 class _Representation:
@@ -1126,7 +1088,8 @@ def check_D2(t: SeqTable, gap_cap: int) -> D2Report:
 
     Exact g-tables read their fiber classes (``_FiberClasses.bridges``)
     where those take fewer products than the words, other tables scan the
-    words (``_word_bridges``); both list the unbridged pairs as words, by
+    words (``_word_bridges``); on exact tables both report log_fraction of
+    the exact least ratio, and both list the unbridged pairs as words, by
     (n, m) and then by rank.  ``pairs_checked`` counts the word pairs of
     the bridged cells from the language counts on g-tables.  The normalized
     trend (1/n) log D_{n,m} -> 0 is evaluated at finite depth and labeled
@@ -1163,22 +1126,44 @@ def check_D2(t: SeqTable, gap_cap: int) -> D2Report:
 def _word_bridges(t: SeqTable, gap_cap: int) -> dict[tuple[int, int], tuple]:
     """check_D2's (n, m) -> (log D_{n,m} or None, unbridged pairs) by the
     words: each stored word uwv at depth n+m+k scatters its log into the
-    cell (rank of u, rank of v); rounding is monotone, so the cell maximum
-    gives the best ratio.  Cells never hit are the unbridged pairs."""
+    cell (rank of u, rank of v); rounding is monotone, so on float tables
+    the cell maximum gives the best ratio.  Exact tables also scatter their
+    numerators, brought to one denominator over the depths s..s+gap, and
+    take log_fraction of the least exact ratio (``_max_ratios`` of the
+    inverse ratios, the floats proposing).  Cells never hit are the
+    unbridged pairs."""
     levels = t.levels
     found: dict[tuple[int, int], tuple] = {}
     for s in range(2, t.depth_max - gap_cap + 1):
+        totals = range(s, s + gap_cap + 1)
         tops = {n: np.full((len(levels[n]), len(levels[s - n])), -np.inf)
                 for n in range(1, s)}
-        for total in range(s, s + gap_cap + 1):
+        if t.is_exact:
+            den = math.lcm(*(levels[k].den for k in totals))
+            nums = {k: _times(levels[k].num, den // levels[k].den,
+                              levels[k].hi * (den // levels[k].den)) for k in totals}
+            wide = any(v.dtype == object for v in nums.values())
+            bests = {n: np.zeros(top.shape, object if wide else np.int64)
+                     for n, top in tops.items()}
+        for total in totals:
             pre, suf = _ranks(levels, total, "parent"), _ranks(levels, total, "tail")
             for n, top in tops.items():
                 np.maximum.at(top, (pre[n], suf[s - n]), levels[total].logs)
+                if t.is_exact:
+                    np.maximum.at(bests[n], (pre[n], suf[s - n]), nums[total])
         for n, top in tops.items():
             a, b = levels[n], levels[s - n]
             hit = top > -np.inf
             ratio = np.where(hit, (top - a.logs[:, None]) - b.logs, np.inf)
             worst = float(ratio.flat[np.argmin(ratio)]) if hit.any() else None
+            if t.is_exact and worst is not None:
+                # the ratio of cell (u, v) is best * a.den * b.den / (den * a_u * b_v)
+                au = _times(a.num, den, a.hi * den)
+                inverse = _max_ratios(_times(au[:, None], b.num, a.hi * den * b.hi),
+                                      _times(bests[n], a.den * b.den,
+                                             array_max(bests[n]) * a.den * b.den),
+                                      -ratio, {0: slice(0, len(b))})[0]
+                worst = log_fraction(1 / inverse)
             iu, iv = np.nonzero(~hit)
             found[(n, s - n)] = (worst, [(a.words[i], b.words[j])
                                          for i, j in zip(iu.tolist(), iv.tolist())])
@@ -1212,35 +1197,44 @@ class DefectProfile:
         }
 
 
-def _max_ratios(v: np.ndarray, ab: np.ndarray, spread: np.ndarray,
-                cols: dict[int, slice]) -> dict[int, Fraction]:
-    """Per group of columns (``cols``), the exact max of max(v, ab) /
-    min(v, ab) over the group's live entries (v > 0); 1 where none is.  The
-    float ``spread`` (-inf off the live entries) proposes each group's
+def _max_ratios(num: np.ndarray, den: np.ndarray, key: np.ndarray,
+                cols: dict[int, slice]) -> dict[int, Fraction | None]:
+    """Per group of columns (``cols``), the exact max of num / den (positive
+    integers) over the group's live entries, those whose float ``key`` is
+    above -inf; None where none is live.  The key proposes each group's
     candidate wn / wd, and one cross-multiplication over the whole block,
-    num * wd <= den * wn, proves them all; the entries that beat their
+    num * wd <= den * wn, proves them all; the live entries that beat their
     group's candidate are resolved one by one."""
-    num, den = np.maximum(v, ab), np.minimum(v, ab)
-    top = spread.argmax(axis=0)
-    lead = spread[top, np.arange(spread.shape[1])].tolist()
+    if not key.size:
+        return dict.fromkeys(cols)
+    top = key.argmax(axis=0)
+    lead = key[top, np.arange(key.shape[1])].tolist()
     best, owner, wn, wd = {}, [], [], []
-    for key, col in cols.items():
+    for g, col in cols.items():
         j = max(range(col.start, col.stop), key=lead.__getitem__, default=None)
-        best[key] = (1, 1) if j is None or lead[j] == -np.inf else \
+        best[g] = None if j is None or lead[j] == -np.inf else \
             (int(num[top[j], j]), int(den[top[j], j]))
-        width = col.stop - col.start
-        owner += [key] * width
-        wn += [best[key][0]] * width
-        wd += [best[key][1]] * width
-    bound = array_max(num) * max(wn + wd)
+        width, pair = col.stop - col.start, best[g] or (1, 1)  # (1, 1): nothing live
+        owner += [g] * width
+        wn += [pair[0]] * width
+        wd += [pair[1]] * width
+    bound = max(array_max(num), array_max(den)) * max(wn + wd)
     dtype = object if bound > INT64_MAX else np.int64
-    beaten = (v > 0) & (_times(num, np.array(wd, dtype), bound) >
-                        _times(den, np.array(wn, dtype), bound))
+    beaten = (key > -np.inf) & (_times(num, np.array(wd, dtype), bound) >
+                                _times(den, np.array(wn, dtype), bound))
     for i, j in np.argwhere(beaten).tolist():
         (bn, bd), nj, dj = best[owner[j]], int(num[i, j]), int(den[i, j])
         if nj * bd > dj * bn:
             best[owner[j]] = (nj, dj)
-    return {key: Fraction(*pair) for key, pair in best.items()}
+    return {g: None if pair is None else Fraction(*pair) for g, pair in best.items()}
+
+
+def _max_spreads(v: np.ndarray, ab: np.ndarray, key: np.ndarray,
+                 cols: dict[int, slice]) -> dict[int, Fraction]:
+    """Per group of columns, the exact max of max(v, ab) / min(v, ab) over
+    the live entries (``_max_ratios``); 1 where none is."""
+    got = _max_ratios(np.maximum(v, ab), np.minimum(v, ab), key, cols)
+    return {g: Fraction(1) if c is None else c for g, c in got.items()}
 
 
 def _profile_rows(t: SeqTable):
@@ -1266,12 +1260,11 @@ def _profile_rows(t: SeqTable):
     exacts = {k: {} for k in rest} if t.is_exact else None
     for total, k, slack, exact in _splits(t, n):
         d = np.abs(slack)
-        i = int(np.argmax(d)) if len(d) else None
         if exact is None:
-            logs[k][total - k] = 0.0 if i is None else float(d[i])
+            logs[k][total - k] = float(d.max(initial=0.0))
         else:
-            worst = Fraction(1) if i is None else _max_ratios(
-                exact[0][:, None], exact[1][:, None], d[:, None], {0: slice(0, 1)})[0]
+            worst = _max_spreads(exact[0][:, None], exact[1][:, None], d[:, None],
+                                 {0: slice(0, 1)})[0]
             exacts[k][total - k] = worst
             logs[k][total - k] = log_fraction(worst)
     for k in rest:

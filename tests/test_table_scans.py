@@ -6,9 +6,9 @@ word scan's cells, float and dict-built tables the word kernels; the
 oracles cover both, and exact tables are checked on each path forced, with
 their levels built and with none built.  Verdicts on exact g-tables that
 read their fiber rows past the built levels (``SeqTable.rows``) must equal
-the verdicts on the same tables with every level built.  ``_level_values``
-reads the values of a class from the levels, the oracle of the values the
-class path reads from the rows."""
+the verdicts on the same tables with every level built.  On exact tables
+the D2 oracle takes each cell's least ratio in Fractions, so both paths
+must report its log_fraction bit for bit."""
 
 import json
 import math
@@ -64,7 +64,11 @@ def _all_words(alphabet_size, k):
 
 
 def ref_check_D2(t, gap_cap):
+    """On exact tables each pair's best ratio and the cell's least are
+    Fractions, reported as log_fraction of the least; float tables take the
+    float differences of the logs."""
     L = len(t.alphabet)
+    vals = t.exact if t.is_exact else t.logs
     log_d = {}
     unbridged = []
     for n in range(1, t.depth_max):
@@ -72,21 +76,25 @@ def ref_check_D2(t, gap_cap):
             if n + m + gap_cap > t.depth_max:
                 continue
             worst = None
-            for u, lu in t.logs[n].items():
-                for v, lv in t.logs[m].items():
+            for u in t.logs[n]:
+                for v in t.logs[m]:
                     best = None
                     for k in range(gap_cap + 1):
-                        level = t.logs[n + m + k]
+                        level = vals[n + m + k]
                         for w in _all_words(L, k):
-                            lw = level.get(u + w + v)
-                            if lw is not None and (best is None or lw - lu - lv > best):
-                                best = lw - lu - lv
+                            x = level.get(u + w + v)
+                            if x is None:
+                                continue
+                            ratio = Fraction(x) / (vals[n][u] * vals[m][v]) if t.is_exact \
+                                else x - vals[n][u] - vals[m][v]
+                            if best is None or ratio > best:
+                                best = ratio
                     if best is None:
                         unbridged.append((u, v))
                     elif worst is None or best < worst:
                         worst = best
             if worst is not None:
-                log_d[(n, m)] = worst
+                log_d[(n, m)] = log_fraction(worst) if t.is_exact else worst
     trends = []
     for m in sorted({m for _, m in log_d}):
         ns = sorted(n for n, mm in log_d if mm == m)
@@ -238,6 +246,21 @@ def test_exact_g_tables_take_the_class_path(monkeypatch):
         defect_profile(build_g_table(OneBlockFactor.identity(full2), f, 4))
 
 
+@pytest.mark.parametrize("path", list(FORCE))
+def test_multiplicative_bridges_read_exact_logs(path):
+    """g(uwv) = g(u) g(w) g(v) on collapse, so the best ratio of every pair
+    at gap k is the largest g(w), |w| <= k, which is 2^k: check_D2 at gaps
+    0 to 3 reports each log_d as log_fraction(2^k), at gap 0 as 0.0 with a
+    positive sign, on the class path and on the word path."""
+    with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE[path]):
+        t = _fixture_table("factor_collapse.json", 8)
+        for gap in range(4):
+            log_d = check_D2(t, gap).log_d
+            assert set(log_d) == {(n, m) for n in range(1, 8) for m in range(1, 9 - n - gap)}
+            assert {(v, math.copysign(1.0, v)) for v in log_d.values()} == \
+                {(log_fraction(2 ** gap), 1.0)}, (path, gap)
+
+
 def test_class_path_promotes_past_int64(monkeypatch):
     """With the int64 bound lowered to 10, the class rows turn to Python
     ints at the step where they could pass it, and with them the class
@@ -252,18 +275,20 @@ def test_class_path_promotes_past_int64(monkeypatch):
 
 
 def test_collapse_stays_on_int64_at_depth_40(monkeypatch):
-    """The walks promote per step, so the collapse rows (at most 3 2^40 at
-    depth 40, against 3^40 domain words) stay in int64, and the reports
-    equal those of the walks forced onto Python ints."""
+    """The walks promote per step, so the collapse class rows and the
+    verdict's forward rows (at most 3 2^40 at depth 40, against 3^40 domain
+    words) stay in int64, and the reports equal those of the walks forced
+    onto Python ints."""
     t = _fixture_table("factor_collapse.json", 40)
     got = [_json(defect_profile(t)), _json(check_D2(t, 3))]
-    assert all(x.dtype == np.int64 for x in _class_rows(t, "fwd") + _class_rows(t, "bwd"))
-    assert all(v.dtype == np.int64 for v in t.rows.g + t.classes.bwd.g)
+    classes = _class_rows(t, "fwd") + _class_rows(t, "bwd")
+    assert all(x.dtype == np.int64 for x in classes + t.classes.fwd.cg + t.classes.bwd.cg)
+    assert all(v.dtype == np.int64 for v in t.rows.rows + t.rows.g)
     assert t.levels.built == 0
     monkeypatch.setattr(seqtable, "INT64_MAX", 10)
     forced = _fixture_table("factor_collapse.json", 40)
     assert [_json(defect_profile(forced)), _json(check_D2(forced, 3))] == got
-    assert any(v.dtype == object for v in forced.classes.bwd.g)
+    assert any(v.dtype == object for v in forced.rows.rows)
 
 
 @pytest.mark.parametrize("name, depth, counts", [
@@ -276,8 +301,6 @@ def test_class_counts_per_level(name, depth, counts):
     the full-4 abc factor, n + 1 at depth n on phase-blocked (19 at 18)."""
     t = _fixture_table(name, depth)
     assert [len(x) for x in _class_rows(t, "fwd")[1:]] == counts
-    if t.rows is not None:  # each distinct fiber row carries its class
-        assert [len(set(ids.tolist())) for ids in t.rows.cls[1:]] == counts
     assert t.levels.built == 0
     assert [len(set(t.classes.rank_classes("fwd", n).tolist()))
             for n in range(1, depth + 1)] == counts
@@ -323,33 +346,19 @@ def test_scans_on_factors_whose_classes_barely_compress(trans, forward, backward
     assert_scans_match(t, gaps=(0, 2))
 
 
-def _level_values(t, side, n, c):
-    """The sorted distinct values of the words of class c at depth n and
-    their logs, read from level n."""
-    level, mask = t.levels[n], t.classes.rank_classes(side, n) == c
-    vals, first = np.unique(level.num[mask], return_index=True)
-    return vals.tolist(), level.logs[mask][first].tolist()
-
-
 @settings(max_examples=30, deadline=None)
 @given(factor=small_factors(), f_range=st.integers(1, 3))
 def test_class_values_from_rows_match_the_levels(factor, f_range):
-    """Random domains and zero potentials of range 1 to 3: the distinct
-    values (and logs) of every forward and backward class read from the
-    fiber rows equal those read from the levels, and on a table with no
-    level built the class scans at gaps 0 to 3 match the oracles and build
-    only the levels that their unbridged pairs spell."""
+    """Random domains and zero potentials of range 1 to 3: on a table with
+    no level built the class scans at gaps 0 to 3, which read class rows
+    alone, match the oracles on the levels and build only the levels that
+    their unbridged pairs spell."""
     trans, targets = factor
     dom = Sft([str(i) for i in range(len(trans))], trans)
     pi = OneBlockFactor(dom, targets)
     f = LocallyConstantPotential(dom, f_range, dict.fromkeys(dom.blocks(f_range), 0.0))
     depth = 7
     t = build_g_table(pi, f, depth)
-    rows = {side: _class_rows(t, side) for side in ("fwd", "bwd")}
-    for side, classes in rows.items():
-        for n in range(1, depth + 1):
-            for c in range(len(classes[n])):
-                assert t.classes._distinct(side, n, c) == _level_values(t, side, n, c)
     fresh = build_g_table(pi, f, depth)
     deepest = 0
     with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE["classes"]):
@@ -367,21 +376,20 @@ def test_class_values_from_rows_match_the_levels(factor, f_range):
                                          ("factor_phase_blocked.json", 15),
                                          ("factor_phase_blocked.json", 18),
                                          ("factor_phase_blocked.json", 28),
-                                         ("factor_collapse.json", 14)])
+                                         ("factor_phase_blocked.json", 40),
+                                         ("factor_collapse.json", 14),
+                                         ("factor_collapse.json", 40)])
 def test_profile_and_bridges_build_no_level(name, depth):
-    """profile-cnm's scans (defect_profile, check_D2 at gap 3) read classes
-    and fiber rows alone, whether or not the forward rows pay for the
-    verdict (on phase-blocked they do not from depth 9 to 15): the profile
-    walks no fiber row and check_D2 walks them through depth - 3 at most,
-    and pairs_checked comes from the language counts; below depth 28 the
-    reports equal the word scans'."""
+    """profile-cnm's scans (defect_profile, check_D2 at gap 3) read class
+    rows alone, whether or not the forward rows pay for the verdict (on
+    phase-blocked they do not from depth 9 to 15): neither walks a fiber
+    row or builds a level, and pairs_checked comes from the language
+    counts; below depth 28 the reports equal the word scans'."""
     t = _fixture_table(name, depth)
     walks = (t.classes.fwd, t.classes.bwd)
-    got = [_json(defect_profile(t))]
+    got = [_json(defect_profile(t)), _json(check_D2(t, 3))]
     assert [len(walk.rows) for walk in walks] == [1, 1]
-    got.append(_json(check_D2(t, 3)))
     assert t.levels.built == 0
-    assert all(len(walk.rows) - 1 <= depth - 3 for walk in walks)
     if depth < 28:
         with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE["words"]):
             words = _fixture_table(name, depth)
@@ -682,11 +690,11 @@ def test_one_transfer_build_per_factor_potential_and_state_lengths(argv, tmp_pat
                                          ("factor_phase_blocked.json", 18)])
 def test_one_row_walk_per_direction(name, depth, monkeypatch):
     """defect_profile, check_D2 and table_verdict on one exact g-table share
-    one forward and one backward walk.  The profile walks no fiber row,
-    check_D2 at gap 3 walks them through depth - 3 at most, and the
-    verdict walks the forward rows through the table depth on collapse
-    (where they pay past the fit depth) and none on phase-blocked (it
-    refutes from the classes; at depth 12 the rows would not pay)."""
+    one forward and one backward walk.  The profile and check_D2 at gap 3
+    walk no fiber row, and the verdict walks the forward rows through the
+    table depth on collapse (where they pay past the fit depth) and none on
+    phase-blocked (it refutes from the classes; at depth 12 the rows would
+    not pay)."""
     walks = []
     real = seqtable._Rows.__init__
 
@@ -700,11 +708,9 @@ def test_one_row_walk_per_direction(name, depth, monkeypatch):
     monkeypatch.setattr(seqtable._Rows, "__init__", counted)
     t = _fixture_table(name, depth)
     defect_profile(t)
-    assert walked() == [0, 0]
     check_D2(t, 3)
-    before = walked()
-    assert max(before) <= depth - 3
+    assert walked() == [0, 0]
     table_verdict(t, r=1)
     assert walks == [t.classes.fwd, t.classes.bwd]
-    assert walked() == ([depth, before[1]] if name == "factor_collapse.json" else before)
+    assert walked() == ([depth, 0] if name == "factor_collapse.json" else [0, 0])
     assert (t.rows is None) == (depth == 12)
