@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .detect import DetectError, c2_certificate, fit_h, table_verdict
@@ -41,7 +42,13 @@ class CapExceeded(RuntimeError):
 
 
 def _load_setting(args):
-    """Resolve (sft, factor-or-None, potential) from the argument paths."""
+    """Resolve (sft, factor-or-None, potential) from the argument paths,
+    once the numeric flags are checked."""
+    for flag, low in (("nfit", 1), ("jmax", 1), ("pmax", 1), ("gap_cap", 0)):
+        if getattr(args, flag, None) is not None and getattr(args, flag) < low:
+            raise SchemaError("--%s must be >= %d" % (flag.replace("_", "-"), low))
+    if not 0 < args.slope_threshold < math.inf:
+        raise SchemaError("--slope-threshold must be finite and > 0")
     if args.factor and args.sft:
         raise SchemaError("give either --sft or --factor, not both")
     if args.factor:
@@ -81,11 +88,8 @@ def _build_table(args, sft, pi, f):
 
 
 def _table_setting(args, needs_factor: bool = True):
-    """(sft, pi, f, table): the flags checked, the documents loaded, the
+    """(sft, pi, f, table): the flags checked and the documents loaded, the
     factor map required (``needs_factor``), the caps checked, the table built."""
-    for flag in ("nfit", "jmax", "pmax"):
-        if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
-            raise SchemaError("--%s must be >= 1" % flag)
     sft, pi, f = _load_setting(args)
     if pi is None and needs_factor:
         raise SchemaError("%s needs a factor map" % args.command)
@@ -190,7 +194,6 @@ def cmd_weak_gibbs(args) -> dict:
     gd = transfer_pressure(sft, f)
     constants = weak_gibbs_constants(mu, f, gd.pressure, args.depth,
                                      exact_base=gd.lam_exact,
-                                     pressure_source="transfer",
                                      slope_threshold=args.slope_threshold)
     sandwich = pushforward_sandwich(mu, pi, f, gt, pressure_g, est.exact_base,
                                     constants, args.depth)
@@ -201,7 +204,7 @@ def cmd_weak_gibbs(args) -> dict:
                      "lam_exact": str(gd.lam_exact) if gd.lam_exact is not None else None},
         "pressure_g": {"value": pressure_g, "source": source,
                        "exact_base": str(est.exact_base) if est.exact_base is not None else None},
-        "mu_constants": constants.as_dict(),
+        "mu_constants": {**constants.as_dict(), "pressure_source": "transfer"},
         "sandwich": sandwich.as_dict(),
     }
 

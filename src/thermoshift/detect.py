@@ -22,7 +22,7 @@ from .numerics import array_max, integer_rows, log_fraction, logsumexp, power_ex
 from .potential import (LocallyConstantPotential, PotentialError, birkhoff_inf,
                         birkhoff_sup, periodic_birkhoff, periodic_birkhoff_coeff,
                         variation_constant)
-from .seqtable import FIT_DEPTH, SeqTable, TableError, build_g_table, growth_witness
+from .seqtable import FIT_DEPTH, SeqTable, TableError, growth_witness
 from .shiftcore import (PeriodicPoint, Word, bridge, is_irreducible,
                         periodic_points)
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, Verdict, decays_to_zero
@@ -525,9 +525,14 @@ class DefectReport:
 def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
                   r: int = 1, P_max: int = 6, J: int | None = None,
                   n_fits=None, slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> DefectReport:
-    """Aggregate detector on a prebuilt table; see compensation_verdict.
-    The defect profile is read only up to its first growing row
-    (``growth_witness``)."""
+    """Full detector for a g-table and a candidate h (fitted when None).
+
+    Aggregates (a) periodic defects over all image orbits with period
+    <= P_max and all multiples inside the table, (b) the uniform defect
+    trend, (c) the defect-profile growth flag, plus the Chebyshev t* per
+    fitted depth when h is fitted rather than given.  For f = 0 this is the
+    saturated-compensation test.  The defect profile is read only up to its
+    first growing row (``growth_witness``)."""
     witness = growth_witness(gt, slope_threshold)
     if witness is not None:
         return DefectReport(
@@ -620,21 +625,3 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
         Verdict.EVIDENCE, "finite-depth decay statistics only", h=fit, uniform=uniform,
         uniform_exact_zero=uniform_exact, periodic=periodic,
         periodic_exact_zero=periodic_exact, tstars=tstars, coverage=coverage, stats=stats)
-
-
-def compensation_verdict(pi: OneBlockFactor, f: LocallyConstantPotential,
-                         h: LocallyConstantPotential | None = None,
-                         depth_max: int = 12, r: int = 1, P_max: int = 6,
-                         J: int | None = None, n_fits=None,
-                         slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> DefectReport:
-    """Full detector for the triple (pi, f, candidate h).
-
-    Aggregates (a) periodic defects over all image orbits with period
-    <= P_max and all multiples inside the table, (b) the uniform defect
-    trend, (c) the defect-profile growth flag, plus the Chebyshev t* per
-    fitted depth when h is fitted rather than given.  For f = 0 this is the
-    saturated-compensation test.
-    """
-    gt = build_g_table(pi, f, depth_max)
-    return table_verdict(gt, h=h, r=r, P_max=P_max, J=J, n_fits=n_fits,
-                         slope_threshold=slope_threshold)

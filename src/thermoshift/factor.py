@@ -18,7 +18,7 @@ import numpy as np
 
 from .markov import MarkovMeasure, MeasureError
 from .numerics import INT64_MAX, array_max, integer_rows, row_sums
-from .shiftcore import EPSILON, Language, Sft, SftError, Word
+from .shiftcore import EPSILON, Language, Sft, Word
 
 
 class FactorError(ValueError):
@@ -111,26 +111,6 @@ def fiber_words(pi: OneBlockFactor, y: Word) -> list[Word]:
 
     rec(EPSILON, 0)
     return out
-
-
-def induced_image_sft(pi: OneBlockFactor, verify_depth: int = 8) -> Sft | None:
-    """1-step SFT presentation of the image shift when one exists: the
-    candidate built from the image 2-blocks, verified against the true
-    image language up to verify_depth.  None when the image is not 1-step
-    at that depth (it is sofic in general)."""
-    lang = pi.image
-    k = len(lang.alphabet)
-    trans = [[0] * k for _ in range(k)]
-    for a, b in lang.blocks(2):
-        trans[a][b] = 1
-    try:
-        candidate = Sft(lang.alphabet, trans)
-    except SftError:
-        return None
-    for n in range(1, verify_depth + 1):
-        if candidate.blocks(n) != lang.blocks(n):
-            return None
-    return candidate
 
 
 def pushforward_cylinder(mu: MarkovMeasure, pi: OneBlockFactor, y: Word):

@@ -1,6 +1,5 @@
 """Transfer-operator machinery: pressure of a locally constant potential,
-the induced Gibbs Markov measure, exact integrals of sequence tables
-against Markov measures (Kingman limits), weak-Gibbs constants C_n and the
+the induced Gibbs Markov measure, weak-Gibbs constants C_n and the
 pushforward sandwich, whose masses come from the fiber walk by table rank.
 
 For a Markov measure of order k and f of range r, log mu[w] + nP -
@@ -22,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .factor import _fiber_walk, _measure_steps
-from .markov import MarkovMeasure, MeasureError, entropy
+from .markov import MarkovMeasure, MeasureError
 from .numerics import integer_rows, log_fraction, row_sums
 from .potential import LocallyConstantPotential, birkhoff_sup, variation_constant
 from .seqtable import SeqTable, TableError, log_perron
@@ -30,8 +29,7 @@ from .shiftcore import Sft, Word, is_irreducible
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, GibbsVerdict, growth_flag, trend_stats
 
 __all__ = [
-    "MarkovMeasure", "entropy", "GibbsData", "transfer_pressure",
-    "integrate_table", "IntegralReport", "weak_gibbs_constants",
+    "MarkovMeasure", "GibbsData", "transfer_pressure", "weak_gibbs_constants",
     "WeakGibbsReport", "pushforward_sandwich", "SandwichReport", "GibbsError",
 ]
 
@@ -83,61 +81,12 @@ def transfer_pressure(sft: Sft, f: LocallyConstantPotential) -> GibbsData:
 
 
 @dataclass
-class IntegralReport:
-    depth: int
-    value: float
-    per_n: list[float]
-    running_inf: list[float]
-    kingman_consistent: bool
-
-    def as_dict(self):
-        return {"depth": self.depth, "value": self.value, "per_n": self.per_n,
-                "running_inf": self.running_inf,
-                "kingman_consistent": self.kingman_consistent}
-
-
-def integrate_table(t: SeqTable, m: MarkovMeasure, n: int) -> IntegralReport:
-    """(1/n) integral of log f_n dm, with the running infimum over depths
-    up to n (the Kingman limit from above for subadditive tables)."""
-    if m.alphabet != t.alphabet:
-        raise MeasureError("measure alphabet does not match the table")
-    if n > t.depth_max:
-        raise TableError("depth %d exceeds the table (max %d)" % (n, t.depth_max))
-    raw = []
-    for depth in range(1, n + 1):
-        mass_total = 0.0
-        acc = []
-        for w, lv in t.logs[depth].items():
-            mw = float(m.cylinder_mass(w))
-            if mw:
-                acc.append(mw * lv)
-                mass_total += mw
-        if abs(mass_total - 1.0) > 1e-9:
-            raise MeasureError("measure puts mass %g outside the table language"
-                               % (1.0 - mass_total))
-        raw.append(math.fsum(acc))
-    per_n = [b / depth for depth, b in zip(range(1, n + 1), raw)]
-    running = []
-    best = float("inf")
-    for v in per_n:
-        best = min(best, v)
-        running.append(best)
-    consistent = True
-    for total in range(2, n + 1):
-        for a in range(1, total):
-            if raw[total - 1] > raw[a - 1] + raw[total - a - 1] + 1e-9:
-                consistent = False
-    return IntegralReport(n, per_n[-1], per_n, running, consistent)
-
-
-@dataclass
 class WeakGibbsReport:
     log_cn: dict[int, float]
     exact_cn: dict[int, Fraction] | None
     verdict: GibbsVerdict
     exact: bool
     pressure: float
-    pressure_source: str
     stats: dict
 
     def as_dict(self):
@@ -145,13 +94,11 @@ class WeakGibbsReport:
                 "exact_cn": None if self.exact_cn is None else
                 {str(n): str(v) for n, v in sorted(self.exact_cn.items())},
                 "verdict": self.verdict.value, "exact": self.exact,
-                "pressure": self.pressure, "pressure_source": self.pressure_source,
-                "stats": self.stats}
+                "pressure": self.pressure, "stats": self.stats}
 
 
 def weak_gibbs_constants(mu: MarkovMeasure, f: LocallyConstantPotential, pressure: float,
                          depth_max: int, exact_base: Fraction | None = None,
-                         pressure_source: str = "given",
                          slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> WeakGibbsReport:
     """C_n = worst two-sided ratio of mu[w] against e^{-nP + sup_[w] S_n f}
     over the words w of length n, for n = 1..depth_max.
@@ -173,13 +120,11 @@ def weak_gibbs_constants(mu: MarkovMeasure, f: LocallyConstantPotential, pressur
     ns = sorted(log_cn)
     values = [log_cn[n] for n in ns]
     if any(math.isinf(v) for v in values):
-        return WeakGibbsReport(log_cn, None, GibbsVerdict.NEITHER, False,
-                               pressure, pressure_source,
+        return WeakGibbsReport(log_cn, None, GibbsVerdict.NEITHER, False, pressure,
                                {"certainty": "exact", "reason": "vanishing cylinder mass"})
     if exact and all(c == 1 for c in exact_cn.values()):
         stats = {"certainty": "exact", "max_log_cn": 0.0}
-        return WeakGibbsReport(log_cn, exact_cn, GibbsVerdict.GIBBS, True, pressure,
-                               pressure_source, stats)
+        return WeakGibbsReport(log_cn, exact_cn, GibbsVerdict.GIBBS, True, pressure, stats)
     fired, stats = growth_flag(ns, values, slope_threshold)
     trend = trend_stats(ns, values)
     if trend.bounded:
@@ -191,8 +136,7 @@ def weak_gibbs_constants(mu: MarkovMeasure, f: LocallyConstantPotential, pressur
     detail = {"certainty": "evidence", "slope": stats.slope,
               "r_squared": stats.r_squared, "max_log_cn": max(values),
               "normalized_last": values[-1] / ns[-1]}
-    return WeakGibbsReport(log_cn, exact_cn, verdict, exact, pressure,
-                           pressure_source, detail)
+    return WeakGibbsReport(log_cn, exact_cn, verdict, exact, pressure, detail)
 
 
 def _log(x) -> float:

@@ -130,18 +130,6 @@ def load_measure(doc, sft: Sft) -> MarkovMeasure:
         raise SchemaError("bad measure: %s" % e) from e
 
 
-def measure_doc(mu: MarkovMeasure) -> dict:
-    def enc(v):
-        return str(Fraction(v)) if mu.exact else float(v)
-    return {
-        "order": mu.order,
-        "states": [word_key(mu.sft.names(s)) for s in mu.states],
-        "P": [[enc(v) for v in row] for row in mu.matrix],
-        "pi": [enc(v) for v in mu.stationary],
-        "exact": mu.exact,
-    }
-
-
 def table_doc(t) -> dict:
     """Tables as {depth: {word: log value}}, read off the level index."""
     return {str(n): {word_key([t.alphabet[i] for i in w]): v

@@ -10,7 +10,6 @@ exact stationary vector is solved in integers and only stored as Fractions.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -110,20 +109,6 @@ class MarkovMeasure:
         matrix = [list(probs) for _ in range(n)]
         return cls.from_transition(sft, matrix, order=1, stationary=list(probs))
 
-    @classmethod
-    def random_measure(cls, sft: Sft, rng, order: int = 1) -> "MarkovMeasure":
-        """Random stationary chain supported on the allowable transitions."""
-        states = sft.blocks(order)
-        _, moves = _state_transitions(sft, states)
-        n = len(states)
-        matrix = [[0.0] * n for _ in range(n)]
-        for i, row in enumerate(moves):
-            weights = [rng.uniform(0.1, 1.0) for _ in row]
-            total = sum(weights)
-            for (j, _), w in zip(row, weights):
-                matrix[i][j] = w / total
-        return cls.from_transition(sft, matrix, order=order)
-
     def cylinder_mass(self, word: Word):
         """Exact mass of the cylinder [word]; 1 for the empty word."""
         n = len(word)
@@ -144,13 +129,6 @@ class MarkovMeasure:
                 break
             i = j
         return mass
-
-    def as_float(self) -> "MarkovMeasure":
-        if not self.exact:
-            return self
-        matrix = [[float(v) for v in row] for row in self.matrix]
-        stationary = [float(v) for v in self.stationary]
-        return MarkovMeasure(self.sft, self.order, matrix, stationary, exact=False)
 
 
 _SINGULAR = "no unique stationary vector; give pi"
@@ -184,17 +162,3 @@ def _solve_stationary(matrix, exact: bool):
         total = sum(pi)
         pi = [p / total for p in pi]
     return pi
-
-
-def entropy(mu: MarkovMeasure) -> float:
-    """Markov-chain entropy rate -sum_i pi_i sum_j P_ij log P_ij (nats)."""
-    total = 0.0
-    for i, row in enumerate(mu.matrix):
-        pi = float(mu.stationary[i])
-        if pi == 0:
-            continue
-        for p in row:
-            p = float(p)
-            if p > 0:
-                total -= pi * p * math.log(p)
-    return total

@@ -63,16 +63,6 @@ class LocallyConstantPotential:
         return cls(language, 1, {w: 0.0 for w in blocks},
                    exact_coeffs={w: Fraction(0) for w in blocks}, exact_base=2)
 
-    @classmethod
-    def from_symbol_weights(cls, language, weights: Mapping[str, float]) -> "LocallyConstantPotential":
-        values = {}
-        for w in language.blocks(1):
-            name = language.names(w)[0]
-            if name not in weights:
-                raise PotentialError("missing weight for symbol %r" % name)
-            values[w] = float(weights[name])
-        return cls(language, 1, values)
-
     @property
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.values.values())
@@ -93,36 +83,31 @@ class LocallyConstantPotential:
     def max_value(self) -> float:
         return max(self.values.values())
 
-    def min_value(self) -> float:
-        return min(self.values.values())
 
-    def shifted(self, c: float) -> "LocallyConstantPotential":
-        return LocallyConstantPotential(self.language, self.range,
-                                        {w: v + c for w, v in self.values.items()})
-
-
-def _extremes(f: LocallyConstantPotential, u: Word, val, zero):
+def birkhoff_extremes(f: LocallyConstantPotential, u: Word) -> tuple[float, float]:
+    """(sup, inf) of S_n f over the cylinder [u]; exact finite max/min over
+    the length-(n+r-1) extensions."""
     lang, r, n = f.language, f.range, len(u)
     if n == 0:
         raise PotentialError("Birkhoff sums need a nonempty word")
     if not lang.is_word(u):
         raise PotentialError("word %s is not allowable" % (u,))
     if r == 1:
-        s = zero
+        s = 0.0
         for x in u:
-            s = s + val((x,))
+            s = s + f.value((x,))
         return s, s
-    base = zero
+    base = 0.0
     for i in range(0, n - r + 1):
-        base = base + val(u[i:i + r])
+        base = base + f.value(u[i:i + r])
     first_tail = max(0, n - r + 1)
     best = None
     worst = None
     for e in lang.extensions(u, r - 1):
         w = u + e
-        tail = zero
+        tail = 0.0
         for i in range(first_tail, n):
-            tail = tail + val(w[i:i + r])
+            tail = tail + f.value(w[i:i + r])
         if best is None or tail > best:
             best = tail
         if worst is None or tail < worst:
@@ -132,26 +117,12 @@ def _extremes(f: LocallyConstantPotential, u: Word, val, zero):
     return base + best, base + worst
 
 
-def birkhoff_extremes(f: LocallyConstantPotential, u: Word) -> tuple[float, float]:
-    """(sup, inf) of S_n f over the cylinder [u]; exact finite max/min over
-    the length-(n+r-1) extensions."""
-    return _extremes(f, u, f.value, 0.0)
-
-
 def birkhoff_sup(f: LocallyConstantPotential, u: Word) -> float:
     return birkhoff_extremes(f, u)[0]
 
 
 def birkhoff_inf(f: LocallyConstantPotential, u: Word) -> float:
     return birkhoff_extremes(f, u)[1]
-
-
-def birkhoff_extremes_coeff(f: LocallyConstantPotential, u: Word) -> tuple[Fraction, Fraction]:
-    """Exact-coefficient variant: sums of coefficients in units of
-    log(exact_base)."""
-    if not f.is_exact:
-        raise PotentialError("potential carries no exact representation")
-    return _extremes(f, u, f.coeff, Fraction(0))
 
 
 def variation_constant(f: LocallyConstantPotential, n: int) -> float:

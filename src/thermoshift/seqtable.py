@@ -1,6 +1,6 @@
 """Sequence-level computations: the relative-pressure tables g_n, partition
-sums and pressure estimates, subadditivity and bridging-condition checkers,
-and the almost-additivity defect profile C_{n,m}.
+sums and pressure estimates, the bridging-condition (D2) checker and the
+almost-additivity defect profile C_{n,m}.
 
 Tables are built once per depth and immutable afterwards.  Two arithmetic
 modes: exact integer counting (fiber cardinalities, the f = 0 path) and
@@ -1020,46 +1020,6 @@ def pressure_estimate(t: SeqTable) -> PressureEstimate:
             exact_base = Fraction(z[1], z[0])
     extrapolated = None if t.potential is None else log_perron(t.potential)[0]
     return PressureEstimate(per_n, min(per_n), extrapolated, exact_base, n_max)
-
-
-@dataclass
-class SubadditivityReport:
-    ok: bool
-    worst_slack: float
-    witness: tuple[int, int, Word] | None
-    tolerance: float
-
-    def as_dict(self):
-        return {"ok": self.ok, "worst_slack": self.worst_slack,
-                "witness": None if self.witness is None else
-                {"n": self.witness[0], "m": self.witness[1], "word": list(self.witness[2])},
-                "tolerance": self.tolerance}
-
-
-def check_subadditive(t: SeqTable, tol: float = 1e-12) -> SubadditivityReport:
-    """Verify log f_{n+m}(y) <= log f_n(y) + log f_m(sigma^n y) for every
-    split of every stored word; returns the worst signed slack, witnessed by
-    its first occurrence in the order total, word, n.  Exact tables decide
-    ``ok`` by exact comparison."""
-    if t.depth_max < 2:
-        raise TableError("need depth_max >= 2")
-    best: dict[int, list] = {}  # total -> [(largest slack at n, first word rank, n)]
-    exact_ok = True
-    for total, n, slack, exact in _splits(t):
-        if len(slack):
-            i = int(np.argmax(slack))
-            best.setdefault(total, []).append((float(slack[i]), i, n))
-        if exact is not None and exact_ok:
-            exact_ok = not np.any(exact[0] > exact[1])
-    worst = float("-inf")
-    witness = None
-    for total, cands in best.items():
-        top = max(c[0] for c in cands)
-        if top > worst:
-            i, n, worst = min((i, n, s) for s, i, n in cands if s == top)
-            witness = (n, total - n, t.levels[total].words[i])
-    ok = exact_ok if t.is_exact else worst <= tol
-    return SubadditivityReport(ok, worst, witness, tol)
 
 
 @dataclass

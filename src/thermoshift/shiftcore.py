@@ -186,20 +186,6 @@ class Sft(Language):
     def followers(self, i: int) -> tuple[int, ...]:
         return self._followers[i]
 
-    def count_periodic(self, q: int) -> int:
-        """Number of points with sigma^q x = x, i.e. trace of the q-th power."""
-        if q < 1:
-            raise SftError("period must be >= 1")
-        total = 0
-        for i in range(self.size):
-            vec = [0] * self.size
-            vec[i] = 1
-            for _ in range(q):
-                vec = [sum(vec[k] for k in range(self.size) if self.transitions[k][j])
-                       for j in range(self.size)]
-            total += vec[i]
-        return total
-
 
 @dataclass(frozen=True)
 class PeriodicPoint:

@@ -6,6 +6,12 @@ from thermoshift.shiftcore import Sft
 FIXDIR = None  # set lazily by tests that need files
 
 
+def symbol_weights(language, weights):
+    """The range-1 float potential with value weights[name] on each symbol."""
+    return LocallyConstantPotential(
+        language, 1, {w: float(weights[language.names(w)[0]]) for w in language.blocks(1)})
+
+
 @pytest.fixture(scope="session")
 def full2():
     return Sft.full_shift(["a", "b"])

@@ -6,7 +6,8 @@ elimination over Fractions, the textbook forms of ``numerics.solve_int``,
 ``numerics.perron_exact`` (which run in integers on the fraction-free
 ``numerics.pivot``): the differential tests require both forms to return
 the same exact values.  Rows of the fit oracles are dicts
-{unknown: coefficient}.
+{unknown: coefficient}.  The exact Birkhoff extremes of a potential's
+coefficients are the word-by-word reference of the exact uniform defects.
 """
 
 import math
@@ -171,3 +172,13 @@ def perron_exact(w, rho):
             return None
         vecs.append(v)
     return c, vecs[0], vecs[1]
+
+
+def birkhoff_extremes_coeff(f, u):
+    """(sup, inf) over the cylinder [u] of the exact Birkhoff sums of f's
+    coefficients (units of log(exact_base)), over the length-(n+r-1)
+    extensions of u."""
+    r = f.range
+    sums = [sum((f.coeff(w[i:i + r]) for i in range(len(u))), Fraction(0))
+            for w in (u + e for e in f.language.extensions(u, r - 1))]
+    return max(sums), min(sums)

@@ -428,3 +428,22 @@ def test_nfit_jmax_and_pmax_below_one_are_input_errors(tmp_path, capsys, monkeyp
                     "--depth", "8", "--jmax", "1")
     assert code == 0
     assert set(json.loads(raw)["verdict"]["coverage"]["multiples"].values()) == {1}
+
+
+def test_slope_threshold_and_gap_cap_are_input_errors(tmp_path, capsys):
+    """--slope-threshold must be finite and > 0 and --gap-cap at least 0,
+    in every command: otherwise exit 2 naming the flag, with nothing
+    written.  At -1 the flat collapse profile (C_{n,m} = 1, slope 0 at
+    R^2 = 1) was REFUTED, nan and inf were echoed into the inputs as bare
+    NaN / Infinity, and a negative gap cap failed only in the bridge search."""
+    measure = ["--measure", fpath("measure_uniform3.json")]
+    cases = [(["verdict", "--slope-threshold", v], "--slope-threshold")
+             for v in ("-1", "0", "nan", "inf")]
+    cases += [(["weak-gibbs", *measure, "--slope-threshold", "nan"], "--slope-threshold"),
+              (["certificate", "--word", "ab", "--gap-cap", "-2"], "--gap-cap")]
+    for argv, flag in cases:
+        code, raw = run(tmp_path, *argv, "--factor", fpath("factor_collapse.json"),
+                        "--depth", "8")
+        assert (code, raw) == (2, b""), argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: %s must be" % flag), argv

@@ -11,20 +11,21 @@ from hypothesis import strategies as st
 
 from thermoshift import (LocallyConstantPotential, OneBlockFactor,
                          build_g_table, c2_certificate, chebyshev_defect,
-                         compensation_verdict, fit_h, image_periodic_points,
-                         periodic_defect, table_verdict, uniform_defect,
-                         variation_constant)
+                         fit_h, image_periodic_points, periodic_defect,
+                         table_verdict, uniform_defect, variation_constant)
 from thermoshift import seqtable
 from thermoshift.detect import (DetectError, orbit_defects,
                                 table_power_base, uniform_defects,
                                 uniform_defects_exact_all)
 from thermoshift.jsonio import load_factor, read_json
-from thermoshift.potential import (birkhoff_extremes_coeff, birkhoff_sup,
-                                   periodic_birkhoff, periodic_birkhoff_coeff)
+from thermoshift.potential import birkhoff_sup, periodic_birkhoff, periodic_birkhoff_coeff
 from thermoshift.numerics import common_power_base, power_exponent
 from thermoshift.seqtable import SeqTable, TableError
 from thermoshift.shiftcore import PeriodicPoint, Sft
 from thermoshift.verdicts import Verdict
+
+from conftest import symbol_weights
+from fraction_oracles import birkhoff_extremes_coeff
 
 LOG2 = math.log(2)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -129,11 +130,9 @@ def test_uniform_defect_fitted_zero(collapse_gt, fitted_h):
 
 
 def test_uniform_defect_identity_h_equals_f(identity_gm):
-    f = LocallyConstantPotential.from_symbol_weights(
-        identity_gm.domain, {"a": 0.8, "b": -0.1})
+    f = symbol_weights(identity_gm.domain, {"a": 0.8, "b": -0.1})
     gt = build_g_table(identity_gm, f, 8)
-    h = LocallyConstantPotential.from_symbol_weights(
-        identity_gm.image, {"a": 0.8, "b": -0.1})
+    h = symbol_weights(identity_gm.image, {"a": 0.8, "b": -0.1})
     for n in (1, 5, 8):
         assert uniform_defect(gt, h, n) <= 1e-12
 
@@ -389,9 +388,8 @@ def test_verdict_certified_identity_h0(full2):
 
 
 def test_verdict_refuted_phase_blocked(phase_blocked):
-    rep = compensation_verdict(phase_blocked,
-                               LocallyConstantPotential.zero(phase_blocked.domain),
-                               depth_max=14)
+    rep = table_verdict(build_g_table(
+        phase_blocked, LocallyConstantPotential.zero(phase_blocked.domain), 14))
     assert rep.verdict == Verdict.REFUTED
     assert rep.profile_growth
     assert rep.profile_witness["slope"] > 0.05

@@ -5,7 +5,6 @@ import pytest
 
 from thermoshift import (MarkovMeasure, OneBlockFactor, fiber_words,
                          pushforward_cylinder)
-from thermoshift.factor import induced_image_sft
 from thermoshift.markov import MeasureError
 
 
@@ -82,16 +81,6 @@ def test_image_language_periodic_blocks(phase_blocked):
     assert not lang.is_periodic_block((one, one))
 
 
-def test_induced_image_sft(collapse, phase_blocked):
-    img = induced_image_sft(collapse)
-    assert img is not None
-    assert img.count_blocks(6) == 2 ** 6
-    img2 = induced_image_sft(phase_blocked)
-    assert img2 is not None  # image is the golden-mean-type shift on {1,2}
-    assert [img2.names(w) for w in img2.blocks(2)] == [
-        ("1", "2"), ("2", "1"), ("2", "2")]
-
-
 def test_image_count_blocks(collapse, phase_blocked):
     for pi in (collapse, phase_blocked):
         for n in range(1, 8):
@@ -135,7 +124,7 @@ def test_pushforward_total_mass_and_consistency(collapse, full3):
 
 def test_pushforward_float_path_matches_exact(collapse, full3):
     mu_e = MarkovMeasure.bernoulli(full3, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
-    mu_f = mu_e.as_float()
+    mu_f = MarkovMeasure.bernoulli(full3, [0.5, 0.25, 0.25])
     for y in collapse.image.blocks(4):
         assert math.isclose(pushforward_cylinder(mu_f, collapse, y),
                             float(pushforward_cylinder(mu_e, collapse, y)),

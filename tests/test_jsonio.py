@@ -6,10 +6,8 @@ import pytest
 
 from thermoshift import LocallyConstantPotential, build_additive_table
 from thermoshift.jsonio import (SchemaError, load_factor, load_measure,
-                                load_potential, load_sft, measure_doc,
-                                parse_fraction, split_word_key, table_doc,
-                                word_key)
-from thermoshift.markov import MarkovMeasure
+                                load_potential, load_sft, parse_fraction,
+                                split_word_key, table_doc, word_key)
 
 
 def test_load_sft_roundtrip():
@@ -95,14 +93,6 @@ def test_load_measure_validates_states(full2):
            "P": [[0.5, 0.5], [0.5, 0.5]], "pi": [0.5, 0.5]}
     with pytest.raises(SchemaError):
         load_measure(doc, full2)
-
-
-def test_measure_doc_roundtrip(full2):
-    mu = MarkovMeasure.bernoulli(full2, [Fraction(1, 4), Fraction(3, 4)])
-    doc = measure_doc(mu)
-    again = load_measure(doc, full2)
-    assert again.matrix == mu.matrix
-    assert again.stationary == mu.stationary
 
 
 def test_table_doc_shape(goldenmean):

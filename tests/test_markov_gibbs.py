@@ -5,16 +5,16 @@ from fractions import Fraction
 import pytest
 
 from thermoshift import (LocallyConstantPotential, MarkovMeasure,
-                         build_additive_table, build_g_table, entropy,
-                         integrate_table, pressure_estimate,
+                         build_additive_table, build_g_table, pressure_estimate,
                          pushforward_sandwich, transfer_pressure,
                          weak_gibbs_constants)
-from thermoshift.factor import induced_image_sft
 from thermoshift.gibbs import GibbsError
 from thermoshift.markov import MeasureError
-from thermoshift.seqtable import SeqTable
 from thermoshift.shiftcore import Sft
 from thermoshift.verdicts import GibbsVerdict
+
+from conftest import symbol_weights
+from table_oracles import entropy_rate, kingman_averages, random_measure
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -45,7 +45,7 @@ def test_stationary_solve_analytic(full2):
 
 def test_order2_measure_consistency(goldenmean):
     rng = random.Random(23)
-    mu = MarkovMeasure.random_measure(goldenmean, rng, order=2)
+    mu = random_measure(goldenmean, rng, order=2)
     for w in goldenmean.blocks(3):
         ext = sum(mu.cylinder_mass(w + (x,)) for x in range(2)
                   if goldenmean.is_word(w + (x,)))
@@ -56,13 +56,13 @@ def test_order2_measure_consistency(goldenmean):
 
 def test_entropy_bernoulli_half(full2):
     mu = MarkovMeasure.bernoulli(full2, [Fraction(1, 2), Fraction(1, 2)])
-    assert entropy(mu) == pytest.approx(math.log(2), abs=1e-15)
+    assert entropy_rate(mu) == pytest.approx(math.log(2), abs=1e-15)
 
 
 def test_entropy_point_mass(goldenmean):
     mu = MarkovMeasure.from_transition(
         goldenmean, [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]])
-    assert entropy(mu) == 0.0
+    assert entropy_rate(mu) == 0.0
 
 
 def test_transfer_pressure_full2(full2):
@@ -86,12 +86,12 @@ def test_transfer_pressure_goldenmean_parry(goldenmean):
     assert float(mu.matrix[0][1]) == pytest.approx(1 / PHI ** 2, abs=1e-10)
     assert float(mu.stationary[0]) == pytest.approx(PHI ** 2 / (1 + PHI ** 2), abs=1e-10)
     # Parry measure is the measure of maximal entropy
-    assert entropy(mu) == pytest.approx(math.log(PHI), abs=1e-10)
+    assert entropy_rate(mu) == pytest.approx(math.log(PHI), abs=1e-10)
 
 
 def test_transfer_pressure_constant_shift(goldenmean):
-    f = LocallyConstantPotential.from_symbol_weights(goldenmean, {"a": 0.2, "b": -0.4})
-    g = f.shifted(0.7)
+    f = symbol_weights(goldenmean, {"a": 0.2, "b": -0.4})
+    g = symbol_weights(goldenmean, {"a": 0.2 + 0.7, "b": -0.4 + 0.7})
     gd_f = transfer_pressure(goldenmean, f)
     gd_g = transfer_pressure(goldenmean, g)
     assert gd_g.pressure == pytest.approx(gd_f.pressure + 0.7, abs=1e-10)
@@ -118,45 +118,22 @@ def test_transfer_pressure_needs_irreducible():
 
 
 def test_integrate_additive_table_constant(goldenmean):
-    f = LocallyConstantPotential.from_symbol_weights(goldenmean, {"a": 0.5, "b": -1.0})
+    f = symbol_weights(goldenmean, {"a": 0.5, "b": -1.0})
     t = build_additive_table(f, 8)
     gd = transfer_pressure(goldenmean, f)
     mu = gd.measure
     expect = sum(float(mu.stationary[i]) * f.value((i,)) for i in range(2))
-    rep = integrate_table(t, mu.as_float(), 8)
-    for v in rep.per_n:
+    for v in kingman_averages(t, mu, 8):
         assert v == pytest.approx(expect, abs=1e-10)
-    assert rep.kingman_consistent
 
 
 def test_integrate_collapse_counts(collapse, full2):
     f = LocallyConstantPotential.zero(collapse.domain)
     gt = build_g_table(collapse, f, 8)
-    img = induced_image_sft(collapse)
     q = 0.3
-    mu = MarkovMeasure.bernoulli(img, [q, 1 - q])
-    rep = integrate_table(gt, mu, 8)
-    for v in rep.per_n:
+    mu = MarkovMeasure.bernoulli(full2, [q, 1 - q])  # the image is the full 2-shift
+    for v in kingman_averages(gt, mu, 8):
         assert v == pytest.approx(q * math.log(2), abs=1e-12)
-    assert rep.running_inf[-1] == pytest.approx(q * math.log(2), abs=1e-12)
-
-
-def test_integrate_flags_non_subadditive(full2):
-    # log f_n = -n^2 on one word per depth is superadditive in the wrong way
-    logs = {n: {w: (n * n * 0.1 if n % 2 else -n * 0.2) for w in full2.blocks(n)}
-            for n in range(1, 7)}
-    t = SeqTable(full2.alphabet, logs, kind="synthetic")
-    mu = MarkovMeasure.bernoulli(full2, [Fraction(1, 2), Fraction(1, 2)])
-    rep = integrate_table(t, mu, 6)
-    assert not rep.kingman_consistent
-
-
-def test_integrate_alphabet_mismatch(collapse, full3):
-    f = LocallyConstantPotential.zero(collapse.domain)
-    gt = build_g_table(collapse, f, 4)
-    mu = MarkovMeasure.bernoulli(full3, [Fraction(1, 3)] * 3)
-    with pytest.raises(MeasureError):
-        integrate_table(gt, mu, 4)
 
 
 def test_weak_gibbs_constants_exact_identity(full2):
@@ -170,11 +147,10 @@ def test_weak_gibbs_constants_exact_identity(full2):
 
 def test_weak_gibbs_self_check(goldenmean):
     # the transfer measure against its own potential's additive table
-    f = LocallyConstantPotential.from_symbol_weights(goldenmean, {"a": 0.4, "b": -0.3})
+    f = symbol_weights(goldenmean, {"a": 0.4, "b": -0.3})
     gd = transfer_pressure(goldenmean, f)
     rep = weak_gibbs_constants(gd.measure, f, gd.pressure,
-                               depth_max=12, exact_base=gd.lam_exact,
-                               pressure_source="transfer")
+                               depth_max=12, exact_base=gd.lam_exact)
     assert rep.verdict == GibbsVerdict.GIBBS
     assert max(rep.log_cn.values()) < 2.0
 
@@ -198,13 +174,11 @@ def test_pushforward_sandwich_exact(collapse, full3):
     assert rep.ok and rep.exact
 
 
-def test_variational_inequality_sampled(collapse, full3):
+def test_variational_inequality_sampled(collapse, full2, full3):
     f = LocallyConstantPotential.zero(full3)
     gt = build_g_table(collapse, f, 10)
     est = pressure_estimate(gt)
-    img = induced_image_sft(collapse)
     rng = random.Random(31)
     for _ in range(5):
-        mu = MarkovMeasure.random_measure(img, rng)
-        rep = integrate_table(gt, mu, 10)
-        assert entropy(mu) + rep.running_inf[-1] <= est.fekete_upper + 1e-6
+        mu = random_measure(full2, rng)  # on the image, the full 2-shift
+        assert entropy_rate(mu) + min(kingman_averages(gt, mu, 10)) <= est.fekete_upper + 1e-6

@@ -6,9 +6,11 @@ import pytest
 from thermoshift import (LocallyConstantPotential, birkhoff_extremes,
                          birkhoff_inf, birkhoff_sup, periodic_birkhoff,
                          periodic_points, variation_constant)
-from thermoshift.potential import (PotentialError, birkhoff_extremes_coeff,
-                                   periodic_birkhoff_coeff)
+from thermoshift.potential import PotentialError, periodic_birkhoff_coeff
 from thermoshift.shiftcore import PeriodicPoint
+
+from conftest import symbol_weights
+from fraction_oracles import birkhoff_extremes_coeff
 
 
 def brute_extremes(f, u):
@@ -23,8 +25,7 @@ def brute_extremes(f, u):
 
 @pytest.fixture(scope="module")
 def weight_gm(goldenmean):
-    return LocallyConstantPotential.from_symbol_weights(
-        goldenmean, {"a": math.log(2.0), "b": 0.0})
+    return symbol_weights(goldenmean, {"a": math.log(2.0), "b": 0.0})
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ def test_variation_constant_matches_bruteforce(r2_full2, goldenmean):
 
 
 def test_bounded_variation_invariant(r2_full2):
-    bound = (r2_full2.range - 1) * (r2_full2.max_value() - r2_full2.min_value())
+    bound = (r2_full2.range - 1) * (r2_full2.max_value() - min(r2_full2.values.values()))
     tops = [variation_constant(r2_full2, n) for n in range(1, 9)]
     assert all(v <= bound + 1e-12 for v in tops)
     # tempered variation, strengthened: a uniform constant bound
@@ -161,6 +162,7 @@ def test_exact_coeff_extremes_match_float(goldenmean):
 
 
 def test_shifted_potential(weight_gm):
-    g = weight_gm.shifted(0.5)
+    g = LocallyConstantPotential(weight_gm.language, 1,
+                                 {w: v + 0.5 for w, v in weight_gm.values.items()})
     u = (0, 1, 0)
     assert birkhoff_sup(g, u) == pytest.approx(birkhoff_sup(weight_gm, u) + 1.5, abs=1e-12)

@@ -1,6 +1,6 @@
-"""The table scans (check_subadditive, check_D2, defect_profile) against
-the nested word loops they replaced, kept here as reference oracles: every
-report must serialize to the same JSON.  Exact g-tables take the fiber-class
+"""The table scans (check_D2, defect_profile) against the nested word
+loops they replaced, kept here as reference oracles: every report must
+serialize to the same JSON.  Exact g-tables take the fiber-class
 path (``SeqTable.classes``) when their class products are fewer than the
 word scan's cells, float and dict-built tables the word kernels; the
 oracles cover both, and exact tables are checked on each path forced, with
@@ -23,35 +23,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermoshift import (LocallyConstantPotential, OneBlockFactor, SeqTable,
-                         build_g_table, check_D2, check_subadditive,
-                         defect_profile, detect, seqtable)
+                         build_g_table, check_D2, defect_profile, detect,
+                         seqtable)
 from thermoshift.cli import main
 from thermoshift.detect import table_verdict
 from thermoshift.jsonio import load_factor, read_json
 from thermoshift.numerics import log_fraction
-from thermoshift.seqtable import D2Report, DefectProfile, SubadditivityReport
+from thermoshift.seqtable import D2Report, DefectProfile
 from thermoshift.shiftcore import Sft
 from thermoshift.verdicts import DEFAULT_SLOPE_THRESHOLD, decays_to_zero, growth_flag
 
+from conftest import symbol_weights
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def ref_check_subadditive(t, tol=1e-12):
-    worst = float("-inf")
-    witness = None
-    for total in range(2, t.depth_max + 1):
-        for w, lv in t.logs[total].items():
-            for n in range(1, total):
-                slack = lv - t.logs[n][w[:n]] - t.logs[total - n][w[n:]]
-                if slack > worst:
-                    worst = slack
-                    witness = (n, total - n, w)
-    ok = worst <= tol
-    if t.is_exact:
-        ok = all(v <= t.exact[n][w[:n]] * t.exact[total - n][w[n:]]
-                 for total in range(2, t.depth_max + 1)
-                 for w, v in t.exact[total].items() for n in range(1, total))
-    return SubadditivityReport(ok, worst, witness, tol)
 
 
 def _all_words(alphabet_size, k):
@@ -152,7 +136,6 @@ def assert_scans_match(t, gaps=(0,)):
     fresh copy with no level built, each scan reading what it needs."""
     fresh = (lambda: build_g_table(t.factor, t.potential, t.depth_max)) \
         if t.classes is not None else None
-    assert _json(check_subadditive(t)) == _json(ref_check_subadditive(t))
     want = [_json(ref_defect_profile(t))] + [ref_check_D2(t, gap) for gap in gaps]
     for path in [None] + (list(FORCE) if t.classes is not None else []):
         with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE.get(
@@ -241,7 +224,7 @@ def test_exact_g_tables_take_the_class_path(monkeypatch):
         assert _json(defect_profile(t)) == profile
         assert [_json(check_D2(t, gap)) for gap in range(4)] == bridges
     full2 = Sft.full_shift(["a", "b"])  # float tables still scan the words
-    f = LocallyConstantPotential.from_symbol_weights(full2, {"a": 0.5, "b": -0.25})
+    f = symbol_weights(full2, {"a": 0.5, "b": -0.25})
     with pytest.raises(AssertionError, match="word kernel"):
         defect_profile(build_g_table(OneBlockFactor.identity(full2), f, 4))
 
@@ -455,8 +438,6 @@ def test_exact_scans_are_not_decided_by_floats():
     offsets = {(0, 0): 0, (0, 1): 5, (1, 0): 3, (1, 1): 7}
     t = exact_table(full2, {1: {(0,): Fraction(a), (1,): Fraction(a)},
                             2: {w: Fraction(a * a + k) for w, k in offsets.items()}})
-    rep = check_subadditive(t)
-    assert rep.worst_slack <= rep.tolerance and not rep.ok
     assert defect_profile(t).exact_c[(1, 1)] == 1 + Fraction(7, a * a)
     assert_scans_match(t)
 
