@@ -1,13 +1,16 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from thermoshift import LocallyConstantPotential, build_additive_table
+from thermoshift import LocallyConstantPotential, MarkovMeasure, build_additive_table
 from thermoshift.jsonio import (SchemaError, load_factor, load_measure,
                                 load_potential, load_sft, parse_fraction,
-                                split_word_key, table_doc, word_key)
+                                read_json, split_word_key, table_doc, word_key)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_load_sft_roundtrip():
@@ -93,6 +96,16 @@ def test_load_measure_validates_states(full2):
            "P": [[0.5, 0.5], [0.5, 0.5]], "pi": [0.5, 0.5]}
     with pytest.raises(SchemaError):
         load_measure(doc, full2)
+
+
+def test_measure_fixtures_load_as_bernoulli(full2, full3):
+    for name, sft in (("measure_half2.json", full2), ("measure_uniform3.json", full3)):
+        k = len(sft.alphabet)
+        mu = load_measure(read_json(FIXTURES / name), sft)
+        uniform = MarkovMeasure.bernoulli(sft, [Fraction(1, k)] * k)
+        assert mu.exact
+        assert mu.matrix == uniform.matrix
+        assert mu.stationary == uniform.stationary
 
 
 def test_table_doc_shape(goldenmean):

@@ -180,6 +180,30 @@ def test_check_subadditive_additive_equality(goldenmean):
     assert abs(worst) <= 1e-12
 
 
+def test_check_subadditive_detects_corruption(collapse):
+    # the oracle the subadditivity tests rest on must see a raised word
+    f = LocallyConstantPotential.zero(collapse.domain)
+    t = build_g_table(collapse, f, 6)
+    logs = {n: dict(t.logs[n]) for n in t.logs}
+    bad_word = t.words(4)[0]
+    logs[4][bad_word] += 1.0
+    ok, worst, (n, m, w) = ref_check_subadditive(SeqTable(t.alphabet, logs, kind="corrupted"))
+    assert not ok
+    assert worst >= 1.0 - 1e-9
+    assert w == bad_word and n + m == 4
+
+
+def test_check_subadditive_exact_decides():
+    # f_2 = 1 + 10^-20 rounds to log 0 like f_1 = 1, so only the exact values
+    # show f_2 > f_1 f_1
+    logs = {1: {(0,): 0.0}, 2: {(0, 0): 0.0}}
+    ok, worst, _ = ref_check_subadditive(synthetic_table(logs))
+    assert ok and worst == 0.0
+    exact = {1: {(0,): Fraction(1)}, 2: {(0, 0): 1 + Fraction(1, 10 ** 20)}}
+    ok, worst, _ = ref_check_subadditive(SeqTable(("s",), logs, exact=exact))
+    assert not ok and worst == 0.0
+
+
 def test_check_d2_collapse(collapse):
     f = LocallyConstantPotential.zero(collapse.domain)
     t = build_g_table(collapse, f, 8)
