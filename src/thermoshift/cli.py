@@ -44,7 +44,8 @@ class CapExceeded(RuntimeError):
 def _load_setting(args):
     """Resolve (sft, factor-or-None, potential) from the argument paths,
     once the numeric flags are checked."""
-    for flag, low in (("nfit", 1), ("jmax", 1), ("pmax", 1), ("gap_cap", 0)):
+    for flag, low in (("depth", 1), ("max_cells", 1), ("nfit", 1), ("jmax", 1), ("pmax", 1),
+                      ("gap_cap", 0)):
         if getattr(args, flag, None) is not None and getattr(args, flag) < low:
             raise SchemaError("--%s must be >= %d" % (flag.replace("_", "-"), low))
     if not 0 < args.slope_threshold < math.inf:
@@ -67,7 +68,7 @@ def _load_setting(args):
 
 
 def _check_depth(args):
-    if args.depth < 1 or args.depth > HARD_DEPTH_CAP:
+    if args.depth > HARD_DEPTH_CAP:
         raise CapExceeded("depth %d outside 1..%d" % (args.depth, HARD_DEPTH_CAP))
 
 

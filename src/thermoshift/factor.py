@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .markov import MarkovMeasure, MeasureError
-from .numerics import INT64_MAX, array_max, integer_rows, row_sums
+from .numerics import INT64_MAX, array_max, integer_rows, row_sums, unique_rows
 from .shiftcore import EPSILON, Language, Sft, Word
 
 
@@ -133,10 +133,15 @@ def _fiber_walk(v: np.ndarray, steps, depth: int):
     column per domain state.  ``steps(n)`` is (M, edge), indexed [source
     state, image symbol, target state]; a word is kept while ``edge`` (the
     domain transitions) reaches it, whatever the weights.  Integers run in
-    int64 while a bound allows, Python ints past it.  Yields (V_n, parent,
-    sym, tail): ranks one depth down of w[:-1] and w[1:], last symbols."""
+    int64 while a bound allows, Python ints past it.  Yields (rows, ids,
+    parent, sym, tail): the rows, each word's row id, the ranks one depth
+    down of w[:-1] and w[1:] and the last symbols.  A float walk keeps each
+    distinct (row, reach) pair once, by their bits, as equal bits step to
+    equal bits; an integer walk a row per word (ids the identity), as a
+    dedupe would add a sort to its readout, one row_sums."""
     live = np.ones(v.shape, dtype=bool)
     tail = child = np.zeros(1, dtype=np.int32)
+    ids = None  # each word's row id; None while every word has a row of its own
     for n in range(1, depth + 1):
         m, edge = steps(n)
         if v.dtype == np.int64 and (m.dtype == object or
@@ -151,14 +156,23 @@ def _fiber_walk(v: np.ndarray, steps, depth: int):
             out += v[:, j, None, None] * m[j]
             reach |= live[:, j, None, None] & edge[j]
         out, reach = out.reshape(rows * n_img, -1), reach.reshape(rows * n_img, -1)
-        kept = np.flatnonzero(reach.any(axis=1))
-        v, live = out[kept], reach[kept]
+        grows = reach.any(axis=1)  # per (row, symbol) cell: it stays a word
+        kept = grown = np.flatnonzero(grows)
+        if ids is not None:  # a word's (word, symbol) cells are its row's
+            cells = (ids[:, None] * n_img + np.arange(n_img)).ravel()
+            kept = np.flatnonzero(grows[cells])
+            ids = (np.cumsum(grows) - 1)[cells[kept]]  # index among the grown cells
+        v, live = out[grown], reach[grown]
+        if v.dtype == float and len(v) > 1:
+            first, row_id = unique_rows(np.hstack([v.view(np.uint8), live.view(np.uint8)]))
+            v, live, ids = v[first], live[first], row_id if ids is None else row_id[ids]
         parent, sym = (kept // n_img).astype(np.int32), (kept % n_img).astype(np.int32)
+        below = np.full(len(tail) * n_img, -1, dtype=np.int32)  # word * |B| + symbol -> rank
+        below[kept] = np.arange(len(kept), dtype=np.int32)
         # w[1:] is the parent's tail followed by sym, one depth down
         tail = np.zeros(len(kept), np.int32) if n == 1 else child[tail[parent] * n_img + sym]
-        child = np.full(rows * n_img, -1, dtype=np.int32)  # row * |B| + symbol -> rank
-        child[kept] = np.arange(len(kept), dtype=np.int32)
-        yield v, parent, sym, tail
+        child = below
+        yield v, np.arange(len(kept)) if ids is None else ids, parent, sym, tail
 
 
 def _measure_steps(mu: MarkovMeasure, pi: OneBlockFactor):

@@ -267,8 +267,8 @@ def pushforward_sandwich(mu: MarkovMeasure, pi, f: LocallyConstantPotential,
     worst = float("inf")
     failures = []
     start, steps, den = _measure_steps(mu, pi)
-    for n, (v, parent, sym, _) in enumerate(_fiber_walk(start, steps, depth), start=1):
-        level, mass = gt.levels[n], row_sums(v)
+    for n, (v, ids, parent, sym, _) in enumerate(_fiber_walk(start, steps, depth), start=1):
+        level, mass = gt.levels[n], row_sums(v)[ids]
         if not (np.array_equal(parent, level.parent) and np.array_equal(sym, level.sym)):
             raise TableError("table words at depth %d are not the image words of pi" % n)
         log_mn = variation_constant(f, n)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import INT64_MAX, pivot, row_reduce, solve_int
+from .numerics import INT64_MAX, pivot, scaled_inverse, solve_int
 
 _EXACT_FIT_LIMIT = 4096  # constraint cap (two per row) for the exact dual simplex
 
@@ -225,26 +225,23 @@ def _dyadic(values: list[float]) -> tuple[list[int], int]:
 
 
 def _basis_start(a: np.ndarray, basis: list[int]) -> tuple[list[int], list[list[int]], int] | None:
-    """(basis, d B^-1, d), d > 0, for a basis of the dual tableau of
+    """(basis, d B^-1, d), d = |det B|, for a basis of the dual tableau of
     ``_dual_simplex`` over the rows of a (columns y+, y-, then the
     artificials), by one fraction-free Gauss-Jordan elimination of [B | I]
-    (``numerics.row_reduce``); None when B is singular, when its basic
+    (``numerics.scaled_inverse``); None when B is singular, when its basic
     values (the last column of B^-1: the dual's right side is the unit
     vector of the sum row) are not a feasible dual point, or when an
     artificial is basic in a row that is not redundant (a phase 2 from this
     basis could lift it above 0)."""
-    cols = _columns(a)[:, basis].T.tolist()
-    m = len(cols)
-    aug = [[col[r] for col in cols] + [int(r == q) for q in range(m)] for r in range(m)]
-    pivots, d = row_reduce(aug, m)
-    if len(pivots) < m:
+    found = scaled_inverse(_columns(a)[:, basis])
+    if found is None:
         return None
-    inv = [row[m:] if d > 0 else [-x for x in row[m:]] for row in aug]
+    inv, d = found
     art = 2 * len(a)
     for j, row in zip(basis, inv):
         if row[-1] < 0 or j >= art and (row[-1] or (a.astype(object) @ row[:-1]).any()):
             return None
-    return basis, inv, abs(d)
+    return basis, inv, d
 
 
 def _basic_solution(hi, lo, start) -> tuple[list[int], int, int]:

@@ -1,10 +1,10 @@
 """Small numeric helpers shared across modules: stable log-space sums,
 integer arrays widened past 2^63, line fits, exact power-of-base exponent
-extraction, the one Perron routine ``perron`` (numpy ``eig``) with its exact
-check ``perron_exact``, and exact linear algebra in integers only: every
-exact solve and simplex step is ``pivot``, one fraction-free Gauss-Jordan
-step (Bareiss 1968; Edmonds 1967).  ``gaussian_solve`` serves floats.
-"""
+extraction, the one Perron routine ``perron`` (numpy ``eig``) with its
+exact check ``perron_exact``, and exact linear algebra in integers only:
+every exact solve and simplex step is ``pivot``, one fraction-free
+Gauss-Jordan step (Bareiss 1968; Edmonds 1967), taken on whole arrays in
+``scaled_inverse``.  ``gaussian_solve`` serves floats."""
 
 from __future__ import annotations
 
@@ -33,6 +33,23 @@ def row_sums(v: np.ndarray) -> np.ndarray:
     if v.dtype == float or (v.dtype != object and array_max(v) * v.shape[1] <= INT64_MAX):
         return v.sum(axis=1)
     return int_array(v.astype(object).sum(axis=1).tolist())
+
+
+def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inv) for a 2-d array: the index of one row of each distinct
+    row, and each row's index among the distinct rows.  Fixed-width rows
+    (int64, float, bool) are compared as raw bytes, so floats by their bits
+    (numbered in their byte order); Python ints by a dict (numbered in
+    order of first appearance)."""
+    if a.dtype != object:
+        a = np.ascontiguousarray(a)
+        _, first, inv = np.unique(a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel(),
+                                  return_index=True, return_inverse=True)
+        return first, inv.reshape(-1)
+    index: dict[tuple, int] = {}
+    inv = np.array([index.setdefault(row, len(index)) for row in map(tuple, a.tolist())],
+                   dtype=np.intp)
+    return np.unique(inv, return_index=True)[1], inv
 
 
 def logsumexp(values) -> float:
@@ -139,6 +156,28 @@ def row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
             prev = pivot(rows, len(cols), c, prev)
             cols.append(c)
     return cols, prev
+
+
+def scaled_inverse(b: np.ndarray) -> tuple[list[list[int]], int] | None:
+    """(|det B| B^-1, |det B|) for a square integer array B, None when B is
+    singular: ``row_reduce`` of [B | I] on whole arrays, in int64 while the
+    Hadamard bound H of the rows of [B | I] keeps every product below 2 H^2
+    < 2^63 (each entry is a minor, at most H), in Python ints past it."""
+    m, prev = len(b), 1
+    aug = np.hstack([b, np.eye(m, dtype=np.int64)])
+    if math.prod(np.sqrt(np.square(aug.astype(float)).sum(axis=1)).tolist()) >= 2.0 ** 30:
+        aug = aug.astype(object)
+    for c in range(m):
+        col = aug[:, c]
+        if not col[c]:  # pivot on the first nonzero below, as row_reduce does
+            nz = col[c:].nonzero()[0]
+            if not len(nz):
+                return None
+            aug[[c, c + nz[0]]] = aug[[c + nz[0], c]]
+        top = aug[c]
+        aug = (aug * top[c] - np.multiply.outer(col, top)) // prev
+        aug[c], prev = top, int(top[c])
+    return [row[m:] if prev > 0 else [-x for x in row[m:]] for row in aug.tolist()], abs(prev)
 
 
 def solve_int(rows, nvars: int) -> tuple[list[int], int] | None:

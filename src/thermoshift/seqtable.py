@@ -63,7 +63,8 @@ import numpy as np
 
 from .factor import OneBlockFactor, _fiber_walk
 from .numerics import (INT64_MAX, array_max, common_power_base, int_array, integer_rows,
-                       log_fraction, logsumexp, perron, perron_exact, power_exponent, row_sums)
+                       log_fraction, logsumexp, perron, perron_exact, power_exponent, row_sums,
+                       unique_rows)
 from .potential import LocallyConstantPotential, birkhoff_sup
 from .shiftcore import Word
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, TrendStats, growth_flag, decays_to_zero
@@ -549,12 +550,14 @@ class _FiberClasses:
         for n in range(1, top):
             y, den, cols = self._against(n, top - n)
             best = np.zeros((len(self.x(n)), len(y)), np.int64)
-            for owner, rows in steps:
-                mine = (owner >= starts[n - 1]) & (owner < starts[n])
-                prods = _dot(rows[mine], y)
-                if prods.dtype == object:
-                    best = best.astype(object)
-                np.maximum.at(best, owner[mine] - starts[n - 1], prods)
+            for owners, bounds, rows in steps:
+                a, b = np.searchsorted(owners, starts[n - 1:n + 1])
+                if a < b:  # depth n's owners: one maximum over the rows of each
+                    lo, mine = bounds[a], owners[a:b] - starts[n - 1]
+                    peak = np.maximum.reduceat(_dot(rows[lo:bounds[b]], y), bounds[a:b] - lo)
+                    if peak.dtype == object:
+                        best = best.astype(object)
+                    best[mine] = np.maximum(best[mine], peak)
             hit = best > 0
             inverse = _max_ratios(den, best, np.where(hit, _logs(den) - _logs(best), -np.inf),
                                   cols)
@@ -570,12 +573,12 @@ class _FiberClasses:
         return {key: found[key] for key in cells}
 
     def _gap_rows(self, top: int, gap: int, budget: int) -> tuple[list, list] | None:
-        """(starts, [(owner, rows)] per gap length k <= gap): the distinct
-        (owner, x_c A_w) over the words w of length k that keep the row
-        nonzero, the owners numbering the classes at depths 1..top-1 one
-        depth after another (depth n's from starts[n - 1] on).  None as soon
-        as the products with the backward classes each row meets (depths
-        1..top-n) reach ``budget``."""
+        """(starts, [(owners, bounds, rows)] per gap length k <= gap): the
+        distinct (owner, x_c A_w), |w| = k, x_c A_w nonzero, sorted by owner
+        (owners[i]'s rows at bounds[i]:bounds[i + 1]); the owners number the
+        classes at depths 1..top-1 depth after depth (depth n's from
+        starts[n - 1] on).  None once the products with the backward classes
+        each row meets (depths 1..top-n) reach ``budget``."""
         xs = [self.x(n) for n in range(1, top)]
         starts = np.cumsum([0] + [len(x) for x in xs]).tolist()
         width = np.repeat([sum(map(len, self.ys(top - n))) for n in range(1, top)],
@@ -588,9 +591,11 @@ class _FiberClasses:
                 owner = np.repeat(owner, len(self._grow))
                 keep = grown.any(axis=1)
                 pairs = np.column_stack([owner[keep], grown[keep]])
-                pairs = pairs[_unique_rows(pairs)[0]]
+                pairs = pairs[unique_rows(pairs)[0]]
+                pairs = pairs[np.argsort(pairs[:, 0])]
                 owner, rows = pairs[:, 0].astype(np.intp), pairs[:, 1:]
-            out.append((owner, rows))
+            owners, first = np.unique(owner, return_index=True)
+            out.append((owners, np.append(first, len(owner)), rows))
             cost += int(width[owner].sum())
             if cost >= budget:
                 return None
@@ -661,7 +666,7 @@ def _step(rows: np.ndarray, mats: np.ndarray,
     grown = grown[live]
     if primitive:
         grown = grown // np.gcd.reduce(grown, axis=1)[:, None]
-    first, inv = _unique_rows(grown)
+    first, inv = unique_rows(grown)
     nxt = np.full(len(rows) * len(mats), -1, np.intp)
     nxt[live] = inv
     return nxt.reshape(len(rows), -1), grown[first]
@@ -730,22 +735,6 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y.T
 
 
-def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inv) for a 2-d integer array: the index of one row of each
-    distinct row, and each row's index among the distinct rows.  int64 rows
-    are compared as raw bytes (numbered in their byte order), Python ints
-    by a dict (numbered in order of first appearance)."""
-    if a.dtype != object:
-        a = np.ascontiguousarray(a)
-        _, first, inv = np.unique(a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel(),
-                                  return_index=True, return_inverse=True)
-        return first, inv.reshape(-1)
-    index: dict[tuple, int] = {}
-    inv = np.array([index.setdefault(row, len(index)) for row in map(tuple, a.tolist())],
-                   dtype=np.intp)
-    return np.unique(inv, return_index=True)[1], inv
-
-
 def _logs(a: np.ndarray) -> np.ndarray:
     """The log of each entry of an integer array, -inf at 0, to within a
     few ulps (they only propose and filter)."""
@@ -767,7 +756,9 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     accumulates.  The fiber walk (``factor._fiber_walk``) steps V_{n+1} =
     stack_b(V_n M_b) with the steps of the representation of (pi, f)
     (``_Representation``), and hands over the level index (ranks and
-    symbols) with each level; this function reads out the values.  mode
+    symbols) and each word's row id with each level; this function reads
+    out the values, on a float walk once per distinct row (the words gather
+    their logs by id, bit for bit what a row per word gives).  mode
     "exact" demands the counting path (f = 0), which walks the 1-block
     states in integers (int64 while a bound allows, Python ints past it)
     and steps the walk only as far as a read reaches (``_Levels``); the
@@ -817,7 +808,7 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
         levels = _Levels(depth_max, _exact_levels(walk))
     else:
         levels, offset = [None], 0.0
-        for n, (v, parent, sym, tail) in enumerate(walk, start=1):
+        for n, (v, ids, parent, sym, tail) in enumerate(walk, start=1):
             if n >= r:
                 offset += fmax
             if gauge is None and v[v > 0].min(initial=1.0) * w < _FLOOR:
@@ -832,7 +823,7 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
             logs = _float_readout(v, shift, offset)
             if not np.isfinite(logs).all():
                 raise TableError(_NON_FINITE % n)
-            levels.append(_Level(logs, parent, tail, sym, None, 1, below=levels[-1]))
+            levels.append(_Level(logs[ids], parent, tail, sym, None, 1, below=levels[-1]))
 
     return SeqTable.from_levels(pi.image_alphabet, levels, exact, kind="g", language=pi.image,
                                 potential=f, factor=pi)
@@ -842,8 +833,8 @@ def _exact_levels(walk):
     """The levels of an exact fiber walk, one per resumption: integer
     values (the row sums) and their logs, once per distinct value."""
     below = None
-    for v, parent, sym, tail in walk:
-        num = row_sums(v)
+    for v, ids, parent, sym, tail in walk:
+        num = row_sums(v)[ids]
         uniq, inv = np.unique(num, return_inverse=True)
         logs = np.array([log_fraction(x) for x in uniq.tolist()])[inv.reshape(-1)]
         below = _Level(logs, parent, tail, sym, num, 1, below=below, distinct=uniq)

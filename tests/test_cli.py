@@ -260,9 +260,8 @@ def test_pressure_without_table_out_checks_only_the_depth_cap(tmp_path):
     assert doc["pressure"]["exact_base"] == "3"
     assert doc["table"] == {"kind": "g", "depth": 64, "exact": True}
     assert doc["log_partition"]["64"] == log_fraction(3 ** 64)
-    for depth in ("0", "65"):
-        assert main(["pressure", "--factor", fpath("factor_collapse.json"),
-                     "--depth", depth]) == 3
+    assert main(["pressure", "--factor", fpath("factor_collapse.json"), "--depth", "65"]) == 3
+    assert main(["pressure", "--factor", fpath("factor_collapse.json"), "--depth", "0"]) == 2
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -428,6 +427,30 @@ def test_nfit_jmax_and_pmax_below_one_are_input_errors(tmp_path, capsys, monkeyp
                     "--depth", "8", "--jmax", "1")
     assert code == 0
     assert set(json.loads(raw)["verdict"]["coverage"]["multiples"].values()) == {1}
+
+
+def test_depth_and_max_cells_below_one_are_input_errors(tmp_path, capsys):
+    """--depth and --max-cells below 1 exit 2 naming the flag, with nothing
+    written, in every command (they used to exit 3 as a cap exceeded, the
+    cell cap as "(cap -5)"); depths past 64 and real cell overflows still
+    exit 3."""
+    measure = ["--measure", fpath("measure_uniform3.json")]
+    commands = [["pressure"], ["pressure", "--table-out", str(tmp_path / "t.json")],
+                ["fit-h"], ["verdict"], ["weak-gibbs", *measure], ["profile-cnm"],
+                ["certificate", "--word", "ab"]]
+    for command in commands:
+        for flag, value in (("--depth", "0"), ("--depth", "-3"), ("--max-cells", "0"),
+                            ("--max-cells", "-5")):
+            argv = [*command, "--factor", fpath("factor_collapse.json"), "--depth", "8",
+                    flag, value]
+            code, raw = run(tmp_path, *argv)
+            assert (code, raw) == (2, b""), argv
+            assert capsys.readouterr() == ("", "error: %s must be >= 1\n" % flag), argv
+    assert not (tmp_path / "t.json").exists()
+    for argv in (["verdict", "--depth", "65"], ["verdict", "--depth", "8", "--max-cells", "5"]):
+        code, raw = run(tmp_path, *argv, "--factor", fpath("factor_collapse.json"))
+        assert (code, raw) == (3, b""), argv
+        assert capsys.readouterr().err.startswith("cap exceeded: "), argv
 
 
 def test_slope_threshold_and_gap_cap_are_input_errors(tmp_path, capsys):

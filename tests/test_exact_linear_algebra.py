@@ -5,7 +5,9 @@ must return the Fraction row reduction's solution, or its None, on
 consistent, inconsistent and rank-deficient integer systems, entries past
 2^63 included; ``lp._dual_simplex`` on its integer tableau the Fraction
 simplex's (z, t*); and the exact stationary vector and ``perron_exact``
-the values of partial-pivoting Gaussian elimination over Fractions.
+the values of partial-pivoting Gaussian elimination over Fractions;
+``numerics.scaled_inverse`` (int64 while a bound allows) the integers of
+``row_reduce``.
 """
 
 import math
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 
 from thermoshift.lp import _dual_simplex, chebyshev_fit_exact
 from thermoshift.markov import _solve_stationary
-from thermoshift.numerics import perron, perron_exact, pivot, solve_int
+from thermoshift.numerics import (perron, perron_exact, pivot, row_reduce, scaled_inverse,
+                                  solve_int)
 
 import fraction_oracles as oracle
 
@@ -151,3 +154,45 @@ def test_perron_exact_matches_gaussian_elimination(matrix, constant_rows):
                  dtype=np.int64)
     rho = perron(w)[0]
     assert perron_exact(w, rho) == oracle.perron_exact(w, rho)
+
+
+@st.composite
+def bases(draw):
+    """Square integer matrices: small entries (the int64 path), entries past
+    the Hadamard bound's 2^30 (the Python-int path), and singular ones (a
+    row an integer combination of others, or a zero column)."""
+    m = draw(st.integers(1, 7))
+    big = draw(st.sampled_from([0, 3, 2 ** 20, 2 ** 40]))
+    b = [[draw(st.integers(-big, big) if big else st.integers(0, 1)) for _ in range(m)]
+         for _ in range(m)]
+    shape = draw(st.sampled_from(["free", "combination", "zero column"]))
+    if m > 1 and shape == "combination":
+        i, j = draw(st.permutations(range(m)))[:2]
+        k = draw(st.integers(-2, 2))
+        b[i] = [x + k * y for x, y in zip(b[i], b[j])] if draw(st.booleans()) else list(b[j])
+    elif shape == "zero column":
+        c = draw(st.integers(0, m - 1))
+        for row in b:
+            row[c] = 0
+    return np.array(b, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bases())
+@example(np.array([[2, 0], [0, 2]], dtype=np.int64))
+def test_scaled_inverse_matches_the_row_reduction(b):
+    """(|det B| B^-1, |det B|) from ``scaled_inverse``, vectorized in int64
+    or not, are the integers of ``row_reduce`` on [B | I], and None exactly
+    when B is singular."""
+    m = len(b)
+    rows = [row + [int(i == j) for j in range(m)] for i, row in enumerate(b.tolist())]
+    pivots, d = row_reduce(rows, m)
+    got = scaled_inverse(b)
+    if len(pivots) < m:
+        assert got is None
+        return
+    want = [row[m:] if d > 0 else [-x for x in row[m:]] for row in rows]
+    assert got == (want, abs(d))
+    assert all(type(x) is int for row in got[0] for x in row)
+    inv = np.array(got[0], dtype=object)
+    assert (b.astype(object) @ inv == abs(d) * np.eye(m, dtype=int).astype(object)).all()

@@ -77,9 +77,9 @@ def walk_masses(mu, pi, depth):
     ranks; exact masses as Fractions M / den(n)."""
     start, steps, den = _measure_steps(mu, pi)
     out, words = [], [()]
-    for n, (v, parent, sym, _) in enumerate(_fiber_walk(start, steps, depth), start=1):
+    for n, (v, ids, parent, sym, _) in enumerate(_fiber_walk(start, steps, depth), start=1):
         words = [words[p] + (b,) for p, b in zip(parent.tolist(), sym.tolist())]
-        mass = row_sums(v).tolist()
+        mass = row_sums(v)[ids].tolist()
         out.append({y: Fraction(m, den(n)) if mu.exact else m for y, m in zip(words, mass)})
     return out
 

@@ -116,14 +116,14 @@ def _documents(root: Path, pi, f) -> dict:
 @given(cases())
 def test_pressure_report_does_not_depend_on_table_out(case):
     """The same bytes with and without --table-out, for --factor and --sft;
-    without it the walk keeps at most one row per level."""
+    without it the walk keeps one word per level."""
     pi, f, mode = case
     real_walk = seqtable._fiber_walk
-    rows = []
+    words = []
 
     def counting_walk(*args):
         for level in real_walk(*args):
-            rows.append(len(level[0]))
+            words.append(len(level[1]))  # one row id per word
             yield level
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -134,7 +134,7 @@ def test_pressure_report_does_not_depend_on_table_out(case):
                     "--depth", str(DEPTH), "--mode", mode]
             out = {}
             for name, extra in (("plain", []), ("table", ["--table-out", str(root / "t.json")])):
-                rows.clear()
+                words.clear()
                 seqtable._fiber_walk = counting_walk
                 try:
                     assert main(argv + extra + ["--out", str(root / name)]) == 0
@@ -142,5 +142,5 @@ def test_pressure_report_does_not_depend_on_table_out(case):
                     seqtable._fiber_walk = real_walk
                 out[name] = (root / name).read_bytes()
                 if not extra:
-                    assert rows == [1] * DEPTH
+                    assert words == [1] * DEPTH
             assert out["plain"] == out["table"]
