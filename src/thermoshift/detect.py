@@ -102,16 +102,14 @@ def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
     last r-1 symbols): on a sofic image the extensions of a word depend on
     its state, not on its suffix alone.
 
-    Past the levels an exact g-table has built, for h on the table's own
-    language, its words are not read: the walk runs over the keys (fiber
-    row x_u, state, last r-1 symbols) of each depth, each carrying the
-    largest and the smallest Birkhoff sum of its words.  A word's value
-    depends on its row only, rounded addition is monotone and |L - S| peaks
-    at an extreme S, so that is the word maximum bit for bit.  The keys past
-    FIT_DEPTH share the rows' budget (``SeqTable.row_budget``): once they
-    reach it, the words serve.  The exact variant (in units of log(base))
-    is None when the table or h has no exact form or a table value is not a
-    power of h's base.
+    On an exact g-table, for h on the table's own language, its words are
+    not read: the walk runs over the keys (fiber row x_u of
+    ``SeqTable.rows``, state, last r-1 symbols) of each depth, each
+    carrying the largest and the smallest Birkhoff sum of its words.  A
+    word's value depends on its row only, rounded addition is monotone and
+    |L - S| peaks at an extreme S, so that is the word maximum bit for bit.
+    The exact variant (in units of log(base)) is None when the table or h
+    has no exact form or a table value is not a power of h's base.
     """
     r, lang = h.range, h.language
     if exact:
@@ -125,15 +123,15 @@ def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
         dtype = np.int64 if small else object
     else:
         weight, zero, dtype, den = h.values, 0.0, float, 1
-    rows = gt.rows_for(gt.depth_max) if lang is gt.language else None
+    rows = gt.rows if lang is gt.language else None
     return _defect_walk(gt, h, exact, rows, weight, zero, dtype, den)
 
 
 def _defect_walk(gt, h, exact, rows, weight, zero, dtype, den):
-    """uniform_defects' pass over the words, or over the keys of ``rows``
-    until those past FIT_DEPTH reach the rows' budget."""
+    """uniform_defects' pass over the words, or over the keys of the fiber
+    rows ``rows`` when given."""
     r, lang, k = h.range, h.language, len(gt.alphabet)
-    out, spent = {}, 0
+    out = {}
     # (state, last min(n, r-1) symbols) by id; ids step once per (id,
     # symbol), and a step adds the weight of the window it completes
     keys, sups, steps, adds = [(lang.start, ())], [zero], {}, {}
@@ -147,7 +145,7 @@ def _defect_walk(gt, h, exact, rows, weight, zero, dtype, den):
             level = gt.levels[n]
             src, sym = level.parent, level.sym
         else:
-            nxt = rows.next[n - 1][row]
+            nxt = rows.to(n).next[n - 1][row]
             src, sym = np.nonzero(nxt >= 0)  # node-major, symbols in order
         pairs, inv = np.unique(kid[src] * k + sym, return_inverse=True)
         for p in pairs.tolist():
@@ -176,10 +174,6 @@ def _defect_walk(gt, h, exact, rows, weight, zero, dtype, den):
         else:
             nodes, node = np.unique(nxt[src, sym].astype(np.int64) * len(keys) + step,
                                     return_inverse=True)
-            if n > FIT_DEPTH:
-                spent += len(nodes)
-                if spent >= gt.row_budget:  # the keys stop paying: the words serve
-                    return _defect_walk(gt, h, exact, None, weight, zero, dtype, den)
             row, kid = nodes // len(keys), nodes % len(keys)
             order = np.argsort(node.reshape(-1), kind="stable")
             starts = np.searchsorted(node.reshape(-1)[order], np.arange(len(nodes)))

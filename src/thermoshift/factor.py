@@ -1,6 +1,7 @@
 """One-block factor maps, the induced image language, fiber enumeration and
 the fiber walk: the one level-by-level kernel for products of per-symbol
-matrices over the fibers, g-tables (seqtable) and pushforward masses alike.
+matrices over the fibers, float g-tables (seqtable) and pushforward masses
+alike, whose word index (``_word_index``) exact g-tables share.
 
 The image subshift Y is never specified independently: its language is
 derived from the map via the subset automaton (state = set of domain
@@ -132,15 +133,16 @@ def _fiber_walk(v: np.ndarray, steps, depth: int):
     row vector v, a row per image word (word-major, so lexicographic) and a
     column per domain state.  ``steps(n)`` is (M, edge), indexed [source
     state, image symbol, target state]; a word is kept while ``edge`` (the
-    domain transitions) reaches it, whatever the weights.  Integers run in
-    int64 while a bound allows, Python ints past it.  Yields (rows, ids,
-    parent, sym, tail): the rows, each word's row id, the ranks one depth
-    down of w[:-1] and w[1:] and the last symbols.  A float walk keeps each
-    distinct (row, reach) pair once, by their bits, as equal bits step to
-    equal bits; an integer walk a row per word (ids the identity), as a
-    dedupe would add a sort to its readout, one row_sums."""
+    domain transitions) reaches it, whatever the weights.  Walks float
+    g-tables and masses (exact g-tables index their forward rows instead,
+    ``seqtable._exact_levels``); exact masses run in int64 while a bound
+    allows, Python ints past it.  Yields (rows, ids, parent, sym, tail):
+    the rows, each word's row id and the word index (``_word_index``).  A
+    float walk keeps each distinct (row, reach) pair once, by their bits,
+    as equal bits step to equal bits; an integer walk a row per word (ids
+    the identity), as its readout is one row_sums."""
     live = np.ones(v.shape, dtype=bool)
-    tail = child = np.zeros(1, dtype=np.int32)
+    tail, child = np.zeros(1, dtype=np.int32), None
     ids = None  # each word's row id; None while every word has a row of its own
     for n in range(1, depth + 1):
         m, edge = steps(n)
@@ -166,13 +168,22 @@ def _fiber_walk(v: np.ndarray, steps, depth: int):
         if v.dtype == float and len(v) > 1:
             first, row_id = unique_rows(np.hstack([v.view(np.uint8), live.view(np.uint8)]))
             v, live, ids = v[first], live[first], row_id if ids is None else row_id[ids]
-        parent, sym = (kept // n_img).astype(np.int32), (kept % n_img).astype(np.int32)
-        below = np.full(len(tail) * n_img, -1, dtype=np.int32)  # word * |B| + symbol -> rank
-        below[kept] = np.arange(len(kept), dtype=np.int32)
-        # w[1:] is the parent's tail followed by sym, one depth down
-        tail = np.zeros(len(kept), np.int32) if n == 1 else child[tail[parent] * n_img + sym]
-        child = below
+        parent, sym, tail, child = _word_index(kept, n_img, tail, child)
         yield v, np.arange(len(kept)) if ids is None else ids, parent, sym, tail
+
+
+def _word_index(kept: np.ndarray, n_img: int, tail: np.ndarray, child: np.ndarray | None):
+    """One level of the word index from the cells word * n_img + symbol of
+    the words one depth up that stay words (``kept``, ascending): (parent,
+    sym, tail, child), the ranks one depth down of w[:-1] and w[1:], the
+    last symbols and the rank of each cell (-1 where no word).  ``tail``
+    and ``child`` are the level above's (zeros(1) and None at depth 1):
+    w[1:] is the parent's tail followed by sym."""
+    parent, sym = (kept // n_img).astype(np.int32), (kept % n_img).astype(np.int32)
+    below = np.full(len(tail) * n_img, -1, dtype=np.int32)
+    below[kept] = np.arange(len(kept), dtype=np.int32)
+    tail = np.zeros(len(kept), np.int32) if child is None else child[tail[parent] * n_img + sym]
+    return parent, sym, tail, below
 
 
 def _measure_steps(mu: MarkovMeasure, pi: OneBlockFactor):

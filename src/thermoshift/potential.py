@@ -52,6 +52,11 @@ class LocallyConstantPotential:
                 raise PotentialError("exact coefficients must cover exactly B_%d" % r)
             self.exact_coeffs = {w: Fraction(c) for w, c in exact_coeffs.items()}
             self.exact_base = exact_base
+            # the exact and the float paths must read the same potential
+            for w, c in self.exact_coeffs.items():
+                if not _agrees(values[w], c, exact_base):
+                    raise PotentialError("value %r at %s is not its exact coefficient %s times "
+                                         "log %d" % (values[w], w, c, exact_base))
         else:
             self.exact_coeffs = None
             self.exact_base = None
@@ -82,6 +87,14 @@ class LocallyConstantPotential:
 
     def max_value(self) -> float:
         return max(self.values.values())
+
+
+def _agrees(value: float, coeff: Fraction, base: int) -> bool:
+    """value == coeff * log(base) up to rounding: 1e-12 of max(1, |value|)."""
+    try:
+        return abs(value - float(coeff) * math.log(base)) <= 1e-12 * max(1.0, abs(value))
+    except OverflowError:  # a coefficient past the float range
+        return False
 
 
 def birkhoff_extremes(f: LocallyConstantPotential, u: Word) -> tuple[float, float]:

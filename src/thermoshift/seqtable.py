@@ -11,16 +11,16 @@ A table lives in its level index (``SeqTable.levels``): per depth the logs,
 the exact values as integers over one denominator, each word's last symbol
 and the ranks of its prefix and suffix one depth down, so prefixes and
 suffixes of any length are chained gathers; words are spelled out on
-demand.  ``build_g_table`` emits the index level by level from the fiber
-walk in ``factor``, with no Fraction in it: exact g-tables resume the walk
-only when a level is first read (``_Levels``), float ones drain it at
-build time.  The dict views ``logs`` / ``exact`` are built only when asked
-for.  Z_n comes from the one-row walk of the total collapse
-(``partition_table``): the fibers partition B_n(X), so no image word is
-needed.  A float walk whose entries near the bottom of the float range
-gives each domain state its own power-of-two exponent.  On exact tables
-floats only propose; exact integer comparison (int64 below 2^63, Python
-ints past it) decides.
+demand.  ``build_g_table`` emits the index level by level, with no
+Fraction in it: float g-tables from the fiber walk in ``factor``, drained
+at build time, exact ones as a word index over their forward fiber rows,
+resumed only when a level is first read (``_Levels``).  The dict views
+``logs`` / ``exact`` are built only when asked for.  Z_n comes from the
+one-row walk of the total collapse (``partition_table``): the fibers
+partition B_n(X), so no image word is needed.  A float walk whose entries
+near the bottom of the float range gives each domain state its own
+power-of-two exponent.  On exact tables floats only propose; exact integer
+comparison (int64 below 2^63, Python ints past it) decides.
 
 Every walk reads its steps from one linear representation per (factor,
 potential), kept on the factor (``_Representation``).  On an exact g-table
@@ -42,16 +42,18 @@ classes do not pay keep the word scans (``_splits``, ``_ranks``,
 ``_word_bridges``).  A verdict reads the profile rows only up to the first
 that grows (``growth_witness``).
 
-Past the fit depth an exact g-table's values are read from its forward
-rows (``SeqTable.rows``), not from levels it has not built: the common
+An exact g-table walks its forward fiber rows once (``SeqTable.rows``):
+they index its levels, grow its forward classes and give every value read
+without a word, so nothing past the fit depth builds a level: the common
 power base, the exponents' power test, the uniform defects' walk
-(``detect.uniform_defects``) and the periodic blocks.  Those rows are few
+(``detect.uniform_defects``) and the periodic blocks.  The rows are few
 where the classes are (2n at depth n on the collapse factor, against 2^n
-words), and the verdict reads the words where they are not.
+words) and never more than the words.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,7 +63,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .factor import OneBlockFactor, _fiber_walk
+from .factor import OneBlockFactor, _fiber_walk, _word_index
 from .numerics import (INT64_MAX, array_max, common_power_base, int_array, integer_rows,
                        log_fraction, logsumexp, perron, perron_exact, power_exponent, row_sums,
                        unique_rows)
@@ -110,14 +112,15 @@ class SeqTable:
 
     @classmethod
     def from_levels(cls, alphabet, levels: list[_Level | None] | _Levels, is_exact: bool,
-                    kind="table", language=None, potential=None, factor=None) -> SeqTable:
+                    kind="table", language=None, potential=None, factor=None,
+                    rows: _Rows | None = None) -> SeqTable:
         """Table over a level index of finite logs: ``levels[0]`` None, then
         one _Level per depth whose words' prefixes and suffixes are stored
         one depth down.  ``factor`` is the map a g-table's values count
-        fibers of."""
+        fibers of, ``rows`` an exact g-table's forward fiber rows."""
         t = cls.__new__(cls)
         t._init(alphabet, len(levels) - 1, is_exact, kind, language, potential, factor)
-        t.levels = levels
+        t.levels, t.rows = levels, rows
         return t
 
     def _init(self, alphabet, depth_max, is_exact, kind, language, potential, factor):
@@ -125,6 +128,9 @@ class SeqTable:
         self.kind, self.language = kind, language
         self.potential: LocallyConstantPotential | None = potential
         self.factor: OneBlockFactor | None = factor
+        # an exact g-table's forward fiber rows (``_Rows``), walked as deep as
+        # a read reaches; they serve every value read without a word
+        self.rows: _Rows | None = None
         self._child: list[np.ndarray] = []  # see _find
         self._z: dict[int, tuple] = {}  # see _partition
         self._powers: dict[tuple[int, int], tuple | None] = {}  # see powers
@@ -212,12 +218,12 @@ class SeqTable:
         return self._powers[n, base]
 
     def _distinct_nums(self, n: int) -> tuple[np.ndarray, int]:
-        """(the sorted distinct exact numerators at depth n, their denominator)."""
-        rows = self.rows_for(n)
-        if rows is not None:
-            return np.unique(rows.g[n]), 1
+        """(the sorted distinct exact numerators at depth n, their
+        denominator), from the fiber rows on exact g-tables."""
+        if self.rows is not None:
+            return np.unique(self.rows.to(n).g[n]), 1
         level = self._level(n)
-        return level.distinct, level.den
+        return np.unique(level.num), level.den
 
     @cached_property
     def power_base(self) -> int | None:
@@ -230,44 +236,15 @@ class SeqTable:
                                                        range(1, self.depth_max + 1))
                                   for v in nums.tolist()})
 
-    @cached_property
-    def rows(self) -> _Rows | None:
-        """The forward fiber rows of an exact g-table (``_FiberClasses.fwd``,
-        walked with ``to``; the only walk of fiber rows) through its depth
-        while its rows past FIT_DEPTH stay below ``row_budget`` (752 and
-        2048 of the 4096 words at depth 12 on the Stern-Brocot and
-        Calkin-Wilf factors do not); None past it, on float tables and on
-        tables built from dicts."""
-        if self.classes is None:
-            return None
-        walk, spent = self.classes.fwd, 0
-        for n in range(FIT_DEPTH + 1, self.depth_max + 1):
-            spent += len(walk.to(n).rows[n])
-            if spent >= self.row_budget:
-                return None
-        return walk.to(self.depth_max)
-
-    @cached_property
-    def row_budget(self) -> float:
-        """The rows past FIT_DEPTH a walk may take where the words would
-        serve (``rows``, and the keys of ``detect.uniform_defects``): the
-        words there over _ROW_COST."""
-        return sum(self.language.block_counts(self.depth_max)[FIT_DEPTH + 1:]) / _ROW_COST
-
-    def rows_for(self, n: int) -> _Rows | None:
-        """The fiber rows where depth n is read from them: while level n is
-        not built; None where the words serve."""
-        return None if n <= getattr(self.levels, "built", self.depth_max) else self.rows
-
     def entry(self, n: int, word: Word) -> tuple[float, int | Fraction | None] | None:
         """(log value, exact value or None) of ``word`` at depth n, from the
-        level or the fiber rows (``rows_for``); None when it is not stored."""
-        rows = self.rows_for(n)
-        i = self._find(n, word, strict=False) if rows is None else rows.find(word)
+        fiber rows on exact g-tables, else from the level; None when it is
+        not stored."""
+        i = self._find(n, word, strict=False) if self.rows is None else self.rows.to(n).find(word)
         if i is None:
             return None
-        if rows is not None:
-            v = int(rows.g[n][i])
+        if self.rows is not None:
+            v = int(self.rows.g[n][i])
             return log_fraction(v), v
         level = self.levels[n]
         return float(level.logs[i]), None if level.num is None else level.value(int(level.num[i]))
@@ -306,18 +283,13 @@ class SeqTable:
         scan first asks; None on float tables and on tables built from
         dicts, whose scans walk the words.  The scans on the classes decline
         (return None) where the words are cheaper."""
-        return _FiberClasses(self) if self.is_exact and self.factor is not None else None
+        return None if self.rows is None else _FiberClasses(self)
 
 
 _NON_FINITE = "non-finite log value at depth %d (float under- or overflow)"
-# the deepest level a verdict's Chebyshev fits read: past it the fiber rows
-# serve where they pay (``SeqTable.rows``)
+# the deepest level a verdict's Chebyshev fits read; past it an exact
+# verdict reads the fiber rows alone (``SeqTable.rows``) and builds no level
 FIT_DEPTH = 8
-# words one fiber row (or one key of the uniform defects' walk) costs: its
-# product and Python-side dedupe against numpy's steps per word, about 6 on
-# the Calkin-Wilf factor at depth 17 (2.3 us a row, 0.4 us a word, on a
-# shared 2-vCPU host)
-_ROW_COST = 8
 # a float walk gauges its states once a step could reach below _FLOOR (the
 # smallest normal float, 2^-1022, with 53 bits to spare); an empty state's
 # exponent is _EMPTY, so it never leads a step
@@ -330,19 +302,17 @@ def _view(levels: dict) -> Mapping:
 
 
 class _Level:
-    """One depth: logs, exact values num / den (``hi`` the largest num,
-    ``distinct`` the sorted distinct nums), the last symbol of each word and
-    the ranks one depth down of w[:-1] and w[1:].  ``words``
-    (lexicographic) and ``distinct`` are given or derived on first use,
-    the words from the level ``below``."""
+    """One depth: logs, exact values num / den (``hi`` the largest num), the
+    last symbol of each word and the ranks one depth down of w[:-1] and
+    w[1:].  ``words`` (lexicographic) are given or derived on first use
+    from the level ``below``."""
 
     def __init__(self, logs: np.ndarray, parent: np.ndarray, tail: np.ndarray,
                  sym: np.ndarray, num: np.ndarray | None, den: int,
-                 words: list[Word] | None = None, below: _Level | None = None,
-                 distinct: np.ndarray | None = None):
+                 words: list[Word] | None = None, below: _Level | None = None):
         self.logs, self.parent, self.tail, self.sym = logs, parent, tail, sym
         self.num, self.den, self.hi = num, den, 0 if num is None else array_max(num)
-        self._words, self._below, self._distinct = words, below, distinct
+        self._words, self._below = words, below
 
     def __len__(self) -> int:
         return len(self.logs)
@@ -354,12 +324,6 @@ class _Level:
             self._words = [up[p] + (b,) for p, b in zip(self.parent.tolist(), self.sym.tolist())]
         return self._words
 
-    @property
-    def distinct(self) -> np.ndarray:
-        if self._distinct is None:
-            self._distinct = np.unique(self.num)
-        return self._distinct
-
     def value(self, v: int) -> int | Fraction:
         """The stored value v / den: the int itself on integer levels."""
         return v if self.den == 1 else Fraction(v, self.den)
@@ -367,7 +331,7 @@ class _Level:
 
 class _Levels:
     """The level index of an exact g-table, built on demand: reading
-    ``levels[n]`` resumes the fiber walk (a generator of _Level) through
+    ``levels[n]`` resumes ``_exact_levels`` (a generator of _Level) through
     depth n.  ``built`` counts the levels made so far."""
 
     def __init__(self, depth: int, walk):
@@ -453,19 +417,19 @@ class _FiberClasses:
     row by row (``defect_row``), the bridges at once, and returns None (the
     caller scans the words) unless the products are fewer.
 
-    Each direction is one ``_Rows`` (``fwd``, ``bwd``) whose classes grow
-    only as deep as a scan reads: ``x(n)`` holds the forward class rows at
-    depth n, ``ys(top)`` the backward ones at depths 1..top.  Both scans
-    read exact ratios of class rows alone, so neither walks a fiber row or
-    reads a word; the class of each rank (``rank_classes``) is gathered
-    only to spell unbridged pairs.
+    Each direction is one ``_Rows`` (``fwd``, the table's own forward
+    rows, and ``bwd``) whose classes grow only as deep as a scan reads:
+    ``x(n)`` holds the forward class rows at depth n, ``ys(top)`` the
+    backward ones at depths 1..top.  Both scans read exact ratios of class
+    rows alone, so neither walks a fiber row or reads a word; the class of
+    each rank (``rank_classes``) is gathered only to spell unbridged pairs.
     """
 
     def __init__(self, t: SeqTable):
         rep = _representation(t.factor, t.potential)
         self.levels, self.depth, self._grow = t.levels, t.depth_max, rep.grow
         self.counts = t.language.block_counts(t.depth_max)  # words per depth
-        self.fwd = _Rows(rep.start, rep.grow, row_sums)  # alpha G_u
+        self.fwd = t.rows  # alpha G_u
         self.bwd = _Rows(np.ones_like(rep.start), rep.grow.transpose(0, 2, 1),
                          lambda rows: rows[:, -1])  # G_v tau, grown at the front
         self._ranks = {"fwd": [np.zeros(1, np.intp)], "bwd": [np.zeros(1, np.intp)]}
@@ -605,8 +569,8 @@ class _FiberClasses:
 class _Rows:
     """One direction of an exact g-table: its projective classes, grown
     depth by depth as far as a scan reaches (``classes``), and its distinct
-    fiber rows, walked only where a verdict reads values past the fit depth
-    (``to``, ``SeqTable.rows``).  Neither reads a word.
+    fiber rows, walked as deep as a level or a value is read (``to``; the
+    forward ones are ``SeqTable.rows``).  Neither reads a word.
 
     ``prim[n]`` holds the distinct primitive class rows at depth n (prim[0]
     the root, which is primitive), ``cg[n]`` the value of each class row
@@ -619,7 +583,8 @@ class _Rows:
     (-1 where no word).  The classes are few where the words are many (2
     per depth on the collapse factor, 19 of 6765 words at depth 18 on
     phase-blocked), the rows more (2n at depth n on collapse, 264 at depth
-    18 on phase-blocked), and nothing bounds either below the words.
+    18 on phase-blocked), at most one per word (half the words on the
+    Calkin-Wilf factor), and nothing bounds the classes below the words.
     """
 
     def __init__(self, root: np.ndarray, grow: np.ndarray, value):
@@ -683,7 +648,7 @@ class _Representation:
     ``log_perron``'s W.
 
     On the counting path (f = 0) g is a rational series on the 1-block
-    states whatever f's range.  Exact g-tables walk ``counting``: a_b, with
+    states whatever f's range, read from the 1-block steps: a_b, with
     a_b[j] = 1 when domain symbol j lies over b, then A_b, with A_b[i, j] =
     1 when moreover j may follow i.  With a start state d appended, g(y) =
     alpha G_{y_1} ... G_{y_n} tau for G_b = [[A_b, 0], [a_b, 0]] (``grow``),
@@ -703,8 +668,7 @@ class _Representation:
 
         self.walk = [step(min(k, s), min(k + 1, s)) for k in range(s + 1)]
         if f.is_zero:
-            self.counting = [step(0, 1), step(1, 1)]
-            (head, _), (steps, _) = self.counting
+            (head, _), (steps, _) = step(0, 1), step(1, 1)
             nb, d = head.shape[1:]
             self.grow = np.zeros((nb, d + 1, d + 1), np.int64)
             self.grow[:, :d, :d], self.grow[:, d, :d] = steps.transpose(1, 0, 2), head[0]
@@ -753,17 +717,17 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     The sup over representative choices factorizes per cylinder (each
     representative is chosen independently), so the sup of the fiber sum is
     the sum of per-cylinder sups; that is what the state-vector recursion
-    accumulates.  The fiber walk (``factor._fiber_walk``) steps V_{n+1} =
-    stack_b(V_n M_b) with the steps of the representation of (pi, f)
-    (``_Representation``), and hands over the level index (ranks and
-    symbols) and each word's row id with each level; this function reads
-    out the values, on a float walk once per distinct row (the words gather
-    their logs by id, bit for bit what a row per word gives).  mode
-    "exact" demands the counting path (f = 0), which walks the 1-block
-    states in integers (int64 while a bound allows, Python ints past it)
-    and steps the walk only as far as a read reaches (``_Levels``); the
-    float path walks the s-block states through every level here, so a
-    non-finite log is a TableError at build time.
+    accumulates.  The representation of (pi, f) (``_Representation``)
+    gives the steps.  mode "exact" demands the counting path (f = 0), whose
+    forward fiber rows (``_Rows``, in int64 while a bound allows, Python
+    ints past it) are walked once, as deep as a read reaches: the levels
+    index them (``_exact_levels``, resumed by ``_Levels``) and the table
+    keeps them (``SeqTable.rows``).  The float path steps the fiber walk
+    (``factor._fiber_walk``) V_{n+1} = stack_b(V_n M_b) on the s-block
+    states through every level here; it hands over the level index and
+    each word's row id, and the values are read out once per distinct row
+    (the words gather their logs by id, bit for bit what a row per word
+    gives), so a non-finite log is a TableError at build time.
     """
     if depth_max < 1:
         raise TableError("depth_max must be >= 1")
@@ -775,15 +739,17 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     if mode == "exact" and not f.is_zero:
         raise TableError("exact counting requires f = 0")
 
-    dom = pi.domain
-    r = f.range
-    fmax = f.max_value()
     rep = _representation(pi, f)
-    steps = rep.counting if exact else rep.walk
+    if exact:
+        rows = _Rows(rep.start, rep.grow, row_sums)  # alpha G_u
+        return SeqTable.from_levels(pi.image_alphabet, _Levels(depth_max, _exact_levels(rows)),
+                                    True, kind="g", language=pi.image, potential=f, factor=pi,
+                                    rows=rows)
 
+    dom, r, fmax = pi.domain, f.range, f.max_value()
     # sup of the windows reaching past a word, per state (its last min(n,
     # r-1) symbols), applied at readout; for n < r-1 a state is the word
-    tails = {} if exact else {k: [birkhoff_sup(f, s) for s in dom.blocks(k)] for k in range(1, r)}
+    tails = {k: [birkhoff_sup(f, s) for s in dom.blocks(k)] for k in range(1, r)}
     # e^{-fmax} per step keeps the weights at most 1, but an entry can shrink
     # by the smallest weight w per step, and one far below the others can
     # catch up later.  Once the next step could reach below _FLOOR, each
@@ -798,46 +764,48 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
 
     def step(n):
         nonlocal gauge
-        m, edge = steps[min(n, len(steps)) - 1]
+        m, edge = rep.walk[min(n, len(rep.walk)) - 1]
         if gauge is not None:
             m, gauge = _gauged(m, gauge)
         return m, edge
 
-    walk = _fiber_walk(np.ones((1, 1), dtype=np.int64 if exact else float), step, depth_max)
-    if exact:
-        levels = _Levels(depth_max, _exact_levels(walk))
-    else:
-        levels, offset = [None], 0.0
-        for n, (v, ids, parent, sym, tail) in enumerate(walk, start=1):
-            if n >= r:
-                offset += fmax
-            if gauge is None and v[v > 0].min(initial=1.0) * w < _FLOOR:
-                gauge = np.zeros(v.shape[1], dtype=np.int64)
-            shift = tails.get(min(n, r - 1))
-            if gauge is not None:
-                top = v.max(axis=0, initial=0.0)
-                e = np.frexp(top)[1]
-                np.ldexp(v, -e, out=v)
-                gauge = np.where(top > 0, gauge + e, _EMPTY)
-                shift = (0.0 if shift is None else np.array(shift)) + gauge * math.log(2)
-            logs = _float_readout(v, shift, offset)
-            if not np.isfinite(logs).all():
-                raise TableError(_NON_FINITE % n)
-            levels.append(_Level(logs[ids], parent, tail, sym, None, 1, below=levels[-1]))
-
-    return SeqTable.from_levels(pi.image_alphabet, levels, exact, kind="g", language=pi.image,
+    walk = _fiber_walk(np.ones((1, 1)), step, depth_max)
+    levels, offset = [None], 0.0
+    for n, (v, ids, parent, sym, tail) in enumerate(walk, start=1):
+        if n >= r:
+            offset += fmax
+        if gauge is None and v[v > 0].min(initial=1.0) * w < _FLOOR:
+            gauge = np.zeros(v.shape[1], dtype=np.int64)
+        shift = tails.get(min(n, r - 1))
+        if gauge is not None:
+            top = v.max(axis=0, initial=0.0)
+            e = np.frexp(top)[1]
+            np.ldexp(v, -e, out=v)
+            gauge = np.where(top > 0, gauge + e, _EMPTY)
+            shift = (0.0 if shift is None else np.array(shift)) + gauge * math.log(2)
+        logs = _float_readout(v, shift, offset)
+        if not np.isfinite(logs).all():
+            raise TableError(_NON_FINITE % n)
+        levels.append(_Level(logs[ids], parent, tail, sym, None, 1, below=levels[-1]))
+    return SeqTable.from_levels(pi.image_alphabet, levels, False, kind="g", language=pi.image,
                                 potential=f, factor=pi)
 
 
-def _exact_levels(walk):
-    """The levels of an exact fiber walk, one per resumption: integer
-    values (the row sums) and their logs, once per distinct value."""
-    below = None
-    for v, ids, parent, sym, tail in walk:
-        num = row_sums(v)[ids]
-        uniq, inv = np.unique(num, return_inverse=True)
+def _exact_levels(rows: _Rows):
+    """The levels of an exact g-table, one per resumption, as a word index
+    over its forward fiber rows, walked along: each word's row is
+    next[n-1][row of its parent, symbol] and its value that row's g[n], one
+    log per distinct value."""
+    below, ids, tail, child = None, np.zeros(1, np.intp), np.zeros(1, np.int32), None
+    for n in itertools.count(1):
+        nxt = rows.to(n).next[n - 1]
+        cells = nxt[ids].ravel()
+        kept = np.flatnonzero(cells >= 0)
+        ids = cells[kept]
+        parent, sym, tail, child = _word_index(kept, nxt.shape[1], tail, child)
+        uniq, inv = np.unique(rows.g[n], return_inverse=True)
         logs = np.array([log_fraction(x) for x in uniq.tolist()])[inv.reshape(-1)]
-        below = _Level(logs, parent, tail, sym, num, 1, below=below, distinct=uniq)
+        below = _Level(logs[ids], parent, tail, sym, rows.g[n][ids], 1, below=below)
         yield below
 
 

@@ -222,6 +222,21 @@ def test_exit_code_missing_factor_for_fit(tmp_path):
     assert main(["fit-h", "--sft", fpath("sft_full2.json")]) == 2
 
 
+def test_exit_code_on_exact_coefficients_contradicting_the_values(tmp_path, capsys):
+    # h = log 2 on a in its exact coefficients but 5.0 in its float values:
+    # the exact defects would read one potential and the float ones another
+    # (a coefficient past the float range contradicts every value)
+    cand = tmp_path / "c.json"
+    for a, err in (("1", "value 5.0 at (0,) is not its exact coefficient 1 times log 2"),
+                   ("1" + "0" * 400, "value 5.0 at (0,) is not its exact coefficient 1000")):
+        cand.write_text(json.dumps({"range": 1, "values": {"a": 5.0, "b": 0.0},
+                                    "exact": {"base": 2, "coeffs": {"a": a, "b": "0"}}}))
+        code, raw = run(tmp_path, "verdict", "--factor", fpath("factor_collapse.json"),
+                        "--depth", "8", "--candidate", str(cand))
+        assert code == 2 and raw == b""
+        assert err in capsys.readouterr().err
+
+
 def test_exit_code_fit_range_past_the_fit_depth(tmp_path, capsys):
     # the verdict fits at depths up to min(depth, 8): none is >= the range
     for depth, r in (("4", "5"), ("12", "9")):

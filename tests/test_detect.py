@@ -456,8 +456,8 @@ def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
     """The one orbit pass against word-by-word oracles: float defects bit for
     bit, exact defects through power_exponent (None exactly when some value
     at a checked depth is no power of h's base), the stored values, and one
-    table lookup per multiple; a table with no level built reads the same
-    from its fiber rows."""
+    lookup per multiple (in the fiber rows on exact tables); a table with
+    no level built reads the same."""
     pi, gt = _orbit_table(*case)
     lazy = build_g_table(pi, gt.potential, gt.depth_max)
     windows = pi.image.blocks(r)
@@ -470,7 +470,9 @@ def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
     else:
         h = LocallyConstantPotential(pi.image, r, {w: data.draw(st.floats(-2, 2))
                                                    for w in windows})
-    find = SeqTable._find
+    # exact tables look their blocks up in the fiber rows, float ones in the levels
+    owner, name = (seqtable._Rows, "find") if gt.is_exact else (SeqTable, "_find")
+    find = getattr(owner, name)
     for y in image_periodic_points(pi.image, 4):
         q = y.period
         ns = list(range(q, gt.depth_max + 1, q))
@@ -478,11 +480,15 @@ def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
             continue
         looked_up = []
 
-        def counted(table, n, word, strict=True):
+        def in_rows(rows, word):
+            looked_up.append(len(word))
+            return find(rows, word)
+
+        def in_levels(table, n, word, strict=True):
             looked_up.append(n)
             return find(table, n, word, strict)
 
-        with mock.patch.object(SeqTable, "_find", counted):
+        with mock.patch.object(owner, name, in_rows if gt.is_exact else in_levels):
             floats, exact, values = orbit_defects(gt, h, y, len(ns))
         assert looked_up == ns
         assert orbit_defects(lazy, h, y, len(ns)) == (floats, exact, values)

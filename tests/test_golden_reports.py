@@ -45,6 +45,8 @@ CASES = {
                           "--candidate", "tests/golden/candidate_collapse.json"],
     "profile_cnm": ["profile-cnm", "--factor", "fixtures/factor_phase_blocked.json",
                     "--depth", "10"],
+    "profile_cnm_calkin_wilf": ["profile-cnm", "--factor", "fixtures/factor_calkin_wilf.json",
+                                "--depth", "10"],
     "profile_cnm_d18": ["profile-cnm", "--factor", "fixtures/factor_phase_blocked.json",
                         "--depth", "18"],
     "verdict_phase_blocked_d18": ["verdict", "--factor", "fixtures/factor_phase_blocked.json",
@@ -55,6 +57,11 @@ CASES = {
                         "--depth", "28"],
     "verdict_collapse_d14": ["verdict", "--factor", "fixtures/factor_collapse.json",
                              "--range", "1", "--depth", "14"],
+    "fit_h_exact": ["fit-h", "--factor", "fixtures/factor_amalgamation.json", "--depth", "8",
+                    "--range", "2"],
+    "fit_h_float": ["fit-h", "--factor", "fixtures/factor_collapse.json",
+                    "--potential", "tests/golden/potential_r2_full3.json", "--depth", "7",
+                    "--range", "2", "--nfit", "5"],
     "certificate": ["certificate", "--factor", "fixtures/factor_collapse.json", "--depth", "8",
                     "--word", "ab"],
     "weak_gibbs": ["weak-gibbs", "--factor", "fixtures/factor_collapse.json",

@@ -13,6 +13,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,15 +117,19 @@ def _documents(root: Path, pi, f) -> dict:
 @given(cases())
 def test_pressure_report_does_not_depend_on_table_out(case):
     """The same bytes with and without --table-out, for --factor and --sft;
-    without it the walk keeps one word per level."""
+    without it the walk keeps one word per level, the fiber walk of a float
+    table and the level index over the fiber rows of an exact one."""
     pi, f, mode = case
-    real_walk = seqtable._fiber_walk
+    real = {"_fiber_walk": seqtable._fiber_walk, "_exact_levels": seqtable._exact_levels}
     words = []
 
-    def counting_walk(*args):
-        for level in real_walk(*args):
-            words.append(len(level[1]))  # one row id per word
-            yield level
+    def counting(name):
+        def walk(*args):
+            for level in real[name](*args):
+                # one row id per word, or one _Level of words
+                words.append(len(level[1]) if name == "_fiber_walk" else len(level))
+                yield level
+        return walk
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -135,11 +140,8 @@ def test_pressure_report_does_not_depend_on_table_out(case):
             out = {}
             for name, extra in (("plain", []), ("table", ["--table-out", str(root / "t.json")])):
                 words.clear()
-                seqtable._fiber_walk = counting_walk
-                try:
+                with mock.patch.multiple(seqtable, **{k: counting(k) for k in real}):
                     assert main(argv + extra + ["--out", str(root / name)]) == 0
-                finally:
-                    seqtable._fiber_walk = real_walk
                 out[name] = (root / name).read_bytes()
                 if not extra:
                     assert words == [1] * DEPTH

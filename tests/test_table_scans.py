@@ -5,7 +5,7 @@ path (``SeqTable.classes``) when their class products are fewer than the
 word scan's cells, float and dict-built tables the word kernels; the
 oracles cover both, and exact tables are checked on each path forced, with
 their levels built and with none built.  Verdicts on exact g-tables that
-read their fiber rows past the built levels (``SeqTable.rows``) must equal
+read their values from their fiber rows (``SeqTable.rows``) must equal
 the verdicts on the same tables with every level built.  On exact tables
 the D2 oracle takes each cell's least ratio in Fractions, so both paths
 must report its log_fraction bit for bit."""
@@ -259,19 +259,19 @@ def test_class_path_promotes_past_int64(monkeypatch):
 
 def test_collapse_stays_on_int64_at_depth_40(monkeypatch):
     """The walks promote per step, so the collapse class rows and the
-    verdict's forward rows (at most 3 2^40 at depth 40, against 3^40 domain
+    forward rows through depth 40 (at most 3 2^40, against 3^40 domain
     words) stay in int64, and the reports equal those of the walks forced
     onto Python ints."""
     t = _fixture_table("factor_collapse.json", 40)
     got = [_json(defect_profile(t)), _json(check_D2(t, 3))]
     classes = _class_rows(t, "fwd") + _class_rows(t, "bwd")
     assert all(x.dtype == np.int64 for x in classes + t.classes.fwd.cg + t.classes.bwd.cg)
-    assert all(v.dtype == np.int64 for v in t.rows.rows + t.rows.g)
     assert t.levels.built == 0
+    assert all(v.dtype == np.int64 for v in t.rows.to(40).rows + t.rows.g)
     monkeypatch.setattr(seqtable, "INT64_MAX", 10)
     forced = _fixture_table("factor_collapse.json", 40)
     assert [_json(defect_profile(forced)), _json(check_D2(forced, 3))] == got
-    assert any(v.dtype == object for v in forced.rows.rows)
+    assert any(v.dtype == object for v in forced.rows.to(40).rows)
 
 
 @pytest.mark.parametrize("name, depth, counts", [
@@ -315,17 +315,19 @@ def test_scans_on_factors_whose_classes_barely_compress(trans, forward, backward
     """Class counts that grow with the words (1.6^n and 2^n of 2^n): each
     (n, m) cell's products are taken apart, so the class path stays within
     the word scan's cells, and both paths match the oracles at depth 12.
-    The class walks build no fiber row.  The forward rows, as many as the
-    classes at each depth, do not pay past the fit depth."""
+    The class walks build no backward fiber row; the forward rows, as many
+    as the classes at each depth, are walked only as deep as the levels the
+    word scans read."""
     t = _two_block_table(trans, 12)
+    assert len(t.rows.rows) == 1
+    assert [len(lv) for lv in t.levels[1:5]] == [2 ** n for n in range(1, 5)]
+    assert len(t.rows.rows) == 5
     assert [len(lv) for lv in t.levels[1:]] == [2 ** n for n in range(1, 13)]
     assert [len(x) for x in _class_rows(t, "fwd")[1:]] == forward
     assert [len(y) for y in _class_rows(t, "bwd")[1:]] == backward
-    assert len(t.classes.fwd.rows) == len(t.classes.bwd.rows) == 1
-    assert t.rows is None
-    walked = t.classes.fwd.rows[1:]
-    assert len(walked) > seqtable.FIT_DEPTH
-    assert [len(rows) for rows in walked] == forward[:len(walked)]
+    assert len(t.classes.bwd.rows) == 1
+    assert t.classes.fwd is t.rows
+    assert [len(rows) for rows in t.rows.rows[1:]] == forward
     assert_scans_match(t, gaps=(0, 2))
 
 
@@ -521,24 +523,21 @@ def test_lazy_verdicts_on_fixtures_read_rows_past_the_fit_depth(name, depth, sho
 
 @pytest.mark.parametrize("trans", [STERN_BROCOT, CALKIN_WILF])
 @pytest.mark.parametrize("r, kind", [(1, "fit"), (2, "exact"), (1, "float")])
-def test_rows_decline_where_every_word_has_its_own(trans, r, kind):
+def test_rows_serve_where_every_word_has_its_own(trans, r, kind):
     """On the Stern-Brocot and Calkin-Wilf factors the fiber rows are 18%
-    and 50% of the words at depth 12, more than a row's cost allows: the
-    row walk declines, and the power base and the uniform defects read the
-    words."""
+    and 50% of the words at depth 12: the verdict, the power base and the
+    uniform defects read from them equal those of the fully built table."""
     dom = Sft(["1", "2", "3", "4"], trans)
     pi = OneBlockFactor(dom, ["a", "a", "b", "b"])
     f = LocallyConstantPotential.zero(dom)
     h = _candidate(pi.image, r, "exact" if kind == "fit" else kind, random.Random(3))
     lazy, got, want = _verdicts(pi, f, 12, h=None if kind == "fit" else h, r=r)
     assert got == want
-    assert lazy.rows is None
     full = build_g_table(pi, f, 12)
     full.levels[12]
     for exact in (False, True):
         assert detect.uniform_defects(lazy, h, exact) == detect.uniform_defects(full, h, exact)
     assert lazy.power_base == full.power_base
-    assert lazy.levels.built == 12
 
 
 @pytest.mark.parametrize("name, depth, built", [("factor_collapse.json", 14, 8),
@@ -627,23 +626,6 @@ def test_early_growth_exit_matches_the_profile_on_fixtures(name, depth):
     assert_growth_exits_early(pi, LocallyConstantPotential.zero(pi.domain), depth)
 
 
-def test_keys_past_the_rows_budget_hand_over_to_the_words():
-    """With range 3 the collapse keys (row, state, last two symbols) past
-    the fit depth outnumber the rows: with the rows' budget cut to just
-    above the rows, the key walk hands over to the words, which builds
-    every level, and the defects do not change."""
-    pi = load_factor(read_json(FIXTURES / "factor_collapse.json"))
-    f = LocallyConstantPotential.zero(pi.domain)
-    h = _candidate(pi.image, 3, "exact", random.Random(1))
-    for exact in (False, True):
-        t = build_g_table(pi, f, 11)
-        want = detect.uniform_defects(t, h, exact)
-        assert t.levels.built == 0  # read from the keys
-        t.row_budget = sum(len(t.rows.g[n]) for n in range(seqtable.FIT_DEPTH + 1, 12)) + 1
-        assert detect.uniform_defects(t, h, exact) == want
-        assert t.levels.built == 11
-
-
 @pytest.mark.parametrize("argv", [
     ["verdict", "--factor", str(FIXTURES / "factor_collapse.json"), "--depth", "14",
      "--range", "1"],
@@ -673,9 +655,8 @@ def test_one_row_walk_per_direction(name, depth, monkeypatch):
     """defect_profile, check_D2 and table_verdict on one exact g-table share
     one forward and one backward walk.  The profile and check_D2 at gap 3
     walk no fiber row, and the verdict walks the forward rows through the
-    table depth on collapse (where they pay past the fit depth) and none on
-    phase-blocked (it refutes from the classes; at depth 12 the rows would
-    not pay)."""
+    table depth on collapse and none on phase-blocked (it refutes from the
+    classes)."""
     walks = []
     real = seqtable._Rows.__init__
 
@@ -694,4 +675,34 @@ def test_one_row_walk_per_direction(name, depth, monkeypatch):
     table_verdict(t, r=1)
     assert walks == [t.classes.fwd, t.classes.bwd]
     assert walked() == ([depth, 0] if name == "factor_collapse.json" else [0, 0])
-    assert (t.rows is None) == (depth == 12)
+
+
+def test_one_forward_row_walk_serves_levels_classes_and_reads(monkeypatch):
+    """An exact g-table never runs ``factor._fiber_walk``: the verdict's
+    levels through the fit depth, its forward classes and the values it
+    reads past the fit depth (power base, uniform and periodic defects) all
+    come from the forward rows made with the table, each depth stepped
+    once."""
+    made, stepped = [], []
+    real_init, real_step = seqtable._Rows.__init__, seqtable._step
+
+    def init(self, *args):
+        made.append(self)
+        real_init(self, *args)
+
+    def step(rows, mats, primitive=False):
+        stepped.extend([] if primitive else [len(rows)])
+        return real_step(rows, mats, primitive)
+
+    def no_walk(*args):
+        raise AssertionError("fiber walk on an exact g-table")
+
+    monkeypatch.setattr(seqtable._Rows, "__init__", init)
+    monkeypatch.setattr(seqtable, "_step", step)
+    monkeypatch.setattr(seqtable, "_fiber_walk", no_walk)
+    t = _fixture_table("factor_collapse.json", 14)
+    assert made == [t.rows] and len(t.rows.rows) == 1
+    assert table_verdict(t, r=1).verdict.value == "CERTIFIED"
+    assert t.levels.built == seqtable.FIT_DEPTH
+    assert made == [t.rows, t.classes.bwd] and t.classes.fwd is t.rows
+    assert len(stepped) == 14 and len(t.rows.rows) == 15
