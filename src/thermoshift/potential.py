@@ -90,11 +90,12 @@ class LocallyConstantPotential:
 
 
 def _agrees(value: float, coeff: Fraction, base: int) -> bool:
-    """value == coeff * log(base) up to rounding: 1e-12 of max(1, |value|)."""
+    """value == coeff * log(base) up to a few ulps; exactly 0 at coefficient 0."""
     try:
-        return abs(value - float(coeff) * math.log(base)) <= 1e-12 * max(1.0, abs(value))
+        x = float(coeff) * math.log(base)
     except OverflowError:  # a coefficient past the float range
         return False
+    return value == x or (x != 0 and abs(value - x) <= 4 * math.ulp(value))
 
 
 def birkhoff_extremes(f: LocallyConstantPotential, u: Word) -> tuple[float, float]:

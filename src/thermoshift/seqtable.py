@@ -577,10 +577,10 @@ class _Rows:
     and ``cnext[n][c, b]`` the class at depth n + 1 of class c grown by b
     (-1 where that is 0: no word).  A row grown by b has the primitive
     image of its class row grown by b, so the classes grow by themselves:
-    step, divide by the row gcd, dedupe.  ``rows[n]`` holds the distinct
-    rows at depth n (rows[0] the root), ``g[n]`` the value of each row's
-    words and ``next[n][i, b]`` the row at depth n + 1 of row i grown by b
-    (-1 where no word).  The classes are few where the words are many (2
+    step, divide by the row gcd, dedupe.  ``g[n]`` holds the value of each
+    distinct row at depth n, ``next[n][i, b]`` the row at depth n + 1 of row
+    i grown by b (-1 where no word) and ``last`` the deepest rows, the only
+    ones stepped again.  The classes are few where the words are many (2
     per depth on the collapse factor, 19 of 6765 words at depth 18 on
     phase-blocked), the rows more (2n at depth n on collapse, 264 at depth
     18 on phase-blocked), at most one per word (half the words on the
@@ -590,7 +590,7 @@ class _Rows:
     def __init__(self, root: np.ndarray, grow: np.ndarray, value):
         self._grow, self._value = grow, value
         self.prim, self.cg, self.cnext = [root], [value(root)], []
-        self.rows, self.g, self.next = [root], [value(root)], []
+        self.last, self.g, self.next = root, [value(root)], []
 
     def classes(self, n: int) -> _Rows:
         """The classes through depth n."""
@@ -603,11 +603,10 @@ class _Rows:
 
     def to(self, n: int) -> _Rows:
         """The rows through depth n."""
-        while len(self.rows) <= n:
-            nxt, rows = _step(self.rows[-1], self._grow)
+        while len(self.g) <= n:
+            nxt, self.last = _step(self.last, self._grow)
             self.next.append(nxt)
-            self.rows.append(rows)
-            self.g.append(self._value(rows))
+            self.g.append(self._value(self.last))
         return self
 
     def find(self, word: Word) -> int | None:

@@ -225,11 +225,14 @@ def test_exit_code_missing_factor_for_fit(tmp_path):
 def test_exit_code_on_exact_coefficients_contradicting_the_values(tmp_path, capsys):
     # h = log 2 on a in its exact coefficients but 5.0 in its float values:
     # the exact defects would read one potential and the float ones another
-    # (a coefficient past the float range contradicts every value)
+    # (a coefficient past the float range contradicts every value, and a
+    # zero coefficient every nonzero value, however small)
     cand = tmp_path / "c.json"
-    for a, err in (("1", "value 5.0 at (0,) is not its exact coefficient 1 times log 2"),
-                   ("1" + "0" * 400, "value 5.0 at (0,) is not its exact coefficient 1000")):
-        cand.write_text(json.dumps({"range": 1, "values": {"a": 5.0, "b": 0.0},
+    for values, a, err in (
+            ((5.0, 0.0), "1", "value 5.0 at (0,) is not its exact coefficient 1 times log 2"),
+            ((5.0, 0.0), "1" + "0" * 400, "value 5.0 at (0,) is not its exact coefficient 1000"),
+            ((math.log(2), 5e-13), "1", "value 5e-13 at (1,) is not its exact coefficient 0")):
+        cand.write_text(json.dumps({"range": 1, "values": dict(zip("ab", values)),
                                     "exact": {"base": 2, "coeffs": {"a": a, "b": "0"}}}))
         code, raw = run(tmp_path, "verdict", "--factor", fpath("factor_collapse.json"),
                         "--depth", "8", "--candidate", str(cand))

@@ -214,7 +214,8 @@ def test_uniform_defects_match_per_word_reference(factor, f_range, r, seed):
     hz = _exact_potential(img, r, {w: 6 * c for w, c in coeffs.items()})
     pinned = _exact_table(img, {n: {w: int(birkhoff_extremes_coeff(hz, w)[0])
                                     for w in img.blocks(n)} for n in ns})
-    cases = [(build_g_table(pi, LocallyConstantPotential.zero(dom), depth), h),
+    counting = build_g_table(pi, LocallyConstantPotential.zero(dom), depth)
+    cases = [(counting, h),
              (_exact_table(img, {n: {w: rng.randint(0, 4) for w in img.blocks(n)} for n in ns}), h),
              (pinned, hz)]
     for gt, hh in cases:
@@ -223,13 +224,14 @@ def test_uniform_defects_match_per_word_reference(factor, f_range, r, seed):
         assert uniform_defects(gt, hh, exact=True) == want
     assert set(uniform_defects_exact_all(pinned, hz).values()) == {0}
 
-    # float path: bit-identical to uniform_defect (floats compared with ==)
+    # float path: bit-identical to uniform_defect (floats compared with ==),
+    # on the counting table too, where the walk runs over the fiber rows' keys
     f = LocallyConstantPotential(dom, f_range, {w: rng.uniform(-2, 2)
                                                 for w in dom.blocks(f_range)})
     hf = LocallyConstantPotential(img, r, {w: rng.uniform(-2, 2) for w in img.blocks(r)})
     pinned_f = SeqTable(img.alphabet, {n: {w: birkhoff_sup(hf, w) for w in img.blocks(n)}
                                        for n in ns}, language=img)
-    for gt in (build_g_table(pi, f, depth), pinned_f):
+    for gt in (counting, build_g_table(pi, f, depth), pinned_f):
         assert uniform_defects(gt, hf) == {n: uniform_defect(gt, hf, n) for n in ns}
         assert uniform_defects(gt, hf, exact=True) is None
     assert set(uniform_defects(pinned_f, hf).values()) == {0.0}

@@ -267,11 +267,11 @@ def test_collapse_stays_on_int64_at_depth_40(monkeypatch):
     classes = _class_rows(t, "fwd") + _class_rows(t, "bwd")
     assert all(x.dtype == np.int64 for x in classes + t.classes.fwd.cg + t.classes.bwd.cg)
     assert t.levels.built == 0
-    assert all(v.dtype == np.int64 for v in t.rows.to(40).rows + t.rows.g)
+    assert all(v.dtype == np.int64 for v in [t.rows.to(40).last] + t.rows.g)
     monkeypatch.setattr(seqtable, "INT64_MAX", 10)
     forced = _fixture_table("factor_collapse.json", 40)
     assert [_json(defect_profile(forced)), _json(check_D2(forced, 3))] == got
-    assert any(v.dtype == object for v in forced.rows.to(40).rows)
+    assert forced.rows.to(40).last.dtype == object
 
 
 @pytest.mark.parametrize("name, depth, counts", [
@@ -319,15 +319,15 @@ def test_scans_on_factors_whose_classes_barely_compress(trans, forward, backward
     as the classes at each depth, are walked only as deep as the levels the
     word scans read."""
     t = _two_block_table(trans, 12)
-    assert len(t.rows.rows) == 1
+    assert len(t.rows.g) == 1
     assert [len(lv) for lv in t.levels[1:5]] == [2 ** n for n in range(1, 5)]
-    assert len(t.rows.rows) == 5
+    assert len(t.rows.g) == 5
     assert [len(lv) for lv in t.levels[1:]] == [2 ** n for n in range(1, 13)]
     assert [len(x) for x in _class_rows(t, "fwd")[1:]] == forward
     assert [len(y) for y in _class_rows(t, "bwd")[1:]] == backward
-    assert len(t.classes.bwd.rows) == 1
+    assert len(t.classes.bwd.g) == 1
     assert t.classes.fwd is t.rows
-    assert [len(rows) for rows in t.rows.rows[1:]] == forward
+    assert [len(g) for g in t.rows.g[1:]] == forward
     assert_scans_match(t, gaps=(0, 2))
 
 
@@ -366,14 +366,13 @@ def test_class_values_from_rows_match_the_levels(factor, f_range):
                                          ("factor_collapse.json", 40)])
 def test_profile_and_bridges_build_no_level(name, depth):
     """profile-cnm's scans (defect_profile, check_D2 at gap 3) read class
-    rows alone, whether or not the forward rows pay for the verdict (on
-    phase-blocked they do not from depth 9 to 15): neither walks a fiber
-    row or builds a level, and pairs_checked comes from the language
-    counts; below depth 28 the reports equal the word scans'."""
+    rows alone: neither walks a fiber row or builds a level, and
+    pairs_checked comes from the language counts; below depth 28 the
+    reports equal the word scans'."""
     t = _fixture_table(name, depth)
     walks = (t.classes.fwd, t.classes.bwd)
     got = [_json(defect_profile(t)), _json(check_D2(t, 3))]
-    assert [len(walk.rows) for walk in walks] == [1, 1]
+    assert [len(walk.g) for walk in walks] == [1, 1]
     assert t.levels.built == 0
     if depth < 28:
         with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE["words"]):
@@ -444,11 +443,21 @@ def test_exact_scans_are_not_decided_by_floats():
     assert_scans_match(t)
 
 
+def _word_table(pi, f, depth):
+    """A g-table with every level built and its fiber rows dropped, so
+    that every read (values, power base, uniform and periodic defects,
+    scans) takes the words, as on a table built from dicts."""
+    t = build_g_table(pi, f, depth)
+    t.levels[depth]
+    t.rows = None
+    return t
+
+
 def _verdicts(pi, f, depth, **kw):
     """(lazy, built): table_verdict's report on a g-table read as the
-    verdict needs, and on the same table with every level built first."""
-    lazy, full = build_g_table(pi, f, depth), build_g_table(pi, f, depth)
-    full.levels[depth]
+    verdict needs, and on the same table read from its words
+    (``_word_table``)."""
+    lazy, full = build_g_table(pi, f, depth), _word_table(pi, f, depth)
     got = json.dumps(table_verdict(lazy, **kw).as_dict(), sort_keys=True)
     want = json.dumps(table_verdict(full, **kw).as_dict(), sort_keys=True)
     assert full.levels.built == depth
@@ -475,10 +484,11 @@ def test_lazy_verdicts_match_built_tables(factor, f_range, r, kind, short_fits, 
     """Random domains, reducible ones included, zero potentials of range 1-3
     and fit ranges 1-3, with a fitted h and with given exact and float
     candidates: the verdict on a g-table read lazily equals the verdict
-    with every level built (short fits leave most levels unbuilt).  On a
+    on the same table read from its words (short fits leave most levels
+    unbuilt).  On a
     table with no level built, the power base, the uniform defects of both
     candidates and the periodic defects read the fiber rows alone and equal
-    the built table's."""
+    those read from the words."""
     trans, targets = factor
     dom = Sft([str(i) for i in range(len(trans))], trans)
     pi = OneBlockFactor(dom, targets)
@@ -488,8 +498,7 @@ def test_lazy_verdicts_match_built_tables(factor, f_range, r, kind, short_fits, 
     lazy, got, want = _verdicts(pi, f, depth, h=hs[kind], r=r,
                                 n_fits=list(range(r, r + 2)) if short_fits else None)
     assert got == want
-    full, fresh = build_g_table(pi, f, depth), build_g_table(pi, f, depth)
-    full.levels[depth]
+    full, fresh = _word_table(pi, f, depth), build_g_table(pi, f, depth)
     assert fresh.power_base == full.power_base
     for h in (hs["exact"], hs["float"]):
         for exact in (False, True):
@@ -510,8 +519,8 @@ def test_lazy_verdicts_on_fixtures_read_rows_past_the_fit_depth(name, depth, sho
                                                                  kind):
     """Past the fit depth the fiber rows serve: the verdict leaves the
     levels past FIT_DEPTH unbuilt and equals the verdict on the built
-    table (the full-4 factor fits at depths r and r + 1 only: its default
-    fits hold 6561 words at depth 8)."""
+    table read from its words (the full-4 factor fits at depths r and
+    r + 1 only: its default fits hold 6561 words at depth 8)."""
     pi = load_factor(read_json(FIXTURES / name))
     lazy, got, want = _verdicts(pi, LocallyConstantPotential.zero(pi.domain), depth,
                                 h=_candidate(pi.image, r, kind, random.Random(r)), r=r,
@@ -526,15 +535,14 @@ def test_lazy_verdicts_on_fixtures_read_rows_past_the_fit_depth(name, depth, sho
 def test_rows_serve_where_every_word_has_its_own(trans, r, kind):
     """On the Stern-Brocot and Calkin-Wilf factors the fiber rows are 18%
     and 50% of the words at depth 12: the verdict, the power base and the
-    uniform defects read from them equal those of the fully built table."""
+    uniform defects read from them equal those read from the words."""
     dom = Sft(["1", "2", "3", "4"], trans)
     pi = OneBlockFactor(dom, ["a", "a", "b", "b"])
     f = LocallyConstantPotential.zero(dom)
     h = _candidate(pi.image, r, "exact" if kind == "fit" else kind, random.Random(3))
     lazy, got, want = _verdicts(pi, f, 12, h=None if kind == "fit" else h, r=r)
     assert got == want
-    full = build_g_table(pi, f, 12)
-    full.levels[12]
+    full = _word_table(pi, f, 12)
     for exact in (False, True):
         assert detect.uniform_defects(lazy, h, exact) == detect.uniform_defects(full, h, exact)
     assert lazy.power_base == full.power_base
@@ -563,7 +571,7 @@ def test_refuting_verdict_reads_the_first_profile_row(depth):
     report = table_verdict(t, r=1)
     assert report.verdict.value == "REFUTED" and report.profile_witness["n"] == 1
     assert [len(t.classes.fwd.prim), len(t.classes.bwd.prim)] == [2, depth]
-    assert len(t.classes.fwd.rows) == len(t.classes.bwd.rows) == 1
+    assert len(t.classes.fwd.g) == len(t.classes.bwd.g) == 1
     assert t.levels.built == 0
 
 
@@ -665,7 +673,7 @@ def test_one_row_walk_per_direction(name, depth, monkeypatch):
         real(self, *args)
 
     def walked():
-        return [len(walk.rows) - 1 for walk in walks]
+        return [len(walk.g) - 1 for walk in walks]
 
     monkeypatch.setattr(seqtable._Rows, "__init__", counted)
     t = _fixture_table(name, depth)
@@ -701,8 +709,8 @@ def test_one_forward_row_walk_serves_levels_classes_and_reads(monkeypatch):
     monkeypatch.setattr(seqtable, "_step", step)
     monkeypatch.setattr(seqtable, "_fiber_walk", no_walk)
     t = _fixture_table("factor_collapse.json", 14)
-    assert made == [t.rows] and len(t.rows.rows) == 1
+    assert made == [t.rows] and len(t.rows.g) == 1
     assert table_verdict(t, r=1).verdict.value == "CERTIFIED"
     assert t.levels.built == seqtable.FIT_DEPTH
     assert made == [t.rows, t.classes.bwd] and t.classes.fwd is t.rows
-    assert len(stepped) == 14 and len(t.rows.rows) == 15
+    assert len(stepped) == 14 and len(t.rows.g) == 15
