@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import INT64_MAX, pivot, scaled_inverse, solve_int
+from .numerics import INT64_MAX, pivot, scaled_inverse, solve_int, unique_rows
 
 _EXACT_FIT_LIMIT = 4096  # constraint cap (two per row) for the exact dual simplex
 
@@ -36,11 +36,13 @@ class LpError(RuntimeError):
 
 def solve_exact(a: np.ndarray, e: np.ndarray) -> list[Fraction] | None:
     """The canonical solution of a z = e (integers), or None when there is
-    none: ``solve_int`` on the distinct rows of [a | e] (None at once when
-    equal rows of a have different e), checked on every row in integers
+    none: ``solve_int`` on the distinct rows of [a | e] (``unique_rows``;
+    the canonical solution does not depend on their order), None at once
+    when equal rows of a have different e, checked on every row in integers
     (int64 while a bound allows, Python ints past it)."""
-    aug = np.unique(np.column_stack([a, e]), axis=0)
-    if len(np.unique(aug[:, :-1], axis=0)) < len(aug):
+    aug = np.column_stack([a, e])
+    aug = aug[unique_rows(aug)[0]]
+    if len(unique_rows(aug[:, :-1])[0]) < len(aug):
         return None
     sol = solve_int(aug.tolist(), a.shape[1])
     if sol is None:

@@ -4,10 +4,12 @@ extraction, the one Perron routine ``perron`` (numpy ``eig``) with its
 exact check ``perron_exact``, and exact linear algebra in integers only:
 every exact solve and simplex step is ``pivot``, one fraction-free
 Gauss-Jordan step (Bareiss 1968; Edmonds 1967), taken on whole arrays in
-``scaled_inverse``.  ``gaussian_solve`` serves floats."""
+``scaled_inverse``, and one candidate at a time in ``span_basis``.
+``gaussian_solve`` serves floats."""
 
 from __future__ import annotations
 
+import collections
 import math
 import operator
 from fractions import Fraction
@@ -156,6 +158,35 @@ def row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
             prev = pivot(rows, len(cols), c, prev)
             cols.append(c)
     return cols, prev
+
+
+def span_basis(seeds: list[list[int]], mats: list[list[list[int]]]) -> list[list[int]]:
+    """A basis of the span of the rows v M_{b_1} ... M_{b_k} for v in
+    ``seeds`` and every word b_1 ... b_k (the empty one too) over the
+    square integer matrices ``mats``, found breadth first: each candidate
+    joins the basis when it is outside the span of the rows before it, and
+    only then are its images v M_b queued.  The rows kept so far are held
+    in fraction-free Gauss-Jordan form (row i is den times the reduced row
+    of pivot column cols[i]), so a candidate v reduces in one pass to den
+    v - sum_i v[cols[i]] row_i, and joining takes one ``pivot``: no row is
+    reduced twice.  Returns the kept candidates themselves, in the order
+    found."""
+    columns = [list(zip(*m)) for m in mats]
+    queue, found, rows, cols, den = collections.deque(seeds), [], [], [], 1
+    while queue:
+        v = queue.popleft()
+        red = [den * x for x in v]
+        for row, c in zip(rows, cols):
+            if v[c]:
+                red = [x - v[c] * y for x, y in zip(red, row)]
+        c = next((j for j, x in enumerate(red) if x), None)
+        if c is not None:
+            rows.append(red)
+            den = pivot(rows, len(cols), c, den)
+            cols.append(c)
+            found.append(v)
+            queue.extend([sum(map(operator.mul, v, col)) for col in m] for m in columns)
+    return found
 
 
 def scaled_inverse(b: np.ndarray) -> tuple[list[list[int]], int] | None:

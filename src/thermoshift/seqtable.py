@@ -40,7 +40,10 @@ no fiber row; only the unbridged pairs check_D2 lists are spelled from the
 levels.  Float tables, tables built from dicts and exact g-tables whose
 classes do not pay keep the word scans (``_splits``, ``_ranks``,
 ``_word_bridges``).  A verdict reads the profile rows only up to the first
-that grows (``growth_witness``).
+that grows (``growth_witness``).  Where the series has Hankel rank 1
+(``_Representation.rank``, computed exactly, and only on a full-shift
+image, the one place it can be 1) g(uv) = g(u) g(v), every C_{n,m} is 1
+and the profile rows come with no scan at all.
 
 An exact g-table walks its forward fiber rows once (``SeqTable.rows``):
 they index its levels, grow its forward classes and give every value read
@@ -55,6 +58,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -65,8 +70,8 @@ import numpy as np
 
 from .factor import OneBlockFactor, _fiber_walk, _word_index
 from .numerics import (INT64_MAX, array_max, common_power_base, int_array, integer_rows,
-                       log_fraction, logsumexp, perron, perron_exact, power_exponent, row_sums,
-                       unique_rows)
+                       log_fraction, logsumexp, perron, perron_exact, power_exponent, row_reduce,
+                       row_sums, span_basis, unique_rows)
 from .potential import LocallyConstantPotential, birkhoff_sup
 from .shiftcore import Word
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, TrendStats, growth_flag, decays_to_zero
@@ -642,7 +647,8 @@ class _Representation:
 
     ``walk[k]`` is the fiber walk's step (M, edge) of ``_transfer`` into
     depth k + 1 on the domain's s-block states, s = max(r - 1, 1): from the
-    last min(k, s) symbols to the last min(k + 1, s).  The last one serves
+    last min(k, s) symbols to the last min(k + 1, s), built when first
+    read (the float build and ``log_perron`` read it).  The last one serves
     every deeper step, and summed over the image symbols it is
     ``log_perron``'s W.
 
@@ -654,24 +660,41 @@ class _Representation:
     alpha = e_d (``start``) and tau = 1, so g(uv) = x_u . y_v for the
     forward row x_u = alpha G_u and the backward row y_v = G_v tau = (A_v
     1, g(v)).  All 0/1 in int64: the row walks promote per step
-    (``_grow``).
+    (``_grow``).  ``rank`` is the Hankel rank of g, computed when first
+    read.
     """
 
     def __init__(self, pi: OneBlockFactor, f: LocallyConstantPotential):
-        s, built = max(f.range - 1, 1), {}
-
-        def step(src: int, dst: int):
-            if (src, dst) not in built:
-                built[src, dst] = _transfer(pi, f, src, dst)
-            return built[src, dst]
-
-        self.walk = [step(min(k, s), min(k + 1, s)) for k in range(s + 1)]
+        # pi keeps its representations under f as a weak key, so f is held weakly
+        self._pi, self._f, self._built = pi, weakref.ref(f), {}
+        self._s = max(f.range - 1, 1)
         if f.is_zero:
-            (head, _), (steps, _) = step(0, 1), step(1, 1)
+            (head, _), (steps, _) = self._step(0, 1), self._step(1, 1)
             nb, d = head.shape[1:]
             self.grow = np.zeros((nb, d + 1, d + 1), np.int64)
             self.grow[:, :d, :d], self.grow[:, d, :d] = steps.transpose(1, 0, 2), head[0]
             self.start = np.eye(1, d + 1, d, dtype=np.int64)
+
+    def _step(self, src: int, dst: int):
+        if (src, dst) not in self._built:
+            self._built[src, dst] = _transfer(self._pi, self._f(), src, dst)
+        return self._built[src, dst]
+
+    @cached_property
+    def walk(self) -> list:
+        return [self._step(min(k, self._s), min(k + 1, self._s)) for k in range(self._s + 1)]
+
+    @cached_property
+    def rank(self) -> int:
+        """The rank of the Hankel matrix H[u, v] = g(uv) over image words u,
+        v, the dimension of a minimal representation of g (Fliess 1974): the
+        rank of F B^T for bases F of the forward rows alpha G_u and B of the
+        backward rows G_v tau (Schuetzenberger 1961), each found breadth
+        first over the symbols (``span_basis``).  Counting path only."""
+        fwd = span_basis(self.start.tolist(), self.grow.tolist())
+        bwd = span_basis([[1] * len(self.grow[0])], self.grow.transpose(0, 2, 1).tolist())
+        hankel = [[sum(map(operator.mul, x, y)) for y in bwd] for x in fwd]
+        return len(row_reduce(hankel, len(bwd))[0])
 
 
 def _representation(pi: OneBlockFactor, f: LocallyConstantPotential) -> _Representation:
@@ -1155,15 +1178,34 @@ def _max_spreads(v: np.ndarray, ab: np.ndarray, key: np.ndarray,
     return {g: Fraction(1) if c is None else c for g, c in got.items()}
 
 
+def _multiplicative(t: SeqTable) -> bool:
+    """Whether t is an exact g-table whose g has Hankel rank 1
+    (``_Representation.rank``): with g(empty) = 1 that is g(uv) = g(u) g(v)
+    for all words u, v.  Then uv is a word whenever u and v are, so the
+    image is the full shift, and the rank is computed only where |B_2| is
+    k^2 on k image symbols."""
+    k = len(t.alphabet)
+    return t.rows is not None and t.language.block_counts(2)[2] == k * k and \
+        _representation(t.factor, t.potential).rank == 1
+
+
 def _profile_rows(t: SeqTable):
     """The defect profile one row at a time, n = 1..depth-1 in order:
     yields (n, {m: log C_{n,m}}, {m: C_{n,m}} or None on float tables).
-    Exact g-tables read each row from their fiber classes
-    (``_FiberClasses.defect_row``) while its class pairs are fewer than its
-    splits; from the first row that declines on, and on other tables
-    throughout, the rows come from one word scan of the splits there."""
+    On an exact g-table of Hankel rank 1 (``_multiplicative``) every C_{n,m}
+    is 1, so each row is yielded with no scan: no class grows, no fiber row
+    is walked and no word is read.  Other exact g-tables read each row from
+    their fiber classes (``_FiberClasses.defect_row``) while its class
+    pairs are fewer than its splits; from the first row that declines on,
+    and on other tables throughout, the rows come from one word scan of the
+    splits there."""
     if t.depth_max < 2:
         raise TableError("need depth_max >= 2")
+    if _multiplicative(t):
+        for n in range(1, t.depth_max):
+            ms = range(1, t.depth_max - n + 1)
+            yield n, dict.fromkeys(ms, 0.0), dict.fromkeys(ms, Fraction(1))
+        return
     n = 1
     while t.classes is not None and n < t.depth_max:
         row = t.classes.defect_row(n)
@@ -1225,7 +1267,9 @@ def growth_witness(t: SeqTable, slope_threshold: float = DEFAULT_SLOPE_THRESHOLD
     """``defect_profile(t).witness``, reading the profile rows only up to
     the first whose growth flag fires: one row growing linearly in m
     refutes every continuous h.  None when no row fires; the reading stops
-    at the first row of fewer than 4 cells, past which no flag can fire."""
+    at the first row of fewer than 4 cells, past which no flag can fire.
+    On an exact g-table of Hankel rank 1 every C_{n,m} is 1, known without
+    a scan (``_profile_rows``), and the flags read those same rows."""
     for n, row, _ in _profile_rows(t):
         trend = _row_growth(n, row, slope_threshold)
         if trend is None:

@@ -7,7 +7,8 @@ consistent, inconsistent and rank-deficient integer systems, entries past
 simplex's (z, t*); and the exact stationary vector and ``perron_exact``
 the values of partial-pivoting Gaussian elimination over Fractions;
 ``numerics.scaled_inverse`` (int64 while a bound allows) the integers of
-``row_reduce``.
+``row_reduce``, and ``numerics.span_basis`` (one candidate reduced at a
+time) the rank ``row_reduce`` gives every word's row.
 """
 
 import math
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from thermoshift.lp import _dual_simplex, chebyshev_fit_exact
 from thermoshift.markov import _solve_stationary
 from thermoshift.numerics import (perron, perron_exact, pivot, row_reduce, scaled_inverse,
-                                  solve_int)
+                                  solve_int, span_basis)
 
 import fraction_oracles as oracle
 
@@ -196,3 +197,40 @@ def test_scaled_inverse_matches_the_row_reduction(b):
     assert all(type(x) is int for row in got[0] for x in row)
     inv = np.array(got[0], dtype=object)
     assert (b.astype(object) @ inv == abs(d) * np.eye(m, dtype=int).astype(object)).all()
+
+
+@st.composite
+def spans(draw):
+    """(seeds, mats): one or two integer rows and up to three square
+    integer matrices on <= 4 columns, some entries past 2^63, some
+    matrices of low rank."""
+    n, big = draw(st.integers(1, 4)), draw(st.booleans())
+    row = st.lists(entries(big), min_size=n, max_size=n)
+    mats = []
+    for _ in range(draw(st.integers(0, 3))):
+        m = [draw(row) for _ in range(n)]
+        if draw(st.booleans()):  # rank <= 1
+            m = [[x * c for x in m[0]] for c in draw(st.lists(entries(False), min_size=n,
+                                                               max_size=n))]
+        mats.append(m)
+    return draw(st.lists(row, min_size=1, max_size=2)), mats
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans())
+def test_span_basis_matches_the_rank_of_every_word(case):
+    """The rows v M_w, |w| < n columns, span the whole space reached (it
+    grows at each length until it stops); ``span_basis`` keeps as many of
+    them as their rank, each outside the span of those before it."""
+    seeds, mats = case
+    n = len(seeds[0])
+    every, level = [list(v) for v in seeds], [list(v) for v in seeds]
+    for _ in range(n - 1):
+        level = [[sum(x * m[i][j] for i, x in enumerate(v)) for j in range(n)]
+                 for v in level for m in mats]
+        every += level
+    found = span_basis(seeds, mats)
+    assert all(v in every for v in found)
+    assert len(found) == len(row_reduce([v[:] for v in every], n)[0])
+    assert [len(row_reduce([v[:] for v in found[:i]], n)[0]) for i in range(len(found) + 1)] \
+        == list(range(len(found) + 1))

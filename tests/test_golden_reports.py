@@ -45,6 +45,8 @@ CASES = {
                           "--candidate", "tests/golden/candidate_collapse.json"],
     "profile_cnm": ["profile-cnm", "--factor", "fixtures/factor_phase_blocked.json",
                     "--depth", "10"],
+    "profile_cnm_collapse": ["profile-cnm", "--factor", "fixtures/factor_collapse.json",
+                             "--depth", "14"],
     "profile_cnm_calkin_wilf": ["profile-cnm", "--factor", "fixtures/factor_calkin_wilf.json",
                                 "--depth", "10"],
     "profile_cnm_d18": ["profile-cnm", "--factor", "fixtures/factor_phase_blocked.json",

@@ -8,8 +8,12 @@ their levels built and with none built.  Verdicts on exact g-tables that
 read their values from their fiber rows (``SeqTable.rows``) must equal
 the verdicts on the same tables with every level built.  On exact tables
 the D2 oracle takes each cell's least ratio in Fractions, so both paths
-must report its log_fraction bit for bit."""
+must report its log_fraction bit for bit.  Exact g-tables whose fiber
+counts have Hankel rank 1 yield their profile rows with no scan; their
+ranks are checked against the Hankel matrix of the fiber-count oracle, and
+both scan kernels are run on them directly."""
 
+import functools
 import json
 import math
 import random
@@ -27,8 +31,9 @@ from thermoshift import (LocallyConstantPotential, OneBlockFactor, SeqTable,
                          seqtable)
 from thermoshift.cli import main
 from thermoshift.detect import table_verdict
+from thermoshift.factor import fiber_words
 from thermoshift.jsonio import load_factor, read_json
-from thermoshift.numerics import log_fraction
+from thermoshift.numerics import log_fraction, row_reduce
 from thermoshift.seqtable import D2Report, DefectProfile
 from thermoshift.shiftcore import Sft
 from thermoshift.verdicts import DEFAULT_SLOPE_THRESHOLD, decays_to_zero, growth_flag
@@ -566,13 +571,74 @@ def test_refuting_verdict_reads_the_first_profile_row(depth):
     """Phase-blocked's first profile row already grows: table_verdict(r=1)
     refutes from row 1 alone, growing the forward classes through depth 1
     and the backward ones through depth - 1, with no fiber row and no
-    level."""
+    level.  Its image is not the full shift (3 words of length 2), so no
+    Hankel rank is computed."""
     t = _fixture_table("factor_phase_blocked.json", depth)
     report = table_verdict(t, r=1)
     assert report.verdict.value == "REFUTED" and report.profile_witness["n"] == 1
     assert [len(t.classes.fwd.prim), len(t.classes.bwd.prim)] == [2, depth]
     assert len(t.classes.fwd.g) == len(t.classes.bwd.g) == 1
     assert t.levels.built == 0
+    assert "rank" not in vars(seqtable._representation(t.factor, t.potential))
+
+
+@pytest.mark.parametrize("name, rank", [("factor_collapse.json", 1),
+                                        ("factor_amalgamation.json", 1),
+                                        ("factor_full4_abc.json", 1),
+                                        ("factor_identity_goldenmean.json", 2),
+                                        ("factor_phase_blocked.json", 5),
+                                        ("factor_calkin_wilf.json", 3)])
+def test_hankel_rank_of_fixtures(name, rank):
+    """The Hankel rank of each fixture's fiber counts."""
+    pi = load_factor(read_json(FIXTURES / name))
+    assert seqtable._representation(pi, LocallyConstantPotential.zero(pi.domain)).rank == rank
+
+
+@settings(max_examples=30, deadline=None)
+@given(factor=small_factors(), f_range=st.integers(1, 3))
+@example(factor=([[1, 1], [1, 1]], ["a", "a"]), f_range=2)
+@example(factor=([[1, 1, 1], [1, 1, 1], [1, 1, 1]], ["a", "b", "b"]), f_range=3)
+@example(factor=([[1, 1, 1, 1]] * 4, ["a", "b", "c", "a"]), f_range=1)
+def test_hankel_rank_matches_the_fiber_count_oracle(factor, f_range):
+    """Random domains and zero potentials of range 1 to 3: the Hankel rank
+    equals the rank, by ``row_reduce``, of H[u, v] = |fiber_words(uv)| over
+    the image words u, v shorter than the representation's dimension D
+    (the forward and backward spans are reached by then).  On a rank-1
+    table the class scan and the word scan, each run directly, give C_{n,m}
+    = 1 in every cell: the scans that its profile skips.  Rank 1 needs
+    g(ab) = g(a) g(b) for symbols a, b, so every domain transition, and
+    random domains are rarely full shifts: the examples are."""
+    trans, targets = factor
+    dom = Sft([str(i) for i in range(len(trans))], trans)
+    pi = OneBlockFactor(dom, targets)
+    f = LocallyConstantPotential(dom, f_range, dict.fromkeys(dom.blocks(f_range), 0.0))
+    rep = seqtable._representation(pi, f)
+    words = [()] + [w for n in range(1, rep.start.shape[1]) for w in pi.image.blocks(n)]
+    count = functools.lru_cache(maxsize=None)(lambda y: len(fiber_words(pi, y)))
+    hankel = [[count(u + v) for v in words] for u in words]
+    assert rep.rank == len(row_reduce(hankel, len(words))[0])
+    depth = 6
+    t = build_g_table(pi, f, depth)
+    assert seqtable._multiplicative(t) == (rep.rank == 1)
+    if rep.rank == 1:
+        with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE["classes"]):
+            for n in range(1, depth):
+                assert t.classes.defect_row(n) == dict.fromkeys(range(1, depth - n + 1), 1)
+        for total, n, _, (v, ab) in seqtable._splits(t):
+            assert np.array_equal(v, ab), (total, n)
+
+
+def test_rank_one_verdict_scans_no_profile_row(monkeypatch):
+    """Collapse has Hankel rank 1, so every C_{n,m} is 1: table_verdict at
+    depth 14 certifies with no class row (``defect_row`` is not called and
+    no class grows) and no word scan, and equals the verdict on the table
+    read from its words."""
+    rows = []
+    monkeypatch.setattr(seqtable._FiberClasses, "defect_row", lambda self, n: rows.append(n))
+    pi = load_factor(read_json(FIXTURES / "factor_collapse.json"))
+    lazy, got, want = _verdicts(pi, LocallyConstantPotential.zero(pi.domain), 14, r=1)
+    assert got == want and json.loads(got)["verdict"] == "CERTIFIED"
+    assert rows == [] and len(lazy.rows.prim) == 1 and "classes" not in vars(lazy)
 
 
 def _declines_from(k):
@@ -585,8 +651,10 @@ def assert_growth_exits_early(pi, f, depth, slope_threshold=DEFAULT_SLOPE_THRESH
     """The verdict's early-exit growth flag and witness equal the whole
     profile's, with the profile rows on the classes, on the words, and
     handed from the classes to the words at rows 2 and depth // 2; the
-    handed-over profile equals the one the gates choose."""
+    handed-over profile equals the one the gates choose.  Where the fiber
+    counts have Hankel rank 1 no row is scanned on any path."""
     want = _json(defect_profile(build_g_table(pi, f, depth), slope_threshold))
+    multiplicative = seqtable._representation(pi, f).rank == 1
     costs = {"classes": FORCE["classes"], "words": FORCE["words"],
              2: _declines_from(2), depth // 2: _declines_from(depth // 2)}
     for path, cost in costs.items():
@@ -604,7 +672,8 @@ def assert_growth_exits_early(pi, f, depth, slope_threshold=DEFAULT_SLOPE_THRESH
         assert (report.profile_growth, report.profile_witness) == \
             (profile.growth, profile.witness), path
         assert _json(profile) == want, path
-        assert firsts == {"classes": [], "words": [1]}.get(path, [path]), path
+        assert firsts == ([] if multiplicative else
+                          {"classes": [], "words": [1]}.get(path, [path])), path
 
 
 @settings(max_examples=30, deadline=None)
@@ -634,15 +703,22 @@ def test_early_growth_exit_matches_the_profile_on_fixtures(name, depth):
     assert_growth_exits_early(pi, LocallyConstantPotential.zero(pi.domain), depth)
 
 
-@pytest.mark.parametrize("argv", [
-    ["verdict", "--factor", str(FIXTURES / "factor_collapse.json"), "--depth", "14",
-     "--range", "1"],
-    ["verdict", "--factor", str(FIXTURES / "factor_phase_blocked.json"), "--depth", "18"],
-    ["profile-cnm", "--factor", str(FIXTURES / "factor_phase_blocked.json"), "--depth", "18"],
+@pytest.mark.parametrize("argv, zero_range", [
+    (["verdict", "--factor", str(FIXTURES / "factor_collapse.json"), "--depth", "14",
+      "--range", "1"], None),
+    (["verdict", "--factor", str(FIXTURES / "factor_collapse.json"), "--depth", "10",
+      "--range", "1"], 3),
+    (["verdict", "--factor", str(FIXTURES / "factor_phase_blocked.json"), "--depth", "18"], None),
+    (["profile-cnm", "--factor", str(FIXTURES / "factor_phase_blocked.json"), "--depth", "18"],
+     None),
 ])
-def test_one_transfer_build_per_factor_potential_and_state_lengths(argv, tmp_path, monkeypatch):
+def test_one_transfer_build_per_factor_potential_and_state_lengths(argv, zero_range, tmp_path,
+                                                                   monkeypatch):
     """A command builds each step of its representations once: one
-    ``_transfer`` per (factor, potential, source length, target length)."""
+    ``_transfer`` per (factor, potential, source length, target length).
+    Under a zero potential of range 3 (``zero_range``) the g-table's
+    representation builds only the 1-block steps its exact rows grow by,
+    (0, 1) and (1, 1), and none of the 2-block float walk."""
     built = []  # holds the factors and potentials, so their ids stay unique
     real = seqtable._transfer
 
@@ -650,10 +726,19 @@ def test_one_transfer_build_per_factor_potential_and_state_lengths(argv, tmp_pat
         built.append((pi, f, src_len, dst_len))
         return real(pi, f, src_len, dst_len)
 
+    if zero_range is not None:
+        dom = load_factor(read_json(argv[2])).domain
+        values = {"".join(dom.alphabet[x] for x in w): 0.0 for w in dom.blocks(zero_range)}
+        (tmp_path / "zero.json").write_text(json.dumps({"range": zero_range, "values": values}))
+        argv = argv + ["--potential", str(tmp_path / "zero.json")]
     monkeypatch.setattr(seqtable, "_transfer", counted)
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
     keys = [(id(pi), id(f), src_len, dst_len) for pi, f, src_len, dst_len in built]
     assert keys and len(set(keys)) == len(keys)
+    if zero_range is not None:
+        image = [(src_len, dst_len) for pi, f, src_len, dst_len in built
+                 if f.range == zero_range and pi.image_alphabet == ("a", "b")]
+        assert image == [(0, 1), (1, 1)]
 
 
 @pytest.mark.parametrize("name, depth", [("factor_collapse.json", 14),
