@@ -18,7 +18,7 @@ import numpy as np
 
 from .factor import OneBlockFactor, fiber_words
 from .lp import LpError, chebyshev_fit_exact, chebyshev_fit_float, solve_exact
-from .numerics import array_max, integer_rows, log_fraction, logsumexp, power_exponent
+from .numerics import array_max, integer_rows, logsumexp, power_exponent
 from .potential import (LocallyConstantPotential, PotentialError, birkhoff_inf,
                         birkhoff_sup, periodic_birkhoff, periodic_birkhoff_coeff,
                         variation_constant)
@@ -102,16 +102,18 @@ def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
     last r-1 symbols): on a sofic image the extensions of a word depend on
     its state, not on its suffix alone.
 
-    On an exact g-table, for h on the table's own language, its words are
-    not read: the walk runs over the keys (fiber row x_u of
+    The walk reads no word: it runs over the keys (row of
     ``SeqTable.rows``, state, last r-1 symbols) of each depth, each
-    carrying the largest and the smallest Birkhoff sum of its words.  A
-    word's value depends on its row only, rounded addition is monotone and
-    |L - S| peaks at an extreme S, so that is the word maximum bit for bit.
-    The exact variant (in units of log(base)) is None when the table or h
-    has no exact form or a table value is not a power of h's base.
+    carrying the largest and the smallest Birkhoff sum of its words (on a
+    table built from dicts each word is its own row).  A word's value
+    depends on its row only, rounded addition is monotone and |L - S| peaks
+    at an extreme S, so that is the word maximum bit for bit.  A word
+    outside h's language is a PotentialError naming the first such word,
+    as uniform_defect's.  The exact variant (in units of log(base)) is None
+    when the table or h has no exact form or a table value is not a power
+    of h's base.
     """
-    r, lang = h.range, h.language
+    r = h.range
     if exact:
         if not (gt.is_exact and h.is_exact):
             return None
@@ -123,81 +125,58 @@ def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
         dtype = np.int64 if small else object
     else:
         weight, zero, dtype, den = h.values, 0.0, float, 1
-    rows = gt.rows if lang is gt.language else None
-    return _defect_walk(gt, h, exact, rows, weight, zero, dtype, den)
-
-
-def _defect_walk(gt, h, exact, rows, weight, zero, dtype, den):
-    """uniform_defects' pass over the words, or over the keys of the fiber
-    rows ``rows`` when given."""
-    r, lang, k = h.range, h.language, len(gt.alphabet)
-    out = {}
+    lang, k, out = h.language, len(gt.alphabet), {}
     # (state, last min(n, r-1) symbols) by id; ids step once per (id,
     # symbol), and a step adds the weight of the window it completes
     keys, sups, steps, adds = [(lang.start, ())], [zero], {}, {}
     ids = {keys[0]: 0}
-    # per node (word, or key with its row ``row``): its (state, suffix) id
-    # and largest and smallest Birkhoff sums, one array on the words
+    # per node (a row ``row`` with a key ``kid``): its largest and smallest
+    # Birkhoff sums
     kid, row, hi = np.zeros(1, np.int64), np.zeros(1, np.intp), np.zeros(1, dtype)
     lo = hi
     for n in range(1, gt.depth_max + 1):
-        if rows is None:
-            level = gt.levels[n]
-            src, sym = level.parent, level.sym
-        else:
-            nxt = rows.to(n).next[n - 1][row]
-            src, sym = np.nonzero(nxt >= 0)  # node-major, symbols in order
-        pairs, inv = np.unique(kid[src] * k + sym, return_inverse=True)
+        nxt = gt.rows.to(n).next[n - 1][row]
+        src, sym = np.nonzero(nxt >= 0)  # node-major, symbols in order
+        cells = kid[src] * k + sym  # (key, symbol) of each cell
+        pairs = np.flatnonzero(np.bincount(cells))
         for p in pairs.tolist():
             if p not in steps:
                 state, s_word = keys[p // k]
+                state = lang.step(state, p % k)
+                if state is None:  # the first word outside h's language, as uniform_defect
+                    bad = next(w for w in gt.words(n) if not lang.is_word(w))
+                    raise PotentialError("word %s is not allowable" % (bad,))
                 grown_word = s_word + (p % k,)
                 adds[p] = weight[grown_word] if len(grown_word) == r else zero
-                key = (lang.step(state, p % k), grown_word[1 - r:]) if r >= 2 else keys[0]
+                key = (state, grown_word[1 - r:] if r >= 2 else ())
                 if key not in ids:
                     ids[key] = len(keys)
                     keys.append(key)
-                    sups.append(None if key[0] is None else max(
-                        _window_sum(key[1] + e, len(key[1]), r, weight, zero)
-                        for e in lang.extensions_from(key[0], r - 1)))
+                    sups.append(max(_window_sum(key[1] + e, len(key[1]), r, weight, zero)
+                                    for e in lang.extensions_from(state, r - 1)))
                 steps[p] = ids[key]
-        inv = inv.reshape(-1)
+        inv = np.searchsorted(pairs, cells)
         step = np.array([steps[p] for p in pairs.tolist()], np.int64)[inv]
         add = np.array([adds[p] for p in pairs.tolist()], dtype)[inv]
-        if rows is None:
-            kid, hi = step, hi[src] + add
-            lo = hi
-            dead_ids = [i for i, t in enumerate(sups) if t is None]
-            dead = np.flatnonzero(np.isin(kid, dead_ids)) if dead_ids else ()
-            if len(dead):
-                raise PotentialError("word %s is not allowable" % (level.words[dead[0]],))
-        else:
-            nodes, node = np.unique(nxt[src, sym].astype(np.int64) * len(keys) + step,
-                                    return_inverse=True)
-            row, kid = nodes // len(keys), nodes % len(keys)
-            order = np.argsort(node.reshape(-1), kind="stable")
-            starts = np.searchsorted(node.reshape(-1)[order], np.arange(len(nodes)))
-            hi = np.maximum.reduceat((hi[src] + add)[order], starts)
-            lo = np.minimum.reduceat((lo[src] + add)[order], starts)
+        nodes = nxt[src, sym].astype(np.int64) * len(keys) + step
+        order = np.argsort(nodes)  # each node's cells together
+        starts = np.flatnonzero(np.diff(nodes[order], prepend=-1))
+        row, kid = np.divmod(nodes[order][starts], len(keys))
+        hi = np.maximum.reduceat((hi[src] + add)[order], starts)
+        lo = np.minimum.reduceat((lo[src] + add)[order], starts)
         top, bottom = hi, lo
         if r >= 2:
             tail = np.array(sups, dtype)[kid]
             top, bottom = hi + tail, lo + tail
+        values = gt.rows.g[n]
         if not exact:
-            logs = gt.levels[n].logs if rows is None else np.array(
-                [log_fraction(v) for v in rows.g[n].tolist()])[row]
-            d = np.maximum(np.abs(logs - top), np.abs(logs - bottom))
+            d = np.maximum(np.abs(values.logs[row] - top), np.abs(values.logs[row] - bottom))
             out[n] = (float(d.max()) if len(d) else 0.0) / n
             continue
-        if rows is None:
-            es = gt.exponents(n, h.exact_base)
-        elif (found := gt.powers(n, h.exact_base)) is None:
-            es = None
-        else:
-            ks = dict(zip(found[0].tolist(), found[1].tolist()))
-            es = np.array([ks[v] for v in rows.g[n].tolist()], np.int64)[row]
-        if es is None:
+        found = gt.powers(n, h.exact_base)
+        if found is None:
             return None
+        es = found[1][np.searchsorted(found[0], values.num)][row]
         small = dtype is not object and array_max(np.abs(es)) * den < 2 ** 62
         es = (es if small else es.astype(object)) * den
         d = np.maximum(np.abs(es - top), np.abs(es - bottom))

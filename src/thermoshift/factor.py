@@ -1,7 +1,8 @@
 """One-block factor maps, the induced image language, fiber enumeration and
-the fiber walk: the one level-by-level kernel for products of per-symbol
-matrices over the fibers, float g-tables (seqtable) and pushforward masses
-alike, whose word index (``_word_index``) exact g-tables share.
+the fiber rows (``_Rows``): the one level-by-level kernel for products of
+per-symbol matrices over the fibers, which every g-table (seqtable), its
+projective classes and the pushforward masses step, with one word index
+over them (``_word_levels``).
 
 The image subshift Y is never specified independently: its language is
 derived from the map via the subset automaton (state = set of domain
@@ -11,6 +12,7 @@ only that automaton's ``step``; the rest comes from ``shiftcore.Language``.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -122,68 +124,121 @@ def pushforward_cylinder(mu: MarkovMeasure, pi: OneBlockFactor, y: Word):
     if mu not in pi._mass_steps:
         pi._mass_steps[mu] = _measure_steps(mu, pi)
     v, steps, den = pi._mass_steps[mu]
-    for v, *_ in _fiber_walk(v, lambda n: tuple(a[:, y[n - 1], None] for a in steps(n)), len(y)):
-        pass
-    total = sum(row_sums(v).tolist())
+    walk = _Rows(v, lambda n: tuple(a[:, y[n - 1], None] for a in steps(n)), row_sums)
+    total = sum(row_sums(walk.to(len(y)).rows[-1]).tolist())
     return Fraction(total, den(len(y))) if mu.exact else float(total)
 
 
-def _fiber_walk(v: np.ndarray, steps, depth: int):
-    """The fibers of pi level by level: V_n = stack_b(V_{n-1} M_b) from the
-    row vector v, a row per image word (word-major, so lexicographic) and a
-    column per domain state.  ``steps(n)`` is (M, edge), indexed [source
-    state, image symbol, target state]; a word is kept while ``edge`` (the
-    domain transitions) reaches it, whatever the weights.  Walks float
-    g-tables and masses (exact g-tables index their forward rows instead,
-    ``seqtable._exact_levels``); exact masses run in int64 while a bound
-    allows, Python ints past it.  Yields (rows, ids, parent, sym, tail):
-    the rows, each word's row id and the word index (``_word_index``).  A
-    float walk keeps each distinct (row, reach) pair once, by their bits,
-    as equal bits step to equal bits; an integer walk a row per word (ids
-    the identity), as its readout is one row_sums."""
-    live = np.ones(v.shape, dtype=bool)
-    tail, child = np.zeros(1, dtype=np.int32), None
-    ids = None  # each word's row id; None while every word has a row of its own
-    for n in range(1, depth + 1):
-        m, edge = steps(n)
-        if v.dtype == np.int64 and (m.dtype == object or
-                                    array_max(v) * array_max(m.sum(axis=0)) > INT64_MAX):
-            v = v.astype(object)
-        m = m.astype(v.dtype)
-        # accumulate over the source states in ascending order (float bits)
-        rows, n_img = len(v), m.shape[1]
-        out = np.zeros((rows,) + m.shape[1:], dtype=v.dtype)
-        reach = np.zeros(out.shape, dtype=bool)
-        for j in range(m.shape[0]):
-            out += v[:, j, None, None] * m[j]
-            reach |= live[:, j, None, None] & edge[j]
-        out, reach = out.reshape(rows * n_img, -1), reach.reshape(rows * n_img, -1)
-        grows = reach.any(axis=1)  # per (row, symbol) cell: it stays a word
-        kept = grown = np.flatnonzero(grows)
-        if ids is not None:  # a word's (word, symbol) cells are its row's
-            cells = (ids[:, None] * n_img + np.arange(n_img)).ravel()
-            kept = np.flatnonzero(grows[cells])
-            ids = (np.cumsum(grows) - 1)[cells[kept]]  # index among the grown cells
-        v, live = out[grown], reach[grown]
-        if v.dtype == float and len(v) > 1:
-            first, row_id = unique_rows(np.hstack([v.view(np.uint8), live.view(np.uint8)]))
-            v, live, ids = v[first], live[first], row_id if ids is None else row_id[ids]
-        parent, sym, tail, child = _word_index(kept, n_img, tail, child)
-        yield v, np.arange(len(kept)) if ids is None else ids, parent, sym, tail
+class _Rows:
+    """The fibers of pi level by level, as their distinct rows: V_n =
+    stack_b(V_{n-1} M_b) from the row vector ``root``, a column per domain
+    state.  ``steps(n)`` is (M, edge), indexed [source state, image symbol,
+    target state]; a row grown by b stays a word while ``edge`` (the domain
+    transitions) reaches it, whatever the weights.  One kernel for every
+    product of per-symbol matrices over the fibers: g-tables, float
+    (``seqtable.build_g_table``) and exact, their projective classes and
+    the pushforward masses.
+
+    Each depth keeps each distinct (row, reach) pair once, compared by
+    their bits (by value on Python ints), as equal rows step to equal rows;
+    with ``primitive`` each row is first divided by its gcd, which gives the
+    projective classes of an integer walk.  ``next[n][i, b]`` is the row at
+    depth n + 1 of row i grown by b (-1 where no word), ``g[n]`` the
+    ``value`` of the rows at depth n (g[0] None) and ``rows[n]`` the rows
+    themselves: every depth's with ``primitive``, else the deepest only, the
+    one stepped again.  ``to(n)`` walks as deep as a read reaches.  The
+    rows are never more than the words, and few where the words share
+    their fibers' shape (2n at depth n on the collapse factor, 1842 of
+    8192 words of an r2-float table at depth 13)."""
+
+    def __init__(self, root: np.ndarray, steps, value, primitive: bool = False):
+        self._steps, self._value, self._primitive = steps, value, primitive
+        self.rows, self.live = [root], np.ones(root.shape, dtype=bool)
+        self.g, self.next = [None], []
+
+    @classmethod
+    def given(cls, nxt: list, g: list) -> _Rows:
+        """Rows given outright, never stepped: a table built from dicts,
+        each of whose words is its own row."""
+        rows = cls.__new__(cls)
+        rows.next, rows.g = nxt, g
+        return rows
+
+    def to(self, n: int) -> _Rows:
+        """The rows through depth n."""
+        while len(self.g) <= n:
+            out, reach = _grow(self.rows[-1], self.live, *self._steps(len(self.g)))
+            nxt = np.full(len(out), -1, np.intp)
+            grown = np.flatnonzero(reach.any(axis=1))  # per (row, symbol) cell: a word
+            out, reach = out[grown], reach[grown]
+            if self._primitive:
+                out = out // np.gcd.reduce(out, axis=1)[:, None]
+            first = inv = np.arange(len(out))
+            if len(out) > 1:
+                key = [out, reach] if out.dtype == object else [out.view(np.uint8),
+                                                                reach.view(np.uint8)]
+                first, inv = unique_rows(np.hstack(key))
+            nxt[grown] = inv
+            self.next.append(nxt.reshape(len(self.rows[-1]), -1))
+            if not self._primitive:
+                self.rows[-1] = None
+            self.rows.append(out[first])
+            self.live = reach[first]
+            self.g.append(self._value(self.rows[-1]))
+        return self
+
+    def find(self, word: Word) -> int | None:
+        """The row reached from the root by the symbols of ``word``; None
+        when it is no word."""
+        i = 0
+        for n, b in enumerate(word):
+            i = int(self.next[n][i, b]) if 0 <= b < self.next[n].shape[1] else -1
+            if i < 0:
+                return None
+        return i
 
 
-def _word_index(kept: np.ndarray, n_img: int, tail: np.ndarray, child: np.ndarray | None):
-    """One level of the word index from the cells word * n_img + symbol of
-    the words one depth up that stay words (``kept``, ascending): (parent,
-    sym, tail, child), the ranks one depth down of w[:-1] and w[1:], the
-    last symbols and the rank of each cell (-1 where no word).  ``tail``
-    and ``child`` are the level above's (zeros(1) and None at depth 1):
-    w[1:] is the parent's tail followed by sym."""
-    parent, sym = (kept // n_img).astype(np.int32), (kept % n_img).astype(np.int32)
-    below = np.full(len(tail) * n_img, -1, dtype=np.int32)
-    below[kept] = np.arange(len(kept), dtype=np.int32)
-    tail = np.zeros(len(kept), np.int32) if child is None else child[tail[parent] * n_img + sym]
-    return parent, sym, tail, below
+def _grow(v: np.ndarray, live: np.ndarray, m: np.ndarray, edge: np.ndarray):
+    """(out, reach): row i of v grown by image symbol b at row i * |symbols|
+    + b, out = v M_b and reach the states the transitions ``edge`` lead to
+    from the ``live`` ones.  Floats accumulate over the source states in
+    ascending order (their bits); integers stay in int64 while the largest
+    entry times the largest column sum of M stays below 2^63, Python ints
+    past it."""
+    if v.dtype == np.int64 and (m.dtype == object or
+                                array_max(v) * array_max(m.sum(axis=0)) > INT64_MAX):
+        v = v.astype(object)
+    flat = m.reshape(len(m), -1).astype(v.dtype)
+    if v.dtype == float:
+        out = np.zeros((len(v), flat.shape[1]))
+        for j in range(len(flat)):
+            out += v[:, j, None] * flat[j]
+    else:
+        out = v @ flat
+    reach = live @ edge.reshape(len(edge), -1)
+    return out.reshape(-1, m.shape[2]), reach.reshape(-1, m.shape[2])
+
+
+def _word_levels(rows: _Rows):
+    """The word index over ``rows``, one depth n = 1, 2, ... per
+    resumption: (ids, parent, sym, tail), each word's row (next[n-1][its
+    parent's row, its last symbol]), the ranks one depth down of w[:-1] and
+    w[1:] and the last symbols, words in lexicographic order.  w[1:] is the
+    parent's tail followed by sym.  It builds the level index of every
+    g-table (``seqtable._Levels``) and ranks the pushforward masses."""
+    ids, tail, child = np.zeros(1, np.intp), np.zeros(1, np.int32), None
+    for n in itertools.count(1):
+        nxt = rows.to(n).next[n - 1]
+        n_img, cells = nxt.shape[1], nxt[ids].ravel()
+        kept = np.flatnonzero(cells >= 0)
+        ids = cells[kept]
+        parent, sym = (kept // n_img).astype(np.int32), (kept % n_img).astype(np.int32)
+        below = np.full(len(cells), -1, dtype=np.int32)
+        below[kept] = np.arange(len(kept), dtype=np.int32)
+        tail = np.zeros(len(kept), np.int32) if child is None else \
+            child[tail[parent] * n_img + sym]
+        child = below
+        yield ids, parent, sym, tail
 
 
 def _measure_steps(mu: MarkovMeasure, pi: OneBlockFactor):

@@ -1,6 +1,6 @@
 """Transfer-operator machinery: pressure of a locally constant potential,
 the induced Gibbs Markov measure, weak-Gibbs constants C_n and the
-pushforward sandwich, whose masses come from the fiber walk by table rank.
+pushforward sandwich, whose masses come from the fiber rows by table rank.
 
 For a Markov measure of order k and f of range r, log mu[w] + nP -
 sup_[w] S_n f is a path sum on the max(k, r-1)-block graph plus a terminal
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .factor import _fiber_walk, _measure_steps
+from .factor import _Rows, _measure_steps, _word_levels
 from .markov import MarkovMeasure, MeasureError
 from .numerics import integer_rows, log_fraction, row_sums
 from .potential import LocallyConstantPotential, birkhoff_sup, variation_constant
@@ -256,7 +256,8 @@ def pushforward_sandwich(mu: MarkovMeasure, pi, f: LocallyConstantPotential,
     stored image words, where C_n are the weak-Gibbs constants of mu for f
     on the domain and M_n the variation constants of f.
 
-    Masses come from the mass walk, one per stored word at its rank.  Zero
+    Masses come from the mass walk, one per distinct fiber row, gathered to
+    each stored word by the rows' word index (``factor._word_levels``).  Zero
     tolerance on the exact path (once per distinct integer mass and value
     pair, by integer cross-multiplication); 1e-9 slack on floats.
     """
@@ -267,8 +268,9 @@ def pushforward_sandwich(mu: MarkovMeasure, pi, f: LocallyConstantPotential,
     worst = float("inf")
     failures = []
     start, steps, den = _measure_steps(mu, pi)
-    for n, (v, ids, parent, sym, _) in enumerate(_fiber_walk(start, steps, depth), start=1):
-        level, mass = gt.levels[n], row_sums(v)[ids]
+    walk = _Rows(start, steps, row_sums)
+    for n, (ids, parent, sym, _) in zip(range(1, depth + 1), _word_levels(walk)):
+        level, mass = gt.levels[n], walk.g[n][ids]
         if not (np.array_equal(parent, level.parent) and np.array_equal(sym, level.sym)):
             raise TableError("table words at depth %d are not the image words of pi" % n)
         log_mn = variation_constant(f, n)

@@ -7,14 +7,20 @@ modes: exact integer counting (fiber cardinalities, the f = 0 path) and
 floating log space.  The counting path keeps exact values alongside their
 logs so downstream checks can be zero-tolerance.
 
-A table lives in its level index (``SeqTable.levels``): per depth the logs,
-the exact values as integers over one denominator, each word's last symbol
-and the ranks of its prefix and suffix one depth down, so prefixes and
+A table lives in its rows (``SeqTable.rows``) and its level index
+(``SeqTable.levels``).  A g-table's rows are its distinct fiber rows
+(``factor._Rows``, the one walker), a table built from dicts makes each
+word its own row; either way ``next`` steps a row by a symbol and the
+values are held once per row, so every value read (``entry``, the power
+base, the uniform defects' walk, the periodic blocks) is a walk down the
+rows that reads no word.  The level index holds per depth the logs, the
+exact values as integers over one denominator, each word's last symbol and
+the ranks of its prefix and suffix one depth down, so prefixes and
 suffixes of any length are chained gathers; words are spelled out on
-demand.  ``build_g_table`` emits the index level by level, with no
-Fraction in it: float g-tables from the fiber walk in ``factor``, drained
-at build time, exact ones as a word index over their forward fiber rows,
-resumed only when a level is first read (``_Levels``).  The dict views
+demand.  A g-table builds it, with no Fraction in it, from its rows' word
+index (``factor._word_levels``) a level at a time, when the level is first
+read (``_Levels``); a float g-table walks its rows through every depth at
+build time, an exact one as deep as a read reaches.  The dict views
 ``logs`` / ``exact`` are built only when asked for.  Z_n comes from the
 one-row walk of the total collapse (``partition_table``): the fibers
 partition B_n(X), so no image word is needed.  A float walk whose entries
@@ -27,36 +33,27 @@ potential), kept on the factor (``_Representation``).  On an exact g-table
 (the counting path, f = 0, of any range) g is a rational series, g(uv) =
 x_u . y_v.  The C_{n,m} profile and the D2 bridging search read projective
 fiber classes instead of words (``_FiberClasses``): g(uv) / (g(u) g(v))
-depends on u and v only through the primitive rows of x_u and y_v, and
-the classes grow by themselves, depth by depth, as deep as a scan reads
-(``_Rows.classes``).  That pays when a depth holds few classes next to its
-words; each scan counts the class products it needs and takes the class
-path only when they are fewer than the word scan's cells, the profile row
-by row (``_profile_rows``).  On exact tables both scans report
-log_fraction of an exact extreme ratio (``_max_ratios``): C_{n,m} the
-largest spread, D_{n,m} the least bridged ratio, so the class and word
-paths give the same floats.  The class path reads no word level and walks
-no fiber row; only the unbridged pairs check_D2 lists are spelled from the
-levels.  Float tables, tables built from dicts and exact g-tables whose
-classes do not pay keep the word scans (``_splits``, ``_ranks``,
-``_word_bridges``).  A verdict reads the profile rows only up to the first
-that grows (``growth_witness``).  Where the series has Hankel rank 1
-(``_Representation.rank``, computed exactly, and only on a full-shift
-image, the one place it can be 1) g(uv) = g(u) g(v), every C_{n,m} is 1
-and the profile rows come with no scan at all.
-
-An exact g-table walks its forward fiber rows once (``SeqTable.rows``):
-they index its levels, grow its forward classes and give every value read
-without a word, so nothing past the fit depth builds a level: the common
-power base, the exponents' power test, the uniform defects' walk
-(``detect.uniform_defects``) and the periodic blocks.  The rows are few
-where the classes are (2n at depth n on the collapse factor, against 2^n
-words) and never more than the words.
+depends on u and v only through the primitive rows of x_u and y_v, and the
+classes grow by themselves, depth by depth, as deep as a scan reads (a
+primitive ``_Rows`` per direction).  That pays when a depth holds few
+classes next to its words; each scan counts the class products it needs and
+takes the class path only when they are fewer than the word scan's cells,
+the profile row by row (``_profile_rows``).  On exact tables both scans
+report log_fraction of an exact extreme ratio (``_max_ratios``): C_{n,m}
+the largest spread, D_{n,m} the least bridged ratio, so the class and word
+paths give the same floats.  The class path reads no word level and steps
+none of the table's rows; only the unbridged pairs check_D2 lists are
+spelled from the levels.  Float tables, tables built from dicts and exact
+g-tables whose classes do not pay keep the word scans (``_splits``,
+``_ranks``, ``_word_bridges``).  A verdict reads the profile rows only up
+to the first that grows (``growth_witness``).  Where the series has Hankel
+rank 1 (``_Representation.rank``, computed exactly, and only on a
+full-shift image, the one place it can be 1) g(uv) = g(u) g(v), every
+C_{n,m} is 1 and the profile rows come with no scan at all.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import weakref
@@ -68,7 +65,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .factor import OneBlockFactor, _fiber_walk, _word_index
+from .factor import OneBlockFactor, _grow, _Rows, _word_levels
 from .numerics import (INT64_MAX, array_max, common_power_base, int_array, integer_rows,
                        log_fraction, logsumexp, perron, perron_exact, power_exponent, row_reduce,
                        row_sums, span_basis, unique_rows)
@@ -84,7 +81,8 @@ class TableError(ValueError):
 class SeqTable:
     """Per-depth log values of a sequence {log f_n} on cylinder words.
 
-    The table lives in its level index ``levels``.  ``logs[n][word]`` is
+    The table lives in its rows ``rows``, which every value read walks, and
+    its level index ``levels``.  ``logs[n][word]`` is
     log f_n on the cylinder of ``word`` and ``exact`` (when present) holds
     the same values as exact Fractions: read-only views, built on first
     access.  ``potential`` is the potential the table was built from (None
@@ -116,27 +114,21 @@ class SeqTable:
         self.exact = None if exact is None else _view(exact)
 
     @classmethod
-    def from_levels(cls, alphabet, levels: list[_Level | None] | _Levels, is_exact: bool,
-                    kind="table", language=None, potential=None, factor=None,
-                    rows: _Rows | None = None) -> SeqTable:
-        """Table over a level index of finite logs: ``levels[0]`` None, then
-        one _Level per depth whose words' prefixes and suffixes are stored
-        one depth down.  ``factor`` is the map a g-table's values count
-        fibers of, ``rows`` an exact g-table's forward fiber rows."""
+    def from_rows(cls, pi: OneBlockFactor, f: LocallyConstantPotential, rows: _Rows,
+                  depth_max: int, is_exact: bool) -> SeqTable:
+        """The g-table of (pi, f) over its fiber rows ``rows``, whose values
+        ``rows.g[n]`` (a _Level, one entry per row) it reads; its level index
+        gathers them to the words on demand (``_Levels``)."""
         t = cls.__new__(cls)
-        t._init(alphabet, len(levels) - 1, is_exact, kind, language, potential, factor)
-        t.levels, t.rows = levels, rows
+        t._init(pi.image_alphabet, depth_max, is_exact, "g", pi.image, f, pi)
+        t.rows, t.levels = rows, _Levels(rows, depth_max)
         return t
 
     def _init(self, alphabet, depth_max, is_exact, kind, language, potential, factor):
         self.alphabet, self.depth_max, self.is_exact = tuple(alphabet), depth_max, is_exact
         self.kind, self.language = kind, language
         self.potential: LocallyConstantPotential | None = potential
-        self.factor: OneBlockFactor | None = factor
-        # an exact g-table's forward fiber rows (``_Rows``), walked as deep as
-        # a read reaches; they serve every value read without a word
-        self.rows: _Rows | None = None
-        self._child: list[np.ndarray] = []  # see _find
+        self.factor: OneBlockFactor | None = factor  # the map a g-table counts fibers of
         self._z: dict[int, tuple] = {}  # see _partition
         self._powers: dict[tuple[int, int], tuple | None] = {}  # see powers
 
@@ -157,43 +149,42 @@ class SeqTable:
             raise TableError("depth %d not in table (max %d)" % (n, self.depth_max))
         return self.levels[n]
 
-    def _find(self, n: int, word: Word, strict: bool = True) -> int | None:
-        """Rank of ``word`` at depth n, one step per symbol through the child
-        tables (rank one depth up * |alphabet| + symbol -> rank, -1 where no
-        word is stored; each built on first use).  Not stored: TableError,
-        or None when not ``strict``."""
-        k, i = len(self.alphabet), 0
-        if 1 <= n <= self.depth_max and len(word) == n:
-            for d in range(len(self._child) + 1, n + 1):
-                level, up = self.levels[d], len(self.levels[d - 1]) if d > 1 else 1
-                flat = np.full(up * k, -1, dtype=np.int64)
-                flat[level.parent.astype(np.int64) * k + level.sym] = np.arange(len(level))
-                self._child.append(flat)
-            for child, b in zip(self._child, word):
-                i = int(child[i * k + b]) if 0 <= b < k else -1
-                if i < 0:
-                    break
-            else:
-                return i
-        if strict:
-            raise TableError("word %s not stored at depth %d" % (word, n))
-        return None
-
     def words(self, n: int) -> list[Word]:
         return sorted(self._level(n).words)
 
+    def _row(self, n: int, word: Word) -> int | None:
+        """The row of ``word`` at depth n, one step per symbol through
+        ``rows.next``; None when it is not stored."""
+        if not (1 <= n <= self.depth_max and len(word) == n):
+            return None
+        return self.rows.to(n).find(word)
+
+    def entry(self, n: int, word: Word) -> tuple[float, int | Fraction | None] | None:
+        """(log value, exact value or None) of ``word`` at depth n, read from
+        its row; None when it is not stored."""
+        i = self._row(n, word)
+        if i is None:
+            return None
+        values = self.rows.g[n]
+        return float(values.logs[i]), None if values.num is None else values.value(
+            int(values.num[i]))
+
+    def _stored(self, n: int, word: Word) -> tuple[float, int | Fraction | None]:
+        found = self.entry(n, word)
+        if found is None:
+            raise TableError("word %s not stored at depth %d" % (word, n))
+        return found
+
     def log_value(self, n: int, word: Word) -> float:
-        i = self._find(n, word)
-        return float(self.levels[n].logs[i])
+        return self._stored(n, word)[0]
 
     def exact_value(self, n: int, word: Word) -> Fraction:
         if not self.is_exact:
             raise TableError("table has no exact values")
-        i = self._find(n, word)
-        return Fraction(self.levels[n].value(int(self.levels[n].num[i])))
+        return Fraction(self._stored(n, word)[1])
 
     def has_word(self, n: int, word: Word) -> bool:
-        return self._find(n, word, strict=False) is not None
+        return self._row(n, word) is not None
 
     def _partition(self, n: int) -> tuple[float, int | Fraction | None]:
         """(log Z_n, Z_n), the sum of the depth-n values, once per depth:
@@ -224,11 +215,9 @@ class SeqTable:
 
     def _distinct_nums(self, n: int) -> tuple[np.ndarray, int]:
         """(the sorted distinct exact numerators at depth n, their
-        denominator), from the fiber rows on exact g-tables."""
-        if self.rows is not None:
-            return np.unique(self.rows.to(n).g[n]), 1
-        level = self._level(n)
-        return np.unique(level.num), level.den
+        denominator), from the rows."""
+        values = self.rows.to(n).g[n]
+        return np.unique(values.num), values.den
 
     @cached_property
     def power_base(self) -> int | None:
@@ -240,19 +229,6 @@ class SeqTable:
                                   for nums, den in map(self._distinct_nums,
                                                        range(1, self.depth_max + 1))
                                   for v in nums.tolist()})
-
-    def entry(self, n: int, word: Word) -> tuple[float, int | Fraction | None] | None:
-        """(log value, exact value or None) of ``word`` at depth n, from the
-        fiber rows on exact g-tables, else from the level; None when it is
-        not stored."""
-        i = self._find(n, word, strict=False) if self.rows is None else self.rows.to(n).find(word)
-        if i is None:
-            return None
-        if self.rows is not None:
-            v = int(self.rows.g[n][i])
-            return log_fraction(v), v
-        level = self.levels[n]
-        return float(level.logs[i]), None if level.num is None else level.value(int(level.num[i]))
 
     @cached_property
     def levels(self) -> list[_Level | None]:
@@ -277,10 +253,23 @@ class SeqTable:
             if self.exact is not None:
                 [num], den = integer_rows([[self.exact[n][w] for w in words]])
                 num = int_array(num)
-            out.append(_Level(np.fromiter(level.values(), float, len(words)),
-                              parent, tail, sym, num, den, words=words))
+            out.append(_Level(np.fromiter(level.values(), float, len(words)), num, den,
+                              parent, tail, sym, words=words))
             prev = dict(zip(words, range(len(words))))
         return out
+
+    @cached_property
+    def rows(self) -> _Rows:
+        """The rows of a table built from dicts: each word is its own, grown
+        by b to its child (-1 where none is stored), and its values are the
+        levels'.  A g-table's are its fiber rows (``from_rows``)."""
+        k, nxt = len(self.alphabet), []
+        for n in range(1, self.depth_max + 1):
+            level, up = self.levels[n], len(self.levels[n - 1]) if n > 1 else 1
+            flat = np.full(up * k, -1, dtype=np.intp)
+            flat[level.parent.astype(np.intp) * k + level.sym] = np.arange(len(level))
+            nxt.append(flat.reshape(up, k))
+        return _Rows.given(nxt, self.levels)
 
     @cached_property
     def classes(self) -> _FiberClasses | None:
@@ -288,7 +277,7 @@ class SeqTable:
         scan first asks; None on float tables and on tables built from
         dicts, whose scans walk the words.  The scans on the classes decline
         (return None) where the words are cheaper."""
-        return None if self.rows is None else _FiberClasses(self)
+        return _FiberClasses(self) if self.is_exact and self.factor is not None else None
 
 
 _NON_FINITE = "non-finite log value at depth %d (float under- or overflow)"
@@ -307,20 +296,32 @@ def _view(levels: dict) -> Mapping:
 
 
 class _Level:
-    """One depth: logs, exact values num / den (``hi`` the largest num), the
-    last symbol of each word and the ranks one depth down of w[:-1] and
-    w[1:].  ``words`` (lexicographic) are given or derived on first use
-    from the level ``below``."""
+    """One depth's values: logs and exact values num / den (``hi`` the
+    largest num), one per fiber row (``SeqTable.rows``) or, in the level
+    index, one per word.  A level of the index adds each word's last symbol
+    and the ranks one depth down of w[:-1] and w[1:]; its ``words``
+    (lexicographic) are given or derived on first use from the level
+    ``below``.  Logs not given are taken on first read, one log_fraction
+    per distinct value."""
 
-    def __init__(self, logs: np.ndarray, parent: np.ndarray, tail: np.ndarray,
-                 sym: np.ndarray, num: np.ndarray | None, den: int,
-                 words: list[Word] | None = None, below: _Level | None = None):
-        self.logs, self.parent, self.tail, self.sym = logs, parent, tail, sym
+    def __init__(self, logs: np.ndarray | None, num: np.ndarray | None, den: int,
+                 parent: np.ndarray | None = None, tail: np.ndarray | None = None,
+                 sym: np.ndarray | None = None, words: list[Word] | None = None,
+                 below: _Level | None = None):
+        self._logs, self.parent, self.tail, self.sym = logs, parent, tail, sym
         self.num, self.den, self.hi = num, den, 0 if num is None else array_max(num)
         self._words, self._below = words, below
 
     def __len__(self) -> int:
-        return len(self.logs)
+        return len(self._logs if self.num is None else self.num)
+
+    @property
+    def logs(self) -> np.ndarray:
+        if self._logs is None:
+            uniq, inv = np.unique(self.num, return_inverse=True)
+            self._logs = np.array([log_fraction(self.value(x)) for x in uniq.tolist()],
+                                  dtype=float)[inv.reshape(-1)]
+        return self._logs
 
     @property
     def words(self) -> list[Word]:
@@ -335,13 +336,14 @@ class _Level:
 
 
 class _Levels:
-    """The level index of an exact g-table, built on demand: reading
-    ``levels[n]`` resumes ``_exact_levels`` (a generator of _Level) through
-    depth n.  ``built`` counts the levels made so far."""
+    """The level index of a g-table, built on demand: reading ``levels[n]``
+    resumes the word index over its fiber rows (``factor._word_levels``)
+    through depth n, each word's values gathered from its row's.  ``built``
+    counts the levels made so far."""
 
-    def __init__(self, depth: int, walk):
+    def __init__(self, rows: _Rows, depth: int):
         self._done: list[_Level | None] = [None]
-        self._depth, self._walk = depth, walk
+        self._depth, self._rows, self._walk = depth, rows, _word_levels(rows)
 
     @property
     def built(self) -> int:
@@ -353,10 +355,15 @@ class _Levels:
     def __getitem__(self, n):
         if isinstance(n, slice):
             return [self[i] for i in range(*n.indices(len(self)))]
-        n = range(len(self))[n]  # IndexError past the depth, negative n from the end
+        if not 0 <= n < len(self._done):
+            n = range(self._depth + 1)[n]  # IndexError past the depth, negative n from the end
         while len(self._done) <= n:
-            self._done.append(next(self._walk))
-            if len(self._done) == len(self):
+            ids, parent, sym, tail = next(self._walk)
+            values = self._rows.g[len(self._done)]  # one per row
+            self._done.append(_Level(values.logs[ids],
+                                     None if values.num is None else values.num[ids],
+                                     values.den, parent, tail, sym, below=self._done[-1]))
+            if len(self._done) > self._depth:
                 self._walk = None  # a finished walk still holds its last arrays
         return self._done[n]
 
@@ -422,43 +429,46 @@ class _FiberClasses:
     row by row (``defect_row``), the bridges at once, and returns None (the
     caller scans the words) unless the products are fewer.
 
-    Each direction is one ``_Rows`` (``fwd``, the table's own forward
-    rows, and ``bwd``) whose classes grow only as deep as a scan reads:
-    ``x(n)`` holds the forward class rows at depth n, ``ys(top)`` the
-    backward ones at depths 1..top.  Both scans read exact ratios of class
-    rows alone, so neither walks a fiber row or reads a word; the class of
-    each rank (``rank_classes``) is gathered only to spell unbridged pairs.
+    Each direction is one primitive walk of the fiber rows (``_Rows``:
+    ``fwd`` from alpha, ``bwd`` from tau, grown at the front), whose class
+    rows grow by themselves (a row grown by b has the primitive image of
+    its class row grown by b) and only as deep as a scan reads: ``x(n)``
+    holds the forward class rows at depth n, ``ys(top)`` the backward ones
+    at depths 1..top, and ``g`` the value of each class row.  Both scans
+    read exact ratios of class rows alone, so neither walks the table's
+    rows or reads a word; the class of each rank (``rank_classes``) is
+    gathered only to spell unbridged pairs.
     """
 
     def __init__(self, t: SeqTable):
         rep = _representation(t.factor, t.potential)
-        self.levels, self.depth, self._grow = t.levels, t.depth_max, rep.grow
+        self.levels, self.depth, self._steps = t.levels, t.depth_max, rep.steps
         self.counts = t.language.block_counts(t.depth_max)  # words per depth
-        self.fwd = t.rows  # alpha G_u
-        self.bwd = _Rows(np.ones_like(rep.start), rep.grow.transpose(0, 2, 1),
-                         lambda rows: rows[:, -1])  # G_v tau, grown at the front
+        self.fwd = _Rows(rep.start, lambda n: rep.steps, row_sums, primitive=True)
+        self.bwd = _Rows(np.ones_like(rep.start), lambda n: rep.back, lambda rows: rows[:, -1],
+                         primitive=True)
         self._ranks = {"fwd": [np.zeros(1, np.intp)], "bwd": [np.zeros(1, np.intp)]}
         self._first: list[np.ndarray | None] = [None]  # first symbol of each rank
 
     def x(self, n: int) -> np.ndarray:
         """The forward class rows at depth n."""
-        return self.fwd.classes(n).prim[n]
+        return self.fwd.to(n).rows[n]
 
     def ys(self, top: int) -> list[np.ndarray]:
         """The backward class rows (y, g) at depths 1..top."""
-        return self.bwd.classes(top).prim[1:top + 1]
+        return self.bwd.to(top).rows[1:top + 1]
 
     def rank_classes(self, side: str, n: int) -> np.ndarray:
         """The forward ("fwd") or backward ("bwd") class of each rank at
         depth n, gathered level by level through depth n."""
-        ids, walk = self._ranks[side], getattr(self, side).classes(n)
+        ids, walk = self._ranks[side], getattr(self, side).to(n)
         for d in range(len(ids), n + 1):
             level = self.levels[d]
             if side == "fwd":
-                ids.append(walk.cnext[d - 1][ids[-1][level.parent], level.sym])
+                ids.append(walk.next[d - 1][ids[-1][level.parent], level.sym])
             else:
                 self._first.append(level.sym if d == 1 else self._first[d - 1][level.parent])
-                ids.append(walk.cnext[d - 1][ids[-1][level.tail], self._first[d]])
+                ids.append(walk.next[d - 1][ids[-1][level.tail], self._first[d]])
         return ids[n]
 
     def _scan_cost(self, cells: list[tuple[int, int]], gap: int) -> int:
@@ -473,7 +483,7 @@ class _FiberClasses:
         empty word, so x . (y, g) = x . y."""
         ys = self.ys(top)
         cat, edges = np.concatenate(ys), np.cumsum([0] + [len(y) for y in ys]).tolist()
-        sx, g = self.fwd.classes(n).cg[n], cat[:, -1]
+        sx, g = self.fwd.to(n).g[n], cat[:, -1]
         den = _times(sx[:, None], g, array_max(sx) * array_max(g))
         return cat, den, {m: slice(a, b) for m, a, b in zip(range(1, top + 1), edges, edges[1:])}
 
@@ -556,8 +566,8 @@ class _FiberClasses:
         out, cost = [], 0
         for k in range(gap + 1):
             if k:
-                grown = _grow(rows, self._grow)
-                owner = np.repeat(owner, len(self._grow))
+                grown = _grow(rows, np.ones(rows.shape, dtype=bool), *self._steps)[0]
+                owner = np.repeat(owner, self._steps[0].shape[1])
                 keep = grown.any(axis=1)
                 pairs = np.column_stack([owner[keep], grown[keep]])
                 pairs = pairs[unique_rows(pairs)[0]]
@@ -571,81 +581,11 @@ class _FiberClasses:
         return starts, out
 
 
-class _Rows:
-    """One direction of an exact g-table: its projective classes, grown
-    depth by depth as far as a scan reaches (``classes``), and its distinct
-    fiber rows, walked as deep as a level or a value is read (``to``; the
-    forward ones are ``SeqTable.rows``).  Neither reads a word.
-
-    ``prim[n]`` holds the distinct primitive class rows at depth n (prim[0]
-    the root, which is primitive), ``cg[n]`` the value of each class row
-    and ``cnext[n][c, b]`` the class at depth n + 1 of class c grown by b
-    (-1 where that is 0: no word).  A row grown by b has the primitive
-    image of its class row grown by b, so the classes grow by themselves:
-    step, divide by the row gcd, dedupe.  ``g[n]`` holds the value of each
-    distinct row at depth n, ``next[n][i, b]`` the row at depth n + 1 of row
-    i grown by b (-1 where no word) and ``last`` the deepest rows, the only
-    ones stepped again.  The classes are few where the words are many (2
-    per depth on the collapse factor, 19 of 6765 words at depth 18 on
-    phase-blocked), the rows more (2n at depth n on collapse, 264 at depth
-    18 on phase-blocked), at most one per word (half the words on the
-    Calkin-Wilf factor), and nothing bounds the classes below the words.
-    """
-
-    def __init__(self, root: np.ndarray, grow: np.ndarray, value):
-        self._grow, self._value = grow, value
-        self.prim, self.cg, self.cnext = [root], [value(root)], []
-        self.last, self.g, self.next = root, [value(root)], []
-
-    def classes(self, n: int) -> _Rows:
-        """The classes through depth n."""
-        while len(self.prim) <= n:
-            nxt, prim = _step(self.prim[-1], self._grow, primitive=True)
-            self.cnext.append(nxt)
-            self.prim.append(prim)
-            self.cg.append(self._value(prim))
-        return self
-
-    def to(self, n: int) -> _Rows:
-        """The rows through depth n."""
-        while len(self.g) <= n:
-            nxt, self.last = _step(self.last, self._grow)
-            self.next.append(nxt)
-            self.g.append(self._value(self.last))
-        return self
-
-    def find(self, word: Word) -> int | None:
-        """The row reached from the root by the symbols of ``word``; None
-        when it is no word."""
-        i = 0
-        for n, b in enumerate(word):
-            i = int(self.next[n][i, b]) if 0 <= b < self.next[n].shape[1] else -1
-            if i < 0:
-                return None
-        return i
-
-
-def _step(rows: np.ndarray, mats: np.ndarray,
-          primitive: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(next, grown): the distinct nonzero rows among rows[i] @ mats[b]
-    (``_grow``), each divided by its gcd when ``primitive``, and next[i, b]
-    the index among them of row i grown by b (-1 at 0)."""
-    grown = _grow(rows, mats)
-    live = np.flatnonzero(grown.any(axis=1))
-    grown = grown[live]
-    if primitive:
-        grown = grown // np.gcd.reduce(grown, axis=1)[:, None]
-    first, inv = unique_rows(grown)
-    nxt = np.full(len(rows) * len(mats), -1, np.intp)
-    nxt[live] = inv
-    return nxt.reshape(len(rows), -1), grown[first]
-
-
 class _Representation:
     """The linear representation of the fiber sums of one (factor,
     potential), built once per pair (``_representation``).
 
-    ``walk[k]`` is the fiber walk's step (M, edge) of ``_transfer`` into
+    ``walk[k]`` is the float rows' step (M, edge) of ``_transfer`` into
     depth k + 1 on the domain's s-block states, s = max(r - 1, 1): from the
     last min(k, s) symbols to the last min(k + 1, s), built when first
     read (the float build and ``log_perron`` read it).  The last one serves
@@ -656,12 +596,13 @@ class _Representation:
     states whatever f's range, read from the 1-block steps: a_b, with
     a_b[j] = 1 when domain symbol j lies over b, then A_b, with A_b[i, j] =
     1 when moreover j may follow i.  With a start state d appended, g(y) =
-    alpha G_{y_1} ... G_{y_n} tau for G_b = [[A_b, 0], [a_b, 0]] (``grow``),
-    alpha = e_d (``start``) and tau = 1, so g(uv) = x_u . y_v for the
-    forward row x_u = alpha G_u and the backward row y_v = G_v tau = (A_v
-    1, g(v)).  All 0/1 in int64: the row walks promote per step
-    (``_grow``).  ``rank`` is the Hankel rank of g, computed when first
-    read.
+    alpha G_{y_1} ... G_{y_n} tau for G_b = [[A_b, 0], [a_b, 0]], alpha =
+    e_d (``start``) and tau = 1, so g(uv) = x_u . y_v for the forward row
+    x_u = alpha G_u and the backward row y_v = G_v tau = (A_v 1, g(v)).
+    ``steps`` is the row walks' step (M, edge) forward, M[i, b, j] =
+    G_b[i, j], and ``back`` the one backward (G_b transposed).  All 0/1 in
+    int64: the row walks promote per step (``factor._grow``).  ``rank`` is
+    the Hankel rank of g, computed when first read.
     """
 
     def __init__(self, pi: OneBlockFactor, f: LocallyConstantPotential):
@@ -670,10 +611,11 @@ class _Representation:
         self._s = max(f.range - 1, 1)
         if f.is_zero:
             (head, _), (steps, _) = self._step(0, 1), self._step(1, 1)
-            nb, d = head.shape[1:]
-            self.grow = np.zeros((nb, d + 1, d + 1), np.int64)
-            self.grow[:, :d, :d], self.grow[:, d, :d] = steps.transpose(1, 0, 2), head[0]
+            d = head.shape[2]
+            m = np.zeros((d + 1, head.shape[1], d + 1), np.int64)
+            m[:d, :, :d], m[d, :, :d] = steps, head[0]
             self.start = np.eye(1, d + 1, d, dtype=np.int64)
+            self.steps, self.back = (m, m > 0), (m.T, m.T > 0)
 
     def _step(self, src: int, dst: int):
         if (src, dst) not in self._built:
@@ -691,8 +633,9 @@ class _Representation:
         rank of F B^T for bases F of the forward rows alpha G_u and B of the
         backward rows G_v tau (Schuetzenberger 1961), each found breadth
         first over the symbols (``span_basis``).  Counting path only."""
-        fwd = span_basis(self.start.tolist(), self.grow.tolist())
-        bwd = span_basis([[1] * len(self.grow[0])], self.grow.transpose(0, 2, 1).tolist())
+        m = self.steps[0]
+        fwd = span_basis(self.start.tolist(), m.transpose(1, 0, 2).tolist())
+        bwd = span_basis([[1] * len(m)], m.transpose(1, 2, 0).tolist())
         hankel = [[sum(map(operator.mul, x, y)) for y in bwd] for x in fwd]
         return len(row_reduce(hankel, len(bwd))[0])
 
@@ -702,15 +645,6 @@ def _representation(pi: OneBlockFactor, f: LocallyConstantPotential) -> _Represe
     if f not in pi._representations:
         pi._representations[f] = _Representation(pi, f)
     return pi._representations[f]
-
-
-def _grow(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """rows[i] @ mats[b] at row i * len(mats) + b: in int64 while the
-    largest entry times the largest column sum of the mats stays below 2^63
-    (as ``factor._fiber_walk``), in Python ints past it."""
-    if rows.dtype != object and array_max(rows) * array_max(mats.sum(axis=1)) > INT64_MAX:
-        rows = rows.astype(object)
-    return (rows @ mats.transpose(1, 0, 2).reshape(rows.shape[1], -1)).reshape(-1, mats.shape[2])
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -740,16 +674,15 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     representative is chosen independently), so the sup of the fiber sum is
     the sum of per-cylinder sups; that is what the state-vector recursion
     accumulates.  The representation of (pi, f) (``_Representation``)
-    gives the steps.  mode "exact" demands the counting path (f = 0), whose
-    forward fiber rows (``_Rows``, in int64 while a bound allows, Python
-    ints past it) are walked once, as deep as a read reaches: the levels
-    index them (``_exact_levels``, resumed by ``_Levels``) and the table
-    keeps them (``SeqTable.rows``).  The float path steps the fiber walk
-    (``factor._fiber_walk``) V_{n+1} = stack_b(V_n M_b) on the s-block
-    states through every level here; it hands over the level index and
-    each word's row id, and the values are read out once per distinct row
-    (the words gather their logs by id, bit for bit what a row per word
-    gives), so a non-finite log is a TableError at build time.
+    gives the steps of the table's fiber rows (``factor._Rows``), which the
+    table keeps (``SeqTable.rows``): it reads every value from them, one
+    per distinct row, and its level index gathers them to the words when a
+    level is first read.  mode "exact" demands the counting path (f = 0),
+    whose rows alpha G_u (in int64 while a bound allows, Python ints past
+    it) are walked as deep as a read reaches.  The float path walks V_{n+1}
+    = stack_b(V_n M_b) on the s-block states through every depth here and
+    reads the logs out once per distinct row (bit for bit what a row per
+    word gives), so a non-finite log is a TableError at build time.
     """
     if depth_max < 1:
         raise TableError("depth_max must be >= 1")
@@ -763,10 +696,8 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
 
     rep = _representation(pi, f)
     if exact:
-        rows = _Rows(rep.start, rep.grow, row_sums)  # alpha G_u
-        return SeqTable.from_levels(pi.image_alphabet, _Levels(depth_max, _exact_levels(rows)),
-                                    True, kind="g", language=pi.image, potential=f, factor=pi,
-                                    rows=rows)
+        rows = _Rows(rep.start, lambda n: rep.steps, lambda v: _Level(None, row_sums(v), 1))
+        return SeqTable.from_rows(pi, f, rows, depth_max, True)
 
     dom, r, fmax = pi.domain, f.range, f.max_value()
     # sup of the windows reaching past a word, per state (its last min(n,
@@ -782,7 +713,7 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     # then loses only terms below 2^-1022 of their own entry.  Ordinary
     # potentials never get that low, so their bits do not move.
     weights = rep.walk[-1][0]
-    w, gauge = weights[weights > 0].min(initial=1), None
+    w, gauge, n, offset = weights[weights > 0].min(initial=1), None, 0, 0.0
 
     def step(n):
         nonlocal gauge
@@ -791,9 +722,9 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
             m, gauge = _gauged(m, gauge)
         return m, edge
 
-    walk = _fiber_walk(np.ones((1, 1)), step, depth_max)
-    levels, offset = [None], 0.0
-    for n, (v, ids, parent, sym, tail) in enumerate(walk, start=1):
+    def readout(v):  # the logs of the distinct rows v at the next depth n
+        nonlocal gauge, n, offset
+        n += 1
         if n >= r:
             offset += fmax
         if gauge is None and v[v > 0].min(initial=1.0) * w < _FLOOR:
@@ -808,27 +739,10 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
         logs = _float_readout(v, shift, offset)
         if not np.isfinite(logs).all():
             raise TableError(_NON_FINITE % n)
-        levels.append(_Level(logs[ids], parent, tail, sym, None, 1, below=levels[-1]))
-    return SeqTable.from_levels(pi.image_alphabet, levels, False, kind="g", language=pi.image,
-                                potential=f, factor=pi)
+        return _Level(logs, None, 1)
 
-
-def _exact_levels(rows: _Rows):
-    """The levels of an exact g-table, one per resumption, as a word index
-    over its forward fiber rows, walked along: each word's row is
-    next[n-1][row of its parent, symbol] and its value that row's g[n], one
-    log per distinct value."""
-    below, ids, tail, child = None, np.zeros(1, np.intp), np.zeros(1, np.int32), None
-    for n in itertools.count(1):
-        nxt = rows.to(n).next[n - 1]
-        cells = nxt[ids].ravel()
-        kept = np.flatnonzero(cells >= 0)
-        ids = cells[kept]
-        parent, sym, tail, child = _word_index(kept, nxt.shape[1], tail, child)
-        uniq, inv = np.unique(rows.g[n], return_inverse=True)
-        logs = np.array([log_fraction(x) for x in uniq.tolist()])[inv.reshape(-1)]
-        below = _Level(logs[ids], parent, tail, sym, rows.g[n][ids], 1, below=below)
-        yield below
+    rows = _Rows(np.ones((1, 1)), step, readout).to(depth_max)
+    return SeqTable.from_rows(pi, f, rows, depth_max, False)
 
 
 def _transfer(pi: OneBlockFactor, f: LocallyConstantPotential, src_len: int, dst_len: int):
@@ -1185,8 +1099,8 @@ def _multiplicative(t: SeqTable) -> bool:
     image is the full shift, and the rank is computed only where |B_2| is
     k^2 on k image symbols."""
     k = len(t.alphabet)
-    return t.rows is not None and t.language.block_counts(2)[2] == k * k and \
-        _representation(t.factor, t.potential).rank == 1
+    return t.is_exact and t.factor is not None and t.language.block_counts(2)[2] == k * k \
+        and _representation(t.factor, t.potential).rank == 1
 
 
 def _profile_rows(t: SeqTable):

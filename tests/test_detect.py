@@ -18,7 +18,8 @@ from thermoshift.detect import (DetectError, orbit_defects,
                                 table_power_base, uniform_defects,
                                 uniform_defects_exact_all)
 from thermoshift.jsonio import load_factor, read_json
-from thermoshift.potential import birkhoff_sup, periodic_birkhoff, periodic_birkhoff_coeff
+from thermoshift.potential import (PotentialError, birkhoff_sup, periodic_birkhoff,
+                                   periodic_birkhoff_coeff)
 from thermoshift.numerics import common_power_base, power_exponent
 from thermoshift.seqtable import SeqTable, TableError
 from thermoshift.shiftcore import PeriodicPoint, Sft
@@ -349,6 +350,35 @@ def test_c2_certificate_errors(collapse, collapse_gt):
         c2_certificate(gt2, pi, f2, (0,), 2, 2)
 
 
+def test_c2_certificate_builds_no_level(collapse):
+    """The certificate reads its values from the table's rows: on collapse
+    at depth 20 it builds no word level (depth n holds 2^n words)."""
+    f = LocallyConstantPotential.zero(collapse.domain)
+    t = build_g_table(collapse, f, 20)
+    cert = c2_certificate(t, collapse, f, (0, 1), 2, 20)
+    assert cert.ok and cert.exact
+    assert t.levels.built == 0
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("exact", [False, True])
+def test_uniform_defects_refuse_a_word_outside_h_language(full2, goldenmean, r, exact):
+    """A table over the full 2-shift against h on the golden mean, which
+    forbids bb: the walk raises uniform_defect's PotentialError, naming the
+    same word, for every range and on the float and exact paths."""
+    logs = {n: {w: n * LOG2 for w in full2.blocks(n)} for n in (1, 2, 3)}
+    gt = SeqTable(full2.alphabet, logs,
+                  exact={n: dict.fromkeys(level, Fraction(2 ** n)) for n, level in logs.items()})
+    coeffs = dict.fromkeys(goldenmean.blocks(r), Fraction(1))
+    h = LocallyConstantPotential(goldenmean, r, dict.fromkeys(coeffs, LOG2),
+                                 exact_coeffs=coeffs, exact_base=2)
+    with pytest.raises(PotentialError) as want:
+        uniform_defect(gt, h, 2)
+    with pytest.raises(PotentialError) as got:
+        uniform_defects(gt, h, exact)
+    assert str(got.value) == str(want.value) == "word (1, 1) is not allowable"
+
+
 def test_defect_coherence_invariant(collapse_gt, collapse, fitted_h, identity_gm):
     """|periodic defect at jq| <= uniform defect at jq + log M_{jq}(h)/(jq)."""
     cases = [(collapse_gt, collapse.image, fitted_h)]
@@ -458,7 +488,7 @@ def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
     """The one orbit pass against word-by-word oracles: float defects bit for
     bit, exact defects through power_exponent (None exactly when some value
     at a checked depth is no power of h's base), the stored values, and one
-    lookup per multiple (in the fiber rows on exact tables); a table with
+    lookup per multiple (in the table's rows, float or exact); a table with
     no level built reads the same."""
     pi, gt = _orbit_table(*case)
     lazy = build_g_table(pi, gt.potential, gt.depth_max)
@@ -472,9 +502,8 @@ def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
     else:
         h = LocallyConstantPotential(pi.image, r, {w: data.draw(st.floats(-2, 2))
                                                    for w in windows})
-    # exact tables look their blocks up in the fiber rows, float ones in the levels
-    owner, name = (seqtable._Rows, "find") if gt.is_exact else (SeqTable, "_find")
-    find = getattr(owner, name)
+    # every table looks its blocks up in its rows
+    find = seqtable._Rows.find
     for y in image_periodic_points(pi.image, 4):
         q = y.period
         ns = list(range(q, gt.depth_max + 1, q))
@@ -486,11 +515,7 @@ def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
             looked_up.append(len(word))
             return find(rows, word)
 
-        def in_levels(table, n, word, strict=True):
-            looked_up.append(n)
-            return find(table, n, word, strict)
-
-        with mock.patch.object(owner, name, in_rows if gt.is_exact else in_levels):
+        with mock.patch.object(seqtable._Rows, "find", in_rows):
             floats, exact, values = orbit_defects(gt, h, y, len(ns))
         assert looked_up == ns
         assert orbit_defects(lazy, h, y, len(ns)) == (floats, exact, values)

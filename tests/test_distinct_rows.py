@@ -1,11 +1,12 @@
 """Float g-tables step and read out each distinct fiber row once.
 
-``factor._fiber_walk`` keeps one row per distinct (row, reach) pair on
-float walks and hands each word its row id.  The reference below is the
-per-word walk it replaced, a row per image word, with the ids the
-identity: ``build_g_table`` on either walk must give the same levels byte
-for byte (logs, parent, tail, sym), and the same TableError when one is
-raised.  Inputs are random SFTs on <= 4 symbols with random one-block maps
+``factor._Rows`` keeps one row per distinct (row, reach) pair and steps
+each word to its row (``next``).  The reference below is the per-word
+walk it replaced, a row per image word, behind the same interface:
+``build_g_table`` on either walk must give the same levels byte for byte
+(logs, parent, tail, sym), and the same TableError when one is raised;
+the per-word walk's own word index must equal the levels it gives.
+Inputs are random SFTs on <= 4 symbols with random one-block maps
 (strictly sofic images among them), float potentials of range 1..3, some
 spread widely enough that the walk gauges its states, plus the
 phase-blocked factor, a chain that gauges at depth 12 and a walk whose
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermoshift import LocallyConstantPotential, OneBlockFactor, build_g_table, seqtable
-from thermoshift.factor import _fiber_walk
+from thermoshift.factor import _Rows
 from thermoshift.jsonio import load_factor, read_json
 from thermoshift.numerics import INT64_MAX, array_max
 from thermoshift.seqtable import TableError
@@ -29,12 +30,15 @@ DEPTH = 6
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def per_word_walk(v, steps, depth):
+def per_word_walk(v, steps):
     """The fiber walk with a row per image word: V_n = stack_b(V_{n-1} M_b),
-    yielding (V_n, identity ids, parent, sym, tail)."""
+    yielding (V_n, the cells word * |symbols| + symbol one depth up that
+    stay words, their number, parent, sym, tail) for n = 1, 2, ..."""
     live = np.ones(v.shape, dtype=bool)
     tail = child = np.zeros(1, dtype=np.int32)
-    for n in range(1, depth + 1):
+    n = 0
+    while True:
+        n += 1
         m, edge = steps(n)
         if v.dtype == np.int64 and (m.dtype == object or
                                     array_max(v) * array_max(m.sum(axis=0)) > INT64_MAX):
@@ -53,26 +57,50 @@ def per_word_walk(v, steps, depth):
         tail = np.zeros(len(kept), np.int32) if n == 1 else child[tail[parent] * n_img + sym]
         child = np.full(rows * n_img, -1, dtype=np.int32)
         child[kept] = np.arange(len(kept), dtype=np.int32)
-        yield v, np.arange(len(kept)), parent, sym, tail
+        yield v, kept, rows * n_img, parent, sym, tail
+
+
+class PerWordRows:
+    """``per_word_walk`` behind the interface of ``factor._Rows``: the row
+    of word i grown by b is that word's child, next[n][i, b] (-1 where
+    none), g[n] the value of each word's row and ``index[n]`` the walk's
+    own (parent, sym, tail)."""
+
+    def __init__(self, root, steps, value):
+        self._walk, self._value = per_word_walk(root, steps), value
+        self.g, self.next, self.index = [None], [], [None]
+
+    def to(self, n):
+        while len(self.g) <= n:
+            v, kept, cells, *index = next(self._walk)
+            nxt = np.full(cells, -1, np.intp)
+            nxt[kept] = np.arange(len(kept))
+            self.next.append(nxt.reshape(len(self.index[-1][0]) if self.next else 1, -1))
+            self.index.append(index)
+            self.g.append(self._value(v))
+        return self
 
 
 def build(pi, f, depth, walk, counts=None):
     """build_g_table in float mode on ``walk``: its levels 1..depth, or the
-    TableError it raised.  ``counts`` collects (rows, words) per level."""
-    def counted(*args):
-        for level in walk(*args):
-            if counts is not None:
-                counts.append((len(level[0]), len(level[1])))
-            yield level
-
-    real = seqtable._fiber_walk
-    seqtable._fiber_walk = counted
+    TableError it raised.  ``counts`` collects (rows, words) per level, and
+    a per-word walk's levels must be its own word index."""
+    real = seqtable._Rows
+    seqtable._Rows = walk
     try:
-        return build_g_table(pi, f, depth, mode="float").levels[1:]
+        t = build_g_table(pi, f, depth, mode="float")
     except TableError as e:
         return str(e)
     finally:
-        seqtable._fiber_walk = real
+        seqtable._Rows = real
+    levels = t.levels[1:]
+    if counts is not None:
+        counts.extend((len(t.rows.g[n]), len(t.levels[n])) for n in range(1, depth + 1))
+    if walk is PerWordRows:
+        for level, index in zip(levels, t.rows.index[1:]):
+            got = (level.parent, level.sym, level.tail)
+            assert all(np.array_equal(x, y) for x, y in zip(got, index))
+    return levels
 
 
 def _chain():
@@ -127,7 +155,7 @@ def triples(draw):
 def test_distinct_rows_build_equals_the_per_word_walk(case):
     pi, f, depth = case
     counts = []
-    got, want = build(pi, f, depth, _fiber_walk, counts), build(pi, f, depth, per_word_walk)
+    got, want = build(pi, f, depth, _Rows, counts), build(pi, f, depth, PerWordRows)
     if isinstance(got, str) or isinstance(want, str):
         assert got == want
         return
@@ -154,5 +182,5 @@ def test_examples_gauge_and_share_rows():
     assert seen
     pi, f, depth = _phase_blocked()
     counts = []
-    build(pi, f, depth, _fiber_walk, counts)
+    build(pi, f, depth, _Rows, counts)
     assert counts[-1][0] < counts[-1][1]

@@ -148,9 +148,9 @@ def test_pressure_estimate_on_counting_table(collapse):
 @settings(max_examples=40, deadline=None)
 @given(triples())
 def test_lookups_match_dict_views(case):
-    """has_word / log_value / exact_value walk the ranks; they must agree
-    with the dict views on every word over the alphabet (and one symbol
-    past it), and refuse words of the wrong length or depth."""
+    """has_word / log_value / exact_value / entry walk the rows; they must
+    agree with the dict views on every word over the alphabet (and one
+    symbol past it), and refuse words of the wrong length or depth."""
     pi, f, mode = case
     t = build_g_table(pi, f, 4, mode=mode)
     k = len(t.alphabet)
@@ -158,6 +158,8 @@ def test_lookups_match_dict_views(case):
         for w in itertools.product(range(k + 1), repeat=n):
             stored = w in t.logs[n]
             assert t.has_word(n, w) == stored
+            assert t.entry(n, w) == ((t.logs[n][w], t.exact[n][w] if t.is_exact else None)
+                                     if stored else None)
             if stored:
                 assert t.log_value(n, w) == t.logs[n][w]
                 if t.is_exact:
@@ -167,7 +169,7 @@ def test_lookups_match_dict_views(case):
                     t.log_value(n, w)
     first = next(iter(t.logs[1]))
     for n, w in ((0, ()), (-1, first), (2, first), (t.depth_max + 1, first * (t.depth_max + 1))):
-        assert not t.has_word(n, w)
+        assert not t.has_word(n, w) and t.entry(n, w) is None
         with pytest.raises(TableError):
             t.log_value(n, w)
         if t.is_exact:

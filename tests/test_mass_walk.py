@@ -1,7 +1,7 @@
 """The mass walk behind pushforward_cylinder and pushforward_sandwich (the
-fiber walk fed the measure's steps), against brute-force fiber enumeration
-and against the per-state dict walk it replaced, kept here as the
-reference oracle."""
+fiber rows, ``factor._Rows``, fed the measure's steps, and their word
+index), against brute-force fiber enumeration and against the per-state
+dict walk it replaced, kept here as the reference oracle."""
 
 import gc
 import itertools
@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from thermoshift import LocallyConstantPotential, MarkovMeasure, OneBlockFactor, build_g_table
 from thermoshift import factor
 from thermoshift.cli import HARD_DEPTH_CAP
-from thermoshift.factor import _fiber_walk, _measure_steps, fiber_words, pushforward_cylinder
+from thermoshift.factor import (_measure_steps, _Rows, _word_levels, fiber_words,
+                                pushforward_cylinder)
 from thermoshift.markov import _solve_stationary, _state_transitions
 from thermoshift.numerics import row_sums
 from thermoshift.shiftcore import Sft
@@ -74,12 +75,15 @@ def ref_advance(mu, pi, states, b):
 
 def walk_masses(mu, pi, depth):
     """[{y: mass}] per depth from the mass walk, words spelled from the
-    ranks; exact masses as Fractions M / den(n)."""
+    ranks; exact masses as Fractions M / den(n).  The walk keeps no more
+    rows than words."""
     start, steps, den = _measure_steps(mu, pi)
+    walk = _Rows(start, steps, row_sums)
     out, words = [], [()]
-    for n, (v, ids, parent, sym, _) in enumerate(_fiber_walk(start, steps, depth), start=1):
+    for n, (ids, parent, sym, _) in zip(range(1, depth + 1), _word_levels(walk)):
         words = [words[p] + (b,) for p, b in zip(parent.tolist(), sym.tolist())]
-        mass = row_sums(v)[ids].tolist()
+        mass = walk.g[n][ids].tolist()
+        assert len(walk.g[n]) <= len(ids)
         out.append({y: Fraction(m, den(n)) if mu.exact else m for y, m in zip(words, mass)})
     return out
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from thermoshift import (LocallyConstantPotential, OneBlockFactor, build_g_table,
                          partition_sum, partition_sum_exact, partition_table)
-from thermoshift import seqtable
+from thermoshift import factor, seqtable
 from thermoshift.cli import main
 from thermoshift.numerics import logsumexp
 from thermoshift.potential import birkhoff_sup
@@ -117,19 +117,19 @@ def _documents(root: Path, pi, f) -> dict:
 @given(cases())
 def test_pressure_report_does_not_depend_on_table_out(case):
     """The same bytes with and without --table-out, for --factor and --sft;
-    without it the walk keeps one word per level, the fiber walk of a float
-    table and the level index over the fiber rows of an exact one."""
+    without it the fiber rows (``factor._Rows``), float or exact, keep one
+    row per level and their word index one word per level."""
     pi, f, mode = case
-    real = {"_fiber_walk": seqtable._fiber_walk, "_exact_levels": seqtable._exact_levels}
-    words = []
+    made, words = [], []
 
-    def counting(name):
-        def walk(*args):
-            for level in real[name](*args):
-                # one row id per word, or one _Level of words
-                words.append(len(level[1]) if name == "_fiber_walk" else len(level))
-                yield level
-        return walk
+    def rows(*args):
+        made.append(factor._Rows(*args))
+        return made[-1]
+
+    def word_levels(walk):
+        for level in factor._word_levels(walk):
+            words.append(len(level[0]))  # one row id per word
+            yield level
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -139,10 +139,12 @@ def test_pressure_report_does_not_depend_on_table_out(case):
                     "--depth", str(DEPTH), "--mode", mode]
             out = {}
             for name, extra in (("plain", []), ("table", ["--table-out", str(root / "t.json")])):
+                made.clear()
                 words.clear()
-                with mock.patch.multiple(seqtable, **{k: counting(k) for k in real}):
+                with mock.patch.multiple(seqtable, _Rows=rows, _word_levels=word_levels):
                     assert main(argv + extra + ["--out", str(root / name)]) == 0
                 out[name] = (root / name).read_bytes()
                 if not extra:
                     assert words == [1] * DEPTH
+                    assert [len(g) for walk in made for g in walk.g[1:]] == [1] * DEPTH
             assert out["plain"] == out["table"]

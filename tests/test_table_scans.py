@@ -1,17 +1,17 @@
-"""The table scans (check_D2, defect_profile) against the nested word
-loops they replaced, kept here as reference oracles: every report must
-serialize to the same JSON.  Exact g-tables take the fiber-class
-path (``SeqTable.classes``) when their class products are fewer than the
-word scan's cells, float and dict-built tables the word kernels; the
-oracles cover both, and exact tables are checked on each path forced, with
-their levels built and with none built.  Verdicts on exact g-tables that
-read their values from their fiber rows (``SeqTable.rows``) must equal
-the verdicts on the same tables with every level built.  On exact tables
-the D2 oracle takes each cell's least ratio in Fractions, so both paths
-must report its log_fraction bit for bit.  Exact g-tables whose fiber
-counts have Hankel rank 1 yield their profile rows with no scan; their
-ranks are checked against the Hankel matrix of the fiber-count oracle, and
-both scan kernels are run on them directly."""
+"""The table scans (check_D2, defect_profile) against the nested word loops
+they replaced, kept here as reference oracles: every report must
+serialize to the same JSON.  Exact g-tables take the fiber-class path
+(``SeqTable.classes``) when their class products are fewer than the word
+scan's cells, float and dict-built tables the word kernels; the oracles
+cover both, and exact tables are checked on each path forced, with their
+levels built and with none built.  Verdicts on exact g-tables, which read
+their values from their fiber rows (``SeqTable.rows``), must equal the
+verdicts on the same tables rebuilt from their dict views, each word its
+own row.  On exact tables the D2 oracle takes each cell's least ratio in
+Fractions, so both paths must report its log_fraction bit for bit.  Exact
+g-tables whose fiber counts have Hankel rank 1 yield their profile rows
+with no scan; their ranks are checked against the Hankel matrix of the
+fiber-count oracle, and both scan kernels are run on them directly."""
 
 import functools
 import json
@@ -207,7 +207,7 @@ def _fixture_table(name, depth):
 def _class_rows(t, side):
     """The forward ("fwd") or backward ("bwd") class rows of t at every
     depth through the table depth."""
-    return getattr(t.classes, side).classes(t.depth_max).prim
+    return getattr(t.classes, side).to(t.depth_max).rows
 
 
 def test_exact_g_tables_take_the_class_path(monkeypatch):
@@ -256,6 +256,7 @@ def test_class_path_promotes_past_int64(monkeypatch):
     t = _fixture_table("factor_phase_blocked.json", 9)
     want = [_json(ref_defect_profile(t))] + [_json(ref_check_D2(t, gap)) for gap in range(4)]
     monkeypatch.setattr(seqtable, "INT64_MAX", 10)
+    monkeypatch.setattr("thermoshift.factor.INT64_MAX", 10)
     for rows in (_class_rows(t, "fwd"), _class_rows(t, "bwd")):
         promoted = [r.dtype == object for r in rows]
         assert promoted == sorted(promoted) and not promoted[1] and promoted[-1]
@@ -270,13 +271,15 @@ def test_collapse_stays_on_int64_at_depth_40(monkeypatch):
     t = _fixture_table("factor_collapse.json", 40)
     got = [_json(defect_profile(t)), _json(check_D2(t, 3))]
     classes = _class_rows(t, "fwd") + _class_rows(t, "bwd")
-    assert all(x.dtype == np.int64 for x in classes + t.classes.fwd.cg + t.classes.bwd.cg)
+    assert all(x.dtype == np.int64 for x in classes + t.classes.fwd.g[1:] + t.classes.bwd.g[1:])
     assert t.levels.built == 0
-    assert all(v.dtype == np.int64 for v in [t.rows.to(40).last] + t.rows.g)
+    assert all(v.dtype == np.int64
+               for v in [t.rows.to(40).rows[-1]] + [g.num for g in t.rows.g[1:]])
     monkeypatch.setattr(seqtable, "INT64_MAX", 10)
+    monkeypatch.setattr("thermoshift.factor.INT64_MAX", 10)
     forced = _fixture_table("factor_collapse.json", 40)
     assert [_json(defect_profile(forced)), _json(check_D2(forced, 3))] == got
-    assert forced.rows.to(40).last.dtype == object
+    assert forced.rows.to(40).rows[-1].dtype == object
 
 
 @pytest.mark.parametrize("name, depth, counts", [
@@ -320,18 +323,16 @@ def test_scans_on_factors_whose_classes_barely_compress(trans, forward, backward
     """Class counts that grow with the words (1.6^n and 2^n of 2^n): each
     (n, m) cell's products are taken apart, so the class path stays within
     the word scan's cells, and both paths match the oracles at depth 12.
-    The class walks build no backward fiber row; the forward rows, as many
-    as the classes at each depth, are walked only as deep as the levels the
-    word scans read."""
+    The class walks step none of the table's fiber rows; those, as many as
+    the forward classes at each depth, are walked only as deep as the
+    levels the word scans read."""
     t = _two_block_table(trans, 12)
+    assert [len(x) for x in _class_rows(t, "fwd")[1:]] == forward
+    assert [len(y) for y in _class_rows(t, "bwd")[1:]] == backward
     assert len(t.rows.g) == 1
     assert [len(lv) for lv in t.levels[1:5]] == [2 ** n for n in range(1, 5)]
     assert len(t.rows.g) == 5
     assert [len(lv) for lv in t.levels[1:]] == [2 ** n for n in range(1, 13)]
-    assert [len(x) for x in _class_rows(t, "fwd")[1:]] == forward
-    assert [len(y) for y in _class_rows(t, "bwd")[1:]] == backward
-    assert len(t.classes.bwd.g) == 1
-    assert t.classes.fwd is t.rows
     assert [len(g) for g in t.rows.g[1:]] == forward
     assert_scans_match(t, gaps=(0, 2))
 
@@ -371,13 +372,12 @@ def test_class_values_from_rows_match_the_levels(factor, f_range):
                                          ("factor_collapse.json", 40)])
 def test_profile_and_bridges_build_no_level(name, depth):
     """profile-cnm's scans (defect_profile, check_D2 at gap 3) read class
-    rows alone: neither walks a fiber row or builds a level, and
-    pairs_checked comes from the language counts; below depth 28 the
+    rows alone: neither steps the table's fiber rows or builds a level,
+    and pairs_checked comes from the language counts; below depth 28 the
     reports equal the word scans'."""
     t = _fixture_table(name, depth)
-    walks = (t.classes.fwd, t.classes.bwd)
     got = [_json(defect_profile(t)), _json(check_D2(t, 3))]
-    assert [len(walk.g) for walk in walks] == [1, 1]
+    assert len(t.rows.g) == 1
     assert t.levels.built == 0
     if depth < 28:
         with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE["words"]):
@@ -449,13 +449,13 @@ def test_exact_scans_are_not_decided_by_floats():
 
 
 def _word_table(pi, f, depth):
-    """A g-table with every level built and its fiber rows dropped, so
-    that every read (values, power base, uniform and periodic defects,
-    scans) takes the words, as on a table built from dicts."""
+    """A g-table rebuilt from its dict views, as a table built from dicts:
+    every level built and each word its own row, so that every read
+    (values, power base, uniform and periodic defects, scans) takes the
+    words."""
     t = build_g_table(pi, f, depth)
-    t.levels[depth]
-    t.rows = None
-    return t
+    return SeqTable(t.alphabet, t.logs, t.exact, kind=t.kind, language=t.language,
+                    potential=t.potential)
 
 
 def _verdicts(pi, f, depth, **kw):
@@ -465,7 +465,7 @@ def _verdicts(pi, f, depth, **kw):
     lazy, full = build_g_table(pi, f, depth), _word_table(pi, f, depth)
     got = json.dumps(table_verdict(lazy, **kw).as_dict(), sort_keys=True)
     want = json.dumps(table_verdict(full, **kw).as_dict(), sort_keys=True)
-    assert full.levels.built == depth
+    assert len(full.levels) == depth + 1 and full.classes is None
     return lazy, got, want
 
 
@@ -523,15 +523,17 @@ def test_lazy_verdicts_match_built_tables(factor, f_range, r, kind, short_fits, 
 def test_lazy_verdicts_on_fixtures_read_rows_past_the_fit_depth(name, depth, short_fits, r,
                                                                  kind):
     """Past the fit depth the fiber rows serve: the verdict leaves the
-    levels past FIT_DEPTH unbuilt and equals the verdict on the built
-    table read from its words (the full-4 factor fits at depths r and
-    r + 1 only: its default fits hold 6561 words at depth 8)."""
+    levels past FIT_DEPTH unbuilt, walks the rows through the table depth
+    (phase-blocked, refuted from its classes, not at all) and equals the
+    verdict on the built table read from its words (the full-4 factor fits
+    at depths r and r + 1 only: its default fits hold 6561 words at depth
+    8)."""
     pi = load_factor(read_json(FIXTURES / name))
     lazy, got, want = _verdicts(pi, LocallyConstantPotential.zero(pi.domain), depth,
                                 h=_candidate(pi.image, r, kind, random.Random(r)), r=r,
                                 n_fits=[r, r + 1] if short_fits else None)
     assert got == want
-    assert lazy.rows is not None
+    assert len(lazy.rows.g) - 1 == (0 if name == "factor_phase_blocked.json" else depth)
     assert lazy.levels.built <= seqtable.FIT_DEPTH
 
 
@@ -576,8 +578,8 @@ def test_refuting_verdict_reads_the_first_profile_row(depth):
     t = _fixture_table("factor_phase_blocked.json", depth)
     report = table_verdict(t, r=1)
     assert report.verdict.value == "REFUTED" and report.profile_witness["n"] == 1
-    assert [len(t.classes.fwd.prim), len(t.classes.bwd.prim)] == [2, depth]
-    assert len(t.classes.fwd.g) == len(t.classes.bwd.g) == 1
+    assert [len(t.classes.fwd.rows), len(t.classes.bwd.rows)] == [2, depth]
+    assert len(t.rows.g) == 1
     assert t.levels.built == 0
     assert "rank" not in vars(seqtable._representation(t.factor, t.potential))
 
@@ -638,7 +640,7 @@ def test_rank_one_verdict_scans_no_profile_row(monkeypatch):
     pi = load_factor(read_json(FIXTURES / "factor_collapse.json"))
     lazy, got, want = _verdicts(pi, LocallyConstantPotential.zero(pi.domain), 14, r=1)
     assert got == want and json.loads(got)["verdict"] == "CERTIFIED"
-    assert rows == [] and len(lazy.rows.prim) == 1 and "classes" not in vars(lazy)
+    assert rows == [] and "classes" not in vars(lazy)
 
 
 def _declines_from(k):
@@ -746,56 +748,47 @@ def test_one_transfer_build_per_factor_potential_and_state_lengths(argv, zero_ra
                                          ("factor_phase_blocked.json", 18)])
 def test_one_row_walk_per_direction(name, depth, monkeypatch):
     """defect_profile, check_D2 and table_verdict on one exact g-table share
-    one forward and one backward walk.  The profile and check_D2 at gap 3
-    walk no fiber row, and the verdict walks the forward rows through the
-    table depth on collapse and none on phase-blocked (it refutes from the
-    classes)."""
+    the table's fiber rows and one class walk per direction.  The profile
+    and check_D2 at gap 3 step none of the table's rows, and the verdict
+    steps them through the table depth on collapse and not at all on
+    phase-blocked (it refutes from the classes)."""
     walks = []
     real = seqtable._Rows.__init__
 
-    def counted(self, *args):
+    def counted(self, *args, **kw):
         walks.append(self)
-        real(self, *args)
-
-    def walked():
-        return [len(walk.g) - 1 for walk in walks]
+        real(self, *args, **kw)
 
     monkeypatch.setattr(seqtable._Rows, "__init__", counted)
     t = _fixture_table(name, depth)
     defect_profile(t)
     check_D2(t, 3)
-    assert walked() == [0, 0]
+    assert walks == [t.rows, t.classes.fwd, t.classes.bwd]
+    assert len(t.rows.g) == 1
     table_verdict(t, r=1)
-    assert walks == [t.classes.fwd, t.classes.bwd]
-    assert walked() == ([depth, 0] if name == "factor_collapse.json" else [0, 0])
+    assert walks == [t.rows, t.classes.fwd, t.classes.bwd]
+    assert len(t.rows.g) - 1 == (depth if name == "factor_collapse.json" else 0)
 
 
 def test_one_forward_row_walk_serves_levels_classes_and_reads(monkeypatch):
-    """An exact g-table never runs ``factor._fiber_walk``: the verdict's
-    levels through the fit depth, its forward classes and the values it
-    reads past the fit depth (power base, uniform and periodic defects) all
-    come from the forward rows made with the table, each depth stepped
-    once."""
-    made, stepped = [], []
-    real_init, real_step = seqtable._Rows.__init__, seqtable._step
+    """An exact g-table steps one walk of its forward fiber rows: the
+    verdict's levels through the fit depth and the values it reads past
+    the fit depth (power base, uniform and periodic defects) all come from
+    the rows made with the table, each depth stepped once and in order;
+    the only other walks are the classes'."""
+    made = []
+    real_init = seqtable._Rows.__init__
 
-    def init(self, *args):
+    def init(self, *args, **kw):
         made.append(self)
-        real_init(self, *args)
-
-    def step(rows, mats, primitive=False):
-        stepped.extend([] if primitive else [len(rows)])
-        return real_step(rows, mats, primitive)
-
-    def no_walk(*args):
-        raise AssertionError("fiber walk on an exact g-table")
+        real_init(self, *args, **kw)
 
     monkeypatch.setattr(seqtable._Rows, "__init__", init)
-    monkeypatch.setattr(seqtable, "_step", step)
-    monkeypatch.setattr(seqtable, "_fiber_walk", no_walk)
     t = _fixture_table("factor_collapse.json", 14)
     assert made == [t.rows] and len(t.rows.g) == 1
+    stepped, steps = [], t.rows._steps
+    t.rows._steps = lambda n: stepped.append(n) or steps(n)
     assert table_verdict(t, r=1).verdict.value == "CERTIFIED"
     assert t.levels.built == seqtable.FIT_DEPTH
-    assert made == [t.rows, t.classes.bwd] and t.classes.fwd is t.rows
-    assert len(stepped) == 14 and len(t.rows.g) == 15
+    assert made == [t.rows, t.classes.fwd, t.classes.bwd]
+    assert stepped == list(range(1, 15)) and len(t.rows.g) == 15
