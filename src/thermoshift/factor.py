@@ -132,24 +132,31 @@ def pushforward_cylinder(mu: MarkovMeasure, pi: OneBlockFactor, y: Word):
 class _Rows:
     """The fibers of pi level by level, as their distinct rows: V_n =
     stack_b(V_{n-1} M_b) from the row vector ``root``, a column per domain
-    state.  ``steps(n)`` is (M, edge), indexed [source state, image symbol,
-    target state]; a row grown by b stays a word while ``edge`` (the domain
-    transitions) reaches it, whatever the weights.  One kernel for every
-    product of per-symbol matrices over the fibers: g-tables, float
-    (``seqtable.build_g_table``) and exact, their projective classes and
-    the pushforward masses.
+    state.  ``steps(n)`` is (M, edge), M indexed [source state, image
+    symbol, target state].  A row grown by b stays a word while it reaches
+    a state: its support on a counting walk, which passes edge None as its
+    transitions are exactly its positive weights; else the states ``edge``
+    (the domain transitions, whatever the weights: a float walk can
+    underflow, a mass walk has zero-probability transitions) leads to from
+    those reached, every state at the start.  Every allowed block extends
+    to the left, so what the root's zero states add is the left-extension
+    of its real reach: the word test and the rows kept do not change.  One
+    kernel for every product of per-symbol matrices over the fibers:
+    g-tables, float (``seqtable.build_g_table``) and exact, their
+    projective classes and the pushforward masses.
 
-    Each depth keeps each distinct (row, reach) pair once, compared by
-    their bits (by value on Python ints), as equal rows step to equal rows;
-    with ``primitive`` each row is first divided by its gcd, which gives the
-    projective classes of an integer walk.  ``next[n][i, b]`` is the row at
-    depth n + 1 of row i grown by b (-1 where no word), ``g[n]`` the
-    ``value`` of the rows at depth n (g[0] None) and ``rows[n]`` the rows
-    themselves: every depth's with ``primitive``, else the deepest only, the
-    one stepped again.  ``to(n)`` walks as deep as a read reaches.  The
-    rows are never more than the words, and few where the words share
-    their fibers' shape (2n at depth n on the collapse factor, 1842 of
-    8192 words of an r2-float table at depth 13)."""
+    Each depth keeps each distinct row (with its reach, on an edge walk)
+    once, compared by their bits (by value on Python ints), as equal rows
+    step to equal rows; with ``primitive`` each row is first divided by its
+    gcd, which gives the projective classes of an integer walk.
+    ``next[n][i, b]`` is the row at depth n + 1 of row i grown by b (-1
+    where no word), ``g[n]`` the ``value`` of the rows at depth n (g[0]
+    None) and ``rows[n]`` the rows themselves: every depth's with
+    ``primitive``, else the deepest only, the one stepped again.  ``to(n)``
+    walks as deep as a read reaches.  The rows are never more than the
+    words, and few where the words share their fibers' shape (2n at depth
+    n on the collapse factor, 1842 of 8192 words of an r2-float table at
+    depth 13)."""
 
     def __init__(self, root: np.ndarray, steps, value, primitive: bool = False):
         self._steps, self._value, self._primitive = steps, value, primitive
@@ -167,7 +174,10 @@ class _Rows:
     def to(self, n: int) -> _Rows:
         """The rows through depth n."""
         while len(self.g) <= n:
-            out, reach = _grow(self.rows[-1], self.live, *self._steps(len(self.g)))
+            m, edge = self._steps(len(self.g))
+            out = _grow(self.rows[-1], m)
+            reach = out if edge is None else \
+                (self.live @ edge.reshape(len(m), -1)).reshape(out.shape)
             nxt = np.full(len(out), -1, np.intp)
             grown = np.flatnonzero(reach.any(axis=1))  # per (row, symbol) cell: a word
             out, reach = out[grown], reach[grown]
@@ -177,13 +187,13 @@ class _Rows:
             if len(out) > 1:
                 key = [out, reach] if out.dtype == object else [out.view(np.uint8),
                                                                 reach.view(np.uint8)]
-                first, inv = unique_rows(np.hstack(key))
+                first, inv = unique_rows(out if edge is None else np.hstack(key))
             nxt[grown] = inv
             self.next.append(nxt.reshape(len(self.rows[-1]), -1))
             if not self._primitive:
                 self.rows[-1] = None
             self.rows.append(out[first])
-            self.live = reach[first]
+            self.live = None if edge is None else reach[first]
             self.g.append(self._value(self.rows[-1]))
         return self
 
@@ -198,13 +208,11 @@ class _Rows:
         return i
 
 
-def _grow(v: np.ndarray, live: np.ndarray, m: np.ndarray, edge: np.ndarray):
-    """(out, reach): row i of v grown by image symbol b at row i * |symbols|
-    + b, out = v M_b and reach the states the transitions ``edge`` lead to
-    from the ``live`` ones.  Floats accumulate over the source states in
-    ascending order (their bits); integers stay in int64 while the largest
-    entry times the largest column sum of M stays below 2^63, Python ints
-    past it."""
+def _grow(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row i of v grown by image symbol b, v M_b, at row i * |symbols| + b.
+    Floats accumulate over the source states in ascending order (their
+    bits); integers stay in int64 while the largest entry times the largest
+    column sum of M stays below 2^63, Python ints past it."""
     if v.dtype == np.int64 and (m.dtype == object or
                                 array_max(v) * array_max(m.sum(axis=0)) > INT64_MAX):
         v = v.astype(object)
@@ -215,8 +223,7 @@ def _grow(v: np.ndarray, live: np.ndarray, m: np.ndarray, edge: np.ndarray):
             out += v[:, j, None] * flat[j]
     else:
         out = v @ flat
-    reach = live @ edge.reshape(len(edge), -1)
-    return out.reshape(-1, m.shape[2]), reach.reshape(-1, m.shape[2])
+    return out.reshape(-1, m.shape[2])
 
 
 def _word_levels(rows: _Rows):

@@ -50,17 +50,16 @@ class GibbsData:
 
 
 def transfer_pressure(sft: Sft, f: LocallyConstantPotential) -> GibbsData:
-    """Pressure P(f) = log rho(W) + fmax by ``seqtable.log_perron`` (W on the
-    (r-1)-block states, 1-block states for r = 1, weighting the window
-    entered), plus the Gibbs Markov measure P_ij = W_ij v_j / (rho v_i) and
-    stationary l_i v_i.  Exact, with residual 0, when f = 0 and the Perron
-    root is an integer; ``right`` and ``left`` are the float vectors."""
+    """Pressure P(f) = log rho(W) + fmax by ``seqtable.log_perron`` (W on
+    the s-block states of its representation, weighting the window entered),
+    plus the Gibbs Markov measure of order s, P_ij = W_ij v_j / (rho v_i)
+    and stationary l_i v_i.  Exact, with residual 0, when f = 0 and the
+    Perron root is an integer; ``right`` and ``left`` are the float vectors."""
     if f.language is not sft:
         raise GibbsError("potential must live on the given shift")
     if not is_irreducible(sft):
         raise GibbsError("transfer pressure needs an irreducible shift")
-    pressure, w, (lam, right, left, residual), exact = log_perron(f)
-    k = max(f.range - 1, 1)
+    pressure, w, (lam, right, left, residual), exact, k = log_perron(f)
     right, left = tuple(right.tolist()), tuple(left.tolist())
     r, l = right, left
     if exact is not None:

@@ -28,10 +28,11 @@ near the bottom of the float range gives each domain state its own
 power-of-two exponent.  On exact tables floats only propose; exact integer
 comparison (int64 below 2^63, Python ints past it) decides.
 
-Every walk reads its steps from one linear representation per (factor,
-potential), kept on the factor (``_Representation``).  On an exact g-table
-(the counting path, f = 0, of any range) g is a rational series, g(uv) =
-x_u . y_v.  The C_{n,m} profile and the D2 bridging search read projective
+Every walk steps by one transfer matrix per (factor, potential) on the
+domain's prefix states, kept on the factor (``_Representation``): the float
+walk by its bands, the exact walks whole.  On an exact g-table (the
+counting path, f = 0, of any range) g is a rational series, g(uv) = x_u .
+y_v.  The C_{n,m} profile and the D2 bridging search read projective
 fiber classes instead of words (``_FiberClasses``): g(uv) / (g(u) g(v))
 depends on u and v only through the primitive rows of x_u and y_v, and the
 classes grow by themselves, depth by depth, as deep as a scan reads (a
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -442,11 +442,11 @@ class _FiberClasses:
 
     def __init__(self, t: SeqTable):
         rep = _representation(t.factor, t.potential)
-        self.levels, self.depth, self._steps = t.levels, t.depth_max, rep.steps
+        self.levels, self.depth, self._m = t.levels, t.depth_max, rep.m
         self.counts = t.language.block_counts(t.depth_max)  # words per depth
-        self.fwd = _Rows(rep.start, lambda n: rep.steps, row_sums, primitive=True)
-        self.bwd = _Rows(np.ones_like(rep.start), lambda n: rep.back, lambda rows: rows[:, -1],
-                         primitive=True)
+        self.fwd = _Rows(rep.start, lambda n: (rep.m, None), row_sums, primitive=True)
+        self.bwd = _Rows(np.ones_like(rep.start), lambda n: (rep.back, None),
+                         lambda rows: rows[:, -1], primitive=True)
         self._ranks = {"fwd": [np.zeros(1, np.intp)], "bwd": [np.zeros(1, np.intp)]}
         self._first: list[np.ndarray | None] = [None]  # first symbol of each rank
 
@@ -566,8 +566,8 @@ class _FiberClasses:
         out, cost = [], 0
         for k in range(gap + 1):
             if k:
-                grown = _grow(rows, np.ones(rows.shape, dtype=bool), *self._steps)[0]
-                owner = np.repeat(owner, self._steps[0].shape[1])
+                grown = _grow(rows, self._m)
+                owner = np.repeat(owner, self._m.shape[1])
                 keep = grown.any(axis=1)
                 pairs = np.column_stack([owner[keep], grown[keep]])
                 pairs = pairs[unique_rows(pairs)[0]]
@@ -582,49 +582,55 @@ class _FiberClasses:
 
 
 class _Representation:
-    """The linear representation of the fiber sums of one (factor,
-    potential), built once per pair (``_representation``).
+    """The transfer matrix of one (factor, potential), built once per pair
+    (``_representation``): the only code that turns (pi, f) into
+    transitions, read by every walk of the pair.
 
-    ``walk[k]`` is the float rows' step (M, edge) of ``_transfer`` into
-    depth k + 1 on the domain's s-block states, s = max(r - 1, 1): from the
-    last min(k, s) symbols to the last min(k + 1, s), built when first
-    read (the float build and ``log_perron`` read it).  The last one serves
-    every deeper step, and summed over the image symbols it is
-    ``log_perron``'s W.
+    ``m[i, b, j]`` steps the domain's prefix states, the allowed blocks of
+    length s, s - 1, ..., 1 and last the empty block, the start
+    (``bands[k]`` slices those of length k): a domain symbol x over image
+    symbol b leads from block u to the last s symbols of ux, with weight
+    e^{f(window) - fmax} once ux spans f's range r, 1 before; ``edge``
+    marks the transitions, whose weights may underflow to 0.  s = max(r -
+    1, 1), and 1 when f = 0, whose windows all weigh 1; m is then 0/1 in
+    int64 (the row walks promote per step, ``factor._grow``).  ``tails[i]``
+    is the sup of f's windows reaching past state i (``birkhoff_sup``),
+    for the float readout; None where none does (f = 0 or r = 1).  The
+    float walk steps depth n by m[bands[min(n - 1, s)], :, bands[min(n,
+    s)]]; ``log_perron``'s W is the s-band block summed over the symbols.
 
-    On the counting path (f = 0) g is a rational series on the 1-block
-    states whatever f's range, read from the 1-block steps: a_b, with
-    a_b[j] = 1 when domain symbol j lies over b, then A_b, with A_b[i, j] =
-    1 when moreover j may follow i.  With a start state d appended, g(y) =
-    alpha G_{y_1} ... G_{y_n} tau for G_b = [[A_b, 0], [a_b, 0]], alpha =
-    e_d (``start``) and tau = 1, so g(uv) = x_u . y_v for the forward row
-    x_u = alpha G_u and the backward row y_v = G_v tau = (A_v 1, g(v)).
-    ``steps`` is the row walks' step (M, edge) forward, M[i, b, j] =
-    G_b[i, j], and ``back`` the one backward (G_b transposed).  All 0/1 in
-    int64: the row walks promote per step (``factor._grow``).  ``rank`` is
-    the Hankel rank of g, computed when first read.
-    """
+    The counting walks read m whole: with G_b = m[:, b, :], alpha =
+    e_start (``start``) and tau = 1, g(y) = alpha G_{y_1} ... G_{y_n} tau
+    is a rational series, g(uv) = x_u . y_v for the forward row x_u =
+    alpha G_u and the backward row y_v = G_v tau = (A_v 1, g(v)), A_b the
+    1-block part of G_b.  Forward walks step by m, backward ones by
+    ``back`` (G_b transposed), with no edge: their transitions are exactly
+    their positive weights.  ``rank``, computed when first read, is the
+    Hankel rank of g."""
 
     def __init__(self, pi: OneBlockFactor, f: LocallyConstantPotential):
-        # pi keeps its representations under f as a weak key, so f is held weakly
-        self._pi, self._f, self._built = pi, weakref.ref(f), {}
-        self._s = max(f.range - 1, 1)
-        if f.is_zero:
-            (head, _), (steps, _) = self._step(0, 1), self._step(1, 1)
-            d = head.shape[2]
-            m = np.zeros((d + 1, head.shape[1], d + 1), np.int64)
-            m[:d, :, :d], m[d, :, :d] = steps, head[0]
-            self.start = np.eye(1, d + 1, d, dtype=np.int64)
-            self.steps, self.back = (m, m > 0), (m.T, m.T > 0)
-
-    def _step(self, src: int, dst: int):
-        if (src, dst) not in self._built:
-            self._built[src, dst] = _transfer(self._pi, self._f(), src, dst)
-        return self._built[src, dst]
-
-    @cached_property
-    def walk(self) -> list:
-        return [self._step(min(k, self._s), min(k + 1, self._s)) for k in range(self._s + 1)]
+        dom, fmax = pi.domain, f.max_value()
+        self.s = 1 if f.is_zero else max(f.range - 1, 1)
+        states, self.bands = [], {}
+        for k in range(self.s, -1, -1):
+            self.bands[k] = slice(len(states), len(states) + len(dom.blocks(k)))
+            states += dom.blocks(k)
+        index = {u: i for i, u in enumerate(states)}
+        m = np.zeros((len(states), len(pi.image_alphabet), len(states)),
+                     dtype=np.int64 if f.is_zero else float)
+        self.edge = np.zeros(m.shape, dtype=bool)
+        for i, u in enumerate(states):
+            for x in range(dom.size):
+                if not u or dom.follows(u[-1], x):
+                    grown = u + (x,)
+                    b, j = pi.symbol_map[x], index[grown[-self.s:]]
+                    self.edge[i, b, j] = True
+                    m[i, b, j] = 1 if f.is_zero or len(grown) < f.range else \
+                        math.exp(f.value(grown[-f.range:]) - fmax)
+        self.m, self.back = m, m.T
+        self.start = np.eye(1, len(states), len(states) - 1, dtype=np.int64)
+        self.tails = None if f.is_zero or f.range == 1 else \
+            np.array([birkhoff_sup(f, u) if u else 0.0 for u in states])
 
     @cached_property
     def rank(self) -> int:
@@ -633,9 +639,8 @@ class _Representation:
         rank of F B^T for bases F of the forward rows alpha G_u and B of the
         backward rows G_v tau (Schuetzenberger 1961), each found breadth
         first over the symbols (``span_basis``).  Counting path only."""
-        m = self.steps[0]
-        fwd = span_basis(self.start.tolist(), m.transpose(1, 0, 2).tolist())
-        bwd = span_basis([[1] * len(m)], m.transpose(1, 2, 0).tolist())
+        fwd = span_basis(self.start.tolist(), self.m.transpose(1, 0, 2).tolist())
+        bwd = span_basis([[1] * len(self.m)], self.m.transpose(1, 2, 0).tolist())
         hankel = [[sum(map(operator.mul, x, y)) for y in bwd] for x in fwd]
         return len(row_reduce(hankel, len(bwd))[0])
 
@@ -673,16 +678,16 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     The sup over representative choices factorizes per cylinder (each
     representative is chosen independently), so the sup of the fiber sum is
     the sum of per-cylinder sups; that is what the state-vector recursion
-    accumulates.  The representation of (pi, f) (``_Representation``)
-    gives the steps of the table's fiber rows (``factor._Rows``), which the
-    table keeps (``SeqTable.rows``): it reads every value from them, one
-    per distinct row, and its level index gathers them to the words when a
-    level is first read.  mode "exact" demands the counting path (f = 0),
-    whose rows alpha G_u (in int64 while a bound allows, Python ints past
-    it) are walked as deep as a read reaches.  The float path walks V_{n+1}
-    = stack_b(V_n M_b) on the s-block states through every depth here and
-    reads the logs out once per distinct row (bit for bit what a row per
-    word gives), so a non-finite log is a TableError at build time.
+    accumulates.  The transfer matrix of (pi, f) (``_Representation``)
+    steps the table's fiber rows (``factor._Rows``), which the table keeps
+    (``SeqTable.rows``): it reads every value from them, one per distinct
+    row, and its level index gathers them to the words when a level is
+    first read.  mode "exact" demands the counting path (f = 0), whose rows
+    alpha G_u step by the whole matrix (in int64 while a bound allows,
+    Python ints past it) as deep as a read reaches.  The float path walks
+    V_{n+1} = stack_b(V_n M_b) by the matrix's band blocks through every
+    depth here and reads the logs out once per distinct row (bit for bit
+    what a row per word gives), so a non-finite log is a TableError then.
     """
     if depth_max < 1:
         raise TableError("depth_max must be >= 1")
@@ -696,13 +701,10 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
 
     rep = _representation(pi, f)
     if exact:
-        rows = _Rows(rep.start, lambda n: rep.steps, lambda v: _Level(None, row_sums(v), 1))
+        rows = _Rows(rep.start, lambda n: (rep.m, None), lambda v: _Level(None, row_sums(v), 1))
         return SeqTable.from_rows(pi, f, rows, depth_max, True)
 
-    dom, r, fmax = pi.domain, f.range, f.max_value()
-    # sup of the windows reaching past a word, per state (its last min(n,
-    # r-1) symbols), applied at readout; for n < r-1 a state is the word
-    tails = {k: [birkhoff_sup(f, s) for s in dom.blocks(k)] for k in range(1, r)}
+    r, s, fmax = f.range, rep.s, f.max_value()
     # e^{-fmax} per step keeps the weights at most 1, but an entry can shrink
     # by the smallest weight w per step, and one far below the others can
     # catch up later.  Once the next step could reach below _FLOOR, each
@@ -712,12 +714,12 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
     # (``_gauged``) and the readout adds the exponents back.  A one-row walk
     # then loses only terms below 2^-1022 of their own entry.  Ordinary
     # potentials never get that low, so their bits do not move.
-    weights = rep.walk[-1][0]
-    w, gauge, n, offset = weights[weights > 0].min(initial=1), None, 0, 0.0
+    w, gauge, n, offset = rep.m[rep.m > 0].min(initial=1), None, 0, 0.0
 
-    def step(n):
+    def step(n):  # from the states of depth n - 1 to those of depth n
         nonlocal gauge
-        m, edge = rep.walk[min(n, len(rep.walk)) - 1]
+        a, b = rep.bands[min(n - 1, s)], rep.bands[min(n, s)]
+        m, edge = rep.m[a, :, b], rep.edge[a, :, b]
         if gauge is not None:
             m, gauge = _gauged(m, gauge)
         return m, edge
@@ -729,13 +731,13 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
             offset += fmax
         if gauge is None and v[v > 0].min(initial=1.0) * w < _FLOOR:
             gauge = np.zeros(v.shape[1], dtype=np.int64)
-        shift = tails.get(min(n, r - 1))
+        shift = None if rep.tails is None else rep.tails[rep.bands[min(n, s)]]
         if gauge is not None:
             top = v.max(axis=0, initial=0.0)
             e = np.frexp(top)[1]
             np.ldexp(v, -e, out=v)
             gauge = np.where(top > 0, gauge + e, _EMPTY)
-            shift = (0.0 if shift is None else np.array(shift)) + gauge * math.log(2)
+            shift = (0.0 if shift is None else shift) + gauge * math.log(2)
         logs = _float_readout(v, shift, offset)
         if not np.isfinite(logs).all():
             raise TableError(_NON_FINITE % n)
@@ -743,29 +745,6 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
 
     rows = _Rows(np.ones((1, 1)), step, readout).to(depth_max)
     return SeqTable.from_rows(pi, f, rows, depth_max, False)
-
-
-def _transfer(pi: OneBlockFactor, f: LocallyConstantPotential, src_len: int, dst_len: int):
-    """(M, edge), indexed [source state, image symbol, target state]: from a
-    domain state (its last ``src_len`` symbols) a symbol x over b leads to
-    the state of the last ``dst_len`` symbols with weight e^{f(window) -
-    fmax} once the grown block spans f's range, 1 before; ``edge`` marks
-    the transitions, whose weight may underflow to 0.  On the counting path
-    (f = 0) M is 0/1 in int64."""
-    dom, exact, fmax = pi.domain, f.is_zero, f.max_value()
-    src, index = dom.blocks(src_len), {w: i for i, w in enumerate(dom.blocks(dst_len))}
-    m = np.zeros((len(src), len(pi.image_alphabet), len(index)),
-                 dtype=np.int64 if exact else float)
-    edge = np.zeros(m.shape, dtype=bool)
-    for i, st in enumerate(src):
-        for x in range(dom.size):
-            if not st or dom.follows(st[-1], x):
-                grown = st + (x,)
-                b, j = pi.symbol_map[x], index[grown[-dst_len:]]
-                edge[i, b, j] = True
-                m[i, b, j] = (math.exp(f.value(grown[-f.range:]) - fmax)
-                              if len(grown) >= f.range and not exact else 1)
-    return m, edge
 
 
 def _gauged(m: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -779,7 +758,7 @@ def _gauged(m: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(m, (src[:, None] - dst)[:, None, :]), dst
 
 
-def _float_readout(v: np.ndarray, tails: list[float] | None, offset: float) -> np.ndarray:
+def _float_readout(v: np.ndarray, tails: np.ndarray | None, offset: float) -> np.ndarray:
     """Per row, logsumexp over the positive weights of log weight (plus the
     state's tail sup), plus ``offset``: the global fmax shift undone.
 
@@ -792,7 +771,7 @@ def _float_readout(v: np.ndarray, tails: list[float] | None, offset: float) -> n
     rows, cols = np.nonzero(v > 0)  # row-major: each row's terms together
     x = np.array(list(map(math.log, v[rows, cols].tolist())))
     if tails is not None:
-        x = x + np.array(tails)[cols]
+        x = x + np.asarray(tails)[cols]
     count = np.bincount(rows, minlength=len(v))
     starts = np.concatenate(([0], np.cumsum(count)))
     live = count > 0
@@ -850,28 +829,26 @@ def partition_sum_exact(t: SeqTable, n: int) -> int | Fraction:
 
 
 def log_perron(f: LocallyConstantPotential):
-    """(P(f), W, (root, right, left, residual), exact) for the transfer
-    matrix W = sum_b M_b of the last step of ``_Representation.walk`` on the
-    domain's s-block states, s = max(r-1, 1), with weights e^{f - fmax}
-    (integers when f = 0).
+    """(P(f), W, (root, right, left, residual), exact, s) for the transfer
+    matrix W = sum_b m[band, b, band] of the representation of (identity,
+    f) (``_Representation``) on its band of s-block states, s = max(r-1, 1)
+    (1 when f = 0), with weights e^{f - fmax} (integers when f = 0).
     P(f) = log root + fmax, ``perron`` on W; ``exact`` is ``perron_exact``'s
     (c, right, left) when f = 0 and the root is an integer c, else None.
     TableError when a weight underflows: W would lose a transition.
     Computed once per potential and kept on it (``f._perron``)."""
     if f._perron is None:
-        f._perron = _log_perron(f)
+        rep = _Representation(OneBlockFactor.identity(f.language), f)
+        band = rep.bands[rep.s]
+        m, edge = rep.m[band, :, band], rep.edge[band, :, band]
+        if (m[edge] == 0).any():
+            raise TableError("transfer weight e^(f - fmax) underflows to 0 (float path)")
+        w = m.sum(axis=1)
+        eig = perron(w)
+        exact = perron_exact(w, eig[0]) if f.is_zero else None
+        f._perron = (math.log(eig[0] if exact is None else exact[0]) + f.max_value(), w, eig,
+                     exact, rep.s)
     return f._perron
-
-
-def _log_perron(f: LocallyConstantPotential):
-    fmax = f.max_value()
-    m, edge = _Representation(OneBlockFactor.identity(f.language), f).walk[-1]
-    if (m[edge] == 0).any():
-        raise TableError("transfer weight e^(f - fmax) underflows to 0 (float path)")
-    w = m.sum(axis=1)
-    eig = perron(w)
-    exact = perron_exact(w, eig[0]) if f.is_zero else None
-    return math.log(eig[0] if exact is None else exact[0]) + fmax, w, eig, exact
 
 
 @dataclass

@@ -38,6 +38,11 @@ CASES = {
     "verdict_float_d13": ["verdict", "--factor", "fixtures/factor_collapse.json",
                           "--potential", "tests/golden/potential_r2_full3.json", "--depth", "13",
                           "--range", "2"],
+    "verdict_float_r3": ["verdict", "--factor", "fixtures/factor_collapse.json",
+                         "--potential", "tests/golden/potential_r3_full3.json", "--depth", "8",
+                         "--range", "2"],
+    "pressure_float_r3": ["pressure", "--factor", "fixtures/factor_collapse.json",
+                          "--potential", "tests/golden/potential_r3_full3.json", "--depth", "8"],
     "verdict_float_r1": ["verdict", "--factor", "fixtures/factor_identity_goldenmean.json",
                          "--potential", "fixtures/potential_weight_goldenmean.json",
                          "--depth", "8"],

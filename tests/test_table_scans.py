@@ -31,7 +31,7 @@ from thermoshift import (LocallyConstantPotential, OneBlockFactor, SeqTable,
                          seqtable)
 from thermoshift.cli import main
 from thermoshift.detect import table_verdict
-from thermoshift.factor import fiber_words
+from thermoshift.factor import _Rows, fiber_words
 from thermoshift.jsonio import load_factor, read_json
 from thermoshift.numerics import log_fraction, row_reduce
 from thermoshift.seqtable import D2Report, DefectProfile
@@ -197,6 +197,30 @@ def test_scans_match_nested_loops(factor, seed):
                                     for n in range(1, depth + 1)}))
     for t in tables:
         assert_scans_match(t, gaps=range(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor=small_factors())
+def test_counting_reach_is_the_support(factor):
+    """Counting walks step with no edge mask: their transitions are exactly
+    their positive weights, so what a row reaches is its support.  The
+    exact rows and both class walks of a zero potential, walked again with
+    (M, M > 0) steps, keep the same rows, next and g at every depth."""
+    trans, targets = factor
+    dom = Sft([str(i) for i in range(len(trans))], trans)
+    t = build_g_table(OneBlockFactor(dom, targets), LocallyConstantPotential.zero(dom), 6)
+    for walk in (t.rows, t.classes.fwd, t.classes.bwd):
+        def masked(n, steps=walk._steps):
+            m, edge = steps(n)
+            assert edge is None
+            return m, m > 0
+
+        twin = _Rows(walk.rows[0], masked, walk._value, walk._primitive)
+        for n in range(1, 7):
+            a, b = walk.to(n), twin.to(n)
+            for x, y in ((a.rows[-1], b.rows[-1]), (a.next[-1], b.next[-1]),
+                         (getattr(a.g[n], "num", a.g[n]), getattr(b.g[n], "num", b.g[n]))):
+                assert x.dtype == y.dtype and np.array_equal(x, y), n
 
 
 def _fixture_table(name, depth):
@@ -714,33 +738,47 @@ def test_early_growth_exit_matches_the_profile_on_fixtures(name, depth):
     (["profile-cnm", "--factor", str(FIXTURES / "factor_phase_blocked.json"), "--depth", "18"],
      None),
 ])
-def test_one_transfer_build_per_factor_potential_and_state_lengths(argv, zero_range, tmp_path,
-                                                                   monkeypatch):
-    """A command builds each step of its representations once: one
-    ``_transfer`` per (factor, potential, source length, target length).
-    Under a zero potential of range 3 (``zero_range``) the g-table's
-    representation builds only the 1-block steps its exact rows grow by,
-    (0, 1) and (1, 1), and none of the 2-block float walk."""
+def test_one_representation_per_factor_and_potential(argv, zero_range, tmp_path, monkeypatch):
+    """A command builds one ``_Representation`` per (factor, potential),
+    and every walk of the pair reads it.  Under a zero potential of range 3
+    (``zero_range``) the g-table's representation has the 1-block states
+    and the start last, whatever the range: G_b[i, j] = 1 when domain
+    symbol j lies over b and may follow i, G_b[start, j] = 1 when j lies
+    over b.  For every representation built, ``log_perron``'s W is its
+    s-band block summed over the image symbols: the domain's transfer
+    matrix, whatever the factor."""
     built = []  # holds the factors and potentials, so their ids stay unique
-    real = seqtable._transfer
+    real = seqtable._Representation.__init__
 
-    def counted(pi, f, src_len, dst_len):
-        built.append((pi, f, src_len, dst_len))
-        return real(pi, f, src_len, dst_len)
+    def counted(self, pi, f):
+        built.append((pi, f, self))
+        real(self, pi, f)
 
     if zero_range is not None:
         dom = load_factor(read_json(argv[2])).domain
         values = {"".join(dom.alphabet[x] for x in w): 0.0 for w in dom.blocks(zero_range)}
         (tmp_path / "zero.json").write_text(json.dumps({"range": zero_range, "values": values}))
         argv = argv + ["--potential", str(tmp_path / "zero.json")]
-    monkeypatch.setattr(seqtable, "_transfer", counted)
+    monkeypatch.setattr(seqtable._Representation, "__init__", counted)
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
-    keys = [(id(pi), id(f), src_len, dst_len) for pi, f, src_len, dst_len in built]
+    keys = [(id(pi), id(f)) for pi, f, _ in built]
     assert keys and len(set(keys)) == len(keys)
+    for pi, f, rep in built:
+        _, w, _, _, s = seqtable.log_perron(f)
+        band = rep.bands[rep.s]
+        assert s == rep.s and np.array_equal(w, rep.m[band, :, band].sum(axis=1))
     if zero_range is not None:
-        image = [(src_len, dst_len) for pi, f, src_len, dst_len in built
-                 if f.range == zero_range and pi.image_alphabet == ("a", "b")]
-        assert image == [(0, 1), (1, 1)]
+        [(pi, f, rep)] = [(pi, f, rep) for pi, f, rep in built
+                          if f.range == zero_range and pi.image_alphabet == ("a", "b")]
+        d = pi.domain.size
+        assert rep.s == 1 and rep.bands == {1: slice(0, d), 0: slice(d, d + 1)}
+        assert np.array_equal(rep.start, np.eye(1, d + 1, d))
+        want = np.zeros((d + 1, 2, d + 1), np.int64)
+        for j in range(d):
+            want[d, pi.symbol_map[j], j] = 1
+            for i in range(d):
+                want[i, pi.symbol_map[j], j] = pi.domain.follows(i, j)
+        assert np.array_equal(rep.m, want) and np.array_equal(rep.edge, want > 0)
 
 
 @pytest.mark.parametrize("name, depth", [("factor_collapse.json", 14),
