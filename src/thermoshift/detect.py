@@ -5,7 +5,12 @@ compensation-function verdict.
 
 Verdicts are three-valued: CERTIFIED needs exact arithmetic identities,
 REFUTED needs an exact witness of growth (or the profile flag), everything
-else is EVIDENCE with decay statistics.
+else is EVIDENCE with decay statistics.  Where the fiber counts have Hankel
+rank 1 and a common power base, a fitted range-1 verdict certifies in
+closed form, h(b) = log g_1(b), with no fit LP and no uniform walk
+(``_product_fits``); r >= 2, given candidates and rank-1 counts with no
+common base take the fits and walks.  Each periodic orbit is one walk down
+the table's rows (``orbit_defects``).
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ from .factor import OneBlockFactor, fiber_words
 from .lp import LpError, chebyshev_fit_exact, chebyshev_fit_float, solve_exact
 from .numerics import array_max, integer_rows, logsumexp, power_exponent
 from .potential import (LocallyConstantPotential, PotentialError, birkhoff_inf,
-                        birkhoff_sup, periodic_birkhoff, periodic_birkhoff_coeff,
-                        variation_constant)
-from .seqtable import FIT_DEPTH, SeqTable, TableError, growth_witness
+                        birkhoff_sup, periodic_birkhoff_coeff, variation_constant)
+from .seqtable import FIT_DEPTH, SeqTable, TableError, _multiplicative, growth_witness
 from .shiftcore import (PeriodicPoint, Word, bridge, is_irreducible,
                         periodic_points)
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, Verdict, decays_to_zero
@@ -43,26 +47,35 @@ def table_power_base(gt: SeqTable) -> int | None:
 # ---------------------------------------------------------------------------
 # defects of a candidate h
 
-def orbit_defects(gt: SeqTable, h: LocallyConstantPotential, y: PeriodicPoint, J: int):
-    """One pass over the multiples n = jq (j = 1..J) of the orbit y, one
-    lookup of the block B^j each (``SeqTable.entry``).  Returns the float
-    defects d_{y,j} = (1/n) (log g_n(B^j) - S_n h(y)), S_n h exact from the
-    block; the same in units of log(base), or None when the table or h is
-    not exact or a value at a checked depth is no power of the base; and the
-    stored g_n(B^j) on exact tables, else None."""
+def orbit_defects(gt: SeqTable, h: LocallyConstantPotential, y: PeriodicPoint, J: int,
+                  exact: bool = True):
+    """One walk down the table's rows (``SeqTable.rows``) along the orbit y
+    to depth Jq, reading the row reached at each multiple n = jq (j =
+    1..J): Jq row steps in all.  Returns the float defects d_{y,j} = (1/n)
+    (log g_n(B^j) - S_n h(y)), S_n h the fsum of the period's q window
+    values repeated j times (the terms periodic_birkhoff sums, so the same
+    bits); the same in units of log(base), or None when not ``exact``, when
+    the table or h is not exact or a value at a checked depth is no power of
+    the base; and the stored g_n(B^j) on exact tables, else None."""
     q = y.period
     if J < 1 or J * q > gt.depth_max:
         raise TableError("J*q exceeds the table depth")
+    rows, w = gt.rows.to(J * q), y.word(q + h.range - 1)
+    windows = [h.value(w[i:i + h.range]) for i in range(q)]
     floats, values = [], ([] if gt.is_exact else None)
-    exact = [] if gt.is_exact and h.is_exact else None
+    exact = [] if exact and gt.is_exact and h.is_exact else None
     unit = None  # S_q h(y) in units of log(base); S_jq h(y) = j unit on the orbit
-    for j in range(1, J + 1):
-        n, w = j * q, y.word(j * q)
-        found = gt.entry(n, w)
-        if found is None:
-            raise DetectError("periodic block %s is not in the image language" % (w,))
-        log, value = found
-        floats.append((log - periodic_birkhoff(h, y, n)) / n)
+    i = 0
+    for n in range(1, J * q + 1):
+        i = int(rows.next[n - 1][i, y.block[(n - 1) % q]])
+        if i < 0:
+            raise DetectError("periodic block %s is not in the image language"
+                              % (y.word(-(-n // q) * q),))
+        if n % q:
+            continue
+        j, level = n // q, rows.g[n]
+        floats.append((level.log(i) - math.fsum(windows * j)) / n)
+        value = None if level.num is None else level.value(int(level.num[i]))
         if values is not None:
             values.append(value)
         if exact is not None and gt.powers(n, h.exact_base) is not None:
@@ -314,6 +327,25 @@ def fit_depths(gt: SeqTable, r: int, n_fits) -> list[FitResult]:
     return out
 
 
+def _product_fits(gt: SeqTable, n_fits) -> list[FitResult] | None:
+    """fit_depths(gt, 1, n_fits) in closed form on an exact g-table of Hankel
+    rank 1 (``seqtable._multiplicative``) with a common power base, else
+    None.  There g(uv) = g(u) g(v), so with base^{k_b} = g_1(b) the range-1
+    h(b) = k_b log(base) has S_n h = log g_n on every word: t* = 0 at every
+    depth, read from level 1 alone with no LP.  The bytes are the LP's: the
+    image is the full shift, so the row of b^n makes z_b = k_b its only
+    optimum at t* = 0, and values at every depth are products of depth-1
+    values, so they share depth 1's base.  The solver label stays the exact
+    fit's."""
+    base = table_power_base(gt) if _multiplicative(gt) else None
+    if base is None or not all(1 <= n <= gt.depth_max for n in n_fits):
+        return None  # fit_depths fits, or names the bad depth
+    coeffs = {w: Fraction(k) for w, k in zip(gt.levels[1].words, gt.exponents(1, base).tolist())}
+    values = {w: float(c) * math.log(base) for w, c in coeffs.items()}
+    return [FitResult(1, n, values, 0.0, "exact-simplex", coeffs, base, Fraction(0))
+            for n in n_fits]
+
+
 def _pin_gauge(gt: SeqTable, r: int, n_fit: int, classes: np.ndarray,
                z: list[float]) -> list[float]:
     """Float fit z (r >= 2) moved along the free gauge direction so that the
@@ -505,7 +537,12 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
     trend, (c) the defect-profile growth flag, plus the Chebyshev t* per
     fitted depth when h is fitted rather than given.  For f = 0 this is the
     saturated-compensation test.  The defect profile is read only up to its
-    first growing row (``growth_witness``)."""
+    first growing row (``growth_witness``), which leaves the Hankel rank
+    computed.  A fitted range-1 h on rank-1 counts with a common power base
+    comes in closed form (``_product_fits``), every uniform defect is then
+    exactly 0 and the orbits give only their float defects: the bytes of
+    the fits and walks this skips.  r >= 2 (its fit pinned by a gauge),
+    given candidates and rank-1 counts with no common base take them."""
     witness = growth_witness(gt, slope_threshold)
     if witness is not None:
         return DefectReport(
@@ -514,7 +551,7 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
             coverage={"depth_max": gt.depth_max, "orbits": 0, "P_max": P_max},
             stats={"slope_threshold": slope_threshold})
 
-    fit = None
+    fit = product = None
     tstars: dict[int, float] = {}
     exact_fit_zero = True
     if h is None:
@@ -527,7 +564,8 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
             n_fits = list(range(max(r, min(2, hi)), hi + 1))
         if not n_fits:
             raise DetectError("fit range exceeds the fit depth")
-        for fit in fit_depths(gt, r, n_fits):
+        product = _product_fits(gt, n_fits) if r == 1 else None
+        for fit in product or fit_depths(gt, r, n_fits):
             tstars[fit.n_fit] = fit.tstar
             if not (fit.exact and fit.tstar_exact == 0):
                 exact_fit_zero = False
@@ -536,8 +574,9 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
         for nf in (n_fits or [min(gt.depth_max, FIT_DEPTH)]):
             tstars[nf] = chebyshev_defect(gt, h.values, h.range, nf)
 
-    exact_u = uniform_defects_exact_all(gt, h)
-    if exact_u is not None:
+    if product:  # g(y) = e^{S_n h(y)} exactly: every uniform defect is 0
+        uniform, uniform_exact = dict.fromkeys(range(1, gt.depth_max + 1), 0.0), True
+    elif (exact_u := uniform_defects_exact_all(gt, h)) is not None:
         log_b = math.log(h.exact_base)
         uniform = {n: float(ue) * log_b for n, ue in exact_u.items()}
         uniform_exact = all(ue == 0 for ue in exact_u.values())
@@ -554,9 +593,9 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
         j_max = min(J, gt.depth_max // q) if J else gt.depth_max // q
         if j_max < 1:
             continue
-        ds, de, values = orbit_defects(gt, h, orbit, j_max)
+        ds, de, values = orbit_defects(gt, h, orbit, j_max, exact=not product)
         periodic[orbit] = ds
-        if de is None or any(de):
+        if not product and (de is None or any(de)):
             periodic_exact = False
             # exact multiplicativity witness: g_{jq}(B^j) == g_q(B)^j makes
             # the defect constant in j, so a nonzero value is the Kingman

@@ -70,7 +70,7 @@ from .numerics import (INT64_MAX, array_max, common_power_base, int_array, integ
                        log_fraction, logsumexp, perron, perron_exact, power_exponent, row_reduce,
                        row_sums, span_basis, unique_rows)
 from .potential import LocallyConstantPotential, birkhoff_sup
-from .shiftcore import Word
+from .shiftcore import Sft, Word
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, TrendStats, growth_flag, decays_to_zero
 
 
@@ -166,8 +166,7 @@ class SeqTable:
         if i is None:
             return None
         values = self.rows.g[n]
-        return float(values.logs[i]), None if values.num is None else values.value(
-            int(values.num[i]))
+        return values.log(i), None if values.num is None else values.value(int(values.num[i]))
 
     def _stored(self, n: int, word: Word) -> tuple[float, int | Fraction | None]:
         found = self.entry(n, word)
@@ -333,6 +332,11 @@ class _Level:
     def value(self, v: int) -> int | Fraction:
         """The stored value v / den: the int itself on integer levels."""
         return v if self.den == 1 else Fraction(v, self.den)
+
+    def log(self, i: int) -> float:
+        """The log of entry i, as ``logs[i]``, taking no other entry's."""
+        return float(self._logs[i]) if self._logs is not None else \
+            log_fraction(self.value(int(self.num[i])))
 
 
 class _Levels:
@@ -812,8 +816,16 @@ def partition_table(f: LocallyConstantPotential, depth_max: int,
     Z_n.  The fibers of any factor partition B_n(X), so its Z_n is that of
     every g-table of f and of f's additive table, for O(depth S^2) work on
     S domain states instead of a row per image word."""
-    dom = f.language
-    return build_g_table(OneBlockFactor(dom, ["*"] * dom.size), f, depth_max, mode)
+    return build_g_table(_collapse(f.language), f, depth_max, mode)
+
+
+def _collapse(dom: Sft) -> OneBlockFactor:
+    """The total collapse of the shift dom, one per shift (kept on it), so
+    each potential's representation on it (``_representation``) is built
+    once and steps both Z_n and ``log_perron``'s W."""
+    if dom._collapse is None:
+        dom._collapse = OneBlockFactor(dom, ["*"] * dom.size)
+    return dom._collapse
 
 
 def partition_sum(t: SeqTable, n: int) -> float:
@@ -830,15 +842,17 @@ def partition_sum_exact(t: SeqTable, n: int) -> int | Fraction:
 
 def log_perron(f: LocallyConstantPotential):
     """(P(f), W, (root, right, left, residual), exact, s) for the transfer
-    matrix W = sum_b m[band, b, band] of the representation of (identity,
-    f) (``_Representation``) on its band of s-block states, s = max(r-1, 1)
-    (1 when f = 0), with weights e^{f - fmax} (integers when f = 0).
+    matrix W = sum_b m[band, b, band] of the representation of (total
+    collapse, f) (``_Representation``; one image symbol b, the one Z_n
+    walks) on its band of s-block states, s = max(r-1, 1) (1 when f = 0),
+    with weights e^{f - fmax} (integers when f = 0): any factor's sum over
+    its symbols gives the same W, each transition lying over one symbol.
     P(f) = log root + fmax, ``perron`` on W; ``exact`` is ``perron_exact``'s
     (c, right, left) when f = 0 and the root is an integer c, else None.
     TableError when a weight underflows: W would lose a transition.
     Computed once per potential and kept on it (``f._perron``)."""
     if f._perron is None:
-        rep = _Representation(OneBlockFactor.identity(f.language), f)
+        rep = _representation(_collapse(f.language), f)
         band = rep.bands[rep.s]
         m, edge = rep.m[band, :, band], rep.edge[band, :, band]
         if (m[edge] == 0).any():

@@ -167,6 +167,7 @@ class Sft(Language):
         self._followers = tuple(
             tuple(j for j in range(n) if self.transitions[i][j]) for i in range(n)
         )
+        self._collapse = None  # seqtable's total collapse of this shift, made on first use
 
     @classmethod
     def full_shift(cls, alphabet: Sequence[str]) -> "Sft":

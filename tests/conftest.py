@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from thermoshift import LocallyConstantPotential, OneBlockFactor
 from thermoshift.shiftcore import Sft
@@ -10,6 +11,18 @@ def symbol_weights(language, weights):
     """The range-1 float potential with value weights[name] on each symbol."""
     return LocallyConstantPotential(
         language, 1, {w: float(weights[language.names(w)[0]]) for w in language.blocks(1)})
+
+
+@st.composite
+def small_factors(draw):
+    """(transitions, symbol map) of a one-block factor on <= 4 domain
+    symbols; merged symbols often give strictly sofic images."""
+    k = draw(st.integers(2, 4))
+    trans = [[draw(st.integers(0, 1)) for _ in range(k)] for _ in range(k)]
+    for i in range(k):  # every symbol needs an outgoing and an incoming edge
+        if not any(trans[i]) or not any(row[i] for row in trans):
+            trans[i][i] = 1
+    return trans, draw(st.lists(st.sampled_from("abc"), min_size=k, max_size=k))
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,17 @@
 """Word-by-word oracles for table and measure properties that no command
 reports: subadditivity of a table, and the Kingman averages
 (1/n) int log f_n dmu with the entropy rate of a Markov measure, the two
-sides of the variational inequality h(mu) + lim (1/n) int log g_n dmu <= P."""
+sides of the variational inequality h(mu) + lim (1/n) int log g_n dmu <= P;
+and the per-multiple periodic defects that ``detect.orbit_defects`` walks
+in one pass."""
 
 import math
 
 from thermoshift import MarkovMeasure
+from thermoshift.detect import DetectError
+from thermoshift.numerics import power_exponent
+from thermoshift.potential import periodic_birkhoff, periodic_birkhoff_coeff
+from thermoshift.seqtable import TableError
 
 
 def ref_check_subadditive(t, tol=1e-12):
@@ -52,3 +58,31 @@ def random_measure(sft, rng, order=1):
         total = sum(weights.values())
         matrix.append([weights.get(j, 0.0) / total for j in range(len(states))])
     return MarkovMeasure.from_transition(sft, matrix, order=order)
+
+
+def ref_orbit_defects(gt, h, y, J):
+    """``detect.orbit_defects`` one multiple n = jq at a time: a lookup of
+    the block B^j from the root (``SeqTable.entry``) and S_n h by
+    periodic_birkhoff over its n windows."""
+    q = y.period
+    if J < 1 or J * q > gt.depth_max:
+        raise TableError("J*q exceeds the table depth")
+    floats, values = [], ([] if gt.is_exact else None)
+    exact = [] if gt.is_exact and h.is_exact else None
+    unit = None  # S_q h(y) in units of log(base); S_jq h(y) = j unit on the orbit
+    for j in range(1, J + 1):
+        n, w = j * q, y.word(j * q)
+        found = gt.entry(n, w)
+        if found is None:
+            raise DetectError("periodic block %s is not in the image language" % (w,))
+        log, value = found
+        floats.append((log - periodic_birkhoff(h, y, n)) / n)
+        if values is not None:
+            values.append(value)
+        if exact is not None and gt.powers(n, h.exact_base) is not None:
+            if unit is None:
+                unit = periodic_birkhoff_coeff(h, y, q)
+            exact.append((power_exponent(value, h.exact_base) - j * unit) / n)
+        else:
+            exact = None
+    return floats, exact, values

@@ -128,11 +128,16 @@ def test_weak_gibbs_runs_log_perron_once(tmp_path, monkeypatch):
 def test_fit_h_reuses_the_verdicts_last_fit(tmp_path, monkeypatch):
     from thermoshift import detect
     calls = _counting(monkeypatch, detect, "fit_depths")  # fit_h runs through it too
-    code, raw = run(tmp_path, "fit-h", "--factor", fpath("factor_collapse.json"), "--depth", "7")
-    assert code == 0
-    assert [list(c[2]) for c in calls] == [[2, 3, 4, 5, 6, 7]]  # the verdict's fits, none repeated
-    doc = json.loads(raw)
-    assert doc["fit"] == doc["verdict"]["h"]
+    # the verdict's fits, none repeated; collapse has Hankel rank 1, so its
+    # verdict takes them in closed form and fit_depths never runs
+    for name, fits in [("factor_identity_goldenmean.json", [[2, 3, 4, 5, 6, 7]]),
+                       ("factor_collapse.json", [])]:
+        calls.clear()
+        code, raw = run(tmp_path, "fit-h", "--factor", fpath(name), "--depth", "7")
+        assert code == 0
+        assert [list(c[2]) for c in calls] == fits
+        doc = json.loads(raw)
+        assert doc["fit"] == doc["verdict"]["h"]
     calls.clear()  # after the REFUTED early exit the fit runs on its own
     code, raw = run(tmp_path, "fit-h", "--factor", fpath("factor_phase_blocked.json"),
                     "--depth", "12")

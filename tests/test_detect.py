@@ -6,14 +6,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thermoshift import (LocallyConstantPotential, OneBlockFactor,
                          build_g_table, c2_certificate, chebyshev_defect,
                          fit_h, image_periodic_points, periodic_defect,
                          table_verdict, uniform_defect, variation_constant)
-from thermoshift import seqtable
+from thermoshift import detect, lp, seqtable
 from thermoshift.detect import (DetectError, orbit_defects,
                                 table_power_base, uniform_defects,
                                 uniform_defects_exact_all)
@@ -25,8 +25,9 @@ from thermoshift.seqtable import SeqTable, TableError
 from thermoshift.shiftcore import PeriodicPoint, Sft
 from thermoshift.verdicts import Verdict
 
-from conftest import symbol_weights
+from conftest import small_factors, symbol_weights
 from fraction_oracles import birkhoff_extremes_coeff
+from table_oracles import ref_orbit_defects
 
 LOG2 = math.log(2)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -167,18 +168,6 @@ def test_uniform_defects_sofic_tails_follow_automaton_state():
     assert uniform_defects_exact_all(gt, h) == ref
     rep = table_verdict(gt, h=h)
     assert rep.uniform == {n: float(v) * LOG2 for n, v in ref.items()}
-
-
-@st.composite
-def small_factors(draw):
-    """(transitions, symbol map) of a one-block factor on <= 4 domain
-    symbols; merged symbols often give strictly sofic images."""
-    k = draw(st.integers(2, 4))
-    trans = [[draw(st.integers(0, 1)) for _ in range(k)] for _ in range(k)]
-    for i in range(k):  # every symbol needs an outgoing and an incoming edge
-        if not any(trans[i]) or not any(row[i] for row in trans):
-            trans[i][i] = 1
-    return trans, draw(st.lists(st.sampled_from("abc"), min_size=k, max_size=k))
 
 
 def _exact_table(lang, exponents):
@@ -475,6 +464,16 @@ def _orbit_table(name, depth, float_f):
     return pi, gt
 
 
+class CountedReads(list):
+    """A list that counts the items read from it (``reads``)."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
 ORBIT_CASES = [("factor_collapse.json", 4, False), ("factor_collapse.json", 9, False),
                ("factor_collapse.json", 7, True), ("factor_phase_blocked.json", 6, False),
                ("factor_phase_blocked.json", 11, False), ("factor_amalgamation.json", 5, False),
@@ -488,8 +487,8 @@ def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
     """The one orbit pass against word-by-word oracles: float defects bit for
     bit, exact defects through power_exponent (None exactly when some value
     at a checked depth is no power of h's base), the stored values, and one
-    lookup per multiple (in the table's rows, float or exact); a table with
-    no level built reads the same."""
+    walk down the table's rows, float or exact: Jq reads of ``next`` for J
+    multiples of period q; a table with no level built reads the same."""
     pi, gt = _orbit_table(*case)
     lazy = build_g_table(pi, gt.potential, gt.depth_max)
     windows = pi.image.blocks(r)
@@ -502,22 +501,14 @@ def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
     else:
         h = LocallyConstantPotential(pi.image, r, {w: data.draw(st.floats(-2, 2))
                                                    for w in windows})
-    # every table looks its blocks up in its rows
-    find = seqtable._Rows.find
     for y in image_periodic_points(pi.image, 4):
         q = y.period
         ns = list(range(q, gt.depth_max + 1, q))
         if not ns:
             continue
-        looked_up = []
-
-        def in_rows(rows, word):
-            looked_up.append(len(word))
-            return find(rows, word)
-
-        with mock.patch.object(seqtable._Rows, "find", in_rows):
-            floats, exact, values = orbit_defects(gt, h, y, len(ns))
-        assert looked_up == ns
+        gt.rows.next = CountedReads(gt.rows.next)
+        floats, exact, values = orbit_defects(gt, h, y, len(ns))
+        assert gt.rows.next.reads == ns[-1]
         assert orbit_defects(lazy, h, y, len(ns)) == (floats, exact, values)
         assert floats == [(gt.log_value(n, y.word(n)) - periodic_birkhoff(h, y, n)) / n
                           for n in ns]
@@ -527,3 +518,81 @@ def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
                            - periodic_birkhoff_coeff(h, y, n)) / n for n in ns]
                          if powers else None)
         assert values == ([gt.exact_value(n, y.word(n)) for n in ns] if gt.is_exact else None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor=small_factors(), depth=st.integers(1, 7), r=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 16))
+def test_orbit_walk_matches_the_per_multiple_lookups(factor, depth, r, seed):
+    """orbit_defects' one walk against the per-multiple lookups it replaced
+    (``ref_orbit_defects``), bit for bit, on the tables of f = 0 and of a
+    random float range-2 potential: exact and float candidates of range r,
+    with their exact defects and without (``exact=False``)."""
+    trans, targets = factor
+    dom = Sft([str(i) for i in range(len(trans))], trans)
+    pi = OneBlockFactor(dom, targets)
+    rng = random.Random(seed)
+    windows = pi.image.blocks(r)
+    coeffs = {w: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for w in windows}
+    hs = [_exact_potential(pi.image, r, coeffs),
+          LocallyConstantPotential(pi.image, r, {w: rng.uniform(-2, 2) for w in windows})]
+    f2 = LocallyConstantPotential(dom, 2, {w: rng.uniform(-2, 2) for w in dom.blocks(2)})
+    for f in (LocallyConstantPotential.zero(dom), f2):
+        gt = build_g_table(pi, f, depth)
+        for y in image_periodic_points(pi.image, 4):
+            J = depth // y.period
+            for h in hs if J else []:
+                want = ref_orbit_defects(gt, h, y, J)
+                assert orbit_defects(gt, h, y, J) == want
+                assert orbit_defects(gt, h, y, J, exact=False) == (want[0], None, want[2])
+
+
+@st.composite
+def full_factors(draw):
+    """(transitions, symbol map) of the full shift on 2 to 4 symbols mapped
+    onto abc: g(y) is the product of the preimage counts of its symbols,
+    Hankel rank 1."""
+    k = draw(st.integers(2, 4))
+    return [[1] * k] * k, draw(st.lists(st.sampled_from("abc"), min_size=k, max_size=k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor=st.one_of(full_factors(), small_factors()), depth=st.integers(2, 7),
+       P_max=st.integers(1, 4), J=st.one_of(st.none(), st.integers(1, 3)))
+@example(factor=([[1] * 5] * 5, list("aabbb")), depth=6, P_max=3, J=None)
+@example(factor=([[1] * 3] * 3, list("aab")), depth=7, P_max=4, J=2)
+def test_rank_one_verdict_matches_the_general_stages(factor, depth, P_max, J):
+    """On exact g-tables of Hankel rank 1 the closed-form branch of
+    table_verdict(r=1) reports the bytes of the stages it skips (the fit
+    LPs, the uniform walk and the exact orbit walk: the same table with
+    ``_multiplicative`` patched to False).  It fires exactly where the
+    values have a common power base: not on the full 5-shift with 1,2 -> a
+    and 3,4,5 -> b, whose g = 2^#a 3^#b."""
+    trans, targets = factor
+    dom = Sft([str(i) for i in range(len(trans))], trans)
+    pi = OneBlockFactor(dom, targets)
+    f = LocallyConstantPotential.zero(dom)
+    t = build_g_table(pi, f, depth)
+    assume(seqtable._multiplicative(t))
+    fits, real = [], detect.fit_depths
+    with mock.patch.object(detect, "fit_depths", lambda *a: fits.append(a) or real(*a)):
+        got = table_verdict(t, r=1, P_max=P_max, J=J).as_dict()
+    assert (not fits) == (table_power_base(t) is not None)
+    with mock.patch.object(detect, "_multiplicative", lambda t: False):
+        want = table_verdict(build_g_table(pi, f, depth), r=1, P_max=P_max, J=J).as_dict()
+    assert got == want
+
+
+def test_rank_one_collapse_verdict_at_depth_64_runs_no_lp(monkeypatch):
+    """The depth-64 collapse verdict certifies with both exact LP solvers
+    made to raise, reading level 1 alone."""
+    def refuse(*args):
+        raise AssertionError("an exact LP ran")
+
+    for module in (lp, detect):
+        monkeypatch.setattr(module, "chebyshev_fit_exact", refuse)
+        monkeypatch.setattr(module, "solve_exact", refuse)
+    pi = load_factor(read_json(FIXTURES / "factor_collapse.json"))
+    t = build_g_table(pi, LocallyConstantPotential.zero(pi.domain), 64)
+    assert table_verdict(t, r=1).verdict is Verdict.CERTIFIED
+    assert t.levels.built <= 1

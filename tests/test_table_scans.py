@@ -38,7 +38,7 @@ from thermoshift.seqtable import D2Report, DefectProfile
 from thermoshift.shiftcore import Sft
 from thermoshift.verdicts import DEFAULT_SLOPE_THRESHOLD, decays_to_zero, growth_flag
 
-from conftest import symbol_weights
+from conftest import small_factors, symbol_weights
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -159,18 +159,6 @@ def exact_table(lang, values):
                     {n: {w: log_fraction(v) for w, v in level.items()}
                      for n, level in values.items()},
                     exact=values, language=lang)
-
-
-@st.composite
-def small_factors(draw):
-    """(transitions, symbol map) of a one-block factor on <= 4 domain
-    symbols; merged symbols often give strictly sofic images."""
-    k = draw(st.integers(2, 4))
-    trans = [[draw(st.integers(0, 1)) for _ in range(k)] for _ in range(k)]
-    for i in range(k):  # every symbol needs an outgoing and an incoming edge
-        if not any(trans[i]) or not any(row[i] for row in trans):
-            trans[i][i] = 1
-    return trans, draw(st.lists(st.sampled_from("abc"), min_size=k, max_size=k))
 
 
 @settings(max_examples=40, deadline=None)
@@ -579,12 +567,14 @@ def test_rows_serve_where_every_word_has_its_own(trans, r, kind):
     assert lazy.power_base == full.power_base
 
 
-@pytest.mark.parametrize("name, depth, built", [("factor_collapse.json", 14, 8),
+@pytest.mark.parametrize("name, depth, built", [("factor_identity_goldenmean.json", 14, 8),
+                                                ("factor_collapse.json", 14, 1),
                                                 ("factor_phase_blocked.json", 18, 0)])
 def test_verdict_builds_no_level_past_the_fit_depth(name, depth, built):
-    """table_verdict(r=1) builds the collapse table to depth 8 (the fits),
-    and refutes phase-blocked from its classes with no level built: the
-    resumed walk has produced only those levels."""
+    """table_verdict(r=1) builds the identity golden-mean table (Hankel rank
+    2) to depth 8, the fits; on collapse (rank 1) its fits read level 1
+    alone; it refutes phase-blocked from its classes with no level built:
+    the resumed walk has produced only those levels."""
     pi = load_factor(read_json(FIXTURES / name))
     t = build_g_table(pi, LocallyConstantPotential.zero(pi.domain), depth)
     assert t.levels.built == 0
@@ -737,17 +727,23 @@ def test_early_growth_exit_matches_the_profile_on_fixtures(name, depth):
     (["verdict", "--factor", str(FIXTURES / "factor_phase_blocked.json"), "--depth", "18"], None),
     (["profile-cnm", "--factor", str(FIXTURES / "factor_phase_blocked.json"), "--depth", "18"],
      None),
+    (["pressure", "--factor", str(FIXTURES / "factor_collapse.json"), "--depth", "12"], None),
+    (["pressure", "--sft", str(FIXTURES / "sft_full2.json"), "--depth", "8",
+      "--potential", str(FIXTURES / "potential_r2_full2.json")], None),
+    (["pressure", "--factor", str(FIXTURES / "factor_amalgamation.json"), "--depth", "6",
+      "--mode", "float"], None),
 ])
 def test_one_representation_per_factor_and_potential(argv, zero_range, tmp_path, monkeypatch):
-    """A command builds one ``_Representation`` per (factor, potential),
-    and every walk of the pair reads it.  Under a zero potential of range 3
-    (``zero_range``) the g-table's representation has the 1-block states
-    and the start last, whatever the range: G_b[i, j] = 1 when domain
-    symbol j lies over b and may follow i, G_b[start, j] = 1 when j lies
-    over b.  For every representation built, ``log_perron``'s W is its
-    s-band block summed over the image symbols: the domain's transfer
-    matrix, whatever the factor."""
-    built = []  # holds the factors and potentials, so their ids stay unique
+    """A command builds one ``_Representation``, and every walk of its
+    (factor, potential) reads it: ``pressure`` too, whose Z_n walk and
+    ``log_perron`` share the shift's one total collapse.  Under a zero
+    potential of range 3 (``zero_range``) the g-table's representation has
+    the 1-block states and the start last, whatever the range: G_b[i, j] =
+    1 when domain symbol j lies over b and may follow i, G_b[start, j] = 1
+    when j lies over b.  For every representation built, ``log_perron``'s
+    W is its s-band block summed over the image symbols: the domain's
+    transfer matrix, whatever the factor."""
+    built = []
     real = seqtable._Representation.__init__
 
     def counted(self, pi, f):
@@ -761,8 +757,7 @@ def test_one_representation_per_factor_and_potential(argv, zero_range, tmp_path,
         argv = argv + ["--potential", str(tmp_path / "zero.json")]
     monkeypatch.setattr(seqtable._Representation, "__init__", counted)
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
-    keys = [(id(pi), id(f)) for pi, f, _ in built]
-    assert keys and len(set(keys)) == len(keys)
+    assert len(built) == 1
     for pi, f, rep in built:
         _, w, _, _, s = seqtable.log_perron(f)
         band = rep.bands[rep.s]
@@ -808,12 +803,15 @@ def test_one_row_walk_per_direction(name, depth, monkeypatch):
     assert len(t.rows.g) - 1 == (depth if name == "factor_collapse.json" else 0)
 
 
-def test_one_forward_row_walk_serves_levels_classes_and_reads(monkeypatch):
+@pytest.mark.parametrize("name, built", [("factor_identity_goldenmean.json", seqtable.FIT_DEPTH),
+                                         ("factor_collapse.json", 1)])
+def test_one_forward_row_walk_serves_levels_classes_and_reads(monkeypatch, name, built):
     """An exact g-table steps one walk of its forward fiber rows: the
-    verdict's levels through the fit depth and the values it reads past
-    the fit depth (power base, uniform and periodic defects) all come from
-    the rows made with the table, each depth stepped once and in order;
-    the only other walks are the classes'."""
+    verdict's levels through the fit depth (level 1 alone on collapse,
+    whose rank-1 fits are closed-form) and the values it reads past the fit
+    depth (power base, uniform and periodic defects) all come from the rows
+    made with the table, each depth stepped once and in order; the only
+    other walks are the classes'."""
     made = []
     real_init = seqtable._Rows.__init__
 
@@ -822,11 +820,11 @@ def test_one_forward_row_walk_serves_levels_classes_and_reads(monkeypatch):
         real_init(self, *args, **kw)
 
     monkeypatch.setattr(seqtable._Rows, "__init__", init)
-    t = _fixture_table("factor_collapse.json", 14)
+    t = _fixture_table(name, 14)
     assert made == [t.rows] and len(t.rows.g) == 1
     stepped, steps = [], t.rows._steps
     t.rows._steps = lambda n: stepped.append(n) or steps(n)
     assert table_verdict(t, r=1).verdict.value == "CERTIFIED"
-    assert t.levels.built == seqtable.FIT_DEPTH
+    assert t.levels.built == built
     assert made == [t.rows, t.classes.fwd, t.classes.bwd]
     assert stepped == list(range(1, 15)) and len(t.rows.g) == 15
