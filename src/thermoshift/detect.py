@@ -7,10 +7,10 @@ Verdicts are three-valued: CERTIFIED needs exact arithmetic identities,
 REFUTED needs an exact witness of growth (or the profile flag), everything
 else is EVIDENCE with decay statistics.  Where the fiber counts have Hankel
 rank 1 and a common power base, a fitted range-1 verdict certifies in
-closed form, h(b) = log g_1(b), with no fit LP and no uniform walk
-(``_product_fits``); r >= 2, given candidates and rank-1 counts with no
-common base take the fits and walks.  Each periodic orbit is one walk down
-the table's rows (``orbit_defects``).
+closed form, h(b) = log g_1(b), with no fit LP and no uniform walk, in the
+bytes the fit LP's unique optimum gives (``_product_fits``); r >= 2, given
+candidates and rank-1 counts with no common base take the fits and walks.
+Each periodic orbit is one walk down the table's rows (``orbit_defects``).
 """
 
 from __future__ import annotations
@@ -54,9 +54,11 @@ def orbit_defects(gt: SeqTable, h: LocallyConstantPotential, y: PeriodicPoint, J
     1..J): Jq row steps in all.  Returns the float defects d_{y,j} = (1/n)
     (log g_n(B^j) - S_n h(y)), S_n h the fsum of the period's q window
     values repeated j times (the terms periodic_birkhoff sums, so the same
-    bits); the same in units of log(base), or None when not ``exact``, when
-    the table or h is not exact or a value at a checked depth is no power of
-    the base; and the stored g_n(B^j) on exact tables, else None."""
+    bits); the same in units of log(base), or None when not ``exact`` (the
+    rank-1 verdict, whose exact defects are 0 by construction), when the
+    table or h is not exact or a value at a checked depth is no power of
+    the base; and the stored g_n(B^j) on exact tables, else None.  Every
+    verdict, exact or float, reads its orbits here."""
     q = y.period
     if J < 1 or J * q > gt.depth_max:
         raise TableError("J*q exceeds the table depth")
