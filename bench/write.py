@@ -110,7 +110,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True, help="per perfbench run")
-    ap.add_argument("--pairs", type=int, default=2, help="runs per side and workload")
+    ap.add_argument("--pairs", type=int, default=10, help="runs per side and workload")
     ap.add_argument("--workload", action="append", help="default: every BENCHMARK.json workload")
     ap.add_argument("--depth", type=int, help="cap every command's depth (a short check)")
     ap.add_argument("--deep", type=int, nargs="*", default=list(DEEP_DEPTHS),

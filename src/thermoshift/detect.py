@@ -47,34 +47,36 @@ def table_power_base(gt: SeqTable) -> int | None:
 # ---------------------------------------------------------------------------
 # defects of a candidate h
 
-def orbit_defects(gt: SeqTable, h: LocallyConstantPotential, y: PeriodicPoint, J: int,
-                  exact: bool = True):
+def orbit_defects(gt: SeqTable, h: LocallyConstantPotential, y: PeriodicPoint, J: int):
     """One walk down the table's rows (``SeqTable.rows``) along the orbit y
     to depth Jq, reading the row reached at each multiple n = jq (j =
     1..J): Jq row steps in all.  Returns the float defects d_{y,j} = (1/n)
     (log g_n(B^j) - S_n h(y)), S_n h the fsum of the period's q window
     values repeated j times (the terms periodic_birkhoff sums, so the same
-    bits); the same in units of log(base), or None when not ``exact`` (the
-    rank-1 verdict, whose exact defects are 0 by construction), when the
-    table or h is not exact or a value at a checked depth is no power of
-    the base; and the stored g_n(B^j) on exact tables, else None.  Every
+    bits); the same in units of log(base), or None when the table or h is
+    not exact or a value at a checked depth is no power of the base; and
+    the stored g_n(B^j) on exact tables, else None.  A symbol outside the
+    table's alphabet, like a block with no fiber, is a DetectError.  Every
     verdict, exact or float, reads its orbits here."""
     q = y.period
     if J < 1 or J * q > gt.depth_max:
         raise TableError("J*q exceeds the table depth")
-    rows, w = gt.rows.to(J * q), y.word(q + h.range - 1)
-    windows = [h.value(w[i:i + h.range]) for i in range(q)]
+    rows, windows = gt.rows.to(J * q), None
     floats, values = [], ([] if gt.is_exact else None)
-    exact = [] if exact and gt.is_exact and h.is_exact else None
+    exact = [] if gt.is_exact and h.is_exact else None
     unit = None  # S_q h(y) in units of log(base); S_jq h(y) = j unit on the orbit
     i = 0
     for n in range(1, J * q + 1):
-        i = int(rows.next[n - 1][i, y.block[(n - 1) % q]])
+        b, step = y.block[(n - 1) % q], rows.next[n - 1]
+        i = int(step[i, b]) if 0 <= b < step.shape[1] else -1
         if i < 0:
             raise DetectError("periodic block %s is not in the image language"
                               % (y.word(-(-n // q) * q),))
         if n % q:
             continue
+        if windows is None:  # read once the walk has found the block B
+            w = y.word(q + h.range - 1)
+            windows = [h.value(w[k:k + h.range]) for k in range(q)]
         j, level = n // q, rows.g[n]
         floats.append((level.log(i) - math.fsum(windows * j)) / n)
         value = None if level.num is None else level.value(int(level.num[i]))
@@ -83,7 +85,8 @@ def orbit_defects(gt: SeqTable, h: LocallyConstantPotential, y: PeriodicPoint, J
         if exact is not None and gt.powers(n, h.exact_base) is not None:
             if unit is None:
                 unit = periodic_birkhoff_coeff(h, y, q)
-            exact.append((power_exponent(value, h.exact_base) - j * unit) / n)
+            k = power_exponent(value, h.exact_base)  # (k - j unit) / n in one Fraction
+            exact.append(Fraction(k * unit.denominator - j * unit.numerator, n * unit.denominator))
         else:
             exact = None
     return floats, exact, values
@@ -541,9 +544,9 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
     saturated-compensation test.  The defect profile is read only up to its
     first growing row (``growth_witness``), which leaves the Hankel rank
     computed.  A fitted range-1 h on rank-1 counts with a common power base
-    comes in closed form (``_product_fits``), every uniform defect is then
-    exactly 0 and the orbits give only their float defects: the bytes of
-    the fits and walks this skips.  r >= 2 (its fit pinned by a gauge),
+    comes in closed form (``_product_fits``) and every uniform defect is
+    then exactly 0: the bytes of the fits and walks this skips.  The orbits
+    take the one row walk of every verdict (``orbit_defects``).  r >= 2 (its fit pinned by a gauge),
     given candidates and rank-1 counts with no common base take them."""
     witness = growth_witness(gt, slope_threshold)
     if witness is not None:
@@ -595,9 +598,9 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
         j_max = min(J, gt.depth_max // q) if J else gt.depth_max // q
         if j_max < 1:
             continue
-        ds, de, values = orbit_defects(gt, h, orbit, j_max, exact=not product)
+        ds, de, values = orbit_defects(gt, h, orbit, j_max)
         periodic[orbit] = ds
-        if not product and (de is None or any(de)):
+        if de is None or any(de):
             periodic_exact = False
             # exact multiplicativity witness: g_{jq}(B^j) == g_q(B)^j makes
             # the defect constant in j, so a nonzero value is the Kingman

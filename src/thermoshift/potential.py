@@ -169,7 +169,6 @@ def periodic_birkhoff_coeff(f: LocallyConstantPotential, point: PeriodicPoint, l
     if not f.is_exact:
         raise PotentialError("potential carries no exact representation")
     w = point.word(length + f.range - 1)
-    total = Fraction(0)
-    for i in range(length):
-        total += f.coeff(w[i:i + f.range])
-    return total
+    cs = [f.coeff(w[i:i + f.range]) for i in range(length)]
+    den = math.lcm(*(c.denominator for c in cs))  # one reduction, not one per term
+    return Fraction(sum(c.numerator * (den // c.denominator) for c in cs), den)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -526,8 +527,10 @@ def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
 def test_orbit_walk_matches_the_per_multiple_lookups(factor, depth, r, seed):
     """orbit_defects' one walk against the per-multiple lookups it replaced
     (``ref_orbit_defects``), bit for bit, on the tables of f = 0 and of a
-    random float range-2 potential: exact and float candidates of range r,
-    with their exact defects and without (``exact=False``)."""
+    random float range-2 potential: exact and float candidates of range r.
+    Blocks outside the image language or its alphabet (symbols -1 and
+    |alphabet|) fail as the lookups do: DetectError, or PotentialError for
+    a found block with a window h has no value for."""
     trans, targets = factor
     dom = Sft([str(i) for i in range(len(trans))], trans)
     pi = OneBlockFactor(dom, targets)
@@ -537,14 +540,22 @@ def test_orbit_walk_matches_the_per_multiple_lookups(factor, depth, r, seed):
     hs = [_exact_potential(pi.image, r, coeffs),
           LocallyConstantPotential(pi.image, r, {w: rng.uniform(-2, 2) for w in windows})]
     f2 = LocallyConstantPotential(dom, 2, {w: rng.uniform(-2, 2) for w in dom.blocks(2)})
+    symbols = range(-1, len(pi.image.alphabet) + 1)
+    strays = [PeriodicPoint(b, len(b)) for q in (1, 2) for b in itertools.product(symbols, repeat=q)]
     for f in (LocallyConstantPotential.zero(dom), f2):
         gt = build_g_table(pi, f, depth)
-        for y in image_periodic_points(pi.image, 4):
+        for y in image_periodic_points(pi.image, 4) + strays:
             J = depth // y.period
             for h in hs if J else []:
-                want = ref_orbit_defects(gt, h, y, J)
-                assert orbit_defects(gt, h, y, J) == want
-                assert orbit_defects(gt, h, y, J, exact=False) == (want[0], None, want[2])
+                assert _outcome(orbit_defects, gt, h, y, J) == _outcome(ref_orbit_defects, gt, h, y, J)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return type(err), str(err)
 
 
 @st.composite
