@@ -74,7 +74,7 @@ def orbit_defects(gt: SeqTable, h: LocallyConstantPotential, y: PeriodicPoint, J
                               % (y.word(-(-n // q) * q),))
         if n % q:
             continue
-        if windows is None:  # read once the walk has found the block B
+        if windows is None:  # after B is found: a block off the language is a DetectError first
             w = y.word(q + h.range - 1)
             windows = [h.value(w[k:k + h.range]) for k in range(q)]
         j, level = n // q, rows.g[n]
@@ -545,9 +545,10 @@ def table_verdict(gt: SeqTable, h: LocallyConstantPotential | None = None,
     first growing row (``growth_witness``), which leaves the Hankel rank
     computed.  A fitted range-1 h on rank-1 counts with a common power base
     comes in closed form (``_product_fits``) and every uniform defect is
-    then exactly 0: the bytes of the fits and walks this skips.  The orbits
-    take the one row walk of every verdict (``orbit_defects``).  r >= 2 (its fit pinned by a gauge),
-    given candidates and rank-1 counts with no common base take them."""
+    then exactly 0: the bytes of the fits and walks this skips.  r >= 2
+    (its fit pinned by a gauge), given candidates and rank-1 counts with no
+    common base take them.  The orbits take the one row walk of every
+    verdict (``orbit_defects``)."""
     witness = growth_witness(gt, slope_threshold)
     if witness is not None:
         return DefectReport(

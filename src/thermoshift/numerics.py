@@ -96,11 +96,8 @@ def power_exponent(value, base: int):
     n = int(value)
     if n <= 0:
         return None
-    k = 0
-    while n % base == 0:
-        n //= base
-        k += 1
-    return k if n == 1 else None
+    k = round(math.log(n) / math.log(base))  # the only candidate; math.log takes any int
+    return k if base ** k == n else None
 
 
 def common_power_base(values) -> int | None:
