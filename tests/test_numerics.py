@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -29,6 +31,27 @@ def test_power_exponent():
     assert power_exponent(Fraction(1, 9), 3) == -2
     assert power_exponent(6, 2) is None
     assert power_exponent(Fraction(2, 3), 2) is None
+
+
+def _divided_exponent(n, base):
+    """k with n == base**k by repeated division, else None (n >= 1)."""
+    k = 0
+    while n % base == 0:
+        n //= base
+        k += 1
+    return k if n == 1 else None
+
+
+@given(base=st.integers(2, 40), k=st.integers(0, 3000), offset=st.sampled_from([-1, 0, 1]),
+       factor=st.sampled_from([1, 2, 3, 7]))
+def test_power_exponent_matches_repeated_division(base, k, offset, factor):
+    """The one candidate exponent, near powers of base and their neighbours,
+    large exponents included, and their reciprocals."""
+    n = factor * base ** k + offset
+    if n >= 1:
+        want = _divided_exponent(n, base)
+        assert power_exponent(n, base) == want
+        assert power_exponent(Fraction(1, n), base) == (None if want is None else -want)
 
 
 def test_common_power_base():
