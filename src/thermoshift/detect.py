@@ -23,7 +23,7 @@ import numpy as np
 
 from .factor import OneBlockFactor, fiber_words
 from .lp import LpError, chebyshev_fit_exact, chebyshev_fit_float, solve_exact
-from .numerics import array_max, integer_rows, logsumexp, power_exponent
+from .numerics import array_max, integer_rows, logsumexp
 from .potential import (LocallyConstantPotential, PotentialError, birkhoff_inf,
                         birkhoff_sup, periodic_birkhoff_coeff, variation_constant)
 from .seqtable import FIT_DEPTH, SeqTable, TableError, _multiplicative, growth_witness
@@ -79,13 +79,12 @@ def orbit_defects(gt: SeqTable, h: LocallyConstantPotential, y: PeriodicPoint, J
             windows = [h.value(w[k:k + h.range]) for k in range(q)]
         j, level = n // q, rows.g[n]
         floats.append((level.log(i) - math.fsum(windows * j)) / n)
-        value = None if level.num is None else level.value(int(level.num[i]))
         if values is not None:
-            values.append(value)
-        if exact is not None and gt.powers(n, h.exact_base) is not None:
+            values.append(int(level.num[i]))
+        if exact is not None and (ks := level.exponents(h.exact_base)) is not None:
             if unit is None:
                 unit = periodic_birkhoff_coeff(h, y, q)
-            k = power_exponent(value, h.exact_base)  # (k - j unit) / n in one Fraction
+            k = int(ks[i])  # (k - j unit) / n in one Fraction
             exact.append(Fraction(k * unit.denominator - j * unit.numerator, n * unit.denominator))
         else:
             exact = None
@@ -191,10 +190,10 @@ def uniform_defects(gt: SeqTable, h: LocallyConstantPotential,
             d = np.maximum(np.abs(values.logs[row] - top), np.abs(values.logs[row] - bottom))
             out[n] = (float(d.max()) if len(d) else 0.0) / n
             continue
-        found = gt.powers(n, h.exact_base)
-        if found is None:
+        es = values.exponents(h.exact_base)
+        if es is None:
             return None
-        es = found[1][np.searchsorted(found[0], values.num)][row]
+        es = es[row]
         small = dtype is not object and array_max(np.abs(es)) * den < 2 ** 62
         es = (es if small else es.astype(object)) * den
         d = np.maximum(np.abs(es - top), np.abs(es - bottom))
@@ -306,11 +305,11 @@ def fit_depths(gt: SeqTable, r: int, n_fits) -> list[FitResult]:
             raise TableError("n_fit exceeds the table depth")
         r_words = gt.levels[r].words
         a, classes, _ = _fit_rows(gt, r, n_fit)
-        exps = None if base is None else gt.exponents(n_fit, base)
+        exps = None if base is None else gt.levels[n_fit].exponents(base)
         fit = None if exps is None else chebyshev_fit_exact(a, exps)
         if fit is not None and r >= 2 and fit[1] == 0:
             b, _, keep = _fit_rows(gt, r, n_fit - 1, classes)
-            e = np.concatenate([exps, gt.exponents(n_fit - 1, base)[keep]])
+            e = np.concatenate([exps, gt.levels[n_fit - 1].exponents(base)[keep]])
             fit = (solve_exact(np.vstack([a, b]), e) or fit[0], fit[1])
         if fit is None:
             try:
@@ -345,7 +344,7 @@ def _product_fits(gt: SeqTable, n_fits) -> list[FitResult] | None:
     base = table_power_base(gt) if _multiplicative(gt) else None
     if base is None or not all(1 <= n <= gt.depth_max for n in n_fits):
         return None  # fit_depths fits, or names the bad depth
-    coeffs = {w: Fraction(k) for w, k in zip(gt.levels[1].words, gt.exponents(1, base).tolist())}
+    coeffs = dict(zip(gt.levels[1].words, map(Fraction, gt.levels[1].exponents(base).tolist())))
     values = {w: float(c) * math.log(base) for w, c in coeffs.items()}
     return [FitResult(1, n, values, 0.0, "exact-simplex", coeffs, base, Fraction(0))
             for n in n_fits]

@@ -274,7 +274,7 @@ def pushforward_sandwich(mu: MarkovMeasure, pi, f: LocallyConstantPotential,
             raise TableError("table words at depth %d are not the image words of pi" % n)
         log_mn = variation_constant(f, n)
         if exact and log_mn == 0.0:
-            cn, s = weak_report.exact_cn[n], level.den * exact_base.numerator ** n
+            cn, s = weak_report.exact_cn[n], exact_base.numerator ** n
             u, a, b = den(n) * exact_base.denominator ** n, cn.numerator, cn.denominator
             pairs = list(zip(mass.tolist(), level.num.tolist()))
             checked = {}  # (ok, |log ratio|) once per distinct pair

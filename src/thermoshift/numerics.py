@@ -81,38 +81,25 @@ def _log_int(n: int) -> float:
         return math.log(float(n >> (n.bit_length() - 53)) ) + (n.bit_length() - 53) * math.log(2)
 
 
-def power_exponent(value, base: int):
-    """If value == base**k for an integer k (value an int or Fraction),
-    return k, else None.  base >= 2."""
-    if base < 2:
-        return None
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return power_exponent(value.numerator, base)
-        if value.numerator == 1:
-            k = power_exponent(value.denominator, base)
-            return None if k is None else -k
-        return None
-    n = int(value)
-    if n <= 0:
-        return None
-    k = round(math.log(n) / math.log(base))  # the only candidate; math.log takes any int
-    return k if base ** k == n else None
+def power_exponent(value: int, base: int) -> int | None:
+    """If the positive int value == base**k for an integer k, return k,
+    else None.  base >= 2."""
+    k = round(math.log(value) / math.log(base))  # the only candidate; math.log takes any int
+    return k if base ** k == value else None
 
 
 def common_power_base(values) -> int | None:
-    """Smallest integer base b >= 2 with every value an exact power of b;
-    None if no such base.  Values of 1 are compatible with every base."""
+    """Smallest integer base b >= 2 with every value (a positive int) an
+    exact power of b; None if no such base.  Values of 1 are compatible
+    with every base."""
     nontrivial = sorted({v for v in values if v != 1})
     if not nontrivial:
         return 2
     first = nontrivial[0]
-    if isinstance(first, Fraction):
-        first = first.numerator if first.numerator > 1 else first.denominator
     # candidate bases are roots of the smallest nontrivial value
     candidates = []
-    for k in range(int(first).bit_length(), 0, -1):
-        root = round(int(first) ** (1.0 / k))
+    for k in range(first.bit_length(), 0, -1):
+        root = round(first ** (1.0 / k))
         for r in (root - 1, root, root + 1):
             if r >= 2 and r ** k == first:
                 candidates.append(r)

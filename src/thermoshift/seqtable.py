@@ -14,12 +14,12 @@ word its own row; either way ``next`` steps a row by a symbol and the
 values are held once per row, so every value read (``entry``, the power
 base, the uniform defects' walk, the periodic blocks) is a walk down the
 rows that reads no word.  The level index holds per depth the logs, the
-exact values as integers over one denominator, each word's last symbol and
-the ranks of its prefix and suffix one depth down, so prefixes and
-suffixes of any length are chained gathers; words are spelled out on
-demand.  A g-table builds it, with no Fraction in it, from its rows' word
-index (``factor._word_levels``) a level at a time, when the level is first
-read (``_Levels``); a float g-table walks its rows through every depth at
+exact values as positive integers, each word's last symbol and the ranks
+of its prefix and suffix one depth down, so prefixes and suffixes of any
+length are chained gathers; words are spelled out on demand.  A g-table
+builds it, with no Fraction in it, from its rows' word index
+(``factor._word_levels``) a level at a time, when the level is first read
+(``_Levels``); a float g-table walks its rows through every depth at
 build time, an exact one as deep as a read reaches.  The dict views
 ``logs`` / ``exact`` are built only when asked for.  Z_n comes from the
 one-row walk of the total collapse (``partition_table``): the fibers
@@ -60,15 +60,16 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .factor import OneBlockFactor, _grow, _Rows, _word_levels
-from .numerics import (INT64_MAX, array_max, common_power_base, int_array, integer_rows,
-                       log_fraction, logsumexp, perron, perron_exact, power_exponent, row_reduce,
-                       row_sums, span_basis, unique_rows)
+from .numerics import (INT64_MAX, array_max, common_power_base, int_array, log_fraction,
+                       logsumexp, perron, perron_exact, power_exponent, row_reduce, row_sums,
+                       span_basis, unique_rows)
 from .potential import LocallyConstantPotential, birkhoff_sup
 from .shiftcore import Sft, Word
 from .verdicts import DEFAULT_SLOPE_THRESHOLD, TrendStats, growth_flag, decays_to_zero
@@ -84,9 +85,11 @@ class SeqTable:
     The table lives in its rows ``rows``, which every value read walks, and
     its level index ``levels``.  ``logs[n][word]`` is
     log f_n on the cylinder of ``word`` and ``exact`` (when present) holds
-    the same values as exact Fractions: read-only views, built on first
-    access.  ``potential`` is the potential the table was built from (None
-    for tables built from dicts); its transfer matrix gives the pressure.
+    the same values as exact Fractions (a table built from dicts keeps the
+    positive ints or integral Fractions it was given): read-only views,
+    built on first access.  ``potential`` is the potential the table was
+    built from (None for tables built from dicts); its transfer matrix
+    gives the pressure.
     """
 
     def __init__(self, alphabet, logs, exact=None, kind="table", language=None,
@@ -106,9 +109,9 @@ class SeqTable:
             for n, vals in exact.items():
                 if set(vals) != set(logs[n]):
                     raise TableError("exact values disagree with words at depth %d" % n)
-                # Fractions (and ints) carry their sign in the numerator
-                if not all(v.numerator > 0 for v in vals.values()):
-                    raise TableError("exact values must be positive (depth %d)" % n)
+                if not all(isinstance(v, Rational) and v.denominator == 1 and v > 0
+                           for v in vals.values()):
+                    raise TableError("exact values must be positive integers (depth %d)" % n)
         self._init(alphabet, max(logs), exact is not None, kind, language, potential, None)
         self.logs = _view(logs)
         self.exact = None if exact is None else _view(exact)
@@ -130,7 +133,6 @@ class SeqTable:
         self.potential: LocallyConstantPotential | None = potential
         self.factor: OneBlockFactor | None = factor  # the map a g-table counts fibers of
         self._z: dict[int, tuple] = {}  # see _partition
-        self._powers: dict[tuple[int, int], tuple | None] = {}  # see powers
 
     @cached_property
     def logs(self) -> Mapping[int, Mapping[Word, float]]:
@@ -141,7 +143,7 @@ class SeqTable:
     def exact(self) -> Mapping[int, Mapping[Word, Fraction]] | None:
         if not self.is_exact:
             return None
-        return _view({n: {w: Fraction(lv.value(v)) for w, v in zip(lv.words, lv.num.tolist())}
+        return _view({n: {w: Fraction(v) for w, v in zip(lv.words, lv.num.tolist())}
                       for n, lv in enumerate(self.levels) if n})
 
     def _level(self, n: int) -> _Level:
@@ -152,23 +154,17 @@ class SeqTable:
     def words(self, n: int) -> list[Word]:
         return sorted(self._level(n).words)
 
-    def _row(self, n: int, word: Word) -> int | None:
-        """The row of ``word`` at depth n, one step per symbol through
-        ``rows.next``; None when it is not stored."""
-        if not (1 <= n <= self.depth_max and len(word) == n):
-            return None
-        return self.rows.to(n).find(word)
-
-    def entry(self, n: int, word: Word) -> tuple[float, int | Fraction | None] | None:
+    def entry(self, n: int, word: Word) -> tuple[float, int | None] | None:
         """(log value, exact value or None) of ``word`` at depth n, read from
-        its row; None when it is not stored."""
-        i = self._row(n, word)
+        its row, one step per symbol through ``rows.next``; None when it is
+        not stored."""
+        i = self.rows.to(n).find(word) if 1 <= n <= self.depth_max and len(word) == n else None
         if i is None:
             return None
         values = self.rows.g[n]
-        return values.log(i), None if values.num is None else values.value(int(values.num[i]))
+        return values.log(i), None if values.num is None else int(values.num[i])
 
-    def _stored(self, n: int, word: Word) -> tuple[float, int | Fraction | None]:
+    def _stored(self, n: int, word: Word) -> tuple[float, int | None]:
         found = self.entry(n, word)
         if found is None:
             raise TableError("word %s not stored at depth %d" % (word, n))
@@ -182,52 +178,30 @@ class SeqTable:
             raise TableError("table has no exact values")
         return Fraction(self._stored(n, word)[1])
 
-    def has_word(self, n: int, word: Word) -> bool:
-        return self._row(n, word) is not None
-
-    def _partition(self, n: int) -> tuple[float, int | Fraction | None]:
+    def _partition(self, n: int) -> tuple[float, int | None]:
         """(log Z_n, Z_n), the sum of the depth-n values, once per depth:
-        Z_n exact (an int on integer levels) on exact tables, else None."""
+        Z_n an exact int on exact tables, else None."""
         if n not in self._z:
             level = self._level(n)
             if level.num is None:
                 self._z[n] = (logsumexp(level.logs.tolist()), None)
             else:
-                total = level.value(int(row_sums(level.num[None])[0]))
+                total = int(row_sums(level.num[None])[0])
                 self._z[n] = (log_fraction(total), total)
         return self._z[n]
-
-    def exponents(self, n: int, base: int) -> np.ndarray | None:
-        """Per rank at depth n of an exact table, the k with value = base**k
-        (int64); None if any value lacks one."""
-        found = self.powers(n, base)
-        return None if found is None else found[1][np.searchsorted(found[0], self._level(n).num)]
-
-    def powers(self, n: int, base: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """(the sorted distinct exact numerators at depth n, the k with each
-        value = base**k), once per depth and base; None if any lacks one."""
-        if (n, base) not in self._powers:
-            nums, den = self._distinct_nums(n)
-            ks = [power_exponent(v if den == 1 else Fraction(v, den), base) for v in nums.tolist()]
-            self._powers[n, base] = None if None in ks else (nums, np.array(ks, np.int64))
-        return self._powers[n, base]
-
-    def _distinct_nums(self, n: int) -> tuple[np.ndarray, int]:
-        """(the sorted distinct exact numerators at depth n, their
-        denominator), from the rows."""
-        values = self.rows.to(n).g[n]
-        return np.unique(values.num), values.den
 
     @cached_property
     def power_base(self) -> int | None:
         """Common integer base b with every exact value a power of b; None
-        without exact values or when there is no such base."""
+        without exact values or when there is no such base.  Read from the
+        distinct row values of each depth, or of depth 1 alone on Hankel
+        rank 1 (``_multiplicative``): every value is then a product of
+        depth-1 values, which admit the same bases."""
         if not self.is_exact:
             return None
-        return common_power_base({v if den == 1 else Fraction(v, den)
-                                  for nums, den in map(self._distinct_nums,
-                                                       range(1, self.depth_max + 1))
-                                  for v in nums.tolist()})
+        top = 1 if _multiplicative(self) else self.depth_max
+        return common_power_base({v for n in range(1, top + 1)
+                                  for v in np.unique(self.rows.to(n).g[n].num).tolist()})
 
     @cached_property
     def levels(self) -> list[_Level | None]:
@@ -248,11 +222,9 @@ class SeqTable:
             sym = np.array([w[-1] for w in words], dtype=np.int32)
             if not all(0 <= b < len(self.alphabet) for b in sym.tolist()):
                 raise TableError("depth %d holds a symbol outside the alphabet" % n)
-            num, den = None, 1
-            if self.exact is not None:
-                [num], den = integer_rows([[self.exact[n][w] for w in words]])
-                num = int_array(num)
-            out.append(_Level(np.fromiter(level.values(), float, len(words)), num, den,
+            num = None if self.exact is None else int_array([int(self.exact[n][w])
+                                                             for w in words])
+            out.append(_Level(np.fromiter(level.values(), float, len(words)), num,
                               parent, tail, sym, words=words))
             prev = dict(zip(words, range(len(words))))
         return out
@@ -295,21 +267,21 @@ def _view(levels: dict) -> Mapping:
 
 
 class _Level:
-    """One depth's values: logs and exact values num / den (``hi`` the
-    largest num), one per fiber row (``SeqTable.rows``) or, in the level
-    index, one per word.  A level of the index adds each word's last symbol
-    and the ranks one depth down of w[:-1] and w[1:]; its ``words``
+    """One depth's values: logs and exact values ``num``, positive integers
+    (``hi`` the largest), one per fiber row (``SeqTable.rows``) or, in the
+    level index, one per word.  A level of the index adds each word's last
+    symbol and the ranks one depth down of w[:-1] and w[1:]; its ``words``
     (lexicographic) are given or derived on first use from the level
     ``below``.  Logs not given are taken on first read, one log_fraction
-    per distinct value."""
+    per distinct value, and so are the exponents of a base."""
 
-    def __init__(self, logs: np.ndarray | None, num: np.ndarray | None, den: int,
+    def __init__(self, logs: np.ndarray | None, num: np.ndarray | None,
                  parent: np.ndarray | None = None, tail: np.ndarray | None = None,
                  sym: np.ndarray | None = None, words: list[Word] | None = None,
                  below: _Level | None = None):
         self._logs, self.parent, self.tail, self.sym = logs, parent, tail, sym
-        self.num, self.den, self.hi = num, den, 0 if num is None else array_max(num)
-        self._words, self._below = words, below
+        self.num, self.hi = num, 0 if num is None else array_max(num)
+        self._words, self._below, self._exponents = words, below, {}
 
     def __len__(self) -> int:
         return len(self._logs if self.num is None else self.num)
@@ -318,7 +290,7 @@ class _Level:
     def logs(self) -> np.ndarray:
         if self._logs is None:
             uniq, inv = np.unique(self.num, return_inverse=True)
-            self._logs = np.array([log_fraction(self.value(x)) for x in uniq.tolist()],
+            self._logs = np.array([log_fraction(x) for x in uniq.tolist()],
                                   dtype=float)[inv.reshape(-1)]
         return self._logs
 
@@ -329,14 +301,20 @@ class _Level:
             self._words = [up[p] + (b,) for p, b in zip(self.parent.tolist(), self.sym.tolist())]
         return self._words
 
-    def value(self, v: int) -> int | Fraction:
-        """The stored value v / den: the int itself on integer levels."""
-        return v if self.den == 1 else Fraction(v, self.den)
-
     def log(self, i: int) -> float:
         """The log of entry i, as ``logs[i]``, taking no other entry's."""
         return float(self._logs[i]) if self._logs is not None else \
-            log_fraction(self.value(int(self.num[i])))
+            log_fraction(int(self.num[i]))
+
+    def exponents(self, base: int) -> np.ndarray | None:
+        """Per entry, the k with value = base**k (int64), once per base and
+        one power_exponent per distinct value; None if any value has none."""
+        if base not in self._exponents:
+            uniq, inv = np.unique(self.num, return_inverse=True)
+            ks = [power_exponent(v, base) for v in uniq.tolist()]
+            self._exponents[base] = None if None in ks else \
+                np.array(ks, np.int64)[inv.reshape(-1)]
+        return self._exponents[base]
 
 
 class _Levels:
@@ -366,7 +344,7 @@ class _Levels:
             values = self._rows.g[len(self._done)]  # one per row
             self._done.append(_Level(values.logs[ids],
                                      None if values.num is None else values.num[ids],
-                                     values.den, parent, tail, sym, below=self._done[-1]))
+                                     parent, tail, sym, below=self._done[-1]))
             if len(self._done) > self._depth:
                 self._walk = None  # a finished walk still holds its last arrays
         return self._done[n]
@@ -393,8 +371,7 @@ def _splits(t: SeqTable, first: int = 1):
     total > first, one (total, n) at a time: yields (total, n, slack,
     exact) with the float slack (log f_total - log f_n) - log f_m o sigma^n
     per word and, on exact tables, exact = (v, ab), integer arrays ordered
-    like f_total and f_n * f_m o sigma^n (both scaled by the three level
-    denominators)."""
+    like f_total and f_n * f_m o sigma^n."""
     levels = t.levels
     for total in range(first + 1, t.depth_max + 1):
         top = levels[total]
@@ -403,12 +380,8 @@ def _splits(t: SeqTable, first: int = 1):
             a, b = levels[n], levels[total - n]
             ia, ib = pre[n], suf[total - n]
             slack = (top.logs - a.logs[ia]) - b.logs[ib]
-            exact = None
-            if top.num is not None:
-                scale = a.den * b.den
-                ab = _times(a.num[ia], b.num[ib], a.hi * b.hi)
-                exact = (_times(top.num, scale, top.hi * scale),
-                         _times(ab, top.den, a.hi * b.hi * top.den))
+            exact = None if top.num is None else \
+                (top.num, _times(a.num[ia], b.num[ib], a.hi * b.hi))
             yield total, n, slack, exact
 
 
@@ -705,7 +678,7 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
 
     rep = _representation(pi, f)
     if exact:
-        rows = _Rows(rep.start, lambda n: (rep.m, None), lambda v: _Level(None, row_sums(v), 1))
+        rows = _Rows(rep.start, lambda n: (rep.m, None), lambda v: _Level(None, row_sums(v)))
         return SeqTable.from_rows(pi, f, rows, depth_max, True)
 
     r, s, fmax = f.range, rep.s, f.max_value()
@@ -745,7 +718,7 @@ def build_g_table(pi: OneBlockFactor, f: LocallyConstantPotential,
         logs = _float_readout(v, shift, offset)
         if not np.isfinite(logs).all():
             raise TableError(_NON_FINITE % n)
-        return _Level(logs, None, 1)
+        return _Level(logs, None)
 
     rows = _Rows(np.ones((1, 1)), step, readout).to(depth_max)
     return SeqTable.from_rows(pi, f, rows, depth_max, False)
@@ -833,8 +806,8 @@ def partition_sum(t: SeqTable, n: int) -> float:
     return t._partition(n)[0]
 
 
-def partition_sum_exact(t: SeqTable, n: int) -> int | Fraction:
-    """Z_n exactly: an int when the level's values are integers."""
+def partition_sum_exact(t: SeqTable, n: int) -> int:
+    """Z_n exactly."""
     if not t.is_exact:
         raise TableError("table has no exact values")
     return t._partition(n)[1]
@@ -974,9 +947,8 @@ def _word_bridges(t: SeqTable, gap_cap: int) -> dict[tuple[int, int], tuple]:
     words: each stored word uwv at depth n+m+k scatters its log into the
     cell (rank of u, rank of v); rounding is monotone, so on float tables
     the cell maximum gives the best ratio.  Exact tables also scatter their
-    numerators, brought to one denominator over the depths s..s+gap, and
-    take log_fraction of the least exact ratio (``_max_ratios`` of the
-    inverse ratios, the floats proposing).  Cells never hit are the
+    values and take log_fraction of the least exact ratio (``_max_ratios``
+    of the inverse ratios, the floats proposing).  Cells never hit are the
     unbridged pairs."""
     levels = t.levels
     found: dict[tuple[int, int], tuple] = {}
@@ -985,10 +957,7 @@ def _word_bridges(t: SeqTable, gap_cap: int) -> dict[tuple[int, int], tuple]:
         tops = {n: np.full((len(levels[n]), len(levels[s - n])), -np.inf)
                 for n in range(1, s)}
         if t.is_exact:
-            den = math.lcm(*(levels[k].den for k in totals))
-            nums = {k: _times(levels[k].num, den // levels[k].den,
-                              levels[k].hi * (den // levels[k].den)) for k in totals}
-            wide = any(v.dtype == object for v in nums.values())
+            wide = any(levels[k].num.dtype == object for k in totals)
             bests = {n: np.zeros(top.shape, object if wide else np.int64)
                      for n, top in tops.items()}
         for total in totals:
@@ -996,18 +965,14 @@ def _word_bridges(t: SeqTable, gap_cap: int) -> dict[tuple[int, int], tuple]:
             for n, top in tops.items():
                 np.maximum.at(top, (pre[n], suf[s - n]), levels[total].logs)
                 if t.is_exact:
-                    np.maximum.at(bests[n], (pre[n], suf[s - n]), nums[total])
+                    np.maximum.at(bests[n], (pre[n], suf[s - n]), levels[total].num)
         for n, top in tops.items():
             a, b = levels[n], levels[s - n]
             hit = top > -np.inf
             ratio = np.where(hit, (top - a.logs[:, None]) - b.logs, np.inf)
             worst = float(ratio.flat[np.argmin(ratio)]) if hit.any() else None
-            if t.is_exact and worst is not None:
-                # the ratio of cell (u, v) is best * a.den * b.den / (den * a_u * b_v)
-                au = _times(a.num, den, a.hi * den)
-                inverse = _max_ratios(_times(au[:, None], b.num, a.hi * den * b.hi),
-                                      _times(bests[n], a.den * b.den,
-                                             array_max(bests[n]) * a.den * b.den),
+            if t.is_exact and worst is not None:  # the ratio of cell (u, v) is best / (a_u b_v)
+                inverse = _max_ratios(_times(a.num[:, None], b.num, a.hi * b.hi), bests[n],
                                       -ratio, {0: slice(0, len(b))})[0]
                 worst = log_fraction(1 / inverse)
             iu, iv = np.nonzero(~hit)
@@ -1174,7 +1139,10 @@ def growth_witness(t: SeqTable, slope_threshold: float = DEFAULT_SLOPE_THRESHOLD
     refutes every continuous h.  None when no row fires; the reading stops
     at the first row of fewer than 4 cells, past which no flag can fire.
     On an exact g-table of Hankel rank 1 every C_{n,m} is 1, known without
-    a scan (``_profile_rows``), and the flags read those same rows."""
+    a scan (``_profile_rows``): every row is 0 in log, so no flag fires
+    unless the threshold is below 0, and none is fitted."""
+    if slope_threshold >= 0 and t.depth_max >= 2 and _multiplicative(t):
+        return None
     for n, row, _ in _profile_rows(t):
         trend = _row_growth(n, row, slope_threshold)
         if trend is None:

@@ -79,7 +79,8 @@ def ref_orbit_defects(gt, h, y, J):
         floats.append((log - periodic_birkhoff(h, y, n)) / n)
         if values is not None:
             values.append(value)
-        if exact is not None and gt.powers(n, h.exact_base) is not None:
+        if exact is not None and all(power_exponent(int(v), h.exact_base) is not None
+                                     for v in gt.exact[n].values()):
             if unit is None:
                 unit = periodic_birkhoff_coeff(h, y, q)
             exact.append((power_exponent(value, h.exact_base) - j * unit) / n)

@@ -42,7 +42,7 @@ def uniform_defect_exact(gt, h, n):
         return None
     worst = Fraction(0)
     for w in gt.words(n):
-        e = power_exponent(gt.exact_value(n, w), h.exact_base)
+        e = power_exponent(int(gt.exact_value(n, w)), h.exact_base)
         if e is None:
             return None
         worst = max(worst, abs(e - birkhoff_extremes_coeff(h, w)[0]))
@@ -172,11 +172,12 @@ def test_uniform_defects_sofic_tails_follow_automaton_state():
 
 
 def _exact_table(lang, exponents):
-    """Exact table with value 2**k (k an integer) on each word, per depth."""
+    """Exact table with value 2**k (k a nonnegative integer) on each word,
+    per depth."""
     return SeqTable(lang.alphabet,
                     {n: {w: float(k) * LOG2 for w, k in level.items()}
                      for n, level in exponents.items()},
-                    exact={n: {w: Fraction(2) ** k for w, k in level.items()}
+                    exact={n: {w: 2 ** k for w, k in level.items()}
                            for n, level in exponents.items()}, language=lang)
 
 
@@ -199,10 +200,13 @@ def test_uniform_defects_match_per_word_reference(factor, f_range, r, seed):
     ns = range(1, depth + 1)
 
     # exact path: rational h on the counting table and on random powers of
-    # the base; integer h on the table pinned to its own sups
+    # the base; integer h on the table pinned to its own sups, each window
+    # raised by 36 so that every sup S_n h is >= 0 and the table's values
+    # 2^{sup S_n h} are integers (raising every window by c raises each
+    # sup S_n h by n c, so the defects the walk reads keep their shape)
     coeffs = {w: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for w in img.blocks(r)}
     h = _exact_potential(img, r, coeffs)
-    hz = _exact_potential(img, r, {w: 6 * c for w, c in coeffs.items()})
+    hz = _exact_potential(img, r, {w: 6 * c + 36 for w, c in coeffs.items()})
     pinned = _exact_table(img, {n: {w: int(birkhoff_extremes_coeff(hz, w)[0])
                                     for w in img.blocks(n)} for n in ns})
     counting = build_g_table(pi, LocallyConstantPotential.zero(dom), depth)
@@ -514,8 +518,8 @@ def test_orbit_defects_match_word_oracles(case, r, base, exact_h, data):
         assert floats == [(gt.log_value(n, y.word(n)) - periodic_birkhoff(h, y, n)) / n
                           for n in ns]
         powers = gt.is_exact and h.is_exact and all(
-            power_exponent(v, base) is not None for n in ns for v in gt.exact[n].values())
-        assert exact == ([(power_exponent(gt.exact_value(n, y.word(n)), base)
+            power_exponent(int(v), base) is not None for n in ns for v in gt.exact[n].values())
+        assert exact == ([(power_exponent(int(gt.exact_value(n, y.word(n))), base)
                            - periodic_birkhoff_coeff(h, y, n)) / n for n in ns]
                          if powers else None)
         assert values == ([gt.exact_value(n, y.word(n)) for n in ns] if gt.is_exact else None)
@@ -607,3 +611,30 @@ def test_rank_one_collapse_verdict_at_depth_64_runs_no_lp(monkeypatch):
     t = build_g_table(pi, LocallyConstantPotential.zero(pi.domain), 64)
     assert table_verdict(t, r=1).verdict is Verdict.CERTIFIED
     assert t.levels.built <= 1
+
+
+def test_rank_one_power_base_reads_depth_one():
+    """On Hankel rank 1 every value is a product of depth-1 values, so the
+    depth-64 collapse table's power base is read from depth 1 alone: its
+    rows are walked to depth 1 only and no level is built."""
+    pi = load_factor(read_json(FIXTURES / "factor_collapse.json"))
+    t = build_g_table(pi, LocallyConstantPotential.zero(pi.domain), 64)
+    assert table_power_base(t) == 2
+    assert len(t.rows.g) == 2 and t.levels.built == 0
+
+
+def test_rank_one_growth_witness_fits_no_slope(monkeypatch):
+    """On Hankel rank 1 every profile row is 0 in log: growth_witness fits
+    no slope and finds nothing unless the threshold is below 0, where the
+    first flat row fires as the row scan makes it."""
+    pi = load_factor(read_json(FIXTURES / "factor_collapse.json"))
+    t = build_g_table(pi, LocallyConstantPotential.zero(pi.domain), 64)
+    assert seqtable.growth_witness(t, -0.01) == {"n": 1, "m": 63, "log_c": 0.0, "slope": 0.0,
+                                                 "r_squared": 1.0}
+
+    def refuse(*args):
+        raise AssertionError("a slope was fitted")
+
+    monkeypatch.setattr(seqtable, "growth_flag", refuse)
+    assert seqtable.growth_witness(t) is None
+    assert seqtable.growth_witness(t, 0.0) is None

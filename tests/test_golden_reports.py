@@ -54,6 +54,9 @@ CASES = {
                              "--depth", "14"],
     "profile_cnm_calkin_wilf": ["profile-cnm", "--factor", "fixtures/factor_calkin_wilf.json",
                                 "--depth", "10"],
+    "profile_cnm_sft": ["profile-cnm", "--sft", "fixtures/sft_goldenmean.json", "--depth", "10"],
+    "profile_cnm_sft_float": ["profile-cnm", "--sft", "fixtures/sft_full2.json",
+                              "--potential", "fixtures/potential_r2_full2.json", "--depth", "8"],
     "profile_cnm_d18": ["profile-cnm", "--factor", "fixtures/factor_phase_blocked.json",
                         "--depth", "18"],
     "verdict_phase_blocked_d18": ["verdict", "--factor", "fixtures/factor_phase_blocked.json",

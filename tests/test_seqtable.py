@@ -194,12 +194,15 @@ def test_check_subadditive_detects_corruption(collapse):
 
 
 def test_check_subadditive_exact_decides():
-    # f_2 = 1 + 10^-20 rounds to log 0 like f_1 = 1, so only the exact values
+    # f_1 = 10^20 and f_2 = 10^40 + 10^20 (1 and 1 + 10^-20 scaled by
+    # 10^{20 n}): log f_2 rounds to 2 log f_1, so only the exact values
     # show f_2 > f_1 f_1
-    logs = {1: {(0,): 0.0}, 2: {(0, 0): 0.0}}
+    big = 10 ** 20
+    assert math.log(big * big + big) == 2 * math.log(big)
+    logs = {1: {(0,): math.log(big)}, 2: {(0, 0): 2 * math.log(big)}}
     ok, worst, _ = ref_check_subadditive(synthetic_table(logs))
     assert ok and worst == 0.0
-    exact = {1: {(0,): Fraction(1)}, 2: {(0, 0): 1 + Fraction(1, 10 ** 20)}}
+    exact = {1: {(0,): big}, 2: {(0, 0): big * big + big}}
     ok, worst, _ = ref_check_subadditive(SeqTable(("s",), logs, exact=exact))
     assert not ok and worst == 0.0
 
@@ -246,7 +249,7 @@ def test_check_d2_matches_exhaustive_oracle(collapse):
                 for k in range(gap + 1):
                     for w in ([()] if k == 0 else [(x,) for x in range(2)]):
                         cand = u + w + v
-                        if t.has_word(n + m + k, cand):
+                        if t.entry(n + m + k, cand) is not None:
                             val = t.log_value(n + m + k, cand) \
                                 - t.log_value(n, u) - t.log_value(m, v)
                             best = val if best is None else max(best, val)
@@ -301,9 +304,13 @@ def test_table_rejects_exact_values_missing_a_depth():
 
 
 def test_table_rejects_non_positive_exact_values():
+    """Exact values are positive integers, ints or integral Fractions: any
+    other value is refused, naming its depth."""
     logs = {1: {(0,): 0.0}, 2: {(0, 0): 0.0}}
-    for bad in (Fraction(0), Fraction(-1, 2)):
-        with pytest.raises(TableError, match="positive"):
+    assert SeqTable(("s",), logs, exact={1: {(0,): 1}, 2: {(0, 0): Fraction(3)}}).exact_value(
+        2, (0, 0)) == 3
+    for bad in (0, -2, Fraction(0), Fraction(-1, 2), Fraction(1, 2), 1.0, "1"):
+        with pytest.raises(TableError, match=r"positive integers \(depth 2\)"):
             SeqTable(("s",), logs, exact={1: {(0,): Fraction(1)}, 2: {(0, 0): bad}})
 
 

@@ -154,7 +154,8 @@ def assert_scans_match(t, gaps=(0,)):
 
 
 def exact_table(lang, values):
-    """Exact table with the given Fraction values; logs from log_fraction."""
+    """Exact table with the given positive integer values; logs from
+    log_fraction."""
     return SeqTable(lang.alphabet,
                     {n: {w: log_fraction(v) for w, v in level.items()}
                      for n, level in values.items()},
@@ -179,8 +180,9 @@ def test_scans_match_nested_loops(factor, seed):
     for r in (1, 2):
         f = LocallyConstantPotential(dom, r, {w: rng.uniform(-2, 2) for w in dom.blocks(r)})
         tables.append(build_g_table(pi, f, depth))
-    # few distinct values, so ties decide the witnesses
-    tables.append(exact_table(img, {n: {w: Fraction(2) ** rng.randint(-3, 3)
+    # few distinct values, so ties decide the witnesses: 2^k, |k| <= 3, at
+    # each depth n scaled by 2^{3n} to an integer (C_{n,m} does not move)
+    tables.append(exact_table(img, {n: {w: 2 ** (rng.randint(-3, 3) + 3 * n)
                                         for w in img.blocks(n)}
                                     for n in range(1, depth + 1)}))
     for t in tables:
@@ -435,13 +437,14 @@ def test_scans_promote_past_int64():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_exact_scans_decide_beyond_float_resolution(seed):
-    """Values base^n + small offsets (some over 3) on the full 2-shift: the
-    float logs at depth 2 cannot tell them apart, the values pass 2^63 at
-    depth 3 and the cross products pass it at every depth."""
+    """Values base^n + small offsets (some over 3) on the full 2-shift,
+    scaled by 3^n at depth n to integers (C_{n,m} does not move): the float
+    logs at depth 2 cannot tell them apart, the values pass 2^63 at depth 3
+    and the cross products pass it at every depth."""
     rng = random.Random(seed)
     full2 = Sft.full_shift(["a", "b"])
     base = 2 ** 26
-    t = exact_table(full2, {n: {w: Fraction(base ** n + rng.randint(0, 5), rng.choice((1, 1, 3)))
+    t = exact_table(full2, {n: {w: 3 ** n * (base ** n + rng.randint(0, 5)) // rng.choice((1, 1, 3))
                                 for w in full2.blocks(n)} for n in (1, 2, 3)})
     assert t.levels[2].num.dtype == "int64" and t.levels[3].num.dtype == object
     assert_scans_match(t, gaps=(0, 1))
