@@ -13,9 +13,13 @@ with the git revision and the ``src/`` line count) is copied as it is.
 medians, and for ``solve_ref`` the pairs the change won.
 
 The ``deep`` block is not gated: the collapse verdict ``table_verdict(r=1)``
-at each ``--deep`` depth, build included, timed in a fresh child process
-per run with the side's ``src`` first on the path, best of three per side:
-wall time, the child's peak RSS (``ru_maxrss``) and ``levels.built``.
+at each ``--deep`` depth, build included, and ``weak-gibbs`` on collapse
+with the uniform measure through ``cli.main`` at each ``--deep-weak-gibbs``
+depth, each timed in a fresh child process per run with the side's ``src``
+first on the path, best of three per side: wall time, the child's peak RSS
+(``ru_maxrss``) and ``levels.built`` for the verdict, the joint (mass row,
+fiber row) pairs of the sandwich's deepest level for ``weak-gibbs`` (None
+on a side whose sandwich walks the words).
 
 Nothing here changes what ``perfbench/`` measures or gates: the runs are
 its own command line, in each checkout's directory.
@@ -33,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEEP_DEPTHS = (22, 40, 64)
+DEEP_WEAK_GIBBS_DEPTHS = (16, 18, 20)
 DEEP_RUNS = 3
 TIMEOUT_S = 900
 
@@ -52,6 +57,30 @@ print(json.dumps({"wall_s": wall, "verdict": verdict,
                   "levels_built": getattr(getattr(t, "levels", None), "built", None),
                   "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
 """
+
+# one deep weak-gibbs point: the command on collapse at depth argv[1],
+# in-process; the sandwich's pairs are counted where it dedupes them
+WEAK_GIBBS_CHILD = """
+import json, os, resource, sys, time
+from thermoshift import cli, gibbs
+pairs = [None]
+if hasattr(gibbs, "unique_rows"):
+    def counted(a, unique=gibbs.unique_rows):
+        first, inv = unique(a)
+        pairs.append(len(first))
+        return first, inv
+    gibbs.unique_rows = counted
+argv = ["weak-gibbs", "--factor", "fixtures/factor_collapse.json",
+        "--measure", "fixtures/measure_uniform3.json", "--depth", sys.argv[1], "--out", os.devnull]
+start = time.perf_counter()
+code = cli.main(argv)
+wall = time.perf_counter() - start
+print(json.dumps({"wall_s": wall, "exit": code, "pairs": pairs[-1],
+                  "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+"""
+DEEP_POINTS = {"verdict": ("collapse table_verdict(r=1), build included", DEEP_CHILD),
+               "weak_gibbs": ("collapse weak-gibbs, uniform measure, cli.main in-process",
+                              WEAK_GIBBS_CHILD)}
 
 
 class WriterError(RuntimeError):
@@ -77,9 +106,9 @@ def bench_record(side: Path, workload: str, seed: int, seconds: float, depth) ->
     return json.loads(out.read_text(encoding="utf-8"))
 
 
-def deep_run(side: Path, depth: int) -> dict:
+def deep_run(side: Path, child: str, depth: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(side / "src"), PYTHONHASHSEED="0")
-    line = _run([sys.executable, "-c", DEEP_CHILD, str(depth)], side, env)
+    line = _run([sys.executable, "-c", child, str(depth)], side, env)
     return json.loads(line.strip().splitlines()[-1])
 
 
@@ -115,6 +144,8 @@ def main(argv=None) -> int:
     ap.add_argument("--depth", type=int, help="cap every command's depth (a short check)")
     ap.add_argument("--deep", type=int, nargs="*", default=list(DEEP_DEPTHS),
                     help="depths of the deep collapse verdict points")
+    ap.add_argument("--deep-weak-gibbs", type=int, nargs="*", default=list(DEEP_WEAK_GIBBS_DEPTHS),
+                    help="depths of the deep collapse weak-gibbs points")
     ap.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the repository root")
     args = ap.parse_args(argv)
     parent = args.parent.resolve()
@@ -137,15 +168,16 @@ def main(argv=None) -> int:
                                                    args.depth))
             doc["workloads"][name] = runs
             doc["summary"][name] = summarize(runs)
-        for depth in args.deep:
-            runs = {"parent": [], "change": []}
-            for i in range(DEEP_RUNS):
-                for side, path in _sides(parent, i):
-                    runs[side].append(deep_run(path, depth))
-            doc["deep"].append({"point": "collapse table_verdict(r=1), build included",
-                                "depth": depth,
-                                **{side: {"best_wall_s": min(r["wall_s"] for r in rs),
-                                          "runs": rs} for side, rs in runs.items()}})
+        for kind, depths in (("verdict", args.deep), ("weak_gibbs", args.deep_weak_gibbs)):
+            point, child = DEEP_POINTS[kind]
+            for depth in depths:
+                runs = {"parent": [], "change": []}
+                for i in range(DEEP_RUNS):
+                    for side, path in _sides(parent, i):
+                        runs[side].append(deep_run(path, child, depth))
+                doc["deep"].append({"point": point, "depth": depth,
+                                    **{side: {"best_wall_s": min(r["wall_s"] for r in rs),
+                                              "runs": rs} for side, rs in runs.items()}})
     except (WriterError, subprocess.TimeoutExpired) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

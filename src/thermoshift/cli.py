@@ -187,7 +187,9 @@ def cmd_weak_gibbs(args) -> dict:
     mu = load_measure(read_json(args.measure), sft)
     _check_caps(args, sft, pi)
     gt = build_g_table(pi, f, args.depth, mode=args.mode)
-    est = pressure_estimate(gt)
+    # Z_n from the one-row walk, as in cmd_pressure (gt's own Z_n are equal)
+    log_perron(f)
+    est = pressure_estimate(partition_table(f, args.depth, args.mode))
     if est.exact_base is not None:
         pressure_g, source = log_fraction(est.exact_base), "exact-base"
     else:

@@ -371,7 +371,7 @@ def chebyshev_defect(gt: SeqTable, values: dict[Word, float], r: int, n: int) ->
     """Achieved sup-norm defect of candidate h values in the same functional
     the LP minimizes (boundary corrections eliminated by midrange)."""
     residuals: dict[Word, list[float]] = {}
-    level = gt._level(n)
+    level = gt.levels[gt._depth(n)]
     for w, log in zip(level.words, level.logs.tolist()):
         resid = log - sum(values[w[i:i + r]] for i in range(n - r + 1))
         key = w[n - r + 1:] if r >= 2 else ()

@@ -232,7 +232,7 @@ def _word_levels(rows: _Rows):
     parent's row, its last symbol]), the ranks one depth down of w[:-1] and
     w[1:] and the last symbols, words in lexicographic order.  w[1:] is the
     parent's tail followed by sym.  It builds the level index of every
-    g-table (``seqtable._Levels``) and ranks the pushforward masses."""
+    g-table (``seqtable._Levels``) and spells the sandwich's failures."""
     ids, tail, child = np.zeros(1, np.intp), np.zeros(1, np.int32), None
     for n in itertools.count(1):
         nxt = rows.to(n).next[n - 1]

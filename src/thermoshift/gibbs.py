@@ -1,6 +1,6 @@
 """Transfer-operator machinery: pressure of a locally constant potential,
 the induced Gibbs Markov measure, weak-Gibbs constants C_n and the
-pushforward sandwich, whose masses come from the fiber rows by table rank.
+pushforward sandwich, checked once per joint (mass row, fiber row) pair.
 
 For a Markov measure of order k and f of range r, log mu[w] + nP -
 sup_[w] S_n f is a path sum on the max(k, r-1)-block graph plus a terminal
@@ -22,7 +22,7 @@ import numpy as np
 
 from .factor import _Rows, _measure_steps, _word_levels
 from .markov import MarkovMeasure, MeasureError
-from .numerics import integer_rows, log_fraction, row_sums
+from .numerics import integer_rows, log_fraction, row_sums, unique_rows
 from .potential import LocallyConstantPotential, birkhoff_sup, variation_constant
 from .seqtable import SeqTable, TableError, log_perron
 from .shiftcore import Sft, Word, is_irreducible
@@ -252,50 +252,63 @@ def pushforward_sandwich(mu: MarkovMeasure, pi, f: LocallyConstantPotential,
                          exact_base: Fraction | None,
                          weak_report: WeakGibbsReport, depth: int) -> SandwichReport:
     """Check 1/(C_n M_n) <= pi(mu)[y] / (e^{-nP} g_n(y)) <= C_n M_n for all
-    stored image words, where C_n are the weak-Gibbs constants of mu for f
-    on the domain and M_n the variation constants of f.
-
-    Masses come from the mass walk, one per distinct fiber row, gathered to
-    each stored word by the rows' word index (``factor._word_levels``).  Zero
-    tolerance on the exact path (once per distinct integer mass and value
-    pair, by integer cross-multiplication); 1e-9 slack on floats.
-    """
+    image words y (C_n the weak-Gibbs constants of mu for f, M_n the
+    variation constants of f).  Both sides depend on y only through its
+    mass row and its fiber row (``gt.rows``), so the walk steps the distinct
+    joint (mass row, fiber row) pairs level by level and checks each once:
+    zero tolerance on the exact path (once per distinct integer mass and
+    value, by integer cross-multiplication), 1e-9 slack on floats.  Failing
+    words are spelled in word order from the pair links (``_word_levels``),
+    only at a depth where a pair fails and while fewer than five are listed."""
     if depth > gt.depth_max:
         raise TableError("depth %d exceeds the table (max %d)" % (depth, gt.depth_max))
     exact = (exact_base is not None and mu.exact and gt.is_exact
              and weak_report.exact_cn is not None)
-    worst = float("inf")
-    failures = []
+    worst, failures, pairs = float("inf"), [], np.zeros((1, 2), np.intp)  # (mass, fiber) rows
     start, steps, den = _measure_steps(mu, pi)
-    walk = _Rows(start, steps, row_sums)
-    for n, (ids, parent, sym, _) in zip(range(1, depth + 1), _word_levels(walk)):
-        level, mass = gt.levels[n], walk.g[n][ids]
-        if not (np.array_equal(parent, level.parent) and np.array_equal(sym, level.sym)):
+    walk, links, spelled = _Rows(start, steps, row_sums), [], []
+    words = _word_levels(_Rows.given(links, [None] * (depth + 1)))
+    for n in range(1, depth + 1):
+        grown = [walk.to(n).next[n - 1][pairs[:, 0]], gt.rows.to(n).next[n - 1][pairs[:, 1]]]
+        if grown[0].shape != grown[1].shape or ((grown[0] < 0) != (grown[1] < 0)).any():
             raise TableError("table words at depth %d are not the image words of pi" % n)
+        cells = np.column_stack([side.ravel() for side in grown])
+        kept = np.flatnonzero(cells[:, 0] >= 0)
+        first, inv = unique_rows(cells[kept])
+        links.append(np.full(grown[0].shape, -1, np.intp))
+        links[-1].flat[kept] = inv
+        pairs = cells[kept[first]]
+        values, mass = gt.rows.g[n], walk.g[n][pairs[:, 0]]
         log_mn = variation_constant(f, n)
         if exact and log_mn == 0.0:
             cn, s = weak_report.exact_cn[n], exact_base.numerator ** n
             u, a, b = den(n) * exact_base.denominator ** n, cn.numerator, cn.denominator
-            pairs = list(zip(mass.tolist(), level.num.tolist()))
-            checked = {}  # (ok, |log ratio|) once per distinct pair
-            for x, v in set(pairs):  # ratio (x s) / (v u) against cn = a / b both ways
+            joint = list(zip(mass.tolist(), values.num[pairs[:, 1]].tolist()))
+            checked = {}  # (ok, |log ratio|) once per distinct mass and value
+            for x, v in set(joint):  # ratio (x s) / (v u) against cn = a / b both ways
                 top, bottom = x * s, v * u
                 checked[x, v] = (b * bottom <= a * top and b * top <= a * bottom,
                                  abs(log_fraction(top, bottom)) if top else math.inf)
-            ok = np.array([checked[p][0] for p in pairs])
-            margin = float(log_fraction(cn)) - np.array([checked[p][1] for p in pairs])
-            zero = np.zeros(len(pairs), dtype=bool)  # exact failures carry no reason
+            ok = np.array([checked[p][0] for p in joint])
+            margin = float(log_fraction(cn)) - np.array([checked[p][1] for p in joint])
+            zero = np.zeros(len(joint), dtype=bool)  # exact failures carry no reason
         else:
             zero = mass == 0
             logm = [log_fraction(x, den(n)) if mu.exact else math.log(x)
                     for x in mass[~zero].tolist()]
-            log_q = (np.array(logm) + n * pressure) - level.logs[~zero]
+            log_q = (np.array(logm) + n * pressure) - values.logs[pairs[:, 1]][~zero]
             margin = (weak_report.log_cn[n] + log_mn) - np.abs(log_q) + 1e-9
             ok = ~zero
             ok[~zero] = margin >= 0
         worst = min([worst] + margin.tolist())
-        for i in np.flatnonzero(~ok).tolist():
-            failures.append({"n": n, "word": [gt.alphabet[b] for b in level.words[i]]})
-            if zero[i]:
-                failures[-1]["reason"] = "zero mass"
+        if ok.all() or len(failures) >= 5:
+            continue
+        spelled += [next(words) for _ in range(len(spelled), n)]  # the index through depth n
+        ids = spelled[-1][0]
+        for i in np.flatnonzero(~ok[ids])[:5 - len(failures)].tolist():
+            reason = {"reason": "zero mass"} if zero[ids[i]] else {}
+            failures.append({"n": n, "word": [], **reason})
+            for _, parent, sym, _ in reversed(spelled):
+                failures[-1]["word"].insert(0, gt.alphabet[sym[i]])
+                i = parent[i]
     return SandwichReport(depth, not failures, exact, worst, failures)

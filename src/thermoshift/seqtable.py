@@ -68,7 +68,7 @@ import numpy as np
 
 from .factor import OneBlockFactor, _grow, _Rows, _word_levels
 from .numerics import (INT64_MAX, array_max, common_power_base, int_array, log_fraction,
-                       logsumexp, perron, perron_exact, power_exponent, row_reduce, row_sums,
+                       perron, perron_exact, power_exponent, row_reduce, row_sums,
                        span_basis, unique_rows)
 from .potential import LocallyConstantPotential, birkhoff_sup
 from .shiftcore import Sft, Word
@@ -132,7 +132,7 @@ class SeqTable:
         self.kind, self.language = kind, language
         self.potential: LocallyConstantPotential | None = potential
         self.factor: OneBlockFactor | None = factor  # the map a g-table counts fibers of
-        self._z: dict[int, tuple] = {}  # see _partition
+        self._z: list[tuple] = [(0.0, 1, np.ones(1, np.int64))]  # see _partition
 
     @cached_property
     def logs(self) -> Mapping[int, Mapping[Word, float]]:
@@ -146,13 +146,13 @@ class SeqTable:
         return _view({n: {w: Fraction(v) for w, v in zip(lv.words, lv.num.tolist())}
                       for n, lv in enumerate(self.levels) if n})
 
-    def _level(self, n: int) -> _Level:
+    def _depth(self, n: int) -> int:
         if not 1 <= n <= self.depth_max:
             raise TableError("depth %d not in table (max %d)" % (n, self.depth_max))
-        return self.levels[n]
+        return n
 
     def words(self, n: int) -> list[Word]:
-        return sorted(self._level(n).words)
+        return sorted(self.levels[self._depth(n)].words)
 
     def entry(self, n: int, word: Word) -> tuple[float, int | None] | None:
         """(log value, exact value or None) of ``word`` at depth n, read from
@@ -179,16 +179,28 @@ class SeqTable:
         return Fraction(self._stored(n, word)[1])
 
     def _partition(self, n: int) -> tuple[float, int | None]:
-        """(log Z_n, Z_n), the sum of the depth-n values, once per depth:
-        Z_n an exact int on exact tables, else None."""
-        if n not in self._z:
-            level = self._level(n)
-            if level.num is None:
-                self._z[n] = (logsumexp(level.logs.tolist()), None)
+        """(log Z_n, Z_n), Z_n an exact int on exact tables, else None, from
+        the rows: each value counts once per word reaching its row, the
+        counts (kept in ``_z``) pushed down ``rows.next``, int64 while the
+        words fit.  On floats math.fsum of exact terms gives the sum of
+        e^(l - max l) over the words rounded once: numerics.logsumexp's bits."""
+        while len(self._z) <= self._depth(n):
+            d, counts = len(self._z), self._z[-1][2]
+            nxt, values = self.rows.to(d).next[d - 1], self.rows.g[d]
+            if counts.dtype != object and int(counts.sum()) * nxt.shape[1] > INT64_MAX:
+                counts = counts.astype(object)
+            grown = np.zeros(len(values), counts.dtype)
+            np.add.at(grown, nxt[nxt >= 0], np.broadcast_to(counts[:, None], nxt.shape)[nxt >= 0])
+            if values.num is None:
+                m = float(values.logs.max(initial=-math.inf))
+                terms = zip(map(math.exp, (values.logs - m).tolist()), grown.tolist())
+                total = math.fsum(math.ldexp(x, j) for x, c in terms  # c x by c's binary digits
+                                  for j in range(c.bit_length()) if c >> j & 1)
+                self._z.append((m + math.log(total) if total else m, None, grown))
             else:
-                total = int(row_sums(level.num[None])[0])
-                self._z[n] = (log_fraction(total), total)
-        return self._z[n]
+                total = int(_times(grown, values.num, int(grown.sum()) * values.hi).sum())
+                self._z.append((log_fraction(total), total, grown))
+        return self._z[n][:2]
 
     @cached_property
     def power_base(self) -> int | None:
@@ -861,15 +873,15 @@ class PressureEstimate:
 
 
 def pressure_estimate(t: SeqTable) -> PressureEstimate:
-    """Pressure report: the sequence (1/n) log Z_n, its Fekete infimum (a
-    rigorous upper bound for subadditive tables) and the limit itself.
+    """Pressure report: the sequence (1/n) log Z_n (read from the table's
+    rows, ``SeqTable._partition``), its Fekete infimum (a rigorous upper
+    bound for subadditive tables) and the limit itself.
 
     The fibers partition B_n(X), so Z_n is the domain's partition sum and
     its limit P(f) is ``log_perron`` of the table's potential, bit for bit
-    ``gibbs.transfer_pressure``'s;
-    tables built from dicts have none.  On the exact counting path a
-    geometric Z_1, ..., Z_n (n >= 3) gives the base exactly.
-    """
+    ``gibbs.transfer_pressure``'s; tables built from dicts have none.  On
+    the exact counting path a geometric Z_1, ..., Z_n (n >= 3) gives the
+    base exactly."""
     n_max = t.depth_max
     per_n = [partition_sum(t, n) / n for n in range(1, n_max + 1)]
     exact_base = None

@@ -2,15 +2,21 @@
 reports: subadditivity of a table, and the Kingman averages
 (1/n) int log f_n dmu with the entropy rate of a Markov measure, the two
 sides of the variational inequality h(mu) + lim (1/n) int log g_n dmu <= P;
-and the per-multiple periodic defects that ``detect.orbit_defects`` walks
-in one pass."""
+the per-multiple periodic defects that ``detect.orbit_defects`` walks
+in one pass, and the word-by-word pushforward sandwich that
+``gibbs.pushforward_sandwich`` checks once per joint (mass, fiber) row."""
 
 import math
 
+import numpy as np
+
 from thermoshift import MarkovMeasure
 from thermoshift.detect import DetectError
-from thermoshift.numerics import power_exponent
-from thermoshift.potential import periodic_birkhoff, periodic_birkhoff_coeff
+from thermoshift.factor import _measure_steps, _Rows, _word_levels
+from thermoshift.gibbs import SandwichReport
+from thermoshift.numerics import log_fraction, power_exponent, row_sums
+from thermoshift.potential import (periodic_birkhoff, periodic_birkhoff_coeff,
+                                   variation_constant)
 from thermoshift.seqtable import TableError
 
 
@@ -87,3 +93,48 @@ def ref_orbit_defects(gt, h, y, J):
         else:
             exact = None
     return floats, exact, values
+
+
+def ref_pushforward_sandwich(mu, pi, f, gt, pressure, exact_base, weak_report, depth):
+    """``gibbs.pushforward_sandwich`` one stored image word at a time: each
+    word's mass from the mass walk's word index, its value from the table's
+    level index, every failing word listed."""
+    if depth > gt.depth_max:
+        raise TableError("depth %d exceeds the table (max %d)" % (depth, gt.depth_max))
+    exact = (exact_base is not None and mu.exact and gt.is_exact
+             and weak_report.exact_cn is not None)
+    worst = float("inf")
+    failures = []
+    start, steps, den = _measure_steps(mu, pi)
+    walk = _Rows(start, steps, row_sums)
+    for n, (ids, parent, sym, _) in zip(range(1, depth + 1), _word_levels(walk)):
+        level, mass = gt.levels[n], walk.g[n][ids]
+        if not (np.array_equal(parent, level.parent) and np.array_equal(sym, level.sym)):
+            raise TableError("table words at depth %d are not the image words of pi" % n)
+        log_mn = variation_constant(f, n)
+        if exact and log_mn == 0.0:
+            cn, s = weak_report.exact_cn[n], exact_base.numerator ** n
+            u, a, b = den(n) * exact_base.denominator ** n, cn.numerator, cn.denominator
+            pairs = list(zip(mass.tolist(), level.num.tolist()))
+            checked = {}  # (ok, |log ratio|) once per distinct pair
+            for x, v in set(pairs):  # ratio (x s) / (v u) against cn = a / b both ways
+                top, bottom = x * s, v * u
+                checked[x, v] = (b * bottom <= a * top and b * top <= a * bottom,
+                                 abs(log_fraction(top, bottom)) if top else math.inf)
+            ok = np.array([checked[p][0] for p in pairs])
+            margin = float(log_fraction(cn)) - np.array([checked[p][1] for p in pairs])
+            zero = np.zeros(len(pairs), dtype=bool)  # exact failures carry no reason
+        else:
+            zero = mass == 0
+            logm = [log_fraction(x, den(n)) if mu.exact else math.log(x)
+                    for x in mass[~zero].tolist()]
+            log_q = (np.array(logm) + n * pressure) - level.logs[~zero]
+            margin = (weak_report.log_cn[n] + log_mn) - np.abs(log_q) + 1e-9
+            ok = ~zero
+            ok[~zero] = margin >= 0
+        worst = min([worst] + margin.tolist())
+        for i in np.flatnonzero(~ok).tolist():
+            failures.append({"n": n, "word": [gt.alphabet[b] for b in level.words[i]]})
+            if zero[i]:
+                failures[-1]["reason"] = "zero mass"
+    return SandwichReport(depth, not failures, exact, worst, failures)

@@ -1,5 +1,5 @@
-"""bench/write.py at a tiny budget: one short workload and one deep point,
-this checkout standing in for the parent; the file's schema."""
+"""bench/write.py at a tiny budget: one short workload and one deep point of
+each kind, this checkout standing in for the parent; the file's schema."""
 
 import json
 import subprocess
@@ -14,7 +14,7 @@ def test_bench_writer_schema(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "write.py"), "--pr", "0", "--parent", str(ROOT),
          "--seed", "0", "--seconds", "1", "--pairs", "1", "--workload", "collapse-exact",
-         "--depth", "4", "--deep", "6", "--out", str(out)],
+         "--depth", "4", "--deep", "6", "--deep-weak-gibbs", "4", "--out", str(out)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text(encoding="utf-8"))
@@ -30,11 +30,17 @@ def test_bench_writer_schema(tmp_path):
     summary = doc["summary"]["collapse-exact"]
     assert summary["solve_ref"]["change_wins"] in (0, 1)
     assert len(summary["peak_rss_mb"]["parent"]["runs"]) == 1
-    [point] = doc["deep"]
-    assert point["depth"] == 6
+    verdict, weak = doc["deep"]
+    assert (verdict["depth"], weak["depth"]) == (6, 4)
+    assert weak["point"].startswith("collapse weak-gibbs")
+    for point in (verdict, weak):
+        for side in ("parent", "change"):
+            assert len(point[side]["runs"]) == 3
+            assert point[side]["best_wall_s"] == min(r["wall_s"] for r in point[side]["runs"])
+            assert all(r["maxrss_mib"] > 0 for r in point[side]["runs"])
     for side in ("parent", "change"):
-        assert len(point[side]["runs"]) == 3
-        assert point[side]["best_wall_s"] == min(r["wall_s"] for r in point[side]["runs"])
-        for r in point[side]["runs"]:
+        for r in verdict[side]["runs"]:
             assert r["verdict"] == "CERTIFIED" and r["levels_built"] == 1
-            assert r["maxrss_mib"] > 0
+        for r in weak[side]["runs"]:
+            # collapse with the uniform measure: 2n joint pairs at depth n
+            assert r["exit"] == 0 and r["pairs"] == 8

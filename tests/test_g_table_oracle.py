@@ -21,7 +21,7 @@ from thermoshift import (LocallyConstantPotential, OneBlockFactor, SeqTable,
                          build_g_table, partition_sum, partition_sum_exact,
                          pressure_estimate)
 from thermoshift.factor import fiber_words
-from thermoshift.numerics import logsumexp
+from thermoshift.numerics import log_fraction, logsumexp
 from thermoshift.potential import birkhoff_sup
 from thermoshift.seqtable import TableError
 from thermoshift.shiftcore import Sft
@@ -82,6 +82,8 @@ def test_g_table_matches_fiber_enumeration(case):
             assert math.isclose(t.logs[n][y], v, rel_tol=1e-12, abs_tol=1e-12), (n, y)
         assert math.isclose(partition_sum(t, n), logsumexp(level.values()),
                             rel_tol=1e-12, abs_tol=1e-12)
+        # read from the rows, Z_n has the bits of logsumexp over the words
+        assert partition_sum(t, n) == logsumexp(t.levels[n].logs.tolist())
     assert_levels_match_dict_constructor(t)
 
 
@@ -133,6 +135,18 @@ def test_partition_sum_exact_past_int64():
     assert partition_sum_exact(t, 1) == 2 * big
     assert partition_sum_exact(t, 2) == 2 * big - 2 + 2 ** 63 - 1
     assert partition_sum(t, 1) == math.log(2 * big)
+
+
+def test_partition_sums_count_words_past_int64(collapse):
+    """Collapse at depth 64 has 2^n image words on 2n fiber rows: the words
+    reaching the rows pass 2^63 at depth 63, and Z_n = 3^n still, exact
+    and float, with no word level built."""
+    zero = LocallyConstantPotential.zero(collapse.domain)
+    t, tf = build_g_table(collapse, zero, 64), build_g_table(collapse, zero, 64, mode="float")
+    assert [partition_sum_exact(t, n) for n in (62, 63, 64)] == [3 ** 62, 3 ** 63, 3 ** 64]
+    assert partition_sum(t, 64) == log_fraction(3 ** 64)
+    assert math.isclose(partition_sum(tf, 64), 64 * math.log(3), rel_tol=1e-14)
+    assert t.levels.built == tf.levels.built == 0
 
 
 def test_pressure_estimate_on_counting_table(collapse):

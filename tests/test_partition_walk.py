@@ -118,7 +118,7 @@ def _documents(root: Path, pi, f) -> dict:
 def test_pressure_report_does_not_depend_on_table_out(case):
     """The same bytes with and without --table-out, for --factor and --sft;
     without it the fiber rows (``factor._Rows``), float or exact, keep one
-    row per level and their word index one word per level."""
+    row per level and no word index is built: Z_n is read from the rows."""
     pi, f, mode = case
     made, words = [], []
 
@@ -145,6 +145,6 @@ def test_pressure_report_does_not_depend_on_table_out(case):
                     assert main(argv + extra + ["--out", str(root / name)]) == 0
                 out[name] = (root / name).read_bytes()
                 if not extra:
-                    assert words == [1] * DEPTH
+                    assert words == []
                     assert [len(g) for walk in made for g in walk.g[1:]] == [1] * DEPTH
             assert out["plain"] == out["table"]
