@@ -13,13 +13,15 @@ with the git revision and the ``src/`` line count) is copied as it is.
 medians, and for ``solve_ref`` the pairs the change won.
 
 The ``deep`` block is not gated: the collapse verdict ``table_verdict(r=1)``
-at each ``--deep`` depth, build included, and ``weak-gibbs`` on collapse
-with the uniform measure through ``cli.main`` at each ``--deep-weak-gibbs``
-depth, each timed in a fresh child process per run with the side's ``src``
-first on the path, best of three per side: wall time, the child's peak RSS
-(``ru_maxrss``) and ``levels.built`` for the verdict, the joint (mass row,
-fiber row) pairs of the sandwich's deepest level for ``weak-gibbs`` (None
-on a side whose sandwich walks the words).
+at each ``--deep`` depth, build included, ``weak-gibbs`` on collapse with
+the uniform measure through ``cli.main`` at each ``--deep-weak-gibbs``
+depth, and the ``r2-float`` verdict (``verdict --range 2`` on the seed-7
+documents of ``perfbench/workloads.make_documents``) through ``cli.main``
+at each ``--deep-r2-float`` depth, each timed in a fresh child process per
+run with the side's ``src`` first on the path, best of three per side: wall
+time, the child's peak RSS (``ru_maxrss``) and ``levels.built`` for the
+verdicts, the joint (mass row, fiber row) pairs of the sandwich's deepest
+level for ``weak-gibbs`` (None on a side whose sandwich walks the words).
 
 Nothing here changes what ``perfbench/`` measures or gates: the runs are
 its own command line, in each checkout's directory.
@@ -33,11 +35,14 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEEP_DEPTHS = (22, 40, 64)
 DEEP_WEAK_GIBBS_DEPTHS = (16, 18, 20)
+DEEP_R2_FLOAT_DEPTHS = (13, 15, 17, 19)
+R2_FLOAT_SEED = 7  # the documents of the r2-float deep points
 DEEP_RUNS = 3
 TIMEOUT_S = 900
 
@@ -78,9 +83,28 @@ wall = time.perf_counter() - start
 print(json.dumps({"wall_s": wall, "exit": code, "pairs": pairs[-1],
                   "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
 """
+
+# one deep r2-float point: the verdict command on the documents argv[2:4]
+# at depth argv[1], in-process; the g-table it builds counts its levels
+R2_FLOAT_CHILD = """
+import json, os, resource, sys, time
+from thermoshift import cli
+made = []
+build = cli.build_g_table
+cli.build_g_table = lambda *a, **k: made.append(build(*a, **k)) or made[-1]
+argv = ["verdict", "--factor", sys.argv[2], "--potential", sys.argv[3], "--depth", sys.argv[1],
+        "--range", "2", "--out", os.devnull]
+start = time.perf_counter()
+code = cli.main(argv)
+wall = time.perf_counter() - start
+print(json.dumps({"wall_s": wall, "exit": code, "levels_built": made[0].levels.built,
+                  "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+"""
 DEEP_POINTS = {"verdict": ("collapse table_verdict(r=1), build included", DEEP_CHILD),
                "weak_gibbs": ("collapse weak-gibbs, uniform measure, cli.main in-process",
-                              WEAK_GIBBS_CHILD)}
+                              WEAK_GIBBS_CHILD),
+               "r2_float": ("r2-float verdict --range 2, seed-7 documents, cli.main in-process",
+                            R2_FLOAT_CHILD)}
 
 
 class WriterError(RuntimeError):
@@ -106,10 +130,22 @@ def bench_record(side: Path, workload: str, seed: int, seconds: float, depth) ->
     return json.loads(out.read_text(encoding="utf-8"))
 
 
-def deep_run(side: Path, child: str, depth: int) -> dict:
+def deep_run(side: Path, child: str, depth: int, extra: tuple[str, ...] = ()) -> dict:
     env = dict(os.environ, PYTHONPATH=str(side / "src"), PYTHONHASHSEED="0")
-    line = _run([sys.executable, "-c", child, str(depth)], side, env)
+    line = _run([sys.executable, "-c", child, str(depth), *extra], side, env)
     return json.loads(line.strip().splitlines()[-1])
+
+
+def r2_float_documents(workdir: Path) -> tuple[str, str]:
+    """(factor, potential): the r2-float workload's documents at
+    R2_FLOAT_SEED, written into ``workdir`` by perfbench's own generator."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    paths = workloads.make_documents("r2-float", R2_FLOAT_SEED, ROOT, workdir)["paths"]
+    return paths["factor"], paths["potential"]
 
 
 def _sides(parent: Path, i: int) -> list[tuple[str, Path]]:
@@ -146,6 +182,8 @@ def main(argv=None) -> int:
                     help="depths of the deep collapse verdict points")
     ap.add_argument("--deep-weak-gibbs", type=int, nargs="*", default=list(DEEP_WEAK_GIBBS_DEPTHS),
                     help="depths of the deep collapse weak-gibbs points")
+    ap.add_argument("--deep-r2-float", type=int, nargs="*", default=list(DEEP_R2_FLOAT_DEPTHS),
+                    help="depths of the deep r2-float verdict points")
     ap.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the repository root")
     args = ap.parse_args(argv)
     parent = args.parent.resolve()
@@ -168,16 +206,20 @@ def main(argv=None) -> int:
                                                    args.depth))
             doc["workloads"][name] = runs
             doc["summary"][name] = summarize(runs)
-        for kind, depths in (("verdict", args.deep), ("weak_gibbs", args.deep_weak_gibbs)):
-            point, child = DEEP_POINTS[kind]
-            for depth in depths:
-                runs = {"parent": [], "change": []}
-                for i in range(DEEP_RUNS):
-                    for side, path in _sides(parent, i):
-                        runs[side].append(deep_run(path, child, depth))
-                doc["deep"].append({"point": point, "depth": depth,
-                                    **{side: {"best_wall_s": min(r["wall_s"] for r in rs),
-                                              "runs": rs} for side, rs in runs.items()}})
+        with tempfile.TemporaryDirectory() as tmp:
+            r2_docs = r2_float_documents(Path(tmp)) if args.deep_r2_float else ()
+            for kind, depths, extra in (("verdict", args.deep, ()),
+                                        ("weak_gibbs", args.deep_weak_gibbs, ()),
+                                        ("r2_float", args.deep_r2_float, r2_docs)):
+                point, child = DEEP_POINTS[kind]
+                for depth in depths:
+                    runs = {"parent": [], "change": []}
+                    for i in range(DEEP_RUNS):
+                        for side, path in _sides(parent, i):
+                            runs[side].append(deep_run(path, child, depth, extra))
+                    doc["deep"].append({"point": point, "depth": depth,
+                                        **{side: {"best_wall_s": min(r["wall_s"] for r in rs),
+                                                  "runs": rs} for side, rs in runs.items()}})
     except (WriterError, subprocess.TimeoutExpired) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

@@ -1,8 +1,8 @@
 """One-block factor maps, the induced image language, fiber enumeration and
 the fiber rows (``_Rows``): the one level-by-level kernel for products of
 per-symbol matrices over the fibers, which every g-table (seqtable), its
-projective classes and the pushforward masses step, with one word index
-over them (``_word_levels``).
+projective classes, its extreme rows and the pushforward masses step, with
+one word index over them (``_word_levels``).
 
 The image subshift Y is never specified independently: its language is
 derived from the map via the subset automaton (state = set of domain
@@ -143,25 +143,33 @@ class _Rows:
     of its real reach: the word test and the rows kept do not change.  One
     kernel for every product of per-symbol matrices over the fibers:
     g-tables, float (``seqtable.build_g_table``) and exact, their
-    projective classes and the pushforward masses.
+    projective classes, the extreme rows of a float table's C_{n,m} profile
+    and the pushforward masses.
 
     Each depth keeps each distinct row (with its reach, on an edge walk)
     once, compared by their bits (by value on Python ints), as equal rows
     step to equal rows; with ``primitive`` each row is first divided by its
-    gcd, which gives the projective classes of an integer walk.
+    gcd, which gives the projective classes of an integer walk.  A ``keep``
+    filter, keep(rows, reach, sym, src) -> (rows', kept), is handed the
+    rows grown with their reach, the symbol each grew by and the row it
+    grew from, and returns them rescaled at the indices ``kept``, which the
+    walk keeps as they are, deduplicating nothing: the float vertex walk
+    keeps a superset of each cone's extreme rays (``seqtable._vertex_keep``)
+    and tests each row against its reach, so its reach starts at the
+    root's support and ``reach[n]`` holds it at every depth.
     ``next[n][i, b]`` is the row at depth n + 1 of row i grown by b (-1
-    where no word), ``g[n]`` the ``value`` of the rows at depth n (g[0]
-    None) and ``rows[n]`` the rows themselves: every depth's with
-    ``primitive``, else the deepest only, the one stepped again.  ``to(n)``
-    walks as deep as a read reaches.  The rows are never more than the
-    words, and few where the words share their fibers' shape (2n at depth
-    n on the collapse factor, 1842 of 8192 words of an r2-float table at
-    depth 13)."""
+    where no word, or where ``keep`` dropped it), ``g[n]`` the ``value`` of
+    the rows at depth n (g[0] None) and ``rows[n]`` the rows themselves:
+    every depth's with ``primitive`` or ``keep``, else the deepest only,
+    the one stepped again.  ``to(n)`` walks as deep as a read reaches.  The
+    rows are never more than the words, and few where the words share
+    their fibers' shape (2n at depth n on the collapse factor, 1842 of 8192
+    words of an r2-float table at depth 13)."""
 
-    def __init__(self, root: np.ndarray, steps, value, primitive: bool = False):
-        self._steps, self._value, self._primitive = steps, value, primitive
-        self.rows, self.live = [root], np.ones(root.shape, dtype=bool)
-        self.g, self.next = [None], []
+    def __init__(self, root: np.ndarray, steps, value, primitive: bool = False, keep=None):
+        self._steps, self._value, self._primitive, self._keep = steps, value, primitive, keep
+        self.rows, self.g, self.next, self.reach = [root], [None], [], [None]
+        self.live = np.ones(root.shape, dtype=bool) if keep is None else root > 0
 
     @classmethod
     def given(cls, nxt: list, g: list) -> _Rows:
@@ -175,7 +183,7 @@ class _Rows:
         """The rows through depth n."""
         while len(self.g) <= n:
             m, edge = self._steps(len(self.g))
-            out = _grow(self.rows[-1], m)
+            out = _grow(self.rows[-1], m, self._keep is None)
             reach = out if edge is None else \
                 (self.live @ edge.reshape(len(m), -1)).reshape(out.shape)
             nxt = np.full(len(out), -1, np.intp)
@@ -183,17 +191,23 @@ class _Rows:
             out, reach = out[grown], reach[grown]
             if self._primitive:
                 out = out // np.gcd.reduce(out, axis=1)[:, None]
-            first = inv = np.arange(len(out))
-            if len(out) > 1:
+            if self._keep is not None:
+                out, kept = self._keep(out, reach, grown % m.shape[1],
+                                       self.rows[-1][grown // m.shape[1]])
+                grown, reach = grown[kept], reach[kept]
+            first, inv = slice(None), np.arange(len(out))
+            if len(out) > 1 and self._keep is None:
                 key = [out, reach] if out.dtype == object else [out.view(np.uint8),
                                                                 reach.view(np.uint8)]
                 first, inv = unique_rows(out if edge is None else np.hstack(key))
             nxt[grown] = inv
             self.next.append(nxt.reshape(len(self.rows[-1]), -1))
-            if not self._primitive:
+            if not (self._primitive or self._keep):
                 self.rows[-1] = None
             self.rows.append(out[first])
             self.live = None if edge is None else reach[first]
+            if self._keep is not None:
+                self.reach.append(self.live)
             self.g.append(self._value(self.rows[-1]))
         return self
 
@@ -208,16 +222,18 @@ class _Rows:
         return i
 
 
-def _grow(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _grow(v: np.ndarray, m: np.ndarray, ordered: bool = True) -> np.ndarray:
     """Row i of v grown by image symbol b, v M_b, at row i * |symbols| + b.
     Floats accumulate over the source states in ascending order (their
-    bits); integers stay in int64 while the largest entry times the largest
-    column sum of M stays below 2^63, Python ints past it."""
+    bits), or in one product where not ``ordered`` (the vertex walks, whose
+    bits no table reads); integers stay in int64 while the largest entry
+    times the largest column sum of M stays below 2^63, Python ints past
+    it."""
     if v.dtype == np.int64 and (m.dtype == object or
                                 array_max(v) * array_max(m.sum(axis=0)) > INT64_MAX):
         v = v.astype(object)
     flat = m.reshape(len(m), -1).astype(v.dtype)
-    if v.dtype == float:
+    if v.dtype == float and ordered:
         out = np.zeros((len(v), flat.shape[1]))
         for j in range(len(flat)):
             out += v[:, j, None] * flat[j]

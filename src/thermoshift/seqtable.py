@@ -44,10 +44,24 @@ report log_fraction of an exact extreme ratio (``_max_ratios``): C_{n,m}
 the largest spread, D_{n,m} the least bridged ratio, so the class and word
 paths give the same floats.  The class path reads no word level and steps
 none of the table's rows; only the unbridged pairs check_D2 lists are
-spelled from the levels.  Float tables, tables built from dicts and exact
-g-tables whose classes do not pay keep the word scans (``_splits``,
-``_ranks``, ``_word_bridges``).  A verdict reads the profile rows only up
-to the first that grows (``growth_witness``).  Where the series has Hankel
+spelled from the levels.  A float g-table reads its whole C_{n,m} profile
+from the extreme rays of its fiber rows (``_vertex_profile``): with the
+forward rows x_u = alpha G_u and the backward rows y_v = G_v tau (tau =
+e^tails), g(uv) / (g(u) g(v)) is (x . y) / ((x . tau) y[start]) up to the
+fmax offsets, linear-fractional in each row, so its extremes over a cell's
+words are reached at vertices of the rows' hulls (Charnes & Cooper 1962),
+per reach: the pairs that are words are those whose reaches meet.  One
+vertex walk keeps per depth a superset of those vertices and steps only
+them, and one product of the kept rows gives every cell; it declines (the
+word scan runs, whole-profile) where a weight, a tail, a kept entry or a
+meeting product lies below the float walk's floor, or where its pair
+products, times the states they sum over, reach the splits.  Tables built
+from dicts, exact g-tables whose classes do not pay and float g-tables
+whose vertices decline keep the word scans (``_splits``, ``_ranks``),
+and check_D2 keeps its class and word scans (``_word_bridges``) on every
+table: D_{n,m} is a min over pairs of a max over bridges, whose minimum is
+not at a vertex.  A verdict reads the profile rows only up to the first
+that grows (``growth_witness``).  Where the series has Hankel
 rank 1 (``_Representation.rank``, computed exactly, and only on a
 full-shift image, the one place it can be 1) g(uv) = g(u) g(v), every
 C_{n,m} is 1 and the profile rows come with no scan at all.
@@ -570,6 +584,155 @@ class _FiberClasses:
         return starts, out
 
 
+def _profile_splits(counts: list[int]) -> int:
+    """The splits the word scan reads for a whole profile, given the words
+    per depth: ``_FiberClasses._scan_cost`` over every cell, total - 1 per
+    word at each depth total."""
+    return sum((total - 1) * c for total, c in enumerate(counts) if total > 1)
+
+
+def _vertex_profile(t: SeqTable) -> dict[int, dict[int, float]] | None:
+    """The whole C_{n,m} profile of a float g-table from the extreme rays of
+    its fiber rows, n -> {m: log C_{n,m}}; None (the caller scans the
+    words) where the floats could lose a term, or once the pair products,
+    counted as the walk goes, times the states each sums over reach the
+    splits the word scan reads (``_profile_splits``).
+
+    g(uv) = x_u . y_v up to the fmax offsets, for the forward rows x_u =
+    alpha G_u and the backward rows y_v = G_v tau of the representation's
+    matrix G, tau = e^tails folded into the backward start, so g(v) is
+    y_v[start].  Scaled to x . tau = 1 and y[start] = 1 the rows give
+    g(uv) / (g(u) g(v)) = x . y times e^(the offsets' defect), linear in
+    each row, so its max and min over the words of a cell are reached at
+    vertices of the rows' hulls (Charnes & Cooper 1962), taken per reach,
+    as the pairs that are words are those whose reaches meet.  A hull at
+    depth n + 1 lies in the hull of the vertices at depth n grown, so the
+    walk steps only the vertices it kept (``_vertex_keep``): one ``_Rows``
+    over G and G^T side by side, from alpha and tau, so each depth's rows
+    are the forward ones, then the backward ones.  One product of the kept
+    forward rows of all depths against the kept backward rows gives every
+    cell.  Declines where a transfer weight, a state's tail, a live entry
+    of a kept row or the product of a meeting pair lies below _FLOOR:
+    there the table's own walk gauges its states."""
+    rep, top, f = _representation(t.factor, t.potential), t.depth_max, t.potential
+    size = len(rep.m)
+    lift = 0.0 if rep.tails is None else rep.tails.max()
+    tau = np.exp(np.zeros(size) if rep.tails is None else rep.tails - lift)
+    if (rep.m[rep.edge] < _FLOOR).any() or (tau < _FLOOR).any():
+        return None
+    m, edge = (np.zeros((2 * size, rep.m.shape[1], 2 * size), a.dtype) for a in (rep.m, rep.edge))
+    m[:size, :, :size], m[size:, :, size:] = rep.m, rep.m.T
+    edge[:size, :, :size], edge[size:, :, size:] = rep.edge, rep.edge.T
+    root, scale = np.zeros((2, 2 * size)), np.zeros(2 * size)  # scale: x . tau, or y[start]
+    root[0, size - 1], root[1, size:] = 1.0, tau  # alpha = e_start, the last state
+    scale[:size], scale[-1] = tau, 1.0
+    walk = _Rows(root, lambda n: (m, edge), lambda v: None, keep=_vertex_keep(scale, m))
+    splits = _profile_splits(t.language.block_counts(top))
+    sizes = [[0], [0]]  # kept rows per depth, forward and backward
+    ys = [0]  # backward rows through each depth
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d in range(1, top):
+            ahead = int(walk.to(d).reach[d][:, :size].any(axis=1).sum())
+            sizes[0].append(ahead)
+            sizes[1].append(len(walk.rows[d]) - ahead)
+            ys.append(ys[-1] + sizes[1][-1])
+            if not (ahead and sizes[1][-1]) or size * \
+                    sum(sizes[0][n] * ys[min(d, top - n)] for n in range(1, d + 1)) >= splits:
+                return None
+        rows, reach = np.concatenate(walk.rows[1:top]), np.concatenate(walk.reach[1:top])
+        fwd = reach[:, :size].any(axis=1)
+        x, live, y, back = rows[fwd, :size], reach[fwd, :size], rows[~fwd, size:], reach[~fwd, size:]
+        meet, prod = live.astype(float) @ back.T.astype(float) > 0, x @ y.T
+        if not ((rows >= _FLOOR) | ~reach).all() or not ((prod >= _FLOOR) | ~meet).all():
+            return None
+    prod[~meet] = np.nan  # the pairs that are no words: fmax passes them over
+    ends = np.log(prod)
+    ends = np.stack([ends, -ends])
+    for axis, cut in enumerate(np.cumsum(sizes, axis=1)[:, :-1], start=1):
+        ends = np.fmax.reduceat(ends, cut, axis=axis)  # per cell: max log x . y, -min log x . y
+    depth = np.arange(1, top)
+    fmax = np.maximum(0, depth - f.range + 1)  # the fmax shifts a depth-n value carries
+    # tau came e^lift too small, so each ratio as much too large
+    shift = f.max_value() * (np.maximum(0, depth[:, None] + depth - f.range + 1) -
+                             fmax[:, None] - fmax) - lift
+    cells = np.fmax(abs(ends[0] + shift), abs(shift - ends[1]))
+    cells[np.isnan(cells)] = 0.0  # depth n + m holds no word
+    return {n: dict(zip(range(1, top - n + 1), cells[n - 1, :top - n].tolist()))
+            for n in range(1, top)}
+
+
+def _vertex_keep(scale: np.ndarray, step: np.ndarray):
+    """A ``keep`` for the float vertex walk (``_Rows``): the rows grown,
+    each divided by its product with ``scale``, then per group of one reach and one symbol b a
+    superset of the extreme rays of their cone.  A row of the group is
+    determined linearly by its entries on its reach, and is src M_b, where
+    only src's entries on the states leading into the reach by b count:
+    so the group's cone is the image of the cone of the rows read on
+    either set of states, and where the smaller takes at most 3 states,
+    the group's vertices are among those of the rows read there
+    (``_cone_vertices``).  Other groups keep every row."""
+    k, width = step.shape[1], step.shape[0]
+    bits = None if width + k.bit_length() > 62 else 1 << np.arange(width)
+    reads = {}  # per group: read the grown rows (True) or src, and on which states
+
+    def keep(rows, reach, sym, src):
+        rows /= (rows @ scale)[:, None]
+        codes = (unique_rows(reach)[1] if bits is None else reach @ bits) * k + sym
+        order = codes.argsort(kind="stable")
+        cut = codes[order]
+        ends = (np.flatnonzero(cut[1:] != cut[:-1]) + 1).tolist()
+        kept = []
+        for a, z in zip([0] + ends, ends + [len(order)]):
+            first = int(order[a])
+            if z - a == 1:
+                kept.append(first)
+                continue
+            key = int(cut[a]) if bits is not None else (reach[first].tobytes(), int(sym[first]))
+            if key not in reads:
+                on = np.flatnonzero(reach[first])
+                into = np.flatnonzero(step[:, sym[first], on].any(axis=1))
+                reads[key] = (True, on) if len(on) <= len(into) else (False, into)
+            grown, on = reads[key]
+            if len(on) == 1:  # one ray
+                kept.append(first)
+            elif len(on) > 3:
+                kept += order[a:z].tolist()
+            else:
+                part = order[a:z]
+                read = (rows if grown else src)[part[:, None], on]
+                kept += [int(part[i]) for i in _cone_vertices(read.tolist())]
+        kept.sort()
+        return rows[kept], np.array(kept, np.intp)
+    return keep
+
+
+def _cone_vertices(c: list[list[float]]) -> list[int]:
+    """The indices of a superset of the extreme rays of the cone of the
+    nonnegative rows c (2 or 3 columns): the vertices of their central
+    projection onto the simplex, c / sum(c), found on its first
+    coordinates, the ends of a segment or the corners of a polygon by
+    Andrew's monotone chain.  Every row where some row sums to 0."""
+    total = [sum(row) for row in c]
+    if len(c) < 3 or not all(total):
+        return list(range(len(c)))
+    if len(c[0]) == 2:
+        p = [row[0] / s for row, s in zip(c, total)]
+        return sorted({p.index(min(p)), p.index(max(p))})
+    xs, ys = [row[0] / s for row, s in zip(c, total)], [row[1] / s for row, s in zip(c, total)]
+
+    def chain(order):  # the corners from the first point of order to the last, turning left
+        out = []
+        for i in order:
+            while len(out) > 1 and (xs[out[-1]] - xs[out[-2]]) * (ys[i] - ys[out[-2]]) <= \
+                    (ys[out[-1]] - ys[out[-2]]) * (xs[i] - xs[out[-2]]):
+                out.pop()
+            out.append(i)
+        return out
+
+    order = sorted(range(len(c)), key=lambda i: (xs[i], ys[i]))
+    return sorted(set(chain(order) + chain(order[::-1])))
+
+
 class _Representation:
     """The transfer matrix of one (factor, potential), built once per pair
     (``_representation``): the only code that turns (pi, f) into
@@ -1079,8 +1242,12 @@ def _profile_rows(t: SeqTable):
     is walked and no word is read.  Other exact g-tables read each row from
     their fiber classes (``_FiberClasses.defect_row``) while its class
     pairs are fewer than its splits; from the first row that declines on,
-    and on other tables throughout, the rows come from one word scan of the
-    splits there."""
+    and on tables built from dicts throughout, the rows come from one word
+    scan of the splits there.  A float g-table reads every row from the
+    vertex pairs of its fiber rows (``_vertex_profile``), which build no
+    word level, or, where those decline, from the word scan; the two agree
+    to a few ulps, as a pair product sums g(uv) in another order than the
+    word's readout."""
     if t.depth_max < 2:
         raise TableError("need depth_max >= 2")
     if _multiplicative(t):
@@ -1088,6 +1255,12 @@ def _profile_rows(t: SeqTable):
             ms = range(1, t.depth_max - n + 1)
             yield n, dict.fromkeys(ms, 0.0), dict.fromkeys(ms, Fraction(1))
         return
+    if t.factor is not None and not t.is_exact:
+        rows = _vertex_profile(t)
+        if rows is not None:
+            for n, row in rows.items():
+                yield n, row, None
+            return
     n = 1
     while t.classes is not None and n < t.depth_max:
         row = t.classes.defect_row(n)
@@ -1130,8 +1303,9 @@ def defect_profile(t: SeqTable, slope_threshold: float = DEFAULT_SLOPE_THRESHOLD
     with an exponential-growth flag (least-squares slope in m at fixed n),
     witnessed by the first row whose flag fires.  Every row of
     ``_profile_rows``: exact g-tables read their fiber classes where those
-    take fewer products than the splits, other tables every split of
-    every word."""
+    take fewer products than the splits, float g-tables the vertex pairs of
+    their extreme fiber rows where those take fewer, other tables every
+    split of every word."""
     log_c, exact_c = {}, {} if t.is_exact else None
     witness, slopes = None, {}
     for n, row, exact in _profile_rows(t):

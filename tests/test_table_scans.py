@@ -11,12 +11,18 @@ own row.  On exact tables the D2 oracle takes each cell's least ratio in
 Fractions, so both paths must report its log_fraction bit for bit.  Exact
 g-tables whose fiber counts have Hankel rank 1 yield their profile rows
 with no scan; their ranks are checked against the Hankel matrix of the
-fiber-count oracle, and both scan kernels are run on them directly."""
+fiber-count oracle, and both scan kernels are run on them directly.  Float
+g-tables read their profile from vertex pairs where those pay
+(``seqtable._vertex_profile``), which sum each g(uv) in another order than
+the word's readout: their profiles match the oracle cell by cell within
+CELL_ULPS (``assert_profile_near``), and byte for byte where the path
+declines."""
 
 import functools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -32,15 +38,17 @@ from thermoshift import (LocallyConstantPotential, OneBlockFactor, SeqTable,
 from thermoshift.cli import main
 from thermoshift.detect import table_verdict
 from thermoshift.factor import _Rows, fiber_words
-from thermoshift.jsonio import load_factor, read_json
+from thermoshift.jsonio import load_factor, load_potential, read_json
 from thermoshift.numerics import log_fraction, row_reduce
 from thermoshift.seqtable import D2Report, DefectProfile
 from thermoshift.shiftcore import Sft
-from thermoshift.verdicts import DEFAULT_SLOPE_THRESHOLD, decays_to_zero, growth_flag
+from thermoshift.verdicts import (DEFAULT_R2, DEFAULT_SLOPE_THRESHOLD, decays_to_zero,
+                                  growth_flag, trend_stats)
 
 from conftest import small_factors, symbol_weights
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _all_words(alphabet_size, k):
@@ -132,6 +140,50 @@ def _json(report):
     return json.dumps(report.as_dict(), sort_keys=True)
 
 
+# a vertex pair's product and a word's readout round the same positive terms
+# in other orders: the cells differ by a few machine epsilons times the
+# largest |log g| they read (at most 3.5 over 169 random tables at depth 7),
+# and the bound leaves a factor of 4
+CELL_ULPS = 16
+
+
+def _near_threshold(profile, n):
+    """Whether row n's growth flag turns on a fit (the whole row or a
+    parity half of 4 or more cells, as ``growth_flag`` fits them) whose
+    slope or R^2 lies within 1e-9 of its threshold."""
+    ms = sorted(m for k, m in profile.log_c if k == n)
+    halves = [ms] + [[m for m in ms if m % 2 == p] for p in (0, 1)]
+    fits = [trend_stats(xs, [profile.log_c[(n, m)] for m in xs])
+            for xs in halves if xs is ms or len(xs) >= 4]
+    return any(abs(s.slope - profile.slope_threshold) <= 1e-9 or
+               abs(s.r_squared - DEFAULT_R2) <= 1e-9 for s in fits)
+
+
+def assert_profile_near(got, want, t):
+    """A float g-table's profile against the word oracle: the same cells,
+    each within CELL_ULPS machine epsilons times the largest |log g| it
+    reads (of the words at depths n, m and n + m, at least 1), the same
+    slopes to 1e-9,
+    and the same growth flags, witness row and cell, except on a row whose
+    flag turns on a slope or R^2 within 1e-9 of its threshold."""
+    assert got.exact_c is None and want.exact_c is None and set(got.log_c) == set(want.log_c)
+    largest = {n: max(map(abs, level.values())) for n, level in t.logs.items()}
+    for (n, m), v in want.log_c.items():
+        bound = CELL_ULPS * np.finfo(float).eps * max(1.0, largest[n], largest[m], largest[n + m])
+        assert abs(got.log_c[(n, m)] - v) <= bound, (n, m, got.log_c[(n, m)], v)
+    assert set(got.slopes) == set(want.slopes)
+    assert all(abs(got.slopes[n].slope - s.slope) <= 1e-9 for n, s in want.slopes.items())
+    close = [n for n in want.slopes if _near_threshold(want, n)]
+    for n in want.slopes:
+        ms = sorted(m for k, m in want.log_c if k == n)
+        flags = [growth_flag(ms, [p.log_c[(n, m)] for m in ms], p.slope_threshold)[0]
+                 for p in (got, want)]
+        assert flags[0] == flags[1] or n in close, n
+    if not close:
+        cell = [w and (w["n"], w["m"]) for w in (got.witness, want.witness)]
+        assert got.growth == want.growth and cell[0] == cell[1]
+
+
 # word-scan costs that force the fiber-class path or the word kernels
 FORCE = {"classes": lambda self, cells, gap: math.inf, "words": lambda self, cells, gap: 0}
 
@@ -141,12 +193,16 @@ def assert_scans_match(t, gaps=(0,)):
     fresh copy with no level built, each scan reading what it needs."""
     fresh = (lambda: build_g_table(t.factor, t.potential, t.depth_max)) \
         if t.classes is not None else None
-    want = [_json(ref_defect_profile(t))] + [ref_check_D2(t, gap) for gap in gaps]
+    profile = ref_defect_profile(t)
+    want = [_json(profile)] + [ref_check_D2(t, gap) for gap in gaps]
     for path in [None] + (list(FORCE) if t.classes is not None else []):
         with mock.patch.object(seqtable._FiberClasses, "_scan_cost", FORCE.get(
                 path, seqtable._FiberClasses._scan_cost)):
             for table in [t] + ([fresh()] if fresh else []):
-                assert _json(defect_profile(table)) == want[0], path
+                if t.factor is not None and not t.is_exact:  # a float g-table: vertex pairs
+                    assert_profile_near(defect_profile(table), profile, table)
+                else:
+                    assert _json(defect_profile(table)) == want[0], path
                 for gap, ref in zip(gaps, want[1:]):
                     got = check_D2(table, gap)
                     assert _json(got) == _json(ref), (path, gap)
@@ -242,7 +298,7 @@ def test_exact_g_tables_take_the_class_path(monkeypatch):
     for t, (profile, bridges) in zip(tables, want):
         assert _json(defect_profile(t)) == profile
         assert [_json(check_D2(t, gap)) for gap in range(4)] == bridges
-    full2 = Sft.full_shift(["a", "b"])  # float tables still scan the words
+    full2 = Sft.full_shift(["a", "b"])  # a float table whose vertex pairs do not pay
     f = symbol_weights(full2, {"a": 0.5, "b": -0.25})
     with pytest.raises(AssertionError, match="word kernel"):
         defect_profile(build_g_table(OneBlockFactor.identity(full2), f, 4))
@@ -831,3 +887,97 @@ def test_one_forward_row_walk_serves_levels_classes_and_reads(monkeypatch, name,
     assert t.levels.built == built
     assert made == [t.rows, t.classes.fwd, t.classes.bwd]
     assert stepped == list(range(1, 15)) and len(t.rows.g) == 15
+
+
+def _float_potential(dom, r, weights, rng):
+    """A float potential of range r: values in [-3, 3] ("plain"), or
+    reaching the bottom of the float range, each window 0 or near -800
+    ("near -800", whose weights e^-800 underflow to 0) or in [-700, 0]
+    ("to -700"), with one window pinned at each end."""
+    windows = dom.blocks(r)
+    draw = {"plain": lambda: rng.uniform(-3, 3),
+            "near -800": lambda: rng.choice([0.0, rng.uniform(-805, -795)]),
+            "to -700": lambda: rng.uniform(-700, 0)}[weights]
+    values = {w: draw() for w in windows}
+    if weights != "plain":
+        values[windows[0]], values[windows[-1]] = 0.0, -800.0 if weights == "near -800" else -700.0
+    return LocallyConstantPotential(dom, r, values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor=small_factors(), f_range=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+       weights=st.sampled_from(["plain", "near -800", "to -700"]))
+@example(factor=([[1, 1], [1, 1]], ["a", "a"]), f_range=1, seed=0, weights="near -800")
+@example(factor=([[1, 1], [1, 1]], ["a", "a"]), f_range=2, seed=0, weights="to -700")
+def test_vertex_profile_matches_the_word_scan(factor, f_range, seed, weights):
+    """Random domains, full-shift and sofic images and reducible domains,
+    float potentials of range 1 to 3 at depth 7, the vertex path forced
+    past its cost gate: with plain weights it runs and matches the word
+    oracle (``assert_profile_near``); with weights reaching below the float
+    walk's floor it declines and the profile is the word scan's, byte for
+    byte.  Such weights often leave a word whose value the float walk
+    cannot hold (its gauge is per state, not per row); that table does not
+    build (TableError), and the examples are tables that do."""
+    trans, targets = factor
+    dom = Sft([str(i) for i in range(len(trans))], trans)
+    f = _float_potential(dom, f_range, weights, random.Random(seed))
+    try:
+        t = build_g_table(OneBlockFactor(dom, targets), f, 7)
+    except seqtable.TableError:
+        assert weights != "plain"
+        return
+    want = ref_defect_profile(t)
+    with mock.patch.object(seqtable, "_profile_splits", lambda counts: math.inf):
+        taken = seqtable._vertex_profile(t) is not None
+        got = defect_profile(t)
+    assert taken == (weights == "plain")
+    if taken:
+        assert_profile_near(got, want, t)
+    else:
+        assert _json(got) == _json(want)
+
+
+def _r2_float_table(depth):
+    """Collapse with the range-2 float potential of the golden reports (the
+    r2-float benchmark's shape)."""
+    pi = load_factor(read_json(FIXTURES / "factor_collapse.json"))
+    f = load_potential(read_json(GOLDEN / "potential_r2_full3.json"), pi.domain)
+    return build_g_table(pi, f, depth)
+
+
+@pytest.mark.parametrize("depth", [13, 19])
+def test_float_verdict_reads_vertex_pairs(depth, monkeypatch):
+    """The r2-float verdict's growth witness reads its profile from vertex
+    pairs: table_verdict(r=2) never scans the splits and builds only the
+    levels its fits read, 8 of 13 or 19."""
+    def splits(*args):
+        raise AssertionError("the word scan ran")
+
+    monkeypatch.setattr(seqtable, "_splits", splits)
+    t = _r2_float_table(depth)
+    assert table_verdict(t, r=2).verdict.value == "EVIDENCE"
+    assert t.levels.built == seqtable.FIT_DEPTH == 8
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_vertex_profile_on_calkin_wilf_declines_or_keeps_pace(r):
+    """Calkin-Wilf's backward rows need not prune (at range 3 every word
+    keeps its own): with a float potential at depth 12 the profile either
+    declines to the word scan or takes no longer in-process than the word
+    scan (best of 7 each on fresh tables, the two paths alternated so that
+    a slow stretch of the host slows both)."""
+    pi = load_factor(read_json(FIXTURES / "factor_calkin_wilf.json"))
+    rng = random.Random(r)
+    f = LocallyConstantPotential(pi.domain, r, {w: rng.uniform(-1, 1)
+                                                for w in pi.domain.blocks(r)})
+    if seqtable._vertex_profile(build_g_table(pi, f, 12)) is None:
+        return
+    times = {"vertices": [], "words": []}
+    for _ in range(7):
+        for path, profile in (("vertices", seqtable._vertex_profile), ("words", lambda t: None)):
+            t = build_g_table(pi, f, 12)
+            start = time.perf_counter()
+            with mock.patch.object(seqtable, "_vertex_profile", profile):
+                defect_profile(t)
+            times[path].append(time.perf_counter() - start)
+    assert min(times["vertices"]) <= min(times["words"])
