@@ -232,7 +232,7 @@ def _grow(v: np.ndarray, m: np.ndarray, ordered: bool = True) -> np.ndarray:
     if v.dtype == np.int64 and (m.dtype == object or
                                 array_max(v) * array_max(m.sum(axis=0)) > INT64_MAX):
         v = v.astype(object)
-    flat = m.reshape(len(m), -1).astype(v.dtype)
+    flat = m.reshape(len(m), -1).astype(v.dtype, copy=False)
     if v.dtype == float and ordered:
         out = np.zeros((len(v), flat.shape[1]))
         for j in range(len(flat)):

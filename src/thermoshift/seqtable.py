@@ -53,9 +53,10 @@ words are reached at vertices of the rows' hulls (Charnes & Cooper 1962),
 per reach: the pairs that are words are those whose reaches meet.  One
 vertex walk keeps per depth a superset of those vertices and steps only
 them, and one product of the kept rows gives every cell; it declines (the
-word scan runs, whole-profile) where a weight, a tail, a kept entry or a
-meeting product lies below the float walk's floor, or where its pair
-products, times the states they sum over, reach the splits.  Tables built
+word scan runs, whole-profile) where a weight, a tail or a kept entry lies
+below the float walk's floor, or the least kept entries of the two sides
+multiply to below it, or, depth by depth, where its pair products, times
+the states they sum over, would reach the splits.  Tables built
 from dicts, exact g-tables whose classes do not pay and float g-tables
 whose vertices decline keep the word scans (``_splits``, ``_ranks``),
 and check_D2 keeps its class and word scans (``_word_bridges``) on every
@@ -593,10 +594,9 @@ def _profile_splits(counts: list[int]) -> int:
 
 def _vertex_profile(t: SeqTable) -> dict[int, dict[int, float]] | None:
     """The whole C_{n,m} profile of a float g-table from the extreme rays of
-    its fiber rows, n -> {m: log C_{n,m}}; None (the caller scans the
-    words) where the floats could lose a term, or once the pair products,
-    counted as the walk goes, times the states each sums over reach the
-    splits the word scan reads (``_profile_splits``).
+    its fiber rows, n -> {m: log C_{n,m}}; None, and the caller scans the
+    words, where the floats could lose a term or where the pair products
+    would not pay.
 
     g(uv) = x_u . y_v up to the fmax offsets, for the forward rows x_u =
     alpha G_u and the backward rows y_v = G_v tau of the representation's
@@ -611,9 +611,16 @@ def _vertex_profile(t: SeqTable) -> dict[int, dict[int, float]] | None:
     over G and G^T side by side, from alpha and tau, so each depth's rows
     are the forward ones, then the backward ones.  One product of the kept
     forward rows of all depths against the kept backward rows gives every
-    cell.  Declines where a transfer weight, a state's tail, a live entry
-    of a kept row or the product of a meeting pair lies below _FLOOR:
-    there the table's own walk gauges its states."""
+    cell, and is 0 exactly where two reaches do not meet.
+
+    Declines where a transfer weight, a state's tail or a live entry of a
+    kept row lies below _FLOOR (there the table's own walk gauges its
+    states), or where the least live entries of the two sides multiply to
+    below it, as a meeting pair's product then could.  Declines too, after
+    each depth d, once that product, its pairs times the states each sums
+    over, would reach the splits the word scan reads (``_profile_splits``)
+    if every depth still to walk kept as many rows as depth d: a walk whose
+    rows do not prune stops within a few depths."""
     rep, top, f = _representation(t.factor, t.potential), t.depth_max, t.potential
     size = len(rep.m)
     lift = 0.0 if rep.tails is None else rep.tails.max()
@@ -629,23 +636,22 @@ def _vertex_profile(t: SeqTable) -> dict[int, dict[int, float]] | None:
     walk = _Rows(root, lambda n: (m, edge), lambda v: None, keep=_vertex_keep(scale, m))
     splits = _profile_splits(t.language.block_counts(top))
     sizes = [[0], [0]]  # kept rows per depth, forward and backward
-    ys = [0]  # backward rows through each depth
     with np.errstate(divide="ignore", invalid="ignore"):
         for d in range(1, top):
             ahead = int(walk.to(d).reach[d][:, :size].any(axis=1).sum())
             sizes[0].append(ahead)
             sizes[1].append(len(walk.rows[d]) - ahead)
-            ys.append(ys[-1] + sizes[1][-1])
-            if not (ahead and sizes[1][-1]) or size * \
-                    sum(sizes[0][n] * ys[min(d, top - n)] for n in range(1, d + 1)) >= splits:
+            xs, ys = (sum(side) + (top - 1 - d) * side[-1] for side in sizes)
+            if not (ahead and sizes[1][-1]) or size * xs * ys >= splits:
                 return None
         rows, reach = np.concatenate(walk.rows[1:top]), np.concatenate(walk.reach[1:top])
+        live = np.where(reach, rows, np.inf)
         fwd = reach[:, :size].any(axis=1)
-        x, live, y, back = rows[fwd, :size], reach[fwd, :size], rows[~fwd, size:], reach[~fwd, size:]
-        meet, prod = live.astype(float) @ back.T.astype(float) > 0, x @ y.T
-        if not ((rows >= _FLOOR) | ~reach).all() or not ((prod >= _FLOOR) | ~meet).all():
+        if not (np.isfinite(rows).all() and live.min() >= _FLOOR and
+                live[fwd].min() * live[~fwd].min() >= _FLOOR):
             return None
-    prod[~meet] = np.nan  # the pairs that are no words: fmax passes them over
+        prod = rows[fwd, :size] @ rows[~fwd, size:].T
+    prod[prod == 0] = np.nan  # the pairs that are no words: fmax passes them over
     ends = np.log(prod)
     ends = np.stack([ends, -ends])
     for axis, cut in enumerate(np.cumsum(sizes, axis=1)[:, :-1], start=1):
@@ -663,46 +669,40 @@ def _vertex_profile(t: SeqTable) -> dict[int, dict[int, float]] | None:
 
 def _vertex_keep(scale: np.ndarray, step: np.ndarray):
     """A ``keep`` for the float vertex walk (``_Rows``): the rows grown,
-    each divided by its product with ``scale``, then per group of one reach and one symbol b a
-    superset of the extreme rays of their cone.  A row of the group is
-    determined linearly by its entries on its reach, and is src M_b, where
-    only src's entries on the states leading into the reach by b count:
-    so the group's cone is the image of the cone of the rows read on
-    either set of states, and where the smaller takes at most 3 states,
-    the group's vertices are among those of the rows read there
-    (``_cone_vertices``).  Other groups keep every row."""
-    k, width = step.shape[1], step.shape[0]
-    bits = None if width + k.bit_length() > 62 else 1 << np.arange(width)
-    reads = {}  # per group: read the grown rows (True) or src, and on which states
+    each divided by its product with ``scale``, then per group of one reach
+    and one symbol b a superset of the extreme rays of their cone.  A row of
+    the group is determined linearly by its entries on its reach, and is
+    src M_b, where only src's entries on the states leading into the reach
+    by b count: so the group's cone is the image of the cone of the rows
+    read on either set of states.  Where the smaller set is one state the
+    group is one ray; where it is 2 or 3 states the group's vertices are
+    among those of the rows read there (``_cone_vertices``).  Other groups
+    keep every row."""
+    reads = {}  # per (reach, b): read the grown rows (True) or src, and on which states
 
     def keep(rows, reach, sym, src):
         rows /= (rows @ scale)[:, None]
-        codes = (unique_rows(reach)[1] if bits is None else reach @ bits) * k + sym
-        order = codes.argsort(kind="stable")
-        cut = codes[order]
-        ends = (np.flatnonzero(cut[1:] != cut[:-1]) + 1).tolist()
+        width, packed = reach.shape[1], reach.tobytes()
+        groups = {}
+        for i, b in enumerate(sym.tolist()):
+            groups.setdefault((packed[i * width:(i + 1) * width], b), []).append(i)
         kept = []
-        for a, z in zip([0] + ends, ends + [len(order)]):
-            first = int(order[a])
-            if z - a == 1:
-                kept.append(first)
-                continue
-            key = int(cut[a]) if bits is not None else (reach[first].tobytes(), int(sym[first]))
-            if key not in reads:
-                on = np.flatnonzero(reach[first])
-                into = np.flatnonzero(step[:, sym[first], on].any(axis=1))
-                reads[key] = (True, on) if len(on) <= len(into) else (False, into)
-            grown, on = reads[key]
-            if len(on) == 1:  # one ray
-                kept.append(first)
-            elif len(on) > 3:
-                kept += order[a:z].tolist()
-            else:
-                part = order[a:z]
-                read = (rows if grown else src)[part[:, None], on]
-                kept += [int(part[i]) for i in _cone_vertices(read.tolist())]
+        for key, part in groups.items():
+            if len(part) > 1:
+                if key not in reads:
+                    on = np.flatnonzero(reach[part[0]])
+                    into = np.flatnonzero(step[:, key[1], on].any(axis=1))
+                    reads[key] = (True, on) if len(on) <= len(into) else (False, into)
+                grown, on = reads[key]
+                if len(on) == 1:  # one ray
+                    part = part[:1]
+                elif len(on) <= 3:
+                    read = (rows if grown else src)[part][:, on].tolist()
+                    part = [part[i] for i in _cone_vertices(read)]
+            kept += part
         kept.sort()
-        return rows[kept], np.array(kept, np.intp)
+        kept = np.array(kept, np.intp)
+        return rows[kept], kept
     return keep
 
 
